@@ -6,9 +6,8 @@ and applies the machinery to abstract hexagon diagrams.
 """
 
 from .rings import RingSpec, ZZ, Zmod
-from .linalg import ExactMatrix, SNFDecomposition, snf, solve_linear, kernel_columns
+from .linalg import ExactMatrix, solve_linear, kernel_columns
 from .modules import (
-    ModuleElement,
     ModuleMorphism,
     PresentedModule,
     ShortExactSequence,
@@ -76,8 +75,8 @@ from .document import DocumentModel, ParseError, SemanticError, parse, serialize
 
 __all__ = [
     "RingSpec", "ZZ", "Zmod",
-    "ExactMatrix", "SNFDecomposition", "snf", "solve_linear", "kernel_columns",
-    "PresentedModule", "ModuleElement", "ModuleMorphism", "ShortExactSequence",
+    "ExactMatrix", "solve_linear", "kernel_columns",
+    "PresentedModule", "ModuleMorphism", "ShortExactSequence",
     "check_well_defined", "hom", "kernel_image_cokernel", "direct_sum",
     "pullback", "pushout", "exactness_report", "is_exact", "make_ses",
     "split_ses", "snake_connecting",

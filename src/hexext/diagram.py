@@ -29,13 +29,10 @@ from .ext import (
     ExtModule,
     class_of_ses,
     ext_module,
-    hom_generator_as_morphism,
     ses_of_class,
     ses_of_cocycle,
-    splice,
     transport_contravariant,
     transport_covariant,
-    two_extension_class,
     yoneda_product_of_ses,
     _transport_matrix,
 )
@@ -58,6 +55,7 @@ from .modules import (
     snake_connecting,
     solve_morphism,
     zero_morphism,
+    _ses,
 )
 from .rings import prime_factors
 
@@ -135,6 +133,8 @@ def validate_diagram1(d: Diagram3x3) -> list[str]:
 
 
 def _require_valid(d: Diagram3x3) -> None:
+    """The single validation boundary: every public entry taking a diagram
+    calls this once, first, and works through unchecked private cores."""
     violations = validate_diagram1(d)
     if violations:
         raise InvalidDiagramError(violations)
@@ -151,6 +151,10 @@ class ObstructionReport:
 def obstruction(d: Diagram3x3) -> ObstructionReport:
     """The extendability obstruction: both spliced products and their sum."""
     _require_valid(d)
+    return _obstruction(d)
+
+
+def _obstruction(d: Diagram3x3) -> ObstructionReport:
     ef = yoneda_product_of_ses(d.row_top, d.col_right)
     hg = yoneda_product_of_ses(d.col_left, d.row_bottom)
     total = ef + hg
@@ -176,6 +180,10 @@ def build_Y(d: Diagram3x3, snake_check: bool = True) -> BuildY:
     """Construct Y with its sequence; optionally cross-validate the derived
     3x3 grid via the snake lemma."""
     _require_valid(d)
+    return _build_Y(d, snake_check)
+
+
+def _build_Y(d: Diagram3x3, snake_check: bool) -> BuildY:
     pb = pullback(d.col_right.project, d.row_bottom.project)
     simp = simplify(pb.module)
     y = simp.module
@@ -292,9 +300,8 @@ def _realize(d: Diagram3x3, by: BuildY, e_y: ExtModule, cocycle: ExactMatrix) ->
                        post=[(pi_y, by.w_r @ d.row_top.project)])
     if i is None or j is None:
         raise NotExtendableError(None, "restriction classes matched but grid maps are unsolvable")
-    row_mid = make_ses(i, m)
-    col_mid = make_ses(j, n)
-    ext = DiagramExtension(x, i, j, m, n, row_mid, col_mid)
+    # exactness of both middle sequences is checked by validate_extension
+    ext = DiagramExtension(x, i, j, m, n, _ses(i, m), _ses(j, n))
     bad = validate_extension(d, ext)
     if bad:
         raise NotExtendableError(None, "constructed extension failed validation: " + "; ".join(bad))
@@ -310,9 +317,9 @@ def extend_diagram(d: Diagram3x3, snake_check: bool = True) -> DiagramExtension:
     solve the restriction map for a class over Y and realize it.
     """
     _require_valid(d)
-    by = build_Y(d, snake_check=snake_check)
+    by = _build_Y(d, snake_check)
     tau = _restriction_data(d, by)
-    ob = obstruction(d)
+    ob = _obstruction(d)
     delta_tau = _connecting_obstruction(d, by, tau)
     expected = ob.baer_sum if OBSTRUCTION_SIGN == 1 else -ob.baer_sum
     if not delta_tau.same_as(expected):
@@ -334,9 +341,9 @@ def enumerate_extensions(d: Diagram3x3, snake_check: bool = False) -> list[Diagr
     is the coset of the image of Ext^1(Q, P), so the count is bounded by
     ``|Ext^1(Q, P)|``."""
     _require_valid(d)
-    by = build_Y(d, snake_check=snake_check)
+    by = _build_Y(d, snake_check)
     tau = _restriction_data(d, by)
-    ob = obstruction(d)
+    ob = _obstruction(d)
     if not ob.is_zero:
         raise NotExtendableError(ob)
     e_y = ext_module(1, by.y, d.p)
@@ -366,7 +373,7 @@ def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     """The middle object's class over Y is unique iff the connecting map
     alpha from Hom(R (+) S, P) onto Ext^1(Q, P) is surjective."""
     _require_valid(d)
-    by = build_Y(d, snake_check=False)
+    by = _build_Y(d, snake_check=False)
     h_rs = ext_module(0, by.rs.module, d.p)
     e1_q = ext_module(1, d.q, d.p)
     cls = class_of_ses(by.ses)  # in Ext^1(Q, R(+)S)
@@ -408,11 +415,12 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
     E (+) H in X1 vanishing on P; (d) extend it to X1; (e) shift phi by the
     extension.
     """
+    _require_valid(d)
     for k, ext in (("first", ext1), ("second", ext2)):
         bad = validate_extension(d, ext)
         if bad:
             raise InvalidDiagramError([f"{k} extension invalid: " + "; ".join(bad)])
-    by = build_Y(d, snake_check=False)
+    by = _build_Y(d, snake_check=False)
     pi1 = _projection_to_y(d, by, ext1)
     pi2 = _projection_to_y(d, by, ext2)
     iota1 = ext1.i @ d.col_left.inject

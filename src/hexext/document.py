@@ -30,7 +30,7 @@ from .diagram import Diagram3x3, DiagramExtension
 from .errors import HexextError
 from .hexagon import HexagonFrame
 from .linalg import ExactMatrix
-from .modules import ModuleMorphism, PresentedModule, ShortExactSequence, check_well_defined
+from .modules import ModuleMorphism, PresentedModule, ShortExactSequence, _ses, check_well_defined
 from .rings import RingSpec, ZZ, Zmod
 
 _BIG = 1 << 53
@@ -75,9 +75,26 @@ def _as_int(v) -> int:
         return v
     if isinstance(v, str):
         t = v[1:] if v.startswith("-") else v
-        if t.isdigit():
+        if t.isdecimal():
             return int(v)
     raise SemanticError(f"not an integer: {v!r}")
+
+
+def _section(doc: dict, key: str) -> dict:
+    """A top-level section whose every entry is an object."""
+    sec = doc.get(key) or {}
+    if not isinstance(sec, dict):
+        raise SemanticError(f"section {key!r} must be an object")
+    for name, spec in sec.items():
+        if not isinstance(spec, dict):
+            raise SemanticError(f"{key[:-1]} {name}: must be an object")
+    return sec
+
+
+def _known(table: dict, ref) -> bool:
+    """Is ``ref`` a name in ``table``?  Names are strings, so a reference of
+    any other JSON type names nothing."""
+    return isinstance(ref, str) and ref in table
 
 
 def _encode_int(v: int):
@@ -113,25 +130,28 @@ def parse(text: str) -> DocumentModel:
         raise SemanticError("document root must be an object")
     model = DocumentModel()
 
-    for name, spec in (doc.get("rings") or {}).items():
+    for name, spec in _section(doc, "rings").items():
         kind = spec.get("kind")
         if kind == "Z":
             model.rings[name] = ZZ
         elif kind == "Zmod":
-            model.rings[name] = Zmod(_as_int(spec.get("m")))
+            try:
+                model.rings[name] = Zmod(_as_int(spec.get("m")))
+            except ValueError as exc:
+                raise SemanticError(f"ring {name}: {exc}") from exc
         else:
             raise SemanticError(f"ring {name}: unknown kind {kind!r}")
 
-    for name, spec in (doc.get("modules") or {}).items():
+    for name, spec in _section(doc, "modules").items():
         rname = spec.get("ring")
-        if rname not in model.rings:
+        if not _known(model.rings, rname):
             raise SemanticError(f"module {name}: unknown ring {rname!r}")
         ring = model.rings[rname]
         g = _as_int(spec.get("generators"))
         if g < 0:
             raise SemanticError(f"module {name}: negative generator count")
         rels = spec.get("relations", [])
-        if not isinstance(rels, list):
+        if not isinstance(rels, list) or any(not isinstance(col, list) for col in rels):
             raise SemanticError(f"module {name}: relations must be a list of columns")
         cols = [[_as_int(x) for x in col] for col in rels]
         if any(len(c) != g for c in cols):
@@ -139,11 +159,11 @@ def parse(text: str) -> DocumentModel:
         model.modules[name] = PresentedModule(ring, g, ExactMatrix.from_cols(ring, cols, g))
         model.module_ring_names[name] = rname
 
-    for name, spec in (doc.get("morphisms") or {}).items():
+    for name, spec in _section(doc, "morphisms").items():
         sname, tname = spec.get("source"), spec.get("target")
-        if sname not in model.modules:
+        if not _known(model.modules, sname):
             raise SemanticError(f"morphism {name}: unknown source {sname!r}")
-        if tname not in model.modules:
+        if not _known(model.modules, tname):
             raise SemanticError(f"morphism {name}: unknown target {tname!r}")
         src, tgt = model.modules[sname], model.modules[tname]
         if src.ring != tgt.ring:
@@ -161,16 +181,16 @@ def parse(text: str) -> DocumentModel:
         if not isinstance(block, dict):
             raise SemanticError(f"{what}: missing sequence {key!r}")
         inj_name, proj_name = block.get("inject"), block.get("project")
-        if inj_name not in model.morphisms or proj_name not in model.morphisms:
+        if not (_known(model.morphisms, inj_name) and _known(model.morphisms, proj_name)):
             raise SemanticError(f"{what}/{key}: unknown morphism reference")
         inj, proj = model.morphisms[inj_name], model.morphisms[proj_name]
         if inj.target != proj.source:
             raise SemanticError(f"{what}/{key}: inject and project do not compose")
-        return ShortExactSequence(inj.source, inj.target, proj.target, inj, proj)
+        return _ses(inj, proj)  # exactness is the diagram's to check
 
-    for name, spec in (doc.get("diagrams") or {}).items():
+    for name, spec in _section(doc, "diagrams").items():
         for key in ("P", "E", "R", "H", "F", "S", "G", "Q"):
-            if spec.get(key) not in model.modules:
+            if not _known(model.modules, spec.get(key)):
                 raise SemanticError(f"diagram {name}: unknown module for corner {key}")
         row_top = ses_from(spec, "rowTop", f"diagram {name}")
         row_bottom = ses_from(spec, "rowBottom", f"diagram {name}")
@@ -193,15 +213,15 @@ def parse(text: str) -> DocumentModel:
         model.diagrams[name] = Diagram3x3(row_top=row_top, row_bottom=row_bottom,
                                           col_left=col_left, col_right=col_right)
 
-    for name, spec in (doc.get("hexagons") or {}).items():
+    for name, spec in _section(doc, "hexagons").items():
         objs = {}
         for key in ("A1", "B1", "B2", "A4", "A2", "A3"):
-            if spec.get(key) not in model.modules:
+            if not _known(model.modules, spec.get(key)):
                 raise SemanticError(f"hexagon {name}: unknown module for {key}")
             objs[key] = model.modules[spec[key]]
         maps = {}
         for key in ("alpha", "beta", "topB", "d", "r", "s"):
-            if spec.get(key) not in model.morphisms:
+            if not _known(model.morphisms, spec.get(key)):
                 raise SemanticError(f"hexagon {name}: unknown morphism for {key}")
             maps[key] = model.morphisms[spec[key]]
         model.hexagons[name] = HexagonFrame(
@@ -210,23 +230,20 @@ def parse(text: str) -> DocumentModel:
             alpha=maps["alpha"], beta=maps["beta"], top_b=maps["topB"],
             d=maps["d"], r=maps["r"], s=maps["s"])
 
-    for name, spec in (doc.get("extensions") or {}).items():
+    for name, spec in _section(doc, "extensions").items():
         dname = spec.get("diagram")
-        if dname not in model.diagrams:
+        if not _known(model.diagrams, dname):
             raise SemanticError(f"extension {name}: unknown diagram {dname!r}")
-        if spec.get("X") not in model.modules:
+        if not _known(model.modules, spec.get("X")):
             raise SemanticError(f"extension {name}: unknown middle module")
         mor = {}
         for key in ("i", "j", "m", "n"):
-            if spec.get(key) not in model.morphisms:
+            if not _known(model.morphisms, spec.get(key)):
                 raise SemanticError(f"extension {name}: unknown morphism for {key}")
             mor[key] = model.morphisms[spec[key]]
         x = model.modules[spec["X"]]
-        d = model.diagrams[dname]
-        row_mid = ShortExactSequence(d.h, x, d.f, mor["i"], mor["m"])
-        col_mid = ShortExactSequence(d.e, x, d.g, mor["j"], mor["n"])
         model.extensions[name] = DiagramExtension(x, mor["i"], mor["j"], mor["m"], mor["n"],
-                                                  row_mid, col_mid)
+                                                  _ses(mor["i"], mor["m"]), _ses(mor["j"], mor["n"]))
         model.extension_diagram_names[name] = dname
     return model
 

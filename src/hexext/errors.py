@@ -29,10 +29,6 @@ class LadderNotCommutingError(HexextError):
     pass
 
 
-class RowsNotExactError(HexextError):
-    pass
-
-
 class ArgumentMismatchError(HexextError):
     pass
 

@@ -27,7 +27,6 @@ from .diagram import (
     DiagramExtension,
     compatible_isomorphism,
     extend_diagram,
-    validate_extension,
 )
 from .errors import FrameInvalidError
 from .linalg import ExactMatrix, reduce_mod_lattice, shrink_generators
@@ -35,13 +34,12 @@ from .modules import (
     EXACT,
     ModuleMorphism,
     PresentedModule,
-    ShortExactSequence,
     exactness_report,
     hom,
     kernel_image_cokernel,
     lift_through_inclusion,
-    make_ses,
     preimage_kernel_columns,
+    _ses,
 )
 
 
@@ -132,10 +130,12 @@ def fold_frame(f: HexagonFrame) -> FoldResult:
     q_mod, incl_q, pi_fq = kic_s.image, kic_s.image_inclusion, kic_s.image_corestriction
     pi_gq = lift_through_inclusion(incl_q, f.r)   # B2 -> Q, corestriction of r
 
-    row_top = make_ses(nu, pi_er)        # 0 -> P -> A2 -> im(d) -> 0
-    col_left = make_ses(mu, pi_hs)       # 0 -> P -> B1 -> im(topB) -> 0
-    row_bottom = make_ses(incl_s, pi_gq) # 0 -> im(topB) -> B2 -> Q -> 0
-    col_right = make_ses(incl_r, pi_fq)  # 0 -> im(d) -> A3 -> Q -> 0
+    # exact because the frame is valid; the diagram entry points re-check the
+    # folded grid once anyway
+    row_top = _ses(nu, pi_er)         # 0 -> P -> A2 -> im(d) -> 0
+    col_left = _ses(mu, pi_hs)        # 0 -> P -> B1 -> im(topB) -> 0
+    row_bottom = _ses(incl_s, pi_gq)  # 0 -> im(topB) -> B2 -> Q -> 0
+    col_right = _ses(incl_r, pi_fq)   # 0 -> im(d) -> A3 -> Q -> 0
     diagram = Diagram3x3(row_top=row_top, row_bottom=row_bottom,
                          col_left=col_left, col_right=col_right)
     return FoldResult(diagram, quotient, incl_r, incl_s, incl_q)
@@ -187,10 +187,9 @@ def verify_hexagon(h: SolvedHexagon) -> list[str]:
 
 
 def _as_extension(h: SolvedHexagon) -> DiagramExtension:
-    row_mid = make_ses(h.j, h.curv)
-    col_mid = make_ses(h.i, h.c)
+    """Unchecked: compatible_isomorphism validates the extension first."""
     return DiagramExtension(h.center, i=h.j, j=h.i, m=h.curv, n=h.c,
-                            row_mid=row_mid, col_mid=col_mid)
+                            row_mid=_ses(h.j, h.curv), col_mid=_ses(h.i, h.c))
 
 
 def hexagon_compatible_iso(h1: SolvedHexagon, h2: SolvedHexagon) -> ModuleMorphism:

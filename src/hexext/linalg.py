@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
-from .rings import RingSpec, ZZ, unit_rescaling, xgcd
+from .rings import RingSpec, xgcd
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -139,9 +138,6 @@ class ExactMatrix:
     def take_rows(self, lo: int, hi: int) -> "ExactMatrix":
         return ExactMatrix(self.ring, hi - lo, self.cols, self.data[lo:hi])
 
-    def take_cols(self, lo: int, hi: int) -> "ExactMatrix":
-        return ExactMatrix(self.ring, self.rows, hi - lo, tuple(r[lo:hi] for r in self.data))
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.data) + "]"
 
@@ -172,7 +168,7 @@ def _identity_list(n: int) -> list[list[int]]:
 def _snf_int_work(a: IntRows, nrows: int, ncols: int):
     """Smith normal form of an integer matrix.
 
-    Returns ``(U, Uinv, D, V, Vinv)`` as lists with ``U @ A @ V == D``,
+    Returns ``(U, Uinv, D, V)`` as tuples with ``U @ A @ V == D``,
     U, V unimodular, D diagonal with a divisibility chain and zeros last.
     Pivoting: smallest nonzero absolute value, ties broken by lowest
     (row, column) index, so the output is deterministic.
@@ -181,7 +177,6 @@ def _snf_int_work(a: IntRows, nrows: int, ncols: int):
     u = _identity_list(nrows)
     uinv = _identity_list(nrows)
     v = _identity_list(ncols)
-    vinv = _identity_list(ncols)
 
     def swap_rows(i, j):
         if i == j:
@@ -198,7 +193,6 @@ def _snf_int_work(a: IntRows, nrows: int, ncols: int):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
@@ -221,9 +215,6 @@ def _snf_int_work(a: IntRows, nrows: int, ncols: int):
             r[j] += q * r[i]
         for r in v:
             r[j] += q * r[i]
-        vi, vj = vinv[i], vinv[j]
-        for k in range(ncols):
-            vi[k] -= q * vj[k]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -289,7 +280,7 @@ def _snf_int_work(a: IntRows, nrows: int, ncols: int):
         t += 1
 
     to_t = lambda m_: tuple(tuple(r) for r in m_)
-    return to_t(u), to_t(uinv), to_t(d), to_t(v), to_t(vinv)
+    return to_t(u), to_t(uinv), to_t(d), to_t(v)
 
 
 @lru_cache(maxsize=None)
@@ -305,62 +296,6 @@ def _rank_of_diag(d: IntRows, nrows: int, ncols: int) -> int:
         else:
             break
     return r
-
-
-@dataclass(frozen=True)
-class SNFDecomposition:
-    """``U @ A @ V == D`` over the matrix ring; U, V invertible, D diagonal
-    with divisibility chain ``d1 | d2 | ...`` and zeros last."""
-
-    u: ExactMatrix
-    d: ExactMatrix
-    v: ExactMatrix
-    u_inv: ExactMatrix
-    v_inv: ExactMatrix
-    source_rows: int
-    source_cols: int
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.d.diagonal() if x != 0)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(x for x in self.d.diagonal() if x != 0)
-
-
-def snf(a: ExactMatrix) -> SNFDecomposition:
-    """Smith normal form over the matrix's own ring.
-
-    Over Z/m the integer Smith form of a lift is computed and the diagonal is
-    normalised to ``gcd(d, m)`` by scaling rows of U with units, which keeps
-    ``U @ A @ V == D`` and makes D the canonical invariant-factor diagonal of
-    the ring.
-    """
-    u, uinv, d, v, vinv = _snf_int(a.data, a.rows, a.cols)
-    ring = a.ring
-    if not ring.is_modular:
-        mk = lambda t, r, c: ExactMatrix(ZZ, r, c, t)
-        return SNFDecomposition(
-            mk(u, a.rows, a.rows), mk(d, a.rows, a.cols), mk(v, a.cols, a.cols),
-            mk(uinv, a.rows, a.rows), mk(vinv, a.cols, a.cols), a.rows, a.cols,
-        )
-    m = ring.modulus
-    u = [list(r) for r in u]
-    uinv = [list(r) for r in uinv]
-    d = [list(r) for r in d]
-    for i in range(min(a.rows, a.cols)):
-        w = unit_rescaling(d[i][i], m)
-        if w != 1:
-            winv = pow(w, -1, m)
-            u[i] = [x * w for x in u[i]]
-            d[i] = [x * w for x in d[i]]
-            for r in uinv:
-                r[i] = r[i] * winv
-    mk = lambda t, r, c: ExactMatrix.from_rows(ring, t, c)
-    return SNFDecomposition(
-        mk(u, a.rows, a.rows), mk(d, a.rows, a.cols), mk(v, a.cols, a.cols),
-        mk(uinv, a.rows, a.rows), mk(vinv, a.cols, a.cols), a.rows, a.cols,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +326,7 @@ def _lifted(a: ExactMatrix) -> tuple[IntRows, int, int]:
 
 
 def _solve_int(data: IntRows, nrows: int, ncols: int, b: tuple[int, ...]):
-    u, _uinv, d, v, _vinv = _snf_int(data, nrows, ncols)
+    u, _uinv, d, v = _snf_int(data, nrows, ncols)
     rank = _rank_of_diag(d, nrows, ncols)
     c = [sum(u[i][k] * b[k] for k in range(nrows)) for i in range(nrows)]
     y = [0] * ncols
@@ -407,7 +342,7 @@ def _solve_int(data: IntRows, nrows: int, ncols: int, b: tuple[int, ...]):
 
 
 def _kernel_int(data: IntRows, nrows: int, ncols: int) -> list[tuple[int, ...]]:
-    _u, _uinv, d, v, _vinv = _snf_int(data, nrows, ncols)
+    _u, _uinv, d, v = _snf_int(data, nrows, ncols)
     rank = _rank_of_diag(d, nrows, ncols)
     return [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
 
@@ -564,29 +499,3 @@ def lattice_pivot_profile(lattice: ExactMatrix) -> tuple[tuple[int, int], ...]:
     pivots = _hermite_cols(data, nr, nc)
     return tuple((r, c[r]) for r, c in pivots)
 
-
-def determinant(a: ExactMatrix) -> int:
-    """Exact determinant (Bareiss fraction-free elimination); square only."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m_ = [list(r) for r in a.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m_[k][k] == 0:
-            for i in range(k + 1, n):
-                if m_[i][k]:
-                    m_[k], m_[i] = m_[i], m_[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m_[i][j] = (m_[i][j] * m_[k][k] - m_[i][k] * m_[k][j]) // prev
-        prev = m_[k][k]
-    det = sign * m_[n - 1][n - 1]
-    return a.ring.reduce(det)

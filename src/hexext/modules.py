@@ -25,7 +25,6 @@ from .linalg import (
     kernel_columns,
     reduce_mod_lattice,
     shrink_generators,
-    snf,
     solve_canonical,
     solve_linear,
 )
@@ -127,40 +126,10 @@ def _structure(m: PresentedModule):
     from .linalg import _lifted, _snf_int, _rank_of_diag
 
     data, nr, nc = _lifted(m.relations)
-    _u, _ui, d, _v, _vi = _snf_int(data, nr, nc)
+    _u, _ui, d, _v = _snf_int(data, nr, nc)
     rank = _rank_of_diag(d, nr, nc)
     facs = tuple(d[i][i] for i in range(rank) if d[i][i] != 1)
     return (m.generators - rank, facs)
-
-
-@dataclass(frozen=True)
-class ModuleElement:
-    parent: PresentedModule
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.parent.generators:
-            raise ValueError("coefficient length mismatch")
-
-    def canonical(self) -> "ModuleElement":
-        return ModuleElement(self.parent, self.parent.canonical_rep(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return self.parent.contains(self.coeffs)
-
-    def same_as(self, other: "ModuleElement") -> bool:
-        if self.parent != other.parent:
-            return False
-        diff = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return self.parent.contains(diff)
-
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        red = self.parent.ring.reduce
-        return ModuleElement(self.parent, tuple(red(a + b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: int) -> "ModuleElement":
-        red = self.parent.ring.reduce
-        return ModuleElement(self.parent, tuple(red(c * a) for a in self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +155,6 @@ class ModuleMorphism:
 
     def apply(self, vec) -> tuple[int, ...]:
         return self.matrix.apply(vec)
-
-    def apply_element(self, el: ModuleElement) -> ModuleElement:
-        return ModuleElement(self.target, self.matrix.apply(el.coeffs))
 
     def __matmul__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """Composition ``self after other``."""
@@ -495,12 +461,19 @@ def make_ses(inject: ModuleMorphism, project: ModuleMorphism) -> ShortExactSeque
     for pos, verdict in report:
         if verdict != EXACT:
             raise NotExactError(f"{pos}: {verdict}")
+    return _ses(inject, project)
+
+
+def _ses(inject: ModuleMorphism, project: ModuleMorphism) -> ShortExactSequence:
+    """Unchecked constructor, for sequences whose exactness the caller has
+    already established or checks right after."""
     return ShortExactSequence(inject.source, inject.target, project.target, inject, project)
 
 
 def split_ses(a: PresentedModule, b: PresentedModule) -> ShortExactSequence:
+    """``0 -> A -> A (+) B -> B -> 0``; a direct sum, exact by construction."""
     ds = direct_sum(a, b)
-    return make_ses(ds.inject_left, ds.project_right)
+    return _ses(ds.inject_left, ds.project_right)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +662,7 @@ def simplify(m: PresentedModule) -> Simplified:
 
     ring = m.ring
     data, nr, nc = _lifted(m.relations)
-    u, uinv, d, _v, _vi = _snf_int(data, nr, nc)
+    u, uinv, d, _v = _snf_int(data, nr, nc)
     rank = _rank_of_diag(d, nr, nc)
     keep = []
     rel_cols = []

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -35,11 +34,6 @@ class RingSpec:
     def reduce(self, x: int) -> int:
         return x % self.modulus if self.kind == "Zmod" else x
 
-    def is_unit(self, x: int) -> bool:
-        if self.kind == "Z":
-            return x in (1, -1)
-        return gcd(x % self.modulus, self.modulus) == 1
-
     def __str__(self) -> str:
         return "Z" if self.kind == "Z" else f"Z/{self.modulus}"
 
@@ -62,37 +56,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def modinv(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {m}")
-    return x % m
-
-
-def unit_rescaling(d: int, m: int) -> int:
-    """A unit ``u`` mod m with ``u*d == gcd(d, m)`` mod m.
-
-    Every residue is associate to the gcd of itself with the modulus; this
-    returns a witness.  Used to normalise diagonal entries of normal forms
-    over Z/m.
-    """
-    d %= m
-    if d == 0:
-        return 1
-    g = gcd(d, m)
-    m1 = m // g
-    if m1 == 1:
-        u = 1
-    else:
-        u = modinv((d // g) % m1, m1)
-        if u == 0:
-            u = 1
-    # lift to a unit mod m; the progression u + k*m1 contains one
-    while gcd(u, m) != 1:
-        u += m1
-    return u % m
 
 
 def prime_factors(n: int) -> dict[int, int]:

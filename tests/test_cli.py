@@ -91,6 +91,24 @@ def test_bad_document_exits_2(tmp_path, capsys):
     assert main(["validate", str(p), "D"]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"rings": {"R": 5}},
+    {"rings": {"R": {"kind": "Zmod", "m": 1}}},
+    {"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": [2]}}},
+    {"modules": [1]},
+    {"diagrams": {"D": 5}},
+    {"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": ["R"], "generators": 1}}},
+    {"rings": {"R": {"kind": "Zmod", "m": "\u00b2"}}},
+], ids=["ring-not-object", "modulus-1", "flat-relations", "modules-not-object", "diagram-not-object",
+        "list-as-name", "superscript-digit"])
+def test_malformed_document_exits_2(tmp_path, capsys, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(p), "M"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_unknown_name_exits_2(capsys):
     assert main(["validate", str(FIXTURES / "allsplit.json"), "nope"]) == 2
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import hexext.diagram as diagram_module
 from hexext.diagram import (
     Diagram3x3,
     DiagramExtension,
@@ -117,6 +118,37 @@ def test_obstruction_requires_valid_diagram():
     d = Diagram3x3(row_top=sp, row_bottom=sp, col_left=sp4, col_right=sp)
     with pytest.raises(InvalidDiagramError):
         obstruction(d)
+
+
+# every public entry taking a diagram, called on a diagram and one extension
+ENTRIES = {
+    "obstruction": lambda d, ext: obstruction(d),
+    "build_Y": lambda d, ext: build_Y(d),
+    "extend_diagram": lambda d, ext: extend_diagram(d),
+    "enumerate_extensions": lambda d, ext: enumerate_extensions(d),
+    "check_uniqueness": lambda d, ext: check_uniqueness(d),
+    "compatible_isomorphism": lambda d, ext: compatible_isomorphism(d, ext, ext),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entry_validates_diagram_once(entry, monkeypatch):
+    d = all_split()
+    ext = extend_diagram(d)
+    seen = []
+    real = diagram_module.validate_diagram1
+    monkeypatch.setattr(diagram_module, "validate_diagram1", lambda dg: seen.append(dg) or real(dg))
+    ENTRIES[entry](d, ext)
+    assert len(seen) == 1 and seen[0] is d
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entry_rejects_invalid_diagram(entry):
+    sp = split_ses(Z2m, Z2m)
+    sp4 = split_ses(Z4m, Z4m)
+    d = Diagram3x3(row_top=sp, row_bottom=sp, col_left=sp4, col_right=sp)
+    with pytest.raises(InvalidDiagramError):
+        ENTRIES[entry](d, extend_diagram(all_split()))
 
 
 # -- Y ---------------------------------------------------------------------------------

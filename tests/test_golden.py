@@ -1,0 +1,51 @@
+"""Cross-version goldens for ``hexext fuzz``.
+
+Two digests per ring, for ``hexext fuzz --ring R --seed 20613 --count 25``:
+
+- ``raw``: sha256 of the report exactly as printed.  It may change only
+  when presentations change on purpose, with a CHANGES.md entry saying why.
+- ``invariants``: sha256 of the presentation-independent projection of each
+  case (obstruction zero, extended, unique, invariant factors of X).  It
+  must never change.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hexext.cli import main
+
+SEED, COUNT = 20613, 25
+
+GOLDEN = {
+    "Zmod4": ("4ac51430c03fedc3b60a5f7ec9d4d99108e575f1595ade38bed46f66d8cc7a1b",
+              "d27d1158d3632ec8c3c6c14adb4905e9a19a20dc959e1555ede3adc1e919b2f0"),
+    "Zmod8": ("aa93e4973ec28cdd3520339692daee540411117796dc991a6cc06fd6a34c923d",
+              "7213610a2b5e30c93facbe779c7fd0bdd5d9147cc8b6770d85578daee3f93d6e"),
+    "Zmod9": ("613033a71919bf25be2946ed700ee9b4fbc091ae1fd164ac37df33e6775bec27",
+              "63fe1b84fede7467c058d2be5c1645f3bd204a834e51da15e29e5674d00a0a0e"),
+    "Z": ("6d2080b69d43923027c81fcafa1500d18dbc88290ff2bd91448cb1c106dd6c06",
+          "b78d3908e3e7244a62d1020ac1352cbd8ba4920c6831fb38fe65a08a3241a92c"),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def invariants(report: dict) -> list[dict]:
+    return [{"obstruction_zero": c["obstruction_zero"], "extended": c["extended"],
+             "unique": c.get("unique"),
+             "X": c["X"]["invariant_factors"] if c["extended"] else None}
+            for c in report["cases"]]
+
+
+@pytest.mark.parametrize("ring", sorted(GOLDEN))
+def test_fuzz_golden(ring, capsys):
+    code = main(["fuzz", "--ring", ring, "--seed", str(SEED), "--count", str(COUNT)])
+    out = capsys.readouterr().out
+    assert code == 0
+    raw, inv = GOLDEN[ring]
+    assert sha256(json.dumps(invariants(json.loads(out)), sort_keys=True)) == inv
+    assert sha256(out) == raw

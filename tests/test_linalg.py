@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hexext.linalg import (
     ExactMatrix,
-    determinant,
+    _snf_int,
     kernel_columns,
     lattice_pivot_profile,
     reduce_mod_lattice,
-    snf,
     solve_canonical,
     solve_linear,
 )
@@ -24,6 +23,13 @@ def mat(ring, rows):
     return ExactMatrix.from_rows(ring, rows, len(rows[0]) if rows else 0)
 
 
+def smith(a: ExactMatrix):
+    """``(U, U^-1, D, V)`` of the integer Smith form as matrices over Z."""
+    u, uinv, d, v = _snf_int(a.data, a.rows, a.cols)
+    return (ExactMatrix(ZZ, a.rows, a.rows, u), ExactMatrix(ZZ, a.rows, a.rows, uinv),
+            ExactMatrix(ZZ, a.rows, a.cols, d), ExactMatrix(ZZ, a.cols, a.cols, v))
+
+
 # -- Smith normal form -------------------------------------------------------
 
 
@@ -31,32 +37,21 @@ def test_snf_2x2_example():
     # invariant factors from gcds of minors: d1 = gcd of entries = 2,
     # d1*d2 = |det| = |2*8 - 4*6| = 8, so D = diag(2, 4)
     a = mat(ZZ, [[2, 4], [6, 8]])
-    dec = snf(a)
-    assert dec.d.diagonal() == (2, 4)
-    assert dec.u @ a @ dec.v == dec.d
+    u, _uinv, d, v = smith(a)
+    assert d.diagonal() == (2, 4)
+    assert u @ a @ v == d
 
 
 def test_snf_identity():
     a = ExactMatrix.identity(ZZ, 3)
-    assert snf(a).d == a
-
-
-def test_snf_single_entry_mod4():
-    assert snf(mat(R4, [[2]])).d.diagonal() == (2,)
-
-
-def test_snf_unit_mod4_normalises():
-    # 3 is a unit mod 4, so its canonical invariant factor is 1
-    dec = snf(mat(R4, [[3]]))
-    assert dec.d.diagonal() == (1,)
-    assert dec.u @ mat(R4, [[3]]) @ dec.v == dec.d
+    assert smith(a)[2] == a
 
 
 def test_snf_empty_shapes():
     for rows, cols in ((0, 0), (0, 3), (3, 0)):
         a = ExactMatrix.zeros(ZZ, rows, cols)
-        dec = snf(a)
-        assert dec.u @ a @ dec.v == dec.d
+        u, _uinv, d, v = smith(a)
+        assert u @ a @ v == d
 
 
 small_entries = st.integers(min_value=-9, max_value=9)
@@ -73,13 +68,12 @@ def int_matrices(draw, max_dim=4):
 @given(int_matrices())
 @settings(max_examples=60, deadline=None)
 def test_snf_invariants_random(a):
-    dec = snf(a)
-    assert dec.u @ a @ dec.v == dec.d
-    assert dec.u @ dec.u_inv == ExactMatrix.identity(ZZ, a.rows)
-    assert dec.v @ dec.v_inv == ExactMatrix.identity(ZZ, a.cols)
-    assert determinant(dec.u) in (1, -1)
-    assert determinant(dec.v) in (1, -1)
-    diag = dec.d.diagonal()
+    u, uinv, d, v = smith(a)
+    assert u @ a @ v == d
+    assert u @ uinv == ExactMatrix.identity(ZZ, a.rows)
+    # V is unimodular iff its own Smith form is the identity
+    assert smith(v)[2].diagonal() == (1,) * a.cols
+    diag = d.diagonal()
     seen_zero = False
     for i, x in enumerate(diag):
         assert x >= 0
@@ -93,7 +87,7 @@ def test_snf_invariants_random(a):
     for i in range(a.rows):
         for j in range(a.cols):
             if i != j:
-                assert dec.d.entry(i, j) == 0
+                assert d.entry(i, j) == 0
 
 
 @given(int_matrices(max_dim=3), st.integers(min_value=0, max_value=3))
@@ -109,7 +103,7 @@ def test_snf_stable_under_unimodular_shuffle(a, seed):
             q = rng.choice((-2, -1, 1, 2))
             rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
     b = mat(ZZ, rows)
-    assert snf(a).d.diagonal() == snf(b).d.diagonal()
+    assert smith(a)[2].diagonal() == smith(b)[2].diagonal()
 
 
 # -- solving ------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hexext.errors import NotExactError, WellDefinednessError
 from hexext.linalg import ExactMatrix
 from hexext.modules import (
     DirectSum,
-    ModuleElement,
     PresentedModule,
     check_well_defined,
     direct_sum,
@@ -63,12 +62,12 @@ def test_identity_always_accepted():
 
 
 def test_element_equality_is_membership():
-    e0 = ModuleElement(Z4z, (0,))
-    e4 = ModuleElement(Z4z, (4,))
-    e1 = ModuleElement(Z4z, (1,))
-    assert e0.same_as(e4)
-    assert not e0.same_as(e1)
-    assert e4.is_zero()
+    # two coefficient columns are the same element iff their difference is
+    # zero in the module, and then they share a canonical representative
+    assert Z4z.contains((4,))
+    assert Z4z.canonical_rep((4,)) == Z4z.canonical_rep((0,))
+    assert not Z4z.contains((1,))
+    assert Z4z.canonical_rep((1,)) != Z4z.canonical_rep((0,))
 
 
 def test_element_enumeration_and_cardinality():
@@ -305,6 +304,9 @@ def test_isomorphism_detection_under_shuffle():
     shuffled = PresentedModule(R4, 2, ExactMatrix.from_cols(R4, cols, 2))
     assert base.is_isomorphic_to(shuffled)
     assert not base.is_isomorphic_to(PresentedModule.from_invariant_factors(R4, [2, 2]))
+    # a unit relation kills its generator; a zero divisor leaves its factor
+    assert PresentedModule.make(R4, 1, [[3]]).invariant_factors() == ()
+    assert PresentedModule.make(R4, 1, [[2]]).invariant_factors() == (2,)
 
 
 def test_simplify_round_trip():
