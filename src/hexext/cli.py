@@ -93,10 +93,18 @@ def _need(model: DocumentModel, table: str, name: str):
     return d[name]
 
 
+def _module_pair(model: DocumentModel, q_name: str, p_name: str):
+    """The modules Q and P of an Ext computation; both must be over one ring."""
+    q = _need(model, "modules", q_name)
+    p = _need(model, "modules", p_name)
+    if q.ring != p.ring:
+        raise SemanticError(f"modules {q_name!r} and {p_name!r} are over different rings")
+    return q, p
+
+
 def _cmd_ext(args) -> int:
     model = _load(args.document)
-    q = _need(model, "modules", args.q)
-    p = _need(model, "modules", args.p)
+    q, p = _module_pair(model, args.q, args.p)
     e = ext_module(args.degree, q, p)
     return _emit({"op": "ext", "degree": args.degree, "Q": args.q, "P": args.p,
                   "group": _module_report(e.presentation)}, EXIT_OK)
@@ -222,8 +230,7 @@ def _oracle_budget() -> EnumerationBudget:
 
 def _cmd_oracle_compare(args) -> int:
     model = _load(args.document)
-    q = _need(model, "modules", args.q)
-    p = _need(model, "modules", args.p)
+    q, p = _module_pair(model, args.q, args.p)
     budget = _oracle_budget()
     try:
         brute = brute_ext1(q, p, budget)
@@ -249,6 +256,10 @@ def _parse_ring(text: str) -> RingSpec:
 
 def _cmd_fuzz(args) -> int:
     ring = _parse_ring(args.ring)
+    if args.count < 0:
+        raise SemanticError(f"--count must be at least 0, got {args.count}")
+    if args.max_order < 1:
+        raise SemanticError(f"--max-order must be at least 1, got {args.max_order}")
     rng = random.Random(args.seed)
     cases = []
     failures = 0

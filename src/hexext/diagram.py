@@ -28,23 +28,23 @@ from .ext import (
     ExtClass,
     ExtModule,
     class_of_ses,
+    connecting_alpha,
     ext_module,
     ses_of_class,
     ses_of_cocycle,
     transport_contravariant,
-    transport_covariant,
     yoneda_product_of_ses,
     _transport_matrix,
 )
 from .linalg import ExactMatrix, reduce_mod_lattice, solve_linear
 from .modules import (
     DirectSum,
-    EXACT,
     ModuleMorphism,
     PresentedModule,
+    Pullback,
     ShortExactSequence,
     direct_sum,
-    exactness_report,
+    exactness_violations,
     hom,
     kernel_image_cokernel,
     lift_through_inclusion,
@@ -114,13 +114,9 @@ def validate_diagram1(d: Diagram3x3) -> list[str]:
     for name, seq in (("rowTop", d.row_top), ("rowBottom", d.row_bottom),
                       ("colLeft", d.col_left), ("colRight", d.col_right)):
         try:
-            rep = exactness_report([seq.inject, seq.project])
+            out += exactness_violations(name, [seq.inject, seq.project])
         except Exception as exc:  # non-composable stored sequences
             out.append(f"{name}: {exc}")
-            continue
-        for pos, verdict in rep:
-            if verdict != EXACT:
-                out.append(f"{name}/{pos}: {verdict}")
     if d.row_top.left != d.col_left.left:
         out.append("corner P differs between rowTop and colLeft")
     if d.row_top.right != d.col_right.left:
@@ -167,6 +163,7 @@ class BuildY:
     ``0 -> R (+) S -> Y -> Q -> 0`` and structural maps."""
 
     y: PresentedModule
+    pb: Pullback                      # F x_Q G, before simplification
     ses: ShortExactSequence           # 0 -> R(+)S -> Y -> Q -> 0
     rs: DirectSum
     w_r: ModuleMorphism               # R -> Y
@@ -210,7 +207,7 @@ def _build_Y(d: Diagram3x3, snake_check: bool) -> BuildY:
         if not res.kernels[2].is_isomorphic_to(d.s):
             raise InvalidDiagramError(["kernel of G -> Q does not match S in the derived grid"])
 
-    return BuildY(y, ses, rs, w_r, w_s, p_f, p_g, simp.to_min)
+    return BuildY(y, pb, ses, rs, w_r, w_s, p_f, p_g, simp.to_min)
 
 
 @dataclass(frozen=True)
@@ -237,10 +234,8 @@ def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:
         out.append("maps do not meet the middle object")
     if out:
         return out
-    for name, maps in (("rowMid", [ext.i, ext.m]), ("colMid", [ext.j, ext.n])):
-        for pos, verdict in exactness_report(maps):
-            if verdict != EXACT:
-                out.append(f"{name}/{pos}: {verdict}")
+    out += exactness_violations("rowMid", [ext.i, ext.m])
+    out += exactness_violations("colMid", [ext.j, ext.n])
     if not (ext.j @ d.row_top.inject).equals(ext.i @ d.col_left.inject):
         out.append("square P: j o nu != i o mu")
     if not (ext.m @ ext.j).equals(d.col_right.inject @ d.row_top.project):
@@ -374,15 +369,7 @@ def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     alpha from Hom(R (+) S, P) onto Ext^1(Q, P) is surjective."""
     _require_valid(d)
     by = _build_Y(d, snake_check=False)
-    h_rs = ext_module(0, by.rs.module, d.p)
-    e1_q = ext_module(1, d.q, d.p)
-    cls = class_of_ses(by.ses)  # in Ext^1(Q, R(+)S)
-
-    def alpha_on(c0: ExtClass) -> ExtClass:
-        lam = hom(by.rs.module, d.p, c0.cocycle())
-        return transport_covariant(cls, lam)
-
-    alpha = hom(h_rs.presentation, e1_q.presentation, _transport_matrix(h_rs, e1_q, alpha_on))
+    alpha = connecting_alpha(class_of_ses(by.ses), d.p)
     kic = kernel_image_cokernel(alpha)
     return UniquenessReport(kic.cokernel.is_zero_module(), alpha, kic.cokernel)
 
@@ -399,10 +386,8 @@ def extend_homomorphism(lam: ModuleMorphism, inclusion: ModuleMorphism) -> Modul
     return big
 
 
-def _projection_to_y(d: Diagram3x3, by: BuildY, ext: DiagramExtension) -> ModuleMorphism:
-    pb_like = pullback(d.col_right.project, d.row_bottom.project)
-    rho = pullback_factor(pb_like, ext.m, ext.n)
-    return by.to_y @ rho
+def _projection_to_y(by: BuildY, ext: DiagramExtension) -> ModuleMorphism:
+    return by.to_y @ pullback_factor(by.pb, ext.m, ext.n)
 
 
 def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramExtension) -> ModuleMorphism:
@@ -421,8 +406,8 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
         if bad:
             raise InvalidDiagramError([f"{k} extension invalid: " + "; ".join(bad)])
     by = _build_Y(d, snake_check=False)
-    pi1 = _projection_to_y(d, by, ext1)
-    pi2 = _projection_to_y(d, by, ext2)
+    pi1 = _projection_to_y(by, ext1)
+    pi2 = _projection_to_y(by, ext2)
     iota1 = ext1.i @ d.col_left.inject
     iota2 = ext2.i @ d.col_left.inject
     s1 = make_ses(iota1, pi1)

@@ -26,6 +26,8 @@ from .modules import (
     ShortExactSequence,
     Simplified,
     hom,
+    identity_morphism,
+    lift,
     make_ses,
     preimage_kernel_columns,
     pullback,
@@ -264,31 +266,28 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
 # ---------------------------------------------------------------------------
 
 
+def _chase(maps: list[ModuleMorphism], failures: tuple[str, ...]) -> ExtClass:
+    """The class in Ext^k(Q, P) of an exact ``0 -> P -> X_k -> ... -> X_1 ->
+    Q -> 0`` given by its k + 1 maps, left to right: lift the resolution of Q
+    through the maps from the right (staircase chase) and read off the
+    degree-k cocycle.  ``failures[i]`` is the message raised when the chase
+    leaves the image of ``maps[i]``."""
+    e = ext_module(len(maps) - 1, maps[-1].target, maps[0].source)
+    # F0 -> Q is the identity on generators
+    step = ExactMatrix.identity(e.q.ring, e.q.generators)
+    for i, (f, failure) in enumerate(zip(reversed(maps), reversed(failures))):
+        if i:
+            step = step @ e.resolution.differential(i)
+        step = lift(f, step)
+        if step is None:
+            raise NotExactError(failure)
+    return e.class_of_cocycle(step)
+
+
 def class_of_ses(s: ShortExactSequence) -> ExtClass:
-    """The class of ``0 -> P -> X -> Q -> 0`` in Ext^1(Q, P): lift the
-    resolution of Q into the sequence and read off the degree-1 cocycle."""
-    e = ext_module(1, s.right, s.left)
-    res = e.resolution
-    ring = s.left.ring
-    proj_sys = s.project.matrix.hstack(s.right.relations)
-    l0_cols = []
-    for j in range(res.f0):
-        unit = [1 if i == j else 0 for i in range(s.right.generators)]
-        sol = solve_canonical(proj_sys, unit)
-        if sol is None:
-            raise NotExactError("projection is not surjective")
-        l0_cols.append(list(sol)[: s.middle.generators])
-    l0 = ExactMatrix.from_cols(ring, l0_cols, s.middle.generators)
-    inj_sys = s.inject.matrix.hstack(s.middle.relations)
-    phi_cols = []
-    ld1 = l0 @ res.d1
-    for j in range(res.f1):
-        sol = solve_canonical(inj_sys, ld1.col(j))
-        if sol is None:
-            raise NotExactError("image of the injection does not absorb the chase")
-        phi_cols.append(list(sol)[: s.left.generators])
-    phi = ExactMatrix.from_cols(ring, phi_cols, s.left.generators)
-    return e.class_of_cocycle(phi)
+    """The class of ``0 -> P -> X -> Q -> 0`` in Ext^1(Q, P)."""
+    return _chase([s.inject, s.project],
+                  ("image of the injection does not absorb the chase", "projection is not surjective"))
 
 
 def ses_of_class(c: ExtClass) -> ShortExactSequence:
@@ -321,23 +320,20 @@ def ses_of_cocycle(e: ExtModule, phi: ExactMatrix) -> ShortExactSequence:
 # ---------------------------------------------------------------------------
 
 
+def _free_map(d: ExactMatrix) -> ModuleMorphism:
+    """A differential of a resolution as a morphism between free modules."""
+    return ModuleMorphism(PresentedModule.free(d.ring, d.cols), PresentedModule.free(d.ring, d.rows), d)
+
+
 def chain_map(res_from: FreeResolution, res_to: FreeResolution, f: ModuleMorphism, depth: int):
     """Lift ``f : M -> N`` to a chain map between resolutions, up to the given
     depth.  ``maps[i] : F_i(M) -> F_i(N)`` with ``d o maps[i] = maps[i-1] o d``."""
-    ring = f.source.ring
     maps = [f.matrix]  # F0 = generators, aug = identity on both sides
     for i in range(1, depth + 1):
-        d_to = res_to.differential(i)
-        d_from = res_from.differential(i)
-        prev = maps[i - 1]
-        rhs = prev @ d_from
-        cols = []
-        for j in range(d_from.cols):
-            sol = solve_canonical(d_to, rhs.col(j))
-            if sol is None:
-                raise ArgumentMismatchError("chain map lift failed; resolution invariant broken")
-            cols.append(list(sol))
-        maps.append(ExactMatrix.from_cols(ring, cols, d_to.cols))
+        step = lift(_free_map(res_to.differential(i)), maps[i - 1] @ res_from.differential(i))
+        if step is None:
+            raise ArgumentMismatchError("chain map lift failed; resolution invariant broken")
+        maps.append(step)
     return maps
 
 
@@ -454,41 +450,10 @@ def splice(s_left: ShortExactSequence, s_right: ShortExactSequence) -> YonedaTwo
 
 
 def two_extension_class(y: YonedaTwoExtension) -> ExtClass:
-    """Read the Ext^2 class of a two-step extension by lifting Q's resolution
-    through it (staircase chase)."""
-    e2 = ext_module(2, y.q, y.p)
-    res = e2.resolution
-    ring = y.p.ring
-    proj_sys = y.project.matrix.hstack(y.q.relations)
-    l0_cols = []
-    for j in range(res.f0):
-        unit = [1 if i == j else 0 for i in range(y.q.generators)]
-        sol = solve_canonical(proj_sys, unit)
-        if sol is None:
-            raise NotExactError("two-extension projection is not surjective")
-        l0_cols.append(list(sol)[: y.x1.generators])
-    l0 = ExactMatrix.from_cols(ring, l0_cols, y.x1.generators)
-
-    mid_sys = y.mid.matrix.hstack(y.x1.relations)
-    l1_cols = []
-    ld1 = l0 @ res.d1
-    for j in range(res.f1):
-        sol = solve_canonical(mid_sys, ld1.col(j))
-        if sol is None:
-            raise NotExactError("chase left the image of the middle map")
-        l1_cols.append(list(sol)[: y.x2.generators])
-    l1 = ExactMatrix.from_cols(ring, l1_cols, y.x2.generators)
-
-    inj_sys = y.inject.matrix.hstack(y.x2.relations)
-    phi_cols = []
-    ld2 = l1 @ res.d2
-    for j in range(res.f2):
-        sol = solve_canonical(inj_sys, ld2.col(j))
-        if sol is None:
-            raise NotExactError("chase left the image of the injection")
-        phi_cols.append(list(sol)[: y.p.generators])
-    phi = ExactMatrix.from_cols(ring, phi_cols, y.p.generators)
-    return e2.class_of_cocycle(phi)
+    """The Ext^2 class of a two-step extension."""
+    return _chase([y.inject, y.mid, y.project],
+                  ("chase left the image of the injection", "chase left the image of the middle map",
+                   "two-extension projection is not surjective"))
 
 
 def yoneda_product_of_ses(s_left: ShortExactSequence, s_right: ShortExactSequence) -> ExtClass:
@@ -510,30 +475,12 @@ def yoneda_product_via_chain_lift(e: ExtClass, g: ExtClass) -> ExtClass:
     and S and compose with e's cocycle.  Must agree with the splice route."""
     if e.parent.q != g.parent.p:
         raise ArgumentMismatchError("middle objects do not match")
-    s_mod = e.parent.q
-    q_mod = g.parent.q
-    p_mod = e.parent.p
-    ring = p_mod.ring
-    res_q = g.parent.resolution
-    res_s = e.parent.resolution
-    gamma = g.cocycle()  # F1(Q) -> S
-    # lift gamma through aug_S (identity on generators, so solve mod relations)
-    aug_sys = ExactMatrix.identity(ring, s_mod.generators).hstack(s_mod.relations)
-    gt_cols = []
-    for j in range(res_q.f1):
-        sol = solve_canonical(aug_sys, gamma.col(j))
-        gt_cols.append(list(sol)[: s_mod.generators])
-    gamma0 = ExactMatrix.from_cols(ring, gt_cols, s_mod.generators)  # F1(Q) -> F0(S)
-    rhs = gamma0 @ res_q.d2  # F2(Q) -> F0(S), lands in im d1(S)
-    g2_cols = []
-    for j in range(res_q.f2):
-        sol = solve_canonical(res_s.d1, rhs.col(j))
-        if sol is None:
-            raise NotExactError("chain lift failed at degree 2")
-        g2_cols.append(list(sol))
-    gamma2 = ExactMatrix.from_cols(ring, g2_cols, res_s.f1)  # F2(Q) -> F1(S)
-    phi = e.cocycle() @ gamma2
-    return ext_module(2, q_mod, p_mod).class_of_cocycle(phi)
+    # lift g's cocycle F1(Q) -> S through aug_S, the identity on generators
+    gamma0 = lift(identity_morphism(e.parent.q), g.cocycle())  # F1(Q) -> F0(S)
+    gamma2 = lift(_free_map(e.parent.resolution.d1), gamma0 @ g.parent.resolution.d2)  # F2(Q) -> F1(S)
+    if gamma2 is None:
+        raise NotExactError("chain lift failed at degree 2")
+    return ext_module(2, g.parent.q, e.parent.p).class_of_cocycle(e.cocycle() @ gamma2)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +511,20 @@ def _transport_matrix(src: ExtModule, dst: ExtModule, f) -> ExactMatrix:
     return ExactMatrix.from_cols(src.p.ring, cols, dst.presentation.generators)
 
 
+def connecting_alpha(cls: ExtClass, p: PresentedModule) -> ModuleMorphism:
+    """``alpha : Hom(A, P) -> Ext^1(C, P)`` for the class ``cls`` of a
+    sequence ``0 -> A -> B -> C -> 0``: push ``cls`` forward along each
+    homomorphism ``A -> P``."""
+    a_mod = cls.parent.p
+    h_a = ext_module(0, a_mod, p)
+    e1_c = ext_module(1, cls.parent.q, p)
+
+    def alpha_on(cls0: ExtClass) -> ExtClass:
+        return transport_covariant(cls, hom(a_mod, p, cls0.cocycle()))
+
+    return hom(h_a.presentation, e1_c.presentation, _transport_matrix(h_a, e1_c, alpha_on))
+
+
 def connecting_hom(s: ShortExactSequence, p: PresentedModule) -> HomExtLadder:
     """Apply Hom(-, P) to ``0 -> A -> B -> C -> 0`` and return the seven-term
     ladder; the connecting maps are pushforward along the classifying class
@@ -584,11 +545,7 @@ def connecting_hom(s: ShortExactSequence, p: PresentedModule) -> HomExtLadder:
     res0_ba = hom(h_b.presentation, h_a.presentation,
                   _transport_matrix(h_b, h_a, lambda x: transport_contravariant(x, s.inject)))
 
-    def alpha_on(cls0: ExtClass) -> ExtClass:
-        lam = hom(a_mod, p, cls0.cocycle())
-        return transport_covariant(cls, lam)
-
-    alpha = hom(h_a.presentation, e1_c.presentation, _transport_matrix(h_a, e1_c, alpha_on))
+    alpha = connecting_alpha(cls, p)
 
     res1_cb = hom(e1_c.presentation, e1_b.presentation,
                   _transport_matrix(e1_c, e1_b, lambda x: transport_contravariant(x, s.project)))

@@ -31,10 +31,9 @@ from .diagram import (
 from .errors import FrameInvalidError
 from .linalg import ExactMatrix, reduce_mod_lattice, shrink_generators
 from .modules import (
-    EXACT,
     ModuleMorphism,
     PresentedModule,
-    exactness_report,
+    exactness_violations,
     hom,
     kernel_image_cokernel,
     lift_through_inclusion,
@@ -87,11 +86,8 @@ def validate_frame(f: HexagonFrame) -> list[str]:
     kb = preimage_kernel_columns(f.beta)
     if not _same_submodule(f.a1, ka, kb):
         out.append("ker(alpha) != ker(beta) inside A1")
-    for name, chain in (("upper path", [f.alpha, f.top_b, f.r]),
-                        ("lower path", [f.beta, f.d, f.s])):
-        for pos, verdict in exactness_report(chain, left_zero=False, right_zero=False):
-            if verdict != EXACT:
-                out.append(f"{name}/{pos}: {verdict}")
+    out += exactness_violations("upper path", [f.alpha, f.top_b, f.r], left_zero=False, right_zero=False)
+    out += exactness_violations("lower path", [f.beta, f.d, f.s], left_zero=False, right_zero=False)
     if not _same_submodule(f.a4, f.r.matrix, f.s.matrix):
         out.append("im(r) != im(s) inside A4")
     return out
@@ -168,11 +164,8 @@ def verify_hexagon(h: SolvedHexagon) -> list[str]:
     out = []
     f = h.frame
     try:
-        for name, chain in (("diagonal B1-center-A3", [h.j, h.curv]),
-                            ("diagonal A2-center-B2", [h.i, h.c])):
-            for pos, verdict in exactness_report(chain):
-                if verdict != EXACT:
-                    out.append(f"{name}/{pos}: {verdict}")
+        out += exactness_violations("diagonal B1-center-A3", [h.j, h.curv])
+        out += exactness_violations("diagonal A2-center-B2", [h.i, h.c])
     except Exception as exc:
         return [f"diagonals are not composable: {exc}"]
     if not (h.c @ h.j).equals(f.top_b):

@@ -392,6 +392,18 @@ def kernel_columns(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_cols(a.ring, [list(c) for c in out], a.cols)
 
 
+def smith_lattice(a: ExactMatrix) -> tuple[tuple[int, ...], IntRows, IntRows]:
+    """``(diagonal, U, U^-1)`` of the Smith form ``U A V = D`` of the column
+    lattice of ``a`` (over Z/m, of its lift with ``m * identity`` adjoined).
+
+    ``diagonal`` holds the nonzero Smith entries, so its length is the rank.
+    """
+    data, nr, nc = _lifted(a)
+    u, uinv, d, _v = _snf_int(data, nr, nc)
+    rank = _rank_of_diag(d, nr, nc)
+    return tuple(d[i][i] for i in range(rank)), u, uinv
+
+
 def shrink_generators(a: ExactMatrix) -> ExactMatrix:
     """Drop columns lying in the span of the columns kept so far.
 

@@ -25,6 +25,7 @@ from .linalg import (
     kernel_columns,
     reduce_mod_lattice,
     shrink_generators,
+    smith_lattice,
     solve_canonical,
     solve_linear,
 )
@@ -123,13 +124,8 @@ class PresentedModule:
 def _structure(m: PresentedModule):
     """(free_rank, invariant factors != 1) computed from the Smith form of the
     lifted relation lattice."""
-    from .linalg import _lifted, _snf_int, _rank_of_diag
-
-    data, nr, nc = _lifted(m.relations)
-    _u, _ui, d, _v = _snf_int(data, nr, nc)
-    rank = _rank_of_diag(d, nr, nc)
-    facs = tuple(d[i][i] for i in range(rank) if d[i][i] != 1)
-    return (m.generators - rank, facs)
+    diag, _u, _uinv = smith_lattice(m.relations)
+    return (m.generators - len(diag), tuple(x for x in diag if x != 1))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +279,7 @@ def kernel_image_cokernel(f: ModuleMorphism) -> KernelImageCokernel:
     im_incl = hom(image, f.target, f.matrix)
     im_co = hom(f.source, image, ExactMatrix.identity(ring, f.source.generators))
 
-    coker = PresentedModule(ring, f.target.generators,
-                            shrink_generators(f.target.relations.hstack(f.matrix)))
-    coker_proj = hom(f.target, coker, ExactMatrix.identity(ring, f.target.generators))
+    coker, coker_proj = morphism_cokernel(f)
     return KernelImageCokernel(ker, ker_incl, image, im_incl, im_co, coker, coker_proj)
 
 
@@ -333,42 +327,32 @@ class Pullback:
     module: PresentedModule
     to_left: ModuleMorphism    # pullback -> A
     to_right: ModuleMorphism   # pullback -> B
+    inclusion: ModuleMorphism  # pullback -> A (+) B
 
 
 def pullback(f: ModuleMorphism, g: ModuleMorphism) -> Pullback:
-    """``A x_C B`` for ``f : A -> C`` and ``g : B -> C`` with its projections."""
+    """``A x_C B`` for ``f : A -> C`` and ``g : B -> C`` with its projections
+    and its inclusion into ``A (+) B``."""
     if f.target != g.target:
         raise NonComposableError("pullback legs must share a target")
     ring = f.source.ring
-    ga, gb = f.source.generators, g.source.generators
-    c = f.target
-    wide = f.matrix.hstack(-g.matrix).hstack(c.relations)
+    g_ab = f.source.generators + g.source.generators
+    wide = f.matrix.hstack(-g.matrix).hstack(f.target.relations)
     k = kernel_columns(wide)
-    cols = [list(k.col(j))[: ga + gb] for j in range(k.cols)]
-    w = shrink_generators(ExactMatrix.from_cols(ring, cols, ga + gb))
-    amb = direct_sum(f.source, g.source).module
-    pb, incl = submodule_generated(amb, w)
-    pa = hom(pb, f.source, w.take_rows(0, ga))
-    pbm = hom(pb, g.source, w.take_rows(ga, ga + gb))
-    return Pullback(pb, pa, pbm)
+    cols = [list(k.col(j))[:g_ab] for j in range(k.cols)]
+    w = shrink_generators(ExactMatrix.from_cols(ring, cols, g_ab))
+    ds = direct_sum(f.source, g.source)
+    pb, incl = submodule_generated(ds.module, w)
+    return Pullback(pb, ds.project_left @ incl, ds.project_right @ incl, incl)
 
 
 def pullback_factor(pb: Pullback, u: ModuleMorphism, v: ModuleMorphism) -> ModuleMorphism:
     """Factor a commuting cone ``(u : T -> A, v : T -> B)`` through the
-    pullback; solves column by column."""
-    t = u.source
-    ring = t.ring
-    w_full = pb.to_left.matrix.vstack(pb.to_right.matrix)
-    amb_rels = block_diag(ring, [u.target.relations, v.target.relations])
-    sysm = w_full.hstack(amb_rels)
-    cols = []
-    for j in range(t.generators):
-        rhs = list(u.matrix.col(j)) + list(v.matrix.col(j))
-        sol = solve_canonical(sysm, rhs)
-        if sol is None:
-            raise NonComposableError("cone does not factor through the pullback")
-        cols.append(list(sol)[: pb.module.generators])
-    return hom(t, pb.module, ExactMatrix.from_cols(ring, cols, pb.module.generators))
+    pullback: lift ``(u, v) : T -> A (+) B`` through its inclusion."""
+    x = lift(pb.inclusion, u.matrix.vstack(v.matrix))
+    if x is None:
+        raise NonComposableError("cone does not factor through the pullback")
+    return hom(u.source, pb.module, x)
 
 
 @dataclass(frozen=True)
@@ -443,6 +427,14 @@ def is_exact(maps: list[ModuleMorphism], left_zero: bool = True, right_zero: boo
     return all(v == EXACT for _p, v in exactness_report(maps, left_zero, right_zero))
 
 
+def exactness_violations(name: str, maps: list[ModuleMorphism],
+                         left_zero: bool = True, right_zero: bool = True) -> list[str]:
+    """``name/position: verdict`` for each position of the chain that is not
+    exact; empty iff the chain is exact."""
+    return [f"{name}/{pos}: {verdict}"
+            for pos, verdict in exactness_report(maps, left_zero, right_zero) if verdict != EXACT]
+
+
 @dataclass(frozen=True)
 class ShortExactSequence:
     left: PresentedModule
@@ -481,18 +473,31 @@ def split_ses(a: PresentedModule, b: PresentedModule) -> ShortExactSequence:
 # ---------------------------------------------------------------------------
 
 
+def lift(f: ModuleMorphism, rhs: ExactMatrix) -> ExactMatrix | None:
+    """The canonical source columns ``x`` with ``f(x) = rhs`` column by
+    column, equality read in ``f``'s target; ``None`` when some column of
+    ``rhs`` lies outside ``im(f)``.
+
+    Every column-by-column solve of the library goes through here.
+    """
+    sysm = f.matrix.hstack(f.target.relations)
+    g = f.source.generators
+    cols = []
+    for j in range(rhs.cols):
+        sol = solve_canonical(sysm, rhs.col(j))
+        if sol is None:
+            return None
+        cols.append(sol[:g])
+    return ExactMatrix.from_cols(f.source.ring, cols, g)
+
+
 def lift_through_inclusion(incl: ModuleMorphism, h: ModuleMorphism) -> ModuleMorphism:
     """The ``l : T -> S`` with ``incl @ l == h`` for injective ``incl`` and
     ``h`` landing inside the image of ``incl``."""
-    ring = incl.source.ring
-    sysm = incl.matrix.hstack(incl.target.relations)
-    cols = []
-    for j in range(h.source.generators):
-        sol = solve_canonical(sysm, h.matrix.col(j))
-        if sol is None:
-            raise NonComposableError("morphism does not land in the submodule")
-        cols.append(list(sol)[: incl.source.generators])
-    return hom(h.source, incl.source, ExactMatrix.from_cols(ring, cols, incl.source.generators))
+    x = lift(incl, h.matrix)
+    if x is None:
+        raise NonComposableError("morphism does not land in the submodule")
+    return hom(h.source, incl.source, x)
 
 
 def solve_morphism(source: PresentedModule, target: PresentedModule,
@@ -614,22 +619,13 @@ def snake_connecting(top: ShortExactSequence, bottom: ShortExactSequence,
     kb_kc = lift_through_inclusion(kc_in, top.project @ kb_in)
 
     # staircase chase on the generators of ker(vc)
-    ring = top.middle.ring
-    proj_sys = top.project.matrix.hstack(top.right.relations)
-    inj_sys = bottom.inject.matrix.hstack(bottom.middle.relations)
-    cols = []
-    for j in range(kc.generators):
-        x = kc_in.matrix.col(j)
-        bl = solve_canonical(proj_sys, x)
-        if bl is None:
-            raise NotExactError("top projection is not surjective")
-        bvec = list(bl)[: top.middle.generators]
-        y = vb.matrix.apply(bvec)
-        al = solve_canonical(inj_sys, y)
-        if al is None:
-            raise NotExactError("chase left the image of the bottom injection")
-        cols.append(list(al)[: bottom.left.generators])
-    delta = hom(kc, ca, ExactMatrix.from_cols(ring, cols, bottom.left.generators))
+    b_lift = lift(top.project, kc_in.matrix)
+    if b_lift is None:
+        raise NotExactError("top projection is not surjective")
+    a_lift = lift(bottom.inject, vb.matrix @ b_lift)
+    if a_lift is None:
+        raise NotExactError("chase left the image of the bottom injection")
+    delta = hom(kc, ca, a_lift)
 
     ca_cb = hom(ca, cb, bottom.inject.matrix)
     cb_cc = hom(cb, cc, bottom.project.matrix)
@@ -658,16 +654,12 @@ class Simplified:
 def simplify(m: PresentedModule) -> Simplified:
     """An isomorphic module on invariant-factor generators, together with the
     isomorphisms both ways.  Keeps downstream resolutions small."""
-    from .linalg import _lifted, _snf_int, _rank_of_diag
-
     ring = m.ring
-    data, nr, nc = _lifted(m.relations)
-    u, uinv, d, _v = _snf_int(data, nr, nc)
-    rank = _rank_of_diag(d, nr, nc)
+    diag, u, uinv = smith_lattice(m.relations)
     keep = []
     rel_cols = []
     for i in range(m.generators):
-        di = d[i][i] if i < rank else 0
+        di = diag[i] if i < len(diag) else 0
         if di == 1:
             continue
         pos = len(keep)

@@ -1,13 +1,17 @@
 """CLI subcommands, exit codes, and report shapes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from hexext.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 
 def run(capsys, *argv):
@@ -91,22 +95,46 @@ def test_bad_document_exits_2(tmp_path, capsys):
     assert main(["validate", str(p), "D"]) == 2
 
 
-@pytest.mark.parametrize("doc", [
-    {"rings": {"R": 5}},
-    {"rings": {"R": {"kind": "Zmod", "m": 1}}},
-    {"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": [2]}}},
-    {"modules": [1]},
-    {"diagrams": {"D": 5}},
-    {"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": ["R"], "generators": 1}}},
-    {"rings": {"R": {"kind": "Zmod", "m": "\u00b2"}}},
+MIXED_RINGS = {
+    "rings": {"Z": {"kind": "Z"}, "R4": {"kind": "Zmod", "m": 4}},
+    "modules": {"Q": {"ring": "Z", "generators": 1, "relations": [[2]]},
+                "P": {"ring": "R4", "generators": 1, "relations": [[2]]}},
+}
+
+
+@pytest.mark.parametrize("doc,command", [
+    ({"rings": {"R": 5}}, ["validate", "M"]),
+    ({"rings": {"R": {"kind": "Zmod", "m": 1}}}, ["validate", "M"]),
+    ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": [2]}}},
+     ["validate", "M"]),
+    ({"modules": [1]}, ["validate", "M"]),
+    ({"diagrams": {"D": 5}}, ["validate", "M"]),
+    ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": ["R"], "generators": 1}}}, ["validate", "M"]),
+    ({"rings": {"R": {"kind": "Zmod", "m": "\u00b2"}}}, ["validate", "M"]),
+    (MIXED_RINGS, ["ext", "-i", "1", "Q", "P"]),
+    (MIXED_RINGS, ["oracle-compare", "Q", "P"]),
 ], ids=["ring-not-object", "modulus-1", "flat-relations", "modules-not-object", "diagram-not-object",
-        "list-as-name", "superscript-digit"])
-def test_malformed_document_exits_2(tmp_path, capsys, doc):
+        "list-as-name", "superscript-digit", "ext-mixed-rings", "oracle-compare-mixed-rings"])
+def test_malformed_document_exits_2(tmp_path, capsys, doc, command):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["validate", str(p), "M"]) == 2
+    assert main([command[0], str(p), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--count", "2", "--max-order", "0"], ["--count", "-3"]],
+                         ids=["max-order-0", "count-negative"])
+def test_fuzz_rejects_out_of_range_flags(flags):
+    # a separate process with a timeout, so that a generator looping forever
+    # fails the test instead of hanging the suite
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hexext.cli import main; sys.exit(main())",
+         "fuzz", "--ring", "Zmod4", "--seed", "1", *flags],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
 
 
 def test_unknown_name_exits_2(capsys):

@@ -308,6 +308,16 @@ def test_compatible_automorphism_with_itself():
     assert phi.is_isomorphism()
 
 
+def test_compatible_isomorphism_forms_pullback_once(monkeypatch):
+    d = all_split()
+    ext = extend_diagram(d)
+    calls = []
+    real = diagram_module.pullback
+    monkeypatch.setattr(diagram_module, "pullback", lambda f, g: calls.append(f) or real(f, g))
+    compatible_isomorphism(d, ext, ext)
+    assert len(calls) == 1
+
+
 def test_distinct_lift_classes_rejected():
     d = all_split()
     exts = enumerate_extensions(d)

@@ -16,6 +16,7 @@ from hexext.modules import (
     identity_morphism,
     is_exact,
     kernel_image_cokernel,
+    lift,
     make_ses,
     pullback,
     pullback_factor,
@@ -174,6 +175,18 @@ def test_pullback_universal_property_enumerated():
         img = fac.apply(el)
         lhs = pb.to_left.apply(img)
         assert Z4m.canonical_rep(lhs) == Z4m.canonical_rep(u.apply(el))
+
+
+def test_lift_solves_in_the_target_or_returns_none():
+    # doubling Z -> Z/4: the image is 2Z/4Z
+    f = hom(Zf, Z4z, [[2]])
+    rhs = ExactMatrix.from_rows(ZZ, [[2, 6, 0, -2]], 4)
+    x = lift(f, rhs)
+    assert x is not None and x.cols == 4
+    for j in range(rhs.cols):
+        diff = [a - b for a, b in zip((f.matrix @ x).col(j), rhs.col(j))]
+        assert Z4z.contains(diff)
+    assert lift(f, ExactMatrix.from_rows(ZZ, [[2, 1]], 2)) is None
 
 
 def test_pushout_identity_legs():
