@@ -6,8 +6,11 @@ form).  All arithmetic uses Python's arbitrary-precision integers;
 intermediate Smith-form entries can grow well past machine width and
 overflow would be a correctness bug, not a performance issue.
 
-Z/m computations are reduced to Z computations by lifting matrices to Z and
-adjoining ``m * identity`` columns where a relation lattice is needed.
+Over Z/m, solving, kernels and Smith data lift the matrix to Z and adjoin
+``m * identity`` columns.  Span membership (:func:`shrink_generators`) and
+the Hermite form lift nothing: they grow one echelon basis a column at a
+time from the lattice ``m * Z^n``; its pivots divide m and its other entries
+stay below m.
 """
 
 from __future__ import annotations
@@ -404,94 +407,114 @@ def smith_lattice(a: ExactMatrix) -> tuple[tuple[int, ...], IntRows, IntRows]:
     return tuple(d[i][i] for i in range(rank)), u, uinv
 
 
+# ---------------------------------------------------------------------------
+# Echelon (column Hermite) bases: span membership, canonical coset representatives
+# ---------------------------------------------------------------------------
+
+
+def _echelon_start(nrows: int, m: int) -> list[list[int] | None]:
+    """Echelon basis of the zero lattice over Z (``m == 0``), or of
+    ``m * Z^nrows`` over Z/m: the relations that lifting to Z adjoins."""
+    if not m:
+        return [None] * nrows
+    return [[m if i == r else 0 for i in range(nrows)] for r in range(nrows)]
+
+
+def _echelon_insert(basis: list[list[int] | None], vec: tuple[int, ...] | list[int], m: int) -> bool:
+    """Add the column ``vec`` to the lattice with echelon basis ``basis``.
+
+    ``basis[r]`` is ``None`` or the basis column with its pivot in row r:
+    zero above r, positive at r.  ``vec`` is divided down the pivot rows;
+    where a pivot does not divide it, the two columns are replaced by their
+    xgcd combination, whose new pivot is the gcd, and the remainder goes on
+    down.  Changed columns are then reduced against the later pivots.  Over
+    Z/m every row has a pivot, each pivot divides m and the remainder is
+    kept mod m, so every other entry stays below m.  Returns False, leaving
+    ``basis`` untouched, exactly when ``vec`` already lies in the lattice.
+    """
+    v = [t % m for t in vec] if m else list(vec)
+    changed = []
+    for r in range(len(v)):
+        x = v[r]
+        if not x:
+            continue
+        c = basis[r]
+        if c is None:
+            basis[r] = v if x > 0 else [-t for t in v]
+            changed.append(r)
+            break
+        p = c[r]
+        q, rem = divmod(x, p)
+        if rem:
+            g, s, t = xgcd(p, x)
+            pg, xg = p // g, x // g
+            basis[r] = [s * a + t * b for a, b in zip(c, v)]
+            v = [pg * b - xg * a for a, b in zip(c, v)]
+            changed.append(r)
+        else:
+            v = [b - q * a for a, b in zip(c, v)]
+        if m:
+            v = [b % m for b in v]
+    for r in changed:
+        _reduce_below(basis, r)
+    return bool(changed)
+
+
+def _reduce_below(basis: list[list[int] | None], r: int) -> None:
+    """Reduce the entries of ``basis[r]`` at each later pivot row s into
+    ``range(basis[s][s])``, in increasing s."""
+    c = basis[r]
+    for s in range(r + 1, len(c)):
+        b = basis[s]
+        if b is not None and c[s]:
+            q = c[s] // b[s]
+            if q:
+                for i in range(s, len(c)):
+                    c[i] -= q * b[i]
+
+
 def shrink_generators(a: ExactMatrix) -> ExactMatrix:
     """Drop columns lying in the span of the columns kept so far.
 
     Greedy and deterministic; used to keep presentations and kernel
-    generating sets small before they feed into resolutions.
+    generating sets small before they feed into resolutions.  Span
+    membership is read off one echelon basis of the kept span, grown a
+    column at a time by :func:`_echelon_insert`; no Smith form is built.
     """
-    kept: list[list[int]] = []
-    for j in range(a.cols):
-        c = a.col(j)
-        if not any(c):
-            continue
-        if kept:
-            m = ExactMatrix.from_cols(a.ring, kept, a.rows)
-            if solve_linear(m, c) is not None:
-                continue
-        kept.append(list(c))
+    m = a.ring.modulus or 0
+    basis = _echelon_start(a.rows, m)
+    kept = [c for c in a.columns() if _echelon_insert(basis, c, m)]
     return ExactMatrix.from_cols(a.ring, kept, a.rows)
 
 
-# ---------------------------------------------------------------------------
-# Canonical coset representatives (column Hermite form)
-# ---------------------------------------------------------------------------
-
-
 @lru_cache(maxsize=None)
-def _hermite_cols(data: IntRows, nrows: int, ncols: int):
-    """Canonical column Hermite form of the lattice spanned by the columns.
+def _hermite_cols(data: IntRows, m: int):
+    """Canonical column Hermite form of the lattice spanned by the columns
+    (and, when ``m`` is nonzero, by ``m * e_i``).
 
     Returns a list of pivot columns ``(pivot_row, column)`` with strictly
     increasing pivot rows, positive pivots, and entries below each pivot row
     reduced modulo the later pivots.
     """
-    cols = [[data[i][j] for i in range(nrows)] for j in range(ncols)]
-    cols = [c for c in cols if any(c)]
-    pivots: list[tuple[int, list[int]]] = []
-    p = 0
-    for row in range(nrows):
-        idxs = [k for k in range(p, len(cols)) if cols[k][row] != 0]
-        if not idxs:
-            continue
-        # combine all candidate columns into a single gcd pivot column
-        k0 = idxs[0]
-        for k in idxs[1:]:
-            a_, b_ = cols[k0][row], cols[k][row]
-            g, x, y = xgcd(a_, b_)
-            aa, bb = a_ // g, b_ // g
-            c0, ck = cols[k0], cols[k]
-            for i in range(row, nrows):
-                s, t = c0[i], ck[i]
-                c0[i] = x * s + y * t
-                ck[i] = -bb * s + aa * t
-        if cols[k0][row] < 0:
-            cols[k0] = [-x for x in cols[k0]]
-        cols[p], cols[k0] = cols[k0], cols[p]
-        piv = cols[p][row]
-        for k in range(len(cols)):
-            if k != p and cols[k][row]:
-                q = cols[k][row] // piv
-                ck, cp = cols[k], cols[p]
-                for i in range(row, nrows):
-                    ck[i] -= q * cp[i]
-        pivots.append((row, cols[p]))
-        p += 1
-        if p == len(cols):
-            break
-    # fully reduce entries of earlier pivot columns against later pivots
-    for a_idx in range(len(pivots)):
-        for b_idx in range(a_idx + 1, len(pivots)):
-            row_b, col_b = pivots[b_idx]
-            piv_b = col_b[row_b]
-            col_a = pivots[a_idx][1]
-            q = col_a[row_b] // piv_b
-            if q:
-                for i in range(row_b, nrows):
-                    col_a[i] -= q * col_b[i]
+    basis = _echelon_start(len(data), m)
+    for col in zip(*data):
+        _echelon_insert(basis, col, m)
+    pivots = [(r, c) for r, c in enumerate(basis) if c is not None]
+    for r, _c in pivots:
+        _reduce_below(basis, r)
     return tuple((r, tuple(c)) for r, c in pivots)
 
 
 def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -> tuple[int, ...]:
     """Canonical representative of ``vec`` modulo the integer column lattice.
 
-    For Z/m matrices the lattice is lifted with ``m * identity`` columns
-    first, so representatives are canonical mod m as well.
+    Over Z/m the lattice also holds ``m * Z^n``, so representatives are
+    canonical mod m as well.
     """
-    data, nr, nc = _lifted(lattice)
+    nr = lattice.rows
     if len(vec) != nr:
         raise ValueError("vector length mismatch")
-    pivots = _hermite_cols(data, nr, nc)
+    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)
     v = [int(t) for t in vec]
     for row, col in pivots:
         q = v[row] // col[row]
@@ -507,7 +530,6 @@ def lattice_pivot_profile(lattice: ExactMatrix) -> tuple[tuple[int, int], ...]:
     representatives produced by :func:`reduce_mod_lattice` range over
     ``0 <= v[row] < value`` at the pivot rows and are unconstrained elsewhere
     (over Z) -- everything over Z/m has full pivot structure."""
-    data, nr, nc = _lifted(lattice)
-    pivots = _hermite_cols(data, nr, nc)
+    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)
     return tuple((r, c[r]) for r, c in pivots)
 

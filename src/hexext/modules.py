@@ -23,6 +23,7 @@ from .linalg import (
     ExactMatrix,
     block_diag,
     kernel_columns,
+    lattice_pivot_profile,
     reduce_mod_lattice,
     shrink_generators,
     smith_lattice,
@@ -99,8 +100,6 @@ class PresentedModule:
 
     def elements(self):
         """All canonical coefficient columns (finite modules only)."""
-        from .linalg import lattice_pivot_profile
-
         pivots = lattice_pivot_profile(self.relations)
         if len(pivots) < self.generators:
             raise ValueError("module is infinite; cannot enumerate elements")

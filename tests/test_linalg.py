@@ -5,12 +5,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hexext.linalg as linalg
 from hexext.linalg import (
     ExactMatrix,
     _snf_int,
     kernel_columns,
     lattice_pivot_profile,
     reduce_mod_lattice,
+    shrink_generators,
     solve_canonical,
     solve_linear,
 )
@@ -202,3 +204,88 @@ def test_pivot_profile_counts_cosets():
     lat = mat(ZZ, [[2, 0], [0, 0]])
     prof = lattice_pivot_profile(lat)
     assert prof == ((0, 2),)
+
+
+# -- span membership ----------------------------------------------------------
+
+
+def greedy_shrink(a: ExactMatrix) -> ExactMatrix:
+    """Reference: keep a column when ``solve_linear`` cannot reach it from
+    the columns kept so far."""
+    kept: list[list[int]] = []
+    for j in range(a.cols):
+        c = a.col(j)
+        if not any(c):
+            continue
+        if kept and solve_linear(ExactMatrix.from_cols(a.ring, kept, a.rows), c) is not None:
+            continue
+        kept.append(list(c))
+    return ExactMatrix.from_cols(a.ring, kept, a.rows)
+
+
+@st.composite
+def generator_matrices(draw):
+    ring = draw(st.sampled_from([ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]))
+    entries = st.integers(-6, 6) if ring == ZZ else st.integers(0, ring.modulus - 1)
+    rows = draw(st.integers(0, 4))
+    cols = [draw(st.lists(entries, min_size=rows, max_size=rows)) for _ in range(draw(st.integers(0, 6)))]
+    # zero and duplicate columns at drawn positions
+    for _ in range(draw(st.integers(0, 2))):
+        extra = [0] * rows if not cols or draw(st.booleans()) else list(draw(st.sampled_from(cols)))
+        cols.insert(draw(st.integers(0, len(cols))), extra)
+    return ExactMatrix.from_cols(ring, cols, rows)
+
+
+@given(generator_matrices())
+@settings(max_examples=300, deadline=None)
+def test_shrink_generators_matches_greedy_solve(a):
+    assert shrink_generators(a) == greedy_shrink(a)
+
+
+def test_shrink_generators_edge_shapes():
+    for ring in (ZZ, Zmod(6)):
+        assert shrink_generators(ExactMatrix.zeros(ring, 0, 3)) == ExactMatrix.zeros(ring, 0, 0)
+        assert shrink_generators(ExactMatrix.zeros(ring, 3, 0)) == ExactMatrix.zeros(ring, 3, 0)
+        assert shrink_generators(ExactMatrix.zeros(ring, 2, 2)) == ExactMatrix.zeros(ring, 2, 0)
+    # 3 = 3 * 1 mod 12 and 2 * (1, 5) = (2, 10)
+    a = mat(Zmod(12), [[1, 3, 2, 0], [5, 3, 10, 4]])
+    assert shrink_generators(a).columns() == [(1, 5), (0, 4)]
+
+
+def test_shrink_generators_builds_no_smith_form(monkeypatch):
+    calls = []
+    work = linalg._snf_int_work
+    monkeypatch.setattr(linalg, "_snf_int_work", lambda *args: calls.append(args) or work(*args))
+    bases = []
+    start = linalg._echelon_start
+    monkeypatch.setattr(linalg, "_echelon_start", lambda *args: bases.append(start(*args)) or bases[-1])
+    import random
+
+    rng = random.Random(20240611)
+    for ring in (ZZ, Zmod(12), Zmod(36)):
+        hi = 97 if ring == ZZ else ring.modulus - 1
+        # a shape no other test uses, so no cached Smith form could hide a call
+        a = mat(ring, [[rng.randint(0, hi) for _ in range(13)] for _ in range(7)])
+        shrink_generators(a)
+    assert calls == []
+    # over Z/m every row keeps a pivot dividing m and every other entry stays below m
+    for m, basis in zip((12, 36), bases[1:]):
+        for r, col in enumerate(basis):
+            assert m % col[r] == 0 and all(0 <= x < m for i, x in enumerate(col) if i != r)
+
+
+@given(generator_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_hermite_form_is_canonical(a, rnd):
+    """Shuffling the columns and appending members of their span leaves the
+    Hermite form, and so every coset representative, unchanged."""
+    cols = a.columns()
+    rnd.shuffle(cols)
+    for _ in range(2):
+        if cols:
+            x, y, k = rnd.choice(cols), rnd.choice(cols), rnd.randint(-2, 2)
+            cols.append(tuple(s + k * t for s, t in zip(x, y)))
+    b = ExactMatrix.from_cols(a.ring, [list(c) for c in cols], a.rows)
+    assert lattice_pivot_profile(a) == lattice_pivot_profile(b)
+    vec = tuple(rnd.randint(-20, 20) for _ in range(a.rows))
+    assert reduce_mod_lattice(vec, a) == reduce_mod_lattice(vec, b)
