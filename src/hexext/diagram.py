@@ -36,7 +36,7 @@ from .ext import (
     yoneda_product_of_ses,
     _transport_matrix,
 )
-from .linalg import ExactMatrix, reduce_mod_lattice, solve_linear
+from .linalg import ExactMatrix, solve_linear
 from .modules import (
     DirectSum,
     ModuleMorphism,
@@ -272,10 +272,7 @@ def _solve_restriction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass | N
     sol = solve_linear(sysm, tau.coords)
     if sol is None:
         return None
-    k = e_y.presentation.generators
-    xi_raw = sol.x[:k]
-    xi_lat = sol.kernel.take_rows(0, k)
-    return e_y.class_from_coords(reduce_mod_lattice(xi_raw, xi_lat))
+    return e_y.class_from_coords(sol.x[: e_y.presentation.generators])
 
 
 def _realize(d: Diagram3x3, by: BuildY, e_y: ExtModule, cocycle: ExactMatrix) -> DiagramExtension:

@@ -6,17 +6,18 @@ form).  All arithmetic uses Python's arbitrary-precision integers;
 intermediate Smith-form entries can grow well past machine width and
 overflow would be a correctness bug, not a performance issue.
 
-Over Z/m, solving, kernels and Smith data lift the matrix to Z and adjoin
-``m * identity`` columns.  Span membership (:func:`shrink_generators`) and
-the Hermite form lift nothing: they grow one echelon basis a column at a
-time from the lattice ``m * Z^n``; its pivots divide m and its other entries
-stay below m.
+Over Z/m, kernels and Smith data lift the matrix to Z and adjoin
+``m * identity`` columns.  Span membership (:func:`shrink_generators`), the
+Hermite form and solving lift nothing: they grow one echelon basis a column
+at a time from the lattice ``m * Z^n``; its pivots divide m and its other
+entries stay below m.  A solve reduces ``(b; 0)`` against the cached
+Hermite form of the graph ``[A; -I]`` and returns the canonical solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rings import RingSpec, xgcd
 
@@ -40,22 +41,24 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(ring: RingSpec, rows: list[list[int]] | IntRows, cols: int | None = None) -> "ExactMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if cols is None:
-                cols = 0
-            return ExactMatrix(ring, 0, cols, ())
-        ncols = len(rows[0])
-        data = tuple(tuple(ring.reduce(x) for x in r) for r in rows)
-        return ExactMatrix(ring, nrows, ncols, data)
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        m = ring.modulus
+        data = tuple(tuple(x % m for x in r) for r in rows) if m else tuple(tuple(r) for r in rows)
+        return ExactMatrix(ring, len(rows), cols, data)
 
     @staticmethod
     def from_cols(ring: RingSpec, cols: list[list[int]], rows: int) -> "ExactMatrix":
-        ncols = len(cols)
-        data = tuple(
-            tuple(ring.reduce(cols[j][i]) for j in range(ncols)) for i in range(rows)
-        )
-        return ExactMatrix(ring, rows, ncols, data)
+        if any(len(c) != rows for c in cols):
+            raise ValueError("matrix data does not match declared shape")
+        m = ring.modulus
+        if not cols:
+            data = ((),) * rows
+        elif m:
+            data = tuple(tuple(x % m for x in r) for r in zip(*cols))
+        else:
+            data = tuple(zip(*cols))
+        return ExactMatrix(ring, rows, len(cols), data)
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "ExactMatrix":
@@ -308,11 +311,16 @@ def _rank_of_diag(d: IntRows, nrows: int, ncols: int) -> int:
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """A particular solution of ``A x = b`` together with generators of the
-    solution space of ``A x = 0`` (columns of ``kernel``)."""
+    """The canonical solution ``x`` of ``A x = b`` (see :func:`solve_canonical`)
+    for the system matrix ``matrix``; ``kernel`` holds generators of the
+    solution space of ``A x = 0`` as columns and is built when first read."""
 
     x: tuple[int, ...]
-    kernel: ExactMatrix
+    matrix: ExactMatrix
+
+    @cached_property
+    def kernel(self) -> ExactMatrix:
+        return kernel_columns(self.matrix)
 
 
 def _lifted(a: ExactMatrix) -> tuple[IntRows, int, int]:
@@ -328,22 +336,6 @@ def _lifted(a: ExactMatrix) -> tuple[IntRows, int, int]:
     return data, a.rows, a.cols + a.rows
 
 
-def _solve_int(data: IntRows, nrows: int, ncols: int, b: tuple[int, ...]):
-    u, _uinv, d, v = _snf_int(data, nrows, ncols)
-    rank = _rank_of_diag(d, nrows, ncols)
-    c = [sum(u[i][k] * b[k] for k in range(nrows)) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(rank):
-        q, r = divmod(c[i], d[i][i])
-        if r:
-            return None
-        y[i] = q
-    for i in range(rank, nrows):
-        if c[i]:
-            return None
-    return tuple(sum(v[i][k] * y[k] for k in range(ncols)) for i in range(ncols))
-
-
 def _kernel_int(data: IntRows, nrows: int, ncols: int) -> list[tuple[int, ...]]:
     _u, _uinv, d, v = _snf_int(data, nrows, ncols)
     rank = _rank_of_diag(d, nrows, ncols)
@@ -351,27 +343,33 @@ def _kernel_int(data: IntRows, nrows: int, ncols: int) -> list[tuple[int, ...]]:
 
 
 def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> LinearSolution | None:
-    """Solve ``A x = b`` over the matrix's ring; ``None`` when unsolvable."""
+    """Solve ``A x = b`` over the matrix's ring; ``None`` when unsolvable.
+
+    ``(b; 0)`` is reduced against the cached Hermite form of the graph
+    lattice spanned by the columns of ``[A; -I]`` (and ``m * Z^(rows+cols)``
+    over Z/m): ``b`` is reachable exactly when the top rows reduce to zero,
+    and the bottom rows are then the canonical solution.  No Smith form is
+    built.
+    """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    data, nr, nc = _lifted(a)
-    x = _solve_int(data, nr, nc, tuple(int(t) for t in b))
-    if x is None:
+    n = a.cols
+    graph = a.data + tuple((0,) * i + (-1,) + (0,) * (n - 1 - i) for i in range(n))
+    v = _reduce_by_pivots([int(t) for t in b] + [0] * n, _hermite_cols(graph, a.ring.modulus or 0))
+    if any(v[: a.rows]):
         return None
-    red = a.ring.reduce
-    return LinearSolution(tuple(red(t) for t in x[: a.cols]), kernel_columns(a))
+    return LinearSolution(tuple(v[a.rows:]), a)
 
 
 def solve_canonical(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
-    """The canonical solution of ``A x = b``: a particular solution reduced to
-    the canonical representative of its coset modulo the solution lattice of
-    ``A x = 0``.  Deterministic and independent of elimination internals."""
+    """The canonical solution of ``A x = b``: the representative, reduced
+    by :func:`reduce_mod_lattice`, of the coset of solutions modulo the
+    solution lattice of ``A x = 0``.  Deterministic and independent of
+    elimination internals; for every k, its first k entries are the
+    canonical representative modulo that lattice's projection to the first
+    k coordinates."""
     sol = solve_linear(a, b)
-    if sol is None:
-        return None
-    if sol.kernel.cols == 0 and not a.ring.is_modular:
-        return sol.x
-    return reduce_mod_lattice(sol.x, sol.kernel)
+    return None if sol is None else sol.x
 
 
 def kernel_columns(a: ExactMatrix) -> ExactMatrix:
@@ -511,18 +509,21 @@ def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -
     Over Z/m the lattice also holds ``m * Z^n``, so representatives are
     canonical mod m as well.
     """
-    nr = lattice.rows
-    if len(vec) != nr:
+    if len(vec) != lattice.rows:
         raise ValueError("vector length mismatch")
-    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)
-    v = [int(t) for t in vec]
+    # over Z/m every row has a pivot dividing m, so the result is already reduced
+    return tuple(_reduce_by_pivots([int(t) for t in vec], _hermite_cols(lattice.data, lattice.ring.modulus or 0)))
+
+
+def _reduce_by_pivots(v: list[int], pivots) -> list[int]:
+    """Reduce ``v`` in place against Hermite pivot columns, in row order, so
+    that each pivot row ends in ``range(pivot)``."""
     for row, col in pivots:
         q = v[row] // col[row]
         if q:
-            for i in range(row, nr):
+            for i in range(row, len(v)):
                 v[i] -= q * col[i]
-    red = lattice.ring.reduce
-    return tuple(red(t) for t in v)
+    return v
 
 
 def lattice_pivot_profile(lattice: ExactMatrix) -> tuple[tuple[int, int], ...]:

@@ -565,13 +565,11 @@ def solve_morphism(source: PresentedModule, target: PresentedModule,
                 sys_rhs.append(rvec[r_])
         slack_at += rel.cols
 
-    big = ExactMatrix.from_rows(ring, sys_rows, ncols) if sys_rows else ExactMatrix.zeros(ring, 0, ncols)
-    sol = solve_linear(big, sys_rhs) if sys_rows else None
     if sys_rows:
+        sol = solve_linear(ExactMatrix.from_rows(ring, sys_rows, ncols), sys_rhs)
         if sol is None:
             return None
-        zk = sol.kernel.take_rows(0, nz)
-        zvec = reduce_mod_lattice(sol.x[:nz], zk) if nz else ()
+        zvec = sol.x[:nz]
     else:
         zvec = (0,) * nz
     mat_rows = [[zvec[j * gt + a] for j in range(gs)] for a in range(gt)]

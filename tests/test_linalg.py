@@ -171,6 +171,89 @@ def test_solve_and_kernel_brute_force_mod_m(m, data):
     assert spanned == set(kern)
 
 
+def smith_route(a: ExactMatrix, b):
+    """Reference: the particular solution read off the lifted Smith form
+    ``U A V = D``, or ``None`` when there is none."""
+    data, nr, nc = linalg._lifted(a)
+    u, _uinv, d, v = _snf_int(data, nr, nc)
+    rank = linalg._rank_of_diag(d, nr, nc)
+    c = [sum(u[i][k] * b[k] for k in range(nr)) for i in range(nr)]
+    if any(c[i] % d[i][i] for i in range(rank)) or any(c[rank:]):
+        return None
+    y = [c[i] // d[i][i] for i in range(rank)] + [0] * (nc - rank)
+    return tuple(a.ring.reduce(sum(v[i][k] * y[k] for k in range(nc))) for i in range(a.cols))
+
+
+@st.composite
+def linear_systems(draw):
+    ring = draw(st.sampled_from([ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]))
+    entries = st.integers(-6, 6) if ring == ZZ else st.integers(0, ring.modulus - 1)
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = mat(ring, [[draw(entries) for _ in range(cols)] for _ in range(rows)]) if rows else ExactMatrix.zeros(ring, 0, cols)
+    if draw(st.booleans()):
+        b = a.apply([draw(entries) for _ in range(cols)])
+    else:  # often unsolvable
+        b = tuple(ring.reduce(draw(entries)) for _ in range(rows))
+    return a, b
+
+
+@given(linear_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_smith_route(system):
+    a, b = system
+    ref = smith_route(a, b)
+    sol = solve_linear(a, b)
+    if ref is None:
+        assert sol is None and solve_canonical(a, b) is None
+        return
+    kernel = kernel_columns(a)
+    assert sol.x == solve_canonical(a, b) == reduce_mod_lattice(ref, kernel)
+    assert a.apply(sol.x) == b
+    assert sol.kernel == kernel
+    # every prefix is canonical modulo the kernel's projection to those rows
+    for k in range(a.cols + 1):
+        assert sol.x[:k] == reduce_mod_lattice(ref[:k], kernel.take_rows(0, k))
+
+
+def test_solve_builds_no_smith_form(monkeypatch):
+    calls = []
+    work = linalg._snf_int_work
+    monkeypatch.setattr(linalg, "_snf_int_work", lambda *args: calls.append(args) or work(*args))
+    import random
+
+    rng = random.Random(20261018)
+    sols = []
+    for ring in (ZZ, Zmod(12), Zmod(36)):
+        hi = 97 if ring == ZZ else ring.modulus - 1
+        # a shape no other test uses, so no cached Smith form could hide a call
+        a = mat(ring, [[rng.randint(0, hi) for _ in range(11)] for _ in range(5)])
+        x = [rng.randint(0, hi) for _ in range(11)]
+        sol = solve_linear(a, a.apply(x))
+        assert sol is not None and solve_canonical(a, a.apply(x)) == sol.x
+        sols.append(sol)
+    assert calls == []
+    for sol in sols:
+        assert sol.kernel.rows == 11
+    assert len(calls) == 3
+
+
+def test_constructors_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="declared shape"):
+        ExactMatrix.from_cols(R4, [[1, 2, 3]], 2)
+    with pytest.raises(ValueError, match="declared shape"):
+        ExactMatrix.from_cols(R4, [[1, 2], [3]], 2)
+    with pytest.raises(ValueError, match="declared shape"):
+        ExactMatrix.from_cols(R4, [[1, 2], [3, 4, 5]], 2)
+    with pytest.raises(ValueError, match="declared shape"):
+        ExactMatrix.from_rows(R4, [[1, 2]], 3)
+    with pytest.raises(ValueError, match="declared shape"):
+        ExactMatrix.from_rows(ZZ, [[1, 2], [3]])
+    assert ExactMatrix.from_cols(R4, [[5, -1], [2, 6]], 2).data == ((1, 2), (3, 2))
+    assert ExactMatrix.from_rows(ZZ, [[5, -1]], 2).data == ((5, -1),)
+    assert ExactMatrix.from_cols(ZZ, [], 3) == ExactMatrix.zeros(ZZ, 3, 0)
+    assert ExactMatrix.from_rows(R4, [], 2) == ExactMatrix.zeros(R4, 0, 2)
+
+
 def test_kernel_examples():
     assert kernel_columns(mat(ZZ, [[1, 0]])).columns() == [(0, 1)]
     assert kernel_columns(mat(R4, [[2]])).columns() == [(2,)]
