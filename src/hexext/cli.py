@@ -27,6 +27,7 @@ import json
 import os
 import random
 import sys
+from pathlib import Path
 
 from .diagram import (
     check_uniqueness,
@@ -82,7 +83,10 @@ def _emit(report: dict, code: int) -> int:
 
 
 def _load(path: str) -> DocumentModel:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(None, f"cannot read {path}: {exc}") from exc
     return parse(text)
 
 
@@ -365,9 +369,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, SemanticError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except HexextError as exc:

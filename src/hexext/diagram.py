@@ -189,7 +189,7 @@ def _build_Y(d: Diagram3x3, snake_check: bool) -> BuildY:
     w_r = simp.to_min @ pullback_factor(pb, d.col_right.inject, zero_morphism(d.r, d.g))
     w_s = simp.to_min @ pullback_factor(pb, zero_morphism(d.s, d.f), d.row_bottom.inject)
     rs = direct_sum(d.r, d.s)
-    incl = hom(rs.module, y, w_r.matrix.hstack(w_s.matrix))
+    incl = ModuleMorphism(rs.module, y, w_r.matrix.hstack(w_s.matrix))
     proj = d.col_right.project @ p_f
     if not proj.equals(d.row_bottom.project @ p_g):
         raise InvalidDiagramError(["pullback projections do not agree over Q"])
@@ -212,15 +212,22 @@ def _build_Y(d: Diagram3x3, snake_check: bool) -> BuildY:
 
 @dataclass(frozen=True)
 class DiagramExtension:
-    """A middle object with its four maps and the two derived sequences."""
+    """A middle object with its four maps and the two derived sequences,
+    which are exact once :func:`validate_extension` accepts the extension."""
 
     x: PresentedModule
     i: ModuleMorphism        # H -> X
     j: ModuleMorphism        # E -> X
     m: ModuleMorphism        # X -> F
     n: ModuleMorphism        # X -> G
-    row_mid: ShortExactSequence
-    col_mid: ShortExactSequence
+
+    @property
+    def row_mid(self) -> ShortExactSequence:    # 0 -> H -> X -> F -> 0
+        return _ses(self.i, self.m)
+
+    @property
+    def col_mid(self) -> ShortExactSequence:    # 0 -> E -> X -> G -> 0
+        return _ses(self.j, self.n)
 
 
 def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:
@@ -292,8 +299,7 @@ def _realize(d: Diagram3x3, by: BuildY, e_y: ExtModule, cocycle: ExactMatrix) ->
                        post=[(pi_y, by.w_r @ d.row_top.project)])
     if i is None or j is None:
         raise NotExtendableError(None, "restriction classes matched but grid maps are unsolvable")
-    # exactness of both middle sequences is checked by validate_extension
-    ext = DiagramExtension(x, i, j, m, n, _ses(i, m), _ses(j, n))
+    ext = DiagramExtension(x, i, j, m, n)
     bad = validate_extension(d, ext)
     if bad:
         raise NotExtendableError(None, "constructed extension failed validation: " + "; ".join(bad))
@@ -423,7 +429,7 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
     j_hat = lift_through_inclusion(iota2, j_corr)   # E -> P
 
     eh = direct_sum(d.e, d.h)
-    u = hom(eh.module, ext1.x, ext1.j.matrix.hstack(ext1.i.matrix))
+    u = ModuleMorphism(eh.module, ext1.x, ext1.j.matrix.hstack(ext1.i.matrix))
     kic = kernel_image_cokernel(u)
     sub, incl = kic.image, kic.image_inclusion
     lam = hom(sub, d.p, j_hat.matrix.hstack(i_hat.matrix))

@@ -242,8 +242,7 @@ def parse(text: str) -> DocumentModel:
                 raise SemanticError(f"extension {name}: unknown morphism for {key}")
             mor[key] = model.morphisms[spec[key]]
         x = model.modules[spec["X"]]
-        model.extensions[name] = DiagramExtension(x, mor["i"], mor["j"], mor["m"], mor["n"],
-                                                  _ses(mor["i"], mor["m"]), _ses(mor["j"], mor["n"]))
+        model.extensions[name] = DiagramExtension(x, mor["i"], mor["j"], mor["m"], mor["n"])
         model.extension_diagram_names[name] = dname
     return model
 

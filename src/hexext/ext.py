@@ -35,6 +35,7 @@ from .modules import (
     pushout,
     simplify,
     zero_morphism,
+    _preimage,
 )
 
 
@@ -246,11 +247,9 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
         d_in = res.differential(degree)
         in_mat = _induced_matrix(d_in, p, ranks[degree - 1], rank_i)
 
-    conv = kmat.hstack(in_mat).hstack(h_i.relations)
-    raw_rel = kernel_columns(conv)
-    rel_cols = [list(raw_rel.col(j))[: kmat.cols] for j in range(raw_rel.cols)]
-    raw_pres = PresentedModule(ring, kmat.cols,
-                               shrink_generators(ExactMatrix.from_cols(ring, rel_cols, kmat.cols)))
+    boundaries = in_mat.hstack(h_i.relations)
+    conv = kmat.hstack(boundaries)
+    raw_pres = PresentedModule(ring, kmat.cols, _preimage(kmat, boundaries))
     simp: Simplified = simplify(raw_pres)
     cocycles = []
     for t in range(simp.module.generators):
@@ -310,8 +309,8 @@ def ses_of_cocycle(e: ExtModule, phi: ExactMatrix) -> ShortExactSequence:
     for j in range(f1):
         cols.append([-x for x in phi.col(j)] + list(res.d1.col(j)))
     x = PresentedModule(ring, gp + f0, ExactMatrix.from_cols(ring, cols, gp + f0))
-    inj = hom(p, x, ExactMatrix.identity(ring, gp).vstack(ExactMatrix.zeros(ring, f0, gp)))
-    proj = hom(x, q, ExactMatrix.zeros(ring, q.generators, gp).hstack(ExactMatrix.identity(ring, f0)))
+    inj = ModuleMorphism(p, x, ExactMatrix.identity(ring, gp).vstack(ExactMatrix.zeros(ring, f0, gp)))
+    proj = ModuleMorphism(x, q, ExactMatrix.zeros(ring, q.generators, gp).hstack(ExactMatrix.identity(ring, f0)))
     return make_ses(inj, proj)
 
 
@@ -391,7 +390,7 @@ def pushout_ses(s: ShortExactSequence, g: ModuleMorphism) -> ShortExactSequence:
     po = pushout(s.inject, g)
     ring = s.left.ring
     proj_mat = s.project.matrix.hstack(ExactMatrix.zeros(ring, s.right.generators, g.target.generators))
-    proj = hom(po.module, s.right, proj_mat)
+    proj = ModuleMorphism(po.module, s.right, proj_mat)
     return make_ses(po.from_right, proj)
 
 

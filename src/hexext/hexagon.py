@@ -34,7 +34,6 @@ from .modules import (
     ModuleMorphism,
     PresentedModule,
     exactness_violations,
-    hom,
     kernel_image_cokernel,
     lift_through_inclusion,
     preimage_kernel_columns,
@@ -114,9 +113,9 @@ def fold_frame(f: HexagonFrame) -> FoldResult:
     ka = preimage_kernel_columns(f.alpha)
     p = PresentedModule(ring, f.a1.generators,
                         shrink_generators(f.a1.relations.hstack(ka)))
-    quotient = hom(f.a1, p, ExactMatrix.identity(ring, f.a1.generators))
-    mu = hom(p, f.b1, f.alpha.matrix)    # P -> H = B1
-    nu = hom(p, f.a2, f.beta.matrix)     # P -> E = A2
+    quotient = ModuleMorphism(f.a1, p, ExactMatrix.identity(ring, f.a1.generators))
+    mu = ModuleMorphism(p, f.b1, f.alpha.matrix)    # P -> H = B1
+    nu = ModuleMorphism(p, f.a2, f.beta.matrix)     # P -> E = A2, well defined as ker(beta) = ker(alpha)
 
     kic_d = kernel_image_cokernel(f.d)
     r_mod, incl_r, pi_er = kic_d.image, kic_d.image_inclusion, kic_d.image_corestriction
@@ -181,8 +180,7 @@ def verify_hexagon(h: SolvedHexagon) -> list[str]:
 
 def _as_extension(h: SolvedHexagon) -> DiagramExtension:
     """Unchecked: compatible_isomorphism validates the extension first."""
-    return DiagramExtension(h.center, i=h.j, j=h.i, m=h.curv, n=h.c,
-                            row_mid=_ses(h.j, h.curv), col_mid=_ses(h.i, h.c))
+    return DiagramExtension(h.center, i=h.j, j=h.i, m=h.curv, n=h.c)
 
 
 def hexagon_compatible_iso(h1: SolvedHexagon, h2: SolvedHexagon) -> ModuleMorphism:

@@ -26,16 +26,14 @@ IntRows = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dense matrix over a :class:`RingSpec`, row-major entries."""
+    """Immutable dense matrix over a :class:`RingSpec`, row-major entries.
+    :meth:`from_rows` and :meth:`from_cols` are the checked entries for outside
+    data; the plain constructor, used by the operations below, checks nothing."""
 
     ring: RingSpec
     rows: int
     cols: int
     data: IntRows
-
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("matrix data does not match declared shape")
 
     # -- constructors ------------------------------------------------------
 
@@ -43,6 +41,8 @@ class ExactMatrix:
     def from_rows(ring: RingSpec, rows: list[list[int]] | IntRows, cols: int | None = None) -> "ExactMatrix":
         if cols is None:
             cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ValueError("matrix data does not match declared shape")
         m = ring.modulus
         data = tuple(tuple(x % m for x in r) for r in rows) if m else tuple(tuple(r) for r in rows)
         return ExactMatrix(ring, len(rows), cols, data)

@@ -141,8 +141,9 @@ class WellDefinedReport:
 @dataclass(frozen=True)
 class ModuleMorphism:
     """A matrix on generators (target generators x source generators) that
-    maps every source relation into the target relation span.  Certified at
-    construction via :func:`hom`."""
+    maps every source relation into the target relation span.  The
+    constructor checks nothing; :func:`hom` is the checked entry for matrices
+    from outside the library."""
 
     source: PresentedModule
     target: PresentedModule
@@ -208,7 +209,7 @@ def check_well_defined(source: PresentedModule, target: PresentedModule, matrix:
 
 
 def hom(source: PresentedModule, target: PresentedModule, matrix) -> ModuleMorphism:
-    """Certified morphism constructor; raises :class:`WellDefinednessError`."""
+    """Checked constructor for outside matrices; raises :class:`WellDefinednessError`."""
     if not isinstance(matrix, ExactMatrix):
         matrix = ExactMatrix.from_rows(source.ring, matrix, source.generators)
     rep = check_well_defined(source, target, matrix)
@@ -225,30 +226,28 @@ def zero_morphism(source: PresentedModule, target: PresentedModule) -> ModuleMor
     return ModuleMorphism(source, target, ExactMatrix.zeros(source.ring, target.generators, source.generators))
 
 
+def _preimage(a: ExactMatrix, relations: ExactMatrix) -> ExactMatrix:
+    """Columns spanning ``{x : a x in span(relations)}``: the kernel of
+    ``[a | relations]`` cut to its top ``a.cols`` rows, shrunk."""
+    ker = kernel_columns(a.hstack(relations))
+    cols = [list(ker.col(j))[: a.cols] for j in range(ker.cols)]
+    return shrink_generators(ExactMatrix.from_cols(a.ring, cols, a.cols))
+
+
 def preimage_kernel_columns(f: ModuleMorphism) -> ExactMatrix:
     """Columns spanning ``{x in source coords : f(x) = 0 in target}``.
 
     Includes the source relation directions; this is the kernel of the map
     on coefficient columns, not yet a presented submodule.
     """
-    stacked = f.matrix.hstack(f.target.relations)
-    k = kernel_columns(stacked)
-    cols = [list(k.col(j))[: f.source.generators] for j in range(k.cols)]
-    mat = ExactMatrix.from_cols(f.source.ring, cols, f.source.generators)
-    return shrink_generators(mat)
+    return _preimage(f.matrix, f.target.relations)
 
 
 def submodule_generated(ambient: PresentedModule, gens: ExactMatrix):
     """The submodule generated by the given coefficient columns, presented on
     those columns, with its inclusion morphism."""
-    k = gens.cols
-    stacked = gens.hstack(ambient.relations)
-    rel = kernel_columns(stacked)
-    cols = [list(rel.col(j))[:k] for j in range(rel.cols)]
-    rels = shrink_generators(ExactMatrix.from_cols(ambient.ring, cols, k))
-    sub = PresentedModule(ambient.ring, k, rels)
-    incl = hom(sub, ambient, gens)
-    return sub, incl
+    sub = PresentedModule(ambient.ring, gens.cols, _preimage(gens, ambient.relations))
+    return sub, ModuleMorphism(sub, ambient, gens)
 
 
 @dataclass(frozen=True)
@@ -275,8 +274,8 @@ def kernel_image_cokernel(f: ModuleMorphism) -> KernelImageCokernel:
 
     im_rels = shrink_generators(f.source.relations.hstack(pk))
     image = PresentedModule(ring, f.source.generators, im_rels)
-    im_incl = hom(image, f.target, f.matrix)
-    im_co = hom(f.source, image, ExactMatrix.identity(ring, f.source.generators))
+    im_incl = ModuleMorphism(image, f.target, f.matrix)
+    im_co = ModuleMorphism(f.source, image, ExactMatrix.identity(ring, f.source.generators))
 
     coker, coker_proj = morphism_cokernel(f)
     return KernelImageCokernel(ker, ker_incl, image, im_incl, im_co, coker, coker_proj)
@@ -290,7 +289,7 @@ def morphism_kernel(f: ModuleMorphism):
 def morphism_cokernel(f: ModuleMorphism):
     coker = PresentedModule(f.target.ring, f.target.generators,
                             shrink_generators(f.target.relations.hstack(f.matrix)))
-    return coker, hom(f.target, coker, ExactMatrix.identity(f.target.ring, f.target.generators))
+    return coker, ModuleMorphism(f.target, coker, ExactMatrix.identity(f.target.ring, f.target.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,8 @@ def direct_sum(a: PresentedModule, b: PresentedModule) -> DirectSum:
     ib = ExactMatrix.zeros(ring, a.generators, b.generators).vstack(ExactMatrix.identity(ring, b.generators))
     pa = ExactMatrix.identity(ring, a.generators).hstack(ExactMatrix.zeros(ring, a.generators, b.generators))
     pb = ExactMatrix.zeros(ring, b.generators, a.generators).hstack(ExactMatrix.identity(ring, b.generators))
-    return DirectSum(m, hom(a, m, ia), hom(b, m, ib), hom(m, a, pa), hom(m, b, pb))
+    return DirectSum(m, ModuleMorphism(a, m, ia), ModuleMorphism(b, m, ib),
+                     ModuleMorphism(m, a, pa), ModuleMorphism(m, b, pb))
 
 
 @dataclass(frozen=True)
@@ -334,12 +334,7 @@ def pullback(f: ModuleMorphism, g: ModuleMorphism) -> Pullback:
     and its inclusion into ``A (+) B``."""
     if f.target != g.target:
         raise NonComposableError("pullback legs must share a target")
-    ring = f.source.ring
-    g_ab = f.source.generators + g.source.generators
-    wide = f.matrix.hstack(-g.matrix).hstack(f.target.relations)
-    k = kernel_columns(wide)
-    cols = [list(k.col(j))[:g_ab] for j in range(k.cols)]
-    w = shrink_generators(ExactMatrix.from_cols(ring, cols, g_ab))
+    w = _preimage(f.matrix.hstack(-g.matrix), f.target.relations)
     ds = direct_sum(f.source, g.source)
     pb, incl = submodule_generated(ds.module, w)
     return Pullback(pb, ds.project_left @ incl, ds.project_right @ incl, incl)
@@ -375,7 +370,7 @@ def pushout(f: ModuleMorphism, g: ModuleMorphism) -> Pushout:
     po = PresentedModule(ring, ga + gb, rels)
     ia = ExactMatrix.identity(ring, ga).vstack(ExactMatrix.zeros(ring, gb, ga))
     ib = ExactMatrix.zeros(ring, ga, gb).vstack(ExactMatrix.identity(ring, gb))
-    return Pushout(po, hom(f.target, po, ia), hom(g.target, po, ib))
+    return Pushout(po, ModuleMorphism(f.target, po, ia), ModuleMorphism(g.target, po, ib))
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +619,8 @@ def snake_connecting(top: ShortExactSequence, bottom: ShortExactSequence,
         raise NotExactError("chase left the image of the bottom injection")
     delta = hom(kc, ca, a_lift)
 
-    ca_cb = hom(ca, cb, bottom.inject.matrix)
-    cb_cc = hom(cb, cc, bottom.project.matrix)
+    ca_cb = ModuleMorphism(ca, cb, bottom.inject.matrix)    # well defined: the squares commute
+    cb_cc = ModuleMorphism(cb, cc, bottom.project.matrix)
 
     return SnakeResult(
         (ka, kb, kc), (ka_in, kb_in, kc_in),
@@ -668,6 +663,6 @@ def simplify(m: PresentedModule) -> Simplified:
     mod = PresentedModule(ring, gN, rels)
     to_rows = [[u[i][j] for j in range(m.generators)] for i in keep]
     from_rows = [[uinv[i][j] for j in keep] for i in range(m.generators)]
-    to_min = hom(m, mod, ExactMatrix.from_rows(ring, to_rows, m.generators))
-    from_min = hom(mod, m, ExactMatrix.from_rows(ring, from_rows, gN) if gN else ExactMatrix.zeros(ring, m.generators, 0))
+    to_min = ModuleMorphism(m, mod, ExactMatrix.from_rows(ring, to_rows, m.generators))
+    from_min = ModuleMorphism(mod, m, ExactMatrix.from_rows(ring, from_rows, gN))
     return Simplified(mod, to_min, from_min)

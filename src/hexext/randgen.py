@@ -15,7 +15,7 @@ from .diagram import Diagram3x3, DiagramExtension, _realize, _restriction_data, 
 from .ext import ext_module, ses_of_class
 from .hexagon import HexagonFrame
 from .linalg import ExactMatrix
-from .modules import PresentedModule, direct_sum, hom, make_ses, zero_morphism
+from .modules import PresentedModule, direct_sum, hom, zero_morphism
 from .rings import RingSpec
 
 
@@ -152,8 +152,7 @@ def perturb_extension(rng: random.Random, d: Diagram3x3, ext: DiagramExtension) 
     kbar = random_hom(rng, d.r, d.p)
     i2 = ext.i + (iota @ hbar @ d.col_left.project)
     j2 = ext.j + (iota @ kbar @ d.row_top.project)
-    return DiagramExtension(ext.x, i2, j2, ext.m, ext.n,
-                            make_ses(i2, ext.m), make_ses(j2, ext.n))
+    return DiagramExtension(ext.x, i2, j2, ext.m, ext.n)
 
 
 def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExtension:

@@ -85,8 +85,15 @@ def test_oracle_compare(capsys):
     assert report["brute_classes"] == report["computed_order"] == 2
 
 
-def test_missing_file_exits_2(capsys):
+def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["validate", "no_such_file.json", "D"]) == 2
+    # a directory and a document that is not UTF-8 are input errors too
+    assert main(["ext", str(tmp_path), "-i", "1", "Q", "P"]) == 2
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"rings": {"R\xe9": {"kind": "Z"}}}')
+    assert main(["validate", str(bad), "D"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error:") == 3 and "Traceback" not in err
 
 
 def test_bad_document_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import hexext.diagram as diagram_module
+import hexext.modules as modules_module
 from hexext.diagram import (
     Diagram3x3,
     DiagramExtension,
@@ -142,6 +143,20 @@ def test_entry_validates_diagram_once(entry, monkeypatch):
     assert len(seen) == 1 and seen[0] is d
 
 
+def test_extend_diagram_checks_only_solved_maps(monkeypatch):
+    # maps built by construction skip the well-definedness check; the seven
+    # read off a solve keep it: Y's two pullback factors, the snake's two
+    # kernel lifts and its connecting map, and the grid maps i and j
+    seen = []
+    real = modules_module.check_well_defined
+    monkeypatch.setattr(modules_module, "check_well_defined", lambda *a: seen.append(a) or real(*a))
+    extend_diagram(all_split())
+    assert len(seen) == 7
+    seen.clear()
+    extend_diagram(all_split(), snake_check=False)
+    assert len(seen) == 4
+
+
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_entry_rejects_invalid_diagram(entry):
     sp = split_ses(Z2m, Z2m)
@@ -210,8 +225,7 @@ def test_extend_over_z_with_mixed_corners():
 def test_validate_extension_rejects_zeroed_map():
     d = all_split()
     ext = extend_diagram(d)
-    broken = DiagramExtension(ext.x, ext.i, ext.j, ext.m,
-                              zero_morphism(ext.x, d.g), ext.row_mid, ext.col_mid)
+    broken = DiagramExtension(ext.x, ext.i, ext.j, ext.m, zero_morphism(ext.x, d.g))
     out = validate_extension(d, broken)
     assert any("colMid" in v or "square" in v for v in out)
 
@@ -224,8 +238,10 @@ def test_validate_extension_accepts_hand_built_middle():
     j = hom(d.e, x, [[1, 0], [0, 1], [0, 0], [0, 0]])        # E = P (+) R
     m = hom(x, d.f, [[0, 1, 0, 0], [0, 0, 0, 1]])            # F = R (+) Q
     n = hom(x, d.g, [[0, 0, 1, 0], [0, 0, 0, 1]])            # G = S (+) Q
-    ext = DiagramExtension(x, i, j, m, n, make_ses(i, m), make_ses(j, n))
+    ext = DiagramExtension(x, i, j, m, n)
     assert validate_extension(d, ext) == []
+    assert (ext.row_mid.inject, ext.row_mid.project, ext.row_mid.middle) == (i, m, x)
+    assert (ext.col_mid.inject, ext.col_mid.project, ext.col_mid.left) == (j, n, d.e)
 
 
 def test_degenerate_corner_p_zero():

@@ -5,6 +5,7 @@ larger class round-trips."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexext.diagram import OBSTRUCTION_SIGN
 from hexext.ext import (
@@ -12,27 +13,35 @@ from hexext.ext import (
     class_of_ses,
     connecting_hom,
     ext_module,
+    pushout_ses,
     ses_of_class,
+    ses_of_cocycle,
     transport_class,
     transport_contravariant,
     transport_covariant,
     yoneda_product,
 )
 from hexext.errors import ArgumentMismatchError
+from hexext.linalg import ExactMatrix
 from hexext.modules import (
     PresentedModule,
+    check_well_defined,
+    direct_sum,
     hom,
     identity_morphism,
     is_exact,
+    kernel_image_cokernel,
     make_ses,
+    morphism_cokernel,
     pullback,
     pullback_factor,
     pushout,
+    simplify,
     snake_connecting,
     zero_morphism,
 )
 from hexext.oracle import enumerate_morphisms
-from hexext.randgen import random_class, random_module, random_ses
+from hexext.randgen import random_class, random_hom, random_module, random_ses
 from hexext.rings import ZZ, Zmod
 
 R4, R8, R9 = Zmod(4), Zmod(8), Zmod(9)
@@ -185,3 +194,49 @@ def test_round_trip_larger_arguments():
                     classes = [random_class(rng, e) for _ in range(8)]
                 for cls in classes:
                     assert class_of_ses(ses_of_class(cls)).same_as(cls)
+
+
+@st.composite
+def two_modules(draw):
+    """Two small presented modules over one of Z, Z/4, Z/6, Z/9, and a
+    seeded generator for the maps between them."""
+    ring = draw(st.sampled_from([ZZ, Zmod(4), Zmod(6), Zmod(9)]))
+
+    def module():
+        g = draw(st.integers(min_value=0, max_value=3))
+        n = draw(st.integers(min_value=0, max_value=3))
+        cols = [[draw(st.integers(min_value=-6, max_value=6)) for _ in range(g)] for _ in range(n)]
+        return PresentedModule.make(ring, g, cols)
+
+    return module(), module(), draw(st.randoms(use_true_random=False))
+
+
+@given(two_modules())
+@settings(max_examples=80, deadline=None)
+def test_constructed_maps_are_well_defined(case):
+    # the library builds these maps without running check_well_defined;
+    # the check must accept every one of them
+    a, b, rng = case
+    f = random_hom(rng, a, b)
+    maps = []
+    ds = direct_sum(a, b)
+    maps += [ds.inject_left, ds.inject_right, ds.project_left, ds.project_right]
+    po = pushout(f, random_hom(rng, a, a))
+    maps += [po.from_left, po.from_right]
+    kic = kernel_image_cokernel(f)
+    maps += [kic.kernel_inclusion, kic.image_inclusion, kic.image_corestriction,
+             kic.cokernel_projection, morphism_cokernel(f)[1]]
+    pb = pullback(f, random_hom(rng, b, b))
+    maps += [pb.inclusion, pb.to_left, pb.to_right]
+    simp = simplify(b)
+    maps += [simp.to_min, simp.from_min]
+    # any representative of a class in Ext^1(B, A) will do, so shift one by a
+    # coboundary as well
+    e = ext_module(1, b, a)
+    res = e.resolution
+    psi = ExactMatrix.from_rows(a.ring, [[rng.randrange(-3, 4) for _ in range(res.f0)]
+                                         for _ in range(a.generators)], res.f0)
+    seq = ses_of_cocycle(e, random_class(rng, e).cocycle() + psi @ res.d1)
+    maps += [seq.inject, seq.project, pushout_ses(seq, f).project]
+    for m in maps:
+        assert check_well_defined(m.source, m.target, m.matrix).ok
