@@ -250,9 +250,10 @@ def _cmd_oracle_compare(args) -> int:
 def _parse_ring(text: str) -> RingSpec:
     if text == "Z":
         return ZZ
-    if text.startswith("Zmod"):
+    digits = text[4:]
+    if text.startswith("Zmod") and digits.isascii() and digits.isdigit():
         try:
-            return Zmod(int(text[4:]))
+            return Zmod(int(digits))
         except ValueError:
             pass
     raise SemanticError(f"unknown ring {text!r} (use Z or Zmod<m>)")

@@ -36,7 +36,7 @@ from .ext import (
     yoneda_product_of_ses,
     _transport_matrix,
 )
-from .linalg import ExactMatrix, solve_linear
+from .linalg import ExactMatrix
 from .modules import (
     DirectSum,
     ModuleMorphism,
@@ -47,6 +47,7 @@ from .modules import (
     exactness_violations,
     hom,
     kernel_image_cokernel,
+    lift,
     lift_through_inclusion,
     make_ses,
     pullback,
@@ -274,12 +275,12 @@ def _solve_restriction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass | N
     exists (deterministically the smallest coordinate solution)."""
     e_y = ext_module(1, by.y, d.p)
     e_rs = tau.parent
-    rho = _transport_matrix(e_y, e_rs, lambda x: transport_contravariant(x, by.ses.inject))
-    sysm = rho.hstack(e_rs.presentation.relations)
-    sol = solve_linear(sysm, tau.coords)
-    if sol is None:
+    rho = ModuleMorphism(e_y.presentation, e_rs.presentation,
+                         _transport_matrix(e_y, e_rs, lambda x: transport_contravariant(x, by.ses.inject)))
+    x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau.coords], e_rs.presentation.generators))
+    if x is None:
         return None
-    return e_y.class_from_coords(sol.x[: e_y.presentation.generators])
+    return e_y.class_from_coords(x.col(0))
 
 
 def _realize(d: Diagram3x3, by: BuildY, e_y: ExtModule, cocycle: ExactMatrix) -> DiagramExtension:

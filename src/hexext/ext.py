@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentMismatchError, NotExactError
-from .linalg import ExactMatrix, block_diag, kernel_columns, shrink_generators, solve_canonical
+from .linalg import ExactMatrix, kernel_columns, shrink_generators
 from .modules import (
     ModuleMorphism,
     PresentedModule,
@@ -34,8 +34,12 @@ from .modules import (
     pullback_factor,
     pushout,
     simplify,
+    submodule_generated,
     zero_morphism,
-    _preimage,
+    _flatten,
+    _hom_space,
+    _induced_matrix,
+    _unflatten,
 )
 
 
@@ -92,44 +96,6 @@ def _syzygy3(res: FreeResolution) -> ExactMatrix:
     return shrink_generators(kernel_columns(res.d2))
 
 
-# ---------------------------------------------------------------------------
-# Hom complex
-# ---------------------------------------------------------------------------
-
-
-def _hom_space(rank: int, p: PresentedModule) -> PresentedModule:
-    """Hom(free^rank, P) = P^rank, flattened with index (j, a) -> j*g_P + a."""
-    return PresentedModule(p.ring, rank * p.generators,
-                           block_diag(p.ring, [p.relations] * rank) if rank else ExactMatrix.zeros(p.ring, 0, 0))
-
-
-def _induced_matrix(d: ExactMatrix, p: PresentedModule, rank_from: int, rank_to: int) -> ExactMatrix:
-    """Matrix of ``phi -> phi o d`` on flattened Hom spaces, where
-    ``d : free^rank_to -> free^rank_from``."""
-    gp = p.generators
-    rows = rank_to * gp
-    cols = rank_from * gp
-    out = [[0] * cols for _ in range(rows)]
-    for j in range(rank_to):
-        for l in range(rank_from):
-            c = d.data[l][j]
-            if c:
-                for a in range(gp):
-                    out[j * gp + a][l * gp + a] = c
-    return ExactMatrix.from_rows(p.ring, out, cols)
-
-
-def _flatten(mat: ExactMatrix) -> tuple[int, ...]:
-    """g_P x rank morphism matrix -> flat Hom-space vector."""
-    gp, rank = mat.rows, mat.cols
-    return tuple(mat.data[a][j] for j in range(rank) for a in range(gp))
-
-
-def _unflatten(vec, gp: int, rank: int, ring) -> ExactMatrix:
-    rows = [[vec[j * gp + a] for j in range(rank)] for a in range(gp)]
-    return ExactMatrix.from_rows(ring, rows, rank)
-
-
 @dataclass(frozen=True)
 class ExtModule:
     """Ext^degree(Q, P) as a presented module with a cocycle basis.
@@ -144,20 +110,17 @@ class ExtModule:
     presentation: PresentedModule
     cocycles: tuple[ExactMatrix, ...]
     resolution: FreeResolution
-    _kmat: ExactMatrix          # kernel generators inside the flat Hom space
-    _conv: ExactMatrix          # [K | im-cols | hom relations]: coordinate solver
-    _to_min: ExactMatrix        # raw kernel coordinates -> presentation coordinates
+    _cycles: ModuleMorphism     # raw cycle module -> flat Hom space modulo the boundaries
+    _to_min: ExactMatrix        # raw cycle coordinates -> presentation coordinates
 
     def rank_at_degree(self) -> int:
         return (self.resolution.f0, self.resolution.f1, self.resolution.f2)[self.degree]
 
     def coords_of_cocycle(self, mat: ExactMatrix) -> tuple[int, ...]:
-        flat = _flatten(mat)
-        sol = solve_canonical(self._conv, flat)
-        if sol is None:
+        raw = lift(self._cycles, _flatten(mat))
+        if raw is None:
             raise ArgumentMismatchError("matrix is not a cocycle for this Ext module")
-        raw = list(sol)[: self._kmat.cols]
-        coords = self._to_min.apply(raw)
+        coords = self._to_min.apply(raw.col(0))
         return self.presentation.canonical_rep(coords)
 
     def class_of_cocycle(self, mat: ExactMatrix) -> "ExtClass":
@@ -247,9 +210,8 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
         d_in = res.differential(degree)
         in_mat = _induced_matrix(d_in, p, ranks[degree - 1], rank_i)
 
-    boundaries = in_mat.hstack(h_i.relations)
-    conv = kmat.hstack(boundaries)
-    raw_pres = PresentedModule(ring, kmat.cols, _preimage(kmat, boundaries))
+    homology = PresentedModule(ring, h_i.generators, in_mat.hstack(h_i.relations))
+    raw_pres, cycles = submodule_generated(homology, kmat)
     simp: Simplified = simplify(raw_pres)
     cocycles = []
     for t in range(simp.module.generators):
@@ -257,7 +219,7 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
         flat = kmat.apply(raw)
         cocycles.append(_unflatten(flat, gp, rank_i, ring))
     return ExtModule(degree, q, p, simp.module, tuple(cocycles), res,
-                     kmat, conv, simp.to_min.matrix)
+                     cycles, simp.to_min.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over Z and Z/m.
 
-Smith normal form with recorded unimodular transforms, linear solving,
-kernel computation and canonical coset representatives (via column Hermite
-form).  All arithmetic uses Python's arbitrary-precision integers;
-intermediate Smith-form entries can grow well past machine width and
-overflow would be a correctness bug, not a performance issue.
+Smith normal form with recorded unimodular transforms, kernel computation,
+canonical coset representatives (via column Hermite form) and the linear
+solver under ``modules.lift``, the library's one solve path.  All arithmetic
+uses Python's arbitrary-precision integers; intermediate Smith-form entries
+can grow well past machine width and overflow would be a correctness bug,
+not a performance issue.
 
 Over Z/m, kernels and Smith data lift the matrix to Z and adjoin
 ``m * identity`` columns.  Span membership (:func:`shrink_generators`), the
@@ -127,9 +128,6 @@ class ExactMatrix:
         red = self.ring.reduce
         return ExactMatrix(self.ring, self.rows, self.cols, tuple(tuple(red(c * x) for x in r) for r in self.data))
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, self.cols, self.rows, tuple(zip(*self.data)) if self.data else tuple(() for _ in range(self.cols)))
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows or self.ring != other.ring:
             raise ValueError("hstack shape/ring mismatch")
@@ -141,25 +139,19 @@ class ExactMatrix:
             raise ValueError("vstack shape/ring mismatch")
         return ExactMatrix(self.ring, self.rows + other.rows, self.cols, self.data + other.data)
 
-    def take_rows(self, lo: int, hi: int) -> "ExactMatrix":
-        return ExactMatrix(self.ring, hi - lo, self.cols, self.data[lo:hi])
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.data) + "]"
 
 
 def block_diag(ring: RingSpec, blocks: list[ExactMatrix]) -> ExactMatrix:
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = [[0] * cols for _ in range(rows)]
-    i0 = j0 = 0
+    rows = []
+    left = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[i0 + i][j0 + j] = b.data[i][j]
-        i0 += b.rows
-        j0 += b.cols
-    return ExactMatrix.from_rows(ring, out, cols)
+        pad_l, pad_r = (0,) * left, (0,) * (cols - left - b.cols)
+        rows.extend(pad_l + r + pad_r for r in b.data)
+        left += b.cols
+    return ExactMatrix(ring, len(rows), cols, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +303,14 @@ def _rank_of_diag(d: IntRows, nrows: int, ncols: int) -> int:
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """The canonical solution ``x`` of ``A x = b`` (see :func:`solve_canonical`)
-    for the system matrix ``matrix``; ``kernel`` holds generators of the
-    solution space of ``A x = 0`` as columns and is built when first read."""
+    """The canonical solution ``x`` of ``A x = b`` for the system matrix
+    ``matrix``: the representative, reduced by :func:`reduce_mod_lattice`, of
+    the coset of solutions modulo the solution lattice of ``A x = 0``.  It is
+    deterministic and independent of elimination internals, and for every k
+    its first k entries are the canonical representative modulo that
+    lattice's projection to the first k coordinates.  ``kernel`` holds
+    generators of the solution space of ``A x = 0`` as columns and is built
+    when first read."""
 
     x: tuple[int, ...]
     matrix: ExactMatrix
@@ -348,8 +345,9 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> LinearSoluti
     ``(b; 0)`` is reduced against the cached Hermite form of the graph
     lattice spanned by the columns of ``[A; -I]`` (and ``m * Z^(rows+cols)``
     over Z/m): ``b`` is reachable exactly when the top rows reduce to zero,
-    and the bottom rows are then the canonical solution.  No Smith form is
-    built.
+    and the bottom rows are then the canonical solution (see
+    :class:`LinearSolution`), whose every prefix is canonical too.  No Smith
+    form is built.  The library solves only through ``modules.lift``.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
@@ -359,17 +357,6 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> LinearSoluti
     if any(v[: a.rows]):
         return None
     return LinearSolution(tuple(v[a.rows:]), a)
-
-
-def solve_canonical(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
-    """The canonical solution of ``A x = b``: the representative, reduced
-    by :func:`reduce_mod_lattice`, of the coset of solutions modulo the
-    solution lattice of ``A x = 0``.  Deterministic and independent of
-    elimination internals; for every k, its first k entries are the
-    canonical representative modulo that lattice's projection to the first
-    k coordinates."""
-    sol = solve_linear(a, b)
-    return None if sol is None else sol.x
 
 
 def kernel_columns(a: ExactMatrix) -> ExactMatrix:

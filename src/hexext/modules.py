@@ -27,7 +27,6 @@ from .linalg import (
     reduce_mod_lattice,
     shrink_generators,
     smith_lattice,
-    solve_canonical,
     solve_linear,
 )
 from .rings import RingSpec
@@ -463,7 +462,44 @@ def split_ses(a: PresentedModule, b: PresentedModule) -> ShortExactSequence:
 
 
 # ---------------------------------------------------------------------------
-# Lifting helpers and the constrained-morphism solver
+# Hom spaces out of free modules
+# ---------------------------------------------------------------------------
+
+
+def _hom_space(rank: int, p: PresentedModule) -> PresentedModule:
+    """Hom(free^rank, P) = P^rank, flattened with index (j, a) -> j*g_P + a."""
+    return PresentedModule(p.ring, rank * p.generators,
+                           block_diag(p.ring, [p.relations] * rank) if rank else ExactMatrix.zeros(p.ring, 0, 0))
+
+
+def _induced_matrix(d: ExactMatrix, p: PresentedModule, rank_from: int, rank_to: int) -> ExactMatrix:
+    """Matrix of ``phi -> phi o d`` on flattened Hom spaces, where
+    ``d : free^rank_to -> free^rank_from``."""
+    gp = p.generators
+    rows = rank_to * gp
+    cols = rank_from * gp
+    out = [[0] * cols for _ in range(rows)]
+    for j in range(rank_to):
+        for l in range(rank_from):
+            c = d.data[l][j]
+            if c:
+                for a in range(gp):
+                    out[j * gp + a][l * gp + a] = c
+    return ExactMatrix(p.ring, rows, cols, tuple(map(tuple, out)))
+
+
+def _flatten(mat: ExactMatrix) -> ExactMatrix:
+    """g_P x rank morphism matrix -> flat Hom-space vector, as one column."""
+    gp, rank = mat.rows, mat.cols
+    return ExactMatrix(mat.ring, gp * rank, 1, tuple((mat.data[a][j],) for j in range(rank) for a in range(gp)))
+
+
+def _unflatten(vec, gp: int, rank: int, ring: RingSpec) -> ExactMatrix:
+    return ExactMatrix(ring, gp, rank, tuple(tuple(vec[j * gp + a] for j in range(rank)) for a in range(gp)))
+
+
+# ---------------------------------------------------------------------------
+# Lifting and the constrained-morphism solver
 # ---------------------------------------------------------------------------
 
 
@@ -472,17 +508,17 @@ def lift(f: ModuleMorphism, rhs: ExactMatrix) -> ExactMatrix | None:
     column, equality read in ``f``'s target; ``None`` when some column of
     ``rhs`` lies outside ``im(f)``.
 
-    Every column-by-column solve of the library goes through here.
+    Every linear solve of the library goes through here.
     """
     sysm = f.matrix.hstack(f.target.relations)
     g = f.source.generators
     cols = []
     for j in range(rhs.cols):
-        sol = solve_canonical(sysm, rhs.col(j))
+        sol = solve_linear(sysm, rhs.col(j))
         if sol is None:
             return None
-        cols.append(sol[:g])
-    return ExactMatrix.from_cols(f.source.ring, cols, g)
+        cols.append(sol.x[:g])
+    return ExactMatrix(f.source.ring, g, rhs.cols, tuple(zip(*cols)) if cols else ((),) * g)
 
 
 def lift_through_inclusion(incl: ModuleMorphism, h: ModuleMorphism) -> ModuleMorphism:
@@ -505,71 +541,28 @@ def solve_morphism(source: PresentedModule, target: PresentedModule,
     """
     ring = source.ring
     gs, gt = source.generators, target.generators
-    nz = gs * gt
-
-    # each block of equations lives in some ambient module's generator
-    # coordinates and holds modulo that module's relation span, absorbed by a
-    # fresh group of slack unknowns
-    blocks = []
-    # well-definedness of Z as a pre-constraint with rhs zero
-    wd_g = source.relations
-    for j in range(wd_g.cols):
-        blocks.append(("pre", wd_g.col(j), [0] * gt, target.relations))
     for g_, rhs_m in pre:
         if g_.target != source or rhs_m.target != target or rhs_m.source != g_.source:
             raise NonComposableError("pre-constraint endpoints mismatch")
-        for j in range(g_.source.generators):
-            blocks.append(("pre", g_.matrix.col(j), list(rhs_m.matrix.col(j)), target.relations))
     for p_, rhs_m in post:
         if p_.source != target or rhs_m.source != source or rhs_m.target != p_.target:
             raise NonComposableError("post-constraint endpoints mismatch")
-        for j in range(gs):
-            blocks.append(("post", (j, p_.matrix), list(rhs_m.matrix.col(j)), p_.target.relations))
 
-    # row layout: for each block, rows over the block's ambient generators,
-    # with a fresh slack column group spanning the ambient relation matrix
-    n_slack = sum(b[3].cols for b in blocks)
-    ncols = nz + n_slack
-    sys_rows: list[list[int]] = []
-    sys_rhs: list[int] = []
-    slack_at = nz
-    for kind, datum, rvec, rel in blocks:
-        if kind == "pre":
-            col = datum
-            nrows_b = gt
-            for a in range(nrows_b):
-                row = [0] * ncols
-                for j in range(gs):
-                    if col[j]:
-                        row[j * gt + a] = col[j]
-                for sj in range(rel.cols):
-                    row[slack_at + sj] = -rel.data[a][sj] if rel.rows else 0
-                sys_rows.append(row)
-                sys_rhs.append(rvec[a])
-        else:
-            j, pmat = datum
-            nrows_b = pmat.rows
-            for r_ in range(nrows_b):
-                row = [0] * ncols
-                for a in range(gt):
-                    if pmat.data[r_][a]:
-                        row[j * gt + a] = pmat.data[r_][a]
-                for sj in range(rel.cols):
-                    row[slack_at + sj] = -rel.data[r_][sj] if rel.rows else 0
-                sys_rows.append(row)
-                sys_rhs.append(rvec[r_])
-        slack_at += rel.cols
-
-    if sys_rows:
-        sol = solve_linear(ExactMatrix.from_rows(ring, sys_rows, ncols), sys_rhs)
-        if sol is None:
-            return None
-        zvec = sol.x[:nz]
-    else:
-        zvec = (0,) * nz
-    mat_rows = [[zvec[j * gt + a] for j in range(gs)] for a in range(gt)]
-    mat = ExactMatrix.from_rows(ring, mat_rows, gs)
-    return hom(source, target, mat)
+    # Z is a vector of Hom(free^gs, target).  Precomposing with the source
+    # relations (Z well defined: rhs zero) and with each pre-constraint's g is
+    # one block; each post-constraint's p acts on Z column by column.
+    d, rhs = source.relations, ExactMatrix.zeros(ring, gt, source.relations.cols)
+    for g_, rhs_m in pre:
+        d, rhs = d.hstack(g_.matrix), rhs.hstack(rhs_m.matrix)
+    mat, flat, spaces = _induced_matrix(d, target, gs, d.cols), _flatten(rhs), [_hom_space(d.cols, target)]
+    for p_, rhs_m in post:
+        mat, flat = mat.vstack(block_diag(ring, [p_.matrix] * gs)), flat.vstack(_flatten(rhs_m.matrix))
+        spaces.append(_hom_space(gs, p_.target))
+    ambient = PresentedModule(ring, mat.rows, block_diag(ring, [h.relations for h in spaces]))
+    z = lift(ModuleMorphism(_hom_space(gs, target), ambient, mat), flat)
+    if z is None:
+        return None
+    return hom(source, target, _unflatten(z.col(0), gt, gs, ring))
 
 
 # ---------------------------------------------------------------------------

@@ -96,12 +96,6 @@ def random_diagram(rng: random.Random, ring: RingSpec, max_order: int = 16,
     )
 
 
-def random_diagram_over_z(rng: random.Random, max_order: int = 16) -> Diagram3x3:
-    from .rings import ZZ
-
-    return random_diagram(rng, ZZ, max_order)
-
-
 def frame_from_diagram(dg: Diagram3x3, rng: random.Random | None = None,
                        decorate: bool = False) -> HexagonFrame:
     """The hexagon frame whose fold returns (a diagram canonically identified

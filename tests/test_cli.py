@@ -130,8 +130,14 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc, command):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--count", "2", "--max-order", "0"], ["--count", "-3"]],
-                         ids=["max-order-0", "count-negative"])
+@pytest.mark.parametrize("flags", [
+    ["--count", "2", "--max-order", "0"],
+    ["--count", "-3"],
+    ["--count", "1", "--ring", "Zmod+4"],
+    ["--count", "1", "--ring", "Zmod 4"],
+    ["--count", "1", "--ring", "Zmod4_0"],
+    ["--count", "1", "--ring", "Zmod\u0664"],
+], ids=["max-order-0", "count-negative", "ring-plus-sign", "ring-space", "ring-underscore", "ring-arabic-indic-digit"])
 def test_fuzz_rejects_out_of_range_flags(flags):
     # a separate process with a timeout, so that a generator looping forever
     # fails the test instead of hanging the suite

@@ -1,11 +1,14 @@
 """The 3x3 extension problem: obstruction, construction, uniqueness,
 compatible isomorphisms."""
 
+import pathlib
 import random
+import sys
 
 import pytest
 
 import hexext.diagram as diagram_module
+import hexext.linalg as linalg_module
 import hexext.modules as modules_module
 from hexext.diagram import (
     Diagram3x3,
@@ -21,6 +24,7 @@ from hexext.diagram import (
     validate_diagram1,
     validate_extension,
 )
+from hexext.document import parse
 from hexext.errors import (
     ClassesDifferError,
     InvalidDiagramError,
@@ -41,6 +45,7 @@ from hexext.modules import (
 from hexext.randgen import extend_with_variant_cocycle, perturb_extension, random_diagram
 from hexext.rings import ZZ, Zmod
 
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 R4 = Zmod(4)
 Z2m = PresentedModule.cyclic(R4, 2)
 Z4m = PresentedModule.free(R4, 1)
@@ -155,6 +160,26 @@ def test_extend_diagram_checks_only_solved_maps(monkeypatch):
     seen.clear()
     extend_diagram(all_split(), snake_check=False)
     assert len(seen) == 4
+
+
+def test_every_solve_is_a_lift(monkeypatch):
+    # solve_linear is wrapped under every hexext name bound to it, and each
+    # call records the function that made it: only modules.lift may solve
+    real = linalg_module.solve_linear
+    callers = []
+
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "hexext" and getattr(mod, "solve_linear", None) is real:
+            monkeypatch.setattr(mod, "solve_linear", recorded)
+    model = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    d = model.diagrams["D"]
+    extend_diagram(d)
+    compatible_isomorphism(d, model.extensions["X1"], model.extensions["X1b"])
+    assert callers and set(callers) == {modules_module.lift.__code__}
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))

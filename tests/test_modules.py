@@ -3,15 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexext.errors import NotExactError, WellDefinednessError
-from hexext.linalg import ExactMatrix
+from hexext.linalg import ExactMatrix, solve_linear
 from hexext.modules import (
     DirectSum,
     PresentedModule,
     check_well_defined,
     direct_sum,
     exactness_report,
+    ModuleMorphism,
     hom,
     identity_morphism,
     is_exact,
@@ -355,3 +357,105 @@ def test_solve_morphism_no_solution():
     sub, incl = submodule_generated(Z4m, ExactMatrix.from_cols(R4, [[2]], 1))
     lam = hom(sub, Z2m, [[1]])
     assert solve_morphism(Z4m, Z2m, pre=[(incl, lam)]) is None
+
+
+def slack_system_solve_morphism(source, target, pre=(), post=()):
+    """Reference: the constrained-morphism solver as one system written out
+    row by row, each block holding modulo its ambient relations through a
+    group of slack unknowns of its own."""
+    ring = source.ring
+    gs, gt = source.generators, target.generators
+    nz = gs * gt
+    blocks = []
+    for j in range(source.relations.cols):
+        blocks.append(("pre", source.relations.col(j), [0] * gt, target.relations))
+    for g_, rhs_m in pre:
+        for j in range(g_.source.generators):
+            blocks.append(("pre", g_.matrix.col(j), list(rhs_m.matrix.col(j)), target.relations))
+    for p_, rhs_m in post:
+        for j in range(gs):
+            blocks.append(("post", (j, p_.matrix), list(rhs_m.matrix.col(j)), p_.target.relations))
+    ncols = nz + sum(b[3].cols for b in blocks)
+    sys_rows, sys_rhs = [], []
+    slack_at = nz
+    for kind, datum, rvec, rel in blocks:
+        if kind == "pre":
+            for a in range(gt):
+                row = [0] * ncols
+                for j in range(gs):
+                    row[j * gt + a] = datum[j]
+                for sj in range(rel.cols):
+                    row[slack_at + sj] = -rel.data[a][sj]
+                sys_rows.append(row)
+                sys_rhs.append(rvec[a])
+        else:
+            j, pmat = datum
+            for r in range(pmat.rows):
+                row = [0] * ncols
+                for a in range(gt):
+                    row[j * gt + a] = pmat.data[r][a]
+                for sj in range(rel.cols):
+                    row[slack_at + sj] = -rel.data[r][sj]
+                sys_rows.append(row)
+                sys_rhs.append(rvec[r])
+        slack_at += rel.cols
+    zvec = (0,) * nz
+    if sys_rows:
+        sol = solve_linear(ExactMatrix.from_rows(ring, sys_rows, ncols), sys_rhs)
+        if sol is None:
+            return None
+        zvec = sol.x[:nz]
+    return hom(source, target, [[zvec[j * gt + a] for j in range(gs)] for a in range(gt)])
+
+
+@st.composite
+def constrained_systems(draw):
+    """A source, a target and random pre- and post-constraints.  Half the
+    right-hand sides come from one matrix ``Z0`` that the target is made to
+    receive well defined, so those systems are solvable; the others are
+    random and mostly unsolvable.  Modules may have zero generators."""
+    ring = draw(st.sampled_from([ZZ, Zmod(4), Zmod(6), Zmod(9)]))
+    entries = st.integers(-3, 3) if ring == ZZ else st.integers(0, ring.modulus - 1)
+
+    def matrix(rows, cols):
+        return ExactMatrix.from_rows(ring, [[draw(entries) for _ in range(cols)] for _ in range(rows)], cols)
+
+    def module(max_gens=3, extra=None):
+        g = draw(st.integers(0, max_gens))
+        rels = matrix(g, draw(st.integers(0, 2)))
+        if extra is not None:
+            rels = rels.hstack(extra)
+        return PresentedModule(ring, g, rels)
+
+    source = module()
+    gt = draw(st.integers(0, 3))
+    z0 = matrix(gt, source.generators)
+    target = PresentedModule(ring, gt, matrix(gt, draw(st.integers(0, 2))).hstack(z0 @ source.relations))
+    witnessed = draw(st.booleans())
+    pre = []
+    for _ in range(draw(st.integers(0, 2))):
+        t = module(2)
+        g_ = ModuleMorphism(t, source, matrix(source.generators, t.generators))
+        rhs = z0 @ g_.matrix if witnessed else matrix(gt, t.generators)
+        pre.append((g_, ModuleMorphism(t, target, rhs)))
+    post = []
+    for _ in range(draw(st.integers(0, 2))):
+        u = module(2)
+        p_ = ModuleMorphism(target, u, matrix(u.generators, gt))
+        rhs = p_.matrix @ z0 if witnessed else matrix(u.generators, source.generators)
+        post.append((p_, ModuleMorphism(source, u, rhs)))
+    return source, target, pre, post, witnessed
+
+
+@given(constrained_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_morphism_matches_slack_system(case):
+    source, target, pre, post, witnessed = case
+    got = solve_morphism(source, target, pre=pre, post=post)
+    ref = slack_system_solve_morphism(source, target, pre=pre, post=post)
+    if ref is None:
+        assert got is None and not witnessed
+        return
+    assert got is not None and got.matrix == ref.matrix
+    assert all((got @ g_).equals(rhs) for g_, rhs in pre)
+    assert all((p_ @ got).equals(rhs) for p_, rhs in post)
