@@ -16,8 +16,10 @@ from .modules import (
     exactness_report,
     hom,
     is_exact,
-    kernel_image_cokernel,
     make_ses,
+    morphism_cokernel,
+    morphism_image,
+    morphism_kernel,
     pullback,
     pushout,
     snake_connecting,
@@ -77,7 +79,8 @@ __all__ = [
     "RingSpec", "ZZ", "Zmod",
     "ExactMatrix", "solve_linear", "kernel_columns",
     "PresentedModule", "ModuleMorphism", "ShortExactSequence",
-    "check_well_defined", "hom", "kernel_image_cokernel", "direct_sum",
+    "check_well_defined", "hom", "morphism_kernel", "morphism_image",
+    "morphism_cokernel", "direct_sum",
     "pullback", "pushout", "exactness_report", "is_exact", "make_ses",
     "split_ses", "snake_connecting",
     "FreeResolution", "ExtModule", "ExtClass", "YonedaTwoExtension",

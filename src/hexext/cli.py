@@ -177,8 +177,6 @@ def _cmd_iso(args) -> int:
 def _cmd_hexagon(args) -> int:
     model = _load(args.document)
     frame = _need(model, "hexagons", args.frame)
-    if args.action != "solve":
-        raise SemanticError(f"unknown hexagon action {args.action!r}")
     try:
         solved = solve_hexagon(frame)
     except NotExtendableError as exc:

@@ -46,10 +46,11 @@ from .modules import (
     direct_sum,
     exactness_violations,
     hom,
-    kernel_image_cokernel,
     lift,
     lift_through_inclusion,
     make_ses,
+    morphism_cokernel,
+    morphism_image,
     pullback,
     pullback_factor,
     simplify,
@@ -374,8 +375,8 @@ def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     _require_valid(d)
     by = _build_Y(d, snake_check=False)
     alpha = connecting_alpha(class_of_ses(by.ses), d.p)
-    kic = kernel_image_cokernel(alpha)
-    return UniquenessReport(kic.cokernel.is_zero_module(), alpha, kic.cokernel)
+    coker, _proj = morphism_cokernel(alpha)
+    return UniquenessReport(coker.is_zero_module(), alpha, coker)
 
 
 def extend_homomorphism(lam: ModuleMorphism, inclusion: ModuleMorphism) -> ModuleMorphism:
@@ -431,8 +432,7 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
 
     eh = direct_sum(d.e, d.h)
     u = ModuleMorphism(eh.module, ext1.x, ext1.j.matrix.hstack(ext1.i.matrix))
-    kic = kernel_image_cokernel(u)
-    sub, incl = kic.image, kic.image_inclusion
+    sub, incl, _co = morphism_image(u)
     lam = hom(sub, d.p, j_hat.matrix.hstack(i_hat.matrix))
     eta = extend_homomorphism(lam, incl)            # X1 -> P
     phi2 = phi + (iota2 @ eta)

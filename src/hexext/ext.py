@@ -117,20 +117,19 @@ class ExtModule:
         return (self.resolution.f0, self.resolution.f1, self.resolution.f2)[self.degree]
 
     def coords_of_cocycle(self, mat: ExactMatrix) -> tuple[int, ...]:
+        return self.class_of_cocycle(mat).coords
+
+    def class_of_cocycle(self, mat: ExactMatrix) -> "ExtClass":
         raw = lift(self._cycles, _flatten(mat))
         if raw is None:
             raise ArgumentMismatchError("matrix is not a cocycle for this Ext module")
-        coords = self._to_min.apply(raw.col(0))
-        return self.presentation.canonical_rep(coords)
-
-    def class_of_cocycle(self, mat: ExactMatrix) -> "ExtClass":
-        return ExtClass(self, self.coords_of_cocycle(mat))
+        return ExtClass(self, self._to_min.apply(raw.col(0)))
 
     def zero_class(self) -> "ExtClass":
         return ExtClass(self, (0,) * self.presentation.generators)
 
     def class_from_coords(self, coords) -> "ExtClass":
-        return ExtClass(self, self.presentation.canonical_rep(tuple(coords)))
+        return ExtClass(self, tuple(coords))
 
     def all_classes(self):
         for vec in self.presentation.elements():
@@ -142,6 +141,9 @@ class ExtModule:
 
 @dataclass(frozen=True)
 class ExtClass:
+    """A class of ``parent``; the constructor reduces ``coords`` to their
+    canonical representative, the only place where coordinates are reduced."""
+
     parent: ExtModule
     coords: tuple[int, ...]
 

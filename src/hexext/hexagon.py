@@ -29,14 +29,14 @@ from .diagram import (
     extend_diagram,
 )
 from .errors import FrameInvalidError
-from .linalg import ExactMatrix, reduce_mod_lattice, shrink_generators
 from .modules import (
     ModuleMorphism,
     PresentedModule,
     exactness_violations,
-    kernel_image_cokernel,
     lift_through_inclusion,
+    morphism_image,
     preimage_kernel_columns,
+    _first_outside,
     _ses,
 )
 
@@ -57,18 +57,6 @@ class HexagonFrame:
     s: ModuleMorphism       # A3 -> A4
 
 
-def _same_submodule(ambient: PresentedModule, gens1, gens2) -> bool:
-    lat1 = gens1.hstack(ambient.relations)
-    lat2 = gens2.hstack(ambient.relations)
-    for j in range(gens1.cols):
-        if any(x != 0 for x in reduce_mod_lattice(gens1.col(j), lat2)):
-            return False
-    for j in range(gens2.cols):
-        if any(x != 0 for x in reduce_mod_lattice(gens2.col(j), lat1)):
-            return False
-    return True
-
-
 def validate_frame(f: HexagonFrame) -> list[str]:
     out = []
     wiring = [
@@ -81,13 +69,17 @@ def validate_frame(f: HexagonFrame) -> list[str]:
             out.append(f"{name} does not connect the declared objects")
     if out:
         return out
+    # two submodules agree when each one's generators lie in the other's span
     ka = preimage_kernel_columns(f.alpha)
     kb = preimage_kernel_columns(f.beta)
-    if not _same_submodule(f.a1, ka, kb):
+    rels = f.a1.relations
+    if _first_outside(ka, kb.hstack(rels)) is not None or _first_outside(kb, ka.hstack(rels)) is not None:
         out.append("ker(alpha) != ker(beta) inside A1")
     out += exactness_violations("upper path", [f.alpha, f.top_b, f.r], left_zero=False, right_zero=False)
     out += exactness_violations("lower path", [f.beta, f.d, f.s], left_zero=False, right_zero=False)
-    if not _same_submodule(f.a4, f.r.matrix, f.s.matrix):
+    rels = f.a4.relations
+    if (_first_outside(f.r.matrix, f.s.matrix.hstack(rels)) is not None
+            or _first_outside(f.s.matrix, f.r.matrix.hstack(rels)) is not None):
         out.append("im(r) != im(s) inside A4")
     return out
 
@@ -109,21 +101,12 @@ def fold_frame(f: HexagonFrame) -> FoldResult:
     violations = validate_frame(f)
     if violations:
         raise FrameInvalidError(violations)
-    ring = f.a1.ring
-    ka = preimage_kernel_columns(f.alpha)
-    p = PresentedModule(ring, f.a1.generators,
-                        shrink_generators(f.a1.relations.hstack(ka)))
-    quotient = ModuleMorphism(f.a1, p, ExactMatrix.identity(ring, f.a1.generators))
-    mu = ModuleMorphism(p, f.b1, f.alpha.matrix)    # P -> H = B1
+    p, mu, quotient = morphism_image(f.alpha)       # P = A1 / ker(alpha), mu : P -> H = B1
     nu = ModuleMorphism(p, f.a2, f.beta.matrix)     # P -> E = A2, well defined as ker(beta) = ker(alpha)
-
-    kic_d = kernel_image_cokernel(f.d)
-    r_mod, incl_r, pi_er = kic_d.image, kic_d.image_inclusion, kic_d.image_corestriction
-    kic_t = kernel_image_cokernel(f.top_b)
-    s_mod, incl_s, pi_hs = kic_t.image, kic_t.image_inclusion, kic_t.image_corestriction
-    kic_s = kernel_image_cokernel(f.s)
-    q_mod, incl_q, pi_fq = kic_s.image, kic_s.image_inclusion, kic_s.image_corestriction
-    pi_gq = lift_through_inclusion(incl_q, f.r)   # B2 -> Q, corestriction of r
+    _r, incl_r, pi_er = morphism_image(f.d)
+    _s, incl_s, pi_hs = morphism_image(f.top_b)
+    _q, incl_q, pi_fq = morphism_image(f.s)
+    pi_gq = lift_through_inclusion(incl_q, f.r)     # B2 -> Q, corestriction of r
 
     # exact because the frame is valid; the diagram entry points re-check the
     # folded grid once anyway

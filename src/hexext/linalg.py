@@ -18,7 +18,7 @@ Hermite form of the graph ``[A; -I]`` and returns the canonical solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .rings import RingSpec, xgcd
 
@@ -301,25 +301,6 @@ def _rank_of_diag(d: IntRows, nrows: int, ncols: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """The canonical solution ``x`` of ``A x = b`` for the system matrix
-    ``matrix``: the representative, reduced by :func:`reduce_mod_lattice`, of
-    the coset of solutions modulo the solution lattice of ``A x = 0``.  It is
-    deterministic and independent of elimination internals, and for every k
-    its first k entries are the canonical representative modulo that
-    lattice's projection to the first k coordinates.  ``kernel`` holds
-    generators of the solution space of ``A x = 0`` as columns and is built
-    when first read."""
-
-    x: tuple[int, ...]
-    matrix: ExactMatrix
-
-    @cached_property
-    def kernel(self) -> ExactMatrix:
-        return kernel_columns(self.matrix)
-
-
 def _lifted(a: ExactMatrix) -> tuple[IntRows, int, int]:
     """Integer lift; over Z/m the columns ``m * e_i`` are adjoined so that
     solvability over Z of the lift matches solvability mod m."""
@@ -339,15 +320,22 @@ def _kernel_int(data: IntRows, nrows: int, ncols: int) -> list[tuple[int, ...]]:
     return [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
 
 
-def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> LinearSolution | None:
-    """Solve ``A x = b`` over the matrix's ring; ``None`` when unsolvable.
+def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
+    """The canonical solution ``x`` of ``A x = b`` over the matrix's ring, as
+    a tuple; ``None`` when unsolvable.
+
+    The canonical solution is the representative, reduced by
+    :func:`reduce_mod_lattice`, of the coset of solutions modulo the solution
+    lattice of ``A x = 0``.  It is deterministic and independent of
+    elimination internals, and for every k its first k entries are the
+    canonical representative modulo that lattice's projection to the first k
+    coordinates.
 
     ``(b; 0)`` is reduced against the cached Hermite form of the graph
     lattice spanned by the columns of ``[A; -I]`` (and ``m * Z^(rows+cols)``
     over Z/m): ``b`` is reachable exactly when the top rows reduce to zero,
-    and the bottom rows are then the canonical solution (see
-    :class:`LinearSolution`), whose every prefix is canonical too.  No Smith
-    form is built.  The library solves only through ``modules.lift``.
+    and the bottom rows are then the canonical solution.  No Smith form is
+    built.  The library solves only through ``modules.lift``.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
@@ -356,7 +344,7 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> LinearSoluti
     v = _reduce_by_pivots([int(t) for t in b] + [0] * n, _hermite_cols(graph, a.ring.modulus or 0))
     if any(v[: a.rows]):
         return None
-    return LinearSolution(tuple(v[a.rows:]), a)
+    return tuple(v[a.rows:])
 
 
 def kernel_columns(a: ExactMatrix) -> ExactMatrix:

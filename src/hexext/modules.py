@@ -173,15 +173,13 @@ class ModuleMorphism:
         the target relation span."""
         if (self.source, self.target) != (other.source, other.target):
             return False
-        diff = self.matrix - other.matrix
-        return all(self.target.contains(diff.col(j)) for j in range(diff.cols))
+        return _first_outside(self.matrix - other.matrix, self.target.relations) is None
 
     def is_zero(self) -> bool:
-        return all(self.target.contains(self.matrix.col(j)) for j in range(self.matrix.cols))
+        return _first_outside(self.matrix, self.target.relations) is None
 
     def is_injective(self) -> bool:
-        k = preimage_kernel_columns(self)
-        return all(self.source.contains(k.col(j)) for j in range(k.cols))
+        return _first_outside(preimage_kernel_columns(self), self.source.relations) is None
 
     def is_surjective(self) -> bool:
         coker = PresentedModule(self.target.ring, self.target.generators,
@@ -192,28 +190,49 @@ class ModuleMorphism:
         return self.is_injective() and self.is_surjective()
 
 
+def _first_outside(cols: ExactMatrix, span: ExactMatrix) -> int | None:
+    """Index of the first column of ``cols`` outside the column span of
+    ``span`` over the ring, or ``None`` when every column lies inside."""
+    for j in range(cols.cols):
+        if any(reduce_mod_lattice(cols.col(j), span)):
+            return j
+    return None
+
+
+def _endpoint_mismatch(source: PresentedModule, target: PresentedModule, matrix: ExactMatrix) -> str | None:
+    """Why ``matrix`` cannot be a morphism matrix ``source -> target``, or
+    ``None`` when its ring and shape fit."""
+    if not source.ring == target.ring == matrix.ring:
+        return f"matrix over {matrix.ring} between modules over {source.ring} and {target.ring}"
+    if (matrix.rows, matrix.cols) != (target.generators, source.generators):
+        return (f"matrix is {matrix.rows}x{matrix.cols} but the endpoints need "
+                f"{target.generators}x{source.generators}")
+    return None
+
+
 def check_well_defined(source: PresentedModule, target: PresentedModule, matrix: ExactMatrix) -> WellDefinedReport:
     """Accept iff every source relation column maps into the target relation
-    span; on rejection report the first violating column."""
-    if source.ring != target.ring:
+    span; on rejection report the first violating column, or -1 when the
+    matrix's ring or shape does not fit the endpoints."""
+    if _endpoint_mismatch(source, target, matrix):
         return WellDefinedReport(False, -1)
-    if matrix.rows != target.generators or matrix.cols != source.generators:
-        return WellDefinedReport(False, -1)
-    rels = source.relations
-    for j in range(rels.cols):
-        img = matrix.apply(rels.col(j))
-        if not target.contains(img):
-            return WellDefinedReport(False, j)
-    return WellDefinedReport(True)
+    bad = _first_outside(matrix @ source.relations, target.relations)
+    return WellDefinedReport(bad is None, bad)
 
 
 def hom(source: PresentedModule, target: PresentedModule, matrix) -> ModuleMorphism:
-    """Checked constructor for outside matrices; raises :class:`WellDefinednessError`."""
+    """Checked constructor for outside matrices; raises
+    :class:`NonComposableError` when the matrix's ring or shape does not fit
+    the endpoints and :class:`WellDefinednessError` when a source relation is
+    not respected."""
     if not isinstance(matrix, ExactMatrix):
         matrix = ExactMatrix.from_rows(source.ring, matrix, source.generators)
+    mismatch = _endpoint_mismatch(source, target, matrix)
+    if mismatch:
+        raise NonComposableError(mismatch)
     rep = check_well_defined(source, target, matrix)
     if not rep.ok:
-        raise WellDefinednessError(rep.first_violation if rep.first_violation is not None else -1)
+        raise WellDefinednessError(rep.first_violation)
     return ModuleMorphism(source, target, matrix)
 
 
@@ -249,43 +268,26 @@ def submodule_generated(ambient: PresentedModule, gens: ExactMatrix):
     return sub, ModuleMorphism(sub, ambient, gens)
 
 
-@dataclass(frozen=True)
-class KernelImageCokernel:
-    kernel: PresentedModule
-    kernel_inclusion: ModuleMorphism          # kernel -> source
-    image: PresentedModule
-    image_inclusion: ModuleMorphism           # image -> target
-    image_corestriction: ModuleMorphism       # source -> image
-    cokernel: PresentedModule
-    cokernel_projection: ModuleMorphism       # target -> cokernel
-
-
-def kernel_image_cokernel(f: ModuleMorphism) -> KernelImageCokernel:
-    """Kernel, image and cokernel with their structural morphisms.
-
-    The image is presented on the source generators (corestriction is the
-    identity matrix), the cokernel on the target generators (projection is
-    the identity matrix).
-    """
-    ring = f.source.ring
-    pk = preimage_kernel_columns(f)
-    ker, ker_incl = submodule_generated(f.source, pk)
-
-    im_rels = shrink_generators(f.source.relations.hstack(pk))
-    image = PresentedModule(ring, f.source.generators, im_rels)
-    im_incl = ModuleMorphism(image, f.target, f.matrix)
-    im_co = ModuleMorphism(f.source, image, ExactMatrix.identity(ring, f.source.generators))
-
-    coker, coker_proj = morphism_cokernel(f)
-    return KernelImageCokernel(ker, ker_incl, image, im_incl, im_co, coker, coker_proj)
-
-
 def morphism_kernel(f: ModuleMorphism):
-    pk = preimage_kernel_columns(f)
-    return submodule_generated(f.source, pk)
+    """``(ker f, inclusion into the source)``, presented on generators of the
+    kernel of the map on coefficient columns."""
+    return submodule_generated(f.source, preimage_kernel_columns(f))
+
+
+def morphism_image(f: ModuleMorphism):
+    """``(im f, inclusion into the target, corestriction from the source)``;
+    the image is the source modulo ker f, presented on the source generators,
+    so the corestriction's matrix is the identity."""
+    ring = f.source.ring
+    image = PresentedModule(ring, f.source.generators,
+                            shrink_generators(f.source.relations.hstack(preimage_kernel_columns(f))))
+    return (image, ModuleMorphism(image, f.target, f.matrix),
+            ModuleMorphism(f.source, image, ExactMatrix.identity(ring, f.source.generators)))
 
 
 def morphism_cokernel(f: ModuleMorphism):
+    """``(coker f, projection from the target)``, presented on the target
+    generators, so the projection's matrix is the identity."""
     coker = PresentedModule(f.target.ring, f.target.generators,
                             shrink_generators(f.target.relations.hstack(f.matrix)))
     return coker, ModuleMorphism(f.target, coker, ExactMatrix.identity(f.target.ring, f.target.generators))
@@ -382,13 +384,6 @@ COMPOSITE_NONZERO = "composite nonzero"
 IMAGE_PROPER = "image strictly smaller than kernel"
 
 
-def in_image(f: ModuleMorphism, vec) -> bool:
-    """Does the target coefficient column lie in ``im(f)`` (as a submodule of
-    the target)?"""
-    lattice = f.matrix.hstack(f.target.relations)
-    return all(x == 0 for x in reduce_mod_lattice(vec, lattice))
-
-
 def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_zero: bool = True) -> list[tuple[str, str]]:
     """Position-by-position exactness of a chain of composable morphisms.
 
@@ -408,8 +403,7 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
         if not comp.is_zero():
             out.append((f"interior {i}", COMPOSITE_NONZERO))
             continue
-        kg = preimage_kernel_columns(g)
-        ok = all(in_image(f, kg.col(j)) for j in range(kg.cols))
+        ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))
     if right_zero and maps:
         out.append(("right", EXACT if maps[-1].is_surjective() else IMAGE_PROPER))
@@ -514,10 +508,10 @@ def lift(f: ModuleMorphism, rhs: ExactMatrix) -> ExactMatrix | None:
     g = f.source.generators
     cols = []
     for j in range(rhs.cols):
-        sol = solve_linear(sysm, rhs.col(j))
-        if sol is None:
+        x = solve_linear(sysm, rhs.col(j))
+        if x is None:
             return None
-        cols.append(sol.x[:g])
+        cols.append(x[:g])
     return ExactMatrix(f.source.ring, g, rhs.cols, tuple(zip(*cols)) if cols else ((),) * g)
 
 

@@ -120,7 +120,6 @@ class Table:
             self.rep = None
             self.elements = list(range(self.ambient))
         self.n = len(self.elements)
-        self._order_cache: dict[int, int] = {}
 
     def digits(self, code: int) -> tuple[int, ...]:
         cached = self._digit_cache.get(code)
@@ -172,21 +171,6 @@ class Table:
 
     def from_coeffs(self, col) -> int:
         return self.canon(self._encode(tuple(int(c) % o for c, o in zip(col, self.radix))))
-
-    def order_of(self, a: int) -> int:
-        got = self._order_cache.get(a)
-        if got is not None:
-            return got
-        n = 1
-        x = a
-        while x != 0:
-            x = self.add(x, a)
-            n += 1
-        self._order_cache[a] = n
-        return n
-
-    def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.order_of(x) for x in self.elements))
 
     def subgroup(self, gens) -> frozenset[int]:
         seen = {0}

@@ -100,6 +100,21 @@ def test_frame_with_mismatched_kernels_rejected():
         fold_frame(bad)
 
 
+def test_frame_with_mismatched_images_rejected():
+    # both paths are exact and ker(alpha) = ker(beta) = 0, but one of r, s
+    # reaches only 2*Z/4 inside A4 = Z/4 while the other is onto
+    z = PresentedModule.zero(R4)
+    doubling = hom(Z2m, Z4m, [[2]])
+    for r, s in ((doubling, identity_morphism(Z4m)), (identity_morphism(Z4m), doubling)):
+        bad = HexagonFrame(a1=z, b1=z, b2=r.source, a4=Z4m, a2=z, a3=s.source,
+                           alpha=zero_morphism(z, z), beta=zero_morphism(z, z),
+                           top_b=zero_morphism(z, r.source), d=zero_morphism(z, s.source),
+                           r=r, s=s)
+        assert validate_frame(bad) == ["im(r) != im(s) inside A4"]
+        with pytest.raises(FrameInvalidError):
+            fold_frame(bad)
+
+
 # -- solving ------------------------------------------------------------------
 
 

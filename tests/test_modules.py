@@ -1,11 +1,12 @@
 """Presented modules, morphisms, and the categorical constructions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexext.errors import NotExactError, WellDefinednessError
+from hexext.errors import NonComposableError, NotExactError, WellDefinednessError
 from hexext.linalg import ExactMatrix, solve_linear
 from hexext.modules import (
     DirectSum,
@@ -17,9 +18,11 @@ from hexext.modules import (
     hom,
     identity_morphism,
     is_exact,
-    kernel_image_cokernel,
     lift,
     make_ses,
+    morphism_cokernel,
+    morphism_image,
+    morphism_kernel,
     pullback,
     pullback_factor,
     pushout,
@@ -30,6 +33,7 @@ from hexext.modules import (
     submodule_generated,
     zero_morphism,
 )
+from hexext.randgen import random_hom, random_module
 from hexext.rings import ZZ, Zmod
 
 R4 = Zmod(4)
@@ -54,6 +58,67 @@ def test_bad_section_rejected_with_column():
     assert not rep.ok and rep.first_violation == 0
     with pytest.raises(WellDefinednessError):
         hom(Z2z, Z4z, [[1]])
+
+
+def test_hom_rejects_mismatched_endpoints():
+    # a matrix that cannot be a morphism matrix between the endpoints is a
+    # composition error, not a relation that fails to hold
+    with pytest.raises(NonComposableError, match="2x1 but the endpoints need 1x1"):
+        hom(Z4m, Z4m, [[1], [1]])
+    with pytest.raises(NonComposableError, match="between modules over Z/4 and Z$"):
+        hom(Z4m, Z4z, [[1]])
+    with pytest.raises(NonComposableError, match="matrix over Z between modules over Z/4 and Z/4"):
+        hom(Z4m, Z4m, ExactMatrix.from_rows(ZZ, [[1]], 1))
+    for source, target, matrix in ((Z4m, Z4m, ExactMatrix.from_rows(R4, [[1], [1]], 1)),
+                                   (Z4m, Z4z, ExactMatrix.from_rows(R4, [[1]], 1)),
+                                   (Z4m, Z4m, ExactMatrix.from_rows(ZZ, [[1]], 1))):
+        rep = check_well_defined(source, target, matrix)
+        assert not rep.ok and rep.first_violation == -1
+
+
+def per_column_first_violation(source, target, matrix):
+    """Reference: the relation-by-relation loop, testing each relation's
+    image for membership in the target."""
+    if source.ring != target.ring:
+        return -1
+    if matrix.rows != target.generators or matrix.cols != source.generators:
+        return -1
+    rels = source.relations
+    for j in range(rels.cols):
+        if not target.contains(matrix.apply(rels.col(j))):
+            return j
+    return None
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Random modules and a random matrix between them.  One time in five
+    the target is made to respect the matrix; otherwise the matrix is mostly
+    not well defined.  Entries come from a seeded generator, since
+    hypothesis's own draws favour zero and so well-defined matrices."""
+    ring = draw(st.sampled_from([ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = (-6, 6) if ring == ZZ else (0, ring.modulus - 1)
+
+    def matrix(rows, cols):
+        return ExactMatrix.from_rows(ring, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols)
+
+    gs, gt = rng.randint(1, 3), rng.randint(1, 3)
+    source = PresentedModule(ring, gs, matrix(gs, rng.randint(1, 4)))
+    m = matrix(gt, gs)
+    target_rels = matrix(gt, rng.randint(0, 1))
+    if rng.randrange(5) == 0:
+        target_rels = target_rels.hstack(m @ source.relations)
+    return source, PresentedModule(ring, gt, target_rels), m
+
+
+@given(candidate_matrices())
+@settings(max_examples=300, deadline=None)
+def test_check_well_defined_matches_per_column_loop(case):
+    source, target, m = case
+    ref = per_column_first_violation(source, target, m)
+    rep = check_well_defined(source, target, m)
+    assert rep.first_violation == ref and rep.ok == (ref is None)
 
 
 def test_identity_always_accepted():
@@ -85,36 +150,57 @@ def test_element_enumeration_and_cardinality():
 
 def test_kic_doubling_on_z():
     f = hom(Zf, Zf, [[2]])
-    k = kernel_image_cokernel(f)
-    assert k.kernel.is_zero_module()
-    assert k.image.free_rank() == 1 and k.image.invariant_factors() == ()
-    assert k.cokernel.invariant_factors() == (2,)
+    image = morphism_image(f)[0]
+    assert morphism_kernel(f)[0].is_zero_module()
+    assert image.free_rank() == 1 and image.invariant_factors() == ()
+    assert morphism_cokernel(f)[0].invariant_factors() == (2,)
 
 
 def test_kic_doubling_on_z4():
     f = hom(Z4m, Z4m, [[2]])
-    k = kernel_image_cokernel(f)
+    kernel, kernel_inclusion = morphism_kernel(f)
+    image, _inclusion, corestriction = morphism_image(f)
+    cokernel, cokernel_projection = morphism_cokernel(f)
     # enumerate the four elements: kernel {0,2}, image {0,2}, cokernel of order 2
-    assert k.kernel.cardinality() == 2
-    assert k.image.cardinality() == 2
-    assert k.cokernel.cardinality() == 2
-    assert (f @ k.kernel_inclusion).is_zero()
-    assert (k.cokernel_projection @ f).is_zero()
-    assert is_exact([k.kernel_inclusion, k.image_corestriction])
+    assert kernel.cardinality() == 2
+    assert image.cardinality() == 2
+    assert cokernel.cardinality() == 2
+    assert (f @ kernel_inclusion).is_zero()
+    assert (cokernel_projection @ f).is_zero()
+    assert is_exact([kernel_inclusion, corestriction])
 
 
 def test_kic_zero_map():
     f = zero_morphism(Z4m, Z2m)
-    k = kernel_image_cokernel(f)
-    assert k.kernel.cardinality() == 4
-    assert k.image.is_zero_module()
-    assert k.cokernel.cardinality() == 2
+    assert morphism_kernel(f)[0].cardinality() == 4
+    assert morphism_image(f)[0].is_zero_module()
+    assert morphism_cokernel(f)[0].cardinality() == 2
 
 
 def test_cardinality_multiplicative():
     for f in (hom(Z4m, Z4m, [[2]]), hom(Z4m, Z2m, [[1]]), zero_morphism(Z2m, Z4m)):
-        k = kernel_image_cokernel(f)
-        assert f.source.cardinality() == k.kernel.cardinality() * k.image.cardinality()
+        assert f.source.cardinality() == morphism_kernel(f)[0].cardinality() * morphism_image(f)[0].cardinality()
+
+
+@st.composite
+def finite_homs(draw):
+    ring = draw(st.sampled_from([Zmod(4), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]))
+    # a seeded generator: hypothesis's own randoms favour zero and give mostly zero maps
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_hom(rng, random_module(rng, ring, 24), random_module(rng, ring, 24))
+
+
+@given(finite_homs())
+@settings(max_examples=100, deadline=None)
+def test_kernel_image_cokernel_of_random_homs(f):
+    kernel, kernel_inclusion = morphism_kernel(f)
+    image, inclusion, corestriction = morphism_image(f)
+    cokernel, cokernel_projection = morphism_cokernel(f)
+    assert f.source.cardinality() == kernel.cardinality() * image.cardinality()
+    assert f.target.cardinality() == image.cardinality() * cokernel.cardinality()
+    assert is_exact([kernel_inclusion, corestriction])
+    assert is_exact([inclusion, cokernel_projection])
+    assert (inclusion @ corestriction).equals(f)
 
 
 # -- direct sums -----------------------------------------------------------------
@@ -158,7 +244,7 @@ def test_pullback_with_zero_leg():
     z = zero_morphism(Z2m, Z2m)
     pb = pullback(z, p)
     # A x_C B = A (+) ker(g) when f = 0
-    ker = kernel_image_cokernel(p).kernel
+    ker = morphism_kernel(p)[0]
     expected = direct_sum(Z2m, ker).module
     assert pb.module.is_isomorphic_to(expected)
 
@@ -338,8 +424,7 @@ def test_zero_module_flows_through_everything():
     ds = direct_sum(z, Z4m)
     assert ds.module.is_isomorphic_to(Z4m)
     f = zero_morphism(z, Z4m)
-    k = kernel_image_cokernel(f)
-    assert k.kernel.is_zero_module() and k.cokernel.cardinality() == 4
+    assert morphism_kernel(f)[0].is_zero_module() and morphism_cokernel(f)[0].cardinality() == 4
     assert is_exact([ds.inject_left, ds.project_right])
 
 
@@ -404,7 +489,7 @@ def slack_system_solve_morphism(source, target, pre=(), post=()):
         sol = solve_linear(ExactMatrix.from_rows(ring, sys_rows, ncols), sys_rhs)
         if sol is None:
             return None
-        zvec = sol.x[:nz]
+        zvec = sol[:nz]
     return hom(source, target, [[zvec[j * gt + a] for j in range(gs)] for a in range(gt)])
 
 

@@ -30,9 +30,10 @@ from hexext.modules import (
     hom,
     identity_morphism,
     is_exact,
-    kernel_image_cokernel,
     make_ses,
     morphism_cokernel,
+    morphism_image,
+    morphism_kernel,
     pullback,
     pullback_factor,
     pushout,
@@ -223,9 +224,7 @@ def test_constructed_maps_are_well_defined(case):
     maps += [ds.inject_left, ds.inject_right, ds.project_left, ds.project_right]
     po = pushout(f, random_hom(rng, a, a))
     maps += [po.from_left, po.from_right]
-    kic = kernel_image_cokernel(f)
-    maps += [kic.kernel_inclusion, kic.image_inclusion, kic.image_corestriction,
-             kic.cokernel_projection, morphism_cokernel(f)[1]]
+    maps += [morphism_kernel(f)[1], *morphism_image(f)[1:], morphism_cokernel(f)[1]]
     pb = pullback(f, random_hom(rng, b, b))
     maps += [pb.inclusion, pb.to_left, pb.to_right]
     simp = simplify(b)
