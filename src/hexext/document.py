@@ -126,6 +126,8 @@ def parse(text: str) -> DocumentModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
+    except RecursionError as exc:
+        raise ParseError(None, "document nests too deeply") from exc
     if not isinstance(doc, dict):
         raise SemanticError("document root must be an object")
     model = DocumentModel()

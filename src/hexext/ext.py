@@ -68,9 +68,6 @@ class FreeResolution:
     def f2(self) -> int:
         return self.d2.cols
 
-    def aug(self) -> ExactMatrix:
-        return ExactMatrix.identity(self.target.ring, self.f0)
-
     def differential(self, i: int) -> ExactMatrix:
         if i == 1:
             return self.d1
@@ -115,9 +112,6 @@ class ExtModule:
 
     def rank_at_degree(self) -> int:
         return (self.resolution.f0, self.resolution.f1, self.resolution.f2)[self.degree]
-
-    def coords_of_cocycle(self, mat: ExactMatrix) -> tuple[int, ...]:
-        return self.class_of_cocycle(mat).coords
 
     def class_of_cocycle(self, mat: ExactMatrix) -> "ExtClass":
         raw = lift(self._cycles, _flatten(mat))

@@ -1,28 +1,35 @@
 """Brute-force ground truth for tiny finite modules.
 
-Everything here works on explicit element tables: elements are mixed-radix
-codes, addition is digit arithmetic, subgroups are closures, quotients are
-coset-representative maps.  No code is shared with the Smith-form /
-resolution machinery -- that independence is the whole point, since these
-enumerations exist to validate it.
+Everything here works on explicit element tables.  A finite abelian group is
+a :class:`Table`, built once: its elements are the numbers ``0..n-1``, each
+with its mixed-radix digits, plus an addition table and the multiples of
+every element, so sums, scalar multiples and linear combinations are list
+lookups; subgroups are closures, quotients are coset labellings.
 
 Presented modules become tables by reducing coefficients modulo the ring
 modulus (over Z, modulo an exponent multiple obtained by fraction-free
 elimination; annihilation is implied by the relations, so nothing is lost)
-and closing the relation columns under addition.
+and dividing out the additive closure of the relation columns.
 
-Budgets are enforced by explicit candidate counting; a wall-clock deadline
-is available as a backstop.
+The oracle calls nothing in the Smith-form / Hermite / resolution engine: it
+reads presentations and morphism matrices, decides with its own elimination
+and tables, and returns morphisms and sequences built with the plain
+constructors.  That independence is the whole point, since these
+enumerations exist to validate the engine.
+
+Budgets are enforced by explicit candidate counting; every table's ambient
+size and addition-table cells count as candidates.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from math import prod
 
 from .errors import BudgetExceededError
-from .modules import ModuleMorphism, PresentedModule, ShortExactSequence, hom, make_ses
+from .linalg import ExactMatrix
+from .modules import ModuleMorphism, PresentedModule, ShortExactSequence
 from .rings import prime_factors
 
 
@@ -30,7 +37,6 @@ from .rings import prime_factors
 class EnumerationBudget:
     max_order: int = 16
     max_candidates: int = 20_000_000
-    deadline_seconds: float | None = None
 
     def __post_init__(self):
         if self.max_order < 1 or self.max_candidates < 1:
@@ -41,15 +47,11 @@ class _Meter:
     def __init__(self, budget: EnumerationBudget):
         self.budget = budget
         self.count = 0
-        self.t0 = time.monotonic()
 
     def tick(self, n: int = 1):
         self.count += n
         if self.count > self.budget.max_candidates:
             raise BudgetExceededError(f"candidate count exceeded {self.budget.max_candidates}")
-        if self.budget.deadline_seconds is not None and (self.count & 0x3FF) == 0:
-            if time.monotonic() - self.t0 > self.budget.deadline_seconds:
-                raise BudgetExceededError("deadline exceeded")
 
 
 def _bareiss_rank_pivots(rows: list[list[int]]) -> tuple[int, int]:
@@ -61,7 +63,7 @@ def _bareiss_rank_pivots(rows: list[list[int]]) -> tuple[int, int]:
     nc = len(m[0]) if nr else 0
     rank = 0
     prev = 1
-    prod = 1
+    pivots = 1
     for col in range(nc):
         piv = None
         for i in range(rank, nr):
@@ -76,141 +78,120 @@ def _bareiss_rank_pivots(rows: list[list[int]]) -> tuple[int, int]:
                 m[i][j] = (m[i][j] * m[rank][col] - m[i][col] * m[rank][j]) // prev
             m[i][col] = 0
         prev = m[rank][col]
-        prod = abs(prev)
+        pivots = abs(prev)
         rank += 1
         if rank == nr:
             break
-    return rank, prod
+    return rank, pivots
+
+
+def _closure(gens, add, zero) -> set:
+    """The subgroup generated by ``gens``: breadth-first closure of ``zero``
+    under adding a generator."""
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = add(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 class Table:
-    """A finite abelian group as an explicit element table.
+    """A finite abelian group, built once as lookup tables.
 
-    ``radix`` holds per-position moduli; elements are canonical codes in
-    mixed radix.  With relation columns, codes are canonicalised to the
-    minimum of their coset of the additive closure of the relations.
+    ``radix`` holds the per-position moduli of an ambient product group and
+    ``relation_cols`` span the subgroup divided out of it.  Elements are the
+    numbers ``0..n-1``, one per coset, numbered in increasing order of the
+    least mixed-radix code (position 0 least significant) in the coset, so 0
+    is zero and, with no relations, an element is its own code.
+    ``digits[x]`` holds the digits of that least code, ``sums`` is the n x n
+    addition table and ``multiples[x]`` lists ``0, x, 2x, ...`` up to the
+    order of x.
     """
 
-    def __init__(self, radix: tuple[int, ...], relation_cols=None, meter: _Meter | None = None):
+    def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
         self.radix = tuple(radix)
         self.k = len(self.radix)
-        self._weights = []
-        w = 1
-        for o in self.radix:
-            self._weights.append(w)
-            w *= o
-        self.ambient = w
-        if meter is not None:
-            meter.tick(self.ambient)
-        self._digit_cache: dict[int, tuple[int, ...]] = {}
-        if relation_cols:
-            sub = self._closure([self._encode(tuple(int(c) % o for c, o in zip(col, self.radix)))
-                                 for col in relation_cols])
-            rep: dict[int, int] = {}
-            elements = []
-            for code in range(self.ambient):
-                if code in rep:
-                    continue
-                elements.append(code)
+        meter.tick(prod(self.radix))
+
+        def add_digits(a, b):
+            return tuple((x + y) % o for x, y, o in zip(a, b, self.radix))
+
+        sub = _closure([tuple(c % o for c, o in zip(col, self.radix)) for col in relation_cols],
+                       add_digits, (0,) * self.k)
+        index: dict[tuple[int, ...], int] = {}
+        self.digits: list[tuple[int, ...]] = []
+        for high_first in iproduct(*(range(o) for o in reversed(self.radix))):
+            code = high_first[::-1]
+            if code not in index:
                 for s in sub:
-                    rep[self._raw_add(code, s)] = code
-            self.rep = rep
-            self.elements = elements
-        else:
-            self.rep = None
-            self.elements = list(range(self.ambient))
-        self.n = len(self.elements)
-
-    def digits(self, code: int) -> tuple[int, ...]:
-        cached = self._digit_cache.get(code)
-        if cached is not None:
-            return cached
-        out = []
-        c = code
-        for o in self.radix:
-            out.append(c % o)
-            c //= o
-        t = tuple(out)
-        if len(self._digit_cache) < 200_000:
-            self._digit_cache[code] = t
-        return t
-
-    def _encode(self, digits) -> int:
-        return sum(d * w for d, w in zip(digits, self._weights))
-
-    def _raw_add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self._encode(tuple((x + y) % o for x, y, o in zip(da, db, self.radix)))
-
-    def _closure(self, gens) -> set[int]:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self._raw_add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
-    def canon(self, code: int) -> int:
-        return self.rep[code] if self.rep is not None else code
+                    index[add_digits(code, s)] = len(self.digits)
+                self.digits.append(code)
+        self.n = len(self.digits)
+        meter.tick(self.n * self.n)
+        self.sums = [[index[add_digits(a, b)] for b in self.digits] for a in self.digits]
+        self.multiples: list[list[int]] = []
+        for x in range(self.n):
+            mult = [0]
+            y = x
+            while y:
+                mult.append(y)
+                y = self.sums[y][x]
+            self.multiples.append(mult)
+        self._gens = [index[tuple(int(t == i) % o for t, o in enumerate(self.radix))]
+                     for i in range(self.k)]
 
     def add(self, a: int, b: int) -> int:
-        return self.canon(self._raw_add(a, b))
+        return self.sums[a][b]
 
     def smul(self, k: int, a: int) -> int:
-        da = self.digits(a)
-        return self.canon(self._encode(tuple((k * x) % o for x, o in zip(da, self.radix))))
+        mult = self.multiples[a]
+        return mult[k % len(mult)]
 
     def gen_code(self, idx: int) -> int:
-        return self.canon(self._encode(tuple(1 if t == idx else 0 for t in range(self.k))))
+        return self._gens[idx]
 
-    def from_coeffs(self, col) -> int:
-        return self.canon(self._encode(tuple(int(c) % o for c, o in zip(col, self.radix))))
-
-    def subgroup(self, gens) -> frozenset[int]:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
-    def apply_images(self, target: "Table", images, code: int) -> int:
-        """Value at ``code`` of the homomorphism with the given generator
-        images (only meaningful once the hom conditions hold)."""
+    def combination(self, coeffs, elems) -> int:
+        """``sum(c * e)`` over paired coefficients and elements."""
         acc = 0
-        for d, img in zip(self.digits(code), images):
-            if d:
-                acc = target.add(acc, target.smul(d, img))
+        sums, multiples = self.sums, self.multiples
+        for c, e in zip(coeffs, elems):
+            if c:
+                mult = multiples[e]
+                acc = sums[acc][mult[c % len(mult)]]
         return acc
 
+    def from_coeffs(self, col) -> int:
+        return self.combination(col, self._gens)
+
+    def subgroup(self, gens) -> frozenset[int]:
+        return frozenset(_closure(gens, self.add, 0))
+
+    def apply_images(self, target: "Table", images, x: int) -> int:
+        """Value at ``x`` of the homomorphism with the given generator
+        images (only meaningful once the hom conditions hold)."""
+        return target.combination(self.digits[x], images)
+
     def hom_value_table(self, target: "Table", images) -> list[int]:
-        """Values of the homomorphism at every ambient code, built
-        incrementally (one addition per code).  Product tables only."""
-        if self.rep is not None:
-            raise ValueError("value tables are for product tables")
-        vals = [0] * self.ambient
-        add = target.add
+        """Values of the homomorphism at every element, built incrementally
+        (one addition per element).  Tables without relations only, where an
+        element is its own code."""
+        vals = [0] * self.n
+        sums = target.sums
         filled = 1
-        for k in range(self.k):
-            o, img = self.radix[k], images[k]
+        for o, img in zip(self.radix, images):
             acc = 0
             for d in range(1, o):
-                acc = add(acc, img)
+                acc = sums[acc][img]
                 base = d * filled
                 for c in range(filled):
-                    vals[base + c] = add(acc, vals[c])
+                    vals[base + c] = sums[acc][vals[c]]
             filled *= o
         return vals
 
@@ -218,55 +199,43 @@ class Table:
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
     g = m.generators
     if g == 0:
-        return Table((), None, meter)
+        return Table((), [], meter)
     if m.ring.is_modular:
         mod = m.ring.modulus
     else:
-        rows = [[m.relations.data[i][j] for j in range(m.relations.cols)] for i in range(g)]
-        rank, piv = _bareiss_rank_pivots(rows)
+        rank, mod = _bareiss_rank_pivots([list(r) for r in m.relations.data])
         if rank < g:
             raise BudgetExceededError("module is infinite; oracle tables need finite modules")
-        mod = piv
     if mod ** g > budget.max_candidates:
         raise BudgetExceededError("ambient table too large for the budget")
-    cols = [list(m.relations.col(j)) for j in range(m.relations.cols)]
-    return Table((mod,) * g, cols, meter)
+    return Table((mod,) * g, m.relations.columns(), meter)
 
 
 def _morphism_images(f: ModuleMorphism, tgt: Table) -> list[int]:
-    return [tgt.from_coeffs(f.matrix.col(j)) for j in range(f.source.generators)]
+    return [tgt.from_coeffs(c) for c in f.matrix.columns()]
 
 
-def _hom_candidates(src: Table, tgt: Table, base: list[list[int]]) -> list[list[int]]:
+def _morphism(source: PresentedModule, target: PresentedModule, tgt: Table, images) -> ModuleMorphism:
+    """The morphism with the given generator images, read off ``tgt``'s
+    digits; the images come from a relation-killing search, so the matrix
+    is well defined by construction."""
+    rows = [[tgt.digits[img][i] for img in images] for i in range(target.generators)]
+    return ModuleMorphism(source, target, ExactMatrix.from_rows(source.ring, rows, source.generators))
+
+
+def _hom_candidates(src: Table, tgt: Table) -> list[list[int]]:
     """Restrict per-generator candidate images by the generator's ambient
     order (implied by the relation conditions; filtering early is sound and
     cheap)."""
-    out = []
-    for idx in range(src.k):
-        o = src.radix[idx]
-        out.append([y for y in base[idx] if tgt.smul(o, y) == 0])
-    return out
+    return [[y for y in range(tgt.n) if tgt.smul(o, y) == 0] for o in src.radix]
 
 
-def _iter_homs(src: Table, tgt: Table, relation_cols, candidates, meter: _Meter):
+def _iter_homs(tgt: Table, relation_cols, candidates, meter: _Meter):
     """Generator-image assignments that kill every relation column."""
     for images in iproduct(*candidates):
         meter.tick()
-        ok = True
-        for col in relation_cols:
-            acc = 0
-            for c, img in zip(col, images):
-                if c:
-                    acc = tgt.add(acc, tgt.smul(c, img))
-            if acc != 0:
-                ok = False
-                break
-        if ok:
+        if all(tgt.combination(col, images) == 0 for col in relation_cols):
             yield list(images)
-
-
-def _relation_cols(m: PresentedModule):
-    return [m.relations.col(j) for j in range(m.relations.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +246,15 @@ def _relation_cols(m: PresentedModule):
 def enumerate_morphisms(a: PresentedModule, b: PresentedModule,
                         budget: EnumerationBudget = EnumerationBudget()) -> list[ModuleMorphism]:
     """Every well-defined morphism ``a -> b``; complete and duplicate-free
-    under morphism equality (images are canonical element codes)."""
+    under morphism equality (images are distinct table elements)."""
     meter = _Meter(budget)
     ta = _module_table(a, budget, meter)
     tb = _module_table(b, budget, meter)
-    cands = _hom_candidates(ta, tb, [tb.elements] * a.generators)
-    space = 1
-    for c in cands:
-        space *= len(c)
-    if space > budget.max_candidates:
+    cands = _hom_candidates(ta, tb)
+    if prod(len(c) for c in cands) > budget.max_candidates:
         raise BudgetExceededError("morphism space too large")
-    out = []
-    for images in _iter_homs(ta, tb, _relation_cols(a), cands, meter):
-        cols = [list(tb.digits(img)) for img in images]
-        mat = [[cols[j][i] for j in range(a.generators)] for i in range(b.generators)]
-        out.append(hom(a, b, mat))
-    return out
+    return [_morphism(a, b, tb, images)
+            for images in _iter_homs(tb, a.relations.columns(), cands, meter)]
 
 
 def _product_types(ring, n: int) -> list[tuple[int, ...]]:
@@ -350,37 +312,18 @@ def _ladder_iso_exists(tp: Table, tq: Table,
     if tx1.n != tx2.n:
         return False
     fibers: dict[int, list[int]] = {}
-    for y in tx2.elements:
+    for y in range(tx2.n):
         fibers.setdefault(tx2.apply_images(tq, p2, y), []).append(y)
     cand = []
-    for gidx in range(tx1.k):
-        gcode = tx1.gen_code(gidx)
-        pool = fibers.get(tx1.apply_images(tq, p1, gcode), [])
-        o = tx1.radix[gidx]
+    for gidx, o in enumerate(tx1.radix):
+        pool = fibers.get(tx1.apply_images(tq, p1, tx1.gen_code(gidx)), [])
         pool = [y for y in pool if tx2.smul(o, y) == 0]
         if not pool:
             return False
         cand.append(pool)
-    p_elems = tp.elements
-    for images in iproduct(*cand):
-        meter.tick()
-        ok = True
-        for col in rel1:
-            acc = 0
-            for c, img in zip(col, images):
-                if c:
-                    acc = tx2.add(acc, tx2.smul(c, img))
-            if acc != 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        for pe in p_elems:
-            x1 = tp.apply_images(tx1, i1, pe)
-            if tx1.apply_images(tx2, list(images), x1) != tp.apply_images(tx2, i2, pe):
-                ok = False
-                break
-        if ok:
+    along_i = [(tp.apply_images(tx1, i1, pe), tp.apply_images(tx2, i2, pe)) for pe in range(tp.n)]
+    for images in _iter_homs(tx2, rel1, cand, meter):
+        if all(tx1.apply_images(tx2, images, x1) == x2 for x1, x2 in along_i):
             return True
     return False
 
@@ -389,18 +332,18 @@ def _coboundary_deltas(tp: Table, tq: Table, meter: _Meter) -> list[tuple]:
     """All coboundaries of maps Q -> P fixing 0, as flat tuples over the
     nonzero-pair grid.  Depends only on the end tables, so callers compute
     this once per (P, Q)."""
-    q_elems = [v for v in tq.elements if v != 0]
-    neg = {a: tp.smul(-1, a) for a in tp.elements}
+    q_elems = range(1, tq.n)
+    neg = [tp.smul(-1, a) for a in range(tp.n)]
+    add, qadd = tp.sums, tq.sums
     deltas = []
     meter.tick(tp.n ** len(q_elems))
-    for g_vals in iproduct(tp.elements, repeat=len(q_elems)):
-        g = dict(zip(q_elems, g_vals))
-        g[0] = 0
+    for g_vals in iproduct(range(tp.n), repeat=len(q_elems)):
+        g = (0,) + g_vals
         row = []
         for q1 in q_elems:
             gq1 = g[q1]
             for q2 in q_elems:
-                row.append(tp.add(tp.add(gq1, g[q2]), neg[g[tq.add(q1, q2)]]))
+                row.append(add[add[gq1][g[q2]]][neg[g[qadd[q1][q2]]]])
         deltas.append(tuple(row))
     return deltas
 
@@ -416,43 +359,40 @@ def _canonical_factor_set(tp: Table, tq: Table, tx: Table,
     commuting with the end identities) iff their factor sets differ by the
     coboundary of some map Q -> P fixing 0; translating by all such
     coboundaries and taking the minimum is therefore a complete invariant.
-    ``p_vals`` holds the projection's value at every middle code.
+    ``p_vals`` holds the projection's value at every middle element.
     """
     if tp.n == 1:
         return ()
-    i_inv = {tp.apply_images(tx, i_imgs, pe): pe for pe in tp.elements}
+    i_inv = {tp.apply_images(tx, i_imgs, pe): pe for pe in range(tp.n)}
     section: dict[int, int] = {}
-    for x in tx.elements:
-        v = p_vals[x]
-        if v not in section or x < section[v]:
-            section[v] = x
-    # the zero code lies over 0 and is minimal, so s(0) = 0: normalised
-    q_elems = [v for v in tq.elements if v != 0]
-    xneg = {a: tx.smul(-1, a) for a in set(section.values())}
+    for x, v in enumerate(p_vals):
+        section.setdefault(v, x)
+    # the zero element lies over 0 and is minimal, so s(0) = 0: normalised
+    xadd = tx.sums
     base = []
-    for q1 in q_elems:
+    for q1 in range(1, tq.n):
         s1 = section[q1]
-        for q2 in q_elems:
-            diff = tx.add(tx.add(s1, section[q2]), xneg[section[tq.add(q1, q2)]])
+        for q2 in range(1, tq.n):
+            diff = xadd[xadd[s1][section[q2]]][tx.smul(-1, section[tq.add(q1, q2)])]
             base.append(i_inv[diff])
-    add = tp.add
+    add = tp.sums
     best = None
     for delta in deltas:
         if best is None:
-            best = tuple(add(a, b) for a, b in zip(base, delta))
+            best = tuple(add[a][b] for a, b in zip(base, delta))
             continue
         # lazy lexicographic comparison against the current minimum
         decided = 0  # -1 smaller, +1 larger
         prefix = []
         for a, b, c in zip(base, delta, best):
-            v = add(a, b)
+            v = add[a][b]
             prefix.append(v)
             if v != c:
                 decided = -1 if v < c else 1
                 break
         if decided == -1:
             k = len(prefix)
-            best = tuple(prefix) + tuple(add(a, b) for a, b in zip(base[k:], delta[k:]))
+            best = tuple(prefix) + tuple(add[a][b] for a, b in zip(base[k:], delta[k:]))
     return best
 
 
@@ -470,21 +410,18 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     if n > budget.max_order:
         raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
 
-    p_rel = _relation_cols(p)
-    p_elems = tp.elements
+    p_rel = p.relations.columns()
     deltas = _coboundary_deltas(tp, tq, meter)
-    classes: dict[tuple, int] = {}
+    classes: set[tuple] = set()
     reps: list[ShortExactSequence] = []
 
     for orders in _product_types(p.ring, n):
-        tx = Table(orders, None, meter)
-        inj_cands = _hom_candidates(tp, tx, [tx.elements] * p.generators)
-        for i_imgs in _iter_homs(tp, tx, p_rel, inj_cands, meter):
-            vals = [tp.apply_images(tx, i_imgs, pe) for pe in p_elems]
-            if len(set(vals)) != tp.n:
+        tx = Table(orders, [], meter)
+        pcand = _hom_candidates(tx, tq)
+        for i_imgs in _iter_homs(tx, p_rel, _hom_candidates(tp, tx), meter):
+            image = {tp.apply_images(tx, i_imgs, pe) for pe in range(tp.n)}
+            if len(image) != tp.n:
                 continue
-            image = set(vals)
-            pcand = [[y for y in tq.elements if tq.smul(o, y) == 0] for o in orders]
             for p_imgs in iproduct(*pcand):
                 meter.tick()
                 p_vals = tx.hom_value_table(tq, p_imgs)
@@ -496,11 +433,10 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
                 key = _canonical_factor_set(tp, tq, tx, i_imgs, p_vals, deltas)
                 if key in classes:
                     continue
-                classes[key] = len(reps)
+                classes.add(key)
                 x_mod = PresentedModule.from_invariant_factors(p.ring, list(orders))
-                imat = [[tx.digits(v)[r] for v in i_imgs] for r in range(tx.k)]
-                pmat = [[tq.digits(v)[r] for v in p_imgs] for r in range(tq.k)]
-                reps.append(make_ses(hom(p, x_mod, imat), hom(x_mod, q, pmat)))
+                reps.append(ShortExactSequence(p, x_mod, q, _morphism(p, x_mod, tx, i_imgs),
+                                               _morphism(x_mod, q, tq, p_imgs)))
     return ExtCount(len(reps), reps)
 
 
@@ -518,26 +454,27 @@ def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
     i2 = _morphism_images(s2.inject, tx2)
     p1 = _morphism_images(s1.project, tq)
     p2 = _morphism_images(s2.project, tq)
-    rel1 = _relation_cols(s1.middle)
+    rel1 = s1.middle.relations.columns()
     return _ladder_iso_exists(tp, tq, tx1, i1, p1, tx2, i2, p2, rel1, meter)
 
 
 def brute_injective(p: PresentedModule, budget: EnumerationBudget = EnumerationBudget()) -> bool:
     """Baer's criterion by enumeration over the ideals of Z/m: a morphism
     ``(d) -> P`` is an element killed by ``m/d``, and it extends to the whole
-    ring iff it is divisible by ``d`` inside P."""
-    if not p.ring.is_modular:
-        return p.is_zero_module()
+    ring iff it is divisible by ``d`` inside P.  Over Z the only finitely
+    generated injective module is zero: full relation rank and a one-element
+    table."""
     meter = _Meter(budget)
+    if not p.ring.is_modular:
+        rank, _ = _bareiss_rank_pivots([list(r) for r in p.relations.data])
+        return rank == p.generators and _module_table(p, budget, meter).n == 1
     tp = _module_table(p, budget, meter)
     m = p.ring.modulus
-    dp_cache: dict[int, set[int]] = {}
     for d in range(1, m + 1):
         if m % d:
             continue
-        tors = [y for y in tp.elements if tp.smul(m // d, y) == 0]
-        dp = dp_cache.setdefault(d, {tp.smul(d, z) for z in tp.elements})
-        if any(y not in dp for y in tors):
+        dp = {tp.smul(d, z) for z in range(tp.n)}
+        if any(tp.smul(m // d, y) == 0 and y not in dp for y in range(tp.n)):
             return False
     return True
 
@@ -568,35 +505,28 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
     nu_img = _morphism_images(d.row_top.inject, te)    # P -> E
     mu_img = _morphism_images(d.col_left.inject, th)   # P -> H
 
-    e_rel = _relation_cols(d.e)
-    h_rel = _relation_cols(d.h)
-    e_elems = te.elements
-    h_elems = th.elements
-    full_f = frozenset(tf.elements)
-    full_g = frozenset(tg.elements)
+    e_rel = d.e.relations.columns()
+    h_rel = d.h.relations.columns()
 
     for orders in _product_types(d.p.ring, n):
-        tx = Table(orders, None, meter)
-        x_gens = [tx.gen_code(gi) for gi in range(tx.k)]
-        mcand = [[y for y in tf.elements if tf.smul(o, y) == 0] for o in orders]
-        for m_imgs in iproduct(*mcand):
+        tx = Table(orders, [], meter)
+        for m_imgs in iproduct(*_hom_candidates(tx, tf)):
             meter.tick()
             m_imgs = list(m_imgs)
-            if tf.subgroup(m_imgs) != full_f:
+            if len(tf.subgroup(m_imgs)) != tf.n:
                 continue
             m_vals = tx.hom_value_table(tf, m_imgs)
-            m_of = {x: m_vals[x] for x in tx.elements}
-            ker_m = frozenset(x for x, v in m_of.items() if v == 0)
+            ker_m = frozenset(x for x, v in enumerate(m_vals) if v == 0)
             if len(ker_m) != th.n:
                 continue
             fiber_m: dict[int, list[int]] = {}
-            for x, v in m_of.items():
+            for x, v in enumerate(m_vals):
                 fiber_m.setdefault(v, []).append(x)
             ncand = []
             feasible = True
             for gi in range(tx.k):
                 qv = tf.apply_images(tq, pfq_img, m_imgs[gi])
-                opts = [y for y in tg.elements
+                opts = [y for y in range(tg.n)
                         if tg.smul(orders[gi], y) == 0 and tg.apply_images(tq, pgq_img, y) == qv]
                 if not opts:
                     feasible = False
@@ -607,15 +537,14 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
             for n_imgs in iproduct(*ncand):
                 meter.tick()
                 n_imgs = list(n_imgs)
-                if tg.subgroup(n_imgs) != full_g:
+                if len(tg.subgroup(n_imgs)) != tg.n:
                     continue
                 n_vals = tx.hom_value_table(tg, n_imgs)
-                n_of = {x: n_vals[x] for x in tx.elements}
-                ker_n = frozenset(x for x, v in n_of.items() if v == 0)
+                ker_n = frozenset(x for x, v in enumerate(n_vals) if v == 0)
                 if len(ker_n) != te.n:
                     continue
                 fiber_n: dict[int, list[int]] = {}
-                for x, v in n_of.items():
+                for x, v in enumerate(n_vals):
                     fiber_n.setdefault(v, []).append(x)
                 jcand = []
                 feasible = True
@@ -628,8 +557,8 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                     jcand.append(opts)
                 if not feasible:
                     continue
-                for j_imgs in _iter_homs(te, tx, e_rel, jcand, meter):
-                    jvals = [te.apply_images(tx, j_imgs, e) for e in e_elems]
+                for j_imgs in _iter_homs(tx, e_rel, jcand, meter):
+                    jvals = [te.apply_images(tx, j_imgs, e) for e in range(te.n)]
                     if len(set(jvals)) != te.n or set(jvals) != ker_n:
                         continue
                     icand = []
@@ -643,17 +572,11 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                         icand.append(opts)
                     if not feasible:
                         continue
-                    for i_imgs in _iter_homs(th, tx, h_rel, icand, meter):
-                        ivals = [th.apply_images(tx, i_imgs, h) for h in h_elems]
+                    for i_imgs in _iter_homs(tx, h_rel, icand, meter):
+                        ivals = [th.apply_images(tx, i_imgs, h) for h in range(th.n)]
                         if len(set(ivals)) != th.n or set(ivals) != ker_m:
                             continue
-                        ok = True
-                        for pg in range(tp.k):
-                            left = th.apply_images(tx, i_imgs, mu_img[pg])
-                            right = te.apply_images(tx, j_imgs, nu_img[pg])
-                            if left != right:
-                                ok = False
-                                break
-                        if ok:
+                        if all(th.apply_images(tx, i_imgs, mu) == te.apply_images(tx, j_imgs, nu)
+                               for mu, nu in zip(mu_img, nu_img)):
                             return True
     return False

@@ -24,10 +24,9 @@ def _divisors_gt1(m: int) -> list[int]:
 
 
 def random_module(rng: random.Random, ring: RingSpec, max_order: int,
-                  allow_zero: bool = True, free_rank_chance: float = 0.0,
-                  shuffle: bool = True) -> PresentedModule:
+                  allow_zero: bool = True, free_rank_chance: float = 0.0) -> PresentedModule:
     """A random finitely presented module of order at most ``max_order``,
-    optionally with an obfuscated (non-diagonal, redundant) presentation."""
+    with an obfuscated (non-diagonal, redundant) presentation."""
     if ring.is_modular:
         pool = _divisors_gt1(ring.modulus)
     else:
@@ -46,7 +45,7 @@ def random_module(rng: random.Random, ring: RingSpec, max_order: int,
         order *= factors[-1]
     free_rank = 1 if (not ring.is_modular and rng.random() < free_rank_chance) else 0
     m = PresentedModule.from_invariant_factors(ring, factors, free_rank)
-    if not shuffle or m.generators == 0:
+    if m.generators == 0:
         return m
     # mix the presentation: column operations and redundant relation columns
     cols = [list(m.relations.col(j)) for j in range(m.relations.cols)]
@@ -72,16 +71,14 @@ def random_ses(rng: random.Random, left: PresentedModule, right: PresentedModule
     return ses_of_class(random_class(rng, ext_module(1, right, left)))
 
 
-def random_diagram(rng: random.Random, ring: RingSpec, max_order: int = 16,
-                   max_corner: int | None = None) -> Diagram3x3:
+def random_diagram(rng: random.Random, ring: RingSpec, max_order: int = 16) -> Diagram3x3:
     """A valid grid frame: random corners (orders multiplying within bounds)
     and rows/columns realized from random extension classes."""
-    max_corner = max_corner or max_order
     while True:
-        p = random_module(rng, ring, max_corner)
-        r = random_module(rng, ring, max_corner)
-        s = random_module(rng, ring, max_corner)
-        q = random_module(rng, ring, max_corner)
+        p = random_module(rng, ring, max_order)
+        r = random_module(rng, ring, max_order)
+        s = random_module(rng, ring, max_order)
+        q = random_module(rng, ring, max_order)
         sizes = [p.cardinality(), r.cardinality(), s.cardinality(), q.cardinality()]
         if None in sizes:
             continue

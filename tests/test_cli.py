@@ -102,6 +102,20 @@ def test_bad_document_exits_2(tmp_path, capsys):
     assert main(["validate", str(p), "D"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": '
+    + "[" * 100_000 + "]" * 100_000 + "}}}",
+], ids=["open-brackets", "nested-relations"])
+def test_deeply_nested_document_exits_2(tmp_path, capsys, text):
+    # written as text: json.dumps recurses as deep as the document nests
+    p = tmp_path / "deep.json"
+    p.write_text(text, encoding="utf-8")
+    assert main(["validate", str(p), "M"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 MIXED_RINGS = {
     "rings": {"Z": {"kind": "Z"}, "R4": {"kind": "Zmod", "m": 4}},
     "modules": {"Q": {"ring": "Z", "generators": 1, "relations": [[2]]},

@@ -1,13 +1,19 @@
 """The brute-force oracles and their agreement with the computed path."""
 
-import pytest
+from math import gcd, lcm, prod
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from hexext import linalg, modules
 from hexext.diagram import Diagram3x3, extend_diagram, is_injective_module, obstruction
 from hexext.errors import BudgetExceededError, NotExtendableError
 from hexext.ext import class_of_ses, ext_module, ses_of_class
-from hexext.modules import PresentedModule, hom, make_ses, split_ses
+from hexext.modules import PresentedModule, check_well_defined, hom, make_ses, split_ses
 from hexext.oracle import (
     EnumerationBudget,
+    Table,
+    _Meter,
     brute_equivalent,
     brute_ext1,
     brute_extension_exists,
@@ -181,3 +187,141 @@ def test_extension_search_budget_guard():
     d = Diagram3x3(row_top=sp, row_bottom=sp, col_left=sp, col_right=sp)
     with pytest.raises(BudgetExceededError):
         brute_extension_exists(d, EnumerationBudget(max_order=64))
+
+
+# -- element tables ------------------------------------------------------------------------------
+
+
+class _DigitGroup:
+    """Reference arithmetic on mixed-radix codes (position 0 least
+    significant): every operation works on digits and returns the least code
+    of the result's coset of the relation span."""
+
+    def __init__(self, radix, relation_cols):
+        self.radix = radix
+        self.weights = [prod(radix[:i]) for i in range(len(radix))]
+        self.span = {0}
+        for col in relation_cols:
+            r = self.encode(col)
+            order = lcm(1, *(o // gcd(d, o) for d, o in zip(self.digits(r), radix)))
+            self.span = {self._raw_combination((1, k), (s, r)) for s in self.span for k in range(order)}
+        self.elements = sorted({self.canon(c) for c in range(prod(radix))})
+
+    def digits(self, code):
+        return [code // w % o for w, o in zip(self.weights, self.radix)]
+
+    def encode(self, digits):
+        return sum(d % o * w for d, o, w in zip(digits, self.radix, self.weights))
+
+    def _raw_combination(self, ks, codes):
+        total = [0] * len(self.radix)
+        for k, code in zip(ks, codes):
+            total = [t + k * d for t, d in zip(total, self.digits(code))]
+        return self.encode(total)
+
+    def canon(self, code):
+        return min(self._raw_combination((1, 1), (code, s)) for s in self.span)
+
+    def add(self, a, b):
+        return self.canon(self._raw_combination((1, 1), (a, b)))
+
+    def smul(self, k, a):
+        return self.canon(self._raw_combination((k,), (a,)))
+
+    def from_coeffs(self, col):
+        return self.canon(self.encode(col))
+
+    def gen(self, i):
+        return self.from_coeffs([int(t == i) for t in range(len(self.radix))])
+
+    def subgroup(self, gens):
+        out = {0}
+        for g in gens:
+            out = {self.add(x, self.smul(k, g)) for x in out for k in range(len(self.elements))}
+        return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(radix=st.lists(st.integers(2, 12), max_size=3),
+       data=st.data())
+def test_table_matches_digit_arithmetic(radix, data):
+    assume(prod(radix) <= 400)
+    coeff = st.integers(-10**6, 10**6)
+    rels = data.draw(st.lists(st.lists(coeff, min_size=len(radix), max_size=len(radix)), max_size=3))
+    t = Table(tuple(radix), rels, _Meter(EnumerationBudget()))
+    ref = _DigitGroup(radix, rels)
+    code = ref.elements
+    assert t.n == len(code)
+    for x in range(t.n):
+        assert [code[t.add(x, y)] for y in range(t.n)] == [ref.add(code[x], code[y]) for y in range(t.n)]
+        for k in (-(10**20) - 3, -7, -1, 0, 1, 2, 5, 10**18 + 9):
+            assert code[t.smul(k, x)] == ref.smul(k, code[x])
+    for i in range(len(radix)):
+        assert code[t.gen_code(i)] == ref.gen(i)
+    col = data.draw(st.lists(coeff, min_size=len(radix), max_size=len(radix)))
+    assert code[t.from_coeffs(col)] == ref.from_coeffs(col)
+    gens = data.draw(st.lists(st.integers(0, t.n - 1), max_size=3))
+    assert {code[x] for x in t.subgroup(gens)} == ref.subgroup([code[x] for x in gens])
+
+
+def test_oversized_table_raises_before_allocating():
+    # the ambient size (101) fits the budget; the 101 x 101 addition table does not
+    with pytest.raises(BudgetExceededError, match="candidate count exceeded 1000"):
+        Table((101,), [], _Meter(EnumerationBudget(max_candidates=1000)))
+
+
+# -- independence from the engine --------------------------------------------------------------
+
+
+def _oracle_calls():
+    """Named oracle calls with their expected answers, over Z/4 and Z; the
+    inputs are built here, with the engine."""
+    z2, z4 = PresentedModule.cyclic(ZZ, 2), PresentedModule.cyclic(ZZ, 4)
+    ns = ses_of_class(ext_module(1, Z2m, Z2m).class_from_coords((1,)))
+    sp, zsp = split_ses(Z2m, Z2m), split_ses(z2, z2)
+    d = Diagram3x3(row_top=sp, row_bottom=sp, col_left=sp, col_right=sp)
+    zd = Diagram3x3(row_top=zsp, row_bottom=zsp, col_left=zsp, col_right=zsp)
+    return {
+        "enumerate_morphisms-Z4": (lambda: len(enumerate_morphisms(Z2m, Z4m)), 2),
+        "enumerate_morphisms-Z": (lambda: len(enumerate_morphisms(z4, z2)), 2),
+        "brute_ext1-Z4": (lambda: brute_ext1(Z2m, Z2m).count, 2),
+        "brute_ext1-Z": (lambda: brute_ext1(z2, z2).count, 2),
+        "brute_equivalent-Z4": (lambda: brute_equivalent(ns, sp), False),
+        "brute_equivalent-Z": (lambda: brute_equivalent(zsp, zsp), True),
+        "brute_injective-Z4": (lambda: brute_injective(Z4m), True),
+        "brute_injective-Z": (lambda: brute_injective(z2), False),
+        "brute_injective-Z-zero": (lambda: brute_injective(PresentedModule.make(ZZ, 1, [[3], [2]])), True),
+        "brute_extension_exists-Z4": (lambda: brute_extension_exists(d), True),
+        "brute_extension_exists-Z": (lambda: brute_extension_exists(zd), True),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_calls()))
+def test_oracle_answers_without_the_engine(monkeypatch, name):
+    call, expected = _oracle_calls()[name]
+    # empty the engine's caches, so that no cached result hides a call below them
+    for layer in (linalg, modules):
+        for obj in vars(layer).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    def engine(*_args):
+        raise AssertionError("the oracle reached the elimination engine")
+
+    for fn in ("_snf_int", "_hermite_cols", "_echelon_insert"):
+        monkeypatch.setattr(linalg, fn, engine)
+    assert call() == expected
+
+
+def test_oracle_results_pass_the_engine_checks():
+    # the oracle builds its morphisms and sequences with the unchecked
+    # constructors; the engine's checks must accept every one of them
+    zmods = [PresentedModule.cyclic(ZZ, n) for n in (2, 3, 4)] + [PresentedModule.make(ZZ, 2, [[2, 1], [0, 3]])]
+    for mods in (all_modules_over(R4, 8), all_modules_over(Zmod(6), 6), zmods):
+        for a in mods:
+            for b in mods:
+                for f in enumerate_morphisms(a, b):
+                    assert check_well_defined(a, b, f.matrix).ok, (a, b)
+                if a.cardinality() * b.cardinality() <= 16:
+                    for s in brute_ext1(a, b).representatives:
+                        assert make_ses(s.inject, s.project) == s, (a, b)
