@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from math import prod
 
 from .errors import (
     LadderNotCommutingError,
@@ -179,12 +180,16 @@ class ModuleMorphism:
         return _first_outside(self.matrix, self.target.relations) is None
 
     def is_injective(self) -> bool:
+        if self.source.ring.is_modular:
+            return (_order(self.target.relations)
+                    == _order(self.source.relations) * _order(self.target.relations.hstack(self.matrix)))
         return _first_outside(preimage_kernel_columns(self), self.source.relations) is None
 
     def is_surjective(self) -> bool:
-        coker = PresentedModule(self.target.ring, self.target.generators,
-                                self.target.relations.hstack(self.matrix))
-        return coker.is_zero_module()
+        coker = self.target.relations.hstack(self.matrix)
+        if self.source.ring.is_modular:
+            return _order(coker) == 1
+        return PresentedModule(self.target.ring, self.target.generators, coker).is_zero_module()
 
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -197,6 +202,12 @@ def _first_outside(cols: ExactMatrix, span: ExactMatrix) -> int | None:
         if any(reduce_mod_lattice(cols.col(j), span)):
             return j
     return None
+
+
+def _order(lattice: ExactMatrix) -> int:
+    """``|(Z/m)^n / span(lattice)|`` over Z/m: the product of the pivots of
+    the lattice's cached column Hermite form, which holds ``m * Z^n``."""
+    return prod(v for _row, v in lattice_pivot_profile(lattice))
 
 
 def _endpoint_mismatch(source: PresentedModule, target: PresentedModule, matrix: ExactMatrix) -> str | None:
@@ -390,6 +401,13 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
     Returns ``(position, verdict)`` pairs; interior verdicts are one of
     ``exact``, ``composite nonzero`` (image not inside kernel) and ``image
     strictly smaller than kernel``.
+
+    Over Z/m every module is finite, and exactness is decided by counting
+    orders read off cached Hermite pivots: ``f : A -> B`` is injective iff
+    ``|B| = |A| |coker f|``, surjective iff ``|coker f| = 1``, and, once
+    ``g f = 0``, ``A -> B -> C`` is exact at B iff ``|coker f| |coker g| =
+    |C|``.  No kernel is built.  Over Z the kernel of each map is compared
+    with the image of the one before.
     """
     for i in range(len(maps) - 1):
         if maps[i].target != maps[i + 1].source:
@@ -403,7 +421,11 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
         if not comp.is_zero():
             out.append((f"interior {i}", COMPOSITE_NONZERO))
             continue
-        ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
+        if g.source.ring.is_modular:
+            ok = (_order(f.target.relations.hstack(f.matrix)) * _order(g.target.relations.hstack(g.matrix))
+                  == _order(g.target.relations))
+        else:
+            ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))
     if right_zero and maps:
         out.append(("right", EXACT if maps[-1].is_surjective() else IMAGE_PROPER))

@@ -6,10 +6,12 @@ with its mixed-radix digits, plus an addition table and the multiples of
 every element, so sums, scalar multiples and linear combinations are list
 lookups; subgroups are closures, quotients are coset labellings.
 
-Presented modules become tables by reducing coefficients modulo the ring
-modulus (over Z, modulo an exponent multiple obtained by fraction-free
-elimination; annihilation is implied by the relations, so nothing is lost)
-and dividing out the additive closure of the relation columns.
+Presented modules become tables by reducing each coefficient modulo a
+multiple of its generator's order (the ring modulus, or over Z an exponent
+multiple obtained by fraction-free elimination, cut down by any relation
+column that is a multiple of that generator alone; annihilation is implied
+by the relations, so nothing is lost) and dividing out the additive closure
+of the relation columns.
 
 The oracle calls nothing in the Smith-form / Hermite / resolution engine: it
 reads presentations and morphism matrices, decides with its own elimination
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from math import prod
+from math import gcd, prod
 
 from .errors import BudgetExceededError
 from .linalg import ExactMatrix
@@ -197,6 +199,10 @@ class Table:
 
 
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
+    """The module's table.  ``mod`` (the ring modulus, or over Z the Bareiss
+    pivot product) kills every generator; generator i gets the radix
+    ``gcd(mod, k)`` over the relation columns ``k * e_i``, since that
+    multiple of ``e_i`` lies in the relation lattice too."""
     g = m.generators
     if g == 0:
         return Table((), [], meter)
@@ -206,9 +212,15 @@ def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) 
         rank, mod = _bareiss_rank_pivots([list(r) for r in m.relations.data])
         if rank < g:
             raise BudgetExceededError("module is infinite; oracle tables need finite modules")
-    if mod ** g > budget.max_candidates:
+    radix = [mod] * g
+    for col in m.relations.columns():
+        support = [i for i, k in enumerate(col) if k]
+        if len(support) == 1:
+            i = support[0]
+            radix[i] = gcd(radix[i], col[i])
+    if prod(radix) > budget.max_candidates:
         raise BudgetExceededError("ambient table too large for the budget")
-    return Table((mod,) * g, m.relations.columns(), meter)
+    return Table(tuple(radix), m.relations.columns(), meter)
 
 
 def _morphism_images(f: ModuleMorphism, tgt: Table) -> list[int]:

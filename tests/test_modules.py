@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexext import linalg, modules
 from hexext.errors import NonComposableError, NotExactError, WellDefinednessError
 from hexext.linalg import ExactMatrix, solve_linear
 from hexext.modules import (
@@ -33,7 +34,7 @@ from hexext.modules import (
     submodule_generated,
     zero_morphism,
 )
-from hexext.randgen import random_hom, random_module
+from hexext.randgen import random_hom, random_module, random_ses
 from hexext.rings import ZZ, Zmod
 
 R4 = Zmod(4)
@@ -325,6 +326,110 @@ def test_exact_mod4_sequence():
 def test_make_ses_rejects_nonexact():
     with pytest.raises(NotExactError):
         make_ses(zero_morphism(Z2m, Z4m), hom(Z4m, Z2m, [[1]]))
+
+
+def _kernel_route_injective(f):
+    """Reference: f is injective iff its kernel on coefficient columns lies in
+    the source relation span."""
+    return modules._first_outside(modules.preimage_kernel_columns(f), f.source.relations) is None
+
+
+def _kernel_route_surjective(f):
+    coker = PresentedModule(f.target.ring, f.target.generators, f.target.relations.hstack(f.matrix))
+    return coker.is_zero_module()
+
+
+def _kernel_route_report(maps, left_zero, right_zero):
+    """Reference: exactness read off kernel generators, the route taken over
+    every ring before orders decided it over Z/m."""
+    out = []
+    if left_zero:
+        out.append(("left", "exact" if _kernel_route_injective(maps[0]) else "image strictly smaller than kernel"))
+    for i, (f, g) in enumerate(zip(maps, maps[1:])):
+        if not (g @ f).is_zero():
+            out.append((f"interior {i}", "composite nonzero"))
+            continue
+        inside = modules._first_outside(modules.preimage_kernel_columns(g), f.matrix.hstack(f.target.relations))
+        out.append((f"interior {i}", "exact" if inside is None else "image strictly smaller than kernel"))
+    if right_zero:
+        out.append(("right", "exact" if _kernel_route_surjective(maps[-1]) else "image strictly smaller than kernel"))
+    return out
+
+
+def _scaled(f, k):
+    return ModuleMorphism(f.source, f.target, f.matrix.scale(k))
+
+
+def _random_chain(rng, ring):
+    """1-3 composable maps over the ring: random morphisms between random
+    modules, or a short exact sequence whose maps may be scaled and which
+    may be extended by a random map at either end, so that exact, composite
+    nonzero and image-proper positions all occur."""
+    mod = lambda: random_module(rng, ring, 24)
+    if rng.randrange(2):
+        objs = [mod() for _ in range(rng.randint(2, 4))]
+        return [random_hom(rng, a, b) for a, b in zip(objs, objs[1:])]
+    ses = random_ses(rng, mod(), mod())
+    maps = [_scaled(ses.inject, rng.choice((1, 1, 2, 3))), _scaled(ses.project, rng.choice((1, 1, 2, 3)))]
+    if rng.randrange(2):
+        maps.insert(0, random_hom(rng, mod(), ses.left))
+    else:
+        maps.append(random_hom(rng, ses.right, mod()))
+    lo = rng.randrange(len(maps))
+    return maps[lo:lo + rng.randint(1, 3)]
+
+
+ZM_RINGS = [Zmod(m) for m in (4, 6, 8, 9, 12, 36)]
+
+
+def _assert_routes_agree(maps, left_zero, right_zero):
+    report = exactness_report(maps, left_zero, right_zero)
+    assert report == _kernel_route_report(maps, left_zero, right_zero)
+    for f in maps:
+        inj, surj = _kernel_route_injective(f), _kernel_route_surjective(f)
+        assert (f.is_injective(), f.is_surjective(), f.is_isomorphism()) == (inj, surj, inj and surj)
+    return report
+
+
+@given(ring=st.sampled_from(ZM_RINGS), seed=st.integers(0, 2**32 - 1),
+       left_zero=st.booleans(), right_zero=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_exactness_by_orders_matches_kernel_route(ring, seed, left_zero, right_zero):
+    _assert_routes_agree(_random_chain(random.Random(seed), ring), left_zero, right_zero)
+
+
+def test_random_chains_reach_every_verdict():
+    rng = random.Random(20261018)
+    seen = set()
+    for k in range(240):
+        report = _assert_routes_agree(_random_chain(rng, ZM_RINGS[k % len(ZM_RINGS)]), True, True)
+        seen |= {(pos.split()[0], verdict) for pos, verdict in report}
+    assert seen == {(pos, verdict) for pos in ("left", "right") for verdict in
+                    ("exact", "image strictly smaller than kernel")} | {
+        ("interior", verdict) for verdict in ("exact", "composite nonzero", "image strictly smaller than kernel")}
+
+
+def test_exactness_over_zm_builds_no_smith_form(monkeypatch):
+    inject4, project4 = hom(Z2m, Z4m, [[2]]), hom(Z4m, Z2m, [[1]])
+    inject, project = hom(Zf, Zf, [[2]]), hom(Zf, Z2z, [[1]])
+    for layer in (linalg, modules):
+        for obj in vars(layer).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    def smith(*_args):
+        raise AssertionError("reached the Smith form")
+
+    monkeypatch.setattr(linalg, "_snf_int", smith)
+    assert is_exact([inject4, project4]) and not is_exact([project4, inject4])
+    assert inject4.is_injective() and not project4.is_injective()
+    assert project4.is_surjective() and not inject4.is_surjective()
+    assert make_ses(inject4, project4).middle == Z4m
+    # over Z the kernel route stays
+    for call in (lambda: exactness_report([inject, project]), inject.is_injective,
+                 project.is_surjective, lambda: make_ses(inject, project)):
+        with pytest.raises(AssertionError, match="reached the Smith form"):
+            call()
 
 
 # -- snake lemma ----------------------------------------------------------------------

@@ -1,25 +1,30 @@
 """The brute-force oracles and their agreement with the computed path."""
 
+import random
 from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hexext import linalg, modules
+from hexext import linalg, modules, oracle
 from hexext.diagram import Diagram3x3, extend_diagram, is_injective_module, obstruction
 from hexext.errors import BudgetExceededError, NotExtendableError
 from hexext.ext import class_of_ses, ext_module, ses_of_class
+from hexext.linalg import ExactMatrix
 from hexext.modules import PresentedModule, check_well_defined, hom, make_ses, split_ses
 from hexext.oracle import (
     EnumerationBudget,
     Table,
     _Meter,
+    _bareiss_rank_pivots,
+    _module_table,
     brute_equivalent,
     brute_ext1,
     brute_extension_exists,
     brute_injective,
     enumerate_morphisms,
 )
+from hexext.randgen import random_module
 from hexext.rings import ZZ, Zmod
 from tests.conftest import all_modules_over
 
@@ -268,6 +273,49 @@ def test_oversized_table_raises_before_allocating():
     # the ambient size (101) fits the budget; the 101 x 101 addition table does not
     with pytest.raises(BudgetExceededError, match="candidate count exceeded 1000"):
         Table((101,), [], _Meter(EnumerationBudget(max_candidates=1000)))
+
+
+def test_module_table_radix_per_generator():
+    # a relation column k * e_i bounds generator i's radix by gcd(mod, k)
+    for m, radix, order in ((PresentedModule.from_invariant_factors(ZZ, [2, 3, 5]), (2, 3, 5), 30),
+                            (PresentedModule.from_invariant_factors(Zmod(12), [2, 2, 2]), (2, 2, 2), 8),
+                            (PresentedModule.make(ZZ, 2, [[4, 0], [2, 6], [0, -3]]), (4, 3), 6),
+                            (PresentedModule.make(R4, 1, [[3]]), (1,), 1),
+                            (PresentedModule.make(Zmod(12), 2, [[8, 0], [0, 9], [6, 6]]), (4, 3), 6)):
+        meter = _Meter(EnumerationBudget())
+        t = _module_table(m, EnumerationBudget(), meter)
+        assert (t.radix, t.n, meter.count) == (radix, order, prod(radix) + order * order)
+
+
+def _uniform_module_table(m, budget, meter):
+    """Reference: every position gets the same modulus (the ring modulus, or
+    over Z the Bareiss pivot product)."""
+    if m.generators == 0:
+        return Table((), [], meter)
+    mod = m.ring.modulus if m.ring.is_modular else _bareiss_rank_pivots([list(r) for r in m.relations.data])[1]
+    return Table((mod,) * m.generators, m.relations.columns(), meter)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=st.sampled_from([ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)]), seed=st.integers(0, 2**32 - 1))
+def test_module_table_matches_uniform_radix(ring, seed):
+    rng = random.Random(seed)
+    a, b = random_module(rng, ring, 12), random_module(rng, ring, 12)
+    if a.generators and rng.randrange(2):
+        # a relation column k * e_i with k not always dividing the modulus
+        i, k = rng.randrange(a.generators), rng.randint(1, 12)
+        a = PresentedModule(ring, a.generators, a.relations.hstack(
+            ExactMatrix.from_cols(ring, [[k if r == i else 0 for r in range(a.generators)]], a.generators)))
+    budget = EnumerationBudget()
+    ref = _uniform_module_table(a, budget, _Meter(budget))
+    assume(prod(ref.radix) <= 20_000)
+    t = _module_table(a, budget, _Meter(budget))
+    assert (t.n, t.digits, t.sums) == (ref.n, ref.digits, ref.sums)
+    assume(prod(_uniform_module_table(b, budget, _Meter(budget)).radix) <= 20_000)
+    got = [h.matrix for h in enumerate_morphisms(a, b)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_module_table", _uniform_module_table)
+        assert got == [h.matrix for h in enumerate_morphisms(a, b)]
 
 
 # -- independence from the engine --------------------------------------------------------------
