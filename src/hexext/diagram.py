@@ -30,6 +30,7 @@ from .ext import (
     class_of_ses,
     connecting_alpha,
     ext_module,
+    ext_of_sum,
     ses_of_class,
     ses_of_cocycle,
     transport_contravariant,
@@ -257,12 +258,16 @@ def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:
 
 
 def _restriction_data(d: Diagram3x3, by: BuildY) -> ExtClass:
-    """tau = pr_R^*[rowTop] + pr_S^*[colLeft] in Ext^1(R (+) S, P)."""
+    """tau = pr_R^*[rowTop] + pr_S^*[colLeft] in Ext^1(R (+) S, P).
+
+    Ext^1(R (+) S, P) is built on the block resolution from the cached
+    Ext^1(R, P) and Ext^1(S, P) (:func:`ext_of_sum`), where pulling back
+    along the projections places each summand's coordinates in its block;
+    the direct sum itself is never resolved."""
     c_top = class_of_ses(d.row_top)
     c_left = class_of_ses(d.col_left)
-    t1 = transport_contravariant(c_top, by.rs.project_left)
-    t2 = transport_contravariant(c_left, by.rs.project_right)
-    return t1 + t2
+    e_rs = ext_of_sum(c_top.parent, c_left.parent, by.rs.module)
+    return ExtClass(e_rs, c_top.coords + c_left.coords)
 
 
 def _connecting_obstruction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass:
@@ -273,11 +278,20 @@ def _connecting_obstruction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClas
 
 def _solve_restriction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass | None:
     """The canonical class xi in Ext^1(Y, P) restricting to tau, when one
-    exists (deterministically the smallest coordinate solution)."""
+    exists (deterministically the smallest coordinate solution).
+
+    The restriction rho along R (+) S -> Y lands in tau's module, built on
+    the block resolution: its R and S blocks are the transports along
+    ``w_r`` and ``w_s`` into the cached Ext^1(R, P) and Ext^1(S, P).  The solution set, and so the
+    canonical solution, does not depend on how the target is presented."""
     e_y = ext_module(1, by.y, d.p)
     e_rs = tau.parent
-    rho = ModuleMorphism(e_y.presentation, e_rs.presentation,
-                         _transport_matrix(e_y, e_rs, lambda x: transport_contravariant(x, by.ses.inject)))
+
+    def restrict(x: ExtClass) -> ExtClass:
+        on_r, on_s = transport_contravariant(x, by.w_r), transport_contravariant(x, by.w_s)
+        return ExtClass(e_rs, on_r.coords + on_s.coords)
+
+    rho = ModuleMorphism(e_y.presentation, e_rs.presentation, _transport_matrix(e_y, e_rs, restrict))
     x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau.coords], e_rs.presentation.generators))
     if x is None:
         return None

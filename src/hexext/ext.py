@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentMismatchError, NotExactError
-from .linalg import ExactMatrix, kernel_columns, shrink_generators
+from .linalg import ExactMatrix, block_diag, kernel_columns, shrink_generators
 from .modules import (
     ModuleMorphism,
     PresentedModule,
     ShortExactSequence,
     Simplified,
+    direct_sum,
     hom,
     identity_morphism,
     lift,
@@ -216,6 +217,38 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
         cocycles.append(_unflatten(flat, gp, rank_i, ring))
     return ExtModule(degree, q, p, simp.module, tuple(cocycles), res,
                      cycles, simp.to_min.matrix)
+
+
+def ext_of_sum(e_a: ExtModule, e_b: ExtModule, q: PresentedModule) -> ExtModule:
+    """Ext^k(A (+) B, P) for ``q`` = A (+) B, built from Ext^k(A, P) and
+    Ext^k(B, P) without resolving ``q``.
+
+    Ext is additive: the direct sum of the two resolutions resolves the sum,
+    and on it the Hom complex, the cycles and the presentation are all
+    block-diagonal.  Flattening is column-major, so the flat Hom space of
+    ``[A | B]`` is ``flat(A) ++ flat(B)``; the coordinates of a class are the
+    summands' coordinates, A's first, and the cocycles are the summands'
+    cocycles, zero-padded.
+
+    The result is a different :class:`ExtModule` from ``ext_module(k, q,
+    P)``: the two present the same group on different generators, so their
+    classes cannot be added to each other.
+    """
+    if e_a.degree != e_b.degree or e_a.p != e_b.p:
+        raise ArgumentMismatchError("summands differ in degree or in the second argument")
+    if q != direct_sum(e_a.q, e_b.q).module:
+        raise ArgumentMismatchError("module is not the direct sum of the summands' first arguments")
+    ring, gp = q.ring, e_a.p.generators
+    ra, rb = e_a.resolution, e_b.resolution
+    res = FreeResolution(q, block_diag(ring, [ra.d1, rb.d1]), block_diag(ring, [ra.d2, rb.d2]))
+    wa, wb = e_a.rank_at_degree(), e_b.rank_at_degree()
+    cocycles = ([c.hstack(ExactMatrix.zeros(ring, gp, wb)) for c in e_a.cocycles]
+                + [ExactMatrix.zeros(ring, gp, wa).hstack(c) for c in e_b.cocycles])
+    ca, cb = e_a._cycles, e_b._cycles
+    raw, homology = direct_sum(ca.source, cb.source).module, direct_sum(ca.target, cb.target).module
+    cycles = ModuleMorphism(raw, homology, block_diag(ring, [ca.matrix, cb.matrix]))
+    return ExtModule(e_a.degree, q, e_a.p, direct_sum(e_a.presentation, e_b.presentation).module,
+                     tuple(cocycles), res, cycles, block_diag(ring, [e_a._to_min, e_b._to_min]))
 
 
 # ---------------------------------------------------------------------------

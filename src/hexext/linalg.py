@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .rings import RingSpec, xgcd
 
@@ -341,7 +342,7 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, .
         raise ValueError("right-hand side length mismatch")
     n = a.cols
     graph = a.data + tuple((0,) * i + (-1,) + (0,) * (n - 1 - i) for i in range(n))
-    v = _reduce_by_pivots([int(t) for t in b] + [0] * n, _hermite_cols(graph, a.ring.modulus or 0))
+    v = _reduce_by_pivots([int(t) for t in b] + [0] * n, _hermite_cols(graph, a.ring.modulus or 0)[0])
     if any(v[: a.rows]):
         return None
     return tuple(v[a.rows:])
@@ -463,11 +464,13 @@ def shrink_generators(a: ExactMatrix) -> ExactMatrix:
 @lru_cache(maxsize=None)
 def _hermite_cols(data: IntRows, m: int):
     """Canonical column Hermite form of the lattice spanned by the columns
-    (and, when ``m`` is nonzero, by ``m * e_i``).
+    (and, when ``m`` is nonzero, by ``m * e_i``), with the lattice's order.
 
-    Returns a list of pivot columns ``(pivot_row, column)`` with strictly
-    increasing pivot rows, positive pivots, and entries below each pivot row
-    reduced modulo the later pivots.
+    Returns ``(pivots, order)``.  ``pivots`` lists the pivot columns
+    ``(pivot_row, column)`` with strictly increasing pivot rows, positive
+    pivots, and entries below each pivot row reduced modulo the later pivots.
+    ``order`` is ``|Z^n / L|``, the product of the pivots, or ``None`` when
+    some row has no pivot and the quotient is infinite.
     """
     basis = _echelon_start(len(data), m)
     for col in zip(*data):
@@ -475,7 +478,8 @@ def _hermite_cols(data: IntRows, m: int):
     pivots = [(r, c) for r, c in enumerate(basis) if c is not None]
     for r, _c in pivots:
         _reduce_below(basis, r)
-    return tuple((r, tuple(c)) for r, c in pivots)
+    order = prod(c[r] for r, c in pivots) if len(pivots) == len(data) else None
+    return tuple((r, tuple(c)) for r, c in pivots), order
 
 
 def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -> tuple[int, ...]:
@@ -487,7 +491,8 @@ def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -
     if len(vec) != lattice.rows:
         raise ValueError("vector length mismatch")
     # over Z/m every row has a pivot dividing m, so the result is already reduced
-    return tuple(_reduce_by_pivots([int(t) for t in vec], _hermite_cols(lattice.data, lattice.ring.modulus or 0)))
+    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)[0]
+    return tuple(_reduce_by_pivots([int(t) for t in vec], pivots))
 
 
 def _reduce_by_pivots(v: list[int], pivots) -> list[int]:
@@ -506,6 +511,11 @@ def lattice_pivot_profile(lattice: ExactMatrix) -> tuple[tuple[int, int], ...]:
     representatives produced by :func:`reduce_mod_lattice` range over
     ``0 <= v[row] < value`` at the pivot rows and are unconstrained elsewhere
     (over Z) -- everything over Z/m has full pivot structure."""
-    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)
+    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)[0]
     return tuple((r, c[r]) for r, c in pivots)
 
+
+def lattice_order(lattice: ExactMatrix) -> int | None:
+    """``|ring^n / span(lattice)|``, kept with the cached Hermite form; always
+    finite over Z/m, ``None`` over Z when the quotient is infinite."""
+    return _hermite_cols(lattice.data, lattice.ring.modulus or 0)[1]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from math import prod
 
 from .errors import (
     LadderNotCommutingError,
@@ -24,6 +23,7 @@ from .linalg import (
     ExactMatrix,
     block_diag,
     kernel_columns,
+    lattice_order,
     lattice_pivot_profile,
     reduce_mod_lattice,
     shrink_generators,
@@ -181,14 +181,15 @@ class ModuleMorphism:
 
     def is_injective(self) -> bool:
         if self.source.ring.is_modular:
-            return (_order(self.target.relations)
-                    == _order(self.source.relations) * _order(self.target.relations.hstack(self.matrix)))
+            coker = self.target.relations.hstack(self.matrix)
+            source, target = lattice_order(self.source.relations), lattice_order(self.target.relations)
+            return target == source * lattice_order(coker)
         return _first_outside(preimage_kernel_columns(self), self.source.relations) is None
 
     def is_surjective(self) -> bool:
         coker = self.target.relations.hstack(self.matrix)
         if self.source.ring.is_modular:
-            return _order(coker) == 1
+            return lattice_order(coker) == 1
         return PresentedModule(self.target.ring, self.target.generators, coker).is_zero_module()
 
     def is_isomorphism(self) -> bool:
@@ -202,12 +203,6 @@ def _first_outside(cols: ExactMatrix, span: ExactMatrix) -> int | None:
         if any(reduce_mod_lattice(cols.col(j), span)):
             return j
     return None
-
-
-def _order(lattice: ExactMatrix) -> int:
-    """``|(Z/m)^n / span(lattice)|`` over Z/m: the product of the pivots of
-    the lattice's cached column Hermite form, which holds ``m * Z^n``."""
-    return prod(v for _row, v in lattice_pivot_profile(lattice))
 
 
 def _endpoint_mismatch(source: PresentedModule, target: PresentedModule, matrix: ExactMatrix) -> str | None:
@@ -422,8 +417,9 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
             out.append((f"interior {i}", COMPOSITE_NONZERO))
             continue
         if g.source.ring.is_modular:
-            ok = (_order(f.target.relations.hstack(f.matrix)) * _order(g.target.relations.hstack(g.matrix))
-                  == _order(g.target.relations))
+            coker_f = f.target.relations.hstack(f.matrix)
+            coker_g = g.target.relations.hstack(g.matrix)
+            ok = lattice_order(coker_f) * lattice_order(coker_g) == lattice_order(g.target.relations)
         else:
             ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))

@@ -8,11 +8,16 @@ import sys
 import pytest
 
 import hexext.diagram as diagram_module
+import hexext.ext as ext_namespace
 import hexext.linalg as linalg_module
 import hexext.modules as modules_module
 from hexext.diagram import (
     Diagram3x3,
     DiagramExtension,
+    _connecting_obstruction,
+    _realize,
+    _restriction_data,
+    _solve_restriction,
     build_Y,
     check_uniqueness,
     compatible_isomorphism,
@@ -31,12 +36,15 @@ from hexext.errors import (
     LambdaNotExtendableError,
     NotExtendableError,
 )
-from hexext.ext import ext_module, ses_of_class
+from hexext.ext import _transport_matrix, class_of_ses, ext_module, ses_of_class, transport_contravariant
 from hexext.linalg import ExactMatrix
 from hexext.modules import (
+    ModuleMorphism,
     PresentedModule,
     ShortExactSequence,
+    direct_sum,
     hom,
+    lift,
     make_ses,
     split_ses,
     submodule_generated,
@@ -314,6 +322,72 @@ def test_uniqueness_alpha_onto_over_z():
     assert validate_diagram1(d) == []
     rep = check_uniqueness(d)
     assert rep.unique
+
+
+# -- restriction data over R (+) S -------------------------------------------------------
+
+
+def resolved_restriction_data(d, by):
+    """Reference route: pull [rowTop] and [colLeft] back along the
+    projections into Ext^1 of the resolved direct sum."""
+    return (transport_contravariant(class_of_ses(d.row_top), by.rs.project_left)
+            + transport_contravariant(class_of_ses(d.col_left), by.rs.project_right))
+
+
+def resolved_solve_restriction(d, by, tau):
+    """Reference route: restrict along R (+) S -> Y into tau's module."""
+    e_y = ext_module(1, by.y, d.p)
+    e_rs = tau.parent
+    rho = ModuleMorphism(e_y.presentation, e_rs.presentation,
+                         _transport_matrix(e_y, e_rs, lambda x: transport_contravariant(x, by.ses.inject)))
+    x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau.coords], e_rs.presentation.generators))
+    return None if x is None else e_y.class_from_coords(x.col(0))
+
+
+def test_restriction_route_matches_resolved_sum():
+    # Z/6 is semisimple, so its diagrams are all unique and unobstructed; the
+    # other rings supply the obstructed and the non-unique cases
+    outcomes = []
+    for ring in (R4, Zmod(6), Zmod(8), Zmod(9), ZZ):
+        rng = random.Random(f"restriction {ring}")
+        for _ in range(16):
+            d = random_diagram(rng, ring, 16)
+            by = build_Y(d, snake_check=False)
+            tau, ref_tau = _restriction_data(d, by), resolved_restriction_data(d, by)
+            assert _connecting_obstruction(d, by, tau).same_as(_connecting_obstruction(d, by, ref_tau))
+            xi, ref_xi = _solve_restriction(d, by, tau), resolved_solve_restriction(d, by, ref_tau)
+            assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
+            if xi is None:
+                outcomes.append("obstructed")
+                continue
+            assert xi.coords == ref_xi.coords
+            x, ref_x = extend_diagram(d).x, _realize(d, by, ext_module(1, by.y, d.p), ref_xi.cocycle()).x
+            assert (x.free_rank(), x.invariant_factors()) == (ref_x.free_rank(), ref_x.invariant_factors())
+            outcomes.append("unique" if check_uniqueness(d).unique else "not unique")
+    assert min(outcomes.count(k) for k in ("obstructed", "unique", "not unique")) >= 3
+
+
+def test_extend_diagram_never_resolves_the_sum(monkeypatch):
+    firsts = []
+    for mod in (ext_namespace, diagram_module):
+        real = mod.ext_module
+        monkeypatch.setattr(mod, "ext_module", lambda k, q, p, real=real: firsts.append(q) or real(k, q, p))
+    rng = random.Random(11)
+    checked = 0
+    for ring in (R4, Zmod(6), Zmod(9), ZZ):
+        for _ in range(5):
+            d = random_diagram(rng, ring, 16)
+            rs = direct_sum(d.r, d.s).module
+            if not (d.r.generators and d.s.generators) or rs == build_Y(d).y:
+                continue  # R (+) S is then R, S or Y itself, whose Ext is wanted
+            firsts.clear()
+            try:
+                extend_diagram(d)
+            except NotExtendableError:
+                pass
+            assert firsts and rs not in firsts
+            checked += 1
+    assert checked >= 10
 
 
 # -- homomorphism extension -----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cross-version goldens for ``hexext fuzz``.
+"""Cross-version goldens for ``hexext fuzz`` and ``hexext hexagon``.
 
 Two digests per ring, for ``hexext fuzz --ring R --seed 20613 --count 25``:
 
@@ -7,10 +7,14 @@ Two digests per ring, for ``hexext fuzz --ring R --seed 20613 --count 25``:
 - ``invariants``: sha256 of the presentation-independent projection of each
   case (obstruction zero, extended, unique, invariant factors of X).  It
   must never change.
+
+One raw digest of ``hexext hexagon fixtures/injective.json solve F``, under
+the same rule as the fuzz ``raw`` digests.
 """
 
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -21,6 +25,8 @@ SEED, COUNT = 20613, 25
 GOLDEN = {
     "Zmod4": ("4ac51430c03fedc3b60a5f7ec9d4d99108e575f1595ade38bed46f66d8cc7a1b",
               "d27d1158d3632ec8c3c6c14adb4905e9a19a20dc959e1555ede3adc1e919b2f0"),
+    "Zmod6": ("270a0692f5eaeb505144ab50f505a0461dae5ac2f5eef7c10cf23e5fb4d257b8",
+              "9b50319ad3e54e4383a3688d8c86b4445a4a571c6e8bb2f3b71268dda2c75a49"),
     "Zmod8": ("aa93e4973ec28cdd3520339692daee540411117796dc991a6cc06fd6a34c923d",
               "7213610a2b5e30c93facbe779c7fd0bdd5d9147cc8b6770d85578daee3f93d6e"),
     "Zmod9": ("613033a71919bf25be2946ed700ee9b4fbc091ae1fd164ac37df33e6775bec27",
@@ -28,6 +34,8 @@ GOLDEN = {
     "Z": ("6d2080b69d43923027c81fcafa1500d18dbc88290ff2bd91448cb1c106dd6c06",
           "b78d3908e3e7244a62d1020ac1352cbd8ba4920c6831fb38fe65a08a3241a92c"),
 }
+HEXAGON_RAW = "a1fd97b564dd2136d39cc07958b2a7168f77e0c85e3b87ac6cf22d0a31864c20"
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def sha256(text: str) -> str:
@@ -49,3 +57,10 @@ def test_fuzz_golden(ring, capsys):
     raw, inv = GOLDEN[ring]
     assert sha256(json.dumps(invariants(json.loads(out)), sort_keys=True)) == inv
     assert sha256(out) == raw
+
+
+def test_hexagon_golden(capsys):
+    code = main(["hexagon", str(FIXTURES / "injective.json"), "solve", "F"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sha256(out) == HEXAGON_RAW

@@ -1,6 +1,6 @@
 """Exact linear algebra: Smith form invariants, solving, kernels."""
 
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +10,11 @@ from hexext.linalg import (
     ExactMatrix,
     _snf_int,
     kernel_columns,
+    lattice_order,
     lattice_pivot_profile,
     reduce_mod_lattice,
     shrink_generators,
+    smith_lattice,
     solve_linear,
 )
 from hexext.rings import ZZ, Zmod
@@ -366,3 +368,10 @@ def test_hermite_form_is_canonical(a, rnd):
     assert lattice_pivot_profile(a) == lattice_pivot_profile(b)
     vec = tuple(rnd.randint(-20, 20) for _ in range(a.rows))
     assert reduce_mod_lattice(vec, a) == reduce_mod_lattice(vec, b)
+
+
+@given(generator_matrices())
+@settings(max_examples=100, deadline=None)
+def test_lattice_order_is_the_smith_product(a):
+    diag, _u, _uinv = smith_lattice(a)
+    assert lattice_order(a) == (prod(diag) if len(diag) == a.rows else None)
