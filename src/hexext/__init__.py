@@ -37,7 +37,6 @@ from .ext import (
     ext_of_sum,
     free_resolution,
     ses_of_class,
-    transport_class,
     transport_contravariant,
     transport_covariant,
     yoneda_product,
@@ -86,7 +85,7 @@ __all__ = [
     "split_ses", "snake_connecting",
     "FreeResolution", "ExtModule", "ExtClass", "YonedaTwoExtension",
     "free_resolution", "ext_module", "ext_of_sum", "class_of_ses", "ses_of_class",
-    "transport_class", "transport_contravariant", "transport_covariant",
+    "transport_contravariant", "transport_covariant",
     "baer_sum_explicit", "yoneda_product", "connecting_hom",
     "Diagram3x3", "DiagramExtension", "ObstructionReport",
     "validate_diagram1", "obstruction", "build_Y", "extend_diagram",

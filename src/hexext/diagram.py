@@ -26,7 +26,6 @@ from .errors import (
 )
 from .ext import (
     ExtClass,
-    ExtModule,
     class_of_ses,
     connecting_alpha,
     ext_module,
@@ -61,12 +60,6 @@ from .modules import (
     _ses,
 )
 from .rings import prime_factors
-
-# Sign relating the two obstruction routes (Baer sum of spliced products vs.
-# connecting image of the restriction data).  Calibrated once against the
-# product formula pr*(e) u z = e u pr_*(z); the splice implementation makes
-# the two routes agree on the nose.
-OBSTRUCTION_SIGN = 1
 
 
 @dataclass(frozen=True)
@@ -132,8 +125,10 @@ def validate_diagram1(d: Diagram3x3) -> list[str]:
 
 
 def _require_valid(d: Diagram3x3) -> None:
-    """The single validation boundary: every public entry taking a diagram
-    calls this once, first, and works through unchecked private cores."""
+    """The single validation boundary.  Only :func:`obstruction` and
+    :func:`build_Y` call it; every other public entry taking a diagram
+    reaches it through one :func:`build_Y`, first, so each public call
+    validates once."""
     violations = validate_diagram1(d)
     if violations:
         raise InvalidDiagramError(violations)
@@ -177,13 +172,9 @@ class BuildY:
 
 
 def build_Y(d: Diagram3x3, snake_check: bool = True) -> BuildY:
-    """Construct Y with its sequence; optionally cross-validate the derived
-    3x3 grid via the snake lemma."""
+    """Validate the diagram, then construct Y with its sequence; optionally
+    cross-validate the derived 3x3 grid via the snake lemma."""
     _require_valid(d)
-    return _build_Y(d, snake_check)
-
-
-def _build_Y(d: Diagram3x3, snake_check: bool) -> BuildY:
     pb = pullback(d.col_right.project, d.row_bottom.project)
     simp = simplify(pb.module)
     y = simp.module
@@ -270,12 +261,6 @@ def _restriction_data(d: Diagram3x3, by: BuildY) -> ExtClass:
     return ExtClass(e_rs, c_top.coords + c_left.coords)
 
 
-def _connecting_obstruction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass:
-    """Image of tau under Ext^1(R(+)S, P) -> Ext^2(Q, P): splice with the
-    Y-sequence."""
-    return yoneda_product_of_ses(ses_of_class(tau), by.ses)
-
-
 def _solve_restriction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass | None:
     """The canonical class xi in Ext^1(Y, P) restricting to tau, when one
     exists (deterministically the smallest coordinate solution).
@@ -298,10 +283,10 @@ def _solve_restriction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass | N
     return e_y.class_from_coords(x.col(0))
 
 
-def _realize(d: Diagram3x3, by: BuildY, e_y: ExtModule, cocycle: ExactMatrix) -> DiagramExtension:
+def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtension:
     """Middle object from a degree-1 cocycle for Ext^1(Y, P), plus the four
     maps solved from the grid constraints."""
-    x_ses = ses_of_cocycle(e_y, cocycle)
+    x_ses = ses_of_cocycle(ext_module(1, by.y, d.p), cocycle)
     x = x_ses.middle
     iota_p = x_ses.inject
     pi_y = x_ses.project
@@ -322,57 +307,50 @@ def _realize(d: Diagram3x3, by: BuildY, e_y: ExtModule, cocycle: ExactMatrix) ->
     return ext
 
 
-def extend_diagram(d: Diagram3x3, snake_check: bool = True) -> DiagramExtension:
-    """Construct a middle object, or raise :class:`NotExtendableError` with
-    the obstruction report.
-
-    Route: form the restriction data tau over R (+) S, check its connecting
-    image in Ext^2(Q, P) (must match the explicit product obstruction), then
-    solve the restriction map for a class over Y and realize it.
-    """
-    _require_valid(d)
-    by = _build_Y(d, snake_check)
+def _class_over_y(d: Diagram3x3, snake_check: bool) -> tuple[BuildY, ExtClass]:
+    """The extension pipeline every entry shares: validate and build Y, form
+    the restriction data tau over R (+) S, check that its connecting image in
+    Ext^2(Q, P) (splice with the Y-sequence) matches the explicit product
+    obstruction, then solve the restriction map for the class xi over Y.
+    Raises :class:`NotExtendableError` with the obstruction report when the
+    obstruction is nonzero."""
+    by = build_Y(d, snake_check)
     tau = _restriction_data(d, by)
     ob = _obstruction(d)
-    delta_tau = _connecting_obstruction(d, by, tau)
-    expected = ob.baer_sum if OBSTRUCTION_SIGN == 1 else -ob.baer_sum
-    if not delta_tau.same_as(expected):
+    delta_tau = yoneda_product_of_ses(ses_of_class(tau), by.ses)
+    if not delta_tau.same_as(ob.baer_sum):
         raise AssertionError(
             "obstruction routes disagree: connecting image "
             f"{delta_tau.coords} vs product sum {ob.baer_sum.coords}"
         )
     if not ob.is_zero:
         raise NotExtendableError(ob)
-    e_y = ext_module(1, by.y, d.p)
     xi = _solve_restriction(d, by, tau)
     if xi is None:
         raise AssertionError("obstruction vanished but the restriction map has no solution")
-    return _realize(d, by, e_y, xi.cocycle())
+    return by, xi
+
+
+def extend_diagram(d: Diagram3x3, snake_check: bool = True) -> DiagramExtension:
+    """Construct a middle object, or raise :class:`NotExtendableError` with
+    the obstruction report."""
+    by, xi = _class_over_y(d, snake_check)
+    return _realize(d, by, xi.cocycle())
 
 
 def enumerate_extensions(d: Diagram3x3, snake_check: bool = False) -> list[DiagramExtension]:
     """One extension per admissible class in Ext^1(Y, P); the set of classes
     is the coset of the image of Ext^1(Q, P), so the count is bounded by
     ``|Ext^1(Q, P)|``."""
-    _require_valid(d)
-    by = _build_Y(d, snake_check)
-    tau = _restriction_data(d, by)
-    ob = _obstruction(d)
-    if not ob.is_zero:
-        raise NotExtendableError(ob)
-    e_y = ext_module(1, by.y, d.p)
-    xi0 = _solve_restriction(d, by, tau)
-    if xi0 is None:
-        raise AssertionError("obstruction vanished but the restriction map has no solution")
-    e_qp = ext_module(1, d.q, d.p)
+    by, xi0 = _class_over_y(d, snake_check)
     seen = set()
     out = []
-    for c in e_qp.all_classes():
+    for c in ext_module(1, d.q, d.p).all_classes():
         shifted = xi0 + transport_contravariant(c, by.ses.project)
         if shifted.coords in seen:
             continue
         seen.add(shifted.coords)
-        out.append(_realize(d, by, e_y, shifted.cocycle()))
+        out.append(_realize(d, by, shifted.cocycle()))
     return out
 
 
@@ -386,8 +364,7 @@ class UniquenessReport:
 def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     """The middle object's class over Y is unique iff the connecting map
     alpha from Hom(R (+) S, P) onto Ext^1(Q, P) is surjective."""
-    _require_valid(d)
-    by = _build_Y(d, snake_check=False)
+    by = build_Y(d, snake_check=False)
     alpha = connecting_alpha(class_of_ses(by.ses), d.p)
     coker, _proj = morphism_cokernel(alpha)
     return UniquenessReport(coker.is_zero_module(), alpha, coker)
@@ -419,12 +396,11 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
     E (+) H in X1 vanishing on P; (d) extend it to X1; (e) shift phi by the
     extension.
     """
-    _require_valid(d)
+    by = build_Y(d, snake_check=False)
     for k, ext in (("first", ext1), ("second", ext2)):
         bad = validate_extension(d, ext)
         if bad:
             raise InvalidDiagramError([f"{k} extension invalid: " + "; ".join(bad)])
-    by = _build_Y(d, snake_check=False)
     pi1 = _projection_to_y(by, ext1)
     pi2 = _projection_to_y(by, ext2)
     iota1 = ext1.i @ d.col_left.inject

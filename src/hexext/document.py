@@ -75,7 +75,7 @@ def _as_int(v) -> int:
         return v
     if isinstance(v, str):
         t = v[1:] if v.startswith("-") else v
-        if t.isdecimal():
+        if t.isascii() and t.isdigit():
             return int(v)
     raise SemanticError(f"not an integer: {v!r}")
 

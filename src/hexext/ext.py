@@ -347,22 +347,6 @@ def transport_covariant(c: ExtClass, g: ModuleMorphism) -> ExtClass:
     return e2.class_of_cocycle(g.matrix @ c.cocycle())
 
 
-def transport_class(c: ExtClass, f: ModuleMorphism) -> ExtClass:
-    """Transport along ``f`` in whichever variable fits: contravariantly when
-    ``f`` lands in the class's Q, covariantly when it leaves the class's P.
-    Ambiguous endpoints (both match) must use the explicit variants."""
-    into_q = f.target == c.parent.q
-    out_of_p = f.source == c.parent.p
-    if into_q and out_of_p:
-        raise ArgumentMismatchError(
-            "both variables match; call transport_contravariant or transport_covariant")
-    if into_q:
-        return transport_contravariant(c, f)
-    if out_of_p:
-        return transport_covariant(c, f)
-    raise ArgumentMismatchError("morphism endpoints match neither Ext argument")
-
-
 def pullback_ses(s: ShortExactSequence, f: ModuleMorphism) -> ShortExactSequence:
     """Sequence-level pullback along ``f : Q' -> Q``; class equals the
     contravariant transport."""

@@ -84,13 +84,8 @@ class PresentedModule:
         return _structure(self)[0]
 
     def cardinality(self) -> int | None:
-        fr, facs = _structure(self)
-        if fr:
-            return None
-        out = 1
-        for f in facs:
-            out *= f
-        return out
+        """The module's order, ``None`` when its free rank is positive."""
+        return lattice_order(self.relations)
 
     def is_zero_module(self) -> bool:
         return self.cardinality() == 1
@@ -187,10 +182,7 @@ class ModuleMorphism:
         return _first_outside(preimage_kernel_columns(self), self.source.relations) is None
 
     def is_surjective(self) -> bool:
-        coker = self.target.relations.hstack(self.matrix)
-        if self.source.ring.is_modular:
-            return lattice_order(coker) == 1
-        return PresentedModule(self.target.ring, self.target.generators, coker).is_zero_module()
+        return lattice_order(self.target.relations.hstack(self.matrix)) == 1
 
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -401,8 +393,9 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
     orders read off cached Hermite pivots: ``f : A -> B`` is injective iff
     ``|B| = |A| |coker f|``, surjective iff ``|coker f| = 1``, and, once
     ``g f = 0``, ``A -> B -> C`` is exact at B iff ``|coker f| |coker g| =
-    |C|``.  No kernel is built.  Over Z the kernel of each map is compared
-    with the image of the one before.
+    |C|``.  No kernel is built.  Over Z surjectivity counts the same way,
+    and elsewhere the kernel of each map is compared with the image of the
+    one before.
     """
     for i in range(len(maps) - 1):
         if maps[i].target != maps[i + 1].source:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Diagram3x3, DiagramExtension, _realize, _restriction_data, _solve_restriction, build_Y
+from .diagram import Diagram3x3, DiagramExtension, _class_over_y, _realize
 from .ext import ext_module, ses_of_class
 from .hexagon import HexagonFrame
 from .linalg import ExactMatrix
@@ -149,21 +149,14 @@ def perturb_extension(rng: random.Random, d: Diagram3x3, ext: DiagramExtension) 
 def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExtension:
     """Run the extension pipeline but realize the class from a different
     cocycle representative (shifted by a random coboundary), yielding a
-    differently presented middle object of the same class."""
-    by = build_Y(d, snake_check=False)
-    tau = _restriction_data(d, by)
-    xi = _solve_restriction(d, by, tau)
-    if xi is None:
-        from .errors import NotExtendableError
-
-        raise NotExtendableError(None, "diagram does not extend")
-    e_y = ext_module(1, by.y, d.p)
-    res = e_y.resolution
-    ring = d.p.ring
+    differently presented middle object of the same class.  Raises
+    :class:`NotExtendableError` with the obstruction report, as
+    :func:`extend_diagram` does."""
+    by, xi = _class_over_y(d, snake_check=False)
+    res = xi.parent.resolution
     psi = ExactMatrix.from_rows(
-        ring,
+        d.p.ring,
         [[rng.randrange(0, 4) for _ in range(res.f0)] for _ in range(d.p.generators)],
         res.f0,
     )
-    cocycle = xi.cocycle() + (psi @ res.d1)
-    return _realize(d, by, e_y, cocycle)
+    return _realize(d, by, xi.cocycle() + (psi @ res.d1))

@@ -132,10 +132,17 @@ MIXED_RINGS = {
     ({"diagrams": {"D": 5}}, ["validate", "M"]),
     ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": ["R"], "generators": 1}}}, ["validate", "M"]),
     ({"rings": {"R": {"kind": "Zmod", "m": "\u00b2"}}}, ["validate", "M"]),
+    ({"rings": {"R": {"kind": "Zmod", "m": "\u0664"}}, "modules": {"M": {"ring": "R", "generators": 1}}},
+     ["validate", "M"]),
+    ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": [["\u0663"]]}}},
+     ["validate", "M"]),
+    ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": []}},
+      "morphisms": {"f": {"source": "M", "target": "M", "matrix": [["\uff10"]]}}}, ["validate", "f"]),
     (MIXED_RINGS, ["ext", "-i", "1", "Q", "P"]),
     (MIXED_RINGS, ["oracle-compare", "Q", "P"]),
 ], ids=["ring-not-object", "modulus-1", "flat-relations", "modules-not-object", "diagram-not-object",
-        "list-as-name", "superscript-digit", "ext-mixed-rings", "oracle-compare-mixed-rings"])
+        "list-as-name", "superscript-digit", "arabic-indic-modulus", "arabic-indic-relation-entry",
+        "full-width-matrix-entry", "ext-mixed-rings", "oracle-compare-mixed-rings"])
 def test_malformed_document_exits_2(tmp_path, capsys, doc, command):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc), encoding="utf-8")

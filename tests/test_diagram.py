@@ -14,7 +14,7 @@ import hexext.modules as modules_module
 from hexext.diagram import (
     Diagram3x3,
     DiagramExtension,
-    _connecting_obstruction,
+    ObstructionReport,
     _realize,
     _restriction_data,
     _solve_restriction,
@@ -36,7 +36,14 @@ from hexext.errors import (
     LambdaNotExtendableError,
     NotExtendableError,
 )
-from hexext.ext import _transport_matrix, class_of_ses, ext_module, ses_of_class, transport_contravariant
+from hexext.ext import (
+    _transport_matrix,
+    class_of_ses,
+    ext_module,
+    ses_of_class,
+    transport_contravariant,
+    yoneda_product_of_ses,
+)
 from hexext.linalg import ExactMatrix
 from hexext.modules import (
     ModuleMorphism,
@@ -142,6 +149,7 @@ ENTRIES = {
     "enumerate_extensions": lambda d, ext: enumerate_extensions(d),
     "check_uniqueness": lambda d, ext: check_uniqueness(d),
     "compatible_isomorphism": lambda d, ext: compatible_isomorphism(d, ext, ext),
+    "extend_with_variant_cocycle": lambda d, ext: extend_with_variant_cocycle(random.Random(0), d),
 }
 
 
@@ -152,8 +160,38 @@ def test_entry_validates_diagram_once(entry, monkeypatch):
     seen = []
     real = diagram_module.validate_diagram1
     monkeypatch.setattr(diagram_module, "validate_diagram1", lambda dg: seen.append(dg) or real(dg))
+    pullbacks = []
+    real_pullback = diagram_module.pullback
+    monkeypatch.setattr(diagram_module, "pullback", lambda f, g: pullbacks.append(f) or real_pullback(f, g))
     ENTRIES[entry](d, ext)
     assert len(seen) == 1 and seen[0] is d
+    # Y = F x_Q G is built at most once per call
+    assert len(pullbacks) <= 1
+
+
+@pytest.mark.parametrize("entry", ["enumerate_extensions", "extend_diagram", "extend_with_variant_cocycle"])
+def test_entry_checks_obstruction_routes_agree(entry, monkeypatch):
+    # a product obstruction shifted off the connecting image, still reported
+    # as zero, must stop every extending entry before it realizes anything
+    d = all_split()
+    real = diagram_module._obstruction
+
+    def shifted(dg):
+        ob = real(dg)
+        one = ob.baer_sum.parent.class_from_coords((1,))
+        return ObstructionReport(ob.yoneda_ef, ob.yoneda_hg, ob.baer_sum + one, True)
+
+    assert not real(d).baer_sum.parent.class_from_coords((1,)).is_zero()
+    monkeypatch.setattr(diagram_module, "_obstruction", shifted)
+    with pytest.raises(AssertionError, match="obstruction routes disagree"):
+        ENTRIES[entry](d, None)
+
+
+def test_variant_cocycle_reports_obstruction():
+    d = parse((FIXTURES / "obstructed.json").read_text(encoding="utf-8")).diagrams["D"]
+    with pytest.raises(NotExtendableError) as exc:
+        extend_with_variant_cocycle(random.Random(0), d)
+    assert exc.value.report is not None and not exc.value.report.is_zero
 
 
 def test_extend_diagram_checks_only_solved_maps(monkeypatch):
@@ -354,14 +392,15 @@ def test_restriction_route_matches_resolved_sum():
             d = random_diagram(rng, ring, 16)
             by = build_Y(d, snake_check=False)
             tau, ref_tau = _restriction_data(d, by), resolved_restriction_data(d, by)
-            assert _connecting_obstruction(d, by, tau).same_as(_connecting_obstruction(d, by, ref_tau))
+            delta, ref_delta = (yoneda_product_of_ses(ses_of_class(t), by.ses) for t in (tau, ref_tau))
+            assert delta.same_as(ref_delta)
             xi, ref_xi = _solve_restriction(d, by, tau), resolved_solve_restriction(d, by, ref_tau)
             assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
             if xi is None:
                 outcomes.append("obstructed")
                 continue
             assert xi.coords == ref_xi.coords
-            x, ref_x = extend_diagram(d).x, _realize(d, by, ext_module(1, by.y, d.p), ref_xi.cocycle()).x
+            x, ref_x = extend_diagram(d).x, _realize(d, by, ref_xi.cocycle()).x
             assert (x.free_rank(), x.invariant_factors()) == (ref_x.free_rank(), ref_x.invariant_factors())
             outcomes.append("unique" if check_uniqueness(d).unique else "not unique")
     assert min(outcomes.count(k) for k in ("obstructed", "unique", "not unique")) >= 3

@@ -89,3 +89,26 @@ def test_fixture_contents():
     assert "D" in model.diagrams and "F" in model.hexagons
     model = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
     assert set(model.extensions) == {"X1", "X1b", "X2"}
+
+
+NON_ASCII_DIGITS = {
+    "modulus": {"rings": {"R": {"kind": "Zmod", "m": "٤"}}},
+    "relation-entry": {"rings": {"R": {"kind": "Z"}},
+                       "modules": {"M": {"ring": "R", "generators": 1, "relations": [["٣"]]}}},
+    "matrix-entry": {"rings": {"R": {"kind": "Z"}},
+                     "modules": {"M": {"ring": "R", "generators": 1, "relations": []}},
+                     "morphisms": {"f": {"source": "M", "target": "M", "matrix": [["０"]]}}},
+}
+
+
+@pytest.mark.parametrize("where", sorted(NON_ASCII_DIGITS))
+def test_non_ascii_digit_strings_rejected(where):
+    # serialize writes ASCII digits only, so anything else is not an integer
+    with pytest.raises(SemanticError, match="not an integer"):
+        parse(json.dumps(NON_ASCII_DIGITS[where]))
+
+
+def test_ascii_digit_strings_accepted():
+    doc = {"rings": {"R": {"kind": "Zmod", "m": "4"}},
+           "modules": {"M": {"ring": "R", "generators": 1, "relations": [["-2"]]}}}
+    assert parse(json.dumps(doc)).modules["M"].cardinality() == 2

@@ -1,6 +1,7 @@
 """Presented modules, morphisms, and the categorical constructions."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -334,9 +335,38 @@ def _kernel_route_injective(f):
     return modules._first_outside(modules.preimage_kernel_columns(f), f.source.relations) is None
 
 
+def _structure_order(m):
+    """Reference: the order read off the Smith form of the relations, as
+    ``modules._structure`` reads it; ``None`` when the free rank is positive."""
+    diag = linalg.smith_lattice(m.relations)[0]
+    return None if len(diag) < m.generators else math.prod(diag)
+
+
 def _kernel_route_surjective(f):
     coker = PresentedModule(f.target.ring, f.target.generators, f.target.relations.hstack(f.matrix))
-    return coker.is_zero_module()
+    return _structure_order(coker) == 1
+
+
+@st.composite
+def maps_with_orders(draw):
+    """A random module (with free summands over Z), a random map out of it
+    and the projection onto its cokernel, which is always surjective."""
+    ring = draw(st.sampled_from([ZZ, Zmod(4), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    mod = lambda: random_module(rng, ring, 24, free_rank_chance=0.4)
+    f = random_hom(rng, mod(), mod())
+    return f, morphism_cokernel(f)[1]
+
+
+@given(maps_with_orders())
+@settings(max_examples=120, deadline=None)
+def test_orders_match_structure_route(case):
+    for f in case:
+        for m in (f.source, f.target):
+            assert m.cardinality() == _structure_order(m)
+            assert m.is_zero_module() == (_structure_order(m) == 1)
+        assert f.is_surjective() == _kernel_route_surjective(f)
+    assert case[1].is_surjective()
 
 
 def _kernel_route_report(maps, left_zero, right_zero):
@@ -425,9 +455,10 @@ def test_exactness_over_zm_builds_no_smith_form(monkeypatch):
     assert inject4.is_injective() and not project4.is_injective()
     assert project4.is_surjective() and not inject4.is_surjective()
     assert make_ses(inject4, project4).middle == Z4m
-    # over Z the kernel route stays
+    # over Z surjectivity counts too, and the kernel route stays for the rest
+    assert project.is_surjective() and not inject.is_surjective()
     for call in (lambda: exactness_report([inject, project]), inject.is_injective,
-                 project.is_surjective, lambda: make_ses(inject, project)):
+                 lambda: make_ses(inject, project)):
         with pytest.raises(AssertionError, match="reached the Smith form"):
             call()
 

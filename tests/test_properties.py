@@ -7,7 +7,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexext.diagram import OBSTRUCTION_SIGN
 from hexext.ext import (
     ExtClass,
     class_of_ses,
@@ -16,7 +15,6 @@ from hexext.ext import (
     pushout_ses,
     ses_of_class,
     ses_of_cocycle,
-    transport_class,
     transport_contravariant,
     transport_covariant,
     yoneda_product,
@@ -28,7 +26,6 @@ from hexext.modules import (
     check_well_defined,
     direct_sum,
     hom,
-    identity_morphism,
     is_exact,
     make_ses,
     morphism_cokernel,
@@ -141,8 +138,7 @@ def test_snake_chase_on_seeded_family():
 
 def test_connecting_image_is_yoneda_product():
     # the degree-1 connecting map of the classifying sequence computes the
-    # product: delta1(e) == e spliced with [ses], with the frozen sign
-    assert OBSTRUCTION_SIGN == 1
+    # product: delta1(e) == e spliced with [ses], with sign +1
     rng = random.Random(15)
     for ring in (R4, R8, R9):
         for _ in range(6):
@@ -161,22 +157,18 @@ def test_connecting_image_is_yoneda_product():
                 assert direct.parent.presentation.canonical_rep(via_ladder) == direct.coords
 
 
-def test_transport_class_dispatch():
+def test_transport_variants_check_their_endpoint():
     z2 = PresentedModule.cyclic(R4, 2)
     e = ext_module(1, z2, PresentedModule.free(R4, 1))
     c = e.class_from_coords(tuple(0 for _ in range(e.presentation.generators)))
     other = PresentedModule.cyclic(R4, 4)
-    f_into_q = zero_morphism(other, z2)
-    assert transport_class(c, f_into_q).parent.q == other
-    g_out_of_p = zero_morphism(PresentedModule.free(R4, 1), other)
-    assert transport_class(c, g_out_of_p).parent.p == other
+    assert transport_contravariant(c, zero_morphism(other, z2)).parent.q == other
+    assert transport_covariant(c, zero_morphism(PresentedModule.free(R4, 1), other)).parent.p == other
+    # a map that misses the variable's endpoint is refused by each variant
     with pytest.raises(ArgumentMismatchError):
-        transport_class(c, zero_morphism(other, other))
-    # ambiguous when P = Q
-    e2 = ext_module(1, z2, z2)
-    c2 = e2.class_from_coords((0,))
+        transport_contravariant(c, zero_morphism(other, other))
     with pytest.raises(ArgumentMismatchError):
-        transport_class(c2, identity_morphism(z2))
+        transport_covariant(c, zero_morphism(other, other))
 
 
 @pytest.mark.slow
