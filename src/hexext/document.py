@@ -76,7 +76,10 @@ def _as_int(v) -> int:
     if isinstance(v, str):
         t = v[1:] if v.startswith("-") else v
         if t.isascii() and t.isdigit():
-            return int(v)
+            try:
+                return int(v)
+            except ValueError as exc:  # Python's limit on digits per int
+                raise SemanticError(f"integer string of {len(t)} digits: {exc}") from exc
     raise SemanticError(f"not an integer: {v!r}")
 
 
@@ -126,6 +129,8 @@ def parse(text: str) -> DocumentModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ParseError(None, str(exc)) from exc
     except RecursionError as exc:
         raise ParseError(None, "document nests too deeply") from exc
     if not isinstance(doc, dict):

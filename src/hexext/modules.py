@@ -175,10 +175,11 @@ class ModuleMorphism:
         return _first_outside(self.matrix, self.target.relations) is None
 
     def is_injective(self) -> bool:
-        if self.source.ring.is_modular:
-            coker = self.target.relations.hstack(self.matrix)
-            source, target = lattice_order(self.source.relations), lattice_order(self.target.relations)
-            return target == source * lattice_order(coker)
+        """Counted as ``|B| = |A| |coker f|`` when source and target are
+        finite; otherwise the kernel must lie in the source relation span."""
+        source, target = lattice_order(self.source.relations), lattice_order(self.target.relations)
+        if source is not None and target is not None:
+            return target == source * lattice_order(self.target.relations.hstack(self.matrix))
         return _first_outside(preimage_kernel_columns(self), self.source.relations) is None
 
     def is_surjective(self) -> bool:
@@ -389,13 +390,15 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
     ``exact``, ``composite nonzero`` (image not inside kernel) and ``image
     strictly smaller than kernel``.
 
-    Over Z/m every module is finite, and exactness is decided by counting
-    orders read off cached Hermite pivots: ``f : A -> B`` is injective iff
-    ``|B| = |A| |coker f|``, surjective iff ``|coker f| = 1``, and, once
-    ``g f = 0``, ``A -> B -> C`` is exact at B iff ``|coker f| |coker g| =
-    |C|``.  No kernel is built.  Over Z surjectivity counts the same way,
-    and elsewhere the kernel of each map is compared with the image of the
-    one before.
+    Each position is decided by counting orders read off cached Hermite
+    pivots whenever the orders it needs are finite, on either ring:
+    ``f : A -> B`` with A and B finite is injective iff ``|B| = |A| |coker
+    f|``; every map is surjective iff ``|coker f| = 1``; and, once ``g f =
+    0``, ``A -> B -> C`` with B and C finite is exact at B iff ``|coker f|
+    |coker g| = |C|`` (``im f`` lies in the finite B, so A may be
+    infinite).  No kernel is built.  Over Z/m every module is finite; over
+    Z, when a needed order is infinite, the kernel of the map is compared
+    with the source relations or with the image of the map before.
     """
     for i in range(len(maps) - 1):
         if maps[i].target != maps[i + 1].source:
@@ -409,10 +412,11 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
         if not comp.is_zero():
             out.append((f"interior {i}", COMPOSITE_NONZERO))
             continue
-        if g.source.ring.is_modular:
+        middle, target = lattice_order(g.source.relations), lattice_order(g.target.relations)
+        if middle is not None and target is not None:
             coker_f = f.target.relations.hstack(f.matrix)
             coker_g = g.target.relations.hstack(g.matrix)
-            ok = lattice_order(coker_f) * lattice_order(coker_g) == lattice_order(g.target.relations)
+            ok = lattice_order(coker_f) * lattice_order(coker_g) == target
         else:
             ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))

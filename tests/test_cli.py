@@ -116,6 +116,16 @@ def test_deeply_nested_document_exits_2(tmp_path, capsys, text):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["7" * 5000, '"' + "7" * 5000 + '"'], ids=["literal", "string"])
+def test_integer_beyond_digit_limit_exits_2(tmp_path, capsys, entry):
+    p = tmp_path / "bigint.json"
+    p.write_text('{"rings": {"R": {"kind": "Z"}}, "modules": {"A": {"ring": "R", "generators": 1, '
+                 '"relations": [[' + entry + ']]}}}', encoding="utf-8")
+    assert main(["validate", str(p), "A"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "digits" in err and "Traceback" not in err
+
+
 MIXED_RINGS = {
     "rings": {"Z": {"kind": "Z"}, "R4": {"kind": "Zmod", "m": 4}},
     "modules": {"Q": {"ring": "Z", "generators": 1, "relations": [[2]]},

@@ -112,3 +112,20 @@ def test_ascii_digit_strings_accepted():
     doc = {"rings": {"R": {"kind": "Zmod", "m": "4"}},
            "modules": {"M": {"ring": "R", "generators": 1, "relations": [["-2"]]}}}
     assert parse(json.dumps(doc)).modules["M"].cardinality() == 2
+
+
+def _relation_entry_document(entry: str) -> str:
+    """A module over Z with one relation entry, written as raw JSON text."""
+    return ('{"rings": {"R": {"kind": "Z"}}, "modules": {"A": {"ring": "R", "generators": 1, '
+            '"relations": [[' + entry + ']]}}}')
+
+
+def test_integer_literal_beyond_digit_limit_is_parse_error():
+    # Python refuses to convert more than 4,300 digits, inside json.loads
+    with pytest.raises(ParseError, match="4300 digits"):
+        parse(_relation_entry_document("7" * 5000))
+
+
+def test_integer_string_beyond_digit_limit_is_semantic_error():
+    with pytest.raises(SemanticError, match="integer string of 5000 digits"):
+        parse(_relation_entry_document('"' + "7" * 5000 + '"'))

@@ -370,8 +370,8 @@ def test_orders_match_structure_route(case):
 
 
 def _kernel_route_report(maps, left_zero, right_zero):
-    """Reference: exactness read off kernel generators, the route taken over
-    every ring before orders decided it over Z/m."""
+    """Reference: exactness read off kernel generators, the route taken
+    whenever an order it would count is infinite."""
     out = []
     if left_zero:
         out.append(("left", "exact" if _kernel_route_injective(maps[0]) else "image strictly smaller than kernel"))
@@ -394,8 +394,9 @@ def _random_chain(rng, ring):
     """1-3 composable maps over the ring: random morphisms between random
     modules, or a short exact sequence whose maps may be scaled and which
     may be extended by a random map at either end, so that exact, composite
-    nonzero and image-proper positions all occur."""
-    mod = lambda: random_module(rng, ring, 24)
+    nonzero and image-proper positions all occur.  Over Z some modules have
+    a free summand, so both the counting and the kernel route are taken."""
+    mod = lambda: random_module(rng, ring, 24, free_rank_chance=0.3)
     if rng.randrange(2):
         objs = [mod() for _ in range(rng.randint(2, 4))]
         return [random_hom(rng, a, b) for a, b in zip(objs, objs[1:])]
@@ -421,7 +422,7 @@ def _assert_routes_agree(maps, left_zero, right_zero):
     return report
 
 
-@given(ring=st.sampled_from(ZM_RINGS), seed=st.integers(0, 2**32 - 1),
+@given(ring=st.sampled_from([ZZ] + ZM_RINGS), seed=st.integers(0, 2**32 - 1),
        left_zero=st.booleans(), right_zero=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_exactness_by_orders_matches_kernel_route(ring, seed, left_zero, right_zero):
@@ -439,8 +440,9 @@ def test_random_chains_reach_every_verdict():
         ("interior", verdict) for verdict in ("exact", "composite nonzero", "image strictly smaller than kernel")}
 
 
-def test_exactness_over_zm_builds_no_smith_form(monkeypatch):
-    inject4, project4 = hom(Z2m, Z4m, [[2]]), hom(Z4m, Z2m, [[1]])
+def test_finite_exactness_builds_no_smith_form(monkeypatch):
+    # finite modules are counted on either ring; a free module keeps the kernel route
+    finite = [(hom(Z2m, Z4m, [[2]]), hom(Z4m, Z2m, [[1]])), (hom(Z2z, Z4z, [[2]]), hom(Z4z, Z2z, [[1]]))]
     inject, project = hom(Zf, Zf, [[2]]), hom(Zf, Z2z, [[1]])
     for layer in (linalg, modules):
         for obj in vars(layer).values():
@@ -451,14 +453,16 @@ def test_exactness_over_zm_builds_no_smith_form(monkeypatch):
         raise AssertionError("reached the Smith form")
 
     monkeypatch.setattr(linalg, "_snf_int", smith)
-    assert is_exact([inject4, project4]) and not is_exact([project4, inject4])
-    assert inject4.is_injective() and not project4.is_injective()
-    assert project4.is_surjective() and not inject4.is_surjective()
-    assert make_ses(inject4, project4).middle == Z4m
-    # over Z surjectivity counts too, and the kernel route stays for the rest
+    for i, p in finite:
+        assert is_exact([i, p]) and not is_exact([p, i])
+        assert exactness_report([i, p])[1] == ("interior 0", "exact")
+        assert i.is_injective() and not p.is_injective()
+        assert p.is_surjective() and not i.is_surjective()
+        assert make_ses(i, p).middle == i.target
+    # surjectivity counts even with a free module; injectivity and the interior do not
     assert project.is_surjective() and not inject.is_surjective()
-    for call in (lambda: exactness_report([inject, project]), inject.is_injective,
-                 lambda: make_ses(inject, project)):
+    for call in (inject.is_injective, lambda: exactness_report([inject, project], False, False),
+                 lambda: exactness_report([inject, project]), lambda: make_ses(inject, project)):
         with pytest.raises(AssertionError, match="reached the Smith form"):
             call()
 

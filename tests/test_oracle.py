@@ -210,7 +210,13 @@ class _DigitGroup:
             r = self.encode(col)
             order = lcm(1, *(o // gcd(d, o) for d, o in zip(self.digits(r), radix)))
             self.span = {self._raw_combination((1, k), (s, r)) for s in self.span for k in range(order)}
-        self.elements = sorted({self.canon(c) for c in range(prod(radix))})
+        # walk each coset of the span once, mapping every code to its least
+        self.least = {}
+        for c in range(prod(radix)):
+            if c not in self.least:
+                coset = [self._raw_combination((1, 1), (c, s)) for s in self.span]
+                self.least.update(dict.fromkeys(coset, min(coset)))
+        self.elements = sorted(set(self.least.values()))
 
     def digits(self, code):
         return [code // w % o for w, o in zip(self.weights, self.radix)]
@@ -225,7 +231,7 @@ class _DigitGroup:
         return self.encode(total)
 
     def canon(self, code):
-        return min(self._raw_combination((1, 1), (code, s)) for s in self.span)
+        return self.least[code]
 
     def add(self, a, b):
         return self.canon(self._raw_combination((1, 1), (a, b)))
