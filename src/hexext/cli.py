@@ -78,7 +78,11 @@ def _matrix_report(mat) -> list[list[int]]:
 
 
 def _emit(report: dict, code: int) -> int:
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2)
+    except ValueError as exc:  # an integer of the answer beyond Python's digit limit
+        raise SemanticError(f"the answer cannot be written: {exc}") from exc
+    sys.stdout.write(text + "\n")
     return code
 
 

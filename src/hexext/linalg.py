@@ -321,9 +321,10 @@ def _kernel_int(data: IntRows, nrows: int, ncols: int) -> list[tuple[int, ...]]:
     return [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
 
 
-def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
-    """The canonical solution ``x`` of ``A x = b`` over the matrix's ring, as
-    a tuple; ``None`` when unsolvable.
+def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None = None) -> tuple[int, ...] | None:
+    """The first ``k`` entries (all of them by default) of the canonical
+    solution ``x`` of ``A x = b`` over the matrix's ring, as a tuple; ``None``
+    when unsolvable.
 
     The canonical solution is the representative, reduced by
     :func:`reduce_mod_lattice`, of the coset of solutions modulo the solution
@@ -333,16 +334,23 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int]) -> tuple[int, .
     coordinates.
 
     ``(b; 0)`` is reduced against the cached Hermite form of the graph
-    lattice spanned by the columns of ``[A; -I]`` (and ``m * Z^(rows+cols)``
+    lattice spanned by the columns of ``[A; -I_k 0]`` (and ``m * Z^(rows+k)``
     over Z/m): ``b`` is reachable exactly when the top rows reduce to zero,
-    and the bottom rows are then the canonical solution.  No Smith form is
-    built.  The library solves only through ``modules.lift``.
+    and the bottom rows are then the first k entries of the canonical
+    solution.  The identity rows of the unknowns past k are left out: a
+    column Hermite form is zero above each pivot, so its first ``rows + k``
+    rows are the Hermite form of the full graph's projection to those rows,
+    and the pivots below them never touch the entries read.  No Smith form
+    is built.  The library solves only through ``modules.lift``.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
     n = a.cols
-    graph = a.data + tuple((0,) * i + (-1,) + (0,) * (n - 1 - i) for i in range(n))
-    v = _reduce_by_pivots([int(t) for t in b] + [0] * n, _hermite_cols(graph, a.ring.modulus or 0)[0])
+    k = n if k is None else k
+    if not 0 <= k <= n:
+        raise ValueError("number of unknowns out of range")
+    graph = a.data + tuple((0,) * i + (-1,) + (0,) * (n - 1 - i) for i in range(k))
+    v = _reduce_by_pivots([int(t) for t in b] + [0] * k, _hermite_cols(graph, a.ring.modulus or 0)[0])
     if any(v[: a.rows]):
         return None
     return tuple(v[a.rows:])

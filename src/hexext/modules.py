@@ -517,16 +517,19 @@ def lift(f: ModuleMorphism, rhs: ExactMatrix) -> ExactMatrix | None:
     column, equality read in ``f``'s target; ``None`` when some column of
     ``rhs`` lies outside ``im(f)``.
 
+    Each column is one solve of ``[A | R] (x; y) = b`` for ``A = f.matrix``
+    and the target's relations ``R``; only the ``g`` source unknowns ``x``
+    are asked for, so the slack ``y`` gets no rows in the solver's graph.
     Every linear solve of the library goes through here.
     """
     sysm = f.matrix.hstack(f.target.relations)
     g = f.source.generators
     cols = []
     for j in range(rhs.cols):
-        x = solve_linear(sysm, rhs.col(j))
+        x = solve_linear(sysm, rhs.col(j), g)
         if x is None:
             return None
-        cols.append(x[:g])
+        cols.append(x)
     return ExactMatrix(f.source.ring, g, rhs.cols, tuple(zip(*cols)) if cols else ((),) * g)
 
 

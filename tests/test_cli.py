@@ -126,6 +126,17 @@ def test_integer_beyond_digit_limit_exits_2(tmp_path, capsys, entry):
     assert err.startswith("input error:") and "digits" in err and "Traceback" not in err
 
 
+def test_answer_beyond_digit_limit_exits_2(tmp_path, capsys):
+    # both 2,500-digit entries parse, but Ext^0(A, A) has an invariant factor of 4,998 digits
+    p = tmp_path / "bigout.json"
+    p.write_text('{"rings": {"R": {"kind": "Z"}}, "modules": {"A": {"ring": "R", "generators": 2, '
+                 '"relations": [[' + "7" * 2500 + ', 0], [0, 1' + "0" * 2498 + '1]]}}}', encoding="utf-8")
+    assert main(["ext", str(p), "-i", "0", "A", "A"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error:") and "digits" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 MIXED_RINGS = {
     "rings": {"Z": {"kind": "Z"}, "R4": {"kind": "Zmod", "m": 4}},
     "modules": {"Q": {"ring": "Z", "generators": 1, "relations": [[2]]},

@@ -135,6 +135,10 @@ def test_solve_mod4_with_kernel():
 def test_solve_identity():
     a = ExactMatrix.identity(ZZ, 3)
     assert solve_linear(a, [5, -7, 11]) == (5, -7, 11)
+    assert solve_linear(a, [5, -7, 11], 2) == (5, -7)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="unknowns"):
+            solve_linear(a, [5, -7, 11], k)
     assert kernel_columns(a).cols == 0
 
 
@@ -205,6 +209,10 @@ def test_solve_matches_smith_route(system):
     a, b = system
     ref = smith_route(a, b)
     sol = solve_linear(a, b)
+    # asking for the k leading unknowns reads them off the shorter graph
+    # [A; -I_k 0]: the same verdict and, to the bit, the same entries
+    for k in range(a.cols + 1):
+        assert solve_linear(a, b, k) == (None if sol is None else sol[:k])
     if ref is None:
         assert sol is None and solve_linear(a, b) is None
         return

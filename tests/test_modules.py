@@ -279,6 +279,23 @@ def test_lift_solves_in_the_target_or_returns_none():
     assert lift(f, ExactMatrix.from_rows(ZZ, [[2, 1]], 2)) is None
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Zmod12"])
+def test_lift_graph_has_rows_only_for_the_source_unknowns(monkeypatch, ring):
+    # the slack unknowns of the target's three relations get no identity
+    # rows: each column is solved on [A | R; -I_g 0], rows + g rows high
+    source = PresentedModule.free(ring, 2)
+    target = PresentedModule.make(ring, 3, [[2, 0, 0], [0, 3, 0], [1, 1, 6]])
+    f = hom(source, target, [[1, 2], [0, 1], [3, 5]])
+    rhs = f.matrix @ ExactMatrix.from_rows(ring, [[1, 4], [2, 7]], 2)
+    shapes = []
+    real = linalg._hermite_cols
+    monkeypatch.setattr(linalg, "_hermite_cols", lambda data, m: shapes.append((len(data), len(data[0]))) or real(data, m))
+    x = lift(f, rhs)
+    assert shapes == [(target.generators + source.generators, source.generators + 3)] * rhs.cols
+    full = f.matrix.hstack(target.relations)
+    assert [x.col(j) for j in range(rhs.cols)] == [solve_linear(full, rhs.col(j))[:2] for j in range(rhs.cols)]
+
+
 def test_pushout_identity_legs():
     po = pushout(identity_morphism(Z4m), identity_morphism(Z4m))
     assert po.module.is_isomorphic_to(Z4m)
