@@ -46,6 +46,8 @@ from .modules import (
     direct_sum,
     exactness_violations,
     hom,
+    identity_morphism,
+    is_exact,
     lift,
     lift_through_inclusion,
     make_ses,
@@ -124,12 +126,37 @@ def validate_diagram1(d: Diagram3x3) -> list[str]:
     return out
 
 
+# The last diagram analysed, under "diagram", and the facts known of it.
+_last: dict = {"diagram": None}
+
+
+def _known(d: Diagram3x3, fact: str, compute):
+    """``compute(d)``, kept while ``d`` is the last diagram analysed.
+
+    Callers ask ``obstruction``, ``extend_diagram`` and ``check_uniqueness``
+    of one diagram in turn, so the validation verdict, the Y core and the
+    product obstruction are each computed once per diagram object.  The
+    slot is keyed on identity, so nothing is hashed (hashing the nested
+    frozen diagram cost most of what a value-keyed cache saved), and the
+    next diagram replaces it, so one diagram is held at a time.  A fact is
+    stored only once ``compute`` returns, so one that raises is computed
+    again on every call."""
+    global _last
+    memo = _last
+    if memo["diagram"] is not d:
+        memo = _last = {"diagram": d}
+    if fact not in memo:
+        memo[fact] = compute(d)
+    return memo[fact]
+
+
 def _require_valid(d: Diagram3x3) -> None:
     """The single validation boundary.  Only :func:`obstruction` and
     :func:`build_Y` call it; every other public entry taking a diagram
-    reaches it through one :func:`build_Y`, first, so each public call
-    validates once."""
-    violations = validate_diagram1(d)
+    reaches it through one :func:`build_Y`, first.  The verdict is kept
+    with the last diagram analysed, so a diagram is validated once per
+    diagram object, and an invalid one raises on every call."""
+    violations = _known(d, "violations", lambda dg: tuple(validate_diagram1(dg)))
     if violations:
         raise InvalidDiagramError(violations)
 
@@ -145,7 +172,7 @@ class ObstructionReport:
 def obstruction(d: Diagram3x3) -> ObstructionReport:
     """The extendability obstruction: both spliced products and their sum."""
     _require_valid(d)
-    return _obstruction(d)
+    return _known(d, "obstruction", _obstruction)
 
 
 def _obstruction(d: Diagram3x3) -> ObstructionReport:
@@ -175,6 +202,13 @@ def build_Y(d: Diagram3x3, snake_check: bool = True) -> BuildY:
     """Validate the diagram, then construct Y with its sequence; optionally
     cross-validate the derived 3x3 grid via the snake lemma."""
     _require_valid(d)
+    by = _known(d, "y", _y_core)
+    if snake_check:
+        _snake_check(d, by)
+    return by
+
+
+def _y_core(d: Diagram3x3) -> BuildY:
     pb = pullback(d.col_right.project, d.row_bottom.project)
     simp = simplify(pb.module)
     y = simp.module
@@ -188,20 +222,19 @@ def build_Y(d: Diagram3x3, snake_check: bool = True) -> BuildY:
     if not proj.equals(d.row_bottom.project @ p_g):
         raise InvalidDiagramError(["pullback projections do not agree over Q"])
     ses = make_ses(incl, proj)
-
-    if snake_check:
-        # ladder: 0 -> R -> Y -> G -> 0 over 0 -> R -> F -> Q -> 0 with
-        # verticals (id, p_f, projection); its six-term sequence must be exact
-        top = make_ses(w_r, p_g)
-        from .modules import identity_morphism, is_exact
-
-        res = snake_connecting(top, d.col_right, identity_morphism(d.r), p_f, d.row_bottom.project)
-        if not is_exact(list(res.six_term)):
-            raise InvalidDiagramError(["snake cross-check failed for the derived grid"])
-        if not res.kernels[2].is_isomorphic_to(d.s):
-            raise InvalidDiagramError(["kernel of G -> Q does not match S in the derived grid"])
-
     return BuildY(y, pb, ses, rs, w_r, w_s, p_f, p_g, simp.to_min)
+
+
+def _snake_check(d: Diagram3x3, by: BuildY) -> None:
+    """The ladder ``0 -> R -> Y -> G -> 0`` over ``0 -> R -> F -> Q -> 0``
+    with verticals (id, p_f, projection): its six-term sequence must be
+    exact and its third kernel must be S."""
+    top = make_ses(by.w_r, by.p_g)
+    res = snake_connecting(top, d.col_right, identity_morphism(d.r), by.p_f, d.row_bottom.project)
+    if not is_exact(list(res.six_term)):
+        raise InvalidDiagramError(["snake cross-check failed for the derived grid"])
+    if not res.kernels[2].is_isomorphic_to(d.s):
+        raise InvalidDiagramError(["kernel of G -> Q does not match S in the derived grid"])
 
 
 @dataclass(frozen=True)
@@ -316,7 +349,7 @@ def _class_over_y(d: Diagram3x3, snake_check: bool) -> tuple[BuildY, ExtClass]:
     obstruction is nonzero."""
     by = build_Y(d, snake_check)
     tau = _restriction_data(d, by)
-    ob = _obstruction(d)
+    ob = _known(d, "obstruction", _obstruction)
     delta_tau = yoneda_product_of_ses(ses_of_class(tau), by.ses)
     if not delta_tau.same_as(ob.baer_sum):
         raise AssertionError(

@@ -100,8 +100,14 @@ def _known(table: dict, ref) -> bool:
     return isinstance(ref, str) and ref in table
 
 
-def _encode_int(v: int):
-    return v if -_BIG < v < _BIG else str(v)
+def _encode_rows(rows, what: str) -> list[list]:
+    """Integer rows for JSON, an entry past a double's exact range written as
+    a digit string; :class:`SemanticError` naming ``what`` when an entry has
+    more digits than Python converts."""
+    try:
+        return [[x if -_BIG < x < _BIG else str(x) for x in row] for row in rows]
+    except ValueError as exc:  # Python's limit on digits per int
+        raise SemanticError(f"{what}: an entry cannot be written: {exc}") from exc
 
 
 def _matrix_from_rows(ring: RingSpec, rows, expect_rows: int | None, expect_cols: int | None,
@@ -281,8 +287,8 @@ def serialize(model: DocumentModel) -> str:
             out[name] = {
                 "ring": rname,
                 "generators": m.generators,
-                "relations": [[_encode_int(x) for x in m.relations.col(j)]
-                              for j in range(m.relations.cols)],
+                "relations": _encode_rows((m.relations.col(j) for j in range(m.relations.cols)),
+                                          f"module {name}"),
             }
         doc["modules"] = out
     if model.morphisms:
@@ -292,7 +298,7 @@ def serialize(model: DocumentModel) -> str:
             if sname is None or tname is None:
                 raise SemanticError(f"morphism {name}: endpoints are not named modules")
             out[name] = {"source": sname, "target": tname,
-                         "matrix": [[_encode_int(x) for x in row] for row in f.matrix.data]}
+                         "matrix": _encode_rows(f.matrix.data, f"morphism {name}")}
         doc["morphisms"] = out
 
     def seq_ref(s: ShortExactSequence, what: str):

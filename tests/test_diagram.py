@@ -1,9 +1,11 @@
 """The 3x3 extension problem: obstruction, construction, uniqueness,
 compatible isomorphisms."""
 
+import gc
 import pathlib
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -153,20 +155,103 @@ ENTRIES = {
 }
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of each call of ``hexext.diagram.<name>`` and
+    pass the call through."""
+    calls = []
+    real = getattr(diagram_module, name)
+    monkeypatch.setattr(diagram_module, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_entry_validates_diagram_once(entry, monkeypatch):
+    # validated, and Y pulled back, at most once per diagram object: exactly
+    # once on a fresh object, and not again when the entry asks a second time
+    ext = extend_diagram(all_split())
+    seen = _count_calls(monkeypatch, "validate_diagram1")
+    pullbacks = _count_calls(monkeypatch, "pullback")
     d = all_split()
-    ext = extend_diagram(d)
-    seen = []
-    real = diagram_module.validate_diagram1
-    monkeypatch.setattr(diagram_module, "validate_diagram1", lambda dg: seen.append(dg) or real(dg))
-    pullbacks = []
-    real_pullback = diagram_module.pullback
-    monkeypatch.setattr(diagram_module, "pullback", lambda f, g: pullbacks.append(f) or real_pullback(f, g))
     ENTRIES[entry](d, ext)
-    assert len(seen) == 1 and seen[0] is d
-    # Y = F x_Q G is built at most once per call
+    assert len(seen) == 1 and seen[0][0] is d
     assert len(pullbacks) <= 1
+    ENTRIES[entry](d, ext)
+    assert len(seen) == 1 and len(pullbacks) <= 1
+
+
+def test_memo_answers_later_entries_on_the_same_object(monkeypatch):
+    # the questions a fuzz case asks of one diagram: one validation, one Y,
+    # one round of the two spliced products
+    validations = _count_calls(monkeypatch, "validate_diagram1")
+    pullbacks = _count_calls(monkeypatch, "pullback")
+    products = _count_calls(monkeypatch, "_obstruction")
+    d = all_split()
+    obstruction(d)
+    extend_diagram(d)
+    assert (len(validations), len(pullbacks), len(products)) == (1, 1, 1)
+    check_uniqueness(d)
+    enumerate_extensions(d)
+    obstruction(d)
+    assert (len(validations), len(pullbacks), len(products)) == (1, 1, 1)
+
+
+def test_memo_is_keyed_on_identity_not_value(monkeypatch):
+    validations = _count_calls(monkeypatch, "validate_diagram1")
+    d1, d2 = all_split(), all_split()
+    assert d1 == d2 and d1 is not d2
+    obstruction(d1)
+    obstruction(d2)
+    obstruction(d1)   # one slot: d2 replaced d1
+    assert len(validations) == 3
+    assert all(v is want for (v,), want in zip(validations, (d1, d2, d1)))
+
+
+def test_memo_keeps_no_failure(monkeypatch):
+    sp, sp4 = split_ses(Z2m, Z2m), split_ses(Z4m, Z4m)
+    bad = Diagram3x3(row_top=sp, row_bottom=sp, col_left=sp4, col_right=sp)
+    for entry in ("obstruction", "extend_diagram", "obstruction", "check_uniqueness"):
+        with pytest.raises(InvalidDiagramError, match="corner"):
+            ENTRIES[entry](bad, None)
+    # a Y core that raises is built again on the next call
+    real = diagram_module.pullback
+    failures = [RuntimeError("first pullback fails")]
+
+    def flaky(f, g):
+        if failures:
+            raise failures.pop()
+        return real(f, g)
+
+    monkeypatch.setattr(diagram_module, "pullback", flaky)
+    d = all_split()
+    with pytest.raises(RuntimeError, match="first pullback fails"):
+        build_Y(d)
+    assert build_Y(d).y.cardinality() == 8   # |R (+) S| |Q|
+
+
+def test_memo_still_runs_the_per_call_checks(monkeypatch):
+    # the snake cross-check on every snake-checked call, the comparison of
+    # the connecting image with the product sum on every extending call
+    snakes = _count_calls(monkeypatch, "snake_connecting")
+    products = _count_calls(monkeypatch, "yoneda_product_of_ses")
+    d = all_split()
+    extend_diagram(d)
+    assert (len(snakes), len(products)) == (1, 3)   # ef, hg, connecting image
+    extend_diagram(d)
+    assert (len(snakes), len(products)) == (2, 4)
+    check_uniqueness(d)                             # no snake check asked
+    assert len(snakes) == 2
+
+
+def test_memo_holds_one_diagram():
+    d1 = all_split()
+    extend_diagram(d1)
+    ref = weakref.ref(d1)
+    del d1
+    gc.collect()
+    assert ref() is not None   # the last diagram analysed is kept
+    extend_diagram(all_split())
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("entry", ["enumerate_extensions", "extend_diagram", "extend_with_variant_cocycle"])
@@ -463,12 +548,14 @@ def test_compatible_automorphism_with_itself():
 
 
 def test_compatible_isomorphism_forms_pullback_once(monkeypatch):
+    # at most once per diagram object: not again on a diagram whose Y an
+    # earlier call built, exactly once on a fresh one
     d = all_split()
     ext = extend_diagram(d)
-    calls = []
-    real = diagram_module.pullback
-    monkeypatch.setattr(diagram_module, "pullback", lambda f, g: calls.append(f) or real(f, g))
+    calls = _count_calls(monkeypatch, "pullback")
     compatible_isomorphism(d, ext, ext)
+    assert calls == []
+    compatible_isomorphism(all_split(), ext, ext)
     assert len(calls) == 1
 
 

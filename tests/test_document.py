@@ -6,6 +6,9 @@ import pathlib
 import pytest
 
 from hexext.document import DocumentModel, ParseError, SemanticError, parse, serialize
+from hexext.linalg import ExactMatrix
+from hexext.modules import ModuleMorphism, PresentedModule
+from hexext.rings import ZZ
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -72,6 +75,22 @@ def test_big_integers_round_trip_as_strings():
     text = serialize(model)
     assert big in text
     assert parse(text) == model
+
+
+@pytest.mark.parametrize("where", ["module", "morphism"])
+def test_serialize_names_entry_beyond_digit_limit(where):
+    # 5,001 digits: past Python's default limit on int-to-string conversion
+    huge = 10 ** 5000
+    model = DocumentModel(rings={"Z": ZZ})
+    if where == "module":
+        model.modules["A"] = PresentedModule.make(ZZ, 1, [[huge]])
+    else:
+        a = PresentedModule.free(ZZ, 1)
+        model.modules["A"] = a
+        model.morphisms["f"] = ModuleMorphism(a, a, ExactMatrix.from_rows(ZZ, [[huge]]))
+    name = "module A" if where == "module" else "morphism f"
+    with pytest.raises(SemanticError, match=f"^{name}: an entry cannot be written"):
+        serialize(model)
 
 
 @pytest.mark.parametrize("name", ["obstructed.json", "allsplit.json", "injective.json", "zdiagram.json"])
