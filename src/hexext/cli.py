@@ -132,16 +132,22 @@ def _cmd_obstruction(args) -> int:
     return _emit(report, EXIT_OK if ob.is_zero else EXIT_FAIL)
 
 
+def _not_extendable(op: str, name: str, exc: NotExtendableError) -> int:
+    """The exit-1 report of a subcommand asked about a diagram that does not
+    extend."""
+    report = {"op": op, "diagram": name, "extendable": False}
+    if exc.report is not None:
+        report["obstruction"] = _class_report(exc.report.baer_sum)
+    return _emit(report, EXIT_FAIL)
+
+
 def _cmd_extend(args) -> int:
     model = _load(args.document)
     d = _need(model, "diagrams", args.diagram)
     try:
         ext = extend_diagram(d)
     except NotExtendableError as exc:
-        report = {"op": "extend", "diagram": args.diagram, "extendable": False}
-        if exc.report is not None:
-            report["obstruction"] = _class_report(exc.report.baer_sum)
-        return _emit(report, EXIT_FAIL)
+        return _not_extendable("extend", args.diagram, exc)
     report = {
         "op": "extend", "diagram": args.diagram, "extendable": True,
         "X": _module_report(ext.x),
@@ -155,11 +161,14 @@ def _cmd_extend(args) -> int:
 def _cmd_unique(args) -> int:
     model = _load(args.document)
     d = _need(model, "diagrams", args.diagram)
-    rep = check_uniqueness(d)
+    try:
+        rep = check_uniqueness(d)
+    except NotExtendableError as exc:
+        return _not_extendable("unique", args.diagram, exc)
     report = {
         "op": "unique", "diagram": args.diagram, "unique": rep.unique,
-        "alpha": _matrix_report(rep.alpha.matrix),
-        "alpha_cokernel": _module_report(rep.alpha_cokernel),
+        "restriction": _matrix_report(rep.restriction.matrix),
+        "image": _module_report(rep.image),
     }
     return _emit(report, EXIT_OK if rep.unique else EXIT_FAIL)
 

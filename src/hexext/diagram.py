@@ -27,7 +27,6 @@ from .errors import (
 from .ext import (
     ExtClass,
     class_of_ses,
-    connecting_alpha,
     ext_module,
     ext_of_sum,
     ses_of_class,
@@ -51,7 +50,6 @@ from .modules import (
     lift,
     lift_through_inclusion,
     make_ses,
-    morphism_cokernel,
     morphism_image,
     pullback,
     pullback_factor,
@@ -371,15 +369,30 @@ def extend_diagram(d: Diagram3x3, snake_check: bool = True) -> DiagramExtension:
     return _realize(d, by, xi.cocycle())
 
 
+def _restriction_from_q(d: Diagram3x3, by: BuildY) -> ModuleMorphism:
+    """``rho : Ext^1(Q, P) -> Ext^1(Y, P)``, pulling back along Y -> Q.
+
+    In the long exact sequence of ``0 -> R (+) S -> Y -> Q -> 0`` it follows
+    the connecting map alpha from Hom(R (+) S, P), so its image is the
+    cokernel of alpha: the classes over Y that restrict to tau form the coset
+    ``xi0 + im rho``.  Ext^1(Y, P) is the module the restriction step has
+    already built, and Hom(R (+) S, P) is never formed."""
+    e_q = ext_module(1, d.q, d.p)
+    e_y = ext_module(1, by.y, d.p)
+    return hom(e_q.presentation, e_y.presentation,
+               _transport_matrix(e_q, e_y, lambda c: transport_contravariant(c, by.ses.project)))
+
+
 def enumerate_extensions(d: Diagram3x3, snake_check: bool = False) -> list[DiagramExtension]:
     """One extension per admissible class in Ext^1(Y, P); the set of classes
     is the coset of the image of Ext^1(Q, P), so the count is bounded by
     ``|Ext^1(Q, P)|``."""
     by, xi0 = _class_over_y(d, snake_check)
+    rho = _restriction_from_q(d, by)
     seen = set()
     out = []
     for c in ext_module(1, d.q, d.p).all_classes():
-        shifted = xi0 + transport_contravariant(c, by.ses.project)
+        shifted = xi0 + ExtClass(xi0.parent, rho.apply(c.coords))
         if shifted.coords in seen:
             continue
         seen.add(shifted.coords)
@@ -390,17 +403,21 @@ def enumerate_extensions(d: Diagram3x3, snake_check: bool = False) -> list[Diagr
 @dataclass(frozen=True)
 class UniquenessReport:
     unique: bool
-    alpha: ModuleMorphism                 # Hom(R(+)S, P) -> Ext^1(Q, P)
-    alpha_cokernel: PresentedModule
+    restriction: ModuleMorphism           # Ext^1(Q, P) -> Ext^1(Y, P)
+    image: PresentedModule                # one element per admissible class over Y
 
 
 def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
-    """The middle object's class over Y is unique iff the connecting map
-    alpha from Hom(R (+) S, P) onto Ext^1(Q, P) is surjective."""
+    """The middle object's class over Y is unique iff the restriction
+    ``Ext^1(Q, P) -> Ext^1(Y, P)`` is zero; the order of its image is the
+    number of admissible classes.  Raises :class:`NotExtendableError` with
+    the obstruction report when the diagram does not extend."""
     by = build_Y(d, snake_check=False)
-    alpha = connecting_alpha(class_of_ses(by.ses), d.p)
-    coker, _proj = morphism_cokernel(alpha)
-    return UniquenessReport(coker.is_zero_module(), alpha, coker)
+    ob = _known(d, "obstruction", _obstruction)
+    if not ob.is_zero:
+        raise NotExtendableError(ob)
+    rho = _restriction_from_q(d, by)
+    return UniquenessReport(rho.is_zero(), rho, morphism_image(rho)[0])
 
 
 def extend_homomorphism(lam: ModuleMorphism, inclusion: ModuleMorphism) -> ModuleMorphism:

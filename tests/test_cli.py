@@ -51,6 +51,18 @@ def test_ext_subcommand(capsys):
 def test_unique_subcommand(capsys):
     code, report = run(capsys, "unique", FIXTURES / "allsplit.json", "D")
     assert code == 1 and report["unique"] is False
+    assert report["image"]["invariant_factors"] == [2]   # two classes over Y
+    code, report = run(capsys, "unique", FIXTURES / "injective.json", "D")
+    assert code == 0 and report["unique"] is True
+    assert report["image"]["invariant_factors"] == []
+
+
+def test_unique_obstructed_exits_1(capsys):
+    # no middle object at all, so none is unique: the report says why
+    code, report = run(capsys, "unique", FIXTURES / "obstructed.json", "D")
+    assert code == 1
+    assert report["extendable"] is False and "unique" not in report
+    assert report["obstruction"]["coords"] == [1]
 
 
 def test_iso_same_class(capsys):

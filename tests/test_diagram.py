@@ -41,6 +41,7 @@ from hexext.errors import (
 from hexext.ext import (
     _transport_matrix,
     class_of_ses,
+    connecting_alpha,
     ext_module,
     ses_of_class,
     transport_contravariant,
@@ -55,6 +56,7 @@ from hexext.modules import (
     hom,
     lift,
     make_ses,
+    morphism_cokernel,
     split_ses,
     submodule_generated,
     zero_morphism,
@@ -418,9 +420,9 @@ def test_degenerate_corner_p_zero():
 
 def test_uniqueness_all_split_false():
     rep = check_uniqueness(all_split())
-    assert rep.alpha.is_zero()
     assert not rep.unique
-    assert rep.alpha_cokernel.cardinality() == 2
+    assert not rep.restriction.is_zero()
+    assert rep.image.cardinality() == 2
 
 
 def test_uniqueness_trivial_when_ext_vanishes():
@@ -433,8 +435,9 @@ def test_uniqueness_trivial_when_ext_vanishes():
 
 
 def test_uniqueness_alpha_onto_over_z():
-    # free R makes Hom(R (+) S, Z) big enough for alpha to hit the generator
-    # of Ext^1(Z/2, Z): P = Z, R = Z, S = 0, Q = Z/2
+    # free R makes Hom(R (+) S, Z) big enough for the connecting map to hit
+    # the generator of Ext^1(Z/2, Z), so its restriction to Y is zero:
+    # P = Z, R = Z, S = 0, Q = Z/2
     z2 = PresentedModule.cyclic(ZZ, 2)
     z = PresentedModule.zero(ZZ)
     rt = split_ses(Zf, Zf)                                    # 0 -> Z -> Z^2 -> Z -> 0
@@ -444,7 +447,15 @@ def test_uniqueness_alpha_onto_over_z():
     d = Diagram3x3(row_top=rt, row_bottom=rb, col_left=cl, col_right=cr)
     assert validate_diagram1(d) == []
     rep = check_uniqueness(d)
-    assert rep.unique
+    assert rep.unique and rep.restriction.is_zero()
+    assert rep.image.cardinality() == 1
+
+
+def test_uniqueness_of_obstructed_diagram_raises():
+    d = example_a()
+    with pytest.raises(NotExtendableError) as info:
+        check_uniqueness(d)
+    assert info.value.report is obstruction(d)
 
 
 # -- restriction data over R (+) S -------------------------------------------------------
@@ -491,25 +502,58 @@ def test_restriction_route_matches_resolved_sum():
     assert min(outcomes.count(k) for k in ("obstructed", "unique", "not unique")) >= 3
 
 
+def test_uniqueness_image_counts_the_classes_over_y():
+    # the image of the restriction Ext^1(Q, P) -> Ext^1(Y, P) is the
+    # cokernel of the connecting map alpha from Hom(R (+) S, P), and each of
+    # its elements is one admissible class, so one enumerated extension
+    outcomes = []
+    for ring in (R4, Zmod(6), Zmod(8), Zmod(9), ZZ):
+        rng = random.Random(f"uniqueness {ring}")
+        for _ in range(16):
+            d = random_diagram(rng, ring, 16)
+            if not obstruction(d).is_zero:
+                continue
+            rep = check_uniqueness(d)
+            by = build_Y(d)
+            alpha = connecting_alpha(class_of_ses(by.ses), d.p)
+            order = rep.image.cardinality()
+            assert order == morphism_cokernel(alpha)[0].cardinality()
+            assert rep.unique == (order == 1)
+            # the reference walk transports each class of Ext^1(Q, P) on its own
+            xi0 = _solve_restriction(d, by, _restriction_data(d, by))
+            walk = [xi0 + transport_contravariant(c, by.ses.project)
+                    for c in ext_module(1, d.q, d.p).all_classes()]
+            classes = list(dict.fromkeys(xi.coords for xi in walk))
+            assert len(classes) == order
+            exts = enumerate_extensions(d)
+            assert [e.x for e in exts] == [_realize(d, by, xi0.parent.class_from_coords(c).cocycle()).x
+                                           for c in classes]
+            outcomes.append(rep.unique)
+    assert min(outcomes.count(True), outcomes.count(False)) >= 3
+
+
 def test_extend_diagram_never_resolves_the_sum(monkeypatch):
-    firsts = []
+    # neither extension nor the uniqueness verdict asks for Ext of R (+) S,
+    # as either argument
+    args = []
     for mod in (ext_namespace, diagram_module):
         real = mod.ext_module
-        monkeypatch.setattr(mod, "ext_module", lambda k, q, p, real=real: firsts.append(q) or real(k, q, p))
+        monkeypatch.setattr(mod, "ext_module", lambda k, q, p, real=real: args.append((q, p)) or real(k, q, p))
     rng = random.Random(11)
     checked = 0
     for ring in (R4, Zmod(6), Zmod(9), ZZ):
         for _ in range(5):
             d = random_diagram(rng, ring, 16)
             rs = direct_sum(d.r, d.s).module
-            if not (d.r.generators and d.s.generators) or rs == build_Y(d).y:
-                continue  # R (+) S is then R, S or Y itself, whose Ext is wanted
-            firsts.clear()
-            try:
-                extend_diagram(d)
-            except NotExtendableError:
-                pass
-            assert firsts and rs not in firsts
+            if not (d.r.generators and d.s.generators) or rs in (build_Y(d).y, d.p):
+                continue  # R (+) S is then R, S, Y or P itself, whose Ext is wanted
+            for entry in (extend_diagram, check_uniqueness):
+                args.clear()
+                try:
+                    entry(d)
+                except NotExtendableError:
+                    pass
+                assert args and all(rs not in pair for pair in args)
             checked += 1
     assert checked >= 10
 
