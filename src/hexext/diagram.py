@@ -132,13 +132,13 @@ def _known(d: Diagram3x3, fact: str, compute):
     """``compute(d)``, kept while ``d`` is the last diagram analysed.
 
     Callers ask ``obstruction``, ``extend_diagram`` and ``check_uniqueness``
-    of one diagram in turn, so the validation verdict, the Y core and the
-    product obstruction are each computed once per diagram object.  The
-    slot is keyed on identity, so nothing is hashed (hashing the nested
-    frozen diagram cost most of what a value-keyed cache saved), and the
-    next diagram replaces it, so one diagram is held at a time.  A fact is
-    stored only once ``compute`` returns, so one that raises is computed
-    again on every call."""
+    of one diagram in turn, so the validation verdict, the snake-checked Y
+    core, the product obstruction and the route-checked class xi over Y are
+    each computed once per diagram object.  The slot is keyed on identity,
+    so nothing is hashed (hashing the nested frozen diagram cost most of
+    what a value-keyed cache saved), and the next diagram replaces it, so
+    one diagram is held at a time.  A fact is stored only once ``compute``
+    returns, so one that raises is computed again on every call."""
     global _last
     memo = _last
     if memo["diagram"] is not d:
@@ -196,14 +196,11 @@ class BuildY:
     to_y: ModuleMorphism              # raw pullback module -> Y (simplification iso)
 
 
-def build_Y(d: Diagram3x3, snake_check: bool = True) -> BuildY:
-    """Validate the diagram, then construct Y with its sequence; optionally
-    cross-validate the derived 3x3 grid via the snake lemma."""
+def build_Y(d: Diagram3x3) -> BuildY:
+    """Validate the diagram, then construct Y with its sequence.  Y is kept
+    only once the derived 3x3 grid has passed the snake-lemma cross-check."""
     _require_valid(d)
-    by = _known(d, "y", _y_core)
-    if snake_check:
-        _snake_check(d, by)
-    return by
+    return _known(d, "y", _y_core)
 
 
 def _y_core(d: Diagram3x3) -> BuildY:
@@ -220,10 +217,12 @@ def _y_core(d: Diagram3x3) -> BuildY:
     if not proj.equals(d.row_bottom.project @ p_g):
         raise InvalidDiagramError(["pullback projections do not agree over Q"])
     ses = make_ses(incl, proj)
-    return BuildY(y, pb, ses, rs, w_r, w_s, p_f, p_g, simp.to_min)
+    by = BuildY(y, pb, ses, rs, w_r, w_s, p_f, p_g, simp.to_min)
+    _snake_cross_check(d, by)
+    return by
 
 
-def _snake_check(d: Diagram3x3, by: BuildY) -> None:
+def _snake_cross_check(d: Diagram3x3, by: BuildY) -> None:
     """The ladder ``0 -> R -> Y -> G -> 0`` over ``0 -> R -> F -> Q -> 0``
     with verticals (id, p_f, projection): its six-term sequence must be
     exact and its third kernel must be S."""
@@ -338,14 +337,18 @@ def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtensio
     return ext
 
 
-def _class_over_y(d: Diagram3x3, snake_check: bool) -> tuple[BuildY, ExtClass]:
-    """The extension pipeline every entry shares: validate and build Y, form
-    the restriction data tau over R (+) S, check that its connecting image in
-    Ext^2(Q, P) (splice with the Y-sequence) matches the explicit product
-    obstruction, then solve the restriction map for the class xi over Y.
-    Raises :class:`NotExtendableError` with the obstruction report when the
-    obstruction is nonzero."""
-    by = build_Y(d, snake_check)
+def _class_over_y(d: Diagram3x3) -> tuple[BuildY, ExtClass]:
+    """The pipeline every entry but :func:`obstruction` shares: Y, then the
+    class xi over Y, each kept with its cross-check passed (:func:`_known`)."""
+    by = build_Y(d)
+    return by, _known(d, "xi", lambda dg: _xi(dg, by))
+
+
+def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
+    """The restriction data tau over R (+) S, its connecting image (splice
+    with the Y-sequence) checked against the product obstruction, then xi
+    solved from the restriction map.  Raises :class:`NotExtendableError`
+    with the obstruction report when the obstruction is nonzero."""
     tau = _restriction_data(d, by)
     ob = _known(d, "obstruction", _obstruction)
     delta_tau = yoneda_product_of_ses(ses_of_class(tau), by.ses)
@@ -359,13 +362,13 @@ def _class_over_y(d: Diagram3x3, snake_check: bool) -> tuple[BuildY, ExtClass]:
     xi = _solve_restriction(d, by, tau)
     if xi is None:
         raise AssertionError("obstruction vanished but the restriction map has no solution")
-    return by, xi
+    return xi
 
 
-def extend_diagram(d: Diagram3x3, snake_check: bool = True) -> DiagramExtension:
+def extend_diagram(d: Diagram3x3) -> DiagramExtension:
     """Construct a middle object, or raise :class:`NotExtendableError` with
     the obstruction report."""
-    by, xi = _class_over_y(d, snake_check)
+    by, xi = _class_over_y(d)
     return _realize(d, by, xi.cocycle())
 
 
@@ -383,11 +386,11 @@ def _restriction_from_q(d: Diagram3x3, by: BuildY) -> ModuleMorphism:
                _transport_matrix(e_q, e_y, lambda c: transport_contravariant(c, by.ses.project)))
 
 
-def enumerate_extensions(d: Diagram3x3, snake_check: bool = False) -> list[DiagramExtension]:
+def enumerate_extensions(d: Diagram3x3) -> list[DiagramExtension]:
     """One extension per admissible class in Ext^1(Y, P); the set of classes
     is the coset of the image of Ext^1(Q, P), so the count is bounded by
     ``|Ext^1(Q, P)|``."""
-    by, xi0 = _class_over_y(d, snake_check)
+    by, xi0 = _class_over_y(d)
     rho = _restriction_from_q(d, by)
     seen = set()
     out = []
@@ -410,12 +413,9 @@ class UniquenessReport:
 def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     """The middle object's class over Y is unique iff the restriction
     ``Ext^1(Q, P) -> Ext^1(Y, P)`` is zero; the order of its image is the
-    number of admissible classes.  Raises :class:`NotExtendableError` with
-    the obstruction report when the diagram does not extend."""
-    by = build_Y(d, snake_check=False)
-    ob = _known(d, "obstruction", _obstruction)
-    if not ob.is_zero:
-        raise NotExtendableError(ob)
+    number of admissible classes.  It shares the cross-checks and the
+    :class:`NotExtendableError` of :func:`extend_diagram`."""
+    by, _ = _class_over_y(d)
     rho = _restriction_from_q(d, by)
     return UniquenessReport(rho.is_zero(), rho, morphism_image(rho)[0])
 
@@ -446,7 +446,7 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
     E (+) H in X1 vanishing on P; (d) extend it to X1; (e) shift phi by the
     extension.
     """
-    by = build_Y(d, snake_check=False)
+    by = build_Y(d)
     for k, ext in (("first", ext1), ("second", ext2)):
         bad = validate_extension(d, ext)
         if bad:

@@ -19,8 +19,8 @@ from .modules import PresentedModule, direct_sum, hom, zero_morphism
 from .rings import RingSpec
 
 
-def _divisors_gt1(m: int) -> list[int]:
-    return [d for d in range(2, m + 1) if m % d == 0]
+def _divisors_gt1(m: int, limit: int) -> list[int]:
+    return [d for d in range(2, min(m, limit) + 1) if m % d == 0]
 
 
 def random_module(rng: random.Random, ring: RingSpec, max_order: int,
@@ -28,7 +28,7 @@ def random_module(rng: random.Random, ring: RingSpec, max_order: int,
     """A random finitely presented module of order at most ``max_order``,
     with an obfuscated (non-diagonal, redundant) presentation."""
     if ring.is_modular:
-        pool = _divisors_gt1(ring.modulus)
+        pool = _divisors_gt1(ring.modulus, max_order)   # a larger factor never fits
     else:
         pool = [d for d in (2, 3, 4, 5, 8, 9) if d <= max_order]
     factors: list[int] = []
@@ -152,7 +152,7 @@ def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExt
     differently presented middle object of the same class.  Raises
     :class:`NotExtendableError` with the obstruction report, as
     :func:`extend_diagram` does."""
-    by, xi = _class_over_y(d, snake_check=False)
+    by, xi = _class_over_y(d)
     res = xi.parent.resolution
     psi = ExactMatrix.from_rows(
         d.p.ring,

@@ -204,6 +204,18 @@ def test_fuzz_rejects_out_of_range_flags(flags):
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
 
 
+def test_fuzz_over_a_huge_modulus_finishes():
+    # the generator's factor pool is cut at max_order, so its cost does not
+    # grow with the modulus; a timeout fails the test instead of hanging
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hexext.cli import main; sys.exit(main())",
+         "fuzz", "--ring", "Zmod1000000000000", "--seed", "1", "--count", "20"],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["failures"] == 0
+
+
 def test_unknown_name_exits_2(capsys):
     assert main(["validate", str(FIXTURES / "allsplit.json"), "nope"]) == 2
 

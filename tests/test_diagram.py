@@ -169,16 +169,20 @@ def _count_calls(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_entry_validates_diagram_once(entry, monkeypatch):
     # validated, and Y pulled back, at most once per diagram object: exactly
-    # once on a fresh object, and not again when the entry asks a second time
+    # once on a fresh object, and not again when the entry asks a second
+    # time; every entry that builds Y snake-checks it, once
     ext = extend_diagram(all_split())
     seen = _count_calls(monkeypatch, "validate_diagram1")
     pullbacks = _count_calls(monkeypatch, "pullback")
+    snakes = _count_calls(monkeypatch, "snake_connecting")
     d = all_split()
     ENTRIES[entry](d, ext)
     assert len(seen) == 1 and seen[0][0] is d
     assert len(pullbacks) <= 1
+    assert len(snakes) == (0 if entry == "obstruction" else 1)
     ENTRIES[entry](d, ext)
     assert len(seen) == 1 and len(pullbacks) <= 1
+    assert len(snakes) == (0 if entry == "obstruction" else 1)
 
 
 def test_memo_answers_later_entries_on_the_same_object(monkeypatch):
@@ -230,18 +234,17 @@ def test_memo_keeps_no_failure(monkeypatch):
     assert build_Y(d).y.cardinality() == 8   # |R (+) S| |Q|
 
 
-def test_memo_still_runs_the_per_call_checks(monkeypatch):
-    # the snake cross-check on every snake-checked call, the comparison of
-    # the connecting image with the product sum on every extending call
+def test_memo_runs_each_cross_check_once(monkeypatch):
+    # the snake cross-check and the comparison of the connecting image with
+    # the product sum run once per diagram object, whatever entry asks
     snakes = _count_calls(monkeypatch, "snake_connecting")
     products = _count_calls(monkeypatch, "yoneda_product_of_ses")
     d = all_split()
     extend_diagram(d)
     assert (len(snakes), len(products)) == (1, 3)   # ef, hg, connecting image
     extend_diagram(d)
-    assert (len(snakes), len(products)) == (2, 4)
-    check_uniqueness(d)                             # no snake check asked
-    assert len(snakes) == 2
+    check_uniqueness(d)
+    assert (len(snakes), len(products)) == (1, 3)
 
 
 def test_memo_holds_one_diagram():
@@ -256,10 +259,11 @@ def test_memo_holds_one_diagram():
     assert ref() is None
 
 
-@pytest.mark.parametrize("entry", ["enumerate_extensions", "extend_diagram", "extend_with_variant_cocycle"])
+@pytest.mark.parametrize("entry", ["check_uniqueness", "enumerate_extensions", "extend_diagram",
+                                   "extend_with_variant_cocycle"])
 def test_entry_checks_obstruction_routes_agree(entry, monkeypatch):
     # a product obstruction shifted off the connecting image, still reported
-    # as zero, must stop every extending entry before it realizes anything
+    # as zero, must stop every entry past the obstruction before it answers
     d = all_split()
     real = diagram_module._obstruction
 
@@ -284,15 +288,17 @@ def test_variant_cocycle_reports_obstruction():
 def test_extend_diagram_checks_only_solved_maps(monkeypatch):
     # maps built by construction skip the well-definedness check; the seven
     # read off a solve keep it: Y's two pullback factors, the snake's two
-    # kernel lifts and its connecting map, and the grid maps i and j
+    # kernel lifts and its connecting map, and the grid maps i and j.  Asked
+    # again of the same object, only i and j are solved anew
     seen = []
     real = modules_module.check_well_defined
     monkeypatch.setattr(modules_module, "check_well_defined", lambda *a: seen.append(a) or real(*a))
-    extend_diagram(all_split())
+    d = all_split()
+    extend_diagram(d)
     assert len(seen) == 7
     seen.clear()
-    extend_diagram(all_split(), snake_check=False)
-    assert len(seen) == 4
+    extend_diagram(d)
+    assert len(seen) == 2
 
 
 def test_every_solve_is_a_lift(monkeypatch):
@@ -486,7 +492,7 @@ def test_restriction_route_matches_resolved_sum():
         rng = random.Random(f"restriction {ring}")
         for _ in range(16):
             d = random_diagram(rng, ring, 16)
-            by = build_Y(d, snake_check=False)
+            by = build_Y(d)
             tau, ref_tau = _restriction_data(d, by), resolved_restriction_data(d, by)
             delta, ref_delta = (yoneda_product_of_ses(ses_of_class(t), by.ses) for t in (tau, ref_tau))
             assert delta.same_as(ref_delta)
