@@ -50,7 +50,6 @@ from .diagram import (
     compatible_isomorphism,
     enumerate_extensions,
     extend_diagram,
-    extend_homomorphism,
     is_injective_module,
     obstruction,
     validate_diagram1,
@@ -90,7 +89,7 @@ __all__ = [
     "Diagram3x3", "DiagramExtension", "ObstructionReport",
     "validate_diagram1", "obstruction", "build_Y", "extend_diagram",
     "enumerate_extensions", "validate_extension", "check_uniqueness",
-    "extend_homomorphism", "compatible_isomorphism", "is_injective_module",
+    "compatible_isomorphism", "is_injective_module",
     "HexagonFrame", "SolvedHexagon", "fold_frame", "solve_hexagon",
     "verify_hexagon", "hexagon_compatible_iso", "validate_frame",
     "EnumerationBudget", "enumerate_morphisms", "brute_ext1",

@@ -178,6 +178,10 @@ def _cmd_iso(args) -> int:
     d = _need(model, "diagrams", args.diagram)
     e1 = _need(model, "extensions", args.ext1)
     e2 = _need(model, "extensions", args.ext2)
+    for name in (args.ext1, args.ext2):
+        solved = model.extension_diagram_names[name]
+        if solved != args.diagram:
+            raise SemanticError(f"extension {name!r} solves diagram {solved!r}, not {args.diagram!r}")
     try:
         phi = compatible_isomorphism(d, e1, e2)
     except ClassesDifferError as exc:

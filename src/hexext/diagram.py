@@ -48,7 +48,6 @@ from .modules import (
     identity_morphism,
     is_exact,
     lift,
-    lift_through_inclusion,
     make_ses,
     morphism_image,
     pullback,
@@ -420,74 +419,38 @@ def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     return UniquenessReport(rho.is_zero(), rho, morphism_image(rho)[0])
 
 
-def extend_homomorphism(lam: ModuleMorphism, inclusion: ModuleMorphism) -> ModuleMorphism:
-    """Extend ``lam : A -> P`` along ``inclusion : A -> X`` to all of X;
-    raises :class:`LambdaNotExtendableError` when the linear system has no
-    solution."""
-    if lam.source != inclusion.source:
-        raise ClassesDifferError("homomorphism and inclusion start at different modules")
-    big = solve_morphism(inclusion.target, lam.target, pre=[(inclusion, lam)])
-    if big is None:
-        raise LambdaNotExtendableError("homomorphism does not extend to the ambient module")
-    return big
-
-
 def _projection_to_y(by: BuildY, ext: DiagramExtension) -> ModuleMorphism:
     return by.to_y @ pullback_factor(by.pb, ext.m, ext.n)
 
 
 def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramExtension) -> ModuleMorphism:
-    """An isomorphism ``phi' : X1 -> X2`` with ``phi' o i1 = i2``,
-    ``phi' o j1 = j2``, ``m2 o phi' = m1`` and ``n2 o phi' = n1``.
+    """An isomorphism ``phi : X1 -> X2`` with ``phi o i1 = i2``,
+    ``phi o j1 = j2``, ``m2 o phi = m1`` and ``n2 o phi = n1``.
 
-    Steps: (a) match the classes over Y and find phi compatible with (m, n);
-    (b) the corrections ``i2 - phi o i1`` and ``j2 - phi o j1`` land in the
-    copy of P inside X2; (c) they assemble to a homomorphism on the image of
-    E (+) H in X1 vanishing on P; (d) extend it to X1; (e) shift phi by the
-    extension.
+    The four equations are linear in phi, so one constrained solve finds it,
+    and the five lemma on the middle rows makes any solution an isomorphism.
+    When there is none, the classes of ``0 -> P -> X -> Y -> 0`` tell why:
+    they differ (:class:`ClassesDifferError`), or they agree and the
+    correction on the image of E (+) H, which a map compatible with (m, n)
+    leaves in P, does not extend to X1 (:class:`LambdaNotExtendableError`).
     """
     by = build_Y(d)
     for k, ext in (("first", ext1), ("second", ext2)):
         bad = validate_extension(d, ext)
         if bad:
             raise InvalidDiagramError([f"{k} extension invalid: " + "; ".join(bad)])
-    pi1 = _projection_to_y(by, ext1)
-    pi2 = _projection_to_y(by, ext2)
-    iota1 = ext1.i @ d.col_left.inject
-    iota2 = ext2.i @ d.col_left.inject
-    s1 = make_ses(iota1, pi1)
-    s2 = make_ses(iota2, pi2)
-    c1 = class_of_ses(s1)
-    c2 = class_of_ses(s2)
-    if not c1.same_as(c2):
-        raise ClassesDifferError("the two middle objects have different classes over Y")
-    phi = solve_morphism(ext1.x, ext2.x, pre=[(iota1, iota2)], post=[(pi2, pi1)])
+    phi = solve_morphism(ext1.x, ext2.x,
+                         pre=[(ext1.i, ext2.i), (ext1.j, ext2.j)],
+                         post=[(ext2.m, ext1.m), (ext2.n, ext1.n)])
     if phi is None:
-        raise AssertionError("equal classes over Y but no equivalence morphism found")
-
-    i_corr = ext2.i - (phi @ ext1.i)
-    j_corr = ext2.j - (phi @ ext1.j)
-    i_hat = lift_through_inclusion(iota2, i_corr)   # H -> P
-    j_hat = lift_through_inclusion(iota2, j_corr)   # E -> P
-
-    eh = direct_sum(d.e, d.h)
-    u = ModuleMorphism(eh.module, ext1.x, ext1.j.matrix.hstack(ext1.i.matrix))
-    sub, incl, _co = morphism_image(u)
-    lam = hom(sub, d.p, j_hat.matrix.hstack(i_hat.matrix))
-    eta = extend_homomorphism(lam, incl)            # X1 -> P
-    phi2 = phi + (iota2 @ eta)
-
-    checks = [
-        (phi2 @ ext1.i).equals(ext2.i),
-        (phi2 @ ext1.j).equals(ext2.j),
-        (ext2.m @ phi2).equals(ext1.m),
-        (ext2.n @ phi2).equals(ext1.n),
-    ]
-    if not all(checks):
-        raise AssertionError(f"compatibility equations failed: {checks}")
-    if not phi2.is_isomorphism():
+        c1, c2 = (class_of_ses(make_ses(ext.i @ d.col_left.inject, _projection_to_y(by, ext)))
+                  for ext in (ext1, ext2))
+        if not c1.same_as(c2):
+            raise ClassesDifferError("the two middle objects have different classes over Y")
+        raise LambdaNotExtendableError("homomorphism does not extend to the ambient module")
+    if not phi.is_isomorphism():
         raise AssertionError("compatible morphism is not an isomorphism")
-    return phi2
+    return phi
 
 
 def is_injective_module(p: PresentedModule) -> bool:

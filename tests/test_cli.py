@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from hexext.cli import main
+from hexext.document import parse, serialize
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -73,6 +74,41 @@ def test_iso_same_class(capsys):
 def test_iso_classes_differ(capsys):
     code, report = run(capsys, "iso", FIXTURES / "allsplit.json", "D", "X1", "X2")
     assert code == 1 and not report["found"]
+
+
+def test_iso_matrix_on_allsplit(capsys):
+    code, report = run(capsys, "iso", FIXTURES / "allsplit.json", "D", "X1", "X1b")
+    assert code == 0
+    assert report["matrix"] == [[1, 1, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_iso_correction_not_extendable(capsys):
+    # one class over Y, so the diagram is unique, yet P = Z/2 is not
+    # injective and these two solutions have no compatible isomorphism
+    code, report = run(capsys, "unique", FIXTURES / "lambda.json", "D")
+    assert code == 0 and report["unique"]
+    code, report = run(capsys, "iso", FIXTURES / "lambda.json", "D", "X1", "X1p")
+    assert code == 1 and not report["found"]
+    assert report["reason"].startswith("correction not extendable")
+
+
+def test_iso_extension_of_another_diagram_exits_2(tmp_path, capsys):
+    # X1 and X1b solve D; asking for them over D2 is an input error
+    model = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    other = parse((FIXTURES / "injective.json").read_text(encoding="utf-8"))
+    for name, m in other.modules.items():
+        model.modules[f"inj_{name}"] = m
+        model.module_ring_names[f"inj_{name}"] = other.module_ring_names[name]
+    for name, f in other.morphisms.items():
+        model.morphisms[f"inj_{name}"] = f
+    model.diagrams["D2"] = other.diagrams["D"]
+    p = tmp_path / "two.json"
+    p.write_text(serialize(model), encoding="utf-8")
+    assert main(["iso", str(p), "D2", "X1", "X1b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'D'" in err and "Traceback" not in err
+    code, report = run(capsys, "iso", p, "D", "X1", "X1b")
+    assert code == 0 and report["found"]
 
 
 def test_hexagon_solve(capsys):

@@ -1,7 +1,9 @@
 """The 3x3 extension problem: obstruction, construction, uniqueness,
 compatible isomorphisms."""
 
+import collections
 import gc
+import itertools
 import pathlib
 import random
 import sys
@@ -25,7 +27,6 @@ from hexext.diagram import (
     compatible_isomorphism,
     enumerate_extensions,
     extend_diagram,
-    extend_homomorphism,
     is_injective_module,
     obstruction,
     validate_diagram1,
@@ -33,6 +34,7 @@ from hexext.diagram import (
 )
 from hexext.document import parse
 from hexext.errors import (
+    BudgetExceededError,
     ClassesDifferError,
     InvalidDiagramError,
     LambdaNotExtendableError,
@@ -58,9 +60,9 @@ from hexext.modules import (
     make_ses,
     morphism_cokernel,
     split_ses,
-    submodule_generated,
     zero_morphism,
 )
+from hexext.oracle import EnumerationBudget, enumerate_morphisms
 from hexext.randgen import extend_with_variant_cocycle, perturb_extension, random_diagram
 from hexext.rings import ZZ, Zmod
 
@@ -564,29 +566,6 @@ def test_extend_diagram_never_resolves_the_sum(monkeypatch):
     assert checked >= 10
 
 
-# -- homomorphism extension -----------------------------------------------------------------
-
-
-def test_extend_homomorphism_divisible_case():
-    sub, incl = submodule_generated(Z4m, ExactMatrix.from_cols(R4, [[2]], 1))
-    lam = hom(sub, Z4m, [[2]])
-    big = extend_homomorphism(lam, incl)
-    assert (big @ incl).equals(lam)
-
-
-def test_extend_homomorphism_obstructed():
-    sub, incl = submodule_generated(Z4m, ExactMatrix.from_cols(R4, [[2]], 1))
-    lam = hom(sub, Z2m, [[1]])
-    with pytest.raises(LambdaNotExtendableError):
-        extend_homomorphism(lam, incl)
-
-
-def test_extend_homomorphism_whole_module():
-    lam = hom(Z4m, Z2m, [[1]])
-    big = extend_homomorphism(lam, hom(Z4m, Z4m, [[1]]))
-    assert big.equals(lam)
-
-
 # -- compatible isomorphisms ------------------------------------------------------------------
 
 
@@ -654,6 +633,46 @@ def test_compatibility_bijective_on_elements():
     for el in ext.x.elements():
         seen.add(ext.x.canonical_rep(phi.apply(el)))
     assert len(seen) == ext.x.cardinality()
+
+
+def test_compatible_isomorphism_matches_the_oracle(capsys):
+    # an isomorphism is found iff some brute-force morphism X1 -> X2
+    # satisfies the four compatibility equations; pairs with more than
+    # the budget's candidate morphisms are skipped
+    budget = EnumerationBudget(max_candidates=50_000)
+    outcomes, skipped = collections.Counter(), 0
+    for ring, seed, max_order in ((R4, 6, 16), (Zmod(6), 8, 16), (Zmod(8), 10, 16),
+                                  (Zmod(9), 11, 16), (ZZ, 2, 32)):
+        rng = random.Random(seed)
+        for _ in range(2):
+            d = random_diagram(rng, ring, max_order)
+            try:
+                sols = enumerate_extensions(d)[:3]
+            except NotExtendableError:
+                continue
+            sols += [perturb_extension(rng, d, sols[0]), extend_with_variant_cocycle(rng, d)]
+            for a, b in itertools.product(sols, repeat=2):
+                try:
+                    morphisms = enumerate_morphisms(a.x, b.x, budget)
+                except BudgetExceededError:
+                    skipped += 1
+                    continue
+                compatible = any((f @ a.i).equals(b.i) and (f @ a.j).equals(b.j)
+                                 and (b.m @ f).equals(a.m) and (b.n @ f).equals(a.n)
+                                 for f in morphisms)
+                try:
+                    compatible_isomorphism(d, a, b)
+                    outcome = "iso"
+                except ClassesDifferError:
+                    outcome = "classes"
+                except LambdaNotExtendableError:
+                    outcome = "lambda"
+                assert compatible == (outcome == "iso"), (ring, outcome)
+                outcomes[outcome] += 1
+    with capsys.disabled():
+        print(f"compatible isomorphisms against the oracle: {sum(outcomes.values())} pairs checked "
+              f"({dict(outcomes)}), {skipped} over budget skipped")
+    assert outcomes["lambda"] >= 1 and outcomes["classes"] >= 1
 
 
 # -- injectivity --------------------------------------------------------------------------------

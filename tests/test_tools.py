@@ -15,6 +15,7 @@ def test_gen_fixtures_matches_committed(tmp_path, monkeypatch):
     monkeypatch.setattr(gen, "OUT", tmp_path)
     gen.zmod4_diagram_models()
     gen.z_diagram_model()
+    gen.lambda_model()
     committed = sorted(p.name for p in (ROOT / "fixtures").glob("*.json"))
     assert sorted(p.name for p in tmp_path.glob("*.json")) == committed
     for name in committed:

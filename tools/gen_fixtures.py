@@ -14,7 +14,7 @@ from hexext.diagram import Diagram3x3, enumerate_extensions, extend_diagram
 from hexext.document import DocumentModel, serialize
 from hexext.ext import ext_module, ses_of_class
 from hexext.modules import PresentedModule, split_ses
-from hexext.randgen import frame_from_diagram, perturb_extension
+from hexext.randgen import frame_from_diagram, perturb_extension, random_diagram
 from hexext.rings import ZZ, Zmod
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -41,6 +41,14 @@ def add_ses(model, prefix, ses):
     add_morphism(model, f"{prefix}_inj", ses.inject)
     add_morphism(model, f"{prefix}_proj", ses.project)
     return {"inject": f"{prefix}_inj", "project": f"{prefix}_proj"}
+
+
+def add_extension(model, tag, ring_name, ext, diagram_name):
+    add_module(model, f"mid_{tag}", ring_name, ext.x)
+    for key in "ijmn":
+        add_morphism(model, f"{tag}_{key}", getattr(ext, key))
+    model.extensions[tag] = ext
+    model.extension_diagram_names[tag] = diagram_name
 
 
 def diagram_doc(model, name, dg, refs):
@@ -96,13 +104,7 @@ def zmod4_diagram_models():
     rng = random.Random(2024)
     variant = perturb_extension(rng, dg, exts[0])
     for tag, ext in (("X1", exts[0]), ("X1b", variant), ("X2", exts[1])):
-        add_module(model, f"mid_{tag}", "R4", ext.x)
-        add_morphism(model, f"{tag}_i", ext.i)
-        add_morphism(model, f"{tag}_j", ext.j)
-        add_morphism(model, f"{tag}_m", ext.m)
-        add_morphism(model, f"{tag}_n", ext.n)
-        model.extensions[tag] = ext
-        model.extension_diagram_names[tag] = "D"
+        add_extension(model, tag, "R4", ext, "D")
     frame = frame_from_diagram(dg)
     for nm, mor in (("alpha", frame.alpha), ("beta", frame.beta), ("topB", frame.top_b),
                     ("dmap", frame.d), ("rmap", frame.r), ("smap", frame.s)):
@@ -131,6 +133,28 @@ def zmod4_diagram_models():
         add_morphism(model, nm, mor)
     model.hexagons["F"] = frame
     write("injective.json", model)
+
+
+def lambda_model():
+    """lambda.json: a seeded Z/8 diagram with one class over Y, and two
+    solutions on one middle object that no compatible isomorphism relates
+    (P = Z/2 is not injective, so the correction through P need not extend)."""
+    r8 = Zmod(8)
+    rng = random.Random(131)
+    dg = random_diagram(rng, r8, 16)
+    x1 = extend_diagram(dg)
+    x1p = perturb_extension(rng, dg, x1)
+    model = base_model("R8", r8)
+    for corner in "PERHFSGQ":
+        add_module(model, corner, "R8", getattr(dg, corner.lower()))
+    add_ses(model, "top", dg.row_top)
+    add_ses(model, "bottom", dg.row_bottom)
+    add_ses(model, "left", dg.col_left)
+    add_ses(model, "right", dg.col_right)
+    model.diagrams["D"] = dg
+    add_extension(model, "X1", "R8", x1, "D")
+    add_extension(model, "X1p", "R8", x1p, "D")
+    write("lambda.json", model)
 
 
 def z_diagram_model():
@@ -162,3 +186,4 @@ def z_diagram_model():
 if __name__ == "__main__":
     zmod4_diagram_models()
     z_diagram_model()
+    lambda_model()
