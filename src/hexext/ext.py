@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentMismatchError, NotExactError
-from .linalg import ExactMatrix, block_diag, kernel_columns, shrink_generators
+from .linalg import CACHE_SIZE, ExactMatrix, block_diag, kernel_columns, shrink_generators
 from .modules import (
     ModuleMorphism,
     PresentedModule,
@@ -79,7 +79,7 @@ class FreeResolution:
         raise ValueError(f"no differential at degree {i}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def free_resolution(m: PresentedModule) -> FreeResolution:
     d1 = shrink_generators(m.relations)
     d2 = kernel_columns(d1) if d1.cols else ExactMatrix.zeros(m.ring, d1.cols, 0)
@@ -87,7 +87,7 @@ def free_resolution(m: PresentedModule) -> FreeResolution:
     return FreeResolution(m, d1, d2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _syzygy3(res: FreeResolution) -> ExactMatrix:
     if res.f2 == 0:
         return ExactMatrix.zeros(res.target.ring, 0, 0)
@@ -179,7 +179,7 @@ class ExtClass:
         return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule:
     """Ext^degree(Q, P) for degree in {0, 1, 2}: homology of Hom(F., P)."""
     if degree not in (0, 1, 2):

@@ -13,6 +13,12 @@ Hermite form and solving lift nothing: they grow one echelon basis a column
 at a time from the lattice ``m * Z^n``; its pivots divide m and its other
 entries stay below m.  A solve reduces ``(b; 0)`` against the cached
 Hermite form of the graph ``[A; -I]`` and returns the canonical solution.
+
+Caches keep only what callers read, each bounded at :data:`CACHE_SIZE`
+entries: the Hermite form (keyed on the matrix and the number of graph
+unknowns) and the reduced kernel (keyed on the matrix).  Both are canonical
+for their key, so eviction never changes an answer.  Smith transforms are
+never kept.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from math import prod
 from .rings import RingSpec, xgcd
 
 IntRows = tuple[tuple[int, ...], ...]
+
+# the one bound on every engine cache (here, in ``modules`` and in ``ext``)
+CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -164,13 +173,15 @@ def _identity_list(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _snf_int_work(a: IntRows, nrows: int, ncols: int):
+def _snf_int(a: IntRows, nrows: int, ncols: int):
     """Smith normal form of an integer matrix.
 
     Returns ``(U, Uinv, D, V)`` as tuples with ``U @ A @ V == D``,
     U, V unimodular, D diagonal with a divisibility chain and zeros last.
     Pivoting: smallest nonzero absolute value, ties broken by lowest
-    (row, column) index, so the output is deterministic.
+    (row, column) index, so the output is deterministic.  Not cached: the
+    transforms are large and callers read only a small part of them, which
+    they cache themselves.
     """
     d = [list(r) for r in a]
     u = _identity_list(nrows)
@@ -282,11 +293,6 @@ def _snf_int_work(a: IntRows, nrows: int, ncols: int):
     return to_t(u), to_t(uinv), to_t(d), to_t(v)
 
 
-@lru_cache(maxsize=None)
-def _snf_int(a: IntRows, nrows: int, ncols: int):
-    return _snf_int_work(a, nrows, ncols)
-
-
 def _rank_of_diag(d: IntRows, nrows: int, ncols: int) -> int:
     r = 0
     for i in range(min(nrows, ncols)):
@@ -333,11 +339,11 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None =
     canonical representative modulo that lattice's projection to the first k
     coordinates.
 
-    ``(b; 0)`` is reduced against the cached Hermite form of the graph
-    lattice spanned by the columns of ``[A; -I_k 0]`` (and ``m * Z^(rows+k)``
-    over Z/m): ``b`` is reachable exactly when the top rows reduce to zero,
-    and the bottom rows are then the first k entries of the canonical
-    solution.  The identity rows of the unknowns past k are left out: a
+    ``(b; 0)`` is reduced against the Hermite form of the graph lattice
+    spanned by the columns of ``[A; -I_k 0]`` (and ``m * Z^(rows+k)`` over
+    Z/m), cached on ``(A, k)``: ``b`` is reachable exactly when the top rows
+    reduce to zero, and the bottom rows are then the first k entries of the
+    canonical solution.  The identity rows of the unknowns past k are left out: a
     column Hermite form is zero above each pivot, so its first ``rows + k``
     rows are the Hermite form of the full graph's projection to those rows,
     and the pivots below them never touch the entries read.  No Smith form
@@ -349,19 +355,20 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None =
     k = n if k is None else k
     if not 0 <= k <= n:
         raise ValueError("number of unknowns out of range")
-    graph = a.data + tuple((0,) * i + (-1,) + (0,) * (n - 1 - i) for i in range(k))
-    v = _reduce_by_pivots([int(t) for t in b] + [0] * k, _hermite_cols(graph, a.ring.modulus or 0)[0])
+    v = _reduce_by_pivots([int(t) for t in b] + [0] * k, _hermite_cols(a.data, a.ring.modulus or 0, k)[0])
     if any(v[: a.rows]):
         return None
     return tuple(v[a.rows:])
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def kernel_columns(a: ExactMatrix) -> ExactMatrix:
     """Columns generating ``{x : A x = 0}`` over the ring.
 
     Over Z the columns form a lattice basis; over Z/m they are a generating
     set (projections of an integer kernel basis of the lifted matrix).
-    Zero and duplicate columns are dropped; order is deterministic.
+    Zero and duplicate columns are dropped; order is deterministic.  The
+    reduced kernel is cached on the matrix; the Smith form behind it is not.
     """
     data, nr, nc = _lifted(a)
     cols = _kernel_int(data, nr, nc)
@@ -382,6 +389,8 @@ def smith_lattice(a: ExactMatrix) -> tuple[tuple[int, ...], IntRows, IntRows]:
     lattice of ``a`` (over Z/m, of its lift with ``m * identity`` adjoined).
 
     ``diagonal`` holds the nonzero Smith entries, so its length is the rank.
+    Not cached: its callers, ``modules._structure`` and ``modules.simplify``,
+    cache what they build from it.
     """
     data, nr, nc = _lifted(a)
     u, uinv, d, _v = _snf_int(data, nr, nc)
@@ -469,10 +478,12 @@ def shrink_generators(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_cols(a.ring, kept, a.rows)
 
 
-@lru_cache(maxsize=None)
-def _hermite_cols(data: IntRows, m: int):
+@lru_cache(maxsize=CACHE_SIZE)
+def _hermite_cols(data: IntRows, m: int, k: int):
     """Canonical column Hermite form of the lattice spanned by the columns
-    (and, when ``m`` is nonzero, by ``m * e_i``), with the lattice's order.
+    of the graph ``[A; -I_k 0]`` of the matrix ``A`` with rows ``data`` (and,
+    when ``m`` is nonzero, by ``m * e_i``), with the lattice's order.  With
+    ``k == 0`` the graph is ``A`` itself; the graph is built only on a miss.
 
     Returns ``(pivots, order)``.  ``pivots`` lists the pivot columns
     ``(pivot_row, column)`` with strictly increasing pivot rows, positive
@@ -480,13 +491,15 @@ def _hermite_cols(data: IntRows, m: int):
     ``order`` is ``|Z^n / L|``, the product of the pivots, or ``None`` when
     some row has no pivot and the quotient is infinite.
     """
-    basis = _echelon_start(len(data), m)
-    for col in zip(*data):
-        _echelon_insert(basis, col, m)
+    nrows = len(data) + k
+    basis = _echelon_start(nrows, m)
+    # with no rows, A's columns are empty; only the k graph columns count
+    for j, col in enumerate(zip(*data) if data else [()] * k):
+        _echelon_insert(basis, col + ((0,) * j + (-1,) + (0,) * (k - 1 - j) if j < k else (0,) * k), m)
     pivots = [(r, c) for r, c in enumerate(basis) if c is not None]
     for r, _c in pivots:
         _reduce_below(basis, r)
-    order = prod(c[r] for r, c in pivots) if len(pivots) == len(data) else None
+    order = prod(c[r] for r, c in pivots) if len(pivots) == nrows else None
     return tuple((r, tuple(c)) for r, c in pivots), order
 
 
@@ -499,7 +512,7 @@ def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -
     if len(vec) != lattice.rows:
         raise ValueError("vector length mismatch")
     # over Z/m every row has a pivot dividing m, so the result is already reduced
-    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)[0]
+    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[0]
     return tuple(_reduce_by_pivots([int(t) for t in vec], pivots))
 
 
@@ -519,11 +532,11 @@ def lattice_pivot_profile(lattice: ExactMatrix) -> tuple[tuple[int, int], ...]:
     representatives produced by :func:`reduce_mod_lattice` range over
     ``0 <= v[row] < value`` at the pivot rows and are unconstrained elsewhere
     (over Z) -- everything over Z/m has full pivot structure."""
-    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0)[0]
+    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[0]
     return tuple((r, c[r]) for r, c in pivots)
 
 
 def lattice_order(lattice: ExactMatrix) -> int | None:
     """``|ring^n / span(lattice)|``, kept with the cached Hermite form; always
     finite over Z/m, ``None`` over Z when the quotient is infinite."""
-    return _hermite_cols(lattice.data, lattice.ring.modulus or 0)[1]
+    return _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[1]

@@ -20,6 +20,7 @@ from .errors import (
     WellDefinednessError,
 )
 from .linalg import (
+    CACHE_SIZE,
     ExactMatrix,
     block_diag,
     kernel_columns,
@@ -114,7 +115,7 @@ class PresentedModule:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _structure(m: PresentedModule):
     """(free_rank, invariant factors != 1) computed from the Smith form of the
     lifted relation lattice."""
@@ -647,7 +648,7 @@ class Simplified:
     from_min: ModuleMorphism   # simplified -> original
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def simplify(m: PresentedModule) -> Simplified:
     """An isomorphic module on invariant-factor generators, together with the
     isomorphisms both ways.  Keeps downstream resolutions small."""

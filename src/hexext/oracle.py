@@ -20,7 +20,9 @@ constructors.  That independence is the whole point, since these
 enumerations exist to validate the engine.
 
 Budgets are enforced by explicit candidate counting; every table's ambient
-size and addition-table cells count as candidates.
+size and addition-table cells count as candidates.  ``max_order`` bounds the
+order of every module an operation tabulates, and of the middle objects that
+:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.
 """
 
 from __future__ import annotations
@@ -223,6 +225,15 @@ def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) 
     return Table(tuple(radix), m.relations.columns(), meter)
 
 
+def _bounded_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
+    """:func:`_module_table`, refused once the module's order exceeds the
+    budget's ``max_order``."""
+    t = _module_table(m, budget, meter)
+    if t.n > budget.max_order:
+        raise BudgetExceededError(f"module order {t.n} exceeds budget {budget.max_order}")
+    return t
+
+
 def _morphism_images(f: ModuleMorphism, tgt: Table) -> list[int]:
     return [tgt.from_coeffs(c) for c in f.matrix.columns()]
 
@@ -260,8 +271,8 @@ def enumerate_morphisms(a: PresentedModule, b: PresentedModule,
     """Every well-defined morphism ``a -> b``; complete and duplicate-free
     under morphism equality (images are distinct table elements)."""
     meter = _Meter(budget)
-    ta = _module_table(a, budget, meter)
-    tb = _module_table(b, budget, meter)
+    ta = _bounded_table(a, budget, meter)
+    tb = _bounded_table(b, budget, meter)
     cands = _hom_candidates(ta, tb)
     if prod(len(c) for c in cands) > budget.max_candidates:
         raise BudgetExceededError("morphism space too large")
@@ -458,10 +469,10 @@ def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
     if s1.left != s2.left or s1.right != s2.right:
         return False
     meter = _Meter(budget)
-    tp = _module_table(s1.left, budget, meter)
-    tq = _module_table(s1.right, budget, meter)
-    tx1 = _module_table(s1.middle, budget, meter)
-    tx2 = _module_table(s2.middle, budget, meter)
+    tp = _bounded_table(s1.left, budget, meter)
+    tq = _bounded_table(s1.right, budget, meter)
+    tx1 = _bounded_table(s1.middle, budget, meter)
+    tx2 = _bounded_table(s2.middle, budget, meter)
     i1 = _morphism_images(s1.inject, tx1)
     i2 = _morphism_images(s2.inject, tx2)
     p1 = _morphism_images(s1.project, tq)
@@ -479,8 +490,8 @@ def brute_injective(p: PresentedModule, budget: EnumerationBudget = EnumerationB
     meter = _Meter(budget)
     if not p.ring.is_modular:
         rank, _ = _bareiss_rank_pivots([list(r) for r in p.relations.data])
-        return rank == p.generators and _module_table(p, budget, meter).n == 1
-    tp = _module_table(p, budget, meter)
+        return rank == p.generators and _bounded_table(p, budget, meter).n == 1
+    tp = _bounded_table(p, budget, meter)
     m = p.ring.modulus
     for d in range(1, m + 1):
         if m % d:

@@ -639,7 +639,7 @@ def test_compatible_isomorphism_matches_the_oracle(capsys):
     # an isomorphism is found iff some brute-force morphism X1 -> X2
     # satisfies the four compatibility equations; pairs with more than
     # the budget's candidate morphisms are skipped
-    budget = EnumerationBudget(max_candidates=50_000)
+    budget = EnumerationBudget(max_order=256, max_candidates=50_000)
     outcomes, skipped = collections.Counter(), 0
     for ring, seed, max_order in ((R4, 6, 16), (Zmod(6), 8, 16), (Zmod(8), 10, 16),
                                   (Zmod(9), 11, 16), (ZZ, 2, 32)):

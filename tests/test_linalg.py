@@ -226,14 +226,14 @@ def test_solve_matches_smith_route(system):
 
 def test_solve_builds_no_smith_form(monkeypatch):
     calls = []
-    work = linalg._snf_int_work
-    monkeypatch.setattr(linalg, "_snf_int_work", lambda *args: calls.append(args) or work(*args))
+    work = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int", lambda *args: calls.append(args) or work(*args))
     import random
 
     rng = random.Random(20261018)
     for ring in (ZZ, Zmod(12), Zmod(36)):
         hi = 97 if ring == ZZ else ring.modulus - 1
-        # a shape no other test uses, so no cached Smith form could hide a call
+        # a shape no other test uses, so no cache could hide a call
         a = mat(ring, [[rng.randint(0, hi) for _ in range(11)] for _ in range(5)])
         x = [rng.randint(0, hi) for _ in range(11)]
         sol = solve_linear(a, a.apply(x))
@@ -341,8 +341,8 @@ def test_shrink_generators_edge_shapes():
 
 def test_shrink_generators_builds_no_smith_form(monkeypatch):
     calls = []
-    work = linalg._snf_int_work
-    monkeypatch.setattr(linalg, "_snf_int_work", lambda *args: calls.append(args) or work(*args))
+    work = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int", lambda *args: calls.append(args) or work(*args))
     bases = []
     start = linalg._echelon_start
     monkeypatch.setattr(linalg, "_echelon_start", lambda *args: bases.append(start(*args)) or bases[-1])
@@ -351,7 +351,7 @@ def test_shrink_generators_builds_no_smith_form(monkeypatch):
     rng = random.Random(20240611)
     for ring in (ZZ, Zmod(12), Zmod(36)):
         hi = 97 if ring == ZZ else ring.modulus - 1
-        # a shape no other test uses, so no cached Smith form could hide a call
+        # a shape no other test uses, so no cache could hide a call
         a = mat(ring, [[rng.randint(0, hi) for _ in range(13)] for _ in range(7)])
         shrink_generators(a)
     assert calls == []
@@ -383,3 +383,58 @@ def test_hermite_form_is_canonical(a, rnd):
 def test_lattice_order_is_the_smith_product(a):
     diag, _u, _uinv = smith_lattice(a)
     assert lattice_order(a) == (prod(diag) if len(diag) == a.rows else None)
+
+
+# -- bounded caches -----------------------------------------------------------
+
+
+def _engine_caches():
+    """``qualified name -> callable`` for every ``cache_info()`` callable in
+    the ``hexext`` modules, module-level or on a class defined there."""
+    import importlib
+    import pkgutil
+
+    import hexext
+
+    out = {}
+    for info in pkgutil.iter_modules(hexext.__path__):
+        mod = importlib.import_module(f"hexext.{info.name}")
+        holders = [vars(mod)] + [vars(c) for c in vars(mod).values()
+                                 if isinstance(c, type) and c.__module__ == mod.__name__]
+        for ns in holders:
+            for name, obj in ns.items():
+                if callable(getattr(obj, "cache_info", None)) and obj.__module__ == mod.__name__:
+                    out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def test_every_engine_cache_is_bounded_by_one_cap():
+    caches = _engine_caches()
+    assert set(caches) == {"linalg._hermite_cols", "linalg.kernel_columns", "modules._structure",
+                           "modules.simplify", "ext.free_resolution", "ext._syzygy3", "ext.ext_module"}
+    assert {name: fn.cache_info().maxsize for name, fn in caches.items()} == dict.fromkeys(caches, linalg.CACHE_SIZE)
+    # Smith transforms are never kept
+    assert not hasattr(linalg._snf_int, "cache_info")
+
+
+def test_cached_kernel_is_the_computed_kernel():
+    import random
+
+    rng = random.Random(20261019)
+    kernel_columns.cache_clear()
+    for ring in (ZZ, Zmod(12)):
+        hi = 9 if ring == ZZ else ring.modulus - 1
+        for rows, cols in [(0, 3), (1, 1), (2, 3), (3, 2), (4, 5)] * 4:
+            a = ExactMatrix.from_cols(ring, [[rng.randint(-hi, hi) for _ in range(rows)] for _ in range(cols)], rows)
+            assert kernel_columns(a) == kernel_columns.__wrapped__(a) == kernel_columns(a)
+    assert kernel_columns(ExactMatrix.zeros(ZZ, 0, 3)).columns() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_repeated_solve_adds_no_hermite_miss():
+    a = mat(Zmod(12), [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 0]])
+    b = a.apply([1, 1, 2, 3])
+    for k in (None, 0, 2, 4):
+        first = solve_linear(a, b, k)
+        misses = linalg._hermite_cols.cache_info().misses
+        assert solve_linear(a, b, k) == first
+        assert linalg._hermite_cols.cache_info().misses == misses

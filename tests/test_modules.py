@@ -282,14 +282,16 @@ def test_lift_solves_in_the_target_or_returns_none():
 @pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Zmod12"])
 def test_lift_graph_has_rows_only_for_the_source_unknowns(monkeypatch, ring):
     # the slack unknowns of the target's three relations get no identity
-    # rows: each column is solved on [A | R; -I_g 0], rows + g rows high
+    # rows: each column is solved on [A | R; -I_g 0], rows + g rows high,
+    # whose Hermite form is keyed on [A | R] and g
     source = PresentedModule.free(ring, 2)
     target = PresentedModule.make(ring, 3, [[2, 0, 0], [0, 3, 0], [1, 1, 6]])
     f = hom(source, target, [[1, 2], [0, 1], [3, 5]])
     rhs = f.matrix @ ExactMatrix.from_rows(ring, [[1, 4], [2, 7]], 2)
     shapes = []
     real = linalg._hermite_cols
-    monkeypatch.setattr(linalg, "_hermite_cols", lambda data, m: shapes.append((len(data), len(data[0]))) or real(data, m))
+    monkeypatch.setattr(linalg, "_hermite_cols",
+                        lambda data, m, k: shapes.append((len(data) + k, len(data[0]))) or real(data, m, k))
     x = lift(f, rhs)
     assert shapes == [(target.generators + source.generators, source.generators + 3)] * rhs.cols
     full = f.matrix.hstack(target.relations)

@@ -67,6 +67,23 @@ def test_enumeration_rejects_infinite():
         enumerate_morphisms(PresentedModule.free(ZZ, 1), PresentedModule.cyclic(ZZ, 2))
 
 
+@pytest.mark.parametrize("ring", [ZZ, Zmod(32)], ids=["Z", "Zmod32"])
+def test_max_order_bounds_every_table(ring):
+    # Z/32 is past the default max_order of 16 for every operation that
+    # tabulates it, and within a max_order of 64
+    z32 = PresentedModule.cyclic(ring, 32)
+    ses = split_ses(PresentedModule.zero(ring), z32)
+    calls = {
+        "enumerate_morphisms": (lambda budget: len(enumerate_morphisms(z32, z32, budget)), 32),
+        "brute_equivalent": (lambda budget: brute_equivalent(ses, ses, budget), True),
+        "brute_injective": (lambda budget: brute_injective(z32, budget), ring != ZZ),
+    }
+    for name, (call, expected) in calls.items():
+        with pytest.raises(BudgetExceededError, match="module order 32 exceeds budget 16"):
+            call(EnumerationBudget())
+        assert call(EnumerationBudget(max_order=64)) == expected, name
+
+
 # -- extension counting --------------------------------------------------------------
 
 
