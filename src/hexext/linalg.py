@@ -15,10 +15,10 @@ entries stay below m.  A solve reduces ``(b; 0)`` against the cached
 Hermite form of the graph ``[A; -I]`` and returns the canonical solution.
 
 Caches keep only what callers read, each bounded at :data:`CACHE_SIZE`
-entries: the Hermite form (keyed on the matrix and the number of graph
-unknowns) and the reduced kernel (keyed on the matrix).  Both are canonical
-for their key, so eviction never changes an answer.  Smith transforms are
-never kept.
+entries: the Hermite form, keyed on the matrix and the number of graph
+unknowns, is canonical for its key, so eviction never changes an answer.
+Kernels and Smith transforms are never kept here; the callers of
+:func:`kernel_columns` cache what they build from it.
 """
 
 from __future__ import annotations
@@ -361,14 +361,14 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None =
     return tuple(v[a.rows:])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def kernel_columns(a: ExactMatrix) -> ExactMatrix:
     """Columns generating ``{x : A x = 0}`` over the ring.
 
     Over Z the columns form a lattice basis; over Z/m they are a generating
     set (projections of an integer kernel basis of the lifted matrix).
-    Zero and duplicate columns are dropped; order is deterministic.  The
-    reduced kernel is cached on the matrix; the Smith form behind it is not.
+    Zero and duplicate columns are dropped; order is deterministic.  Not
+    cached: its callers, ``modules._preimage``, ``ext.free_resolution`` and
+    ``ext._syzygy3``, cache what they build from it.
     """
     data, nr, nc = _lifted(a)
     cols = _kernel_int(data, nr, nc)

@@ -244,9 +244,11 @@ def zero_morphism(source: PresentedModule, target: PresentedModule) -> ModuleMor
     return ModuleMorphism(source, target, ExactMatrix.zeros(source.ring, target.generators, source.generators))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _preimage(a: ExactMatrix, relations: ExactMatrix) -> ExactMatrix:
     """Columns spanning ``{x : a x in span(relations)}``: the kernel of
-    ``[a | relations]`` cut to its top ``a.cols`` rows, shrunk."""
+    ``[a | relations]`` cut to its top ``a.cols`` rows, shrunk.  Cached, so
+    a repeated kernel, image or submodule reuses the shrunk generators."""
     ker = kernel_columns(a.hstack(relations))
     cols = [list(ker.col(j))[: a.cols] for j in range(ker.cols)]
     return shrink_generators(ExactMatrix.from_cols(a.ring, cols, a.cols))

@@ -20,26 +20,32 @@ constructors.  That independence is the whole point, since these
 enumerations exist to validate the engine.
 
 Budgets are enforced by explicit candidate counting; every table's ambient
-size and addition-table cells count as candidates.  ``max_order`` bounds the
-order of every module an operation tabulates, and of the middle objects that
-:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.
+size and addition-table cells count as candidates, on every call, also when
+:func:`_table` hands out a table kept from an earlier call.  ``max_order``
+bounds the order of every module an operation tabulates, and of the middle
+objects that :func:`brute_ext1` and :func:`brute_extension_exists` enumerate.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd, prod
 
 from .errors import BudgetExceededError
-from .linalg import ExactMatrix
+from .linalg import CACHE_SIZE, ExactMatrix
 from .modules import ModuleMorphism, PresentedModule, ShortExactSequence
 from .rings import prime_factors
 
 
+# the default order budget, and the largest order of a table kept by _table
+_DEFAULT_MAX_ORDER = 16
+
+
 @dataclass(frozen=True)
 class EnumerationBudget:
-    max_order: int = 16
+    max_order: int = _DEFAULT_MAX_ORDER
     max_candidates: int = 20_000_000
 
     def __post_init__(self):
@@ -116,7 +122,8 @@ class Table:
     is zero and, with no relations, an element is its own code.
     ``digits[x]`` holds the digits of that least code, ``sums`` is the n x n
     addition table and ``multiples[x]`` lists ``0, x, 2x, ...`` up to the
-    order of x.
+    order of x.  All of them are tuples, since :func:`_table` shares one
+    table between calls.
     """
 
     def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
@@ -130,26 +137,28 @@ class Table:
         sub = _closure([tuple(c % o for c, o in zip(col, self.radix)) for col in relation_cols],
                        add_digits, (0,) * self.k)
         index: dict[tuple[int, ...], int] = {}
-        self.digits: list[tuple[int, ...]] = []
+        digits: list[tuple[int, ...]] = []
         for high_first in iproduct(*(range(o) for o in reversed(self.radix))):
             code = high_first[::-1]
             if code not in index:
                 for s in sub:
-                    index[add_digits(code, s)] = len(self.digits)
-                self.digits.append(code)
-        self.n = len(self.digits)
+                    index[add_digits(code, s)] = len(digits)
+                digits.append(code)
+        self.digits = tuple(digits)
+        self.n = len(digits)
         meter.tick(self.n * self.n)
-        self.sums = [[index[add_digits(a, b)] for b in self.digits] for a in self.digits]
-        self.multiples: list[list[int]] = []
+        self.sums = tuple(tuple(index[add_digits(a, b)] for b in digits) for a in digits)
+        multiples = []
         for x in range(self.n):
             mult = [0]
             y = x
             while y:
                 mult.append(y)
                 y = self.sums[y][x]
-            self.multiples.append(mult)
-        self._gens = [index[tuple(int(t == i) % o for t, o in enumerate(self.radix))]
-                     for i in range(self.k)]
+            multiples.append(tuple(mult))
+        self.multiples = tuple(multiples)
+        self._gens = tuple(index[tuple(int(t == i) % o for t, o in enumerate(self.radix))]
+                           for i in range(self.k))
 
     def add(self, a: int, b: int) -> int:
         return self.sums[a][b]
@@ -200,6 +209,51 @@ class Table:
         return vals
 
 
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+_kept_tables: OrderedDict[tuple, Table] = OrderedDict()
+_kept_lookups = {"hits": 0, "misses": 0}
+
+
+def _table(radix: tuple[int, ...], relation_cols, meter: _Meter) -> Table:
+    """``Table(radix, relation_cols, meter)``, kept for the process if small.
+
+    The memo is an LRU of at most ``CACHE_SIZE`` tables, keyed on the radix
+    and the relation columns, and keeps only tables of order at most the
+    default ``max_order`` (so at most 256 sum cells each).  A miss builds
+    under the caller's meter, so an oversized table still raises before it
+    allocates; a hit ticks the same two counts as a build, so every budget
+    refuses a kept table at the same point and with the same message.
+    """
+    key = (tuple(radix), tuple(map(tuple, relation_cols)))
+    t = _kept_tables.get(key)
+    if t is None:
+        _kept_lookups["misses"] += 1
+        t = Table(radix, relation_cols, meter)
+        if t.n <= _DEFAULT_MAX_ORDER:
+            _kept_tables[key] = t
+            if len(_kept_tables) > CACHE_SIZE:
+                _kept_tables.popitem(last=False)
+        return t
+    _kept_lookups["hits"] += 1
+    _kept_tables.move_to_end(key)
+    meter.tick(prod(t.radix))
+    meter.tick(t.n * t.n)
+    return t
+
+
+def _table_cache_info() -> _CacheInfo:
+    return _CacheInfo(_kept_lookups["hits"], _kept_lookups["misses"], CACHE_SIZE, len(_kept_tables))
+
+
+def _table_cache_clear() -> None:
+    _kept_tables.clear()
+    _kept_lookups.update(hits=0, misses=0)
+
+
+# the interface of an lru_cache, so the memo is inspected like the engine's caches
+_table.cache_info, _table.cache_clear = _table_cache_info, _table_cache_clear
+
+
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
     """The module's table.  ``mod`` (the ring modulus, or over Z the Bareiss
     pivot product) kills every generator; generator i gets the radix
@@ -207,7 +261,7 @@ def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) 
     multiple of ``e_i`` lies in the relation lattice too."""
     g = m.generators
     if g == 0:
-        return Table((), [], meter)
+        return _table((), [], meter)
     if m.ring.is_modular:
         mod = m.ring.modulus
     else:
@@ -222,7 +276,7 @@ def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) 
             radix[i] = gcd(radix[i], col[i])
     if prod(radix) > budget.max_candidates:
         raise BudgetExceededError("ambient table too large for the budget")
-    return Table(tuple(radix), m.relations.columns(), meter)
+    return _table(tuple(radix), m.relations.columns(), meter)
 
 
 def _bounded_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
@@ -372,7 +426,7 @@ def _coboundary_deltas(tp: Table, tq: Table, meter: _Meter) -> list[tuple]:
 
 
 def _canonical_factor_set(tp: Table, tq: Table, tx: Table,
-                          i_imgs: list[int], p_vals: list[int],
+                          i_inv: dict[int, int], p_vals: list[int],
                           deltas: list[tuple]) -> tuple:
     """Canonical invariant of the equivalence class of a short exact
     sequence: the factor set of a normalized section, minimised over the
@@ -382,11 +436,11 @@ def _canonical_factor_set(tp: Table, tq: Table, tx: Table,
     commuting with the end identities) iff their factor sets differ by the
     coboundary of some map Q -> P fixing 0; translating by all such
     coboundaries and taking the minimum is therefore a complete invariant.
-    ``p_vals`` holds the projection's value at every middle element.
+    ``i_inv`` maps each element of the injection's image to its preimage in
+    P, and ``p_vals`` holds the projection's value at every middle element.
     """
     if tp.n == 1:
         return ()
-    i_inv = {tp.apply_images(tx, i_imgs, pe): pe for pe in range(tp.n)}
     section: dict[int, int] = {}
     for x, v in enumerate(p_vals):
         section.setdefault(v, x)
@@ -439,11 +493,11 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     reps: list[ShortExactSequence] = []
 
     for orders in _product_types(p.ring, n):
-        tx = Table(orders, [], meter)
+        tx = _table(orders, [], meter)
         pcand = _hom_candidates(tx, tq)
         for i_imgs in _iter_homs(tx, p_rel, _hom_candidates(tp, tx), meter):
-            image = {tp.apply_images(tx, i_imgs, pe) for pe in range(tp.n)}
-            if len(image) != tp.n:
+            i_inv = {tp.apply_images(tx, i_imgs, pe): pe for pe in range(tp.n)}
+            if len(i_inv) != tp.n:
                 continue
             for p_imgs in iproduct(*pcand):
                 meter.tick()
@@ -451,9 +505,9 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
                 if len(set(p_vals)) != tq.n:
                     continue
                 zeros = [x for x, v in enumerate(p_vals) if v == 0]
-                if len(zeros) != tp.n or any(x not in image for x in zeros):
+                if len(zeros) != tp.n or any(x not in i_inv for x in zeros):
                     continue
-                key = _canonical_factor_set(tp, tq, tx, i_imgs, p_vals, deltas)
+                key = _canonical_factor_set(tp, tq, tx, i_inv, p_vals, deltas)
                 if key in classes:
                     continue
                 classes.add(key)
@@ -532,7 +586,7 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
     h_rel = d.h.relations.columns()
 
     for orders in _product_types(d.p.ring, n):
-        tx = Table(orders, [], meter)
+        tx = _table(orders, [], meter)
         for m_imgs in iproduct(*_hom_candidates(tx, tf)):
             meter.tick()
             m_imgs = list(m_imgs)

@@ -410,24 +410,30 @@ def _engine_caches():
 
 def test_every_engine_cache_is_bounded_by_one_cap():
     caches = _engine_caches()
-    assert set(caches) == {"linalg._hermite_cols", "linalg.kernel_columns", "modules._structure",
-                           "modules.simplify", "ext.free_resolution", "ext._syzygy3", "ext.ext_module"}
+    assert set(caches) == {"linalg._hermite_cols", "modules._preimage", "modules._structure",
+                           "modules.simplify", "ext.free_resolution", "ext._syzygy3", "ext.ext_module",
+                           "oracle._table"}
     assert {name: fn.cache_info().maxsize for name, fn in caches.items()} == dict.fromkeys(caches, linalg.CACHE_SIZE)
-    # Smith transforms are never kept
+    # Smith transforms and bare kernels are never kept
     assert not hasattr(linalg._snf_int, "cache_info")
+    assert not hasattr(kernel_columns, "cache_info")
 
 
-def test_cached_kernel_is_the_computed_kernel():
+def test_cached_preimage_is_the_computed_preimage():
     import random
 
+    from hexext.modules import _preimage
+
     rng = random.Random(20261019)
-    kernel_columns.cache_clear()
+    _preimage.cache_clear()
     for ring in (ZZ, Zmod(12)):
         hi = 9 if ring == ZZ else ring.modulus - 1
         for rows, cols in [(0, 3), (1, 1), (2, 3), (3, 2), (4, 5)] * 4:
             a = ExactMatrix.from_cols(ring, [[rng.randint(-hi, hi) for _ in range(rows)] for _ in range(cols)], rows)
-            assert kernel_columns(a) == kernel_columns.__wrapped__(a) == kernel_columns(a)
-    assert kernel_columns(ExactMatrix.zeros(ZZ, 0, 3)).columns() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+            rels = ExactMatrix.from_cols(ring, [[rng.randint(-hi, hi) for _ in range(rows)]
+                                                for _ in range(rng.randint(0, 2))], rows)
+            assert _preimage(a, rels) == _preimage.__wrapped__(a, rels) == _preimage(a, rels)
+    assert _preimage(ExactMatrix.zeros(ZZ, 0, 3), ExactMatrix.zeros(ZZ, 0, 0)).columns() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_repeated_solve_adds_no_hermite_miss():

@@ -18,6 +18,7 @@ from hexext.oracle import (
     _Meter,
     _bareiss_rank_pivots,
     _module_table,
+    _table,
     brute_equivalent,
     brute_ext1,
     brute_extension_exists,
@@ -294,8 +295,69 @@ def test_table_matches_digit_arithmetic(radix, data):
 
 def test_oversized_table_raises_before_allocating():
     # the ambient size (101) fits the budget; the 101 x 101 addition table does not
-    with pytest.raises(BudgetExceededError, match="candidate count exceeded 1000"):
-        Table((101,), [], _Meter(EnumerationBudget(max_candidates=1000)))
+    for build in (Table, _table):
+        with pytest.raises(BudgetExceededError, match="candidate count exceeded 1000"):
+            build((101,), [], _Meter(EnumerationBudget(max_candidates=1000)))
+    # a kept table is refused at the same point as a fresh build: after its
+    # ambient size (4), at its addition table (16)
+    _table((4,), [], _Meter(EnumerationBudget()))
+    for build in (Table, _table):
+        meter = _Meter(EnumerationBudget(max_candidates=19))
+        with pytest.raises(BudgetExceededError, match="candidate count exceeded 19"):
+            build((4,), [], meter)
+        assert meter.count == 4 + 16
+
+
+def test_table_memo_keeps_only_tables_within_the_default_order():
+    _table.cache_clear()
+    budget = EnumerationBudget(max_order=64)
+    for radix, rels, order in (((16,), [], 16), ((4, 4), [], 16), ((17,), [], 17),
+                               ((3, 6), [], 18), ((8, 8), [(4, 4)], 32), ((8, 8), [(1, 1)], 8)):
+        first = _table(radix, rels, _Meter(budget))
+        assert first.n == order
+        kept = order <= EnumerationBudget().max_order
+        assert (_table(radix, rels, _Meter(budget)) is first) == kept, radix
+    assert _table.cache_info().currsize == 3
+    assert _table.cache_info().maxsize == linalg.CACHE_SIZE
+
+
+def test_table_is_frozen():
+    t = _table((2, 3), [(2, 0)], _Meter(EnumerationBudget()))
+    for part in (t.digits, t.sums, t.multiples, t._gens, t.radix):
+        assert isinstance(part, tuple)
+    assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits)
+
+
+def _ext1_outcome(q, p, budget):
+    try:
+        out = brute_ext1(q, p, budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return out.count, [(s.middle.relations, s.inject.matrix, s.project.matrix) for s in out.representatives]
+
+
+def test_table_memo_changes_no_answer():
+    # seeded pairs over Z and Z/m with |Q||P| <= 12, each under the default
+    # budget and under candidate budgets that a third and nearly all of them
+    # exceed, some while tabulating: counts, representatives and error
+    # messages agree with every table built afresh and with every table kept
+    calls = []
+    for ring in (ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)):
+        rng = random.Random(f"table-memo-{ring}")
+        for _ in range(8):
+            q = random_module(rng, ring, 6)
+            p = random_module(rng, ring, 12 // q.cardinality())
+            calls += [(q, p, EnumerationBudget(max_candidates=c)) for c in (20_000_000, 500, 100)]
+    cold = []
+    for q, p, budget in calls:
+        _table.cache_clear()
+        cold.append(_ext1_outcome(q, p, budget))
+    for q, p, budget in calls:
+        _ext1_outcome(q, p, budget)
+    warm = [_ext1_outcome(q, p, budget) for q, p, budget in calls]
+    assert _table.cache_info().hits > 0
+    assert warm == cold
+    assert any(isinstance(o, str) for o in cold) and any(not isinstance(o, str) for o in cold)
 
 
 def test_module_table_radix_per_generator():
@@ -308,6 +370,9 @@ def test_module_table_radix_per_generator():
         meter = _Meter(EnumerationBudget())
         t = _module_table(m, EnumerationBudget(), meter)
         assert (t.radix, t.n, meter.count) == (radix, order, prod(radix) + order * order)
+        # a kept table counts the same candidates as a fresh build
+        again = _Meter(EnumerationBudget())
+        assert _module_table(m, EnumerationBudget(), again).sums == t.sums and again.count == meter.count
 
 
 def _uniform_module_table(m, budget, meter):
@@ -370,8 +435,9 @@ def _oracle_calls():
 @pytest.mark.parametrize("name", list(_oracle_calls()))
 def test_oracle_answers_without_the_engine(monkeypatch, name):
     call, expected = _oracle_calls()[name]
-    # empty the engine's caches, so that no cached result hides a call below them
-    for layer in (linalg, modules):
+    # empty the engine's caches, so that no cached result hides a call below
+    # them, and the oracle's table memo, so that the call builds its own tables
+    for layer in (linalg, modules, oracle):
         for obj in vars(layer).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
