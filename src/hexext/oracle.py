@@ -95,21 +95,23 @@ def _bareiss_rank_pivots(rows: list[list[int]]) -> tuple[int, int]:
     return rank, pivots
 
 
-def _closure(gens, add, zero) -> set:
+def _closure(gens, add, zero) -> dict:
     """The subgroup generated by ``gens``: breadth-first closure of ``zero``
-    under adding a generator."""
-    seen = {zero}
+    under adding a generator.  Its elements are the keys, in the order
+    reached; each one after ``zero`` maps to ``(earlier, g)``, the element
+    it was reached from by adding ``gens[g]``."""
+    reached = {zero: None}
     frontier = [zero]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = add(x, g)
-                if y not in seen:
-                    seen.add(y)
+            for g, gen in enumerate(gens):
+                y = add(x, gen)
+                if y not in reached:
+                    reached[y] = (x, g)
                     nxt.append(y)
         frontier = nxt
-    return seen
+    return reached
 
 
 class Table:
@@ -122,8 +124,11 @@ class Table:
     is zero and, with no relations, an element is its own code.
     ``digits[x]`` holds the digits of that least code, ``sums`` is the n x n
     addition table and ``multiples[x]`` lists ``0, x, 2x, ...`` up to the
-    order of x.  All of them are tuples, since :func:`_table` shares one
-    table between calls.
+    order of x.  ``_steps`` lists every nonzero element once as
+    ``(x, earlier, g)`` with ``x = earlier + generator g``, in breadth-first
+    order from 0, so :meth:`hom_value_table` spends one addition per element
+    with or without relations.  All of them are tuples, since :func:`_table`
+    shares one table between calls.
     """
 
     def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
@@ -159,6 +164,9 @@ class Table:
         self.multiples = tuple(multiples)
         self._gens = tuple(index[tuple(int(t == i) % o for t, o in enumerate(self.radix))]
                            for i in range(self.k))
+        reached = iter(_closure(self._gens, self.add, 0).items())
+        next(reached)  # zero
+        self._steps = tuple((x, earlier, g) for x, (earlier, g) in reached)
 
     def add(self, a: int, b: int) -> int:
         return self.sums[a][b]
@@ -192,20 +200,12 @@ class Table:
         return target.combination(self.digits[x], images)
 
     def hom_value_table(self, target: "Table", images) -> list[int]:
-        """Values of the homomorphism at every element, built incrementally
-        (one addition per element).  Tables without relations only, where an
-        element is its own code."""
+        """:meth:`apply_images` at every element, one addition per element
+        along ``_steps``."""
         vals = [0] * self.n
         sums = target.sums
-        filled = 1
-        for o, img in zip(self.radix, images):
-            acc = 0
-            for d in range(1, o):
-                acc = sums[acc][img]
-                base = d * filled
-                for c in range(filled):
-                    vals[base + c] = sums[acc][vals[c]]
-            filled *= o
+        for x, earlier, g in self._steps:
+            vals[x] = sums[vals[earlier]][images[g]]
         return vals
 
 
@@ -389,8 +389,8 @@ def _ladder_iso_exists(tp: Table, tq: Table,
     if tx1.n != tx2.n:
         return False
     fibers: dict[int, list[int]] = {}
-    for y in range(tx2.n):
-        fibers.setdefault(tx2.apply_images(tq, p2, y), []).append(y)
+    for y, v in enumerate(tx2.hom_value_table(tq, p2)):
+        fibers.setdefault(v, []).append(y)
     cand = []
     for gidx, o in enumerate(tx1.radix):
         pool = fibers.get(tx1.apply_images(tq, p1, tx1.gen_code(gidx)), [])
@@ -398,9 +398,10 @@ def _ladder_iso_exists(tp: Table, tq: Table,
         if not pool:
             return False
         cand.append(pool)
-    along_i = [(tp.apply_images(tx1, i1, pe), tp.apply_images(tx2, i2, pe)) for pe in range(tp.n)]
+    along_i = list(zip(tp.hom_value_table(tx1, i1), tp.hom_value_table(tx2, i2)))
     for images in _iter_homs(tx2, rel1, cand, meter):
-        if all(tx1.apply_images(tx2, images, x1) == x2 for x1, x2 in along_i):
+        phi = tx1.hom_value_table(tx2, images)
+        if all(phi[x1] == x2 for x1, x2 in along_i):
             return True
     return False
 
@@ -425,33 +426,51 @@ def _coboundary_deltas(tp: Table, tq: Table, meter: _Meter) -> list[tuple]:
     return deltas
 
 
-def _canonical_factor_set(tp: Table, tq: Table, tx: Table,
-                          i_inv: dict[int, int], p_vals: list[int],
-                          deltas: list[tuple]) -> tuple:
+def _projections_by_kernel(tx: Table, tq: Table, candidates, order: int) -> dict[frozenset, list[tuple]]:
+    """The projection candidates ``X -> Q`` whose kernel has the given order,
+    as generator images grouped by kernel, each group in candidate order.
+    With ``|X| = order * |Q|`` these are exactly the surjections with a
+    kernel of that order."""
+    groups: dict[frozenset, list[tuple]] = {}
+    for p_imgs in iproduct(*candidates):
+        vals = tx.hom_value_table(tq, p_imgs)
+        if vals.count(0) == order:
+            kernel = frozenset(x for x, v in enumerate(vals) if v == 0)
+            groups.setdefault(kernel, []).append(p_imgs)
+    return groups
+
+
+def _section_factor_set(tq: Table, tx: Table, p_vals: list[int]) -> tuple:
+    """``s(q1) + s(q2) - s(q1 + q2)`` over the nonzero-pair grid of Q, as
+    elements of the projection's kernel in X, for the section ``s`` taking
+    each element of Q to the least element over it.  The zero element lies
+    over 0 and is least, so ``s(0) = 0``: the section is normalised."""
+    section: dict[int, int] = {}
+    for x, v in enumerate(p_vals):
+        section.setdefault(v, x)
+    s = [section[v] for v in range(tq.n)]
+    # the last listed multiple of an element is its negative
+    neg = [tx.multiples[x][-1] for x in s]
+    xadd = tx.sums
+    out: list[int] = []
+    for q1 in range(1, tq.n):
+        row, qrow = xadd[s[q1]], tq.sums[q1]
+        out += [xadd[row[s[q2]]][neg[qrow[q2]]] for q2 in range(1, tq.n)]
+    return tuple(out)
+
+
+def _canonical_factor_set(tp: Table, base: tuple, deltas: list[tuple]) -> tuple:
     """Canonical invariant of the equivalence class of a short exact
-    sequence: the factor set of a normalized section, minimised over the
-    coboundary subgroup.
+    sequence: its factor set ``base`` (a normalised section's, as elements
+    of P over the nonzero-pair grid of Q), minimised over the coboundary
+    subgroup ``deltas``.
 
     Two sequences with the same P and Q are equivalent (middle isomorphism
     commuting with the end identities) iff their factor sets differ by the
     coboundary of some map Q -> P fixing 0; translating by all such
     coboundaries and taking the minimum is therefore a complete invariant.
-    ``i_inv`` maps each element of the injection's image to its preimage in
-    P, and ``p_vals`` holds the projection's value at every middle element.
+    It depends on ``base`` alone, so callers compute it once per factor set.
     """
-    if tp.n == 1:
-        return ()
-    section: dict[int, int] = {}
-    for x, v in enumerate(p_vals):
-        section.setdefault(v, x)
-    # the zero element lies over 0 and is minimal, so s(0) = 0: normalised
-    xadd = tx.sums
-    base = []
-    for q1 in range(1, tq.n):
-        s1 = section[q1]
-        for q2 in range(1, tq.n):
-            diff = xadd[xadd[s1][section[q2]]][tx.smul(-1, section[tq.add(q1, q2)])]
-            base.append(i_inv[diff])
     add = tp.sums
     best = None
     for delta in deltas:
@@ -477,9 +496,20 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
                budget: EnumerationBudget = EnumerationBudget()) -> ExtCount:
     """Count equivalence classes of ``0 -> P -> X -> Q -> 0`` by enumerating
     every candidate middle of order ``|P| * |Q|``, every injection of P,
-    every projection with matching kernel, and grouping by extension
-    equivalence (middle isomorphism commuting with the end identities),
-    decided through canonical factor sets."""
+    every projection whose kernel is the injection's image, and grouping by
+    extension equivalence (middle isomorphism commuting with the end
+    identities), decided through canonical factor sets.
+
+    Each piece of work runs once per thing it depends on.  A middle type's
+    projection candidates are walked once, on its first injective
+    injection, and the surjections among them are grouped by kernel, so an
+    injection finds its projections by looking up its image.  Every
+    injective injection still counts all projection candidates against the
+    budget, in one tick.  A projection's factor set is computed once, as
+    elements of X, and read into P through each injection's inverse; each
+    distinct factor set is canonicalised once per call.  The pairs come in
+    the order of a walk over every (injection, projection) pair, so each
+    class keeps the first pair that reaches it as its representative."""
     meter = _Meter(budget)
     tp = _module_table(p, budget, meter)
     tq = _module_table(q, budget, meter)
@@ -489,25 +519,34 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
 
     p_rel = p.relations.columns()
     deltas = _coboundary_deltas(tp, tq, meter)
+    canonical: dict[tuple, tuple] = {}
     classes: set[tuple] = set()
     reps: list[ShortExactSequence] = []
 
     for orders in _product_types(p.ring, n):
         tx = _table(orders, [], meter)
         pcand = _hom_candidates(tx, tq)
+        by_kernel = None
+        factor_sets: dict[tuple, tuple] = {}
         for i_imgs in _iter_homs(tx, p_rel, _hom_candidates(tp, tx), meter):
-            i_inv = {tp.apply_images(tx, i_imgs, pe): pe for pe in range(tp.n)}
-            if len(i_inv) != tp.n:
+            i_vals = tp.hom_value_table(tx, i_imgs)
+            image = frozenset(i_vals)
+            if len(image) != tp.n:
                 continue
-            for p_imgs in iproduct(*pcand):
-                meter.tick()
-                p_vals = tx.hom_value_table(tq, p_imgs)
-                if len(set(p_vals)) != tq.n:
-                    continue
-                zeros = [x for x, v in enumerate(p_vals) if v == 0]
-                if len(zeros) != tp.n or any(x not in i_inv for x in zeros):
-                    continue
-                key = _canonical_factor_set(tp, tq, tx, i_inv, p_vals, deltas)
+            meter.tick(prod(map(len, pcand)))
+            if by_kernel is None:
+                by_kernel = _projections_by_kernel(tx, tq, pcand, tp.n)
+            i_inv = {x: pe for pe, x in enumerate(i_vals)}
+            for p_imgs in by_kernel.get(image, ()):
+                if tp.n == 1:
+                    key = ()  # P = 0: every sequence splits
+                else:
+                    if p_imgs not in factor_sets:
+                        factor_sets[p_imgs] = _section_factor_set(tq, tx, tx.hom_value_table(tq, p_imgs))
+                    base = tuple(map(i_inv.__getitem__, factor_sets[p_imgs]))
+                    if base not in canonical:
+                        canonical[base] = _canonical_factor_set(tp, base, deltas)
+                    key = canonical[base]
                 if key in classes:
                     continue
                 classes.add(key)
@@ -582,6 +621,8 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
     nu_img = _morphism_images(d.row_top.inject, te)    # P -> E
     mu_img = _morphism_images(d.col_left.inject, th)   # P -> H
 
+    fq_vals = tf.hom_value_table(tq, pfq_img)
+    gq_vals = tg.hom_value_table(tq, pgq_img)
     e_rel = d.e.relations.columns()
     h_rel = d.h.relations.columns()
 
@@ -602,9 +643,8 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
             ncand = []
             feasible = True
             for gi in range(tx.k):
-                qv = tf.apply_images(tq, pfq_img, m_imgs[gi])
-                opts = [y for y in range(tg.n)
-                        if tg.smul(orders[gi], y) == 0 and tg.apply_images(tq, pgq_img, y) == qv]
+                qv = fq_vals[m_imgs[gi]]
+                opts = [y for y in range(tg.n) if tg.smul(orders[gi], y) == 0 and gq_vals[y] == qv]
                 if not opts:
                     feasible = False
                     break
@@ -635,7 +675,7 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                 if not feasible:
                     continue
                 for j_imgs in _iter_homs(tx, e_rel, jcand, meter):
-                    jvals = [te.apply_images(tx, j_imgs, e) for e in range(te.n)]
+                    jvals = te.hom_value_table(tx, j_imgs)
                     if len(set(jvals)) != te.n or set(jvals) != ker_n:
                         continue
                     icand = []
@@ -650,10 +690,9 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                     if not feasible:
                         continue
                     for i_imgs in _iter_homs(tx, h_rel, icand, meter):
-                        ivals = [th.apply_images(tx, i_imgs, h) for h in range(th.n)]
+                        ivals = th.hom_value_table(tx, i_imgs)
                         if len(set(ivals)) != th.n or set(ivals) != ker_m:
                             continue
-                        if all(th.apply_images(tx, i_imgs, mu) == te.apply_images(tx, j_imgs, nu)
-                               for mu, nu in zip(mu_img, nu_img)):
+                        if all(ivals[mu] == jvals[nu] for mu, nu in zip(mu_img, nu_img)):
                             return True
     return False

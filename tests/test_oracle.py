@@ -1,5 +1,7 @@
 """The brute-force oracles and their agreement with the computed path."""
 
+import hashlib
+import json
 import random
 from math import gcd, lcm, prod
 
@@ -291,6 +293,25 @@ def test_table_matches_digit_arithmetic(radix, data):
     assert code[t.from_coeffs(col)] == ref.from_coeffs(col)
     gens = data.draw(st.lists(st.integers(0, t.n - 1), max_size=3))
     assert {code[x] for x in t.subgroup(gens)} == ref.subgroup([code[x] for x in gens])
+    # the homomorphism x -> k * x into a quotient by further relations,
+    # valued at every element at once and one element at a time
+    extra = data.draw(st.lists(st.lists(coeff, min_size=len(radix), max_size=len(radix)), max_size=2))
+    k = data.draw(coeff)
+    tgt = Table(tuple(radix), rels + extra, _Meter(EnumerationBudget()))
+    tgt_ref = _DigitGroup(radix, rels + extra)
+    images = [tgt.smul(k, tgt.gen_code(i)) for i in range(len(radix))]
+    vals = t.hom_value_table(tgt, images)
+    assert vals == [t.apply_images(tgt, images, x) for x in range(t.n)]
+    assert [tgt_ref.elements[v] for v in vals] == [tgt_ref.smul(k, c) for c in code]
+
+
+def test_hom_value_table_on_one_element_tables():
+    # no generators, or generators that the relations kill: the only value is 0
+    meter = _Meter(EnumerationBudget())
+    tgt = Table((4,), [], meter)
+    for t, images in ((Table((), [], meter), []), (Table((4, 3), [(1, 0), (0, 1)], meter), [1, 2])):
+        assert t.n == 1 and t._steps == ()
+        assert t.hom_value_table(tgt, images) == [0] == [t.apply_images(tgt, images, 0)]
 
 
 def test_oversized_table_raises_before_allocating():
@@ -323,9 +344,9 @@ def test_table_memo_keeps_only_tables_within_the_default_order():
 
 def test_table_is_frozen():
     t = _table((2, 3), [(2, 0)], _Meter(EnumerationBudget()))
-    for part in (t.digits, t.sums, t.multiples, t._gens, t.radix):
+    for part in (t.digits, t.sums, t.multiples, t._gens, t._steps, t.radix):
         assert isinstance(part, tuple)
-    assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits)
+    assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits + t._steps)
 
 
 def _ext1_outcome(q, p, budget):
@@ -358,6 +379,44 @@ def test_table_memo_changes_no_answer():
     assert _table.cache_info().hits > 0
     assert warm == cold
     assert any(isinstance(o, str) for o in cold) and any(not isinstance(o, str) for o in cold)
+
+
+# the smallest candidate budget under which brute_ext1 answers, on seeded
+# pairs over Z and Z/m: one candidate less is refused
+_METER_PINS = {
+    "Z": (2056, 94), "Z/4": (317, 5978), "Z/6": (478, 472),
+    "Z/8": (6350, 406), "Z/9": (303, 31), "Z/12": (800, 800),
+}
+
+
+@pytest.mark.parametrize("ring", [ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)], ids=str)
+def test_ext1_candidate_count_is_pinned(ring):
+    rng = random.Random(f"meter-pin-{ring}")
+    for least in _METER_PINS[str(ring)]:
+        q = random_module(rng, ring, 8)
+        p = random_module(rng, ring, 16 // q.cardinality())
+        assert brute_ext1(q, p, EnumerationBudget(max_candidates=least)).count >= 1
+        with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {least - 1}$"):
+            brute_ext1(q, p, EnumerationBudget(max_candidates=least - 1))
+
+
+def test_ext1_outcomes_are_pinned():
+    # counts, representatives' matrices and refusal messages on seeded pairs
+    # with |Q||P| <= 16, under the default budget and three small ones
+    outcomes = []
+    for ring in (ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)):
+        rng = random.Random(f"outcome-pin-{ring}")
+        for _ in range(10):
+            q = random_module(rng, ring, 12)
+            p = random_module(rng, ring, 16 // q.cardinality())
+            for c in (20_000_000, 2000, 500, 100):
+                out = _ext1_outcome(q, p, EnumerationBudget(max_candidates=c))
+                if not isinstance(out, str):
+                    out = [out[0], [[m.data for m in rep] for rep in out[1]]]
+                outcomes.append(out)
+    assert sum(isinstance(o, str) for o in outcomes) == 104
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "0b0dfda44e01b717d8c7221d5f903da06cccb8963f030de12047750261727454"
 
 
 def test_module_table_radix_per_generator():
