@@ -34,8 +34,8 @@ from .ext import (
     class_of_ses,
     connecting_hom,
     ext_module,
-    ext_of_sum,
     free_resolution,
+    restriction,
     ses_of_class,
     transport_contravariant,
     transport_covariant,
@@ -83,8 +83,8 @@ __all__ = [
     "pullback", "pushout", "exactness_report", "is_exact", "make_ses",
     "split_ses", "snake_connecting",
     "FreeResolution", "ExtModule", "ExtClass", "YonedaTwoExtension",
-    "free_resolution", "ext_module", "ext_of_sum", "class_of_ses", "ses_of_class",
-    "transport_contravariant", "transport_covariant",
+    "free_resolution", "ext_module", "class_of_ses", "ses_of_class",
+    "restriction", "transport_contravariant", "transport_covariant",
     "baer_sum_explicit", "yoneda_product", "connecting_hom",
     "Diagram3x3", "DiagramExtension", "ObstructionReport",
     "validate_diagram1", "obstruction", "build_Y", "extend_diagram",

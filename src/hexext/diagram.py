@@ -28,14 +28,11 @@ from .ext import (
     ExtClass,
     class_of_ses,
     ext_module,
-    ext_of_sum,
-    ses_of_class,
+    restriction,
     ses_of_cocycle,
-    transport_contravariant,
     yoneda_product_of_ses,
-    _transport_matrix,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, block_diag
 from .modules import (
     DirectSum,
     ModuleMorphism,
@@ -49,6 +46,7 @@ from .modules import (
     is_exact,
     lift,
     make_ses,
+    morphism_cokernel,
     morphism_image,
     pullback,
     pullback_factor,
@@ -277,36 +275,33 @@ def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:
     return out
 
 
-def _restriction_data(d: Diagram3x3, by: BuildY) -> ExtClass:
-    """tau = pr_R^*[rowTop] + pr_S^*[colLeft] in Ext^1(R (+) S, P).
+def _tau_ses(d: Diagram3x3, by: BuildY) -> ShortExactSequence:
+    """``0 -> P -> (E (+) H)/P -> R (+) S -> 0``, the Baer sum of the
+    pullbacks of rowTop and colLeft along the projections of R (+) S, so its
+    class is tau = pr_R^*[rowTop] + pr_S^*[colLeft].  P is divided out as
+    (nu p, -mu p); the direct sum itself is never resolved."""
+    eh = direct_sum(d.e, d.h)
+    skew = ModuleMorphism(d.p, eh.module, d.row_top.inject.matrix.vstack(-d.col_left.inject.matrix))
+    quot, to_quot = morphism_cokernel(skew)
+    proj = block_diag(d.p.ring, [d.row_top.project.matrix, d.col_left.project.matrix])
+    return make_ses(to_quot @ eh.inject_left @ d.row_top.inject, ModuleMorphism(quot, by.rs.module, proj))
 
-    Ext^1(R (+) S, P) is built on the block resolution from the cached
-    Ext^1(R, P) and Ext^1(S, P) (:func:`ext_of_sum`), where pulling back
-    along the projections places each summand's coordinates in its block;
-    the direct sum itself is never resolved."""
-    c_top = class_of_ses(d.row_top)
-    c_left = class_of_ses(d.col_left)
-    e_rs = ext_of_sum(c_top.parent, c_left.parent, by.rs.module)
-    return ExtClass(e_rs, c_top.coords + c_left.coords)
 
-
-def _solve_restriction(d: Diagram3x3, by: BuildY, tau: ExtClass) -> ExtClass | None:
+def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
     """The canonical class xi in Ext^1(Y, P) restricting to tau, when one
     exists (deterministically the smallest coordinate solution).
 
-    The restriction rho along R (+) S -> Y lands in tau's module, built on
-    the block resolution: its R and S blocks are the transports along
-    ``w_r`` and ``w_s`` into the cached Ext^1(R, P) and Ext^1(S, P).  The solution set, and so the
-    canonical solution, does not depend on how the target is presented."""
+    The restriction along R (+) S -> Y stacks the restrictions along ``w_r``
+    and ``w_s`` into Ext^1(R, P) (+) Ext^1(S, P), where tau's coordinates
+    are those of [rowTop] followed by those of [colLeft].  The solution set,
+    and so the canonical solution, does not depend on how the target is
+    presented."""
     e_y = ext_module(1, by.y, d.p)
-    e_rs = tau.parent
-
-    def restrict(x: ExtClass) -> ExtClass:
-        on_r, on_s = transport_contravariant(x, by.w_r), transport_contravariant(x, by.w_s)
-        return ExtClass(e_rs, on_r.coords + on_s.coords)
-
-    rho = ModuleMorphism(e_y.presentation, e_rs.presentation, _transport_matrix(e_y, e_rs, restrict))
-    x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau.coords], e_rs.presentation.generators))
+    on_r, on_s = restriction(e_y, by.w_r), restriction(e_y, by.w_s)
+    target = direct_sum(on_r.target, on_s.target).module
+    rho = ModuleMorphism(e_y.presentation, target, on_r.matrix.vstack(on_s.matrix))
+    tau = class_of_ses(d.row_top).coords + class_of_ses(d.col_left).coords
+    x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau], target.generators))
     if x is None:
         return None
     return e_y.class_from_coords(x.col(0))
@@ -344,13 +339,12 @@ def _class_over_y(d: Diagram3x3) -> tuple[BuildY, ExtClass]:
 
 
 def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
-    """The restriction data tau over R (+) S, its connecting image (splice
-    with the Y-sequence) checked against the product obstruction, then xi
-    solved from the restriction map.  Raises :class:`NotExtendableError`
-    with the obstruction report when the obstruction is nonzero."""
-    tau = _restriction_data(d, by)
+    """The sequence of tau over R (+) S, spliced with the Y-sequence and
+    checked against the product obstruction, then xi solved from the
+    restriction map.  Raises :class:`NotExtendableError` with the
+    obstruction report when the obstruction is nonzero."""
     ob = _known(d, "obstruction", _obstruction)
-    delta_tau = yoneda_product_of_ses(ses_of_class(tau), by.ses)
+    delta_tau = yoneda_product_of_ses(_tau_ses(d, by), by.ses)
     if not delta_tau.same_as(ob.baer_sum):
         raise AssertionError(
             "obstruction routes disagree: connecting image "
@@ -358,7 +352,7 @@ def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
         )
     if not ob.is_zero:
         raise NotExtendableError(ob)
-    xi = _solve_restriction(d, by, tau)
+    xi = _solve_restriction(d, by)
     if xi is None:
         raise AssertionError("obstruction vanished but the restriction map has no solution")
     return xi
@@ -379,10 +373,8 @@ def _restriction_from_q(d: Diagram3x3, by: BuildY) -> ModuleMorphism:
     cokernel of alpha: the classes over Y that restrict to tau form the coset
     ``xi0 + im rho``.  Ext^1(Y, P) is the module the restriction step has
     already built, and Hom(R (+) S, P) is never formed."""
-    e_q = ext_module(1, d.q, d.p)
-    e_y = ext_module(1, by.y, d.p)
-    return hom(e_q.presentation, e_y.presentation,
-               _transport_matrix(e_q, e_y, lambda c: transport_contravariant(c, by.ses.project)))
+    rho = restriction(ext_module(1, d.q, d.p), by.ses.project)
+    return hom(rho.source, rho.target, rho.matrix)
 
 
 def enumerate_extensions(d: Diagram3x3) -> list[DiagramExtension]:

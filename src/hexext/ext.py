@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentMismatchError, NotExactError
-from .linalg import CACHE_SIZE, ExactMatrix, block_diag, kernel_columns, shrink_generators
+from .linalg import CACHE_SIZE, ExactMatrix, kernel_columns, shrink_generators
 from .modules import (
     ModuleMorphism,
     PresentedModule,
     ShortExactSequence,
     Simplified,
-    direct_sum,
     hom,
     identity_morphism,
     lift,
@@ -219,38 +218,6 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
                      cycles, simp.to_min.matrix)
 
 
-def ext_of_sum(e_a: ExtModule, e_b: ExtModule, q: PresentedModule) -> ExtModule:
-    """Ext^k(A (+) B, P) for ``q`` = A (+) B, built from Ext^k(A, P) and
-    Ext^k(B, P) without resolving ``q``.
-
-    Ext is additive: the direct sum of the two resolutions resolves the sum,
-    and on it the Hom complex, the cycles and the presentation are all
-    block-diagonal.  Flattening is column-major, so the flat Hom space of
-    ``[A | B]`` is ``flat(A) ++ flat(B)``; the coordinates of a class are the
-    summands' coordinates, A's first, and the cocycles are the summands'
-    cocycles, zero-padded.
-
-    The result is a different :class:`ExtModule` from ``ext_module(k, q,
-    P)``: the two present the same group on different generators, so their
-    classes cannot be added to each other.
-    """
-    if e_a.degree != e_b.degree or e_a.p != e_b.p:
-        raise ArgumentMismatchError("summands differ in degree or in the second argument")
-    if q != direct_sum(e_a.q, e_b.q).module:
-        raise ArgumentMismatchError("module is not the direct sum of the summands' first arguments")
-    ring, gp = q.ring, e_a.p.generators
-    ra, rb = e_a.resolution, e_b.resolution
-    res = FreeResolution(q, block_diag(ring, [ra.d1, rb.d1]), block_diag(ring, [ra.d2, rb.d2]))
-    wa, wb = e_a.rank_at_degree(), e_b.rank_at_degree()
-    cocycles = ([c.hstack(ExactMatrix.zeros(ring, gp, wb)) for c in e_a.cocycles]
-                + [ExactMatrix.zeros(ring, gp, wa).hstack(c) for c in e_b.cocycles])
-    ca, cb = e_a._cycles, e_b._cycles
-    raw, homology = direct_sum(ca.source, cb.source).module, direct_sum(ca.target, cb.target).module
-    cycles = ModuleMorphism(raw, homology, block_diag(ring, [ca.matrix, cb.matrix]))
-    return ExtModule(e_a.degree, q, e_a.p, direct_sum(e_a.presentation, e_b.presentation).module,
-                     tuple(cocycles), res, cycles, block_diag(ring, [e_a._to_min, e_b._to_min]))
-
-
 # ---------------------------------------------------------------------------
 # Classes <-> short exact sequences (degree 1)
 # ---------------------------------------------------------------------------
@@ -336,6 +303,19 @@ def transport_contravariant(c: ExtClass, f: ModuleMorphism) -> ExtClass:
     maps = chain_map(e2.resolution, e.resolution, f, e.degree)
     phi = c.cocycle() @ maps[e.degree]
     return e2.class_of_cocycle(phi)
+
+
+def restriction(e: ExtModule, f: ModuleMorphism) -> ModuleMorphism:
+    """``f^* : Ext^k(Q, P) -> Ext^k(Q', P)`` for ``f : Q' -> Q``: one chain
+    lift of ``f``, composed with each generating cocycle of ``e``.  The map
+    is well defined by construction, so it is not checked here."""
+    if f.target != e.q:
+        raise ArgumentMismatchError("restriction needs a map into the module's Q")
+    e2 = ext_module(e.degree, f.source, e.p)
+    lifted = chain_map(e2.resolution, e.resolution, f, e.degree)[e.degree]
+    cols = [list(e2.class_of_cocycle(phi @ lifted).coords) for phi in e.cocycles]
+    return ModuleMorphism(e.presentation, e2.presentation,
+                          ExactMatrix.from_cols(e.p.ring, cols, e2.presentation.generators))
 
 
 def transport_covariant(c: ExtClass, g: ModuleMorphism) -> ExtClass:
@@ -514,17 +494,13 @@ def connecting_hom(s: ShortExactSequence, p: PresentedModule) -> HomExtLadder:
 
     cls = class_of_ses(s)  # in Ext^1(C, A)
 
-    res0_cb = hom(h_c.presentation, h_b.presentation,
-                  _transport_matrix(h_c, h_b, lambda x: transport_contravariant(x, s.project)))
-    res0_ba = hom(h_b.presentation, h_a.presentation,
-                  _transport_matrix(h_b, h_a, lambda x: transport_contravariant(x, s.inject)))
+    res0_cb = hom(h_c.presentation, h_b.presentation, restriction(h_c, s.project).matrix)
+    res0_ba = hom(h_b.presentation, h_a.presentation, restriction(h_b, s.inject).matrix)
 
     alpha = connecting_alpha(cls, p)
 
-    res1_cb = hom(e1_c.presentation, e1_b.presentation,
-                  _transport_matrix(e1_c, e1_b, lambda x: transport_contravariant(x, s.project)))
-    res1_ba = hom(e1_b.presentation, e1_a.presentation,
-                  _transport_matrix(e1_b, e1_a, lambda x: transport_contravariant(x, s.inject)))
+    res1_cb = hom(e1_c.presentation, e1_b.presentation, restriction(e1_c, s.project).matrix)
+    res1_ba = hom(e1_b.presentation, e1_a.presentation, restriction(e1_b, s.inject).matrix)
 
     delta1 = hom(e1_a.presentation, e2_c.presentation,
                  _transport_matrix(e1_a, e2_c, lambda x: yoneda_product(x, cls)))

@@ -20,8 +20,8 @@ from hexext.diagram import (
     DiagramExtension,
     ObstructionReport,
     _realize,
-    _restriction_data,
     _solve_restriction,
+    _tau_ses,
     build_Y,
     check_uniqueness,
     compatible_isomorphism,
@@ -374,16 +374,22 @@ def test_extend_all_split():
     assert validate_extension(d, ext) == []
 
 
-def test_extend_over_z_with_mixed_corners():
+def mixed_corners_over_z():
+    """P = Z, R = Z/2, S = Z/3, Q = Z/6, every sequence nonsplit; [colLeft]
+    has order 3."""
     z2 = PresentedModule.cyclic(ZZ, 2)
     z3 = PresentedModule.cyclic(ZZ, 3)
     z6 = PresentedModule.cyclic(ZZ, 6)
-    d = Diagram3x3(
+    return Diagram3x3(
         row_top=ses_of_class(ext_module(1, z2, Zf).class_from_coords((1,))),
         col_left=ses_of_class(ext_module(1, z3, Zf).class_from_coords((1,))),
         row_bottom=ses_of_class(ext_module(1, z6, z3).class_from_coords((1,))),
         col_right=ses_of_class(ext_module(1, z6, z2).class_from_coords((1,))),
     )
+
+
+def test_extend_over_z_with_mixed_corners():
+    d = mixed_corners_over_z()
     ext = extend_diagram(d)
     assert validate_extension(d, ext) == []
 
@@ -488,26 +494,40 @@ def resolved_solve_restriction(d, by, tau):
 
 def test_restriction_route_matches_resolved_sum():
     # Z/6 is semisimple, so its diagrams are all unique and unobstructed; the
-    # other rings supply the obstructed and the non-unique cases
+    # other rings supply the obstructed and the non-unique cases.  The random
+    # diagrams' classes all have order at most 2, so the diagram over Z, where
+    # [colLeft] has order 3, is the one where the sign of the skew copy of P
+    # in the tau sequence shows
     outcomes = []
+    diagrams = [mixed_corners_over_z()]
     for ring in (R4, Zmod(6), Zmod(8), Zmod(9), ZZ):
         rng = random.Random(f"restriction {ring}")
-        for _ in range(16):
-            d = random_diagram(rng, ring, 16)
-            by = build_Y(d)
-            tau, ref_tau = _restriction_data(d, by), resolved_restriction_data(d, by)
-            delta, ref_delta = (yoneda_product_of_ses(ses_of_class(t), by.ses) for t in (tau, ref_tau))
-            assert delta.same_as(ref_delta)
-            xi, ref_xi = _solve_restriction(d, by, tau), resolved_solve_restriction(d, by, ref_tau)
-            assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
-            if xi is None:
-                outcomes.append("obstructed")
-                continue
-            assert xi.coords == ref_xi.coords
-            x, ref_x = extend_diagram(d).x, _realize(d, by, ref_xi.cocycle()).x
-            assert (x.free_rank(), x.invariant_factors()) == (ref_x.free_rank(), ref_x.invariant_factors())
-            outcomes.append("unique" if check_uniqueness(d).unique else "not unique")
+        diagrams += [random_diagram(rng, ring, 16) for _ in range(16)]
+    for d in diagrams:
+        by = build_Y(d)
+        tau, ref_tau = _tau_ses(d, by), resolved_restriction_data(d, by)
+        assert class_of_ses(tau).same_as(ref_tau)
+        assert yoneda_product_of_ses(tau, by.ses).same_as(obstruction(d).baer_sum)
+        xi, ref_xi = _solve_restriction(d, by), resolved_solve_restriction(d, by, ref_tau)
+        assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
+        if xi is None:
+            outcomes.append("obstructed")
+            continue
+        assert xi.coords == ref_xi.coords
+        x, ref_x = extend_diagram(d).x, _realize(d, by, ref_xi.cocycle()).x
+        assert (x.free_rank(), x.invariant_factors()) == (ref_x.free_rank(), ref_x.invariant_factors())
+        outcomes.append("unique" if check_uniqueness(d).unique else "not unique")
     assert min(outcomes.count(k) for k in ("obstructed", "unique", "not unique")) >= 3
+
+
+def test_split_tau_sequence_makes_the_obstruction_routes_disagree(monkeypatch):
+    # the connecting image of the split sequence is zero, the product
+    # obstruction of the obstructed fixture is not
+    d = parse((FIXTURES / "obstructed.json").read_text(encoding="utf-8")).diagrams["D"]
+    assert not obstruction(d).is_zero
+    monkeypatch.setattr(diagram_module, "_tau_ses", lambda dg, by: split_ses(dg.p, by.rs.module))
+    with pytest.raises(AssertionError, match="obstruction routes disagree"):
+        extend_diagram(d)
 
 
 def test_uniqueness_image_counts_the_classes_over_y():
@@ -528,7 +548,7 @@ def test_uniqueness_image_counts_the_classes_over_y():
             assert order == morphism_cokernel(alpha)[0].cardinality()
             assert rep.unique == (order == 1)
             # the reference walk transports each class of Ext^1(Q, P) on its own
-            xi0 = _solve_restriction(d, by, _restriction_data(d, by))
+            xi0 = _solve_restriction(d, by)
             walk = [xi0 + transport_contravariant(c, by.ses.project)
                     for c in ext_module(1, d.q, d.p).all_classes()]
             classes = list(dict.fromkeys(xi.coords for xi in walk))

@@ -8,8 +8,11 @@ Two digests per ring, for ``hexext fuzz --ring R --seed 20613 --count 25``:
   case (obstruction zero, extended, unique, invariant factors of X).  It
   must never change.
 
-One raw digest of ``hexext hexagon fixtures/injective.json solve F``, under
-the same rule as the fuzz ``raw`` digests.
+One raw digest of ``hexext hexagon fixtures/injective.json solve F``, and
+one each of ``hexext extend DOC D`` and ``hexext unique DOC D`` for every
+fixture, with its exit code, under the same rule as the fuzz ``raw``
+digests.  Those pin the chosen class over Y, the maps i, j, m and n, and the
+restriction matrix.
 """
 
 import hashlib
@@ -35,6 +38,18 @@ GOLDEN = {
           "b78d3908e3e7244a62d1020ac1352cbd8ba4920c6831fb38fe65a08a3241a92c"),
 }
 HEXAGON_RAW = "a1fd97b564dd2136d39cc07958b2a7168f77e0c85e3b87ac6cf22d0a31864c20"
+DIAGRAM_RAW = {
+    ("extend", "allsplit"): (0, "057d03b5ce6d35060e6c317ee1de6c6a4219d69ebc84ab0ed67b744bd736a70b"),
+    ("extend", "injective"): (0, "2c89ab857d8c15c648fb528b2a3cb667fa8bfa4ae9394101b726fdff049552d3"),
+    ("extend", "lambda"): (0, "dd46ed0372cdcaa4e025e7f830c76b6c3cf7092aff4524de9a0aed8b01322db6"),
+    ("extend", "obstructed"): (1, "c1e6b98c968d48867f2172158fd12f80316af0c8ef120217022b49803a81d5f6"),
+    ("extend", "zdiagram"): (0, "e663614a98d622ea00a4e5f20962a232eb1598930d0f216828917b516cb8bdf8"),
+    ("unique", "allsplit"): (1, "80f360249e189c91a25f814d9c4042aefba18b06e35544417c9ca0249f3c8b6a"),
+    ("unique", "injective"): (0, "441dc9e5fea04834c2aaed02a957179125453a1e056de6c1dcb373798f8fd551"),
+    ("unique", "lambda"): (0, "9df964069fe64e50d5de8bad77aa4f37657db3ea27356b7dc98ac64b52c9cd91"),
+    ("unique", "obstructed"): (1, "597ff3affcc85fe39428a519fe3c1e4f778236cf53a62548d269aa0f86f9a1fb"),
+    ("unique", "zdiagram"): (1, "0edd1ba480d87595503b8166e846dc6aa353bff7d9d7f35e591488153366d022"),
+}
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
@@ -64,3 +79,10 @@ def test_hexagon_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert sha256(out) == HEXAGON_RAW
+
+
+@pytest.mark.parametrize("command,fixture", sorted(DIAGRAM_RAW))
+def test_diagram_golden(command, fixture, capsys):
+    code = main([command, str(FIXTURES / f"{fixture}.json"), "D"])
+    out = capsys.readouterr().out
+    assert (code, sha256(out)) == DIAGRAM_RAW[command, fixture]
