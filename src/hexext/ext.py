@@ -74,23 +74,25 @@ class FreeResolution:
         if i == 2:
             return self.d2
         if i == 3:
-            return _syzygy3(self)
+            return _shrunk_kernel(self.d2)
         raise ValueError(f"no differential at degree {i}")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def free_resolution(m: PresentedModule) -> FreeResolution:
     d1 = shrink_generators(m.relations)
-    d2 = kernel_columns(d1) if d1.cols else ExactMatrix.zeros(m.ring, d1.cols, 0)
-    d2 = shrink_generators(d2)
-    return FreeResolution(m, d1, d2)
+    return FreeResolution(m, d1, _shrunk_kernel(d1))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _syzygy3(res: FreeResolution) -> ExactMatrix:
-    if res.f2 == 0:
-        return ExactMatrix.zeros(res.target.ring, 0, 0)
-    return shrink_generators(kernel_columns(res.d2))
+def _shrunk_kernel(d: ExactMatrix) -> ExactMatrix:
+    """The next differential below ``d`` in a resolution: the shrunk
+    generators of its kernel.  Cached on the matrix, so resolutions whose
+    differentials agree share one kernel: ``d2`` of modules with the same
+    ``d1``, and the ``d3`` below a ``d2`` that is another module's ``d1``."""
+    if not d.cols:
+        return ExactMatrix.zeros(d.ring, 0, 0)
+    return shrink_generators(kernel_columns(d))
 
 
 @dataclass(frozen=True)

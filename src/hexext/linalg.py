@@ -1,17 +1,25 @@
 """Exact dense linear algebra over Z and Z/m.
 
-Smith normal form with recorded unimodular transforms, kernel computation,
-canonical coset representatives (via column Hermite form) and the linear
-solver under ``modules.lift``, the library's one solve path.  All arithmetic
-uses Python's arbitrary-precision integers; intermediate Smith-form entries
-can grow well past machine width and overflow would be a correctness bug,
-not a performance issue.
+Smith normal form, kernel computation, canonical coset representatives (via
+column Hermite form) and the linear solver under ``modules.lift``, the
+library's one solve path.  All arithmetic uses Python's arbitrary-precision
+integers; intermediate Smith-form entries can grow well past machine width
+and overflow would be a correctness bug, not a performance issue.
+
+Each kernel does only the arithmetic its callers read.  The Smith form
+carries only the transforms its caller names, since its pivot choices read
+the diagonal alone: :func:`kernel_columns` carries the rows of V for the
+matrix's own columns, ``modules.simplify`` carries U and U^-1, and
+``modules._structure`` the diagonal alone.
 
 Over Z/m, kernels and Smith data lift the matrix to Z and adjoin
 ``m * identity`` columns.  Span membership (:func:`shrink_generators`), the
 Hermite form and solving lift nothing: they grow one echelon basis a column
 at a time from the lattice ``m * Z^n``; its pivots divide m and its other
-entries stay below m.  A solve reduces ``(b; 0)`` against the cached
+entries stay below m.  A row whose pivot is still the adjoined ``m * e_r``
+is implicit, never written out as a column: an elimination step against it
+changes one entry, and only the Hermite form that :func:`_hermite_cols`
+returns writes it out.  A solve reduces ``(b; 0)`` against the cached
 Hermite form of the graph ``[A; -I]`` and returns the canonical solution.
 
 Caches keep only what callers read, each bounded at :data:`CACHE_SIZE`
@@ -25,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
+from operator import add, mul
 
 from .rings import RingSpec, xgcd
 
@@ -66,18 +75,19 @@ class ExactMatrix:
         if not cols:
             data = ((),) * rows
         elif m:
-            data = tuple(tuple(x % m for x in r) for r in zip(*cols))
+            data = tuple([tuple([x % m for x in r]) for r in zip(*cols)])
         else:
             data = tuple(zip(*cols))
         return ExactMatrix(ring, rows, len(cols), data)
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "ExactMatrix":
-        return ExactMatrix(ring, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        zeros = (0,) * n
+        return ExactMatrix(ring, n, n, tuple([zeros[:i] + (1,) + zeros[i + 1:] for i in range(n)]))
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(ring, rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return ExactMatrix(ring, rows, cols, ((0,) * cols,) * rows)
 
     # -- access ------------------------------------------------------------
 
@@ -85,10 +95,10 @@ class ExactMatrix:
         return self.data[i][j]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.data)
+        return tuple([r[j] for r in self.data])
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -103,20 +113,22 @@ class ExactMatrix:
             raise ValueError("matrix product shape/ring mismatch")
         if self.cols == 0 or other.cols == 0:
             return ExactMatrix.zeros(self.ring, self.rows, other.cols)
-        red = self.ring.reduce
+        m = self.ring.modulus
         ocols = list(zip(*other.data))
-        out = tuple(
-            tuple(red(sum(a * b for a, b in zip(r, c))) for c in ocols)
-            for r in self.data
-        )
+        if m:
+            out = tuple([tuple([sum(map(mul, r, c)) % m for c in ocols]) for r in self.data])
+        else:
+            out = tuple([tuple([sum(map(mul, r, c)) for c in ocols]) for r in self.data])
         return ExactMatrix(self.ring, self.rows, other.cols, out)
 
     def apply(self, vec: tuple[int, ...] | list[int]) -> tuple[int, ...]:
         """Matrix @ column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        red = self.ring.reduce
-        return tuple(red(sum(a * b for a, b in zip(r, vec))) for r in self.data)
+        m = self.ring.modulus
+        if m:
+            return tuple([sum(map(mul, r, vec)) % m for r in self.data])
+        return tuple([sum(map(mul, r, vec)) for r in self.data])
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
@@ -141,8 +153,7 @@ class ExactMatrix:
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows or self.ring != other.ring:
             raise ValueError("hstack shape/ring mismatch")
-        return ExactMatrix(self.ring, self.rows, self.cols + other.cols,
-                           tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)))
+        return ExactMatrix(self.ring, self.rows, self.cols + other.cols, tuple(map(add, self.data, other.data)))
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.cols or self.ring != other.ring:
@@ -165,57 +176,69 @@ def block_diag(ring: RingSpec, blocks: list[ExactMatrix]) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Integer Smith normal form with full transforms
+# Integer Smith normal form, carrying only the transforms a caller reads
 # ---------------------------------------------------------------------------
 
 
-def _identity_list(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _identity_list(n: int, rows: int | None = None) -> list[list[int]]:
+    """The first ``rows`` entries of each row (all n by default) of the
+    n x n identity."""
+    rows = n if rows is None else rows
+    out = [[0] * rows for _ in range(n)]
+    for i in range(min(n, rows)):
+        out[i][i] = 1
+    return out
 
 
-def _snf_int(a: IntRows, nrows: int, ncols: int):
+def _snf_int(a: IntRows, nrows: int, ncols: int, with_u: bool = True, v_rows: int | None = None):
     """Smith normal form of an integer matrix.
 
     Returns ``(U, Uinv, D, V)`` as tuples with ``U @ A @ V == D``,
     U, V unimodular, D diagonal with a divisibility chain and zeros last.
     Pivoting: smallest nonzero absolute value, ties broken by lowest
-    (row, column) index, so the output is deterministic.  Not cached: the
-    transforms are large and callers read only a small part of them, which
-    they cache themselves.
+    (row, column) index, so the output is deterministic.
+
+    Every pivot choice reads D alone, so the loop carries only the
+    transforms its caller reads: U and U^-1 when ``with_u`` (else both are
+    ``None``), and the first ``v_rows`` rows of V (all of them by default).
+    A column operation updates each row of V on its own, so those rows come
+    out as in a full run; the loop keeps V by columns, so a column operation
+    is one list update.  :func:`kernel_columns` carries V's rows for the
+    matrix's own columns, ``smith_lattice`` carries U and U^-1 for
+    ``modules.simplify`` and D alone for ``modules._structure``.  Not
+    cached: callers read only a small part of the result, which they cache
+    themselves.
     """
     d = [list(r) for r in a]
-    u = _identity_list(nrows)
-    uinv = _identity_list(nrows)
-    v = _identity_list(ncols)
+    u = _identity_list(nrows) if with_u else None
+    uinv = _identity_list(nrows) if with_u else None
+    vc = _identity_list(ncols, v_rows)  # the columns of V's leading rows
 
     def swap_rows(i, j):
         if i == j:
             return
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
+        if with_u:
+            u[i], u[j] = u[j], u[i]
+            for r in uinv:
+                r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         if i == j:
             return
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        vc[i], vc[j] = vc[j], vc[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
         if q == 0:
             return
-        di, dj = d[i], d[j]
-        for k in range(ncols):
-            di[k] += q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(nrows):
-            ui[k] += q * uj[k]
-        for r in uinv:
-            r[j] -= q * r[i]
+        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+        if with_u:
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+            for r in uinv:
+                r[j] -= q * r[i]
 
     def add_col(j, i, q):
         # col_j += q * col_i
@@ -223,19 +246,20 @@ def _snf_int(a: IntRows, nrows: int, ncols: int):
             return
         for r in d:
             r[j] += q * r[i]
-        for r in v:
-            r[j] += q * r[i]
+        vc[j] = [x + q * y for x, y in zip(vc[j], vc[i])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
+        if with_u:
+            u[i] = [-x for x in u[i]]
+            for r in uinv:
+                r[i] = -r[i]
 
     n = min(nrows, ncols)
     t = 0
     while t < n:
-        # locate pivot: smallest |entry| != 0 in the trailing submatrix
+        # locate pivot: smallest |entry| != 0 in the trailing submatrix; the
+        # first entry of size 1 cannot be beaten
         best = None
         for i in range(t, nrows):
             di = d[i]
@@ -245,17 +269,17 @@ def _snf_int(a: IntRows, nrows: int, ncols: int):
                     ax = -x if x < 0 else x
                     if best is None or ax < best[0]:
                         best = (ax, i, j)
+                        if ax == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         swap_rows(best[1], t)
         swap_cols(best[2], t)
 
         while True:
-            col_clean = all(d[i][t] == 0 for i in range(t + 1, nrows))
-            row_clean = all(d[t][j] == 0 for j in range(t + 1, ncols))
-            if col_clean and row_clean:
-                break
-            if not col_clean:
+            if any(d[i][t] for i in range(t + 1, nrows)):
                 # euclidean clearing of column t; remainder swaps shrink the
                 # pivot, so this terminates
                 for i in range(t + 1, nrows):
@@ -265,6 +289,8 @@ def _snf_int(a: IntRows, nrows: int, ncols: int):
                         if d[i][t]:
                             swap_rows(i, t)
                 continue
+            if not any(d[t][t + 1:]):
+                break
             for j in range(t + 1, ncols):
                 while d[t][j]:
                     q = d[t][j] // d[t][t]
@@ -273,24 +299,18 @@ def _snf_int(a: IntRows, nrows: int, ncols: int):
                         swap_cols(j, t)
         # enforce divisibility of the remaining block by the pivot
         piv = d[t][t]
-        bad = None
-        for i in range(t + 1, nrows):
-            di = d[i]
-            for j in range(t + 1, ncols):
-                if di[j] % piv:
-                    bad = i
-                    break
+        if piv != 1 and piv != -1:
+            bad = next((i for i in range(t + 1, nrows) if any(x % piv for x in d[i][t + 1:])), None)
             if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue  # redo the clearing at the same t
+                add_row(t, bad, 1)
+                continue  # redo the clearing at the same t
         if piv < 0:
             negate_row(t)
         t += 1
 
-    to_t = lambda m_: tuple(tuple(r) for r in m_)
-    return to_t(u), to_t(uinv), to_t(d), to_t(v)
+    to_t = lambda m_: None if m_ is None else tuple(map(tuple, m_))
+    v = tuple(zip(*vc)) if ncols else ()
+    return to_t(u), to_t(uinv), to_t(d), v
 
 
 def _rank_of_diag(d: IntRows, nrows: int, ncols: int) -> int:
@@ -313,18 +333,10 @@ def _lifted(a: ExactMatrix) -> tuple[IntRows, int, int]:
     solvability over Z of the lift matches solvability mod m."""
     if not a.ring.is_modular:
         return a.data, a.rows, a.cols
-    m = a.ring.modulus
-    data = tuple(
-        tuple(a.data[i]) + tuple(m if j == i else 0 for j in range(a.rows))
-        for i in range(a.rows)
-    )
-    return data, a.rows, a.cols + a.rows
-
-
-def _kernel_int(data: IntRows, nrows: int, ncols: int) -> list[tuple[int, ...]]:
-    _u, _uinv, d, v = _snf_int(data, nrows, ncols)
-    rank = _rank_of_diag(d, nrows, ncols)
-    return [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
+    m, n = a.ring.modulus, a.rows
+    zeros = (0,) * n
+    data = tuple([r + zeros[:i] + (m,) + zeros[i + 1:] for i, r in enumerate(a.data)])
+    return data, n, a.cols + n
 
 
 def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None = None) -> tuple[int, ...] | None:
@@ -366,34 +378,40 @@ def kernel_columns(a: ExactMatrix) -> ExactMatrix:
 
     Over Z the columns form a lattice basis; over Z/m they are a generating
     set (projections of an integer kernel basis of the lifted matrix).
-    Zero and duplicate columns are dropped; order is deterministic.  Not
-    cached: its callers, ``modules._preimage``, ``ext.free_resolution`` and
-    ``ext._syzygy3``, cache what they build from it.
+    Zero and duplicate columns are dropped; order is deterministic.  The
+    Smith form carries only the first ``a.cols`` rows of V, the rows read
+    here, and neither U nor U^-1.  Not cached: its callers,
+    ``modules._preimage`` and ``ext._shrunk_kernel``, cache what they build
+    from it.
     """
     data, nr, nc = _lifted(a)
-    cols = _kernel_int(data, nr, nc)
-    red = a.ring.reduce
+    _u, _uinv, d, v = _snf_int(data, nr, nc, False, a.cols)
+    rank = _rank_of_diag(d, nr, nc)
+    m = a.ring.modulus
     seen = set()
     out = []
-    for cvec in cols:
-        c = tuple(red(t) for t in cvec[: a.cols])
+    for c in list(zip(*v))[rank:]:
+        if m:
+            c = tuple([t % m for t in c])
         if any(c) and c not in seen:
             seen.add(c)
             out.append(c)
-    out.sort(key=lambda c: (sum(1 for t in c if t), c))
-    return ExactMatrix.from_cols(a.ring, [list(c) for c in out], a.cols)
+    out.sort(key=lambda c: (len(c) - c.count(0), c))
+    return ExactMatrix(a.ring, a.cols, len(out), tuple(zip(*out)) if out else ((),) * a.cols)
 
 
-def smith_lattice(a: ExactMatrix) -> tuple[tuple[int, ...], IntRows, IntRows]:
+def smith_lattice(a: ExactMatrix, with_u: bool = True) -> tuple[tuple[int, ...], IntRows | None, IntRows | None]:
     """``(diagonal, U, U^-1)`` of the Smith form ``U A V = D`` of the column
     lattice of ``a`` (over Z/m, of its lift with ``m * identity`` adjoined).
 
     ``diagonal`` holds the nonzero Smith entries, so its length is the rank.
-    Not cached: its callers, ``modules._structure`` and ``modules.simplify``,
-    cache what they build from it.
+    The Smith form never carries V; it carries U and U^-1 only ``with_u``
+    (else both are ``None``): ``modules.simplify`` reads them,
+    ``modules._structure`` reads the diagonal alone.  Not cached: those
+    callers cache what they build from it.
     """
     data, nr, nc = _lifted(a)
-    u, uinv, d, _v = _snf_int(data, nr, nc)
+    u, uinv, d, _v = _snf_int(data, nr, nc, with_u, 0)
     rank = _rank_of_diag(d, nr, nc)
     return tuple(d[i][i] for i in range(rank)), u, uinv
 
@@ -403,25 +421,33 @@ def smith_lattice(a: ExactMatrix) -> tuple[tuple[int, ...], IntRows, IntRows]:
 # ---------------------------------------------------------------------------
 
 
-def _echelon_start(nrows: int, m: int) -> list[list[int] | None]:
-    """Echelon basis of the zero lattice over Z (``m == 0``), or of
-    ``m * Z^nrows`` over Z/m: the relations that lifting to Z adjoins."""
-    if not m:
-        return [None] * nrows
-    return [[m if i == r else 0 for i in range(nrows)] for r in range(nrows)]
+def _echelon_start(nrows: int) -> list[list[int] | None]:
+    """Echelon basis of the zero lattice over Z, or of ``m * Z^nrows`` over
+    Z/m: the relations that lifting to Z adjoins.
+
+    No row starts with a written-out column.  Over Z a ``None`` row has no
+    pivot; over Z/m it holds the implicit pivot column ``m * e_r``, which
+    :func:`_echelon_insert` and :func:`_reduce_below` treat as the single
+    entry m and only :func:`_hermite_cols` writes out in the form it returns.
+    """
+    return [None] * nrows
 
 
 def _echelon_insert(basis: list[list[int] | None], vec: tuple[int, ...] | list[int], m: int) -> bool:
     """Add the column ``vec`` to the lattice with echelon basis ``basis``.
 
-    ``basis[r]`` is ``None`` or the basis column with its pivot in row r:
-    zero above r, positive at r.  ``vec`` is divided down the pivot rows;
-    where a pivot does not divide it, the two columns are replaced by their
-    xgcd combination, whose new pivot is the gcd, and the remainder goes on
-    down.  Changed columns are then reduced against the later pivots.  Over
-    Z/m every row has a pivot, each pivot divides m and the remainder is
-    kept mod m, so every other entry stays below m.  Returns False, leaving
-    ``basis`` untouched, exactly when ``vec`` already lies in the lattice.
+    ``basis[r]`` is ``None`` (see :func:`_echelon_start`) or the basis column
+    with its pivot in row r: zero above r, positive at r.  ``vec`` is
+    divided down the pivot rows; where a pivot does not divide it, the two
+    columns are replaced by their xgcd combination, whose new pivot is the
+    gcd, and the remainder goes on down.  Both are zero above the current
+    row, so each step touches only the rows at and below it; against an
+    implicit pivot ``m * e_r`` a step scales the remainder's lower rows
+    alone.  Changed columns are then reduced against the later pivots.
+    Over Z/m every row has a pivot, each pivot divides m and the remainder
+    is kept mod m, so every other entry stays below m.  Returns False,
+    leaving ``basis`` untouched, exactly when ``vec`` already lies in the
+    lattice.
     """
     v = [t % m for t in vec] if m else list(vec)
     changed = []
@@ -431,37 +457,57 @@ def _echelon_insert(basis: list[list[int] | None], vec: tuple[int, ...] | list[i
             continue
         c = basis[r]
         if c is None:
-            basis[r] = v if x > 0 else [-t for t in v]
+            if not m:
+                basis[r] = v if x > 0 else [-t for t in v]
+                changed.append(r)
+                break
+            # the implicit pivot m * e_r, which never divides 0 < x < m: with
+            # t x = g mod m, the pair becomes t v + s m e_r and (m / g) v
+            g = gcd(m, x)
+            t = pow(x // g, -1, m // g)
+            tail = v[r + 1:]
+            basis[r] = v[:r] + [g] + [t * b for b in tail]
             changed.append(r)
-            break
+            if g == 1:
+                break  # the remainder m v is 0 mod m
+            v[r] = 0
+            v[r + 1:] = [m // g * b % m for b in tail]
+            continue
         p = c[r]
         q, rem = divmod(x, p)
         if rem:
             g, s, t = xgcd(p, x)
             pg, xg = p // g, x // g
-            basis[r] = [s * a + t * b for a, b in zip(c, v)]
-            v = [pg * b - xg * a for a, b in zip(c, v)]
+            ct, vt = c[r:], v[r:]
+            basis[r] = v[:r] + [s * a + t * b for a, b in zip(ct, vt)]
+            v[r:] = [pg * b - xg * a for a, b in zip(ct, vt)]
             changed.append(r)
         else:
-            v = [b - q * a for a, b in zip(c, v)]
+            v[r:] = [b - q * a for a, b in zip(c[r:], v[r:])]
         if m:
-            v = [b % m for b in v]
+            v[r + 1:] = [b % m for b in v[r + 1:]]
     for r in changed:
-        _reduce_below(basis, r)
+        _reduce_below(basis, r, m)
     return bool(changed)
 
 
-def _reduce_below(basis: list[list[int] | None], r: int) -> None:
+def _reduce_below(basis: list[list[int] | None], r: int, m: int) -> None:
     """Reduce the entries of ``basis[r]`` at each later pivot row s into
-    ``range(basis[s][s])``, in increasing s."""
+    ``range(pivot)``, in increasing s; an implicit pivot ``m * e_s`` changes
+    entry s alone."""
     c = basis[r]
     for s in range(r + 1, len(c)):
+        y = c[s]
+        if not y:
+            continue
         b = basis[s]
-        if b is not None and c[s]:
-            q = c[s] // b[s]
-            if q:
-                for i in range(s, len(c)):
-                    c[i] -= q * b[i]
+        if b is None:
+            if m:
+                c[s] = y % m
+            continue
+        q = y // b[s]
+        if q:
+            c[s:] = [x - q * z for x, z in zip(c[s:], b[s:])]
 
 
 def shrink_generators(a: ExactMatrix) -> ExactMatrix:
@@ -473,7 +519,7 @@ def shrink_generators(a: ExactMatrix) -> ExactMatrix:
     column at a time by :func:`_echelon_insert`; no Smith form is built.
     """
     m = a.ring.modulus or 0
-    basis = _echelon_start(a.rows, m)
+    basis = _echelon_start(a.rows)
     kept = [c for c in a.columns() if _echelon_insert(basis, c, m)]
     return ExactMatrix.from_cols(a.ring, kept, a.rows)
 
@@ -489,18 +535,28 @@ def _hermite_cols(data: IntRows, m: int, k: int):
     ``(pivot_row, column)`` with strictly increasing pivot rows, positive
     pivots, and entries below each pivot row reduced modulo the later pivots.
     ``order`` is ``|Z^n / L|``, the product of the pivots, or ``None`` when
-    some row has no pivot and the quotient is infinite.
+    some row has no pivot and the quotient is infinite.  Over Z/m the rows
+    whose pivot is still the implicit ``m * e_r`` are written out only here.
     """
     nrows = len(data) + k
-    basis = _echelon_start(nrows, m)
+    basis = _echelon_start(nrows)
     # with no rows, A's columns are empty; only the k graph columns count
     for j, col in enumerate(zip(*data) if data else [()] * k):
         _echelon_insert(basis, col + ((0,) * j + (-1,) + (0,) * (k - 1 - j) if j < k else (0,) * k), m)
-    pivots = [(r, c) for r, c in enumerate(basis) if c is not None]
-    for r, _c in pivots:
-        _reduce_below(basis, r)
+    for r, c in enumerate(basis):
+        if c is not None:
+            _reduce_below(basis, r, m)
+    if m:
+        zeros = [0] * nrows
+        basis = [zeros[:r] + [m] + zeros[r + 1:] if c is None else c for r, c in enumerate(basis)]
+    pivots = tuple((r, tuple(c)) for r, c in enumerate(basis) if c is not None)
     order = prod(c[r] for r, c in pivots) if len(pivots) == nrows else None
-    return tuple((r, tuple(c)) for r, c in pivots), order
+    return pivots, order
+
+
+def _lattice_pivots(lattice: ExactMatrix):
+    """The cached Hermite pivot columns of the column lattice ``lattice``."""
+    return _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[0]
 
 
 def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -> tuple[int, ...]:
@@ -512,8 +568,7 @@ def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -
     if len(vec) != lattice.rows:
         raise ValueError("vector length mismatch")
     # over Z/m every row has a pivot dividing m, so the result is already reduced
-    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[0]
-    return tuple(_reduce_by_pivots([int(t) for t in vec], pivots))
+    return tuple(_reduce_by_pivots([int(t) for t in vec], _lattice_pivots(lattice)))
 
 
 def _reduce_by_pivots(v: list[int], pivots) -> list[int]:
@@ -522,8 +577,7 @@ def _reduce_by_pivots(v: list[int], pivots) -> list[int]:
     for row, col in pivots:
         q = v[row] // col[row]
         if q:
-            for i in range(row, len(v)):
-                v[i] -= q * col[i]
+            v[row:] = [x - q * y for x, y in zip(v[row:], col[row:])]
     return v
 
 
@@ -532,8 +586,7 @@ def lattice_pivot_profile(lattice: ExactMatrix) -> tuple[tuple[int, int], ...]:
     representatives produced by :func:`reduce_mod_lattice` range over
     ``0 <= v[row] < value`` at the pivot rows and are unconstrained elsewhere
     (over Z) -- everything over Z/m has full pivot structure."""
-    pivots = _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[0]
-    return tuple((r, c[r]) for r, c in pivots)
+    return tuple((r, c[r]) for r, c in _lattice_pivots(lattice))
 
 
 def lattice_order(lattice: ExactMatrix) -> int | None:

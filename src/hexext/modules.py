@@ -30,6 +30,8 @@ from .linalg import (
     shrink_generators,
     smith_lattice,
     solve_linear,
+    _lattice_pivots,
+    _reduce_by_pivots,
 )
 from .rings import RingSpec
 
@@ -119,7 +121,7 @@ class PresentedModule:
 def _structure(m: PresentedModule):
     """(free_rank, invariant factors != 1) computed from the Smith form of the
     lifted relation lattice."""
-    diag, _u, _uinv = smith_lattice(m.relations)
+    diag, _u, _uinv = smith_lattice(m.relations, False)
     return (m.generators - len(diag), tuple(x for x in diag if x != 1))
 
 
@@ -193,8 +195,13 @@ class ModuleMorphism:
 def _first_outside(cols: ExactMatrix, span: ExactMatrix) -> int | None:
     """Index of the first column of ``cols`` outside the column span of
     ``span`` over the ring, or ``None`` when every column lies inside."""
-    for j in range(cols.cols):
-        if any(reduce_mod_lattice(cols.col(j), span)):
+    if not cols.cols:
+        return None
+    if cols.rows != span.rows:
+        raise ValueError("vector length mismatch")
+    pivots = _lattice_pivots(span)
+    for j, c in enumerate(cols.columns()):
+        if any(_reduce_by_pivots(list(c), pivots)):
             return j
     return None
 
@@ -250,8 +257,7 @@ def _preimage(a: ExactMatrix, relations: ExactMatrix) -> ExactMatrix:
     ``[a | relations]`` cut to its top ``a.cols`` rows, shrunk.  Cached, so
     a repeated kernel, image or submodule reuses the shrunk generators."""
     ker = kernel_columns(a.hstack(relations))
-    cols = [list(ker.col(j))[: a.cols] for j in range(ker.cols)]
-    return shrink_generators(ExactMatrix.from_cols(a.ring, cols, a.cols))
+    return shrink_generators(ExactMatrix(a.ring, a.cols, ker.cols, ker.data[: a.cols]))
 
 
 def preimage_kernel_columns(f: ModuleMorphism) -> ExactMatrix:
@@ -528,8 +534,8 @@ def lift(f: ModuleMorphism, rhs: ExactMatrix) -> ExactMatrix | None:
     sysm = f.matrix.hstack(f.target.relations)
     g = f.source.generators
     cols = []
-    for j in range(rhs.cols):
-        x = solve_linear(sysm, rhs.col(j), g)
+    for b in rhs.columns():
+        x = solve_linear(sysm, b, g)
         if x is None:
             return None
         cols.append(x)

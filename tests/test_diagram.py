@@ -492,6 +492,30 @@ def resolved_solve_restriction(d, by, tau):
     return None if x is None else e_y.class_from_coords(x.col(0))
 
 
+def _class_order(c) -> int:
+    n = 1
+    while not c.scale(n).is_zero():
+        n += 1
+    return n
+
+
+def _restriction_route_outcome(d) -> str:
+    """Check the restriction route of ``d`` against the resolved sum and
+    return the diagram's kind: obstructed, unique or not unique."""
+    by = build_Y(d)
+    tau, ref_tau = _tau_ses(d, by), resolved_restriction_data(d, by)
+    assert class_of_ses(tau).same_as(ref_tau)
+    assert yoneda_product_of_ses(tau, by.ses).same_as(obstruction(d).baer_sum)
+    xi, ref_xi = _solve_restriction(d, by), resolved_solve_restriction(d, by, ref_tau)
+    assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
+    if xi is None:
+        return "obstructed"
+    assert xi.coords == ref_xi.coords
+    x, ref_x = extend_diagram(d).x, _realize(d, by, ref_xi.cocycle()).x
+    assert (x.free_rank(), x.invariant_factors()) == (ref_x.free_rank(), ref_x.invariant_factors())
+    return "unique" if check_uniqueness(d).unique else "not unique"
+
+
 def test_restriction_route_matches_resolved_sum():
     # Z/6 is semisimple, so its diagrams are all unique and unobstructed; the
     # other rings supply the obstructed and the non-unique cases.  The random
@@ -504,20 +528,21 @@ def test_restriction_route_matches_resolved_sum():
         rng = random.Random(f"restriction {ring}")
         diagrams += [random_diagram(rng, ring, 16) for _ in range(16)]
     for d in diagrams:
-        by = build_Y(d)
-        tau, ref_tau = _tau_ses(d, by), resolved_restriction_data(d, by)
-        assert class_of_ses(tau).same_as(ref_tau)
-        assert yoneda_product_of_ses(tau, by.ses).same_as(obstruction(d).baer_sum)
-        xi, ref_xi = _solve_restriction(d, by), resolved_solve_restriction(d, by, ref_tau)
-        assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
-        if xi is None:
-            outcomes.append("obstructed")
-            continue
-        assert xi.coords == ref_xi.coords
-        x, ref_x = extend_diagram(d).x, _realize(d, by, ref_xi.cocycle()).x
-        assert (x.free_rank(), x.invariant_factors()) == (ref_x.free_rank(), ref_x.invariant_factors())
-        outcomes.append("unique" if check_uniqueness(d).unique else "not unique")
+        outcomes.append(_restriction_route_outcome(d))
     assert min(outcomes.count(k) for k in ("obstructed", "unique", "not unique")) >= 3
+    # the sign of the skew copy of P shows only where -[rowTop] or -[colLeft]
+    # differs from the class itself, so keep the draws with a class of order
+    # 3 or more.  Over Z/8 none exists: Ext^1 between cyclic Z/8-modules is
+    # Z/2 or 0, so the 2-power ring drawn from is Z/16, where it reaches Z/4
+    signed = collections.Counter()
+    for ring in (Zmod(9), Zmod(16), ZZ):
+        rng = random.Random(f"sign-sensitive {ring}")
+        for _ in range(40):
+            d = random_diagram(rng, ring, 32)
+            if max(_class_order(class_of_ses(d.row_top)), _class_order(class_of_ses(d.col_left))) >= 3:
+                _restriction_route_outcome(d)
+                signed[str(ring)] += 1
+    assert min(signed[str(ring)] for ring in (Zmod(9), Zmod(16), ZZ)) >= 3, signed
 
 
 def test_split_tau_sequence_makes_the_obstruction_routes_disagree(monkeypatch):

@@ -17,7 +17,7 @@ from hexext.linalg import (
     smith_lattice,
     solve_linear,
 )
-from hexext.rings import ZZ, Zmod
+from hexext.rings import ZZ, Zmod, xgcd
 
 R4 = Zmod(4)
 
@@ -355,10 +355,12 @@ def test_shrink_generators_builds_no_smith_form(monkeypatch):
         a = mat(ring, [[rng.randint(0, hi) for _ in range(13)] for _ in range(7)])
         shrink_generators(a)
     assert calls == []
-    # over Z/m every row keeps a pivot dividing m and every other entry stays below m
+    # over Z/m every row keeps a pivot dividing m and every other entry stays
+    # below m; a row left as None holds the implicit pivot column m * e_r
     for m, basis in zip((12, 36), bases[1:]):
+        assert any(col is not None for col in basis)
         for r, col in enumerate(basis):
-            assert m % col[r] == 0 and all(0 <= x < m for i, x in enumerate(col) if i != r)
+            assert col is None or m % col[r] == 0 and all(0 <= x < m for i, x in enumerate(col) if i != r)
 
 
 @given(generator_matrices(), st.randoms(use_true_random=False))
@@ -383,6 +385,104 @@ def test_hermite_form_is_canonical(a, rnd):
 def test_lattice_order_is_the_smith_product(a):
     diag, _u, _uinv = smith_lattice(a)
     assert lattice_order(a) == (prod(diag) if len(diag) == a.rows else None)
+
+
+# -- reference: the dense echelon insertion -------------------------------------
+#
+# Each basis column is written out in full and every step runs the column's
+# whole height; over Z/m the basis starts as the n written-out columns
+# m * e_r.  The column Hermite form of a lattice is unique, so the library's
+# kernels must return exactly what this reference returns.
+
+
+def dense_insert(basis, vec, m):
+    v = [t % m for t in vec] if m else list(vec)
+    changed = []
+    for r in range(len(v)):
+        x = v[r]
+        if not x:
+            continue
+        c = basis[r]
+        if c is None:
+            basis[r] = v if x > 0 else [-t for t in v]
+            changed.append(r)
+            break
+        p = c[r]
+        q, rem = divmod(x, p)
+        if rem:
+            g, s, t = xgcd(p, x)
+            basis[r] = [s * a + t * b for a, b in zip(c, v)]
+            v = [p // g * b - x // g * a for a, b in zip(c, v)]
+            changed.append(r)
+        else:
+            v = [b - q * a for a, b in zip(c, v)]
+        if m:
+            v = [b % m for b in v]
+    for r in changed:
+        dense_reduce_below(basis, r)
+    return bool(changed)
+
+
+def dense_reduce_below(basis, r):
+    c = basis[r]
+    for s in range(r + 1, len(c)):
+        b = basis[s]
+        if b is not None and c[s]:
+            q = c[s] // b[s]
+            for i in range(s, len(c)):
+                c[i] -= q * b[i]
+
+
+def dense_start(nrows, m):
+    return [[m if i == r else 0 for i in range(nrows)] for r in range(nrows)] if m else [None] * nrows
+
+
+def dense_hermite(data, m, k):
+    nrows = len(data) + k
+    basis = dense_start(nrows, m)
+    for j, col in enumerate(zip(*data) if data else [()] * k):
+        dense_insert(basis, col + ((0,) * j + (-1,) + (0,) * (k - 1 - j) if j < k else (0,) * k), m)
+    pivots = [(r, c) for r, c in enumerate(basis) if c is not None]
+    for r, _c in pivots:
+        dense_reduce_below(basis, r)
+    order = prod(c[r] for r, c in pivots) if len(pivots) == nrows else None
+    return tuple((r, tuple(c)) for r, c in pivots), order
+
+
+@st.composite
+def graph_inputs(draw):
+    """``(data, m, k)`` for ``_hermite_cols``: 0-row and 0-column shapes,
+    duplicate and zero columns, and graphs with k > 0 unknowns."""
+    a = draw(generator_matrices())
+    k = draw(st.integers(0, a.cols))
+    return a.data, a.ring.modulus or 0, k
+
+
+@given(graph_inputs())
+@settings(max_examples=400, deadline=None)
+def test_hermite_form_matches_the_dense_insertion(args):
+    data, m, k = args
+    assert linalg._hermite_cols.__wrapped__(data, m, k) == dense_hermite(data, m, k)
+
+
+@given(generator_matrices())
+@settings(max_examples=300, deadline=None)
+def test_shrink_generators_keeps_the_dense_insertion_columns(a):
+    m = a.ring.modulus or 0
+    basis = dense_start(a.rows, m)
+    kept = [c for c in a.columns() if dense_insert(basis, c, m)]
+    assert shrink_generators(a).columns() == kept
+
+
+@given(generator_matrices())
+@settings(max_examples=200, deadline=None)
+def test_selective_smith_matches_the_full_transforms(a):
+    # on integer matrices and on the lifts [A | m I] that Z/m callers use
+    data, nr, nc = linalg._lifted(a)
+    u, uinv, d, v = _snf_int(data, nr, nc)
+    for v_rows in range(nc + 1):
+        assert _snf_int(data, nr, nc, True, v_rows) == (u, uinv, d, v[:v_rows])
+        assert _snf_int(data, nr, nc, False, v_rows) == (None, None, d, v[:v_rows])
 
 
 # -- bounded caches -----------------------------------------------------------
@@ -411,7 +511,7 @@ def _engine_caches():
 def test_every_engine_cache_is_bounded_by_one_cap():
     caches = _engine_caches()
     assert set(caches) == {"linalg._hermite_cols", "modules._preimage", "modules._structure",
-                           "modules.simplify", "ext.free_resolution", "ext._syzygy3", "ext.ext_module",
+                           "modules.simplify", "ext.free_resolution", "ext._shrunk_kernel", "ext.ext_module",
                            "oracle._table"}
     assert {name: fn.cache_info().maxsize for name, fn in caches.items()} == dict.fromkeys(caches, linalg.CACHE_SIZE)
     # Smith transforms and bare kernels are never kept
