@@ -21,7 +21,6 @@ from .modules import (
     morphism_image,
     morphism_kernel,
     pullback,
-    pushout,
     snake_connecting,
     split_ses,
 )
@@ -29,17 +28,11 @@ from .ext import (
     ExtClass,
     ExtModule,
     FreeResolution,
-    YonedaTwoExtension,
-    baer_sum_explicit,
     class_of_ses,
-    connecting_hom,
     ext_module,
     free_resolution,
     restriction,
     ses_of_class,
-    transport_contravariant,
-    transport_covariant,
-    yoneda_product,
 )
 from .diagram import (
     Diagram3x3,
@@ -80,12 +73,11 @@ __all__ = [
     "PresentedModule", "ModuleMorphism", "ShortExactSequence",
     "check_well_defined", "hom", "morphism_kernel", "morphism_image",
     "morphism_cokernel", "direct_sum",
-    "pullback", "pushout", "exactness_report", "is_exact", "make_ses",
+    "pullback", "exactness_report", "is_exact", "make_ses",
     "split_ses", "snake_connecting",
-    "FreeResolution", "ExtModule", "ExtClass", "YonedaTwoExtension",
+    "FreeResolution", "ExtModule", "ExtClass",
     "free_resolution", "ext_module", "class_of_ses", "ses_of_class",
-    "restriction", "transport_contravariant", "transport_covariant",
-    "baer_sum_explicit", "yoneda_product", "connecting_hom",
+    "restriction",
     "Diagram3x3", "DiagramExtension", "ObstructionReport",
     "validate_diagram1", "obstruction", "build_Y", "extend_diagram",
     "enumerate_extensions", "validate_extension", "check_uniqueness",

@@ -54,7 +54,6 @@ from .modules import (
     snake_connecting,
     solve_morphism,
     zero_morphism,
-    _ses,
 )
 from .rings import prime_factors
 
@@ -233,22 +232,15 @@ def _snake_cross_check(d: Diagram3x3, by: BuildY) -> None:
 
 @dataclass(frozen=True)
 class DiagramExtension:
-    """A middle object with its four maps and the two derived sequences,
-    which are exact once :func:`validate_extension` accepts the extension."""
+    """A middle object with its four maps.  The middle row ``0 -> H -> X ->
+    F -> 0`` and the middle column ``0 -> E -> X -> G -> 0`` they make are
+    exact once :func:`validate_extension` accepts the extension."""
 
     x: PresentedModule
     i: ModuleMorphism        # H -> X
     j: ModuleMorphism        # E -> X
     m: ModuleMorphism        # X -> F
     n: ModuleMorphism        # X -> G
-
-    @property
-    def row_mid(self) -> ShortExactSequence:    # 0 -> H -> X -> F -> 0
-        return _ses(self.i, self.m)
-
-    @property
-    def col_mid(self) -> ShortExactSequence:    # 0 -> E -> X -> G -> 0
-        return _ses(self.j, self.n)
 
 
 def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:

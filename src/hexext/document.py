@@ -35,6 +35,12 @@ from .rings import RingSpec, ZZ, Zmod
 
 _BIG = 1 << 53
 
+# The most generators a module of a document may declare.  Relation columns
+# and matrix rows are listed in full, so the document holds what they ask
+# for; a generator count is the one number that asks for memory the
+# document does not hold itself.
+MAX_GENERATORS = 1024
+
 
 class ParseError(HexextError):
     def __init__(self, line: int | None, reason: str):
@@ -163,6 +169,8 @@ def parse(text: str) -> DocumentModel:
         g = _as_int(spec.get("generators"))
         if g < 0:
             raise SemanticError(f"module {name}: negative generator count")
+        if g > MAX_GENERATORS:
+            raise SemanticError(f"module {name}: more than {MAX_GENERATORS} generators")
         rels = spec.get("relations", [])
         if not isinstance(rels, list) or any(not isinstance(col, list) for col in rels):
             raise SemanticError(f"module {name}: relations must be a list of columns")

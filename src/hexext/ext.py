@@ -6,11 +6,10 @@ representing cocycles (morphisms from a resolution term into P), which is
 what makes sequences-from-classes and the downstream middle-object
 construction possible; coordinates alone would not suffice.
 
-Degree-1 classes convert to and from explicit short exact sequences; sums are
-available both as cocycle-coordinate addition and as the explicit
-pullback-then-quotient construction, and the two must agree (this doubles as
-a deep self-test).  Degree-2 classes arise as products of degree-1 classes by
-splicing through a shared end object.
+What the diagram pipeline needs of Ext is here: the class of an exact
+sequence (a staircase chase of the resolution), the sequence of a degree-1
+class, the restriction map along a map of the first argument, and the Ext^2
+class of two short exact sequences spliced through a shared end object.
 """
 
 from __future__ import annotations
@@ -25,17 +24,11 @@ from .modules import (
     PresentedModule,
     ShortExactSequence,
     Simplified,
-    hom,
-    identity_morphism,
     lift,
     make_ses,
     preimage_kernel_columns,
-    pullback,
-    pullback_factor,
-    pushout,
     simplify,
     submodule_generated,
-    zero_morphism,
     _flatten,
     _hom_space,
     _induced_matrix,
@@ -275,7 +268,7 @@ def ses_of_cocycle(e: ExtModule, phi: ExactMatrix) -> ShortExactSequence:
 
 
 # ---------------------------------------------------------------------------
-# Transport (functoriality in both arguments)
+# Restriction along a map of the first argument
 # ---------------------------------------------------------------------------
 
 
@@ -296,17 +289,6 @@ def chain_map(res_from: FreeResolution, res_to: FreeResolution, f: ModuleMorphis
     return maps
 
 
-def transport_contravariant(c: ExtClass, f: ModuleMorphism) -> ExtClass:
-    """Pull back along ``f : Q' -> Q`` (precomposition with a chain lift)."""
-    e = c.parent
-    if f.target != e.q:
-        raise ArgumentMismatchError("contravariant transport needs a map into the class's Q")
-    e2 = ext_module(e.degree, f.source, e.p)
-    maps = chain_map(e2.resolution, e.resolution, f, e.degree)
-    phi = c.cocycle() @ maps[e.degree]
-    return e2.class_of_cocycle(phi)
-
-
 def restriction(e: ExtModule, f: ModuleMorphism) -> ModuleMorphism:
     """``f^* : Ext^k(Q, P) -> Ext^k(Q', P)`` for ``f : Q' -> Q``: one chain
     lift of ``f``, composed with each generating cocycle of ``e``.  The map
@@ -320,196 +302,18 @@ def restriction(e: ExtModule, f: ModuleMorphism) -> ModuleMorphism:
                           ExactMatrix.from_cols(e.p.ring, cols, e2.presentation.generators))
 
 
-def transport_covariant(c: ExtClass, g: ModuleMorphism) -> ExtClass:
-    """Push forward along ``g : P -> P'`` (postcomposition on cocycles)."""
-    e = c.parent
-    if g.source != e.p:
-        raise ArgumentMismatchError("covariant transport needs a map out of the class's P")
-    e2 = ext_module(e.degree, e.q, g.target)
-    return e2.class_of_cocycle(g.matrix @ c.cocycle())
-
-
-def pullback_ses(s: ShortExactSequence, f: ModuleMorphism) -> ShortExactSequence:
-    """Sequence-level pullback along ``f : Q' -> Q``; class equals the
-    contravariant transport."""
-    if f.target != s.right:
-        raise ArgumentMismatchError("pullback map must land in the quotient")
-    pb = pullback(s.project, f)
-    inj = pullback_factor(pb, s.inject, zero_morphism(s.left, f.source))
-    return make_ses(inj, pb.to_right)
-
-
-def pushout_ses(s: ShortExactSequence, g: ModuleMorphism) -> ShortExactSequence:
-    """Sequence-level pushout along ``g : P -> P'``; class equals the
-    covariant transport."""
-    if g.source != s.left:
-        raise ArgumentMismatchError("pushout map must start at the subobject")
-    po = pushout(s.inject, g)
-    ring = s.left.ring
-    proj_mat = s.project.matrix.hstack(ExactMatrix.zeros(ring, s.right.generators, g.target.generators))
-    proj = ModuleMorphism(po.module, s.right, proj_mat)
-    return make_ses(po.from_right, proj)
-
-
-# ---------------------------------------------------------------------------
-# Baer sum
-# ---------------------------------------------------------------------------
-
-
-def baer_sum_explicit(s1: ShortExactSequence, s2: ShortExactSequence) -> ShortExactSequence:
-    """Pull back over Q, then quotient by the skew diagonal copy of P.
-
-    The class of the result is the coordinate sum of the classes; tests pin
-    that coherence down exhaustively on small rings.
-    """
-    if s1.left != s2.left or s1.right != s2.right:
-        raise ArgumentMismatchError("Baer sum needs matching end objects")
-    ring = s1.left.ring
-    pb = pullback(s1.project, s2.project)
-    skew = pullback_factor(pb, s1.inject, -s2.inject)
-    quot = PresentedModule(ring, pb.module.generators,
-                           shrink_generators(pb.module.relations.hstack(skew.matrix)))
-    diag_p = pullback_factor(pb, s1.inject, zero_morphism(s2.left, s2.middle))
-    inj = hom(s1.left, quot, diag_p.matrix)
-    proj = hom(quot, s1.right, (s1.project @ pb.to_left).matrix)
-    return make_ses(inj, proj)
-
-
 # ---------------------------------------------------------------------------
 # Yoneda products into Ext^2
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class YonedaTwoExtension:
-    """``0 -> P -> X2 -> X1 -> Q -> 0`` exact."""
-
-    p: PresentedModule
-    x2: PresentedModule
-    x1: PresentedModule
-    q: PresentedModule
-    inject: ModuleMorphism   # P -> X2
-    mid: ModuleMorphism      # X2 -> X1
-    project: ModuleMorphism  # X1 -> Q
-
-
-def splice(s_left: ShortExactSequence, s_right: ShortExactSequence) -> YonedaTwoExtension:
-    """Splice ``0->P->A->S->0`` with ``0->S->B->Q->0`` through the shared S.
-
-    The four-term sequence is exact because both short ones are, so nothing
-    is re-checked here."""
+def yoneda_product_of_ses(s_left: ShortExactSequence, s_right: ShortExactSequence) -> ExtClass:
+    """The Ext^2 class of ``0->P->A->S->0`` spliced with ``0->S->B->Q->0``
+    through the shared S: the chase of ``0 -> P -> A -> B -> Q -> 0``.  That
+    sequence is exact because both short ones are, so nothing is re-checked
+    here."""
     if s_left.right != s_right.left:
         raise ArgumentMismatchError("splice needs a shared end object")
-    mid = s_right.inject @ s_left.project
-    return YonedaTwoExtension(s_left.left, s_left.middle, s_right.middle, s_right.right,
-                              s_left.inject, mid, s_right.project)
-
-
-def two_extension_class(y: YonedaTwoExtension) -> ExtClass:
-    """The Ext^2 class of a two-step extension."""
-    return _chase([y.inject, y.mid, y.project],
+    return _chase([s_left.inject, s_right.inject @ s_left.project, s_right.project],
                   ("chase left the image of the injection", "chase left the image of the middle map",
                    "two-extension projection is not surjective"))
-
-
-def yoneda_product_of_ses(s_left: ShortExactSequence, s_right: ShortExactSequence) -> ExtClass:
-    return two_extension_class(splice(s_left, s_right))
-
-
-def yoneda_product(e: ExtClass, g: ExtClass) -> ExtClass:
-    """``Ext^1(S,P) x Ext^1(Q,S) -> Ext^2(Q,P)`` by splicing representing
-    sequences."""
-    if e.parent.degree != 1 or g.parent.degree != 1:
-        raise ArgumentMismatchError("Yoneda product takes two degree-1 classes")
-    if e.parent.q != g.parent.p:
-        raise ArgumentMismatchError("middle objects do not match")
-    return yoneda_product_of_ses(ses_of_class(e), ses_of_class(g))
-
-
-def yoneda_product_via_chain_lift(e: ExtClass, g: ExtClass) -> ExtClass:
-    """Independent route: lift g to a chain map between the resolutions of Q
-    and S and compose with e's cocycle.  Must agree with the splice route."""
-    if e.parent.q != g.parent.p:
-        raise ArgumentMismatchError("middle objects do not match")
-    # lift g's cocycle F1(Q) -> S through aug_S, the identity on generators
-    gamma0 = lift(identity_morphism(e.parent.q), g.cocycle())  # F1(Q) -> F0(S)
-    gamma2 = lift(_free_map(e.parent.resolution.d1), gamma0 @ g.parent.resolution.d2)  # F2(Q) -> F1(S)
-    if gamma2 is None:
-        raise NotExactError("chain lift failed at degree 2")
-    return ext_module(2, g.parent.q, e.parent.p).class_of_cocycle(e.cocycle() @ gamma2)
-
-
-# ---------------------------------------------------------------------------
-# The Hom/Ext long exact sequence of a short exact sequence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomExtLadder:
-    """``0 -> Hom(C,P) -> Hom(B,P) -> Hom(A,P) --alpha--> Ext^1(C,P)
-    -> Ext^1(B,P) -> Ext^1(A,P) --delta1--> Ext^2(C,P)`` for
-    ``0 -> A -> B -> C -> 0``."""
-
-    ses: ShortExactSequence
-    p: PresentedModule
-    modules: tuple[ExtModule, ...]        # Hom(C), Hom(B), Hom(A), E1(C), E1(B), E1(A), E2(C)
-    maps: tuple[ModuleMorphism, ...]      # the six maps in order
-    alpha: ModuleMorphism
-    delta1: ModuleMorphism
-
-
-def _transport_matrix(src: ExtModule, dst: ExtModule, f) -> ExactMatrix:
-    cols = []
-    for t in range(src.presentation.generators):
-        cls = ExtClass(src, tuple(1 if i == t else 0 for i in range(src.presentation.generators)))
-        img = f(cls)
-        cols.append(list(img.coords))
-    return ExactMatrix.from_cols(src.p.ring, cols, dst.presentation.generators)
-
-
-def connecting_alpha(cls: ExtClass, p: PresentedModule) -> ModuleMorphism:
-    """``alpha : Hom(A, P) -> Ext^1(C, P)`` for the class ``cls`` of a
-    sequence ``0 -> A -> B -> C -> 0``: push ``cls`` forward along each
-    homomorphism ``A -> P``."""
-    a_mod = cls.parent.p
-    h_a = ext_module(0, a_mod, p)
-    e1_c = ext_module(1, cls.parent.q, p)
-
-    def alpha_on(cls0: ExtClass) -> ExtClass:
-        return transport_covariant(cls, hom(a_mod, p, cls0.cocycle()))
-
-    return hom(h_a.presentation, e1_c.presentation, _transport_matrix(h_a, e1_c, alpha_on))
-
-
-def connecting_hom(s: ShortExactSequence, p: PresentedModule) -> HomExtLadder:
-    """Apply Hom(-, P) to ``0 -> A -> B -> C -> 0`` and return the seven-term
-    ladder; the connecting maps are pushforward along the classifying class
-    (degree 0) and splice with it (degree 1)."""
-    a_mod, b_mod, c_mod = s.left, s.middle, s.right
-    h_c = ext_module(0, c_mod, p)
-    h_b = ext_module(0, b_mod, p)
-    h_a = ext_module(0, a_mod, p)
-    e1_c = ext_module(1, c_mod, p)
-    e1_b = ext_module(1, b_mod, p)
-    e1_a = ext_module(1, a_mod, p)
-    e2_c = ext_module(2, c_mod, p)
-
-    cls = class_of_ses(s)  # in Ext^1(C, A)
-
-    res0_cb = hom(h_c.presentation, h_b.presentation, restriction(h_c, s.project).matrix)
-    res0_ba = hom(h_b.presentation, h_a.presentation, restriction(h_b, s.inject).matrix)
-
-    alpha = connecting_alpha(cls, p)
-
-    res1_cb = hom(e1_c.presentation, e1_b.presentation, restriction(e1_c, s.project).matrix)
-    res1_ba = hom(e1_b.presentation, e1_a.presentation, restriction(e1_b, s.inject).matrix)
-
-    delta1 = hom(e1_a.presentation, e2_c.presentation,
-                 _transport_matrix(e1_a, e2_c, lambda x: yoneda_product(x, cls)))
-
-    return HomExtLadder(
-        s, p,
-        (h_c, h_b, h_a, e1_c, e1_b, e1_a, e2_c),
-        (res0_cb, res0_ba, alpha, res1_cb, res1_ba, delta1),
-        alpha, delta1,
-    )

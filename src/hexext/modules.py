@@ -182,14 +182,20 @@ class ModuleMorphism:
         finite; otherwise the kernel must lie in the source relation span."""
         source, target = lattice_order(self.source.relations), lattice_order(self.target.relations)
         if source is not None and target is not None:
-            return target == source * lattice_order(self.target.relations.hstack(self.matrix))
+            return target == source * _coker_order(self)
         return _first_outside(preimage_kernel_columns(self), self.source.relations) is None
 
     def is_surjective(self) -> bool:
-        return lattice_order(self.target.relations.hstack(self.matrix)) == 1
+        return _coker_order(self) == 1
 
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
+
+
+def _coker_order(f: ModuleMorphism) -> int | None:
+    """``|coker f|``, read off the cached pivots of the target relations
+    beside the images of the source generators; ``None`` when infinite."""
+    return lattice_order(f.target.relations.hstack(f.matrix))
 
 
 def _first_outside(cols: ExactMatrix, span: ExactMatrix) -> int | None:
@@ -237,9 +243,9 @@ def hom(source: PresentedModule, target: PresentedModule, matrix) -> ModuleMorph
     mismatch = _endpoint_mismatch(source, target, matrix)
     if mismatch:
         raise NonComposableError(mismatch)
-    rep = check_well_defined(source, target, matrix)
-    if not rep.ok:
-        raise WellDefinednessError(rep.first_violation)
+    bad = _first_outside(matrix @ source.relations, target.relations)
+    if bad is not None:
+        raise WellDefinednessError(bad)
     return ModuleMorphism(source, target, matrix)
 
 
@@ -302,7 +308,7 @@ def morphism_cokernel(f: ModuleMorphism):
 
 
 # ---------------------------------------------------------------------------
-# Sums, pullbacks, pushouts
+# Sums and pullbacks
 # ---------------------------------------------------------------------------
 
 
@@ -358,30 +364,6 @@ def pullback_factor(pb: Pullback, u: ModuleMorphism, v: ModuleMorphism) -> Modul
     return hom(u.source, pb.module, x)
 
 
-@dataclass(frozen=True)
-class Pushout:
-    module: PresentedModule
-    from_left: ModuleMorphism   # A -> pushout
-    from_right: ModuleMorphism  # B -> pushout
-
-
-def pushout(f: ModuleMorphism, g: ModuleMorphism) -> Pushout:
-    """``A (+) B`` modulo the skew columns ``(f(c), -g(c))`` for ``f : C -> A``
-    and ``g : C -> B``."""
-    if f.source != g.source:
-        raise NonComposableError("pushout legs must share a source")
-    ring = f.target.ring
-    ga, gb = f.target.generators, g.target.generators
-    skew_cols = [list(f.matrix.col(j)) + [-x for x in g.matrix.col(j)] for j in range(f.source.generators)]
-    rels = block_diag(ring, [f.target.relations, g.target.relations])
-    if skew_cols:
-        rels = rels.hstack(ExactMatrix.from_cols(ring, skew_cols, ga + gb))
-    po = PresentedModule(ring, ga + gb, rels)
-    ia = ExactMatrix.identity(ring, ga).vstack(ExactMatrix.zeros(ring, gb, ga))
-    ib = ExactMatrix.zeros(ring, ga, gb).vstack(ExactMatrix.identity(ring, gb))
-    return Pushout(po, ModuleMorphism(f.target, po, ia), ModuleMorphism(g.target, po, ib))
-
-
 # ---------------------------------------------------------------------------
 # Exactness
 # ---------------------------------------------------------------------------
@@ -423,9 +405,7 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
             continue
         middle, target = lattice_order(g.source.relations), lattice_order(g.target.relations)
         if middle is not None and target is not None:
-            coker_f = f.target.relations.hstack(f.matrix)
-            coker_g = g.target.relations.hstack(g.matrix)
-            ok = lattice_order(coker_f) * lattice_order(coker_g) == target
+            ok = _coker_order(f) * _coker_order(g) == target
         else:
             ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))

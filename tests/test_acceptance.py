@@ -25,7 +25,7 @@ from hexext.diagram import (
 )
 from hexext.document import parse, serialize
 from hexext.errors import NotExtendableError
-from hexext.ext import baer_sum_explicit, class_of_ses, ext_module, ses_of_class
+from hexext.ext import class_of_ses, ext_module, ses_of_class
 from hexext.modules import PresentedModule, split_ses
 from hexext.oracle import EnumerationBudget, brute_ext1, brute_extension_exists
 from hexext.randgen import (
@@ -36,6 +36,7 @@ from hexext.randgen import (
     random_module,
 )
 from hexext.rings import ZZ, Zmod
+from routes import baer_sum_explicit
 from tests.conftest import all_modules_over
 
 R4, R8, R9 = Zmod(4), Zmod(8), Zmod(9)

@@ -185,6 +185,22 @@ def test_answer_beyond_digit_limit_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_huge_generator_count_exits_2(tmp_path):
+    # a 105-byte document whose count alone asks for 10^18 matrix rows; a
+    # separate process, so that the memory it would ask for is not this one's
+    p = tmp_path / "huge.json"
+    p.write_text('{"rings":{"R":{"kind":"Z"}},"modules":{"A":{"ring":"R",'
+                 '"generators":1000000000000000000,"relations":[]}}}', encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hexext.cli import main; sys.exit(main())",
+         "validate", str(p), "A"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("input error: module A:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 MIXED_RINGS = {
     "rings": {"Z": {"kind": "Z"}, "R4": {"kind": "Zmod", "m": 4}},
     "modules": {"Q": {"ring": "Z", "generators": 1, "relations": [[2]]},

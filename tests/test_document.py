@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from hexext.document import DocumentModel, ParseError, SemanticError, parse, serialize
+from hexext.document import MAX_GENERATORS, DocumentModel, ParseError, SemanticError, parse, serialize
 from hexext.linalg import ExactMatrix
 from hexext.modules import ModuleMorphism, PresentedModule
 from hexext.rings import ZZ
@@ -148,3 +148,17 @@ def test_integer_literal_beyond_digit_limit_is_parse_error():
 def test_integer_string_beyond_digit_limit_is_semantic_error():
     with pytest.raises(SemanticError, match="integer string of 5000 digits"):
         parse(_relation_entry_document('"' + "7" * 5000 + '"'))
+
+
+def _generator_count_document(count: int) -> str:
+    return ('{"rings": {"R": {"kind": "Z"}}, "modules": {"A": {"ring": "R", "generators": '
+            + str(count) + ', "relations": []}}}')
+
+
+def test_generator_count_above_the_limit_is_semantic_error():
+    # the count alone would ask for a relation matrix of 10^18 empty rows
+    with pytest.raises(SemanticError, match=f"module A: more than {MAX_GENERATORS} generators"):
+        parse(_generator_count_document(10 ** 18))
+    with pytest.raises(SemanticError, match="module A"):
+        parse(_generator_count_document(MAX_GENERATORS + 1))
+    assert parse(_generator_count_document(MAX_GENERATORS)).modules["A"].free_rank() == MAX_GENERATORS

@@ -27,7 +27,6 @@ from hexext.modules import (
     morphism_kernel,
     pullback,
     pullback_factor,
-    pushout,
     simplify,
     snake_connecting,
     solve_morphism,
@@ -37,6 +36,7 @@ from hexext.modules import (
 )
 from hexext.randgen import random_hom, random_module, random_ses
 from hexext.rings import ZZ, Zmod
+from routes import pushout
 
 R4 = Zmod(4)
 Z2m = PresentedModule.cyclic(R4, 2)
@@ -58,8 +58,9 @@ def test_mod2_reduction_accepted():
 def test_bad_section_rejected_with_column():
     rep = check_well_defined(Z2z, Z4z, ExactMatrix.from_rows(ZZ, [[1]], 1))
     assert not rep.ok and rep.first_violation == 0
-    with pytest.raises(WellDefinednessError):
+    with pytest.raises(WellDefinednessError, match="^relation column 0 is not respected$") as exc:
         hom(Z2z, Z4z, [[1]])
+    assert exc.value.first_violation == 0
 
 
 def test_hom_rejects_mismatched_endpoints():
