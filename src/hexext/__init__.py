@@ -11,7 +11,6 @@ from .modules import (
     ModuleMorphism,
     PresentedModule,
     ShortExactSequence,
-    check_well_defined,
     direct_sum,
     exactness_report,
     hom,
@@ -71,7 +70,7 @@ __all__ = [
     "RingSpec", "ZZ", "Zmod",
     "ExactMatrix", "solve_linear", "kernel_columns",
     "PresentedModule", "ModuleMorphism", "ShortExactSequence",
-    "check_well_defined", "hom", "morphism_kernel", "morphism_image",
+    "hom", "morphism_kernel", "morphism_image",
     "morphism_cokernel", "direct_sum",
     "pullback", "exactness_report", "is_exact", "make_ses",
     "split_ses", "snake_connecting",

@@ -135,9 +135,8 @@ def _cmd_obstruction(args) -> int:
 def _not_extendable(op: str, name: str, exc: NotExtendableError) -> int:
     """The exit-1 report of a subcommand asked about a diagram that does not
     extend."""
-    report = {"op": op, "diagram": name, "extendable": False}
-    if exc.report is not None:
-        report["obstruction"] = _class_report(exc.report.baer_sum)
+    report = {"op": op, "diagram": name, "extendable": False,
+              "obstruction": _class_report(exc.report.baer_sum)}
     return _emit(report, EXIT_FAIL)
 
 
@@ -197,9 +196,8 @@ def _cmd_hexagon(args) -> int:
     try:
         solved = solve_hexagon(frame)
     except NotExtendableError as exc:
-        report = {"op": "hexagon", "frame": args.frame, "solved": False}
-        if exc.report is not None:
-            report["obstruction"] = _class_report(exc.report.baer_sum)
+        report = {"op": "hexagon", "frame": args.frame, "solved": False,
+                  "obstruction": _class_report(exc.report.baer_sum)}
         return _emit(report, EXIT_FAIL)
     report = {
         "op": "hexagon", "frame": args.frame, "solved": True,

@@ -211,7 +211,7 @@ def _y_core(d: Diagram3x3) -> BuildY:
     incl = ModuleMorphism(rs.module, y, w_r.matrix.hstack(w_s.matrix))
     proj = d.col_right.project @ p_f
     if not proj.equals(d.row_bottom.project @ p_g):
-        raise InvalidDiagramError(["pullback projections do not agree over Q"])
+        raise AssertionError("pullback projections do not agree over Q")
     ses = make_ses(incl, proj)
     by = BuildY(y, pb, ses, rs, w_r, w_s, p_f, p_g, simp.to_min)
     _snake_cross_check(d, by)
@@ -225,9 +225,9 @@ def _snake_cross_check(d: Diagram3x3, by: BuildY) -> None:
     top = make_ses(by.w_r, by.p_g)
     res = snake_connecting(top, d.col_right, identity_morphism(d.r), by.p_f, d.row_bottom.project)
     if not is_exact(list(res.six_term)):
-        raise InvalidDiagramError(["snake cross-check failed for the derived grid"])
+        raise AssertionError("snake cross-check failed for the derived grid")
     if not res.kernels[2].is_isomorphic_to(d.s):
-        raise InvalidDiagramError(["kernel of G -> Q does not match S in the derived grid"])
+        raise AssertionError("kernel of G -> Q does not match S in the derived grid")
 
 
 @dataclass(frozen=True)
@@ -315,11 +315,11 @@ def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtensio
                        pre=[(d.row_top.inject, iota_p)],
                        post=[(pi_y, by.w_r @ d.row_top.project)])
     if i is None or j is None:
-        raise NotExtendableError(None, "restriction classes matched but grid maps are unsolvable")
+        raise AssertionError("restriction classes matched but grid maps are unsolvable")
     ext = DiagramExtension(x, i, j, m, n)
     bad = validate_extension(d, ext)
     if bad:
-        raise NotExtendableError(None, "constructed extension failed validation: " + "; ".join(bad))
+        raise AssertionError("constructed extension failed validation: " + "; ".join(bad))
     return ext
 
 

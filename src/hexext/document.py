@@ -18,7 +18,10 @@ Format (all sections optional, all references by name):
 Relations are lists of columns (one list per relation, of generator length);
 morphism matrices are lists of rows indexed by target generators.  Integers
 are JSON numbers when ``|v| < 2**53`` and decimal strings beyond that, so
-documents are bit-exact.  Every morphism certificate is re-checked on load.
+documents are bit-exact.  Every morphism certificate is re-checked on load,
+by :func:`hexext.modules.hom`.  The named references of diagrams, hexagons and
+extensions are spelled once, in the tables below, for both :func:`parse` and
+:func:`serialize`.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import json
 from dataclasses import dataclass, field
 
 from .diagram import Diagram3x3, DiagramExtension
-from .errors import HexextError
+from .errors import HexextError, WellDefinednessError
 from .hexagon import HexagonFrame
 from .linalg import ExactMatrix
-from .modules import ModuleMorphism, PresentedModule, ShortExactSequence, _ses, check_well_defined
+from .modules import ModuleMorphism, PresentedModule, ShortExactSequence, _ses, hom
 from .rings import RingSpec, ZZ, Zmod
 
 _BIG = 1 << 53
@@ -40,6 +43,18 @@ _BIG = 1 << 53
 # for; a generator count is the one number that asks for memory the
 # document does not hold itself.
 MAX_GENERATORS = 1024
+
+# The diagram's corners, each the module of the attribute named in lower case.
+_CORNERS = "PERHFSGQ"
+# Each sequence of a diagram: its attribute and the corners it joins, left,
+# middle and right.
+_SEQUENCES = {"rowTop": ("row_top", "PER"), "rowBottom": ("row_bottom", "SGQ"),
+              "colLeft": ("col_left", "PHS"), "colRight": ("col_right", "RFQ")}
+# The modules and maps of a hexagon frame, each with the attribute it fills.
+_HEXAGON_MODULES = {"A1": "a1", "B1": "b1", "B2": "b2", "A4": "a4", "A2": "a2", "A3": "a3"}
+_HEXAGON_MAPS = {"alpha": "alpha", "beta": "beta", "topB": "top_b", "d": "d", "r": "r", "s": "s"}
+# The maps of an extension, each named as its attribute.
+_EXTENSION_MAPS = "ijmn"
 
 
 class ParseError(HexextError):
@@ -91,7 +106,7 @@ def _as_int(v) -> int:
 
 def _section(doc: dict, key: str) -> dict:
     """A top-level section whose every entry is an object."""
-    sec = doc.get(key) or {}
+    sec = doc.get(key, {})
     if not isinstance(sec, dict):
         raise SemanticError(f"section {key!r} must be an object")
     for name, spec in sec.items():
@@ -104,6 +119,18 @@ def _known(table: dict, ref) -> bool:
     """Is ``ref`` a name in ``table``?  Names are strings, so a reference of
     any other JSON type names nothing."""
     return isinstance(ref, str) and ref in table
+
+
+def _refs(spec: dict, keys, table: dict, what: str) -> dict:
+    """The entries of ``table`` that ``spec`` names under ``keys``, by key;
+    :class:`SemanticError` ``"<what> <key>"`` at the first key that names
+    nothing."""
+    out = {}
+    for key in keys:
+        if not _known(table, spec.get(key)):
+            raise SemanticError(f"{what} {key}")
+        out[key] = table[spec[key]]
+    return out
 
 
 def _encode_rows(rows, what: str) -> list[list]:
@@ -191,11 +218,11 @@ def parse(text: str) -> DocumentModel:
             raise SemanticError(f"morphism {name}: source and target rings differ")
         mat = _matrix_from_rows(src.ring, spec.get("matrix", []), tgt.generators, src.generators,
                                 f"morphism {name}")
-        rep = check_well_defined(src, tgt, mat)
-        if not rep.ok:
+        try:
+            model.morphisms[name] = hom(src, tgt, mat)
+        except WellDefinednessError as exc:
             raise SemanticError(
-                f"morphism {name}: not well defined (relation column {rep.first_violation})")
-        model.morphisms[name] = ModuleMorphism(src, tgt, mat)
+                f"morphism {name}: not well defined (relation column {exc.first_violation})") from exc
 
     def ses_from(dspec, key, what) -> ShortExactSequence:
         block = dspec.get(key)
@@ -210,46 +237,19 @@ def parse(text: str) -> DocumentModel:
         return _ses(inj, proj)  # exactness is the diagram's to check
 
     for name, spec in _section(doc, "diagrams").items():
-        for key in ("P", "E", "R", "H", "F", "S", "G", "Q"):
-            if not _known(model.modules, spec.get(key)):
-                raise SemanticError(f"diagram {name}: unknown module for corner {key}")
-        row_top = ses_from(spec, "rowTop", f"diagram {name}")
-        row_bottom = ses_from(spec, "rowBottom", f"diagram {name}")
-        col_left = ses_from(spec, "colLeft", f"diagram {name}")
-        col_right = ses_from(spec, "colRight", f"diagram {name}")
-        named = {k: model.modules[spec[k]] for k in ("P", "E", "R", "H", "F", "S", "G", "Q")}
-        checks = [
-            (row_top.left, named["P"], "rowTop.left != P"), (row_top.middle, named["E"], "rowTop.middle != E"),
-            (row_top.right, named["R"], "rowTop.right != R"),
-            (row_bottom.left, named["S"], "rowBottom.left != S"), (row_bottom.middle, named["G"], "rowBottom.middle != G"),
-            (row_bottom.right, named["Q"], "rowBottom.right != Q"),
-            (col_left.left, named["P"], "colLeft.left != P"), (col_left.middle, named["H"], "colLeft.middle != H"),
-            (col_left.right, named["S"], "colLeft.right != S"),
-            (col_right.left, named["R"], "colRight.left != R"), (col_right.middle, named["F"], "colRight.middle != F"),
-            (col_right.right, named["Q"], "colRight.right != Q"),
-        ]
-        for got, want, msg in checks:
-            if got != want:
-                raise SemanticError(f"diagram {name}: {msg}")
-        model.diagrams[name] = Diagram3x3(row_top=row_top, row_bottom=row_bottom,
-                                          col_left=col_left, col_right=col_right)
+        corners = _refs(spec, _CORNERS, model.modules, f"diagram {name}: unknown module for corner")
+        seqs = {key: ses_from(spec, key, f"diagram {name}") for key in _SEQUENCES}
+        for key, (_, joins) in _SEQUENCES.items():
+            for side, corner in zip(("left", "middle", "right"), joins):
+                if getattr(seqs[key], side) != corners[corner]:
+                    raise SemanticError(f"diagram {name}: {key}.{side} != {corner}")
+        model.diagrams[name] = Diagram3x3(**{attr: seqs[key] for key, (attr, _) in _SEQUENCES.items()})
 
     for name, spec in _section(doc, "hexagons").items():
-        objs = {}
-        for key in ("A1", "B1", "B2", "A4", "A2", "A3"):
-            if not _known(model.modules, spec.get(key)):
-                raise SemanticError(f"hexagon {name}: unknown module for {key}")
-            objs[key] = model.modules[spec[key]]
-        maps = {}
-        for key in ("alpha", "beta", "topB", "d", "r", "s"):
-            if not _known(model.morphisms, spec.get(key)):
-                raise SemanticError(f"hexagon {name}: unknown morphism for {key}")
-            maps[key] = model.morphisms[spec[key]]
-        model.hexagons[name] = HexagonFrame(
-            a1=objs["A1"], b1=objs["B1"], b2=objs["B2"], a4=objs["A4"],
-            a2=objs["A2"], a3=objs["A3"],
-            alpha=maps["alpha"], beta=maps["beta"], top_b=maps["topB"],
-            d=maps["d"], r=maps["r"], s=maps["s"])
+        objs = _refs(spec, _HEXAGON_MODULES, model.modules, f"hexagon {name}: unknown module for")
+        maps = _refs(spec, _HEXAGON_MAPS, model.morphisms, f"hexagon {name}: unknown morphism for")
+        model.hexagons[name] = HexagonFrame(**{_HEXAGON_MODULES[k]: v for k, v in objs.items()},
+                                            **{_HEXAGON_MAPS[k]: v for k, v in maps.items()})
 
     for name, spec in _section(doc, "extensions").items():
         dname = spec.get("diagram")
@@ -257,13 +257,8 @@ def parse(text: str) -> DocumentModel:
             raise SemanticError(f"extension {name}: unknown diagram {dname!r}")
         if not _known(model.modules, spec.get("X")):
             raise SemanticError(f"extension {name}: unknown middle module")
-        mor = {}
-        for key in ("i", "j", "m", "n"):
-            if not _known(model.morphisms, spec.get(key)):
-                raise SemanticError(f"extension {name}: unknown morphism for {key}")
-            mor[key] = model.morphisms[spec[key]]
-        x = model.modules[spec["X"]]
-        model.extensions[name] = DiagramExtension(x, mor["i"], mor["j"], mor["m"], mor["n"])
+        maps = _refs(spec, _EXTENSION_MAPS, model.morphisms, f"extension {name}: unknown morphism for")
+        model.extensions[name] = DiagramExtension(model.modules[spec["X"]], **maps)
         model.extension_diagram_names[name] = dname
     return model
 
@@ -318,35 +313,20 @@ def serialize(model: DocumentModel) -> str:
     if model.diagrams:
         out = {}
         for name, dg in sorted(model.diagrams.items()):
-            out[name] = {
-                "P": module_name[dg.p], "E": module_name[dg.e], "R": module_name[dg.r],
-                "H": module_name[dg.h], "F": module_name[dg.f], "S": module_name[dg.s],
-                "G": module_name[dg.g], "Q": module_name[dg.q],
-                "rowTop": seq_ref(dg.row_top, f"diagram {name}"),
-                "rowBottom": seq_ref(dg.row_bottom, f"diagram {name}"),
-                "colLeft": seq_ref(dg.col_left, f"diagram {name}"),
-                "colRight": seq_ref(dg.col_right, f"diagram {name}"),
-            }
+            out[name] = {k: module_name[getattr(dg, k.lower())] for k in _CORNERS}
+            for key, (attr, _) in _SEQUENCES.items():
+                out[name][key] = seq_ref(getattr(dg, attr), f"diagram {name}")
         doc["diagrams"] = out
     if model.hexagons:
         out = {}
         for name, hx in sorted(model.hexagons.items()):
-            out[name] = {
-                "A1": module_name[hx.a1], "B1": module_name[hx.b1], "B2": module_name[hx.b2],
-                "A4": module_name[hx.a4], "A2": module_name[hx.a2], "A3": module_name[hx.a3],
-                "alpha": morphism_name[hx.alpha], "beta": morphism_name[hx.beta],
-                "topB": morphism_name[hx.top_b], "d": morphism_name[hx.d],
-                "r": morphism_name[hx.r], "s": morphism_name[hx.s],
-            }
+            out[name] = {k: module_name[getattr(hx, attr)] for k, attr in _HEXAGON_MODULES.items()}
+            out[name].update((k, morphism_name[getattr(hx, attr)]) for k, attr in _HEXAGON_MAPS.items())
         doc["hexagons"] = out
     if model.extensions:
         out = {}
         for name, ex in sorted(model.extensions.items()):
-            out[name] = {
-                "diagram": model.extension_diagram_names[name],
-                "X": module_name[ex.x],
-                "i": morphism_name[ex.i], "j": morphism_name[ex.j],
-                "m": morphism_name[ex.m], "n": morphism_name[ex.n],
-            }
+            out[name] = {"diagram": model.extension_diagram_names[name], "X": module_name[ex.x]}
+            out[name].update((k, morphism_name[getattr(ex, k)]) for k in _EXTENSION_MAPS)
         doc["extensions"] = out
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -46,12 +46,12 @@ class FrameInvalidError(HexextError):
 
 
 class NotExtendableError(HexextError):
-    """Raised / returned when a diagram admits no middle object; carries the
-    obstruction report when one is available."""
+    """Raised when a diagram admits no middle object; carries the obstruction
+    report, whose sum is nonzero."""
 
-    def __init__(self, report=None, reason: str = "diagram does not extend"):
+    def __init__(self, report):
         self.report = report
-        super().__init__(reason)
+        super().__init__("diagram does not extend")
 
 
 class ClassesDifferError(HexextError):

@@ -131,12 +131,6 @@ def _structure(m: PresentedModule):
 
 
 @dataclass(frozen=True)
-class WellDefinedReport:
-    ok: bool
-    first_violation: int | None = None
-
-
-@dataclass(frozen=True)
 class ModuleMorphism:
     """A matrix on generators (target generators x source generators) that
     maps every source relation into the target relation span.  The
@@ -212,27 +206,6 @@ def _first_outside(cols: ExactMatrix, span: ExactMatrix) -> int | None:
     return None
 
 
-def _endpoint_mismatch(source: PresentedModule, target: PresentedModule, matrix: ExactMatrix) -> str | None:
-    """Why ``matrix`` cannot be a morphism matrix ``source -> target``, or
-    ``None`` when its ring and shape fit."""
-    if not source.ring == target.ring == matrix.ring:
-        return f"matrix over {matrix.ring} between modules over {source.ring} and {target.ring}"
-    if (matrix.rows, matrix.cols) != (target.generators, source.generators):
-        return (f"matrix is {matrix.rows}x{matrix.cols} but the endpoints need "
-                f"{target.generators}x{source.generators}")
-    return None
-
-
-def check_well_defined(source: PresentedModule, target: PresentedModule, matrix: ExactMatrix) -> WellDefinedReport:
-    """Accept iff every source relation column maps into the target relation
-    span; on rejection report the first violating column, or -1 when the
-    matrix's ring or shape does not fit the endpoints."""
-    if _endpoint_mismatch(source, target, matrix):
-        return WellDefinedReport(False, -1)
-    bad = _first_outside(matrix @ source.relations, target.relations)
-    return WellDefinedReport(bad is None, bad)
-
-
 def hom(source: PresentedModule, target: PresentedModule, matrix) -> ModuleMorphism:
     """Checked constructor for outside matrices; raises
     :class:`NonComposableError` when the matrix's ring or shape does not fit
@@ -240,9 +213,12 @@ def hom(source: PresentedModule, target: PresentedModule, matrix) -> ModuleMorph
     not respected."""
     if not isinstance(matrix, ExactMatrix):
         matrix = ExactMatrix.from_rows(source.ring, matrix, source.generators)
-    mismatch = _endpoint_mismatch(source, target, matrix)
-    if mismatch:
-        raise NonComposableError(mismatch)
+    if not source.ring == target.ring == matrix.ring:
+        raise NonComposableError(
+            f"matrix over {matrix.ring} between modules over {source.ring} and {target.ring}")
+    if (matrix.rows, matrix.cols) != (target.generators, source.generators):
+        raise NonComposableError(f"matrix is {matrix.rows}x{matrix.cols} but the endpoints need "
+                                 f"{target.generators}x{source.generators}")
     bad = _first_outside(matrix @ source.relations, target.relations)
     if bad is not None:
         raise WellDefinednessError(bad)

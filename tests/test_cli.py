@@ -43,6 +43,17 @@ def test_extend_obstructed_exits_1(capsys):
     assert report["obstruction"]["is_zero"] is False
 
 
+def test_extend_engine_fault_is_not_a_verdict(capsys, monkeypatch):
+    # grid maps that cannot be solved although the obstruction is zero are
+    # the engine's fault: no report claims the diagram does not extend
+    import hexext.diagram
+
+    monkeypatch.setattr(hexext.diagram, "solve_morphism", lambda *a, **k: None)
+    with pytest.raises(AssertionError, match="grid maps are unsolvable"):
+        main(["extend", str(FIXTURES / "allsplit.json"), "D"])
+    assert capsys.readouterr().out == ""
+
+
 def test_ext_subcommand(capsys):
     code, report = run(capsys, "ext", FIXTURES / "zdiagram.json", "-i", "1", "Z6", "Zfree")
     assert code == 0

@@ -285,6 +285,31 @@ def test_variant_cocycle_reports_obstruction():
     assert exc.value.report is not None and not exc.value.report.is_zero
 
 
+# Faults that can only occur after the diagram is accepted: each is the
+# engine's own failure, never a verdict that the diagram does not extend
+ENGINE_FAULTS = [
+    ("solve_morphism", lambda *a, **k: None, "restriction classes matched but grid maps are unsolvable"),
+    ("validate_extension", lambda *a: ["forced"], "constructed extension failed validation: forced"),
+    ("is_exact", lambda *a, **k: False, "snake cross-check failed for the derived grid"),
+]
+
+
+@pytest.mark.parametrize("name, fake, message", ENGINE_FAULTS, ids=[f[0] for f in ENGINE_FAULTS])
+def test_engine_fault_is_an_assertion(name, fake, message, monkeypatch):
+    # a freshly parsed diagram, so the memo holds no fact of it
+    d = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8")).diagrams["D"]
+    monkeypatch.setattr(diagram_module, name, fake)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        extend_diagram(d)
+
+
+def test_not_extendable_always_carries_its_obstruction():
+    with pytest.raises(TypeError):
+        NotExtendableError()
+    ob = obstruction(example_a())
+    assert NotExtendableError(ob).report is ob
+
+
 def test_extend_diagram_checks_only_solved_maps(monkeypatch):
     # maps built by construction skip the well-definedness check, which only
     # the checked constructor hom runs; the seven read off a solve keep it:

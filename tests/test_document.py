@@ -162,3 +162,82 @@ def test_generator_count_above_the_limit_is_semantic_error():
     with pytest.raises(SemanticError, match="module A"):
         parse(_generator_count_document(MAX_GENERATORS + 1))
     assert parse(_generator_count_document(MAX_GENERATORS)).modules["A"].free_rank() == MAX_GENERATORS
+
+
+# -- the parser's reference messages ------------------------------------------------------------
+
+
+def _allsplit() -> dict:
+    """The all-split fixture as JSON data, with one extra module W over its
+    ring that is not the module of any corner."""
+    doc = json.loads((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    doc["modules"]["W"] = {"ring": "R4", "generators": 3, "relations": []}
+    return doc
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _delete(path):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+# one malformed document per message, each made by one edit of the fixture
+REFERENCE_MESSAGES = [
+    # a corner named for another module: the first sequence side that meets it
+    (_set(("diagrams", "D", "P"), "W"), "diagram D: rowTop.left != P"),
+    (_set(("diagrams", "D", "E"), "W"), "diagram D: rowTop.middle != E"),
+    (_set(("diagrams", "D", "R"), "W"), "diagram D: rowTop.right != R"),
+    (_set(("diagrams", "D", "H"), "W"), "diagram D: colLeft.middle != H"),
+    (_set(("diagrams", "D", "F"), "W"), "diagram D: colRight.middle != F"),
+    (_set(("diagrams", "D", "S"), "W"), "diagram D: rowBottom.left != S"),
+    (_set(("diagrams", "D", "G"), "W"), "diagram D: rowBottom.middle != G"),
+    (_set(("diagrams", "D", "Q"), "W"), "diagram D: rowBottom.right != Q"),
+    (_set(("diagrams", "D", "H"), "nope"), "diagram D: unknown module for corner H"),
+    (_delete(("diagrams", "D", "colLeft")), "diagram D: missing sequence 'colLeft'"),
+    (_set(("diagrams", "D", "colRight", "project"), "nope"), "diagram D/colRight: unknown morphism reference"),
+    (_set(("diagrams", "D", "rowBottom", "inject"), "bottom_proj"),
+     "diagram D/rowBottom: inject and project do not compose"),
+    (_set(("hexagons", "F", "A4"), "nope"), "hexagon F: unknown module for A4"),
+    (_set(("hexagons", "F", "topB"), 7), "hexagon F: unknown morphism for topB"),
+    (_set(("extensions", "X1", "diagram"), "nope"), "extension X1: unknown diagram 'nope'"),
+    (_delete(("extensions", "X1", "X")), "extension X1: unknown middle module"),
+    (_set(("extensions", "X1", "m"), "nope"), "extension X1: unknown morphism for m"),
+    (_set(("modules", "Z2", "ring"), "nope"), "module Z2: unknown ring 'nope'"),
+    (_set(("morphisms", "alpha", "target"), "nope"), "morphism alpha: unknown target 'nope'"),
+    (_set(("morphisms", "bad"), {"source": "Z2", "target": "W", "matrix": [[1], [0], [0]]}),
+     "morphism bad: not well defined (relation column 0)"),
+]
+
+
+@pytest.mark.parametrize("edit, message", REFERENCE_MESSAGES, ids=[m for _, m in REFERENCE_MESSAGES])
+def test_reference_messages(edit, message):
+    doc = _allsplit()
+    parse(json.dumps(doc))  # the unedited document is sound
+    edit(doc)
+    with pytest.raises(SemanticError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+SECTIONS = ("rings", "modules", "morphisms", "diagrams", "hexagons", "extensions")
+
+
+@pytest.mark.parametrize("value", [[], 0, False, "", None, [1], "x"], ids=repr)
+@pytest.mark.parametrize("section", SECTIONS)
+def test_a_present_section_must_be_an_object(section, value):
+    # only a missing key is an empty section
+    with pytest.raises(SemanticError, match=f"^section '{section}' must be an object$"):
+        parse(json.dumps({section: value}))
+    assert parse(json.dumps({section: {}})) == DocumentModel()

@@ -374,8 +374,9 @@ MOVED_TO_ROUTES = ("connecting_hom", "HomExtLadder", "connecting_alpha", "_trans
                    "transport_contravariant", "transport_covariant", "pullback_ses", "pushout_ses",
                    "baer_sum_explicit", "yoneda_product", "yoneda_product_via_chain_lift",
                    "Pushout", "pushout")
-# the splice layer, which yoneda_product_of_ses replaced by one chase
-DELETED = ("YonedaTwoExtension", "splice", "two_extension_class")
+# the splice layer, which yoneda_product_of_ses replaced by one chase, and the
+# second certificate check beside hom
+DELETED = ("YonedaTwoExtension", "splice", "two_extension_class", "check_well_defined", "WellDefinedReport")
 
 
 def test_public_names_resolve_and_test_routes_stay_out_of_the_library():

@@ -13,7 +13,6 @@ from hexext.linalg import ExactMatrix, solve_linear
 from hexext.modules import (
     DirectSum,
     PresentedModule,
-    check_well_defined,
     direct_sum,
     exactness_report,
     ModuleMorphism,
@@ -51,13 +50,10 @@ Z4z = PresentedModule.cyclic(ZZ, 4)
 
 def test_mod2_reduction_accepted():
     # relation 4*e maps to 4 = 0 mod 2
-    rep = check_well_defined(Z4z, Z2z, ExactMatrix.from_rows(ZZ, [[1]], 1))
-    assert rep.ok
+    hom(Z4z, Z2z, ExactMatrix.from_rows(ZZ, [[1]], 1))
 
 
 def test_bad_section_rejected_with_column():
-    rep = check_well_defined(Z2z, Z4z, ExactMatrix.from_rows(ZZ, [[1]], 1))
-    assert not rep.ok and rep.first_violation == 0
     with pytest.raises(WellDefinednessError, match="^relation column 0 is not respected$") as exc:
         hom(Z2z, Z4z, [[1]])
     assert exc.value.first_violation == 0
@@ -72,11 +68,6 @@ def test_hom_rejects_mismatched_endpoints():
         hom(Z4m, Z4z, [[1]])
     with pytest.raises(NonComposableError, match="matrix over Z between modules over Z/4 and Z/4"):
         hom(Z4m, Z4m, ExactMatrix.from_rows(ZZ, [[1]], 1))
-    for source, target, matrix in ((Z4m, Z4m, ExactMatrix.from_rows(R4, [[1], [1]], 1)),
-                                   (Z4m, Z4z, ExactMatrix.from_rows(R4, [[1]], 1)),
-                                   (Z4m, Z4m, ExactMatrix.from_rows(ZZ, [[1]], 1))):
-        rep = check_well_defined(source, target, matrix)
-        assert not rep.ok and rep.first_violation == -1
 
 
 def per_column_first_violation(source, target, matrix):
@@ -117,16 +108,23 @@ def candidate_matrices(draw):
 
 @given(candidate_matrices())
 @settings(max_examples=300, deadline=None)
-def test_check_well_defined_matches_per_column_loop(case):
+def test_hom_matches_per_column_loop(case):
     source, target, m = case
     ref = per_column_first_violation(source, target, m)
-    rep = check_well_defined(source, target, m)
-    assert rep.first_violation == ref and rep.ok == (ref is None)
+    if ref == -1:
+        with pytest.raises(NonComposableError):
+            hom(source, target, m)
+    elif ref is None:
+        assert hom(source, target, m).matrix == m
+    else:
+        with pytest.raises(WellDefinednessError) as exc:
+            hom(source, target, m)
+        assert exc.value.first_violation == ref
 
 
 def test_identity_always_accepted():
     for m in (Z2m, Z4m, Zf, Z4z, PresentedModule.zero(ZZ)):
-        assert check_well_defined(m, m, ExactMatrix.identity(m.ring, m.generators)).ok
+        hom(m, m, ExactMatrix.identity(m.ring, m.generators))
 
 
 # -- elements -------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hexext.diagram import Diagram3x3, extend_diagram, is_injective_module, obst
 from hexext.errors import BudgetExceededError, NotExtendableError
 from hexext.ext import class_of_ses, ext_module, ses_of_class
 from hexext.linalg import ExactMatrix
-from hexext.modules import PresentedModule, check_well_defined, hom, make_ses, split_ses
+from hexext.modules import PresentedModule, hom, make_ses, split_ses
 from hexext.oracle import (
     EnumerationBudget,
     Table,
@@ -517,7 +517,7 @@ def test_oracle_results_pass_the_engine_checks():
         for a in mods:
             for b in mods:
                 for f in enumerate_morphisms(a, b):
-                    assert check_well_defined(a, b, f.matrix).ok, (a, b)
+                    hom(a, b, f.matrix)
                 if a.cardinality() * b.cardinality() <= 16:
                     for s in brute_ext1(a, b).representatives:
                         assert make_ses(s.inject, s.project) == s, (a, b)
