@@ -22,6 +22,7 @@ from .errors import (
     ClassesDifferError,
     InvalidDiagramError,
     LambdaNotExtendableError,
+    NonComposableError,
     NotExtendableError,
 )
 from .ext import (
@@ -107,7 +108,7 @@ def validate_diagram1(d: Diagram3x3) -> list[str]:
                       ("colLeft", d.col_left), ("colRight", d.col_right)):
         try:
             out += exactness_violations(name, [seq.inject, seq.project])
-        except Exception as exc:  # non-composable stored sequences
+        except NonComposableError as exc:  # stored sequences whose maps do not compose
             out.append(f"{name}: {exc}")
     if d.row_top.left != d.col_left.left:
         out.append("corner P differs between rowTop and colLeft")

@@ -9,9 +9,17 @@ curv`` making the diagram commute with exact diagonals.
 
 The frame folds into a 3x3 grid (quotient on the left, images on the right),
 the grid is extended by the diagram machinery, and the middle object unfolds
-into the center.  Objects here are abstract finitely presented modules: the
-diagrammatic logic is verified on finite stand-ins rather than on cohomology
-of actual spaces, whose groups are not finitely generated.
+into the center.  The fold is the frame's only validation.  ``nu : P -> A2``
+exists iff ker(alpha) lies in ker(beta), and r corestricts to ``B2 -> Q`` iff
+im(r) lies in im(s); then each other frame condition is one grid position:
+rowTop/left is ker(beta) in ker(alpha), the colLeft and rowBottom interiors
+are the upper path exact at B1 and B2, the rowTop and colRight interiors the
+lower path exact at A2 and A3, and rowBottom/right is im(s) in im(r).  Every
+other position holds by construction, so its failure is an engine fault.
+
+Objects here are abstract finitely presented modules: the diagrammatic logic
+is verified on finite stand-ins rather than on cohomology of actual spaces,
+whose groups are not finitely generated.
 
 The upper-path composite ``B1 -> B2`` is stored as the single map ``top_b``;
 if a caller's convention carries a minus sign on that edge, the sign lives in
@@ -22,23 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (
-    Diagram3x3,
-    DiagramExtension,
-    compatible_isomorphism,
-    extend_diagram,
-)
-from .errors import FrameInvalidError
-from .modules import (
-    ModuleMorphism,
-    PresentedModule,
-    exactness_violations,
-    lift_through_inclusion,
-    morphism_image,
-    preimage_kernel_columns,
-    _first_outside,
-    _ses,
-)
+from .diagram import Diagram3x3, DiagramExtension, _require_valid, compatible_isomorphism, extend_diagram
+from .errors import FrameInvalidError, InvalidDiagramError, NonComposableError, WellDefinednessError
+from .modules import (ModuleMorphism, PresentedModule, _ses, exactness_violations, hom,
+                      lift_through_inclusion, morphism_image)
 
 
 @dataclass(frozen=True)
@@ -57,33 +52,6 @@ class HexagonFrame:
     s: ModuleMorphism       # A3 -> A4
 
 
-def validate_frame(f: HexagonFrame) -> list[str]:
-    out = []
-    wiring = [
-        ("alpha", f.alpha, f.a1, f.b1), ("beta", f.beta, f.a1, f.a2),
-        ("topB", f.top_b, f.b1, f.b2), ("d", f.d, f.a2, f.a3),
-        ("r", f.r, f.b2, f.a4), ("s", f.s, f.a3, f.a4),
-    ]
-    for name, mor, src, tgt in wiring:
-        if mor.source != src or mor.target != tgt:
-            out.append(f"{name} does not connect the declared objects")
-    if out:
-        return out
-    # two submodules agree when each one's generators lie in the other's span
-    ka = preimage_kernel_columns(f.alpha)
-    kb = preimage_kernel_columns(f.beta)
-    rels = f.a1.relations
-    if _first_outside(ka, kb.hstack(rels)) is not None or _first_outside(kb, ka.hstack(rels)) is not None:
-        out.append("ker(alpha) != ker(beta) inside A1")
-    out += exactness_violations("upper path", [f.alpha, f.top_b, f.r], left_zero=False, right_zero=False)
-    out += exactness_violations("lower path", [f.beta, f.d, f.s], left_zero=False, right_zero=False)
-    rels = f.a4.relations
-    if (_first_outside(f.r.matrix, f.s.matrix.hstack(rels)) is not None
-            or _first_outside(f.s.matrix, f.r.matrix.hstack(rels)) is not None):
-        out.append("im(r) != im(s) inside A4")
-    return out
-
-
 @dataclass(frozen=True)
 class FoldResult:
     """The folded grid plus the identification maps the fold introduces."""
@@ -95,28 +63,70 @@ class FoldResult:
     include_q: ModuleMorphism   # Q = im(s) -> A4
 
 
+def _miswired(wiring) -> list[str]:
+    """A message for each ``(name, map, source, target)`` not wired so."""
+    return [f"{name} does not connect the declared objects"
+            for name, mor, src, tgt in wiring if mor.source != src or mor.target != tgt]
+
+
+# The grid positions that frame conditions decide, in the order a frame lists
+# its violations, each with its frame message ("{}" takes the grid's verdict).
+_FRAME_CONDITIONS = {
+    "rowTop/left": "ker(alpha) != ker(beta) inside A1",
+    "colLeft/interior 0": "upper path/interior 0: {}",
+    "rowBottom/interior 0": "upper path/interior 1: {}",
+    "rowTop/interior 0": "lower path/interior 0: {}",
+    "colRight/interior 0": "lower path/interior 1: {}",
+    "rowBottom/right": "im(r) != im(s) inside A4",
+}
+
+
 def fold_frame(f: HexagonFrame) -> FoldResult:
     """Redraw the hexagon frame as a 3x3 grid: P = A1/ker(alpha), E = A2,
-    R = im(d), H = B1, F = A3, S = im(topB), G = B2, Q = im(s)."""
-    violations = validate_frame(f)
-    if violations:
-        raise FrameInvalidError(violations)
+    R = im(d), H = B1, F = A3, S = im(topB), G = B2, Q = im(s).  Raises
+    :class:`FrameInvalidError` with the frame conditions that fail; the grid's
+    verdict is kept by the diagram layer, so extending it validates no more."""
+    miswired = _miswired([
+        ("alpha", f.alpha, f.a1, f.b1), ("beta", f.beta, f.a1, f.a2),
+        ("topB", f.top_b, f.b1, f.b2), ("d", f.d, f.a2, f.a3),
+        ("r", f.r, f.b2, f.a4), ("s", f.s, f.a3, f.a4),
+    ])
+    if miswired:
+        raise FrameInvalidError(miswired)
     p, mu, quotient = morphism_image(f.alpha)       # P = A1 / ker(alpha), mu : P -> H = B1
-    nu = ModuleMorphism(p, f.a2, f.beta.matrix)     # P -> E = A2, well defined as ker(beta) = ker(alpha)
+    try:
+        nu = hom(p, f.a2, f.beta.matrix)            # P -> E = A2
+    except WellDefinednessError:
+        raise FrameInvalidError([_FRAME_CONDITIONS["rowTop/left"]]) from None
     _r, incl_r, pi_er = morphism_image(f.d)
     _s, incl_s, pi_hs = morphism_image(f.top_b)
     _q, incl_q, pi_fq = morphism_image(f.s)
-    pi_gq = lift_through_inclusion(incl_q, f.r)     # B2 -> Q, corestriction of r
-
-    # exact because the frame is valid; the diagram entry points re-check the
-    # folded grid once anyway
-    row_top = _ses(nu, pi_er)         # 0 -> P -> A2 -> im(d) -> 0
-    col_left = _ses(mu, pi_hs)        # 0 -> P -> B1 -> im(topB) -> 0
-    row_bottom = _ses(incl_s, pi_gq)  # 0 -> im(topB) -> B2 -> Q -> 0
-    col_right = _ses(incl_r, pi_fq)   # 0 -> im(d) -> A3 -> Q -> 0
-    diagram = Diagram3x3(row_top=row_top, row_bottom=row_bottom,
-                         col_left=col_left, col_right=col_right)
+    try:
+        pi_gq = lift_through_inclusion(incl_q, f.r)     # B2 -> Q, corestriction of r
+    except NonComposableError:
+        raise FrameInvalidError([_FRAME_CONDITIONS["rowBottom/right"]]) from None
+    diagram = Diagram3x3(row_top=_ses(nu, pi_er),         # 0 -> P -> A2 -> im(d) -> 0
+                         row_bottom=_ses(incl_s, pi_gq),  # 0 -> im(topB) -> B2 -> Q -> 0
+                         col_left=_ses(mu, pi_hs),        # 0 -> P -> B1 -> im(topB) -> 0
+                         col_right=_ses(incl_r, pi_fq))   # 0 -> im(d) -> A3 -> Q -> 0
+    try:
+        _require_valid(diagram)
+    except InvalidDiagramError as exc:
+        verdicts = dict(v.partition(": ")[::2] for v in exc.violations)
+        faults = sorted(verdicts.keys() - _FRAME_CONDITIONS.keys())
+        assert not faults, f"the fold of a wired frame fails by construction at {faults}"
+        raise FrameInvalidError([msg.format(verdicts[pos]) for pos, msg in _FRAME_CONDITIONS.items()
+                                 if pos in verdicts]) from None
     return FoldResult(diagram, quotient, incl_r, incl_s, incl_q)
+
+
+def validate_frame(f: HexagonFrame) -> list[str]:
+    """The violations :func:`fold_frame` raises; empty iff it folds."""
+    try:
+        fold_frame(f)
+    except FrameInvalidError as exc:
+        return exc.violations
+    return []
 
 
 @dataclass(frozen=True)
@@ -143,27 +153,19 @@ def solve_hexagon(f: HexagonFrame) -> SolvedHexagon:
 def verify_hexagon(h: SolvedHexagon) -> list[str]:
     """Every solved-hexagon invariant: the two exact diagonals through the
     center and the four composite identities."""
-    out = []
     f = h.frame
-    try:
-        out += exactness_violations("diagonal B1-center-A3", [h.j, h.curv])
-        out += exactness_violations("diagonal A2-center-B2", [h.i, h.c])
-    except Exception as exc:
-        return [f"diagonals are not composable: {exc}"]
-    if not (h.c @ h.j).equals(f.top_b):
-        out.append("c o j != topB")
-    if not (h.curv @ h.i).equals(f.d):
-        out.append("curv o i != d")
-    if not (h.i @ f.beta).equals(h.j @ f.alpha):
-        out.append("i o beta != j o alpha")
-    if not (f.s @ h.curv).equals(f.r @ h.c):
-        out.append("s o curv != r o c")
-    return out
-
-
-def _as_extension(h: SolvedHexagon) -> DiagramExtension:
-    """Unchecked: compatible_isomorphism validates the extension first."""
-    return DiagramExtension(h.center, i=h.j, j=h.i, m=h.curv, n=h.c)
+    out = _miswired([
+        ("i", h.i, f.a2, h.center), ("j", h.j, f.b1, h.center),
+        ("c", h.c, h.center, f.b2), ("curv", h.curv, h.center, f.a3),
+    ])
+    if out:
+        return out
+    out += exactness_violations("diagonal B1-center-A3", [h.j, h.curv])
+    out += exactness_violations("diagonal A2-center-B2", [h.i, h.c])
+    return out + [msg for lhs, rhs, msg in (
+        (h.c @ h.j, f.top_b, "c o j != topB"), (h.curv @ h.i, f.d, "curv o i != d"),
+        (h.i @ f.beta, h.j @ f.alpha, "i o beta != j o alpha"),
+        (f.s @ h.curv, f.r @ h.c, "s o curv != r o c")) if not lhs.equals(rhs)]
 
 
 def hexagon_compatible_iso(h1: SolvedHexagon, h2: SolvedHexagon) -> ModuleMorphism:
@@ -175,7 +177,6 @@ def hexagon_compatible_iso(h1: SolvedHexagon, h2: SolvedHexagon) -> ModuleMorphi
     """
     if h1.frame != h2.frame:
         raise FrameInvalidError(["solved hexagons come from different frames"])
-    fold = fold_frame(h1.frame)
-    e1 = _as_extension(h1)
-    e2 = _as_extension(h2)
-    return compatible_isomorphism(fold.diagram, e1, e2)
+    # unchecked extensions: compatible_isomorphism validates them first
+    e1, e2 = (DiagramExtension(h.center, i=h.j, j=h.i, m=h.curv, n=h.c) for h in (h1, h2))
+    return compatible_isomorphism(fold_frame(h1.frame).diagram, e1, e2)

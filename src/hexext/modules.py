@@ -350,12 +350,12 @@ COMPOSITE_NONZERO = "composite nonzero"
 IMAGE_PROPER = "image strictly smaller than kernel"
 
 
-def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_zero: bool = True) -> list[tuple[str, str]]:
-    """Position-by-position exactness of a chain of composable morphisms.
-
-    Returns ``(position, verdict)`` pairs; interior verdicts are one of
-    ``exact``, ``composite nonzero`` (image not inside kernel) and ``image
-    strictly smaller than kernel``.
+def exactness_report(maps: list[ModuleMorphism]) -> list[tuple[str, str]]:
+    """Position-by-position exactness of ``0 -> A0 -> ... -> An -> 0`` for a
+    chain of one or more composable morphisms: ``(position, verdict)`` pairs
+    for ``left``, each ``interior i`` and ``right``, with verdicts ``exact``,
+    ``composite nonzero`` (image not inside kernel) and ``image strictly
+    smaller than kernel``.
 
     Each position is decided by counting orders read off cached Hermite
     pivots whenever the orders it needs are finite, on either ring:
@@ -370,9 +370,7 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
     for i in range(len(maps) - 1):
         if maps[i].target != maps[i + 1].source:
             raise NonComposableError(f"maps {i} and {i + 1} do not compose")
-    out = []
-    if left_zero and maps:
-        out.append(("left", EXACT if maps[0].is_injective() else IMAGE_PROPER))
+    out = [("left", EXACT if maps[0].is_injective() else IMAGE_PROPER)]
     for i in range(len(maps) - 1):
         f, g = maps[i], maps[i + 1]
         comp = g @ f
@@ -385,21 +383,19 @@ def exactness_report(maps: list[ModuleMorphism], left_zero: bool = True, right_z
         else:
             ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))
-    if right_zero and maps:
-        out.append(("right", EXACT if maps[-1].is_surjective() else IMAGE_PROPER))
+    out.append(("right", EXACT if maps[-1].is_surjective() else IMAGE_PROPER))
     return out
 
 
-def is_exact(maps: list[ModuleMorphism], left_zero: bool = True, right_zero: bool = True) -> bool:
-    return all(v == EXACT for _p, v in exactness_report(maps, left_zero, right_zero))
+def is_exact(maps: list[ModuleMorphism]) -> bool:
+    return all(v == EXACT for _p, v in exactness_report(maps))
 
 
-def exactness_violations(name: str, maps: list[ModuleMorphism],
-                         left_zero: bool = True, right_zero: bool = True) -> list[str]:
+def exactness_violations(name: str, maps: list[ModuleMorphism]) -> list[str]:
     """``name/position: verdict`` for each position of the chain that is not
     exact; empty iff the chain is exact."""
     return [f"{name}/{pos}: {verdict}"
-            for pos, verdict in exactness_report(maps, left_zero, right_zero) if verdict != EXACT]
+            for pos, verdict in exactness_report(maps) if verdict != EXACT]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ recomputes something the library computes another way: transport of single
 classes against :func:`hexext.ext.restriction`, sequence-level pullbacks
 and pushouts against class-level transport, the explicit Baer sum against
 coordinate addition, Yoneda products of classes against the chain-lift
-route, and the Hom/Ext ladder of a short exact sequence against its
-exactness.  Tests import them with ``from routes import ...``.
+route, the Hom/Ext ladder of a short exact sequence against its
+exactness, and a hexagon frame's conditions read on the frame itself
+against its fold.  Tests import them with ``from routes import ...``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,20 @@ from hexext.ext import (
     ses_of_class,
     yoneda_product_of_ses,
 )
+from hexext.hexagon import HexagonFrame
 from hexext.linalg import ExactMatrix, block_diag, shrink_generators
 from hexext.modules import (
+    EXACT,
     ModuleMorphism,
     PresentedModule,
     ShortExactSequence,
+    _first_outside,
+    exactness_report,
     hom,
     identity_morphism,
     lift,
     make_ses,
+    preimage_kernel_columns,
     pullback,
     pullback_factor,
     zero_morphism,
@@ -242,3 +248,38 @@ def connecting_hom(s: ShortExactSequence, p: PresentedModule) -> HomExtLadder:
         (res0_cb, res0_ba, alpha, res1_cb, res1_ba, delta1),
         alpha, delta1,
     )
+
+
+# ---------------------------------------------------------------------------
+# Hexagon frames, unfolded
+# ---------------------------------------------------------------------------
+
+
+def validate_frame_unfolded(f: HexagonFrame) -> list[str]:
+    """A frame's violations read on the frame itself: the two kernels and
+    the two images compared by span, and the two paths' interiors checked
+    for exactness, without folding."""
+    out = []
+    wiring = [
+        ("alpha", f.alpha, f.a1, f.b1), ("beta", f.beta, f.a1, f.a2),
+        ("topB", f.top_b, f.b1, f.b2), ("d", f.d, f.a2, f.a3),
+        ("r", f.r, f.b2, f.a4), ("s", f.s, f.a3, f.a4),
+    ]
+    for name, mor, src, tgt in wiring:
+        if mor.source != src or mor.target != tgt:
+            out.append(f"{name} does not connect the declared objects")
+    if out:
+        return out
+    # two submodules agree when each one's generators lie in the other's span
+    ka = preimage_kernel_columns(f.alpha)
+    kb = preimage_kernel_columns(f.beta)
+    rels = f.a1.relations
+    if _first_outside(ka, kb.hstack(rels)) is not None or _first_outside(kb, ka.hstack(rels)) is not None:
+        out.append("ker(alpha) != ker(beta) inside A1")
+    for name, path in (("upper path", [f.alpha, f.top_b, f.r]), ("lower path", [f.beta, f.d, f.s])):
+        out += [f"{name}/{pos}: {verdict}" for pos, verdict in exactness_report(path)[1:-1] if verdict != EXACT]
+    rels = f.a4.relations
+    if (_first_outside(f.r.matrix, f.s.matrix.hstack(rels)) is not None
+            or _first_outside(f.s.matrix, f.r.matrix.hstack(rels)) is not None):
+        out.append("im(r) != im(s) inside A4")
+    return out

@@ -108,6 +108,25 @@ def test_validate_flags_nonsurjective_projection():
     assert any("rowTop" in v for v in out)
 
 
+def test_validate_reports_maps_that_do_not_compose():
+    sp = split_ses(Z2m, Z2m)
+    sp4 = split_ses(Z4m, Z4m)
+    broken = ShortExactSequence(sp.left, sp.middle, sp.right, sp.inject, sp4.project)
+    d = Diagram3x3(row_top=broken, row_bottom=sp, col_left=sp, col_right=sp)
+    assert "rowTop: maps 0 and 1 do not compose" in validate_diagram1(d)
+
+
+def test_validate_passes_engine_faults_through(monkeypatch):
+    d = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8")).diagrams["D"]
+
+    def fault(*_args):
+        raise AssertionError("engine fault")
+
+    monkeypatch.setattr(diagram_module, "exactness_violations", fault)
+    with pytest.raises(AssertionError, match="^engine fault$"):
+        validate_diagram1(d)
+
+
 def test_validate_flags_corner_mismatch():
     sp = split_ses(Z2m, Z2m)
     sp4 = split_ses(Z4m, Z4m)

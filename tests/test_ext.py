@@ -16,9 +16,9 @@ from hexext.ext import (
 from hexext.modules import (
     PresentedModule,
     direct_sum,
+    exactness_report,
     hom,
     identity_morphism,
-    is_exact,
     make_ses,
     split_ses,
     zero_morphism,
@@ -333,11 +333,17 @@ def test_splice_validates_and_reads_class():
 # -- the Hom/Ext long exact sequence ------------------------------------------------------------
 
 
+def _ladder_exact(lad):
+    """The ladder stops at Ext^2(C, P), which delta1 need not reach, so
+    every position but the right end must be exact."""
+    return all(verdict == "exact" for pos, verdict in exactness_report(list(lad.maps)) if pos != "right")
+
+
 def test_connecting_split_gives_zero_maps():
     lad = connecting_hom(split_ses(Z2m, Z2m), Z2m)
     assert lad.alpha.is_zero()
     assert lad.delta1.is_zero()
-    assert is_exact(list(lad.maps), left_zero=True, right_zero=False)
+    assert _ladder_exact(lad)
 
 
 def test_connecting_x2_alpha_surjective():
@@ -345,13 +351,13 @@ def test_connecting_x2_alpha_surjective():
     lad = connecting_hom(s, Zf)
     assert lad.modules[3].presentation.invariant_factors() == (2,)
     assert lad.alpha.is_surjective()
-    assert is_exact(list(lad.maps), left_zero=True, right_zero=False)
+    assert _ladder_exact(lad)
 
 
 def test_connecting_mod4_ladder_exact():
     s = make_ses(hom(Z2m, Z4m, [[2]]), hom(Z4m, Z2m, [[1]]))
     lad = connecting_hom(s, Z2m)
-    assert is_exact(list(lad.maps), left_zero=True, right_zero=False)
+    assert _ladder_exact(lad)
 
 
 @pytest.mark.slow
@@ -364,7 +370,7 @@ def test_ladder_exact_on_seeded_random_sequences():
             p = random_module(rng, ring, 8, allow_zero=False)
             s = random_ses(rng, a, c)
             lad = connecting_hom(s, p)
-            assert is_exact(list(lad.maps), left_zero=True, right_zero=False)
+            assert _ladder_exact(lad)
 
 
 # -- the public surface ---------------------------------------------------------------------------

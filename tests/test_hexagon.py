@@ -1,11 +1,14 @@
 """Hexagon frames: folding, solving, verification, compatible isomorphisms."""
 
+import dataclasses
 import random
+import sys
 
 import pytest
 
+import hexext.hexagon as hexagon_module
 from hexext.diagram import Diagram3x3, validate_diagram1
-from hexext.errors import FrameInvalidError, NotExtendableError
+from hexext.errors import FrameInvalidError, InvalidDiagramError, NotExtendableError
 from hexext.ext import ext_module, ses_of_class
 from hexext.hexagon import (
     HexagonFrame,
@@ -17,8 +20,9 @@ from hexext.hexagon import (
     verify_hexagon,
 )
 from hexext.modules import PresentedModule, hom, identity_morphism, split_ses, zero_morphism
-from hexext.randgen import frame_from_diagram, random_frame
+from hexext.randgen import frame_from_diagram, random_frame, random_hom
 from hexext.rings import ZZ, Zmod
+from routes import validate_frame_unfolded
 
 R4 = Zmod(4)
 Z2m = PresentedModule.cyclic(R4, 2)
@@ -87,32 +91,106 @@ def test_fold_with_decorated_corners():
     assert fold.diagram.p.is_isomorphic_to(Z4m)
 
 
-def test_frame_with_mismatched_kernels_rejected():
-    bad = HexagonFrame(a1=Z2m, b1=Z2m, b2=Z2m, a4=PresentedModule.zero(R4),
-                       a2=Z2m, a3=Z2m,
-                       alpha=identity_morphism(Z2m), beta=zero_morphism(Z2m, Z2m),
-                       top_b=zero_morphism(Z2m, Z2m), d=identity_morphism(Z2m),
-                       r=zero_morphism(Z2m, PresentedModule.zero(R4)),
-                       s=zero_morphism(Z2m, PresentedModule.zero(R4)))
-    violations = validate_frame(bad)
-    assert any("ker(alpha)" in v for v in violations)
-    with pytest.raises(FrameInvalidError):
-        fold_frame(bad)
+def mismatched_kernels_frame():
+    # ker(alpha) = 0 lies strictly inside ker(beta) = Z/2
+    z = PresentedModule.zero(R4)
+    return HexagonFrame(a1=Z2m, b1=Z2m, b2=Z2m, a4=z, a2=Z2m, a3=Z2m,
+                        alpha=identity_morphism(Z2m), beta=zero_morphism(Z2m, Z2m),
+                        top_b=zero_morphism(Z2m, Z2m), d=identity_morphism(Z2m),
+                        r=zero_morphism(Z2m, z), s=zero_morphism(Z2m, z))
 
 
-def test_frame_with_mismatched_images_rejected():
+def mismatched_images_frames():
     # both paths are exact and ker(alpha) = ker(beta) = 0, but one of r, s
     # reaches only 2*Z/4 inside A4 = Z/4 while the other is onto
     z = PresentedModule.zero(R4)
     doubling = hom(Z2m, Z4m, [[2]])
-    for r, s in ((doubling, identity_morphism(Z4m)), (identity_morphism(Z4m), doubling)):
-        bad = HexagonFrame(a1=z, b1=z, b2=r.source, a4=Z4m, a2=z, a3=s.source,
-                           alpha=zero_morphism(z, z), beta=zero_morphism(z, z),
-                           top_b=zero_morphism(z, r.source), d=zero_morphism(z, s.source),
-                           r=r, s=s)
+    return [HexagonFrame(a1=z, b1=z, b2=r.source, a4=Z4m, a2=z, a3=s.source,
+                         alpha=zero_morphism(z, z), beta=zero_morphism(z, z),
+                         top_b=zero_morphism(z, r.source), d=zero_morphism(z, s.source),
+                         r=r, s=s)
+            for r, s in ((doubling, identity_morphism(Z4m)), (identity_morphism(Z4m), doubling))]
+
+
+def test_frame_with_mismatched_kernels_rejected():
+    bad = mismatched_kernels_frame()
+    assert validate_frame(bad) == ["ker(alpha) != ker(beta) inside A1",
+                                   "upper path/interior 1: image strictly smaller than kernel"]
+    with pytest.raises(FrameInvalidError):
+        fold_frame(bad)
+    # the other way round, ker(alpha) is not inside ker(beta): no nu, so the
+    # fold stops at that condition alone
+    flipped = dataclasses.replace(bad, alpha=bad.beta, beta=bad.alpha, b1=bad.a2, a2=bad.b1)
+    assert validate_frame(flipped) == ["ker(alpha) != ker(beta) inside A1"]
+
+
+def test_frame_with_mismatched_images_rejected():
+    for bad in mismatched_images_frames():
         assert validate_frame(bad) == ["im(r) != im(s) inside A4"]
         with pytest.raises(FrameInvalidError):
             fold_frame(bad)
+
+
+def test_fold_reports_the_frame_conditions_in_the_unfolded_order():
+    rng = random.Random(6)
+    frames = [frame_from_diagram(dg, rng, decorate=decorate)
+              for dg in (split_diagram(), obstructed_diagram(), injective_p_diagram())
+              for decorate in (False, True)]
+    frames += [mismatched_kernels_frame(), *mismatched_images_frames()]
+    frames += [random_frame(rng, R4, 16) for _ in range(4)]
+    for fr in frames:
+        assert validate_frame(fr) == validate_frame_unfolded(fr)
+
+
+def test_validate_frame_matches_the_unfolded_route():
+    # seeded frames over five rings, one map swapped for a random one in six
+    # of seven draws: the fold lists what the frame itself shows, except that
+    # a frame whose fold does not exist gets only the condition that stops it
+    rng = random.Random(5)
+    equal = narrowed = 0
+    blocking = ("ker(alpha) != ker(beta) inside A1", "im(r) != im(s) inside A4")
+    for ring in (Zmod(4), Zmod(6), Zmod(8), Zmod(9), ZZ):
+        for _ in range(60):
+            fr = random_frame(rng, ring)
+            if rng.randrange(7):
+                name = rng.choice(["alpha", "beta", "top_b", "d", "r", "s"])
+                old = getattr(fr, name)
+                fr = dataclasses.replace(fr, **{name: random_hom(rng, old.source, old.target)})
+            folded, unfolded = validate_frame(fr), validate_frame_unfolded(fr)
+            if folded == unfolded:
+                equal += 1
+            else:
+                assert len(folded) == 1 and folded[0] in blocking and folded[0] in unfolded
+                narrowed += 1
+    print(f"frame validation: {equal} frames equal to the unfolded route, {narrowed} narrowed")
+    assert equal + narrowed == 300 and narrowed > 0
+
+
+def test_a_constructed_grid_position_failing_is_an_engine_fault(monkeypatch):
+    fr = frame_from_diagram(split_diagram())
+    for fault in ("rowTop/right: image strictly smaller than kernel",
+                  "corner Q differs between colRight and rowBottom"):
+        def invalid(_d, fault=fault):
+            raise InvalidDiagramError(["colLeft/interior 0: composite nonzero", fault])
+        monkeypatch.setattr(hexagon_module, "_require_valid", invalid)
+        with pytest.raises(AssertionError, match="by construction"):
+            validate_frame(fr)
+
+
+def test_solving_a_frame_validates_its_fold_once(monkeypatch):
+    # validate_diagram1 is wrapped under every hexext name bound to it; the
+    # fold's check is the frame's, so the hexagon layer runs no exactness
+    # check of its own before verification
+    calls, paths = [], []
+    real = validate_diagram1
+    for mod in [m for name, m in sys.modules.items() if name.startswith("hexext.")]:
+        if getattr(mod, "validate_diagram1", None) is real:
+            monkeypatch.setattr(mod, "validate_diagram1", lambda d: calls.append(d) or real(d))
+    real_paths = hexagon_module.exactness_violations
+    monkeypatch.setattr(hexagon_module, "exactness_violations", lambda *a: paths.append(a) or real_paths(*a))
+    h = solve_hexagon(frame_from_diagram(injective_p_diagram()))
+    assert len(calls) == 1 and paths == []
+    assert verify_hexagon(h) == []
 
 
 # -- solving ------------------------------------------------------------------
@@ -142,6 +220,15 @@ def test_verify_flags_zeroed_curv():
     broken = SolvedHexagon(h.frame, h.center, h.i, h.j, h.c,
                            zero_morphism(h.center, h.frame.a3))
     assert verify_hexagon(broken) != []
+
+
+def test_verify_reports_each_miswired_map():
+    h = solve_hexagon(frame_from_diagram(split_diagram()))
+    miswired = {"i": zero_morphism(Z4m, h.center), "j": zero_morphism(Z4m, h.center),
+                "c": zero_morphism(h.center, Z4m), "curv": zero_morphism(h.center, Z4m)}
+    for name, wrong in miswired.items():
+        broken = dataclasses.replace(h, **{name: wrong})
+        assert verify_hexagon(broken) == [f"{name} does not connect the declared objects"]
 
 
 def test_two_solutions_admit_compatible_iso():
