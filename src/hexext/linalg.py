@@ -20,12 +20,16 @@ entries stay below m.  A row whose pivot is still the adjoined ``m * e_r``
 is implicit, never written out as a column: an elimination step against it
 changes one entry, and only the Hermite form that :func:`_hermite_cols`
 returns writes it out.  A solve reduces ``(b; 0)`` against the cached
-Hermite form of the graph ``[A; -I]`` and returns the canonical solution.
+Hermite form of the relations ``R`` beside the graph ``[A; -I]`` and returns
+the canonical solution.
 
 Caches keep only what callers read, each bounded at :data:`CACHE_SIZE`
-entries: the Hermite form, keyed on the matrix and the number of graph
-unknowns, is canonical for its key, so eviction never changes an answer.
-Kernels and Smith transforms are never kept here; the callers of
+entries.  The one Hermite cache is keyed on ``(R, A, m, k)``: the lattice
+spanned by ``[R; 0]`` and by the graph ``[A; -I_k 0]``.  With no A the entry
+is R's own form; any other entry resumes from that one, so only A's columns
+are inserted, and an order-only entry (``k`` is ``None``) keeps the order
+alone.  Each entry is canonical for its key, so eviction never changes an
+answer.  Kernels and Smith transforms are never kept here; the callers of
 :func:`kernel_columns` cache what they build from it.
 """
 
@@ -339,35 +343,43 @@ def _lifted(a: ExactMatrix) -> tuple[IntRows, int, int]:
     return data, n, a.cols + n
 
 
-def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None = None) -> tuple[int, ...] | None:
+def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None = None,
+                 relations: ExactMatrix | None = None) -> tuple[int, ...] | None:
     """The first ``k`` entries (all of them by default) of the canonical
-    solution ``x`` of ``A x = b`` over the matrix's ring, as a tuple; ``None``
+    solution ``x`` of ``A x = b`` over the matrix's ring, read modulo the
+    column span of ``relations`` (none by default), as a tuple; ``None``
     when unsolvable.
 
     The canonical solution is the representative, reduced by
-    :func:`reduce_mod_lattice`, of the coset of solutions modulo the solution
-    lattice of ``A x = 0``.  It is deterministic and independent of
-    elimination internals, and for every k its first k entries are the
-    canonical representative modulo that lattice's projection to the first k
-    coordinates.
+    :func:`reduce_mod_lattice`, of the coset of solutions ``x`` of ``A x + R
+    y = b`` modulo the projection to x of the solution lattice of ``A x + R y
+    = 0``.  It is deterministic and independent of elimination internals,
+    and for every k its first k entries are the canonical representative
+    modulo that lattice's projection to the first k coordinates.
 
-    ``(b; 0)`` is reduced against the Hermite form of the graph lattice
-    spanned by the columns of ``[A; -I_k 0]`` (and ``m * Z^(rows+k)`` over
-    Z/m), cached on ``(A, k)``: ``b`` is reachable exactly when the top rows
-    reduce to zero, and the bottom rows are then the first k entries of the
-    canonical solution.  The identity rows of the unknowns past k are left out: a
-    column Hermite form is zero above each pivot, so its first ``rows + k``
-    rows are the Hermite form of the full graph's projection to those rows,
-    and the pivots below them never touch the entries read.  No Smith form
-    is built.  The library solves only through ``modules.lift``.
+    ``(b; 0)`` is reduced against the Hermite form of the lattice spanned by
+    the columns of ``[R; 0]`` and of the graph ``[A; -I_k 0]`` (and ``m *
+    Z^(rows+k)`` over Z/m), cached on ``(R, A, m, k)`` and resumed from R's
+    own cached form, so a miss inserts only A's columns: ``b`` is reachable
+    exactly when the top rows reduce to zero, and the bottom rows are then
+    the first k entries of the canonical solution.  The slack unknowns y and
+    the unknowns past k get no identity rows: a column Hermite form is zero
+    above each pivot, so its first ``rows + k`` rows are the Hermite form of
+    the full graph's projection to those rows, and the pivots below them
+    never touch the entries read.  No Smith form is built and no hstack of
+    A and R either.  The library solves only through ``modules.lift``.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
+    if relations is None:
+        relations = ExactMatrix.zeros(a.ring, a.rows, 0)
+    elif relations.rows != a.rows or relations.ring != a.ring:
+        raise ValueError("relation matrix shape/ring mismatch")
     n = a.cols
     k = n if k is None else k
     if not 0 <= k <= n:
         raise ValueError("number of unknowns out of range")
-    v = _reduce_by_pivots([int(t) for t in b] + [0] * k, _hermite_cols(a.data, a.ring.modulus or 0, k)[0])
+    v = _reduce_by_pivots([int(t) for t in b] + [0] * k, _span_form(relations, a, k)[0])
     if any(v[: a.rows]):
         return None
     return tuple(v[a.rows:])
@@ -525,11 +537,16 @@ def shrink_generators(a: ExactMatrix) -> ExactMatrix:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _hermite_cols(data: IntRows, m: int, k: int):
+def _hermite_cols(rel: IntRows, a: IntRows, m: int, k: int | None):
     """Canonical column Hermite form of the lattice spanned by the columns
-    of the graph ``[A; -I_k 0]`` of the matrix ``A`` with rows ``data`` (and,
-    when ``m`` is nonzero, by ``m * e_i``), with the lattice's order.  With
-    ``k == 0`` the graph is ``A`` itself; the graph is built only on a miss.
+    of ``[R; 0]`` for the relations ``R`` with rows ``rel``, of the graph
+    ``[A; -I_k 0]`` of the matrix ``A`` with rows ``a`` and, when ``m`` is
+    nonzero, of ``m * e_i``, with the lattice's order.  ``a == ()`` stands
+    for an A with no columns (or no rows); with it and ``k == 0`` the entry
+    is R's own form.  Any other entry resumes from that one, kept in this
+    same cache under ``(rel, (), m, 0)``: its columns are padded with k zero
+    rows, a written-out ``m * e_r`` turns back into an implicit row, and
+    only A's columns are inserted.
 
     Returns ``(pivots, order)``.  ``pivots`` lists the pivot columns
     ``(pivot_row, column)`` with strictly increasing pivot rows, positive
@@ -537,12 +554,28 @@ def _hermite_cols(data: IntRows, m: int, k: int):
     ``order`` is ``|Z^n / L|``, the product of the pivots, or ``None`` when
     some row has no pivot and the quotient is infinite.  Over Z/m the rows
     whose pivot is still the implicit ``m * e_r`` are written out only here.
+    With ``k`` ``None`` the entry is order-only: the graph has no identity
+    rows, ``pivots`` is ``None``, and the final reduction is skipped, since
+    the pivots of any echelon basis multiply to the order.
     """
-    nrows = len(data) + k
+    g = k or 0
+    nrows = len(rel) + g
     basis = _echelon_start(nrows)
-    # with no rows, A's columns are empty; only the k graph columns count
-    for j, col in enumerate(zip(*data) if data else [()] * k):
-        _echelon_insert(basis, col + ((0,) * j + (-1,) + (0,) * (k - 1 - j) if j < k else (0,) * k), m)
+    if a or k != 0:
+        pad = [0] * g
+        for r, c in _hermite_cols(rel, (), m, 0)[0]:
+            if c[r] != m:
+                basis[r] = list(c) + pad
+        # with no rows, A's columns are empty; only the k graph columns count
+        for j, col in enumerate(zip(*a) if a else [()] * g):
+            _echelon_insert(basis, col + ((0,) * j + (-1,) + (0,) * (g - 1 - j) if j < g else (0,) * g), m)
+    else:
+        for col in zip(*rel):
+            _echelon_insert(basis, col, m)
+    if k is None:
+        if not m and None in basis:
+            return None, None
+        return None, prod(m if c is None else c[r] for r, c in enumerate(basis))
     for r, c in enumerate(basis):
         if c is not None:
             _reduce_below(basis, r, m)
@@ -554,9 +587,14 @@ def _hermite_cols(data: IntRows, m: int, k: int):
     return pivots, order
 
 
-def _lattice_pivots(lattice: ExactMatrix):
-    """The cached Hermite pivot columns of the column lattice ``lattice``."""
-    return _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[0]
+def _span_form(relations: ExactMatrix, a: ExactMatrix | None = None, k: int | None = 0):
+    """The cached :func:`_hermite_cols` entry of ``relations`` beside the
+    graph of ``a`` with k unknowns; ``a`` with no columns (or ``None``)
+    reads the relations' own form, which also holds their order."""
+    m = relations.ring.modulus or 0
+    if a is None or not a.cols:
+        return _hermite_cols(relations.data, (), m, 0)
+    return _hermite_cols(relations.data, a.data, m, k)
 
 
 def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -> tuple[int, ...]:
@@ -568,7 +606,7 @@ def reduce_mod_lattice(vec: tuple[int, ...] | list[int], lattice: ExactMatrix) -
     if len(vec) != lattice.rows:
         raise ValueError("vector length mismatch")
     # over Z/m every row has a pivot dividing m, so the result is already reduced
-    return tuple(_reduce_by_pivots([int(t) for t in vec], _lattice_pivots(lattice)))
+    return tuple(_reduce_by_pivots([int(t) for t in vec], _span_form(lattice)[0]))
 
 
 def _reduce_by_pivots(v: list[int], pivots) -> list[int]:
@@ -586,10 +624,10 @@ def lattice_pivot_profile(lattice: ExactMatrix) -> tuple[tuple[int, int], ...]:
     representatives produced by :func:`reduce_mod_lattice` range over
     ``0 <= v[row] < value`` at the pivot rows and are unconstrained elsewhere
     (over Z) -- everything over Z/m has full pivot structure."""
-    return tuple((r, c[r]) for r, c in _lattice_pivots(lattice))
+    return tuple((r, c[r]) for r, c in _span_form(lattice)[0])
 
 
 def lattice_order(lattice: ExactMatrix) -> int | None:
     """``|ring^n / span(lattice)|``, kept with the cached Hermite form; always
     finite over Z/m, ``None`` over Z when the quotient is infinite."""
-    return _hermite_cols(lattice.data, lattice.ring.modulus or 0, 0)[1]
+    return _span_form(lattice)[1]

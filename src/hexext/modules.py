@@ -30,8 +30,8 @@ from .linalg import (
     shrink_generators,
     smith_lattice,
     solve_linear,
-    _lattice_pivots,
     _reduce_by_pivots,
+    _span_form,
 )
 from .rings import RingSpec
 
@@ -187,19 +187,23 @@ class ModuleMorphism:
 
 
 def _coker_order(f: ModuleMorphism) -> int | None:
-    """``|coker f|``, read off the cached pivots of the target relations
-    beside the images of the source generators; ``None`` when infinite."""
-    return lattice_order(f.target.relations.hstack(f.matrix))
+    """``|coker f|``; ``None`` when infinite.  It is the order-only Hermite
+    entry of the target relations beside f's columns: on a miss it resumes
+    from the target relations' cached form and inserts only f's columns,
+    with no final reduction and no pivot columns kept.  A map with no
+    columns reads the relations' own order."""
+    return _span_form(f.target.relations, f.matrix, None)[1]
 
 
-def _first_outside(cols: ExactMatrix, span: ExactMatrix) -> int | None:
+def _first_outside(cols: ExactMatrix, span: ExactMatrix, beside: ExactMatrix | None = None) -> int | None:
     """Index of the first column of ``cols`` outside the column span of
-    ``span`` over the ring, or ``None`` when every column lies inside."""
+    ``span`` and ``beside`` over the ring, or ``None`` when every column
+    lies inside."""
     if not cols.cols:
         return None
     if cols.rows != span.rows:
         raise ValueError("vector length mismatch")
-    pivots = _lattice_pivots(span)
+    pivots = _span_form(span, beside)[0]
     for j, c in enumerate(cols.columns()):
         if any(_reduce_by_pivots(list(c), pivots)):
             return j
@@ -381,7 +385,7 @@ def exactness_report(maps: list[ModuleMorphism]) -> list[tuple[str, str]]:
         if middle is not None and target is not None:
             ok = _coker_order(f) * _coker_order(g) == target
         else:
-            ok = _first_outside(preimage_kernel_columns(g), f.matrix.hstack(f.target.relations)) is None
+            ok = _first_outside(preimage_kernel_columns(g), f.target.relations, f.matrix) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))
     out.append(("right", EXACT if maps[-1].is_surjective() else IMAGE_PROPER))
     return out
@@ -478,16 +482,19 @@ def lift(f: ModuleMorphism, rhs: ExactMatrix) -> ExactMatrix | None:
     column, equality read in ``f``'s target; ``None`` when some column of
     ``rhs`` lies outside ``im(f)``.
 
-    Each column is one solve of ``[A | R] (x; y) = b`` for ``A = f.matrix``
-    and the target's relations ``R``; only the ``g`` source unknowns ``x``
-    are asked for, so the slack ``y`` gets no rows in the solver's graph.
+    Each column is one solve of ``A x + R y = b`` for ``A = f.matrix`` and
+    the target's relations ``R``, which ``solve_linear`` receives beside A,
+    so no hstack of the two is built or hashed: the Hermite form of the
+    graph is keyed on ``(R, A)`` and resumes from R's own cached form,
+    inserting only A's columns.  Only the ``g`` source unknowns ``x`` are
+    asked for, so the slack ``y`` gets no rows in the solver's graph.
     Every linear solve of the library goes through here.
     """
-    sysm = f.matrix.hstack(f.target.relations)
+    rels = f.target.relations
     g = f.source.generators
     cols = []
     for b in rhs.columns():
-        x = solve_linear(sysm, b, g)
+        x = solve_linear(f.matrix, b, g, rels)
         if x is None:
             return None
         cols.append(x)

@@ -139,6 +139,12 @@ def test_solve_identity():
     for k in (-1, 4):
         with pytest.raises(ValueError, match="unknowns"):
             solve_linear(a, [5, -7, 11], k)
+    # relations beside the map: 5 and 11 are read modulo 2 and 3
+    rels = mat(ZZ, [[2, 0], [0, 0], [0, 3]])
+    assert solve_linear(a, [5, -7, 11], 3, rels) == (1, -7, 2)
+    for bad in (mat(ZZ, [[2, 0], [0, 3]]), mat(Zmod(4), [[2], [0], [1]])):
+        with pytest.raises(ValueError, match="relation"):
+            solve_linear(a, [5, -7, 11], 3, bad)
     assert kernel_columns(a).cols == 0
 
 
@@ -451,18 +457,57 @@ def dense_hermite(data, m, k):
 
 @st.composite
 def graph_inputs(draw):
-    """``(data, m, k)`` for ``_hermite_cols``: 0-row and 0-column shapes,
+    """``(A, k)`` for a graph ``[A; -I_k 0]``: 0-row and 0-column shapes,
     duplicate and zero columns, and graphs with k > 0 unknowns."""
     a = draw(generator_matrices())
-    k = draw(st.integers(0, a.cols))
-    return a.data, a.ring.modulus or 0, k
+    return a, draw(st.integers(0, a.cols))
+
+
+def map_key(a: ExactMatrix):
+    """A map's part of the ``_hermite_cols`` key: ``()`` when it has no
+    columns."""
+    return a.data if a.cols else ()
 
 
 @given(graph_inputs())
 @settings(max_examples=400, deadline=None)
 def test_hermite_form_matches_the_dense_insertion(args):
-    data, m, k = args
-    assert linalg._hermite_cols.__wrapped__(data, m, k) == dense_hermite(data, m, k)
+    # the graph beside relations with no columns, and the matrix's own form,
+    # which every other entry resumes from
+    a, k = args
+    m = a.ring.modulus or 0
+    no_rels = ((),) * a.rows
+    assert linalg._hermite_cols.__wrapped__(no_rels, map_key(a), m, k) == dense_hermite(a.data, m, k)
+    assert linalg._hermite_cols.__wrapped__(a.data, (), m, 0) == dense_hermite(a.data, m, 0)
+
+
+@st.composite
+def resumed_inputs(draw):
+    """``(R, A, k)``: relations R with zero and duplicate columns beside a
+    map A on the same rows, which may repeat R's columns or be zero, and
+    every k in ``0..A.cols``; 0-row and 0-column shapes included."""
+    rel = draw(generator_matrices())
+    entries = st.integers(-6, 6) if rel.ring == ZZ else st.integers(0, rel.ring.modulus - 1)
+    cols = [draw(st.lists(entries, min_size=rel.rows, max_size=rel.rows)) for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        pool = [list(c) for c in rel.columns()] + cols
+        extra = [0] * rel.rows if not pool or draw(st.booleans()) else draw(st.sampled_from(pool))
+        cols.insert(draw(st.integers(0, len(cols))), extra)
+    a = ExactMatrix.from_cols(rel.ring, cols, rel.rows)
+    return rel, a, draw(st.integers(0, a.cols))
+
+
+@given(resumed_inputs())
+@settings(max_examples=400, deadline=None)
+def test_resumed_form_matches_the_dense_graph(args):
+    # resuming from R's cached form and inserting only A's columns gives the
+    # form of the hstacked graph [A | R; -I_k 0 0]; the order-only entry
+    # gives its order, None over Z when infinite
+    rel, a, k = args
+    m = rel.ring.modulus or 0
+    graph = a.hstack(rel).data
+    assert linalg._hermite_cols.__wrapped__(rel.data, map_key(a), m, k) == dense_hermite(graph, m, k)
+    assert linalg._hermite_cols.__wrapped__(rel.data, map_key(a), m, None) == (None, dense_hermite(graph, m, 0)[1])
 
 
 @given(generator_matrices())
@@ -537,10 +582,14 @@ def test_cached_preimage_is_the_computed_preimage():
 
 
 def test_repeated_solve_adds_no_hermite_miss():
+    # with and without relations beside the map: the entry keyed on
+    # (R, A, m, k) and the R form it resumes from both stay cached
     a = mat(Zmod(12), [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 0]])
+    rels = mat(Zmod(12), [[4, 0], [0, 6], [3, 3]])
     b = a.apply([1, 1, 2, 3])
-    for k in (None, 0, 2, 4):
-        first = solve_linear(a, b, k)
-        misses = linalg._hermite_cols.cache_info().misses
-        assert solve_linear(a, b, k) == first
-        assert linalg._hermite_cols.cache_info().misses == misses
+    for relations in (None, rels):
+        for k in (None, 0, 2, 4):
+            first = solve_linear(a, b, k, relations)
+            misses = linalg._hermite_cols.cache_info().misses
+            assert solve_linear(a, b, k, relations) == first
+            assert linalg._hermite_cols.cache_info().misses == misses

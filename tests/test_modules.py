@@ -282,19 +282,46 @@ def test_lift_solves_in_the_target_or_returns_none():
 def test_lift_graph_has_rows_only_for_the_source_unknowns(monkeypatch, ring):
     # the slack unknowns of the target's three relations get no identity
     # rows: each column is solved on [A | R; -I_g 0], rows + g rows high,
-    # whose Hermite form is keyed on [A | R] and g
+    # whose Hermite form is keyed on (R, A, g); the only other entry read is
+    # R's own form, which a miss resumes from
     source = PresentedModule.free(ring, 2)
     target = PresentedModule.make(ring, 3, [[2, 0, 0], [0, 3, 0], [1, 1, 6]])
     f = hom(source, target, [[1, 2], [0, 1], [3, 5]])
     rhs = f.matrix @ ExactMatrix.from_rows(ring, [[1, 4], [2, 7]], 2)
-    shapes = []
+    graphs, others = [], []
     real = linalg._hermite_cols
-    monkeypatch.setattr(linalg, "_hermite_cols",
-                        lambda data, m, k: shapes.append((len(data) + k, len(data[0]))) or real(data, m, k))
+
+    def recorded(rel, a, m, k):
+        if a:
+            graphs.append((len(rel) + k, len(rel[0]), len(a[0])))
+        else:
+            others.append((rel, m, k))
+        return real(rel, a, m, k)
+
+    monkeypatch.setattr(linalg, "_hermite_cols", recorded)
     x = lift(f, rhs)
-    assert shapes == [(target.generators + source.generators, source.generators + 3)] * rhs.cols
+    assert graphs == [(target.generators + source.generators, 3, source.generators)] * rhs.cols
+    assert set(others) <= {(target.relations.data, ring.modulus or 0, 0)}
     full = f.matrix.hstack(target.relations)
     assert [x.col(j) for j in range(rhs.cols)] == [solve_linear(full, rhs.col(j))[:2] for j in range(rhs.cols)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(12)], ids=["Z", "Zmod12"])
+def test_lift_inserts_only_the_map_columns(monkeypatch, ring):
+    # once the target's relation form is cached, a lift through a map with c
+    # columns resumes from it and inserts those c columns alone, however
+    # many right-hand sides it solves
+    target = PresentedModule.make(ring, 3, [[2, 0, 0], [0, 3, 0], [1, 1, 6], [4, 0, 2]])
+    linalg._hermite_cols.cache_clear()
+    target.cardinality()
+    inserts = []
+    real = linalg._echelon_insert
+    monkeypatch.setattr(linalg, "_echelon_insert", lambda *a: inserts.append(a[1]) or real(*a))
+    for c in (1, 2, 3):
+        inserts.clear()
+        f = hom(PresentedModule.free(ring, c), target, [[1, 2, 0][:c], [0, 1, 5][:c], [3, 5, 1][:c]])
+        assert lift(f, f.matrix @ ExactMatrix.from_rows(ring, [[1, 4, 0], [2, 7, 1], [0, 1, 1]][:c], 3)) is not None
+        assert len(inserts) == c
 
 
 def test_pushout_identity_legs():
