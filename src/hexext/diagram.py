@@ -27,6 +27,7 @@ from .errors import (
 )
 from .ext import (
     ExtClass,
+    _free_map,
     class_of_ses,
     ext_module,
     restriction,
@@ -55,6 +56,7 @@ from .modules import (
     snake_connecting,
     solve_morphism,
     zero_morphism,
+    _solve_matrix,
 )
 from .rings import prime_factors
 
@@ -302,26 +304,52 @@ def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
 
 def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtension:
     """Middle object from a degree-1 cocycle for Ext^1(Y, P), plus the four
-    maps solved from the grid constraints."""
-    x_ses = ses_of_cocycle(ext_module(1, by.y, d.p), cocycle)
-    x = x_ses.middle
-    iota_p = x_ses.inject
+    maps.  m and n are read off the projection to Y; i and j are built by
+    :func:`_grid_map`, which fixes their part in Y and solves only their part
+    in P."""
+    e_y = ext_module(1, by.y, d.p)
+    x_ses = ses_of_cocycle(e_y, cocycle)
     pi_y = x_ses.project
     m = by.p_f @ pi_y
     n = by.p_g @ pi_y
-    i = solve_morphism(d.h, x,
-                       pre=[(d.col_left.inject, iota_p)],
-                       post=[(pi_y, by.w_s @ d.col_left.project)])
-    j = solve_morphism(d.e, x,
-                       pre=[(d.row_top.inject, iota_p)],
-                       post=[(pi_y, by.w_r @ d.row_top.project)])
+    d1 = e_y.resolution.d1
+    i = _grid_map(x_ses.middle, d1, cocycle, d.col_left.inject, by.w_s @ d.col_left.project)
+    j = _grid_map(x_ses.middle, d1, cocycle, d.row_top.inject, by.w_r @ d.row_top.project)
     if i is None or j is None:
         raise AssertionError("restriction classes matched but grid maps are unsolvable")
-    ext = DiagramExtension(x, i, j, m, n)
+    ext = DiagramExtension(x_ses.middle, i, j, m, n)
     bad = validate_extension(d, ext)
     if bad:
         raise AssertionError("constructed extension failed validation: " + "; ".join(bad))
     return ext
+
+
+def _grid_map(x: PresentedModule, d1: ExactMatrix, phi: ExactMatrix,
+              inject: ModuleMorphism, w: ModuleMorphism) -> ModuleMorphism | None:
+    """The map ``z : H -> X`` with ``z @ inject == iota_p`` and
+    ``pi_y @ z == w``, for ``inject : P -> H`` and ``w : H -> Y``; ``None``
+    when there is none.
+
+    X is P (+) F0(Y) modulo ``[P.rels; 0]`` and ``[-phi; d1]``, so ``pi_y``
+    reads the rows in Y and ``z = (C; W)`` with W the matrix of w meets the
+    post-constraint exactly.  On the columns ``D = [H.rels | inject]`` the
+    rows in Y give ``W D = d1 T``, one lift through the free map d1 (W D
+    lies in span(d1), as w is well defined and kills P).  Then z is well
+    defined with ``z @ inject == iota_p`` iff ``C D == [0 | I] - phi T`` in
+    P, a system over Hom(H, P) instead of Hom(H, X); a solution of the full
+    system shifted by relations ``(-phi u; d1 u)`` has part W in Y, so the
+    two are solvable together.  Any T will do, since phi kills ker d1 in P."""
+    h, p = inject.target, inject.source
+    ring = p.ring
+    cols = h.relations.hstack(inject.matrix)
+    t = lift(_free_map(d1), w.matrix @ cols)
+    if t is None:
+        return None
+    at_d = (ExactMatrix.zeros(ring, p.generators, h.relations.cols)
+            .hstack(ExactMatrix.identity(ring, p.generators)) - phi @ t)
+    on_d = _free_map(cols)
+    c = _solve_matrix(on_d.target, p, pre=[(on_d, ModuleMorphism(on_d.source, p, at_d))])
+    return None if c is None else hom(h, x, c.vstack(w.matrix))
 
 
 def _class_over_y(d: Diagram3x3) -> tuple[BuildY, ExtClass]:

@@ -519,6 +519,17 @@ def solve_morphism(source: PresentedModule, target: PresentedModule,
     Well-definedness of ``Z`` is part of the system.  Returns the canonical
     (deterministically reduced) solution or ``None``.
     """
+    z = _solve_matrix(source, target, pre, post)
+    return None if z is None else hom(source, target, z)
+
+
+def _solve_matrix(source: PresentedModule, target: PresentedModule,
+                  pre: list[tuple[ModuleMorphism, ModuleMorphism]] = (),
+                  post: list[tuple[ModuleMorphism, ModuleMorphism]] = ()) -> ExactMatrix | None:
+    """The matrix of :func:`solve_morphism`'s canonical solution, or ``None``;
+    nothing is checked of it.  Over a free source the system is only the
+    pre-constraints, which is how the grid maps of a realized diagram solve
+    for their part in P alone (:func:`hexext.diagram._grid_map`)."""
     ring = source.ring
     gs, gt = source.generators, target.generators
     for g_, rhs_m in pre:
@@ -540,9 +551,7 @@ def solve_morphism(source: PresentedModule, target: PresentedModule,
         spaces.append(_hom_space(gs, p_.target))
     ambient = PresentedModule(ring, mat.rows, block_diag(ring, [h.relations for h in spaces]))
     z = lift(ModuleMorphism(_hom_space(gs, target), ambient, mat), flat)
-    if z is None:
-        return None
-    return hom(source, target, _unflatten(z.col(0), gt, gs, ring))
+    return None if z is None else _unflatten(z.col(0), gt, gs, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ classes against :func:`hexext.ext.restriction`, sequence-level pullbacks
 and pushouts against class-level transport, the explicit Baer sum against
 coordinate addition, Yoneda products of classes against the chain-lift
 route, the Hom/Ext ladder of a short exact sequence against its
-exactness, and a hexagon frame's conditions read on the frame itself
-against its fold.  Tests import them with ``from routes import ...``.
+exactness, the grid maps i and j of a realized diagram solved over all of
+Hom(H, X) against their construction, and a hexagon frame's conditions
+read on the frame itself against its fold.  Tests import them with
+``from routes import ...``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from hexext.ext import (
     ses_of_class,
     yoneda_product_of_ses,
 )
+from hexext.diagram import BuildY, Diagram3x3
 from hexext.hexagon import HexagonFrame
 from hexext.linalg import ExactMatrix, block_diag, shrink_generators
 from hexext.modules import (
@@ -42,6 +45,7 @@ from hexext.modules import (
     preimage_kernel_columns,
     pullback,
     pullback_factor,
+    solve_morphism,
     zero_morphism,
 )
 
@@ -248,6 +252,34 @@ def connecting_hom(s: ShortExactSequence, p: PresentedModule) -> HomExtLadder:
         (res0_cb, res0_ba, alpha, res1_cb, res1_ba, delta1),
         alpha, delta1,
     )
+
+
+# ---------------------------------------------------------------------------
+# Grid maps of a realized diagram, solved over Hom(H, X)
+# ---------------------------------------------------------------------------
+
+
+def middle_maps(d: Diagram3x3, by: BuildY, x: PresentedModule) -> tuple[ModuleMorphism, ModuleMorphism]:
+    """``iota_p : P -> X`` and ``pi_y : X -> Y`` for a middle object
+    ``X = P (+) F0(Y)`` laid out as :func:`hexext.ext.ses_of_cocycle` lays it
+    out: ``(I; 0)`` and ``(0 | I)``."""
+    ring, gp, gy = d.p.ring, d.p.generators, by.y.generators
+    return (ModuleMorphism(d.p, x, ExactMatrix.identity(ring, gp).vstack(ExactMatrix.zeros(ring, gy, gp))),
+            ModuleMorphism(x, by.y, ExactMatrix.zeros(ring, gy, gp).hstack(ExactMatrix.identity(ring, gy))))
+
+
+def grid_maps_over_x(d: Diagram3x3, by: BuildY, x: PresentedModule) -> tuple[ModuleMorphism, ModuleMorphism]:
+    """``i : H -> X`` and ``j : E -> X``, each one constrained solve over all
+    of Hom(-, X): ``i o mu = iota_p`` and ``pi_y o i = w_s o (H -> S)``, and
+    the same for j with nu and w_r."""
+    iota_p, pi_y = middle_maps(d, by, x)
+    i = solve_morphism(d.h, x, pre=[(d.col_left.inject, iota_p)],
+                       post=[(pi_y, by.w_s @ d.col_left.project)])
+    j = solve_morphism(d.e, x, pre=[(d.row_top.inject, iota_p)],
+                       post=[(pi_y, by.w_r @ d.row_top.project)])
+    if i is None or j is None:
+        raise AssertionError("grid maps are unsolvable over Hom(-, X)")
+    return i, j
 
 
 # ---------------------------------------------------------------------------

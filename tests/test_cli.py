@@ -48,7 +48,7 @@ def test_extend_engine_fault_is_not_a_verdict(capsys, monkeypatch):
     # the engine's fault: no report claims the diagram does not extend
     import hexext.diagram
 
-    monkeypatch.setattr(hexext.diagram, "solve_morphism", lambda *a, **k: None)
+    monkeypatch.setattr(hexext.diagram, "_solve_matrix", lambda *a, **k: None)
     with pytest.raises(AssertionError, match="grid maps are unsolvable"):
         main(["extend", str(FIXTURES / "allsplit.json"), "D"])
     assert capsys.readouterr().out == ""

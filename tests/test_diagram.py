@@ -62,7 +62,7 @@ from hexext.modules import (
 from hexext.oracle import EnumerationBudget, enumerate_morphisms
 from hexext.randgen import extend_with_variant_cocycle, perturb_extension, random_diagram
 from hexext.rings import ZZ, Zmod
-from routes import _transport_matrix, connecting_alpha, transport_contravariant
+from routes import _transport_matrix, connecting_alpha, grid_maps_over_x, middle_maps, transport_contravariant
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 R4 = Zmod(4)
@@ -307,7 +307,7 @@ def test_variant_cocycle_reports_obstruction():
 # Faults that can only occur after the diagram is accepted: each is the
 # engine's own failure, never a verdict that the diagram does not extend
 ENGINE_FAULTS = [
-    ("solve_morphism", lambda *a, **k: None, "restriction classes matched but grid maps are unsolvable"),
+    ("_solve_matrix", lambda *a, **k: None, "restriction classes matched but grid maps are unsolvable"),
     ("validate_extension", lambda *a: ["forced"], "constructed extension failed validation: forced"),
     ("is_exact", lambda *a, **k: False, "snake cross-check failed for the derived grid"),
 ]
@@ -627,6 +627,57 @@ def test_uniqueness_image_counts_the_classes_over_y():
                                            for c in classes]
             outcomes.append(rep.unique)
     assert min(outcomes.count(True), outcomes.count(False)) >= 3
+
+
+def test_grid_maps_by_construction_match_the_full_solve():
+    # i and j keep W, the matrix of w_s o (H -> S) (of w_r o (E -> R) for
+    # j), as their rows in Y and solve only their rows in P; the route
+    # solves over all of Hom(-, X).  Both meet the grid constraints, so they
+    # differ by iota_p o k o (H -> S) for some k : S -> P (R -> P for j):
+    # equal as morphisms when Hom(S, P) is zero, and otherwise each picks its
+    # own canonical solution
+    counts = collections.Counter()
+    for ring in (R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12), ZZ):
+        rng = random.Random(f"grid maps {ring}")
+        for _ in range(12):
+            d = random_diagram(rng, ring, 16)
+            try:
+                exts = enumerate_extensions(d)
+            except NotExtendableError:
+                continue
+            by = build_Y(d)
+            for ext in exts:
+                assert validate_extension(d, ext) == []
+                iota_p, pi_y = middle_maps(d, by, ext.x)
+                for got, routed, side, w in zip((ext.i, ext.j), grid_maps_over_x(d, by, ext.x),
+                                                (d.col_left, d.row_top), (by.w_s, by.w_r)):
+                    assert (pi_y @ got).matrix == (w @ side.project).matrix
+                    h = lift(iota_p, (got - routed).matrix)
+                    assert h is not None
+                    k = modules_module.solve_morphism(side.right, d.p,
+                                                      pre=[(side.project, hom(side.middle, d.p, h))])
+                    assert k is not None
+                    if ext_module(0, side.right, d.p).cardinality() == 1:
+                        assert got.equals(routed)
+                    counts["equal" if got.equals(routed) else "shifted"] += 1
+    assert min(counts["equal"], counts["shifted"]) >= 3, counts
+
+
+def test_lambda_fixture_facts():
+    # what fixtures/lambda.json is for, read through the library: one class
+    # over Y, Ext^1(Q, P) and Hom(Q, P) of order 2, and two solutions with
+    # the same class over Y that no compatible isomorphism relates
+    model = parse((FIXTURES / "lambda.json").read_text(encoding="utf-8"))
+    d, x1, x1p = model.diagrams["D"], model.extensions["X1"], model.extensions["X1p"]
+    assert check_uniqueness(d).image.cardinality() == 1
+    assert ext_module(1, d.q, d.p).cardinality() == 2
+    assert ext_module(0, d.q, d.p).cardinality() == 2
+    by = build_Y(d)
+    c1, c2 = (class_of_ses(make_ses(ext.i @ d.col_left.inject, diagram_module._projection_to_y(by, ext)))
+              for ext in (x1, x1p))
+    assert c1.same_as(c2)
+    with pytest.raises(LambdaNotExtendableError):
+        compatible_isomorphism(d, x1, x1p)
 
 
 def test_extend_diagram_never_resolves_the_sum(monkeypatch):

@@ -41,9 +41,9 @@ HEXAGON_RAW = "a1fd97b564dd2136d39cc07958b2a7168f77e0c85e3b87ac6cf22d0a31864c20"
 DIAGRAM_RAW = {
     ("extend", "allsplit"): (0, "057d03b5ce6d35060e6c317ee1de6c6a4219d69ebc84ab0ed67b744bd736a70b"),
     ("extend", "injective"): (0, "2c89ab857d8c15c648fb528b2a3cb667fa8bfa4ae9394101b726fdff049552d3"),
-    ("extend", "lambda"): (0, "dd46ed0372cdcaa4e025e7f830c76b6c3cf7092aff4524de9a0aed8b01322db6"),
+    ("extend", "lambda"): (0, "23d531877240e366734620472c8165cf94757b57a7ad00090e8c12dd60bcf83f"),
     ("extend", "obstructed"): (1, "c1e6b98c968d48867f2172158fd12f80316af0c8ef120217022b49803a81d5f6"),
-    ("extend", "zdiagram"): (0, "e663614a98d622ea00a4e5f20962a232eb1598930d0f216828917b516cb8bdf8"),
+    ("extend", "zdiagram"): (0, "a605f2fb3d6d25d4e03b18c9ba86aeb68713b90d25514ef08839c1d710d1ab25"),
     ("unique", "allsplit"): (1, "80f360249e189c91a25f814d9c4042aefba18b06e35544417c9ca0249f3c8b6a"),
     ("unique", "injective"): (0, "441dc9e5fea04834c2aaed02a957179125453a1e056de6c1dcb373798f8fd551"),
     ("unique", "lambda"): (0, "9df964069fe64e50d5de8bad77aa4f37657db3ea27356b7dc98ac64b52c9cd91"),
