@@ -27,9 +27,13 @@ from .errors import (
 )
 from .ext import (
     ExtClass,
+    _cochains,
     _free_map,
+    _ses_cocycle,
+    chain_map,
     class_of_ses,
     ext_module,
+    free_resolution,
     restriction,
     ses_of_cocycle,
     yoneda_product_of_ses,
@@ -56,6 +60,8 @@ from .modules import (
     snake_connecting,
     solve_morphism,
     zero_morphism,
+    _first_outside,
+    _flatten,
     _solve_matrix,
 )
 from .rings import prime_factors
@@ -286,20 +292,43 @@ def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
     """The canonical class xi in Ext^1(Y, P) restricting to tau, when one
     exists (deterministically the smallest coordinate solution).
 
-    The restriction along R (+) S -> Y stacks the restrictions along ``w_r``
-    and ``w_s`` into Ext^1(R, P) (+) Ext^1(S, P), where tau's coordinates
-    are those of [rowTop] followed by those of [colLeft].  The solution set,
-    and so the canonical solution, does not depend on how the target is
-    presented."""
+    The restriction of xi is compared with tau as cochains, not as classes:
+    one depth-1 chain lift of ``w_r`` (``w_s``) carries each generating
+    cocycle of Ext^1(Y, P) to a cocycle ``F1(R) -> P`` (``F1(S) -> P``),
+    and tau is the pair of cocycles the staircase chases of rowTop and
+    colLeft read off.  Both are flattened into the cochains of R and of S
+    modulo coboundaries and P's relations (``ext._cochains``), and xi's
+    coordinates are one lift into their sum.  A cocycle lies in those
+    coboundaries exactly when its class is zero, so the coordinates solving
+    this system, and those whose restriction is zero, are the ones the
+    restriction into Ext^1(R, P) (+) Ext^1(S, P) would give; the canonical
+    solution depends on nothing else, and neither Ext module is built.
+    Each cocycle is checked against d2 before it enters the system."""
     e_y = ext_module(1, by.y, d.p)
-    on_r, on_s = restriction(e_y, by.w_r), restriction(e_y, by.w_s)
-    target = direct_sum(on_r.target, on_s.target).module
-    rho = ModuleMorphism(e_y.presentation, target, on_r.matrix.vstack(on_s.matrix))
-    tau = class_of_ses(d.row_top).coords + class_of_ses(d.col_left).coords
-    x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau], target.generators))
+    ring = d.p.ring
+    blocks, rhs, rels = [], [], []
+    for w, side in ((by.w_r, d.row_top), (by.w_s, d.col_left)):
+        res = free_resolution(side.right)
+        lifted = chain_map(res, e_y.resolution, w, 1)[1]
+        cochains = _cochains(1, res, d.p)
+        blocks.append(ExactMatrix.from_cols(ring, [_checked_cocycle(phi @ lifted, res.d2, d.p)
+                                                   for phi in e_y.cocycles], cochains.generators))
+        rhs.append(_checked_cocycle(_ses_cocycle(side, res), res.d2, d.p))
+        rels.append(cochains.relations)
+    target = PresentedModule(ring, blocks[0].rows + blocks[1].rows, block_diag(ring, rels))
+    rho = ModuleMorphism(e_y.presentation, target, blocks[0].vstack(blocks[1]))
+    x = lift(rho, ExactMatrix.from_cols(ring, [rhs[0] + rhs[1]], target.generators))
     if x is None:
         return None
     return e_y.class_from_coords(x.col(0))
+
+
+def _checked_cocycle(phi: ExactMatrix, d2: ExactMatrix, p: PresentedModule) -> tuple[int, ...]:
+    """``phi : F1 -> P`` flattened to one cochain, once ``phi o d2`` is
+    zero in P; an engine fault otherwise."""
+    if _first_outside(phi @ d2, p.relations) is not None:
+        raise AssertionError("a restricted or chased cochain is not a cocycle")
+    return _flatten(phi).col(0)
 
 
 def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtension:
@@ -361,8 +390,8 @@ def _class_over_y(d: Diagram3x3) -> tuple[BuildY, ExtClass]:
 
 def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
     """The sequence of tau over R (+) S, spliced with the Y-sequence and
-    checked against the product obstruction, then xi solved from the
-    restriction map.  Raises :class:`NotExtendableError` with the
+    checked against the product obstruction, then xi solved in cochains
+    (:func:`_solve_restriction`).  Raises :class:`NotExtendableError` with the
     obstruction report when the obstruction is nonzero."""
     ob = _known(d, "obstruction", _obstruction)
     delta_tau = yoneda_product_of_ses(_tau_ses(d, by), by.ses)

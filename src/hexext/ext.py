@@ -7,9 +7,13 @@ what makes sequences-from-classes and the downstream middle-object
 construction possible; coordinates alone would not suffice.
 
 What the diagram pipeline needs of Ext is here: the class of an exact
-sequence (a staircase chase of the resolution), the sequence of a degree-1
-class, the restriction map along a map of the first argument, and the Ext^2
-class of two short exact sequences spliced through a shared end object.
+sequence (a staircase chase of the resolution) and the cocycle that chase
+reads off, the sequence of a degree-1 class, the restriction map along a map
+of the first argument, the Ext^2 class of two short exact sequences spliced
+through a shared end object, and the cochains Hom(F_k, P) modulo
+coboundaries, in which a cocycle is zero exactly when its class is.  The
+chased cocycle and the cochains let a caller compare restricted classes as
+cocycles, without building the Ext module they live in.
 """
 
 from __future__ import annotations
@@ -183,26 +187,18 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
     ring = p.ring
     res = free_resolution(q)
     gp = p.generators
-    ranks = (res.f0, res.f1, res.f2)
-    rank_i = ranks[degree]
-    h_i = _hom_space(rank_i, p)
+    rank_i = (res.f0, res.f1, res.f2)[degree]
+    cochains = _cochains(degree, res, p)
 
-    # boundary out of degree: phi -> phi o d_{degree+1}
+    # boundary out of degree: phi -> phi o d_{degree+1}, well defined on
+    # cochains modulo coboundaries as d o d = 0
     d_out = res.differential(degree + 1)
     rank_next = d_out.cols
     out_mat = _induced_matrix(d_out, p, rank_i, rank_next)
-    out_map = ModuleMorphism(h_i, _hom_space(rank_next, p), out_mat)
+    out_map = ModuleMorphism(cochains, _hom_space(rank_next, p), out_mat)
     kmat = preimage_kernel_columns(out_map)
 
-    # boundary into degree: image columns of phi -> phi o d_degree
-    if degree == 0:
-        in_mat = ExactMatrix.zeros(ring, h_i.generators, 0)
-    else:
-        d_in = res.differential(degree)
-        in_mat = _induced_matrix(d_in, p, ranks[degree - 1], rank_i)
-
-    homology = PresentedModule(ring, h_i.generators, in_mat.hstack(h_i.relations))
-    raw_pres, cycles = submodule_generated(homology, kmat)
+    raw_pres, cycles = submodule_generated(cochains, kmat)
     simp: Simplified = simplify(raw_pres)
     cocycles = []
     for t in range(simp.module.generators):
@@ -213,33 +209,65 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
                      cycles, simp.to_min.matrix)
 
 
+def _cochains(degree: int, res: FreeResolution, p: PresentedModule) -> PresentedModule:
+    """Hom(F_degree, P), flattened as ``modules._hom_space`` flattens it,
+    modulo the coboundaries ``phi o d_degree`` of Hom(F_(degree-1), P) and
+    P's relations: the ambient of the homology that :func:`ext_module`
+    presents.  A cocycle is zero in it exactly when its class in
+    Ext^degree(Q, P) is zero, so two cocycles are compared here without
+    building Ext^degree(Q, P)."""
+    rank = (res.f0, res.f1, res.f2)[degree]
+    h = _hom_space(rank, p)
+    if degree == 0:
+        return h
+    d_in = res.differential(degree)
+    return PresentedModule(p.ring, h.generators,
+                           _induced_matrix(d_in, p, d_in.rows, rank).hstack(h.relations))
+
+
 # ---------------------------------------------------------------------------
 # Classes <-> short exact sequences (degree 1)
 # ---------------------------------------------------------------------------
 
 
-def _chase(maps: list[ModuleMorphism], failures: tuple[str, ...]) -> ExtClass:
-    """The class in Ext^k(Q, P) of an exact ``0 -> P -> X_k -> ... -> X_1 ->
-    Q -> 0`` given by its k + 1 maps, left to right: lift the resolution of Q
-    through the maps from the right (staircase chase) and read off the
-    degree-k cocycle.  ``failures[i]`` is the message raised when the chase
-    leaves the image of ``maps[i]``."""
-    e = ext_module(len(maps) - 1, maps[-1].target, maps[0].source)
+_SES_FAILURES = ("image of the injection does not absorb the chase", "projection is not surjective")
+
+
+def _chase_cocycle(maps: list[ModuleMorphism], failures: tuple[str, ...], res: FreeResolution) -> ExactMatrix:
+    """The degree-k cocycle ``F_k(Q) -> P`` of an exact ``0 -> P -> X_k ->
+    ... -> X_1 -> Q -> 0`` given by its k + 1 maps, left to right: lift
+    ``res``, the resolution of Q, through the maps from the right (staircase
+    chase).  ``failures[i]`` is the message raised when the chase leaves
+    the image of ``maps[i]``.  Nothing checks that the result is a cocycle;
+    the caller's class or comparison does."""
+    q = res.target
     # F0 -> Q is the identity on generators
-    step = ExactMatrix.identity(e.q.ring, e.q.generators)
+    step = ExactMatrix.identity(q.ring, q.generators)
     for i, (f, failure) in enumerate(zip(reversed(maps), reversed(failures))):
         if i:
-            step = step @ e.resolution.differential(i)
+            step = step @ res.differential(i)
         step = lift(f, step)
         if step is None:
             raise NotExactError(failure)
-    return e.class_of_cocycle(step)
+    return step
+
+
+def _chase(maps: list[ModuleMorphism], failures: tuple[str, ...]) -> ExtClass:
+    """The class in Ext^k(Q, P) of the cocycle :func:`_chase_cocycle`
+    reads off the k + 1 maps."""
+    e = ext_module(len(maps) - 1, maps[-1].target, maps[0].source)
+    return e.class_of_cocycle(_chase_cocycle(maps, failures, e.resolution))
+
+
+def _ses_cocycle(s: ShortExactSequence, res: FreeResolution) -> ExactMatrix:
+    """The cocycle ``F1(Q) -> P`` whose class :func:`class_of_ses` gives,
+    on ``res``, the resolution of Q."""
+    return _chase_cocycle([s.inject, s.project], _SES_FAILURES, res)
 
 
 def class_of_ses(s: ShortExactSequence) -> ExtClass:
     """The class of ``0 -> P -> X -> Q -> 0`` in Ext^1(Q, P)."""
-    return _chase([s.inject, s.project],
-                  ("image of the injection does not absorb the chase", "projection is not surjective"))
+    return _chase([s.inject, s.project], _SES_FAILURES)
 
 
 def ses_of_class(c: ExtClass) -> ShortExactSequence:

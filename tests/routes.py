@@ -6,9 +6,10 @@ classes against :func:`hexext.ext.restriction`, sequence-level pullbacks
 and pushouts against class-level transport, the explicit Baer sum against
 coordinate addition, Yoneda products of classes against the chain-lift
 route, the Hom/Ext ladder of a short exact sequence against its
-exactness, the grid maps i and j of a realized diagram solved over all of
-Hom(H, X) against their construction, and a hexagon frame's conditions
-read on the frame itself against its fold.  Tests import them with
+exactness, the class over Y solved in Ext^1(R, P) (+) Ext^1(S, P) against
+its solve in cochains, the grid maps i and j of a realized diagram solved
+over all of Hom(H, X) against their construction, and a hexagon frame's
+conditions read on the frame itself against its fold.  Tests import them with
 ``from routes import ...``.
 """
 
@@ -37,6 +38,7 @@ from hexext.modules import (
     PresentedModule,
     ShortExactSequence,
     _first_outside,
+    direct_sum,
     exactness_report,
     hom,
     identity_morphism,
@@ -252,6 +254,28 @@ def connecting_hom(s: ShortExactSequence, p: PresentedModule) -> HomExtLadder:
         (res0_cb, res0_ba, alpha, res1_cb, res1_ba, delta1),
         alpha, delta1,
     )
+
+
+# ---------------------------------------------------------------------------
+# The class over Y, solved in Ext^1(R, P) (+) Ext^1(S, P)
+# ---------------------------------------------------------------------------
+
+
+def restriction_solve_over_ext(d: Diagram3x3, by: BuildY) -> ExtClass | None:
+    """The canonical class xi in Ext^1(Y, P) restricting to tau, solved in
+    coordinates: the restrictions along ``w_r`` and ``w_s`` stacked into
+    Ext^1(R, P) (+) Ext^1(S, P), where tau's coordinates are those of
+    [rowTop] followed by those of [colLeft].  The solution set, and so the
+    canonical solution, does not depend on how the target is presented."""
+    e_y = ext_module(1, by.y, d.p)
+    on_r, on_s = restriction(e_y, by.w_r), restriction(e_y, by.w_s)
+    target = direct_sum(on_r.target, on_s.target).module
+    rho = ModuleMorphism(e_y.presentation, target, on_r.matrix.vstack(on_s.matrix))
+    tau = class_of_ses(d.row_top).coords + class_of_ses(d.col_left).coords
+    x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau], target.generators))
+    if x is None:
+        return None
+    return e_y.class_from_coords(x.col(0))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from hexext.ext import (
     ses_of_class,
     yoneda_product_of_ses,
 )
+from hexext.hexagon import fold_frame, solve_hexagon
 from hexext.linalg import ExactMatrix
 from hexext.modules import (
     ModuleMorphism,
@@ -60,9 +61,16 @@ from hexext.modules import (
     zero_morphism,
 )
 from hexext.oracle import EnumerationBudget, enumerate_morphisms
-from hexext.randgen import extend_with_variant_cocycle, perturb_extension, random_diagram
+from hexext.randgen import extend_with_variant_cocycle, frame_from_diagram, perturb_extension, random_diagram
 from hexext.rings import ZZ, Zmod
-from routes import _transport_matrix, connecting_alpha, grid_maps_over_x, middle_maps, transport_contravariant
+from routes import (
+    _transport_matrix,
+    connecting_alpha,
+    grid_maps_over_x,
+    middle_maps,
+    restriction_solve_over_ext,
+    transport_contravariant,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 R4 = Zmod(4)
@@ -310,6 +318,7 @@ ENGINE_FAULTS = [
     ("_solve_matrix", lambda *a, **k: None, "restriction classes matched but grid maps are unsolvable"),
     ("validate_extension", lambda *a: ["forced"], "constructed extension failed validation: forced"),
     ("is_exact", lambda *a, **k: False, "snake cross-check failed for the derived grid"),
+    ("_first_outside", lambda *a, **k: 0, "a restricted or chased cochain is not a cocycle"),
 ]
 
 
@@ -589,6 +598,30 @@ def test_restriction_route_matches_resolved_sum():
     assert min(signed[str(ring)] for ring in (Zmod(9), Zmod(16), ZZ)) >= 3, signed
 
 
+def test_restriction_cochain_solve_matches_the_ext_solve():
+    # the pipeline compares the restriction of xi with tau as cochains modulo
+    # coboundaries; the route compares classes in Ext^1(R, P) (+) Ext^1(S, P).
+    # Both solve for the same coordinate set, so the canonical solutions agree
+    # on the nose.  Classes of order 3 or more (over Z/9, Z/16, Z/25, Z/27
+    # and Z) are where a sign slip in tau's cocycles would show
+    nonzero, unsolvable = collections.Counter(), 0
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(12), Zmod(16), Zmod(25), Zmod(27), ZZ):
+        rng = random.Random(f"restriction solve {ring}")
+        for _ in range(60):
+            d = random_diagram(rng, ring, 32)
+            by = build_Y(d)
+            xi, routed = _solve_restriction(d, by), restriction_solve_over_ext(d, by)
+            assert (xi is None) == (routed is None)
+            if xi is None:
+                unsolvable += 1
+                continue
+            assert xi.coords == routed.coords
+            nonzero[str(ring)] += not xi.is_zero()
+    assert min(nonzero[str(ring)] for ring in (R4, Zmod(8), Zmod(9), Zmod(12), Zmod(16), Zmod(25),
+                                                 Zmod(27), ZZ)) >= 3, nonzero
+    assert unsolvable >= 20
+
+
 def test_split_tau_sequence_makes_the_obstruction_routes_disagree(monkeypatch):
     # the connecting image of the split sequence is zero, the product
     # obstruction of the obstructed fixture is not
@@ -681,29 +714,42 @@ def test_lambda_fixture_facts():
 
 
 def test_extend_diagram_never_resolves_the_sum(monkeypatch):
-    # neither extension nor the uniqueness verdict asks for Ext of R (+) S,
-    # as either argument
-    args = []
+    # extending a grid or a hexagon frame asks only for Ext^2(Q, P) (the
+    # obstruction) and Ext^1(Y, P) (the class over Y and the middle object),
+    # and the uniqueness verdict adds only Ext^1(Q, P): no Ext of R (+) S is
+    # resolved, as either argument, and none of R or of S is built either
+    for obj in vars(ext_namespace).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    monkeypatch.setattr(diagram_module, "_last", {"diagram": None})
+    asked = []
     for mod in (ext_namespace, diagram_module):
         real = mod.ext_module
-        monkeypatch.setattr(mod, "ext_module", lambda k, q, p, real=real: args.append((q, p)) or real(k, q, p))
-    rng = random.Random(11)
-    checked = 0
-    for ring in (R4, Zmod(6), Zmod(9), ZZ):
-        for _ in range(5):
-            d = random_diagram(rng, ring, 16)
-            rs = direct_sum(d.r, d.s).module
-            if not (d.r.generators and d.s.generators) or rs in (build_Y(d).y, d.p):
-                continue  # R (+) S is then R, S, Y or P itself, whose Ext is wanted
-            for entry in (extend_diagram, check_uniqueness):
-                args.clear()
+        monkeypatch.setattr(mod, "ext_module", lambda k, q, p, real=real: asked.append((k, q, p)) or real(k, q, p))
+    rng = random.Random("ext traffic")
+    kinds = collections.Counter()
+    for ring in (R4, Zmod(6), Zmod(8), Zmod(9), ZZ):
+        for _ in range(10):
+            frame = frame_from_diagram(random_diagram(rng, ring, 16), rng, decorate=True)
+            d = fold_frame(frame).diagram
+            seen = []
+            for entry, arg in ((solve_hexagon, frame), (extend_diagram, d)):
+                asked.clear()
                 try:
-                    entry(d)
+                    entry(arg)
+                    extends = True
                 except NotExtendableError:
-                    pass
-                assert args and all(rs not in pair for pair in args)
-            checked += 1
-    assert checked >= 10
+                    extends = False
+                seen.append((extends, set(asked)))
+            y = build_Y(d).y
+            wanted = {(2, d.q, d.p), (1, y, d.p)} if extends else {(2, d.q, d.p)}
+            assert seen == [(extends, wanted)] * 2
+            kinds["extends" if extends else "obstructed"] += 1
+            if extends:
+                check_uniqueness(d)
+                assert set(asked) == wanted | {(1, d.q, d.p)}
+                kinds["distinct"] += not {d.r, d.s, direct_sum(d.r, d.s).module} & {d.q, y}
+    assert kinds["extends"] >= 20 and kinds["obstructed"] >= 2 and kinds["distinct"] >= 20, kinds
 
 
 # -- compatible isomorphisms ------------------------------------------------------------------
