@@ -9,9 +9,9 @@ extends to a full commuting grid with exact middle row ``0 -> H -> X -> F -> 0``
 and middle column ``0 -> E -> X -> G -> 0`` iff an obstruction class in
 Ext^2(Q, P) vanishes: the sum of the spliced products of the two row/column
 pairs.  The obstruction is computed twice by design -- once as that explicit
-Baer sum of products, once as the connecting image of the restriction data
-through the auxiliary pullback object Y -- and the pipeline fails loudly if
-the two routes ever disagree.
+Baer sum of spliced products, once as the connecting image of the
+restriction data through the auxiliary pullback object Y, by a chain lift --
+and the pipeline fails loudly if the two routes ever disagree.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .modules import (
     is_exact,
     lift,
     make_ses,
-    morphism_cokernel,
     morphism_image,
     pullback,
     pullback_factor,
@@ -138,12 +137,13 @@ def _known(d: Diagram3x3, fact: str, compute):
 
     Callers ask ``obstruction``, ``extend_diagram`` and ``check_uniqueness``
     of one diagram in turn, so the validation verdict, the snake-checked Y
-    core, the product obstruction and the route-checked class xi over Y are
-    each computed once per diagram object.  The slot is keyed on identity,
-    so nothing is hashed (hashing the nested frozen diagram cost most of
-    what a value-keyed cache saved), and the next diagram replaces it, so
-    one diagram is held at a time.  A fact is stored only once ``compute``
-    returns, so one that raises is computed again on every call."""
+    core, the product obstruction, tau's checked cocycles and the
+    route-checked class xi over Y are each computed once per diagram
+    object.  The slot is keyed on identity, so nothing is hashed (hashing
+    the nested frozen diagram cost most of what a value-keyed cache saved),
+    and the next diagram replaces it, so one diagram is held at a time.  A
+    fact is stored only once ``compute`` returns, so one that raises is
+    computed again on every call."""
     global _last
     memo = _last
     if memo["diagram"] is not d:
@@ -276,16 +276,37 @@ def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:
     return out
 
 
-def _tau_ses(d: Diagram3x3, by: BuildY) -> ShortExactSequence:
-    """``0 -> P -> (E (+) H)/P -> R (+) S -> 0``, the Baer sum of the
-    pullbacks of rowTop and colLeft along the projections of R (+) S, so its
-    class is tau = pr_R^*[rowTop] + pr_S^*[colLeft].  P is divided out as
-    (nu p, -mu p); the direct sum itself is never resolved."""
-    eh = direct_sum(d.e, d.h)
-    skew = ModuleMorphism(d.p, eh.module, d.row_top.inject.matrix.vstack(-d.col_left.inject.matrix))
-    quot, to_quot = morphism_cokernel(skew)
-    proj = block_diag(d.p.ring, [d.row_top.project.matrix, d.col_left.project.matrix])
-    return make_ses(to_quot @ eh.inject_left @ d.row_top.inject, ModuleMorphism(quot, by.rs.module, proj))
+def _tau(d: Diagram3x3) -> tuple[ExactMatrix, ExactMatrix]:
+    """tau = pr_R^*[rowTop] + pr_S^*[colLeft] as its two cocycles ``F1(R) ->
+    P`` and ``F1(S) -> P``: the staircase chases of rowTop and colLeft over
+    the resolutions of R and S, each checked against d2.  Side by side they
+    are one cocycle of tau on ``d1(R) (+) d1(S)``, which resolves R (+) S in
+    degree 1, so the direct sum itself is never resolved."""
+    out = []
+    for side in (d.row_top, d.col_left):
+        res = free_resolution(side.right)
+        out.append(_checked_cocycle(_ses_cocycle(side, res), res.d2, d.p))
+    return tuple(out)
+
+
+def _connecting_image(d: Diagram3x3, by: BuildY) -> ExtClass:
+    """Route 2 of the obstruction: tau's image in Ext^2(Q, P) under the
+    connecting map of the Y-sequence, the chain-lift Yoneda product of tau
+    with the Y-sequence's class.  The chase of the Y-sequence over Q's
+    resolution gives ``gamma : F1(Q) -> R (+) S``; ``gamma o d2(Q)`` is zero
+    in R (+) S, so it lifts once through the free map ``d1(R) (+) d1(S)``,
+    and ``[tau_R | tau_S]`` composed with that lift is a cocycle ``F2(Q) ->
+    P`` of the product.  No sequence is spliced, so this route shares no
+    Yoneda code with the product obstruction."""
+    e2 = ext_module(2, d.q, d.p)
+    res = e2.resolution
+    gamma = _ses_cocycle(by.ses, res)
+    d1 = block_diag(d.p.ring, [free_resolution(d.r).d1, free_resolution(d.s).d1])
+    lifted = lift(_free_map(d1), gamma @ res.d2)
+    if lifted is None:
+        raise AssertionError("the Y-sequence's cocycle does not lift through d1(R) (+) d1(S)")
+    tau_r, tau_s = _known(d, "tau", _tau)
+    return e2.class_of_cocycle(tau_r.hstack(tau_s) @ lifted)
 
 
 def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
@@ -295,25 +316,27 @@ def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
     The restriction of xi is compared with tau as cochains, not as classes:
     one depth-1 chain lift of ``w_r`` (``w_s``) carries each generating
     cocycle of Ext^1(Y, P) to a cocycle ``F1(R) -> P`` (``F1(S) -> P``),
-    and tau is the pair of cocycles the staircase chases of rowTop and
-    colLeft read off.  Both are flattened into the cochains of R and of S
-    modulo coboundaries and P's relations (``ext._cochains``), and xi's
-    coordinates are one lift into their sum.  A cocycle lies in those
-    coboundaries exactly when its class is zero, so the coordinates solving
-    this system, and those whose restriction is zero, are the ones the
-    restriction into Ext^1(R, P) (+) Ext^1(S, P) would give; the canonical
-    solution depends on nothing else, and neither Ext module is built.
-    Each cocycle is checked against d2 before it enters the system."""
+    and tau is the pair of checked cocycles :func:`_tau` reads off, the
+    pair route 2 of the obstruction reads.  Both are flattened into the
+    cochains of R and of S modulo coboundaries and P's relations
+    (``ext._cochains``), and xi's coordinates are one lift into their sum.
+    A cocycle lies in those coboundaries exactly when its class is zero, so
+    the coordinates solving this system, and those whose restriction is
+    zero, are the ones the restriction into Ext^1(R, P) (+) Ext^1(S, P)
+    would give; the canonical solution depends on nothing else, and neither
+    Ext module is built.  Each cocycle is checked against d2 before it
+    enters the system."""
     e_y = ext_module(1, by.y, d.p)
     ring = d.p.ring
     blocks, rhs, rels = [], [], []
-    for w, side in ((by.w_r, d.row_top), (by.w_s, d.col_left)):
-        res = free_resolution(side.right)
+    for w, tau in zip((by.w_r, by.w_s), _known(d, "tau", _tau)):
+        res = free_resolution(w.source)
         lifted = chain_map(res, e_y.resolution, w, 1)[1]
         cochains = _cochains(1, res, d.p)
-        blocks.append(ExactMatrix.from_cols(ring, [_checked_cocycle(phi @ lifted, res.d2, d.p)
-                                                   for phi in e_y.cocycles], cochains.generators))
-        rhs.append(_checked_cocycle(_ses_cocycle(side, res), res.d2, d.p))
+        restricted = [_checked_cocycle(phi @ lifted, res.d2, d.p) for phi in e_y.cocycles]
+        blocks.append(ExactMatrix.from_cols(ring, [_flatten(phi).col(0) for phi in restricted],
+                                            cochains.generators))
+        rhs.append(_flatten(tau).col(0))
         rels.append(cochains.relations)
     target = PresentedModule(ring, blocks[0].rows + blocks[1].rows, block_diag(ring, rels))
     rho = ModuleMorphism(e_y.presentation, target, blocks[0].vstack(blocks[1]))
@@ -323,12 +346,12 @@ def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
     return e_y.class_from_coords(x.col(0))
 
 
-def _checked_cocycle(phi: ExactMatrix, d2: ExactMatrix, p: PresentedModule) -> tuple[int, ...]:
-    """``phi : F1 -> P`` flattened to one cochain, once ``phi o d2`` is
-    zero in P; an engine fault otherwise."""
+def _checked_cocycle(phi: ExactMatrix, d2: ExactMatrix, p: PresentedModule) -> ExactMatrix:
+    """``phi : F1 -> P``, once ``phi o d2`` is zero in P; an engine fault
+    otherwise."""
     if _first_outside(phi @ d2, p.relations) is not None:
         raise AssertionError("a restricted or chased cochain is not a cocycle")
-    return _flatten(phi).col(0)
+    return phi
 
 
 def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtension:
@@ -389,12 +412,13 @@ def _class_over_y(d: Diagram3x3) -> tuple[BuildY, ExtClass]:
 
 
 def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
-    """The sequence of tau over R (+) S, spliced with the Y-sequence and
-    checked against the product obstruction, then xi solved in cochains
-    (:func:`_solve_restriction`).  Raises :class:`NotExtendableError` with the
-    obstruction report when the obstruction is nonzero."""
+    """The connecting image of tau (:func:`_connecting_image`), checked
+    against the product obstruction, then xi solved in cochains
+    (:func:`_solve_restriction`); both read tau's cocycles once.  Raises
+    :class:`NotExtendableError` with the obstruction report when the
+    obstruction is nonzero."""
     ob = _known(d, "obstruction", _obstruction)
-    delta_tau = yoneda_product_of_ses(_tau_ses(d, by), by.ses)
+    delta_tau = _connecting_image(d, by)
     if not delta_tau.same_as(ob.baer_sum):
         raise AssertionError(
             "obstruction routes disagree: connecting image "

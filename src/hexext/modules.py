@@ -264,7 +264,12 @@ def submodule_generated(ambient: PresentedModule, gens: ExactMatrix):
 
 def morphism_kernel(f: ModuleMorphism):
     """``(ker f, inclusion into the source)``, presented on generators of the
-    kernel of the map on coefficient columns."""
+    kernel of the map on coefficient columns.  An injective f, decided by
+    the order count of :meth:`ModuleMorphism.is_injective`, has the zero
+    module on no generators as its kernel, and nothing is eliminated."""
+    if f.is_injective():
+        zero = PresentedModule.zero(f.source.ring)
+        return zero, zero_morphism(zero, f.source)
     return submodule_generated(f.source, preimage_kernel_columns(f))
 
 
@@ -281,10 +286,15 @@ def morphism_image(f: ModuleMorphism):
 
 def morphism_cokernel(f: ModuleMorphism):
     """``(coker f, projection from the target)``, presented on the target
-    generators, so the projection's matrix is the identity."""
-    coker = PresentedModule(f.target.ring, f.target.generators,
-                            shrink_generators(f.target.relations.hstack(f.matrix)))
-    return coker, ModuleMorphism(f.target, coker, ExactMatrix.identity(f.target.ring, f.target.generators))
+    generators, so the projection's matrix is the identity.  A surjective
+    f, decided by the order count of :meth:`ModuleMorphism.is_surjective`,
+    has the zero cokernel, presented with identity relations and not
+    shrunk."""
+    ring, g = f.target.ring, f.target.generators
+    rels = (ExactMatrix.identity(ring, g) if f.is_surjective()
+            else shrink_generators(f.target.relations.hstack(f.matrix)))
+    coker = PresentedModule(ring, g, rels)
+    return coker, ModuleMorphism(f.target, coker, ExactMatrix.identity(ring, g))
 
 
 # ---------------------------------------------------------------------------

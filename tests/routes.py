@@ -7,10 +7,11 @@ and pushouts against class-level transport, the explicit Baer sum against
 coordinate addition, Yoneda products of classes against the chain-lift
 route, the Hom/Ext ladder of a short exact sequence against its
 exactness, the class over Y solved in Ext^1(R, P) (+) Ext^1(S, P) against
-its solve in cochains, the grid maps i and j of a realized diagram solved
-over all of Hom(H, X) against their construction, and a hexagon frame's
-conditions read on the frame itself against its fold.  Tests import them with
-``from routes import ...``.
+its solve in cochains, tau's sequence, whose splice with the Y-sequence is
+checked against the chain-lift connecting image, the grid maps i and j of a
+realized diagram solved over all of Hom(H, X) against their construction,
+and a hexagon frame's conditions read on the frame itself against its fold.
+Tests import them with ``from routes import ...``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from hexext.modules import (
     identity_morphism,
     lift,
     make_ses,
+    morphism_cokernel,
     preimage_kernel_columns,
     pullback,
     pullback_factor,
@@ -276,6 +278,23 @@ def restriction_solve_over_ext(d: Diagram3x3, by: BuildY) -> ExtClass | None:
     if x is None:
         return None
     return e_y.class_from_coords(x.col(0))
+
+
+# ---------------------------------------------------------------------------
+# The sequence of tau, for the spliced connecting image
+# ---------------------------------------------------------------------------
+
+
+def tau_ses(d: Diagram3x3, by: BuildY) -> ShortExactSequence:
+    """``0 -> P -> (E (+) H)/P -> R (+) S -> 0``, the Baer sum of the
+    pullbacks of rowTop and colLeft along the projections of R (+) S, so its
+    class is tau = pr_R^*[rowTop] + pr_S^*[colLeft].  P is divided out as
+    (nu p, -mu p); the direct sum itself is never resolved."""
+    eh = direct_sum(d.e, d.h)
+    skew = ModuleMorphism(d.p, eh.module, d.row_top.inject.matrix.vstack(-d.col_left.inject.matrix))
+    quot, to_quot = morphism_cokernel(skew)
+    proj = block_diag(d.p.ring, [d.row_top.project.matrix, d.col_left.project.matrix])
+    return make_ses(to_quot @ eh.inject_left @ d.row_top.inject, ModuleMorphism(quot, by.rs.module, proj))
 
 
 # ---------------------------------------------------------------------------

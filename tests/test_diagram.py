@@ -19,9 +19,9 @@ from hexext.diagram import (
     Diagram3x3,
     DiagramExtension,
     ObstructionReport,
+    _connecting_image,
     _realize,
     _solve_restriction,
-    _tau_ses,
     build_Y,
     check_uniqueness,
     compatible_isomorphism,
@@ -69,6 +69,7 @@ from routes import (
     grid_maps_over_x,
     middle_maps,
     restriction_solve_over_ext,
+    tau_ses,
     transport_contravariant,
 )
 
@@ -263,15 +264,17 @@ def test_memo_keeps_no_failure(monkeypatch):
 
 def test_memo_runs_each_cross_check_once(monkeypatch):
     # the snake cross-check and the comparison of the connecting image with
-    # the product sum run once per diagram object, whatever entry asks
+    # the product sum run once per diagram object, whatever entry asks; the
+    # connecting image is a chain lift, so only route 1 splices
     snakes = _count_calls(monkeypatch, "snake_connecting")
-    products = _count_calls(monkeypatch, "yoneda_product_of_ses")
+    splices = _count_calls(monkeypatch, "yoneda_product_of_ses")
+    images = _count_calls(monkeypatch, "_connecting_image")
     d = all_split()
     extend_diagram(d)
-    assert (len(snakes), len(products)) == (1, 3)   # ef, hg, connecting image
+    assert (len(snakes), len(splices), len(images)) == (1, 2, 1)   # ef and hg spliced
     extend_diagram(d)
     check_uniqueness(d)
-    assert (len(snakes), len(products)) == (1, 3)
+    assert (len(snakes), len(splices), len(images)) == (1, 2, 1)
 
 
 def test_memo_holds_one_diagram():
@@ -310,6 +313,37 @@ def test_variant_cocycle_reports_obstruction():
     with pytest.raises(NotExtendableError) as exc:
         extend_with_variant_cocycle(random.Random(0), d)
     assert exc.value.report is not None and not exc.value.report.is_zero
+
+
+def test_snake_cross_check_builds_no_zero_kernel_or_cokernel(monkeypatch):
+    # in the ladder (id_R, p_f, G -> Q) id_R is injective and all three
+    # verticals are surjective, so of the six kernels and cokernels only
+    # ker(p_f) and ker(G -> Q), both S, have generators, and no cokernel is
+    # shrunk
+    kernels, shrinks, in_cokernel = [], [], []
+    real_kernel, real_cokernel = modules_module.morphism_kernel, modules_module.morphism_cokernel
+    real_shrink = modules_module.shrink_generators
+
+    def cokernel(f):
+        in_cokernel.append(f)
+        try:
+            return real_cokernel(f)
+        finally:
+            in_cokernel.pop()
+
+    monkeypatch.setattr(modules_module, "morphism_kernel", lambda f: kernels.append(real_kernel(f)) or kernels[-1])
+    monkeypatch.setattr(modules_module, "morphism_cokernel", cokernel)
+    monkeypatch.setattr(modules_module, "shrink_generators",
+                        lambda a: (shrinks.append(a) if in_cokernel else None) or real_shrink(a))
+    grids = 0
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
+        rng = random.Random(f"snake {ring}")
+        for _ in range(8):
+            kernels.clear()
+            build_Y(random_diagram(rng, ring, 16))
+            assert len(kernels) == 3 and sum(k.generators > 0 for k, _inclusion in kernels) <= 2
+            grids += 1
+    assert grids == 40 and not shrinks
 
 
 # Faults that can only occur after the diagram is accepted: each is the
@@ -556,7 +590,7 @@ def _restriction_route_outcome(d) -> str:
     """Check the restriction route of ``d`` against the resolved sum and
     return the diagram's kind: obstructed, unique or not unique."""
     by = build_Y(d)
-    tau, ref_tau = _tau_ses(d, by), resolved_restriction_data(d, by)
+    tau, ref_tau = tau_ses(d, by), resolved_restriction_data(d, by)
     assert class_of_ses(tau).same_as(ref_tau)
     assert yoneda_product_of_ses(tau, by.ses).same_as(obstruction(d).baer_sum)
     xi, ref_xi = _solve_restriction(d, by), resolved_solve_restriction(d, by, ref_tau)
@@ -623,13 +657,35 @@ def test_restriction_cochain_solve_matches_the_ext_solve():
 
 
 def test_split_tau_sequence_makes_the_obstruction_routes_disagree(monkeypatch):
-    # the connecting image of the split sequence is zero, the product
-    # obstruction of the obstructed fixture is not
+    # zero cocycles are those of the split tau sequence: their connecting
+    # image is zero, the product obstruction of the obstructed fixture is not
     d = parse((FIXTURES / "obstructed.json").read_text(encoding="utf-8")).diagrams["D"]
     assert not obstruction(d).is_zero
-    monkeypatch.setattr(diagram_module, "_tau_ses", lambda dg, by: split_ses(dg.p, by.rs.module))
+    real = diagram_module._tau
+    monkeypatch.setattr(diagram_module, "_tau", lambda dg: tuple(phi.scale(0) for phi in real(dg)))
     with pytest.raises(AssertionError, match="obstruction routes disagree"):
         extend_diagram(d)
+
+
+def test_connecting_image_chain_lift_matches_the_splice_and_the_products():
+    # route 2 lifts tau's cocycles along the Y-sequence, the reference
+    # splices tau's sequence with it, and route 1 splices the rows with the
+    # columns: all three agree coordinate for coordinate.  Classes of order
+    # 3 or more (over Z/9, Z/27 and Z) are where a sign slip in tau's
+    # cocycles would show; over Z, Ext^2 is zero, so no draw is obstructed
+    obstructed, signed = 0, collections.Counter()
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(16), Zmod(27), ZZ):
+        rng = random.Random(f"connecting image {ring}")
+        for _ in range(40):
+            d = random_diagram(rng, ring, 32)
+            by = build_Y(d)
+            lifted, spliced = _connecting_image(d, by), yoneda_product_of_ses(tau_ses(d, by), by.ses)
+            assert lifted.coords == spliced.coords == obstruction(d).baer_sum.coords
+            obstructed += not lifted.is_zero()
+            if max(_class_order(class_of_ses(d.row_top)), _class_order(class_of_ses(d.col_left))) >= 3:
+                signed[str(ring)] += 1
+    assert obstructed >= 15
+    assert min(signed[str(ring)] for ring in (Zmod(9), Zmod(27), ZZ)) >= 3, signed
 
 
 def test_uniqueness_image_counts_the_classes_over_y():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,18 @@ def test_kic_zero_map():
     assert morphism_cokernel(f)[0].cardinality() == 2
 
 
+def test_zero_kernel_and_cokernel_over_z():
+    # over Z an infinite source or target is decided by the kernel, not by
+    # counting orders; the rules are the same
+    for f, injective, surjective in ((hom(Zf, Zf, [[2]]), True, False), (hom(Zf, Z2z, [[1]]), False, True),
+                                     (hom(Z2z, Z4z, [[2]]), True, False), (identity_morphism(Zf), True, True)):
+        kernel, kernel_inclusion = morphism_kernel(f)
+        cokernel, cokernel_projection = morphism_cokernel(f)
+        assert (kernel.generators == 0) == injective
+        assert (cokernel.relations == ExactMatrix.identity(ZZ, f.target.generators)) == surjective
+        assert is_exact([kernel_inclusion, f, cokernel_projection])
+
+
 def test_cardinality_multiplicative():
     for f in (hom(Z4m, Z4m, [[2]]), hom(Z4m, Z2m, [[1]]), zero_morphism(Z2m, Z4m)):
         assert f.source.cardinality() == morphism_kernel(f)[0].cardinality() * morphism_image(f)[0].cardinality()
@@ -194,9 +207,20 @@ def finite_homs(draw):
 @given(finite_homs())
 @settings(max_examples=100, deadline=None)
 def test_kernel_image_cokernel_of_random_homs(f):
+    # an injective map's kernel is the zero module on no generators, and a
+    # surjective map's cokernel keeps the target's generators with identity
+    # relations, built with no elimination
     kernel, kernel_inclusion = morphism_kernel(f)
     image, inclusion, corestriction = morphism_image(f)
-    cokernel, cokernel_projection = morphism_cokernel(f)
+    shrunk = []
+    with mock.patch.object(modules, "shrink_generators", lambda a: shrunk.append(a) or linalg.shrink_generators(a)):
+        cokernel, cokernel_projection = morphism_cokernel(f)
+    assert (kernel.generators == 0) == f.is_injective()
+    if f.is_surjective():
+        assert cokernel.relations == ExactMatrix.identity(f.target.ring, f.target.generators)
+        assert not shrunk
+    else:
+        assert len(shrunk) == 1
     assert f.source.cardinality() == kernel.cardinality() * image.cardinality()
     assert f.target.cardinality() == image.cardinality() * cokernel.cardinality()
     assert is_exact([kernel_inclusion, corestriction])
