@@ -35,7 +35,6 @@ answer.  Kernels and Smith transforms are never kept here; the callers of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from operator import add, mul
@@ -48,16 +47,46 @@ IntRows = tuple[tuple[int, ...], ...]
 CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
     """Immutable dense matrix over a :class:`RingSpec`, row-major entries.
     :meth:`from_rows` and :meth:`from_cols` are the checked entries for outside
-    data; the plain constructor, used by the operations below, checks nothing."""
+    data; the plain constructor, used by the operations below, checks nothing.
 
-    ring: RingSpec
-    rows: int
-    cols: int
-    data: IntRows
+    A value type built with plain slot stores: equality is by value on every
+    field (an object equals itself at once), and the hash is computed on first
+    use and kept.  Nothing assigns to a field after ``__init__``; a test scans
+    the sources for such stores in place of a run-time guard, which would cost
+    every build and every field read."""
+
+    __slots__ = ("ring", "rows", "cols", "data", "_hash")
+
+    def __init__(self, ring: RingSpec, rows: int, cols: int, data: IntRows):
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self._hash = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols and self.data == other.data
+                and self.ring == other.ring)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.ring, self.rows, self.cols, self.data))
+        return h
+
+    def __reduce__(self):
+        # the kept hash reads the ring's, which differs between processes
+        return ExactMatrix, (self.ring, self.rows, self.cols, self.data)
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r}, data={self.data!r})"
 
     # -- constructors ------------------------------------------------------
 
@@ -137,18 +166,23 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols, self.ring) != (other.rows, other.cols, other.ring):
             raise ValueError("matrix sum shape/ring mismatch")
-        red = self.ring.reduce
-        return ExactMatrix(
-            self.ring, self.rows, self.cols,
-            tuple(tuple(red(a + b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-        )
+        m = self.ring.modulus
+        if m:
+            data = tuple([tuple([(a + b) % m for a, b in zip(r1, r2)]) for r1, r2 in zip(self.data, other.data)])
+        else:
+            data = tuple([tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)])
+        return ExactMatrix(self.ring, self.rows, self.cols, data)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
 
     def __neg__(self) -> "ExactMatrix":
-        red = self.ring.reduce
-        return ExactMatrix(self.ring, self.rows, self.cols, tuple(tuple(red(-x) for x in r) for r in self.data))
+        m = self.ring.modulus
+        if m:
+            data = tuple([tuple([-x % m for x in r]) for r in self.data])
+        else:
+            data = tuple([tuple([-x for x in r]) for r in self.data])
+        return ExactMatrix(self.ring, self.rows, self.cols, data)
 
     def scale(self, c: int) -> "ExactMatrix":
         red = self.ring.reduce

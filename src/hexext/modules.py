@@ -36,17 +36,41 @@ from .linalg import (
 from .rings import RingSpec
 
 
-@dataclass(frozen=True)
 class PresentedModule:
-    """``ring^generators`` modulo the column span of ``relations``."""
+    """``ring^generators`` modulo the column span of ``relations``.
 
-    ring: RingSpec
-    generators: int
-    relations: ExactMatrix
+    A value type like :class:`~hexext.linalg.ExactMatrix`: plain slot
+    stores, equality by value with an identity fast path, and the hash
+    computed once."""
 
-    def __post_init__(self):
-        if self.relations.rows != self.generators or self.relations.ring != self.ring:
+    __slots__ = ("ring", "generators", "relations", "_hash")
+
+    def __init__(self, ring: RingSpec, generators: int, relations: ExactMatrix):
+        if relations.rows != generators or relations.ring != ring:
             raise ValueError("relation matrix must have one row per generator over the same ring")
+        self.ring = ring
+        self.generators = generators
+        self.relations = relations
+        self._hash = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators and self.relations == other.relations and self.ring == other.ring
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.ring, self.generators, self.relations))
+        return h
+
+    def __reduce__(self):
+        return PresentedModule, (self.ring, self.generators, self.relations)
+
+    def __repr__(self) -> str:
+        return f"PresentedModule(ring={self.ring!r}, generators={self.generators!r}, relations={self.relations!r})"
 
     @staticmethod
     def make(ring: RingSpec, generators: int, relation_cols: list[list[int]]) -> "PresentedModule":
@@ -130,16 +154,34 @@ def _structure(m: PresentedModule):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ModuleMorphism:
     """A matrix on generators (target generators x source generators) that
     maps every source relation into the target relation span.  The
     constructor checks nothing; :func:`hom` is the checked entry for matrices
-    from outside the library."""
+    from outside the library.
 
-    source: PresentedModule
-    target: PresentedModule
-    matrix: ExactMatrix
+    A value type like :class:`PresentedModule`, except that its hash, rarely
+    asked for, is not kept."""
+
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: PresentedModule, target: PresentedModule, matrix: ExactMatrix):
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.source == other.source and self.target == other.target and self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"ModuleMorphism(source={self.source!r}, target={self.target!r}, matrix={self.matrix!r})"
 
     def apply(self, vec) -> tuple[int, ...]:
         return self.matrix.apply(vec)

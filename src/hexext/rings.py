@@ -2,30 +2,66 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from weakref import WeakValueDictionary
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """The base ring ``Z`` or ``Z/m`` (modulus m >= 2).
 
     Every module, matrix and morphism in this package carries one of these.
     Elements of ``Z/m`` are always stored as canonical representatives in
     ``range(m)``.
+
+    The constructor interns: while a ring is alive, building it again returns
+    the same object, so the equality tests on the hot path end at ``is``.
+    Equality stays by value all the same.  Only a few rings are ever built,
+    so assignment is refused at run time.
     """
 
-    kind: str  # "Z" | "Zmod"
-    modulus: int | None = None
+    __slots__ = ("kind", "modulus", "_hash", "__weakref__")
+    _interned: WeakValueDictionary = WeakValueDictionary()
 
-    def __post_init__(self):
-        if self.kind == "Z":
-            if self.modulus is not None:
+    def __new__(cls, kind: str, modulus: int | None = None) -> "RingSpec":
+        if kind == "Z":
+            if modulus is not None:
                 raise ValueError("ring Z carries no modulus")
-        elif self.kind == "Zmod":
-            if not isinstance(self.modulus, int) or self.modulus < 2:
+        elif kind == "Zmod":
+            if not isinstance(modulus, int) or modulus < 2:
                 raise ValueError("modulus must be an integer >= 2")
         else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise ValueError(f"unknown ring kind {kind!r}")
+        key = (kind, modulus)
+        ring = cls._interned.get(key)
+        if ring is None:
+            ring = object.__new__(cls)
+            object.__setattr__(ring, "kind", kind)
+            object.__setattr__(ring, "modulus", modulus)
+            object.__setattr__(ring, "_hash", hash(key))
+            cls._interned[key] = ring
+        return ring
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RingSpec, (self.kind, self.modulus)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"RingSpec(kind={self.kind!r}, modulus={self.modulus!r})"
 
     @property
     def is_modular(self) -> bool:

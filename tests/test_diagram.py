@@ -347,20 +347,22 @@ def test_snake_cross_check_builds_no_zero_kernel_or_cokernel(monkeypatch):
 
 
 # Faults that can only occur after the diagram is accepted: each is the
-# engine's own failure, never a verdict that the diagram does not extend
+# engine's own failure, never a verdict that the diagram does not extend.
+# Only the snake's third-kernel check compares modules up to isomorphism
 ENGINE_FAULTS = [
-    ("_solve_matrix", lambda *a, **k: None, "restriction classes matched but grid maps are unsolvable"),
-    ("validate_extension", lambda *a: ["forced"], "constructed extension failed validation: forced"),
-    ("is_exact", lambda *a, **k: False, "snake cross-check failed for the derived grid"),
-    ("_first_outside", lambda *a, **k: 0, "a restricted or chased cochain is not a cocycle"),
+    (diagram_module, "_solve_matrix", lambda *a, **k: None, "restriction classes matched but grid maps are unsolvable"),
+    (diagram_module, "validate_extension", lambda *a: ["forced"], "constructed extension failed validation: forced"),
+    (diagram_module, "is_exact", lambda *a, **k: False, "snake cross-check failed for the derived grid"),
+    (diagram_module, "_first_outside", lambda *a, **k: 0, "a restricted or chased cochain is not a cocycle"),
+    (PresentedModule, "is_isomorphic_to", lambda *a: False, "kernel of G -> Q does not match S in the derived grid"),
 ]
 
 
-@pytest.mark.parametrize("name, fake, message", ENGINE_FAULTS, ids=[f[0] for f in ENGINE_FAULTS])
-def test_engine_fault_is_an_assertion(name, fake, message, monkeypatch):
+@pytest.mark.parametrize("owner, name, fake, message", ENGINE_FAULTS, ids=[f[1] for f in ENGINE_FAULTS])
+def test_engine_fault_is_an_assertion(owner, name, fake, message, monkeypatch):
     # a freshly parsed diagram, so the memo holds no fact of it
     d = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8")).diagrams["D"]
-    monkeypatch.setattr(diagram_module, name, fake)
+    monkeypatch.setattr(owner, name, fake)
     with pytest.raises(AssertionError, match=f"^{message}$"):
         extend_diagram(d)
 

@@ -1,6 +1,7 @@
 """Exact linear algebra: Smith form invariants, solving, kernels."""
 
 from math import gcd, prod
+from weakref import WeakValueDictionary
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from hexext.linalg import (
     smith_lattice,
     solve_linear,
 )
-from hexext.rings import ZZ, Zmod, xgcd
+from hexext.rings import ZZ, RingSpec, Zmod, xgcd
 
 R4 = Zmod(4)
 
@@ -245,6 +246,60 @@ def test_solve_builds_no_smith_form(monkeypatch):
         sol = solve_linear(a, a.apply(x))
         assert sol is not None and solve_linear(a, a.apply(x)) == sol
     assert calls == []
+
+
+# -- value semantics -----------------------------------------------------------
+
+
+def test_rings_are_interned_and_keep_their_messages():
+    assert Zmod(7) is Zmod(7) and Zmod(4) is R4 and ZZ is RingSpec("Z")
+    assert Zmod(4) != Zmod(8) and ZZ != R4 and hash(Zmod(6)) == hash(("Zmod", 6))
+    assert repr(R4) == "RingSpec(kind='Zmod', modulus=4)" and repr(ZZ) == "RingSpec(kind='Z', modulus=None)"
+    for args, message in [(("Z", 4), "ring Z carries no modulus"), (("Zmod", 1), "modulus must be an integer >= 2"),
+                          (("Zmod", "4"), "modulus must be an integer >= 2"), (("Q",), "unknown ring kind 'Q'")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RingSpec(*args)
+
+
+def test_a_ring_built_outside_the_intern_table_compares_by_value(monkeypatch):
+    # an emptied table builds a second Z/4, as a ring from outside the
+    # constructors would be: it and everything over it compare by value
+    monkeypatch.setattr(RingSpec, "_interned", WeakValueDictionary())
+    stray = Zmod(4)
+    assert stray is not R4 and stray == R4 and hash(stray) == hash(R4)
+    assert ExactMatrix.from_rows(stray, [[1, 2]]) == ExactMatrix.from_rows(R4, [[1, 2]])
+    assert ExactMatrix.identity(stray, 2) @ ExactMatrix.identity(R4, 2) == ExactMatrix.identity(R4, 2)
+
+
+def test_matrices_are_values():
+    from hexext.modules import _preimage
+
+    rows = [[1, 2, 3], [0, 2, 1]]
+    a, b = mat(R4, rows), mat(R4, rows)
+    assert a is not b and a == b and hash(a) == hash(b)
+    rels = ExactMatrix.from_cols(R4, [[2, 0]], 2)
+    first = _preimage(a, rels)
+    hits = _preimage.cache_info().hits
+    assert _preimage(b, mat(R4, [[2], [0]])) is first
+    assert _preimage.cache_info().hits == hits + 1
+    # a difference in ring alone, in cols alone, or in rows alone with no
+    # columns makes the matrices unequal
+    assert mat(Zmod(8), rows) != a and mat(ZZ, rows) != a
+    assert ExactMatrix(R4, 0, 2, ()) != ExactMatrix(R4, 0, 3, ())
+    assert ExactMatrix(R4, 2, 0, ()) != ExactMatrix(R4, 3, 0, ())
+    assert ExactMatrix.zeros(R4, 2, 0) != ExactMatrix.zeros(R4, 3, 0)
+    assert a != (a.ring, a.rows, a.cols, a.data) and (a.ring, a.rows, a.cols, a.data) != a
+    assert repr(ExactMatrix(R4, 1, 2, ((1, 3),))) == (
+        "ExactMatrix(ring=RingSpec(kind='Zmod', modulus=4), rows=1, cols=2, data=((1, 3),))")
+
+
+def test_sums_and_negatives_reduce_entrywise():
+    for ring in (ZZ, R4, Zmod(9)):
+        a, b = mat(ring, [[1, -7, 3], [5, 0, -2]]), mat(ring, [[3, 4, -8], [-5, 6, 2]])
+        red = ring.reduce
+        assert (a + b).data == tuple(tuple(red(x + y) for x, y in zip(r, s)) for r, s in zip(a.data, b.data))
+        assert (-a).data == tuple(tuple(red(-x) for x in r) for r in a.data)
+        assert a - a == ExactMatrix.zeros(ring, 2, 3)
 
 
 def test_constructors_reject_mismatched_shapes():

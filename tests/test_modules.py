@@ -599,6 +599,47 @@ def test_snake_element_chase_small():
         assert got == ca.canonical_rep(al)
 
 
+# -- value semantics --------------------------------------------------------------------
+
+
+def test_modules_are_values():
+    from hexext.ext import ext_module
+
+    a, b = PresentedModule.make(R4, 2, [[2, 0], [1, 1]]), PresentedModule.make(R4, 2, [[2, 0], [1, 1]])
+    assert a is not b and a == b and hash(a) == hash(b)
+    for cached, call in [(modules._structure, modules._structure),
+                         (ext_module, lambda m: ext_module(1, m, Z2m))]:
+        first = call(a)
+        hits = cached.cache_info().hits
+        assert call(b) is first and cached.cache_info().hits == hits + 1
+    # a difference in ring alone, or in the relations' cols alone, makes the
+    # modules unequal
+    assert PresentedModule.cyclic(Zmod(8), 2) != Z2m and PresentedModule.cyclic(ZZ, 2) != Z2m
+    assert PresentedModule.free(R4, 1) != PresentedModule(R4, 1, ExactMatrix.zeros(R4, 1, 1))
+    assert PresentedModule.zero(R4) != PresentedModule.zero(ZZ)
+    assert a != (a.ring, a.generators, a.relations) and (a.ring, a.generators, a.relations) != a
+    with pytest.raises(ValueError, match="one row per generator over the same ring"):
+        PresentedModule(R4, 2, ExactMatrix.zeros(R4, 1, 0))
+    with pytest.raises(ValueError, match="one row per generator over the same ring"):
+        PresentedModule(Zmod(8), 1, ExactMatrix.zeros(R4, 1, 0))
+    assert repr(Z2m) == ("PresentedModule(ring=RingSpec(kind='Zmod', modulus=4), generators=1, relations="
+                         "ExactMatrix(ring=RingSpec(kind='Zmod', modulus=4), rows=1, cols=1, data=((2,),)))")
+
+
+def test_morphisms_are_values():
+    f, g = hom(Z4m, Z2m, [[1]]), hom(PresentedModule.free(R4, 1), PresentedModule.cyclic(R4, 2), [[1]])
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != hom(Z2m, Z2m, [[1]]) and f != hom(Z4m, Z4m, [[2]]) and f != hom(Z4m, Z2m, [[3]])
+    assert hom(Zf, Z2z, [[1]]) != f
+    assert f != (f.source, f.target, f.matrix) and (f.source, f.target, f.matrix) != f
+    assert repr(zero_morphism(PresentedModule.zero(R4), PresentedModule.zero(R4))) == (
+        "ModuleMorphism(source=PresentedModule(ring=RingSpec(kind='Zmod', modulus=4), generators=0, relations="
+        "ExactMatrix(ring=RingSpec(kind='Zmod', modulus=4), rows=0, cols=0, data=())), target=PresentedModule("
+        "ring=RingSpec(kind='Zmod', modulus=4), generators=0, relations=ExactMatrix(ring=RingSpec(kind='Zmod', "
+        "modulus=4), rows=0, cols=0, data=())), matrix=ExactMatrix(ring=RingSpec(kind='Zmod', modulus=4), rows=0, "
+        "cols=0, data=()))")
+
+
 # -- canonicalization ------------------------------------------------------------------
 
 
