@@ -338,7 +338,7 @@ def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
                                             cochains.generators))
         rhs.append(_flatten(tau).col(0))
         rels.append(cochains.relations)
-    target = PresentedModule(ring, blocks[0].rows + blocks[1].rows, block_diag(ring, rels))
+    target = PresentedModule(block_diag(ring, rels))
     rho = ModuleMorphism(e_y.presentation, target, blocks[0].vstack(blocks[1]))
     x = lift(rho, ExactMatrix.from_cols(ring, [rhs[0] + rhs[1]], target.generators))
     if x is None:

@@ -33,7 +33,7 @@ from .diagram import Diagram3x3, DiagramExtension
 from .errors import HexextError, WellDefinednessError
 from .hexagon import HexagonFrame
 from .linalg import ExactMatrix
-from .modules import ModuleMorphism, PresentedModule, ShortExactSequence, _ses, hom
+from .modules import ModuleMorphism, PresentedModule, ShortExactSequence, hom
 from .rings import RingSpec, ZZ, Zmod
 
 _BIG = 1 << 53
@@ -204,7 +204,7 @@ def parse(text: str) -> DocumentModel:
         cols = [[_as_int(x) for x in col] for col in rels]
         if any(len(c) != g for c in cols):
             raise SemanticError(f"module {name}: relation column length must equal generators")
-        model.modules[name] = PresentedModule(ring, g, ExactMatrix.from_cols(ring, cols, g))
+        model.modules[name] = PresentedModule.make(ring, g, cols)
         model.module_ring_names[name] = rname
 
     for name, spec in _section(doc, "morphisms").items():
@@ -234,7 +234,7 @@ def parse(text: str) -> DocumentModel:
         inj, proj = model.morphisms[inj_name], model.morphisms[proj_name]
         if inj.target != proj.source:
             raise SemanticError(f"{what}/{key}: inject and project do not compose")
-        return _ses(inj, proj)  # exactness is the diagram's to check
+        return ShortExactSequence(inj, proj)  # exactness is the diagram's to check
 
     for name, spec in _section(doc, "diagrams").items():
         corners = _refs(spec, _CORNERS, model.modules, f"diagram {name}: unknown module for corner")

@@ -221,8 +221,7 @@ def _cochains(degree: int, res: FreeResolution, p: PresentedModule) -> Presented
     if degree == 0:
         return h
     d_in = res.differential(degree)
-    return PresentedModule(p.ring, h.generators,
-                           _induced_matrix(d_in, p, d_in.rows, rank).hstack(h.relations))
+    return PresentedModule(_induced_matrix(d_in, p, d_in.rows, rank).hstack(h.relations))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,7 @@ def ses_of_cocycle(e: ExtModule, phi: ExactMatrix) -> ShortExactSequence:
         cols.append(list(p.relations.col(j)) + [0] * f0)
     for j in range(f1):
         cols.append([-x for x in phi.col(j)] + list(res.d1.col(j)))
-    x = PresentedModule(ring, gp + f0, ExactMatrix.from_cols(ring, cols, gp + f0))
+    x = PresentedModule.make(ring, gp + f0, cols)
     inj = ModuleMorphism(p, x, ExactMatrix.identity(ring, gp).vstack(ExactMatrix.zeros(ring, f0, gp)))
     proj = ModuleMorphism(x, q, ExactMatrix.zeros(ring, q.generators, gp).hstack(ExactMatrix.identity(ring, f0)))
     return make_ses(inj, proj)

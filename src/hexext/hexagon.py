@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .diagram import Diagram3x3, DiagramExtension, _require_valid, compatible_isomorphism, extend_diagram
 from .errors import FrameInvalidError, InvalidDiagramError, NonComposableError, WellDefinednessError
-from .modules import (ModuleMorphism, PresentedModule, _ses, exactness_violations, hom,
+from .modules import (ModuleMorphism, PresentedModule, ShortExactSequence, exactness_violations, hom,
                       lift_through_inclusion, morphism_image)
 
 
@@ -105,10 +105,10 @@ def fold_frame(f: HexagonFrame) -> FoldResult:
         pi_gq = lift_through_inclusion(incl_q, f.r)     # B2 -> Q, corestriction of r
     except NonComposableError:
         raise FrameInvalidError([_FRAME_CONDITIONS["rowBottom/right"]]) from None
-    diagram = Diagram3x3(row_top=_ses(nu, pi_er),         # 0 -> P -> A2 -> im(d) -> 0
-                         row_bottom=_ses(incl_s, pi_gq),  # 0 -> im(topB) -> B2 -> Q -> 0
-                         col_left=_ses(mu, pi_hs),        # 0 -> P -> B1 -> im(topB) -> 0
-                         col_right=_ses(incl_r, pi_fq))   # 0 -> im(d) -> A3 -> Q -> 0
+    diagram = Diagram3x3(row_top=ShortExactSequence(nu, pi_er),         # 0 -> P -> A2 -> im(d) -> 0
+                         row_bottom=ShortExactSequence(incl_s, pi_gq),  # 0 -> im(topB) -> B2 -> Q -> 0
+                         col_left=ShortExactSequence(mu, pi_hs),        # 0 -> P -> B1 -> im(topB) -> 0
+                         col_right=ShortExactSequence(incl_r, pi_fq))   # 0 -> im(d) -> A3 -> Q -> 0
     try:
         _require_valid(diagram)
     except InvalidDiagramError as exc:

@@ -39,50 +39,45 @@ from .rings import RingSpec
 class PresentedModule:
     """``ring^generators`` modulo the column span of ``relations``.
 
-    A value type like :class:`~hexext.linalg.ExactMatrix`: plain slot
-    stores, equality by value with an identity fast path, and the hash
-    computed once."""
+    The relation matrix defines the module: its ring and its row count are
+    the module's ring and generator count, kept in slots of their own so
+    that reading them costs a slot read.  Equality and hash are those of
+    the matrix."""
 
-    __slots__ = ("ring", "generators", "relations", "_hash")
+    __slots__ = ("ring", "generators", "relations")
 
-    def __init__(self, ring: RingSpec, generators: int, relations: ExactMatrix):
-        if relations.rows != generators or relations.ring != ring:
-            raise ValueError("relation matrix must have one row per generator over the same ring")
-        self.ring = ring
-        self.generators = generators
+    def __init__(self, relations: ExactMatrix):
+        self.ring = relations.ring
+        self.generators = relations.rows
         self.relations = relations
-        self._hash = None
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.generators == other.generators and self.relations == other.relations and self.ring == other.ring
+        return self.relations == other.relations
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.ring, self.generators, self.relations))
-        return h
+        return hash(self.relations)
 
     def __reduce__(self):
-        return PresentedModule, (self.ring, self.generators, self.relations)
+        return PresentedModule, (self.relations,)
 
     def __repr__(self) -> str:
-        return f"PresentedModule(ring={self.ring!r}, generators={self.generators!r}, relations={self.relations!r})"
+        return f"PresentedModule(relations={self.relations!r})"
 
     @staticmethod
     def make(ring: RingSpec, generators: int, relation_cols: list[list[int]]) -> "PresentedModule":
-        return PresentedModule(ring, generators, ExactMatrix.from_cols(ring, relation_cols, generators))
+        return PresentedModule(ExactMatrix.from_cols(ring, relation_cols, generators))
 
     @staticmethod
     def zero(ring: RingSpec) -> "PresentedModule":
-        return PresentedModule(ring, 0, ExactMatrix.zeros(ring, 0, 0))
+        return PresentedModule(ExactMatrix.zeros(ring, 0, 0))
 
     @staticmethod
     def free(ring: RingSpec, rank: int) -> "PresentedModule":
-        return PresentedModule(ring, rank, ExactMatrix.zeros(ring, rank, 0))
+        return PresentedModule(ExactMatrix.zeros(ring, rank, 0))
 
     @staticmethod
     def cyclic(ring: RingSpec, order: int) -> "PresentedModule":
@@ -160,8 +155,8 @@ class ModuleMorphism:
     constructor checks nothing; :func:`hom` is the checked entry for matrices
     from outside the library.
 
-    A value type like :class:`PresentedModule`, except that its hash, rarely
-    asked for, is not kept."""
+    A value type like :class:`PresentedModule`, compared by all three
+    fields; its hash, rarely asked for, is not kept."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -300,7 +295,7 @@ def preimage_kernel_columns(f: ModuleMorphism) -> ExactMatrix:
 def submodule_generated(ambient: PresentedModule, gens: ExactMatrix):
     """The submodule generated by the given coefficient columns, presented on
     those columns, with its inclusion morphism."""
-    sub = PresentedModule(ambient.ring, gens.cols, _preimage(gens, ambient.relations))
+    sub = PresentedModule(_preimage(gens, ambient.relations))
     return sub, ModuleMorphism(sub, ambient, gens)
 
 
@@ -319,11 +314,9 @@ def morphism_image(f: ModuleMorphism):
     """``(im f, inclusion into the target, corestriction from the source)``;
     the image is the source modulo ker f, presented on the source generators,
     so the corestriction's matrix is the identity."""
-    ring = f.source.ring
-    image = PresentedModule(ring, f.source.generators,
-                            shrink_generators(f.source.relations.hstack(preimage_kernel_columns(f))))
+    image = PresentedModule(shrink_generators(f.source.relations.hstack(preimage_kernel_columns(f))))
     return (image, ModuleMorphism(image, f.target, f.matrix),
-            ModuleMorphism(f.source, image, ExactMatrix.identity(ring, f.source.generators)))
+            ModuleMorphism(f.source, image, ExactMatrix.identity(f.source.ring, f.source.generators)))
 
 
 def morphism_cokernel(f: ModuleMorphism):
@@ -335,7 +328,7 @@ def morphism_cokernel(f: ModuleMorphism):
     ring, g = f.target.ring, f.target.generators
     rels = (ExactMatrix.identity(ring, g) if f.is_surjective()
             else shrink_generators(f.target.relations.hstack(f.matrix)))
-    coker = PresentedModule(ring, g, rels)
+    coker = PresentedModule(rels)
     return coker, ModuleMorphism(f.target, coker, ExactMatrix.identity(ring, g))
 
 
@@ -357,9 +350,7 @@ def direct_sum(a: PresentedModule, b: PresentedModule) -> DirectSum:
     if a.ring != b.ring:
         raise NonComposableError("direct sum over different rings")
     ring = a.ring
-    g = a.generators + b.generators
-    rels = block_diag(ring, [a.relations, b.relations])
-    m = PresentedModule(ring, g, rels)
+    m = PresentedModule(block_diag(ring, [a.relations, b.relations]))
     ia = ExactMatrix.identity(ring, a.generators).vstack(ExactMatrix.zeros(ring, b.generators, a.generators))
     ib = ExactMatrix.zeros(ring, a.generators, b.generators).vstack(ExactMatrix.identity(ring, b.generators))
     pa = ExactMatrix.identity(ring, a.generators).hstack(ExactMatrix.zeros(ring, a.generators, b.generators))
@@ -456,35 +447,40 @@ def exactness_violations(name: str, maps: list[ModuleMorphism]) -> list[str]:
 
 @dataclass(frozen=True)
 class ShortExactSequence:
-    left: PresentedModule
-    middle: PresentedModule
-    right: PresentedModule
+    """``0 -> left -> middle -> right -> 0``, defined by its two maps: its
+    three objects are the maps' ends.  The constructor checks nothing; it is
+    for sequences whose exactness the caller has already established or
+    checks right after.  :func:`make_ses` is the checked one."""
+
     inject: ModuleMorphism
     project: ModuleMorphism
 
+    @property
+    def left(self) -> PresentedModule:
+        return self.inject.source
+
+    @property
+    def middle(self) -> PresentedModule:
+        return self.inject.target
+
+    @property
+    def right(self) -> PresentedModule:
+        return self.project.target
+
 
 def make_ses(inject: ModuleMorphism, project: ModuleMorphism) -> ShortExactSequence:
-    """Validated constructor: inject injective, project surjective, image =
-    kernel in the middle."""
-    if inject.target != project.source:
-        raise NonComposableError("injection and projection do not compose")
-    report = exactness_report([inject, project])
-    for pos, verdict in report:
+    """Validated constructor: the maps compose, inject is injective, project
+    surjective, and image = kernel in the middle."""
+    for pos, verdict in exactness_report([inject, project]):
         if verdict != EXACT:
             raise NotExactError(f"{pos}: {verdict}")
-    return _ses(inject, project)
-
-
-def _ses(inject: ModuleMorphism, project: ModuleMorphism) -> ShortExactSequence:
-    """Unchecked constructor, for sequences whose exactness the caller has
-    already established or checks right after."""
-    return ShortExactSequence(inject.source, inject.target, project.target, inject, project)
+    return ShortExactSequence(inject, project)
 
 
 def split_ses(a: PresentedModule, b: PresentedModule) -> ShortExactSequence:
     """``0 -> A -> A (+) B -> B -> 0``; a direct sum, exact by construction."""
     ds = direct_sum(a, b)
-    return _ses(ds.inject_left, ds.project_right)
+    return ShortExactSequence(ds.inject_left, ds.project_right)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +490,7 @@ def split_ses(a: PresentedModule, b: PresentedModule) -> ShortExactSequence:
 
 def _hom_space(rank: int, p: PresentedModule) -> PresentedModule:
     """Hom(free^rank, P) = P^rank, flattened with index (j, a) -> j*g_P + a."""
-    return PresentedModule(p.ring, rank * p.generators,
-                           block_diag(p.ring, [p.relations] * rank) if rank else ExactMatrix.zeros(p.ring, 0, 0))
+    return PresentedModule(block_diag(p.ring, [p.relations] * rank) if rank else ExactMatrix.zeros(p.ring, 0, 0))
 
 
 def _induced_matrix(d: ExactMatrix, p: PresentedModule, rank_from: int, rank_to: int) -> ExactMatrix:
@@ -601,7 +596,7 @@ def _solve_matrix(source: PresentedModule, target: PresentedModule,
     for p_, rhs_m in post:
         mat, flat = mat.vstack(block_diag(ring, [p_.matrix] * gs)), flat.vstack(_flatten(rhs_m.matrix))
         spaces.append(_hom_space(gs, p_.target))
-    ambient = PresentedModule(ring, mat.rows, block_diag(ring, [h.relations for h in spaces]))
+    ambient = PresentedModule(block_diag(ring, [h.relations for h in spaces]))
     z = lift(ModuleMorphism(_hom_space(gs, target), ambient, mat), flat)
     return None if z is None else _unflatten(z.col(0), gt, gs, ring)
 
@@ -694,7 +689,7 @@ def simplify(m: PresentedModule) -> Simplified:
             rel_cols.append((pos, di))
     gN = len(keep)
     rels = ExactMatrix.from_cols(ring, [[di if r == pos else 0 for r in range(gN)] for pos, di in rel_cols], gN)
-    mod = PresentedModule(ring, gN, rels)
+    mod = PresentedModule(rels)
     to_rows = [[u[i][j] for j in range(m.generators)] for i in keep]
     from_rows = [[uinv[i][j] for j in keep] for i in range(m.generators)]
     to_min = ModuleMorphism(m, mod, ExactMatrix.from_rows(ring, to_rows, m.generators))

@@ -551,8 +551,7 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
                     continue
                 classes.add(key)
                 x_mod = PresentedModule.from_invariant_factors(p.ring, list(orders))
-                reps.append(ShortExactSequence(p, x_mod, q, _morphism(p, x_mod, tx, i_imgs),
-                                               _morphism(x_mod, q, tq, p_imgs)))
+                reps.append(ShortExactSequence(_morphism(p, x_mod, tx, i_imgs), _morphism(x_mod, q, tq, p_imgs)))
     return ExtCount(len(reps), reps)
 
 

@@ -59,7 +59,7 @@ def random_module(rng: random.Random, ring: RingSpec, max_order: int,
         a, b = rng.randrange(len(cols)), rng.randrange(len(cols))
         cols.append([x + y for x, y in zip(cols[a], cols[b])])
     rng.shuffle(cols)
-    return PresentedModule(ring, m.generators, ExactMatrix.from_cols(ring, cols, m.generators))
+    return PresentedModule.make(ring, m.generators, cols)
 
 
 def random_class(rng: random.Random, ext):
@@ -93,16 +93,15 @@ def random_diagram(rng: random.Random, ring: RingSpec, max_order: int = 16) -> D
     )
 
 
-def frame_from_diagram(dg: Diagram3x3, rng: random.Random | None = None,
-                       decorate: bool = False) -> HexagonFrame:
+def frame_from_diagram(dg: Diagram3x3, rng: random.Random | None = None) -> HexagonFrame:
     """The hexagon frame whose fold returns (a diagram canonically identified
-    with) ``dg``.  With ``decorate`` the outer corners gain junk summands that
-    folding must quotient away / cut down."""
+    with) ``dg``.  Given an ``rng``, the outer corners gain random junk
+    summands that folding must quotient away / cut down."""
     ring = dg.p.ring
     a1, alpha, beta = dg.p, dg.col_left.inject, dg.row_top.inject
     a4 = dg.q
     r_map, s_map = dg.row_bottom.project, dg.col_right.project
-    if decorate and rng is not None:
+    if rng is not None:
         k = random_module(rng, ring, 4, allow_zero=False)
         ds = direct_sum(dg.p, k)
         a1 = ds.module
@@ -119,10 +118,10 @@ def frame_from_diagram(dg: Diagram3x3, rng: random.Random | None = None,
                         alpha=alpha, beta=beta, top_b=top_b, d=dmap, r=r_map, s=s_map)
 
 
-def random_frame(rng: random.Random, ring: RingSpec, max_order: int = 16,
-                 decorate: bool = True) -> HexagonFrame:
+def random_frame(rng: random.Random, ring: RingSpec, max_order: int = 16) -> HexagonFrame:
+    """A random diagram's frame, decorated with probability 1/2."""
     dg = random_diagram(rng, ring, max_order)
-    return frame_from_diagram(dg, rng, decorate=decorate and rng.random() < 0.5)
+    return frame_from_diagram(dg, rng if rng.random() < 0.5 else None)
 
 
 def random_hom(rng: random.Random, a: PresentedModule, b: PresentedModule):

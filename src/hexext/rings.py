@@ -14,12 +14,13 @@ class RingSpec:
     ``range(m)``.
 
     The constructor interns: while a ring is alive, building it again returns
-    the same object, so the equality tests on the hot path end at ``is``.
-    Equality stays by value all the same.  Only a few rings are ever built,
-    so assignment is refused at run time.
+    the same object, and ``copy``, ``deepcopy`` and ``pickle`` go back through
+    the constructor, so every ring is its interned object and equality is
+    identity.  Only a few rings are ever built, so assignment is refused at
+    run time.
     """
 
-    __slots__ = ("kind", "modulus", "_hash", "__weakref__")
+    __slots__ = ("kind", "modulus", "__weakref__")
     _interned: WeakValueDictionary = WeakValueDictionary()
 
     def __new__(cls, kind: str, modulus: int | None = None) -> "RingSpec":
@@ -37,7 +38,6 @@ class RingSpec:
             ring = object.__new__(cls)
             object.__setattr__(ring, "kind", kind)
             object.__setattr__(ring, "modulus", modulus)
-            object.__setattr__(ring, "_hash", hash(key))
             cls._interned[key] = ring
         return ring
 
@@ -49,16 +49,6 @@ class RingSpec:
 
     def __reduce__(self):
         return RingSpec, (self.kind, self.modulus)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"RingSpec(kind={self.kind!r}, modulus={self.modulus!r})"

@@ -77,7 +77,7 @@ def pushout(f: ModuleMorphism, g: ModuleMorphism) -> Pushout:
     rels = block_diag(ring, [f.target.relations, g.target.relations])
     if skew_cols:
         rels = rels.hstack(ExactMatrix.from_cols(ring, skew_cols, ga + gb))
-    po = PresentedModule(ring, ga + gb, rels)
+    po = PresentedModule(rels)
     ia = ExactMatrix.identity(ring, ga).vstack(ExactMatrix.zeros(ring, gb, ga))
     ib = ExactMatrix.zeros(ring, ga, gb).vstack(ExactMatrix.identity(ring, gb))
     return Pushout(po, ModuleMorphism(f.target, po, ia), ModuleMorphism(g.target, po, ib))
@@ -143,11 +143,9 @@ def baer_sum_explicit(s1: ShortExactSequence, s2: ShortExactSequence) -> ShortEx
     """
     if s1.left != s2.left or s1.right != s2.right:
         raise ArgumentMismatchError("Baer sum needs matching end objects")
-    ring = s1.left.ring
     pb = pullback(s1.project, s2.project)
     skew = pullback_factor(pb, s1.inject, -s2.inject)
-    quot = PresentedModule(ring, pb.module.generators,
-                           shrink_generators(pb.module.relations.hstack(skew.matrix)))
+    quot = PresentedModule(shrink_generators(pb.module.relations.hstack(skew.matrix)))
     diag_p = pullback_factor(pb, s1.inject, zero_morphism(s2.left, s2.middle))
     inj = hom(s1.left, quot, diag_p.matrix)
     proj = hom(quot, s1.right, (s1.project @ pb.to_left).matrix)

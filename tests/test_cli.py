@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and report shapes."""
 
+import collections
 import json
 import os
 import pathlib
@@ -138,10 +139,38 @@ def test_validate_subcommand(capsys):
         assert code == expect and report["ok"]
 
 
+def test_validate_every_named_object_of_every_fixture(capsys):
+    kinds = collections.Counter()
+    for path in sorted(FIXTURES.glob("*.json")):
+        model = parse(path.read_text(encoding="utf-8"))
+        for table in ("diagrams", "hexagons", "extensions", "morphisms", "modules"):
+            for name in getattr(model, table):
+                code, report = run(capsys, "validate", path, name)
+                assert (code, report["ok"], report["kind"]) == (0, True, table[:-1]), (path.name, name)
+                kinds[report["kind"]] += 1
+    assert sum(kinds.values()) == 121 and len(kinds) == 5
+
+
 def test_oracle_compare(capsys):
     code, report = run(capsys, "oracle-compare", FIXTURES / "allsplit.json", "Z2", "Z2")
     assert code == 0 and report["agree"]
     assert report["brute_classes"] == report["computed_order"] == 2
+
+
+@pytest.mark.parametrize("budget, code, message", [
+    ("abc", 2, "HEXEXT_BUDGET must be a positive integer"),
+    ("0", 2, "HEXEXT_BUDGET must be a positive integer"),
+    ("1", 2, "oracle budget exceeded"),
+    ("64", 0, None),
+])
+def test_oracle_budget_from_the_environment(capsys, monkeypatch, budget, code, message):
+    monkeypatch.setenv("HEXEXT_BUDGET", budget)
+    assert main(["oracle-compare", str(FIXTURES / "allsplit.json"), "Z2", "Z2"]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert json.loads(captured.out)["agree"] and captured.err == ""
+    else:
+        assert captured.out == "" and captured.err.startswith("input error: " + message)
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -281,6 +310,9 @@ def test_fuzz_over_a_huge_modulus_finishes():
 
 def test_unknown_name_exits_2(capsys):
     assert main(["validate", str(FIXTURES / "allsplit.json"), "nope"]) == 2
+    assert main(["extend", str(FIXTURES / "allsplit.json"), "Nope"]) == 2
+    err = capsys.readouterr().err
+    assert "no diagram named 'Nope'" in err and "Traceback" not in err
 
 
 def test_stdin_document(capsys, monkeypatch):

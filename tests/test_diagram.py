@@ -8,6 +8,7 @@ import pathlib
 import random
 import sys
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -110,8 +111,7 @@ def test_validate_example_a_ok():
 
 def test_validate_flags_nonsurjective_projection():
     sp = split_ses(Z2m, Z2m)
-    broken = ShortExactSequence(sp.left, sp.middle, sp.right, sp.inject,
-                                zero_morphism(sp.middle, sp.right))
+    broken = ShortExactSequence(sp.inject, zero_morphism(sp.middle, sp.right))
     d = Diagram3x3(row_top=broken, row_bottom=sp, col_left=sp, col_right=sp)
     out = validate_diagram1(d)
     assert any("rowTop" in v for v in out)
@@ -120,7 +120,7 @@ def test_validate_flags_nonsurjective_projection():
 def test_validate_reports_maps_that_do_not_compose():
     sp = split_ses(Z2m, Z2m)
     sp4 = split_ses(Z4m, Z4m)
-    broken = ShortExactSequence(sp.left, sp.middle, sp.right, sp.inject, sp4.project)
+    broken = ShortExactSequence(sp.inject, sp4.project)
     d = Diagram3x3(row_top=broken, row_bottom=sp, col_left=sp, col_right=sp)
     assert "rowTop: maps 0 and 1 do not compose" in validate_diagram1(d)
 
@@ -141,6 +141,58 @@ def test_validate_flags_corner_mismatch():
     sp4 = split_ses(Z4m, Z4m)
     d = Diagram3x3(row_top=sp, row_bottom=sp, col_left=sp4, col_right=sp)
     assert any("corner" in v for v in validate_diagram1(d))
+
+
+def _with_zero_relation(m: PresentedModule) -> PresentedModule:
+    """The same module with one more, zero, relation column: isomorphic to
+    ``m`` but a different value."""
+    return PresentedModule(m.relations.hstack(ExactMatrix.zeros(m.ring, m.generators, 1)))
+
+
+# one targeted change to allsplit's D, or to its solution X1, per violation
+DIAGRAM_VIOLATIONS = {
+    "corner R differs between rowTop and colRight":
+        lambda d: replace(d, col_right=split_ses(_with_zero_relation(d.r), d.q)),
+    "corner Q differs between colRight and rowBottom":
+        lambda d: replace(d, row_bottom=split_ses(d.s, _with_zero_relation(d.q))),
+}
+EXTENSION_VIOLATIONS = {
+    "wrong sources for i or j":
+        lambda d, ext: replace(ext, i=ModuleMorphism(_with_zero_relation(d.h), ext.x, ext.i.matrix)),
+    "wrong targets for m or n":
+        lambda d, ext: replace(ext, m=ModuleMorphism(ext.x, _with_zero_relation(d.f), ext.m.matrix)),
+    "maps do not meet the middle object":
+        lambda d, ext: replace(ext, x=_with_zero_relation(ext.x)),
+    "square P: j o nu != i o mu":
+        lambda d, ext: replace(ext, j=zero_morphism(d.e, ext.x)),
+    "square E-F: m o j != (R->F) o (E->R)":
+        lambda d, ext: replace(ext, m=zero_morphism(ext.x, d.f)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(DIAGRAM_VIOLATIONS) + sorted(EXTENSION_VIOLATIONS))
+def test_every_violation_can_fire(message):
+    model = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    d, ext = model.diagrams["D"], model.extensions["X1"]
+    assert validate_diagram1(d) == [] and validate_extension(d, ext) == []
+    if message in DIAGRAM_VIOLATIONS:
+        out = validate_diagram1(DIAGRAM_VIOLATIONS[message](d))
+    else:
+        out = validate_extension(d, EXTENSION_VIOLATIONS[message](d, ext))
+    assert message in out
+
+
+def test_a_sequence_is_its_maps():
+    # a row cannot claim ends its maps do not have: rowTop starts at Z/4, so
+    # the shared corner P differs, and the diagram fails at the boundary
+    # instead of deep inside Ext
+    sp = split_ses(Z2m, Z2m)
+    top = split_ses(Z4m, Z2m)
+    assert (top.left, top.middle, top.right) == (top.inject.source, top.inject.target, top.project.target)
+    d = Diagram3x3(row_top=top, row_bottom=sp, col_left=sp, col_right=sp)
+    assert validate_diagram1(d) == ["corner P differs between rowTop and colLeft"]
+    with pytest.raises(InvalidDiagramError, match="corner P differs between rowTop and colLeft"):
+        obstruction(d)
 
 
 # -- obstruction ------------------------------------------------------------------
@@ -788,7 +840,7 @@ def test_extend_diagram_never_resolves_the_sum(monkeypatch):
     kinds = collections.Counter()
     for ring in (R4, Zmod(6), Zmod(8), Zmod(9), ZZ):
         for _ in range(10):
-            frame = frame_from_diagram(random_diagram(rng, ring, 16), rng, decorate=True)
+            frame = frame_from_diagram(random_diagram(rng, ring, 16), rng)
             d = fold_frame(frame).diagram
             seen = []
             for entry, arg in ((solve_hexagon, frame), (extend_diagram, d)):

@@ -83,7 +83,7 @@ def test_fold_recovers_outer_maps():
 
 def test_fold_with_decorated_corners():
     rng = random.Random(6)
-    fr = frame_from_diagram(injective_p_diagram(), rng, decorate=True)
+    fr = frame_from_diagram(injective_p_diagram(), rng)
     assert validate_frame(fr) == []
     fold = fold_frame(fr)
     assert validate_diagram1(fold.diagram) == []
@@ -133,9 +133,9 @@ def test_frame_with_mismatched_images_rejected():
 
 def test_fold_reports_the_frame_conditions_in_the_unfolded_order():
     rng = random.Random(6)
-    frames = [frame_from_diagram(dg, rng, decorate=decorate)
+    frames = [frame_from_diagram(dg, decorate)
               for dg in (split_diagram(), obstructed_diagram(), injective_p_diagram())
-              for decorate in (False, True)]
+              for decorate in (None, rng)]
     frames += [mismatched_kernels_frame(), *mismatched_images_frames()]
     frames += [random_frame(rng, R4, 16) for _ in range(4)]
     for fr in frames:

@@ -451,7 +451,7 @@ def test_module_table_matches_uniform_radix(ring, seed):
     if a.generators and rng.randrange(2):
         # a relation column k * e_i with k not always dividing the modulus
         i, k = rng.randrange(a.generators), rng.randint(1, 12)
-        a = PresentedModule(ring, a.generators, a.relations.hstack(
+        a = PresentedModule(a.relations.hstack(
             ExactMatrix.from_cols(ring, [[k if r == i else 0 for r in range(a.generators)]], a.generators)))
     budget = EnumerationBudget()
     ref = _uniform_module_table(a, budget, _Meter(budget))
