@@ -6,7 +6,6 @@ instances.
 """
 
 import itertools
-import json
 import random
 import time
 
@@ -312,7 +311,6 @@ def test_criterion_8_hexagon_pipeline(capsys):
     import pathlib
 
     from hexext.hexagon import hexagon_compatible_iso, solve_hexagon, verify_hexagon
-    from hexext.randgen import frame_from_diagram
 
     t0 = time.time()
     fixtures = pathlib.Path(__file__).resolve().parents[1] / "fixtures"

@@ -248,32 +248,64 @@ MIXED_RINGS = {
 }
 
 
-@pytest.mark.parametrize("doc,command", [
-    ({"rings": {"R": 5}}, ["validate", "M"]),
-    ({"rings": {"R": {"kind": "Zmod", "m": 1}}}, ["validate", "M"]),
+Z_RING = {"R": {"kind": "Z"}}
+ONE_AND_TWO = {"M": {"ring": "R", "generators": 1, "relations": []},
+               "N": {"ring": "R", "generators": 2, "relations": []}}
+
+
+@pytest.mark.parametrize("doc,command,message", [
+    ({"rings": {"R": 5}}, ["validate", "M"], "ring R: must be an object"),
+    ({"rings": {"R": {"kind": "Zmod", "m": 1}}}, ["validate", "M"], "ring R: modulus must be an integer >= 2"),
     ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": [2]}}},
-     ["validate", "M"]),
-    ({"modules": [1]}, ["validate", "M"]),
-    ({"diagrams": {"D": 5}}, ["validate", "M"]),
-    ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": ["R"], "generators": 1}}}, ["validate", "M"]),
-    ({"rings": {"R": {"kind": "Zmod", "m": "\u00b2"}}}, ["validate", "M"]),
+     ["validate", "M"], "module M: relations must be a list of columns"),
+    ({"modules": [1]}, ["validate", "M"], "section 'modules' must be an object"),
+    ({"diagrams": {"D": 5}}, ["validate", "M"], "diagram D: must be an object"),
+    ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": ["R"], "generators": 1}}}, ["validate", "M"],
+     "module M: unknown ring ['R']"),
+    ({"rings": {"R": {"kind": "Zmod", "m": "\u00b2"}}}, ["validate", "M"], "not an integer"),
     ({"rings": {"R": {"kind": "Zmod", "m": "\u0664"}}, "modules": {"M": {"ring": "R", "generators": 1}}},
-     ["validate", "M"]),
+     ["validate", "M"], "not an integer"),
     ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": [["\u0663"]]}}},
-     ["validate", "M"]),
+     ["validate", "M"], "not an integer"),
     ({"rings": {"R": {"kind": "Z"}}, "modules": {"M": {"ring": "R", "generators": 1, "relations": []}},
-      "morphisms": {"f": {"source": "M", "target": "M", "matrix": [["\uff10"]]}}}, ["validate", "f"]),
-    (MIXED_RINGS, ["ext", "-i", "1", "Q", "P"]),
-    (MIXED_RINGS, ["oracle-compare", "Q", "P"]),
+      "morphisms": {"f": {"source": "M", "target": "M", "matrix": [["\uff10"]]}}}, ["validate", "f"],
+     "not an integer"),
+    (MIXED_RINGS, ["ext", "-i", "1", "Q", "P"], "modules 'Q' and 'P' are over different rings"),
+    (MIXED_RINGS, ["oracle-compare", "Q", "P"], "modules 'Q' and 'P' are over different rings"),
+    ({"rings": Z_RING, "modules": {"M": {"ring": "R", "generators": True}}}, ["validate", "M"],
+     "booleans are not integers"),
+    ({"rings": Z_RING, "modules": ONE_AND_TWO, "morphisms": {"f": {"source": "M", "target": "M", "matrix": 5}}},
+     ["validate", "f"], "morphism f: matrix must be a list of rows"),
+    ({"rings": Z_RING, "modules": ONE_AND_TWO,
+      "morphisms": {"f": {"source": "M", "target": "N", "matrix": [[1], [1, 2]]}}},
+     ["validate", "f"], "morphism f: ragged rows"),
+    ({"rings": Z_RING, "modules": ONE_AND_TWO, "morphisms": {"f": {"source": "N", "target": "M", "matrix": [[1]]}}},
+     ["validate", "f"], "morphism f: expected 2 columns, got 1"),
+    ([1], ["validate", "M"], "document root must be an object"),
+    ({"rings": {"R": {"kind": "Q"}}}, ["validate", "M"], "ring R: unknown kind 'Q'"),
+    ({"rings": Z_RING, "modules": {"M": {"ring": "R", "generators": -1}}}, ["validate", "M"],
+     "module M: negative generator count"),
+    ({"rings": Z_RING, "modules": {"M": {"ring": "R", "generators": 2, "relations": [[1]]}}}, ["validate", "M"],
+     "module M: relation column length must equal generators"),
+    ({"rings": Z_RING, "modules": ONE_AND_TWO, "morphisms": {"f": {"source": "P", "target": "M", "matrix": [[1]]}}},
+     ["validate", "f"], "morphism f: unknown source 'P'"),
+    ({"rings": {**Z_RING, "R4": {"kind": "Zmod", "m": 4}},
+      "modules": {**ONE_AND_TWO, "P": {"ring": "R4", "generators": 1}},
+      "morphisms": {"f": {"source": "P", "target": "M", "matrix": [[1]]}}},
+     ["validate", "f"], "morphism f: source and target rings differ"),
 ], ids=["ring-not-object", "modulus-1", "flat-relations", "modules-not-object", "diagram-not-object",
         "list-as-name", "superscript-digit", "arabic-indic-modulus", "arabic-indic-relation-entry",
-        "full-width-matrix-entry", "ext-mixed-rings", "oracle-compare-mixed-rings"])
-def test_malformed_document_exits_2(tmp_path, capsys, doc, command):
+        "full-width-matrix-entry", "ext-mixed-rings", "oracle-compare-mixed-rings",
+        "boolean-generator-count", "matrix-not-rows", "ragged-rows", "wrong-column-count",
+        "root-not-object", "unknown-ring-kind", "negative-generators", "short-relation-column",
+        "unknown-source", "rings-differ"])
+def test_malformed_document_exits_2(tmp_path, capsys, doc, command, message):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     assert main([command[0], str(p), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+    assert message in err
 
 
 @pytest.mark.parametrize("flags", [

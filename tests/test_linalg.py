@@ -2,7 +2,7 @@
 
 import copy
 import pickle
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -1,7 +1,6 @@
 """Presented modules, morphisms, and the categorical constructions."""
 
 import copy
-import itertools
 import math
 import pickle
 import random
@@ -14,7 +13,6 @@ from hexext import linalg, modules
 from hexext.errors import NonComposableError, NotExactError, WellDefinednessError
 from hexext.linalg import ExactMatrix, solve_linear
 from hexext.modules import (
-    DirectSum,
     PresentedModule,
     direct_sum,
     exactness_report,
@@ -32,7 +30,6 @@ from hexext.modules import (
     simplify,
     snake_connecting,
     solve_morphism,
-    split_ses,
     submodule_generated,
     zero_morphism,
 )

@@ -27,7 +27,7 @@ from hexext.oracle import (
     brute_injective,
     enumerate_morphisms,
 )
-from hexext.randgen import random_module
+from hexext.randgen import random_diagram, random_module, random_ses
 from hexext.rings import ZZ, Zmod
 from tests.conftest import all_modules_over
 
@@ -342,6 +342,23 @@ def test_table_memo_keeps_only_tables_within_the_default_order():
     assert _table.cache_info().maxsize == linalg.CACHE_SIZE
 
 
+def test_table_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(oracle, "CACHE_SIZE", 2)
+    _table.cache_clear()
+    first = _table((2,), [], _Meter(EnumerationBudget()))
+    _table((3,), [], _Meter(EnumerationBudget()))
+    _table((4,), [], _Meter(EnumerationBudget()))
+    assert _table.cache_info().currsize == 2
+    # the first table was evicted: asking again builds it afresh, at a fresh build's counts
+    meter, fresh = _Meter(EnumerationBudget()), _Meter(EnumerationBudget())
+    again = _table((2,), [], meter)
+    Table((2,), [], fresh)
+    assert _table.cache_info().misses == 4 and _table.cache_info().hits == 0
+    assert again is not first and again.sums == first.sums
+    assert meter.count == fresh.count == 2 + 4
+    _table.cache_clear()
+
+
 def test_table_is_frozen():
     t = _table((2, 3), [(2, 0)], _Meter(EnumerationBudget()))
     for part in (t.digits, t.sums, t.multiples, t._gens, t._steps, t.radix):
@@ -398,6 +415,60 @@ def test_ext1_candidate_count_is_pinned(ring):
         assert brute_ext1(q, p, EnumerationBudget(max_candidates=least)).count >= 1
         with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {least - 1}$"):
             brute_ext1(q, p, EnumerationBudget(max_candidates=least - 1))
+
+
+def _grid_with_small_middle(rng, ring):
+    """A seeded grid whose middle object has order at most 16."""
+    while True:
+        d = random_diagram(rng, ring, 8)
+        if d.e.cardinality() * d.g.cardinality() <= 16:
+            return d
+
+
+# the smallest candidate budget under which brute_extension_exists answers,
+# and its answer, on seeded grids: one candidate less is refused
+_EXTENSION_PINS = {
+    "Z": ((399, True), (238, True), (270, True), (373, True)),
+    "Z/4": ((888, True), (96, True), (437, True), (256, False)),
+    "Z/6": ((311, True), (307, True), (309, True), (125, True)),
+    "Z/8": ((169, True), (1356, False), (1301, True), (1301, True)),
+    "Z/9": ((169, True), (249, True), (169, True), (59, True)),
+    "Z/12": ((433, True), (118, True), (1009, True), (180, True)),
+}
+
+
+@pytest.mark.parametrize("ring", [ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)], ids=str)
+def test_extension_search_candidate_count_is_pinned(ring):
+    rng = random.Random(f"ext-search-pin-{ring}")
+    for least, extends in _EXTENSION_PINS[str(ring)]:
+        d = _grid_with_small_middle(rng, ring)
+        assert brute_extension_exists(d, EnumerationBudget(max_candidates=least)) == extends
+        with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {least - 1}$"):
+            brute_extension_exists(d, EnumerationBudget(max_candidates=least - 1))
+
+
+# the same for brute_equivalent on seeded pairs of sequences with the same
+# ends and |Q||P| <= 16
+_EQUIVALENCE_PINS = {
+    "Z": ((734, False), (258, True), (258, True), (638, False)),
+    "Z/4": ((173, True), (173, True), (894, False), (627, True)),
+    "Z/6": ((363, True), (351, True), (363, True), (22, True)),
+    "Z/8": ((387, True), (219, True), (625, True), (625, True)),
+    "Z/9": ((231, False), (274, True), (222, False), (39, True)),
+    "Z/12": ((950, False), (831, True), (420, False), (363, True)),
+}
+
+
+@pytest.mark.parametrize("ring", [ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)], ids=str)
+def test_equivalence_candidate_count_is_pinned(ring):
+    rng = random.Random(f"equivalence-pin-{ring}")
+    for least, equivalent in _EQUIVALENCE_PINS[str(ring)]:
+        q = random_module(rng, ring, 8)
+        p = random_module(rng, ring, 16 // q.cardinality())
+        s1, s2 = random_ses(rng, p, q), random_ses(rng, p, q)
+        assert brute_equivalent(s1, s2, EnumerationBudget(max_candidates=least)) == equivalent
+        with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {least - 1}$"):
+            brute_equivalent(s1, s2, EnumerationBudget(max_candidates=least - 1))
 
 
 def test_ext1_outcomes_are_pinned():

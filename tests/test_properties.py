@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexext.ext import (
-    ExtClass,
     class_of_ses,
     ext_module,
     ses_of_class,
@@ -21,12 +20,10 @@ from hexext.modules import (
     direct_sum,
     hom,
     is_exact,
-    make_ses,
     morphism_cokernel,
     morphism_image,
     morphism_kernel,
     pullback,
-    pullback_factor,
     simplify,
     snake_connecting,
     zero_morphism,
