@@ -4,7 +4,7 @@ Everything here works on explicit element tables.  A finite abelian group is
 a :class:`Table`, built once: its elements are the numbers ``0..n-1``, each
 with its mixed-radix digits, plus an addition table and the multiples of
 every element, so sums, scalar multiples and linear combinations are list
-lookups; subgroups are closures, quotients are coset labellings.
+lookups; quotients are coset labellings.
 
 Presented modules become tables by reducing each coefficient modulo a
 multiple of its generator's order (the ring modulus, or over Z an exponent
@@ -128,7 +128,10 @@ class Table:
     ``(x, earlier, g)`` with ``x = earlier + generator g``, in breadth-first
     order from 0, so :meth:`hom_value_table` spends one addition per element
     with or without relations.  All of them are tuples, since :func:`_table`
-    shares one table between calls.
+    shares one table between calls.  A table offers no subgroup or
+    homomorphism search of its own: every search draws its candidate
+    generator images from :func:`_pools` and walks them with
+    :func:`_iter_homs`.
     """
 
     def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
@@ -190,9 +193,6 @@ class Table:
 
     def from_coeffs(self, col) -> int:
         return self.combination(col, self._gens)
-
-    def subgroup(self, gens) -> frozenset[int]:
-        return frozenset(_closure(gens, self.add, 0))
 
     def apply_images(self, target: "Table", images, x: int) -> int:
         """Value at ``x`` of the homomorphism with the given generator
@@ -300,11 +300,23 @@ def _morphism(source: PresentedModule, target: PresentedModule, tgt: Table, imag
     return ModuleMorphism(source, target, ExactMatrix.from_rows(source.ring, rows, source.generators))
 
 
-def _hom_candidates(src: Table, tgt: Table) -> list[list[int]]:
-    """Restrict per-generator candidate images by the generator's ambient
-    order (implied by the relation conditions; filtering early is sound and
-    cheap)."""
-    return [[y for y in range(tgt.n) if tgt.smul(o, y) == 0] for o in src.radix]
+def _pools(src: Table, tgt: Table, posts=()) -> list[list[int]] | None:
+    """The candidate images in ``tgt`` of each generator of ``src``, every
+    homomorphism search's one source of candidates: the elements that the
+    generator's ambient order kills (implied by the relation conditions;
+    filtering early is sound and cheap) and, for each ``(vals, images)`` in
+    ``posts``, that the map with value table ``vals`` sends to
+    ``images[g]``.  Each pool is ascending; ``None`` as soon as one
+    generator has no candidate."""
+    pools = []
+    for g, o in enumerate(src.radix):
+        pool = [y for y in range(tgt.n) if tgt.smul(o, y) == 0]
+        if posts:
+            pool = [y for y in pool if all(vals[y] == images[g] for vals, images in posts)]
+        if not pool:
+            return None
+        pools.append(pool)
+    return pools
 
 
 def _iter_homs(tgt: Table, relation_cols, candidates, meter: _Meter):
@@ -327,7 +339,7 @@ def enumerate_morphisms(a: PresentedModule, b: PresentedModule,
     meter = _Meter(budget)
     ta = _bounded_table(a, budget, meter)
     tb = _bounded_table(b, budget, meter)
-    cands = _hom_candidates(ta, tb)
+    cands = _pools(ta, tb)
     if prod(len(c) for c in cands) > budget.max_candidates:
         raise BudgetExceededError("morphism space too large")
     return [_morphism(a, b, tb, images)
@@ -377,33 +389,6 @@ def _product_types(ring, n: int) -> list[tuple[int, ...]]:
 class ExtCount:
     count: int
     representatives: list = field(default_factory=list)
-
-
-def _ladder_iso_exists(tp: Table, tq: Table,
-                       tx1: Table, i1: list[int], p1: list[int],
-                       tx2: Table, i2: list[int], p2: list[int],
-                       rel1, meter: _Meter) -> bool:
-    """Search for ``phi : X1 -> X2`` with ``phi o i1 = i2`` and
-    ``p2 o phi = p1``; by the short five lemma any such map is an
-    isomorphism."""
-    if tx1.n != tx2.n:
-        return False
-    fibers: dict[int, list[int]] = {}
-    for y, v in enumerate(tx2.hom_value_table(tq, p2)):
-        fibers.setdefault(v, []).append(y)
-    cand = []
-    for gidx, o in enumerate(tx1.radix):
-        pool = fibers.get(tx1.apply_images(tq, p1, tx1.gen_code(gidx)), [])
-        pool = [y for y in pool if tx2.smul(o, y) == 0]
-        if not pool:
-            return False
-        cand.append(pool)
-    along_i = list(zip(tp.hom_value_table(tx1, i1), tp.hom_value_table(tx2, i2)))
-    for images in _iter_homs(tx2, rel1, cand, meter):
-        phi = tx1.hom_value_table(tx2, images)
-        if all(phi[x1] == x2 for x1, x2 in along_i):
-            return True
-    return False
 
 
 def _coboundary_deltas(tp: Table, tq: Table, meter: _Meter) -> list[tuple]:
@@ -525,10 +510,10 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
 
     for orders in _product_types(p.ring, n):
         tx = _table(orders, [], meter)
-        pcand = _hom_candidates(tx, tq)
+        pcand = _pools(tx, tq)
         by_kernel = None
         factor_sets: dict[tuple, tuple] = {}
-        for i_imgs in _iter_homs(tx, p_rel, _hom_candidates(tp, tx), meter):
+        for i_imgs in _iter_homs(tx, p_rel, _pools(tp, tx), meter):
             i_vals = tp.hom_value_table(tx, i_imgs)
             image = frozenset(i_vals)
             if len(image) != tp.n:
@@ -557,7 +542,10 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
 
 def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
                      budget: EnumerationBudget = EnumerationBudget()) -> bool:
-    """Is there a middle isomorphism commuting with the end identities?"""
+    """Is there a middle isomorphism commuting with the end identities?
+    Searches for ``phi : X1 -> X2`` with ``phi o i1 = i2`` and
+    ``p2 o phi = p1``; by the short five lemma any such map is an
+    isomorphism."""
     if s1.left != s2.left or s1.right != s2.right:
         return False
     meter = _Meter(budget)
@@ -565,12 +553,21 @@ def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
     tq = _bounded_table(s1.right, budget, meter)
     tx1 = _bounded_table(s1.middle, budget, meter)
     tx2 = _bounded_table(s2.middle, budget, meter)
-    i1 = _morphism_images(s1.inject, tx1)
-    i2 = _morphism_images(s2.inject, tx2)
+    if tx1.n != tx2.n:
+        return False
     p1 = _morphism_images(s1.project, tq)
-    p2 = _morphism_images(s2.project, tq)
-    rel1 = s1.middle.relations.columns()
-    return _ladder_iso_exists(tp, tq, tx1, i1, p1, tx2, i2, p2, rel1, meter)
+    p1_at_gens = [tx1.apply_images(tq, p1, tx1.gen_code(g)) for g in range(tx1.k)]
+    p2_vals = tx2.hom_value_table(tq, _morphism_images(s2.project, tq))
+    cand = _pools(tx1, tx2, [(p2_vals, p1_at_gens)])
+    if cand is None:
+        return False
+    along_i = list(zip(tp.hom_value_table(tx1, _morphism_images(s1.inject, tx1)),
+                       tp.hom_value_table(tx2, _morphism_images(s2.inject, tx2))))
+    for images in _iter_homs(tx2, s1.middle.relations.columns(), cand, meter):
+        phi = tx1.hom_value_table(tx2, images)
+        if all(phi[x1] == x2 for x1, x2 in along_i):
+            return True
+    return False
 
 
 def brute_injective(p: PresentedModule, budget: EnumerationBudget = EnumerationBudget()) -> bool:
@@ -627,70 +624,33 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
 
     for orders in _product_types(d.p.ring, n):
         tx = _table(orders, [], meter)
-        for m_imgs in iproduct(*_hom_candidates(tx, tf)):
-            meter.tick()
-            m_imgs = list(m_imgs)
-            if len(tf.subgroup(m_imgs)) != tf.n:
-                continue
+        # |X| = |H||F| = |E||G|, so m and n are onto exactly when their
+        # kernels have the orders of H and E
+        for m_imgs in _iter_homs(tf, [], _pools(tx, tf), meter):
             m_vals = tx.hom_value_table(tf, m_imgs)
-            ker_m = frozenset(x for x, v in enumerate(m_vals) if v == 0)
-            if len(ker_m) != th.n:
+            if m_vals.count(0) != th.n:
                 continue
-            fiber_m: dict[int, list[int]] = {}
-            for x, v in enumerate(m_vals):
-                fiber_m.setdefault(v, []).append(x)
-            ncand = []
-            feasible = True
-            for gi in range(tx.k):
-                qv = fq_vals[m_imgs[gi]]
-                opts = [y for y in range(tg.n) if tg.smul(orders[gi], y) == 0 and gq_vals[y] == qv]
-                if not opts:
-                    feasible = False
-                    break
-                ncand.append(opts)
-            if not feasible:
+            ncand = _pools(tx, tg, [(gq_vals, [fq_vals[y] for y in m_imgs])])
+            if ncand is None:
                 continue
-            for n_imgs in iproduct(*ncand):
-                meter.tick()
-                n_imgs = list(n_imgs)
-                if len(tg.subgroup(n_imgs)) != tg.n:
-                    continue
+            for n_imgs in _iter_homs(tg, [], ncand, meter):
                 n_vals = tx.hom_value_table(tg, n_imgs)
-                ker_n = frozenset(x for x, v in enumerate(n_vals) if v == 0)
-                if len(ker_n) != te.n:
+                if n_vals.count(0) != te.n:
                     continue
-                fiber_n: dict[int, list[int]] = {}
-                for x, v in enumerate(n_vals):
-                    fiber_n.setdefault(v, []).append(x)
-                jcand = []
-                feasible = True
-                for jg in range(te.k):
-                    opts = [x for x in fiber_m.get(ef_img[jg], [])
-                            if x in ker_n and tx.smul(te.radix[jg], x) == 0]
-                    if not opts:
-                        feasible = False
-                        break
-                    jcand.append(opts)
-                if not feasible:
+                # j's generators go into ker n and, along m, over E -> F;
+                # i's into ker m and, along n, over H -> G.  |ker n| = |E|
+                # and |ker m| = |H|, so an injective j or i fills its kernel
+                jcand = _pools(te, tx, [(m_vals, ef_img), (n_vals, [0] * te.k)])
+                if jcand is None:
                     continue
+                icand = _pools(th, tx, [(m_vals, [0] * th.k), (n_vals, hg_img)])
                 for j_imgs in _iter_homs(tx, e_rel, jcand, meter):
                     jvals = te.hom_value_table(tx, j_imgs)
-                    if len(set(jvals)) != te.n or set(jvals) != ker_n:
-                        continue
-                    icand = []
-                    feasible = True
-                    for ig in range(th.k):
-                        opts = [x for x in fiber_n.get(hg_img[ig], [])
-                                if x in ker_m and tx.smul(th.radix[ig], x) == 0]
-                        if not opts:
-                            feasible = False
-                            break
-                        icand.append(opts)
-                    if not feasible:
+                    if len(set(jvals)) != te.n or icand is None:
                         continue
                     for i_imgs in _iter_homs(tx, h_rel, icand, meter):
                         ivals = th.hom_value_table(tx, i_imgs)
-                        if len(set(ivals)) != th.n or set(ivals) != ker_m:
+                        if len(set(ivals)) != th.n:
                             continue
                         if all(ivals[mu] == jvals[nu] for mu, nu in zip(mu_img, nu_img)):
                             return True

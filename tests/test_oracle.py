@@ -265,12 +265,6 @@ class _DigitGroup:
     def gen(self, i):
         return self.from_coeffs([int(t == i) for t in range(len(self.radix))])
 
-    def subgroup(self, gens):
-        out = {0}
-        for g in gens:
-            out = {self.add(x, self.smul(k, g)) for x in out for k in range(len(self.elements))}
-        return out
-
 
 @settings(max_examples=40, deadline=None)
 @given(radix=st.lists(st.integers(2, 12), max_size=3),
@@ -291,8 +285,6 @@ def test_table_matches_digit_arithmetic(radix, data):
         assert code[t.gen_code(i)] == ref.gen(i)
     col = data.draw(st.lists(coeff, min_size=len(radix), max_size=len(radix)))
     assert code[t.from_coeffs(col)] == ref.from_coeffs(col)
-    gens = data.draw(st.lists(st.integers(0, t.n - 1), max_size=3))
-    assert {code[x] for x in t.subgroup(gens)} == ref.subgroup([code[x] for x in gens])
     # the homomorphism x -> k * x into a quotient by further relations,
     # valued at every element at once and one element at a time
     extra = data.draw(st.lists(st.lists(coeff, min_size=len(radix), max_size=len(radix)), max_size=2))
