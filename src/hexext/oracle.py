@@ -128,10 +128,9 @@ class Table:
     ``(x, earlier, g)`` with ``x = earlier + generator g``, in breadth-first
     order from 0, so :meth:`hom_value_table` spends one addition per element
     with or without relations.  All of them are tuples, since :func:`_table`
-    shares one table between calls.  A table offers no subgroup or
-    homomorphism search of its own: every search draws its candidate
-    generator images from :func:`_pools` and walks them with
-    :func:`_iter_homs`.
+    shares one table between calls.  Homomorphism searches between tables
+    draw their candidate generator images from :func:`_pools` and walk them
+    with :func:`_iter_homs`.
     """
 
     def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):

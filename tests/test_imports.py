@@ -6,6 +6,7 @@ import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _annotation_names(node) -> set[str]:
@@ -18,25 +19,46 @@ def _annotation_names(node) -> set[str]:
     return set()
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """``(line, name)`` for each name an import binds that the source never
-    refers to, in line order."""
-    tree = ast.parse(source)
-    bound: list[tuple[int, str]] = []
+def _referenced(scope) -> set[str]:
+    """Every name read anywhere inside ``scope``, nested functions included."""
     used: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            for alias in node.names:
-                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
-        elif isinstance(node, ast.Name):
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign)):
             used |= _annotation_names(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             used |= _annotation_names(node.returns)
-    return sorted((line, name) for line, name in bound if name not in used)
+    return used
+
+
+def _imports(scope):
+    """The import statements that bind names in ``scope``: those outside
+    every function nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for each name an import binds that its module, or
+    the function it is imported in, never refers to; in line order."""
+    tree = ast.parse(source)
+    found = []
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)]:
+        used = _referenced(scope)
+        for node in _imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append((node.lineno, name))
+    return sorted(found)
 
 
 def _checked_files() -> list[pathlib.Path]:
@@ -52,8 +74,12 @@ def test_the_scan_finds_an_unused_import():
         "def f(x: \"Path\") -> int:\n"
         "    from pathlib import Path\n"
         "    return least(x, os.path.sep)\n"
+        "def g():\n"
+        "    import os\n"
+        "    return 0\n"
     )
-    assert unused_imports(sample) == [(1, "json"), (3, "gcd")]
+    # gcd is never read; the os imported inside g is read only outside it
+    assert unused_imports(sample) == [(1, "json"), (3, "gcd"), (8, "os")]
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -154,8 +154,6 @@ def test_brute_equivalence_matches_class_equality():
 
 def test_equivalence_sees_through_presentation_changes():
     # same class realized from different cocycle representatives
-    import random
-
     from hexext.ext import ses_of_cocycle
     from hexext.linalg import ExactMatrix
 
