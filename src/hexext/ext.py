@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentMismatchError, NotExactError
-from .linalg import CACHE_SIZE, ExactMatrix, kernel_columns, shrink_generators
+from .linalg import CACHE_SIZE, ExactMatrix, shrink_generators
 from .modules import (
     ModuleMorphism,
     PresentedModule,
@@ -71,25 +71,17 @@ class FreeResolution:
         if i == 2:
             return self.d2
         if i == 3:
-            return _shrunk_kernel(self.d2)
+            return preimage_kernel_columns(_free_map(self.d2))
         raise ValueError(f"no differential at degree {i}")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def free_resolution(m: PresentedModule) -> FreeResolution:
+    """Each differential below ``d1`` is the shrunk kernel of the one above,
+    the preimage of zero that ``modules._preimage`` caches on the matrix, so
+    resolutions whose differentials agree share one kernel."""
     d1 = shrink_generators(m.relations)
-    return FreeResolution(m, d1, _shrunk_kernel(d1))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _shrunk_kernel(d: ExactMatrix) -> ExactMatrix:
-    """The next differential below ``d`` in a resolution: the shrunk
-    generators of its kernel.  Cached on the matrix, so resolutions whose
-    differentials agree share one kernel: ``d2`` of modules with the same
-    ``d1``, and the ``d3`` below a ``d2`` that is another module's ``d1``."""
-    if not d.cols:
-        return ExactMatrix.zeros(d.ring, 0, 0)
-    return shrink_generators(kernel_columns(d))
+    return FreeResolution(m, d1, preimage_kernel_columns(_free_map(d1)))
 
 
 @dataclass(frozen=True)
@@ -149,19 +141,16 @@ class ExtClass:
     def __add__(self, other: "ExtClass") -> "ExtClass":
         if other.parent is not self.parent and other.parent != self.parent:
             raise ArgumentMismatchError("classes live in different Ext modules")
-        red = self.parent.p.ring.reduce
-        return ExtClass(self.parent, tuple(red(a + b) for a, b in zip(self.coords, other.coords)))
+        return ExtClass(self.parent, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "ExtClass":
-        red = self.parent.p.ring.reduce
-        return ExtClass(self.parent, tuple(red(-a) for a in self.coords))
+        return ExtClass(self.parent, tuple(-a for a in self.coords))
 
     def __sub__(self, other: "ExtClass") -> "ExtClass":
         return self + (-other)
 
     def scale(self, c: int) -> "ExtClass":
-        red = self.parent.p.ring.reduce
-        return ExtClass(self.parent, tuple(red(c * a) for a in self.coords))
+        return ExtClass(self.parent, tuple(c * a for a in self.coords))
 
     def same_as(self, other: "ExtClass") -> bool:
         return self.parent == other.parent and self.coords == other.coords

@@ -29,8 +29,9 @@ spanned by ``[R; 0]`` and by the graph ``[A; -I_k 0]``.  With no A the entry
 is R's own form; any other entry resumes from that one, so only A's columns
 are inserted, and an order-only entry (``k`` is ``None``) keeps the order
 alone.  Each entry is canonical for its key, so eviction never changes an
-answer.  Kernels and Smith transforms are never kept here; the callers of
-:func:`kernel_columns` cache what they build from it.
+answer.  Kernels and Smith transforms are never kept here; the one caller
+of :func:`kernel_columns`, ``modules._preimage``, caches what it builds
+from it.
 """
 
 from __future__ import annotations
@@ -426,9 +427,8 @@ def kernel_columns(a: ExactMatrix) -> ExactMatrix:
     set (projections of an integer kernel basis of the lifted matrix).
     Zero and duplicate columns are dropped; order is deterministic.  The
     Smith form carries only the first ``a.cols`` rows of V, the rows read
-    here, and neither U nor U^-1.  Not cached: its callers,
-    ``modules._preimage`` and ``ext._shrunk_kernel``, cache what they build
-    from it.
+    here, and neither U nor U^-1.  Not cached: its one caller,
+    ``modules._preimage``, caches what it builds from it.
     """
     data, nr, nc = _lifted(a)
     _u, _uinv, d, v = _snf_int(data, nr, nc, False, a.cols)

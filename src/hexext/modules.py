@@ -677,19 +677,13 @@ def simplify(m: PresentedModule) -> Simplified:
     isomorphisms both ways.  Keeps downstream resolutions small."""
     ring = m.ring
     diag, u, uinv = smith_lattice(m.relations)
-    keep = []
-    rel_cols = []
-    for i in range(m.generators):
-        di = diag[i] if i < len(diag) else 0
-        if di == 1:
-            continue
-        pos = len(keep)
-        keep.append(i)
-        if di != 0 and not (ring.is_modular and di == ring.modulus):
-            rel_cols.append((pos, di))
+    # the diagonal runs from units through the torsion factors toward zeros
+    # over Z and toward m over Z/m, so the free generators come last
+    diag = list(diag) + [0] * (m.generators - len(diag))
+    keep = [i for i, di in enumerate(diag) if di != 1]
+    factors = [di for di in diag if di not in (0, 1, ring.modulus)]
+    mod = PresentedModule.from_invariant_factors(ring, factors, len(keep) - len(factors))
     gN = len(keep)
-    rels = ExactMatrix.from_cols(ring, [[di if r == pos else 0 for r in range(gN)] for pos, di in rel_cols], gN)
-    mod = PresentedModule(rels)
     to_rows = [[u[i][j] for j in range(m.generators)] for i in keep]
     from_rows = [[uinv[i][j] for j in keep] for i in range(m.generators)]
     to_min = ModuleMorphism(m, mod, ExactMatrix.from_rows(ring, to_rows, m.generators))

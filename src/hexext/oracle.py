@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import gcd, prod
 
 from .errors import BudgetExceededError
@@ -346,23 +346,10 @@ def enumerate_morphisms(a: PresentedModule, b: PresentedModule,
 
 
 def _product_types(ring, n: int) -> list[tuple[int, ...]]:
-    """Cyclic decompositions with total order n available over the ring."""
-    if n == 1:
-        return [()]
-    if ring.is_modular:
-        divisors = [d for d in range(2, ring.modulus + 1) if ring.modulus % d == 0]
-
-        def rec(remaining: int, max_d: int):
-            if remaining == 1:
-                yield ()
-                return
-            for d in divisors:
-                if d <= max_d and remaining % d == 0:
-                    for rest in rec(remaining // d, d):
-                        yield (d,) + rest
-
-        return sorted({tuple(sorted(t, reverse=True)) for t in rec(n, ring.modulus)}, reverse=True)
-    facs = prime_factors(n)
+    """Every isomorphism type of order n over the ring, once each, as
+    descending prime-power orders: for each prime, a partition of its
+    exponent in n, with parts capped over Z/m at its exponent in m."""
+    caps = prime_factors(ring.modulus) if ring.is_modular else None
 
     def partitions(total, mx):
         if total == 0:
@@ -372,16 +359,9 @@ def _product_types(ring, n: int) -> list[tuple[int, ...]]:
             for rest in partitions(total - k, k):
                 yield (k,) + rest
 
-    per_prime = []
-    for p, e in facs.items():
-        per_prime.append([tuple(p ** k for k in part) for part in partitions(e, e)])
-    out = set()
-    for combo in iproduct(*per_prime):
-        factors = []
-        for group in combo:
-            factors.extend(group)
-        out.add(tuple(sorted(factors, reverse=True)))
-    return sorted(out, reverse=True)
+    per_prime = [[[p ** k for k in part] for part in partitions(e, e if caps is None else caps.get(p, 0))]
+                 for p, e in prime_factors(n).items()]
+    return sorted((tuple(sorted(chain(*combo), reverse=True)) for combo in iproduct(*per_prime)), reverse=True)
 
 
 @dataclass
@@ -601,7 +581,6 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
     tf = _module_table(d.f, budget, meter)
     tg = _module_table(d.g, budget, meter)
     tq = _module_table(d.q, budget, meter)
-    tp = _module_table(d.p, budget, meter)
 
     n = te.n * tg.n
     if n != th.n * tf.n:

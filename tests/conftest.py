@@ -24,10 +24,8 @@ def z_free():
 
 
 def all_modules_over(ring, max_order):
-    """Every iso type of order <= max_order over the ring, in a canonical
-    diagonal presentation.  Over Z/6 and Z/12 some types appear more than
-    once, as isomorphic products of cyclic factors: (6,) and (3, 2), and
-    over Z/12 also (12,) and (4, 3)."""
+    """Every iso type of order <= max_order over the ring, once each, in a
+    diagonal presentation on prime-power cyclic factors."""
     from hexext.oracle import _product_types
 
     out = []

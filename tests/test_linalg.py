@@ -614,7 +614,7 @@ def _engine_caches():
 def test_every_engine_cache_is_bounded_by_one_cap():
     caches = _engine_caches()
     assert set(caches) == {"linalg._hermite_cols", "modules._preimage", "modules._structure",
-                           "modules.simplify", "ext.free_resolution", "ext._shrunk_kernel", "ext.ext_module",
+                           "modules.simplify", "ext.free_resolution", "ext.ext_module",
                            "oracle._table"}
     assert {name: fn.cache_info().maxsize for name, fn in caches.items()} == dict.fromkeys(caches, linalg.CACHE_SIZE)
     # Smith transforms and bare kernels are never kept

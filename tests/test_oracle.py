@@ -20,6 +20,7 @@ from hexext.oracle import (
     _Meter,
     _bareiss_rank_pivots,
     _module_table,
+    _product_types,
     _table,
     brute_equivalent,
     brute_ext1,
@@ -88,6 +89,39 @@ def test_max_order_bounds_every_table(ring):
 
 
 # -- extension counting --------------------------------------------------------------
+
+
+def _prime_power_types(n, m):
+    """Reference: every multiset of prime powers with product n, each power
+    dividing m unless m is None, as a descending tuple, listed once."""
+
+    def is_prime_power(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1
+
+    powers = [q for q in range(2, n + 1) if n % q == 0 and is_prime_power(q) and (m is None or m % q == 0)]
+
+    def descending(rest, cap):
+        if rest == 1:
+            yield ()
+            return
+        for q in powers:
+            if q <= cap and rest % q == 0:
+                for tail in descending(rest // q, q):
+                    yield (q,) + tail
+
+    return sorted(descending(n, n), reverse=True)
+
+
+@pytest.mark.parametrize("ring", [ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12), Zmod(36)], ids=str)
+def test_product_types_list_each_isomorphism_type_once(ring):
+    # a type such as (6,) beside (3, 2) would walk one middle object twice
+    for n in range(1, 65):
+        types = _product_types(ring, n)
+        assert len(set(types)) == len(types), n
+        assert types == _prime_power_types(n, ring.modulus), n
 
 
 def test_ext_classes_mod4():
@@ -391,8 +425,8 @@ def test_table_memo_changes_no_answer():
 # the smallest candidate budget under which brute_ext1 answers, on seeded
 # pairs over Z and Z/m: one candidate less is refused
 _METER_PINS = {
-    "Z": (2056, 94), "Z/4": (317, 5978), "Z/6": (478, 472),
-    "Z/8": (6350, 406), "Z/9": (303, 31), "Z/12": (800, 800),
+    "Z": (2056, 94), "Z/4": (317, 5978), "Z/6": (282, 276),
+    "Z/8": (6350, 406), "Z/9": (303, 31), "Z/12": (440, 440),
 }
 
 
@@ -418,12 +452,12 @@ def _grid_with_small_middle(rng, ring):
 # the smallest candidate budget under which brute_extension_exists answers,
 # and its answer, on seeded grids: one candidate less is refused
 _EXTENSION_PINS = {
-    "Z": ((399, True), (238, True), (270, True), (373, True)),
-    "Z/4": ((888, True), (96, True), (437, True), (256, False)),
-    "Z/6": ((311, True), (307, True), (309, True), (125, True)),
-    "Z/8": ((169, True), (1356, False), (1301, True), (1301, True)),
-    "Z/9": ((169, True), (249, True), (169, True), (59, True)),
-    "Z/12": ((433, True), (118, True), (1009, True), (180, True)),
+    "Z": ((379, True), (232, True), (264, True), (343, True)),
+    "Z/4": ((886, True), (94, True), (431, True), (250, False)),
+    "Z/6": ((269, True), (271, True), (305, True), (123, True)),
+    "Z/8": ((163, True), (1350, False), (1299, True), (1299, True)),
+    "Z/9": ((157, True), (247, True), (157, True), (57, True)),
+    "Z/12": ((429, True), (116, True), (1007, True), (144, True)),
 }
 
 
@@ -475,9 +509,9 @@ def test_ext1_outcomes_are_pinned():
                 if not isinstance(out, str):
                     out = [out[0], [[m.data for m in rep] for rep in out[1]]]
                 outcomes.append(out)
-    assert sum(isinstance(o, str) for o in outcomes) == 104
+    assert sum(isinstance(o, str) for o in outcomes) == 92
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    assert digest == "0b0dfda44e01b717d8c7221d5f903da06cccb8963f030de12047750261727454"
+    assert digest == "948ae8d96399f72e3ced8a3ec720531ef280e56ca69dbb3d4d72fcf791b28ff6"
 
 
 def test_module_table_radix_per_generator():
