@@ -20,7 +20,6 @@ from .modules import (
     morphism_image,
     morphism_kernel,
     pullback,
-    snake_connecting,
     split_ses,
 )
 from .ext import (
@@ -73,7 +72,7 @@ __all__ = [
     "hom", "morphism_kernel", "morphism_image",
     "morphism_cokernel", "direct_sum",
     "pullback", "exactness_report", "is_exact", "make_ses",
-    "split_ses", "snake_connecting",
+    "split_ses",
     "FreeResolution", "ExtModule", "ExtClass",
     "free_resolution", "ext_module", "class_of_ses", "ses_of_class",
     "restriction",

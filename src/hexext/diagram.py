@@ -48,15 +48,13 @@ from .modules import (
     direct_sum,
     exactness_violations,
     hom,
-    identity_morphism,
-    is_exact,
     lift,
     make_ses,
     morphism_image,
+    morphism_kernel,
     pullback,
     pullback_factor,
     simplify,
-    snake_connecting,
     solve_morphism,
     zero_morphism,
     _first_outside,
@@ -221,21 +219,41 @@ def _y_core(d: Diagram3x3) -> BuildY:
     proj = d.col_right.project @ p_f
     if not proj.equals(d.row_bottom.project @ p_g):
         raise AssertionError("pullback projections do not agree over Q")
-    ses = make_ses(incl, proj)
-    by = BuildY(y, pb, ses, rs, w_r, w_s, p_f, p_g, simp.to_min)
+    _require_exact("Y-sequence", incl, proj)
+    by = BuildY(y, pb, ShortExactSequence(incl, proj), rs, w_r, w_s, p_f, p_g, simp.to_min)
     _snake_cross_check(d, by)
     return by
 
 
+def _require_exact(name: str, inject: ModuleMorphism, project: ModuleMorphism) -> None:
+    """Raise an engine fault unless ``0 -> . -> . -> . -> 0`` on two maps
+    the engine derived is exact."""
+    bad = exactness_violations(name, [inject, project])
+    if bad:
+        raise AssertionError("derived sequence not exact: " + "; ".join(bad))
+
+
 def _snake_cross_check(d: Diagram3x3, by: BuildY) -> None:
-    """The ladder ``0 -> R -> Y -> G -> 0`` over ``0 -> R -> F -> Q -> 0``
-    with verticals (id, p_f, projection): its six-term sequence must be
-    exact and its third kernel must be S."""
-    top = make_ses(by.w_r, by.p_g)
-    res = snake_connecting(top, d.col_right, identity_morphism(d.r), by.p_f, d.row_bottom.project)
-    if not is_exact(list(res.six_term)):
-        raise AssertionError("snake cross-check failed for the derived grid")
-    if not res.kernels[2].is_isomorphic_to(d.s):
+    """The snake lemma of the ladder ``0 -> R -> Y -> G -> 0`` over
+    ``0 -> R -> F -> Q -> 0`` with verticals (id_R, p_f, G -> Q), whose
+    right square :func:`_y_core` has checked.  ker(id_R), coker(id_R) and
+    coker(G -> Q) are zero, so the six-term sequence is exact exactly when
+    the top row is exact, the left square commutes, p_f is onto and p_g
+    carries ker(p_f) isomorphically onto ker(G -> Q); that kernel must
+    also be S."""
+    _require_exact("snake top row", by.w_r, by.p_g)
+    if not (by.p_f @ by.w_r).equals(d.col_right.inject):
+        raise AssertionError("left square of the snake ladder does not commute")
+    if not by.p_f.is_surjective():
+        raise AssertionError("Y -> F is not onto in the derived grid")
+    k_f, in_f = morphism_kernel(by.p_f)
+    k_q, in_q = morphism_kernel(d.row_bottom.project)
+    lifted = lift(in_q, (by.p_g @ in_f).matrix)
+    if lifted is None:
+        raise AssertionError("Y -> G does not carry the kernel of Y -> F into the kernel of G -> Q")
+    if not hom(k_f, k_q, lifted).is_isomorphism():
+        raise AssertionError("Y -> G does not carry the kernel of Y -> F isomorphically onto the kernel of G -> Q")
+    if not k_q.is_isomorphic_to(d.s):
         raise AssertionError("kernel of G -> Q does not match S in the derived grid")
 
 

@@ -25,10 +25,6 @@ class NotExactError(HexextError):
         super().__init__(f"sequence fails exactness at {position}")
 
 
-class LadderNotCommutingError(HexextError):
-    pass
-
-
 class ArgumentMismatchError(HexextError):
     pass
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .errors import (
-    LadderNotCommutingError,
     NonComposableError,
     NotExactError,
     WellDefinednessError,
@@ -599,64 +598,6 @@ def _solve_matrix(source: PresentedModule, target: PresentedModule,
     ambient = PresentedModule(block_diag(ring, [h.relations for h in spaces]))
     z = lift(ModuleMorphism(_hom_space(gs, target), ambient, mat), flat)
     return None if z is None else _unflatten(z.col(0), gt, gs, ring)
-
-
-# ---------------------------------------------------------------------------
-# Snake lemma
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SnakeResult:
-    kernels: tuple[PresentedModule, PresentedModule, PresentedModule]
-    kernel_inclusions: tuple[ModuleMorphism, ModuleMorphism, ModuleMorphism]
-    cokernels: tuple[PresentedModule, PresentedModule, PresentedModule]
-    cokernel_projections: tuple[ModuleMorphism, ModuleMorphism, ModuleMorphism]
-    connecting: ModuleMorphism            # ker(right vertical) -> coker(left vertical)
-    six_term: tuple[ModuleMorphism, ...]  # ka -> kb -> kc -> ca -> cb -> cc
-
-
-def snake_connecting(top: ShortExactSequence, bottom: ShortExactSequence,
-                     va: ModuleMorphism, vb: ModuleMorphism, vc: ModuleMorphism) -> SnakeResult:
-    """Connecting morphism and six-term exact sequence of a commuting ladder
-    of short exact sequences."""
-    if va.source != top.left or vb.source != top.middle or vc.source != top.right:
-        raise LadderNotCommutingError("vertical maps do not start on the top row")
-    if va.target != bottom.left or vb.target != bottom.middle or vc.target != bottom.right:
-        raise LadderNotCommutingError("vertical maps do not end on the bottom row")
-    if not (vb @ top.inject).equals(bottom.inject @ va):
-        raise LadderNotCommutingError("left square does not commute")
-    if not (vc @ top.project).equals(bottom.project @ vb):
-        raise LadderNotCommutingError("right square does not commute")
-
-    ka, ka_in = morphism_kernel(va)
-    kb, kb_in = morphism_kernel(vb)
-    kc, kc_in = morphism_kernel(vc)
-    ca, ca_pr = morphism_cokernel(va)
-    cb, cb_pr = morphism_cokernel(vb)
-    cc, cc_pr = morphism_cokernel(vc)
-
-    ka_kb = lift_through_inclusion(kb_in, top.inject @ ka_in)
-    kb_kc = lift_through_inclusion(kc_in, top.project @ kb_in)
-
-    # staircase chase on the generators of ker(vc)
-    b_lift = lift(top.project, kc_in.matrix)
-    if b_lift is None:
-        raise NotExactError("top projection is not surjective")
-    a_lift = lift(bottom.inject, vb.matrix @ b_lift)
-    if a_lift is None:
-        raise NotExactError("chase left the image of the bottom injection")
-    delta = hom(kc, ca, a_lift)
-
-    ca_cb = ModuleMorphism(ca, cb, bottom.inject.matrix)    # well defined: the squares commute
-    cb_cc = ModuleMorphism(cb, cc, bottom.project.matrix)
-
-    return SnakeResult(
-        (ka, kb, kc), (ka_in, kb_in, kc_in),
-        (ca, cb, cc), (ca_pr, cb_pr, cc_pr),
-        delta,
-        (ka_kb, kb_kc, delta, ca_cb, cb_cc),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ exactness, the class over Y solved in Ext^1(R, P) (+) Ext^1(S, P) against
 its solve in cochains, tau's sequence, whose splice with the Y-sequence is
 checked against the chain-lift connecting image, the grid maps i and j of a
 realized diagram solved over all of Hom(H, X) against their construction,
-and a hexagon frame's conditions read on the frame itself against its fold.
+a hexagon frame's conditions read on the frame itself against its fold, and
+the general snake lemma of a ladder, with its six-term sequence, against
+the pipeline's check of its one ladder over Y.
 Tests import them with ``from routes import ...``.
 """
 
@@ -44,8 +46,10 @@ from hexext.modules import (
     hom,
     identity_morphism,
     lift,
+    lift_through_inclusion,
     make_ses,
     morphism_cokernel,
+    morphism_kernel,
     preimage_kernel_columns,
     pullback,
     pullback_factor,
@@ -321,6 +325,64 @@ def grid_maps_over_x(d: Diagram3x3, by: BuildY, x: PresentedModule) -> tuple[Mod
     if i is None or j is None:
         raise AssertionError("grid maps are unsolvable over Hom(-, X)")
     return i, j
+
+
+# ---------------------------------------------------------------------------
+# The snake lemma
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SnakeResult:
+    kernels: tuple[PresentedModule, PresentedModule, PresentedModule]
+    kernel_inclusions: tuple[ModuleMorphism, ModuleMorphism, ModuleMorphism]
+    cokernels: tuple[PresentedModule, PresentedModule, PresentedModule]
+    cokernel_projections: tuple[ModuleMorphism, ModuleMorphism, ModuleMorphism]
+    connecting: ModuleMorphism            # ker(right vertical) -> coker(left vertical)
+    six_term: tuple[ModuleMorphism, ...]  # ka -> kb -> kc -> ca -> cb -> cc
+
+
+def snake_connecting(top: ShortExactSequence, bottom: ShortExactSequence,
+                     va: ModuleMorphism, vb: ModuleMorphism, vc: ModuleMorphism) -> SnakeResult:
+    """Connecting morphism and six-term exact sequence of a commuting ladder
+    of short exact sequences."""
+    if va.source != top.left or vb.source != top.middle or vc.source != top.right:
+        raise NonComposableError("vertical maps do not start on the top row")
+    if va.target != bottom.left or vb.target != bottom.middle or vc.target != bottom.right:
+        raise NonComposableError("vertical maps do not end on the bottom row")
+    if not (vb @ top.inject).equals(bottom.inject @ va):
+        raise NonComposableError("left square does not commute")
+    if not (vc @ top.project).equals(bottom.project @ vb):
+        raise NonComposableError("right square does not commute")
+
+    ka, ka_in = morphism_kernel(va)
+    kb, kb_in = morphism_kernel(vb)
+    kc, kc_in = morphism_kernel(vc)
+    ca, ca_pr = morphism_cokernel(va)
+    cb, cb_pr = morphism_cokernel(vb)
+    cc, cc_pr = morphism_cokernel(vc)
+
+    ka_kb = lift_through_inclusion(kb_in, top.inject @ ka_in)
+    kb_kc = lift_through_inclusion(kc_in, top.project @ kb_in)
+
+    # staircase chase on the generators of ker(vc)
+    b_lift = lift(top.project, kc_in.matrix)
+    if b_lift is None:
+        raise NotExactError("top projection is not surjective")
+    a_lift = lift(bottom.inject, vb.matrix @ b_lift)
+    if a_lift is None:
+        raise NotExactError("chase left the image of the bottom injection")
+    delta = hom(kc, ca, a_lift)
+
+    ca_cb = ModuleMorphism(ca, cb, bottom.inject.matrix)    # well defined: the squares commute
+    cb_cc = ModuleMorphism(cb, cc, bottom.project.matrix)
+
+    return SnakeResult(
+        (ka, kb, kc), (ka_in, kb_in, kc_in),
+        (ca, cb, cc), (ca_pr, cb_pr, cc_pr),
+        delta,
+        (ka_kb, kb_kc, delta, ca_cb, cb_cc),
+    )
 
 
 # ---------------------------------------------------------------------------

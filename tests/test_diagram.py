@@ -37,6 +37,7 @@ from hexext.document import parse
 from hexext.errors import (
     BudgetExceededError,
     ClassesDifferError,
+    HexextError,
     InvalidDiagramError,
     LambdaNotExtendableError,
     NotExtendableError,
@@ -55,6 +56,8 @@ from hexext.modules import (
     ShortExactSequence,
     direct_sum,
     hom,
+    identity_morphism,
+    is_exact,
     lift,
     make_ses,
     morphism_cokernel,
@@ -70,6 +73,7 @@ from routes import (
     grid_maps_over_x,
     middle_maps,
     restriction_solve_over_ext,
+    snake_connecting,
     tau_ses,
     transport_contravariant,
 )
@@ -254,7 +258,7 @@ def test_entry_validates_diagram_once(entry, monkeypatch):
     ext = extend_diagram(all_split())
     seen = _count_calls(monkeypatch, "validate_diagram1")
     pullbacks = _count_calls(monkeypatch, "pullback")
-    snakes = _count_calls(monkeypatch, "snake_connecting")
+    snakes = _count_calls(monkeypatch, "_snake_cross_check")
     d = all_split()
     ENTRIES[entry](d, ext)
     assert len(seen) == 1 and seen[0][0] is d
@@ -318,7 +322,7 @@ def test_memo_runs_each_cross_check_once(monkeypatch):
     # the snake cross-check and the comparison of the connecting image with
     # the product sum run once per diagram object, whatever entry asks; the
     # connecting image is a chain lift, so only route 1 splices
-    snakes = _count_calls(monkeypatch, "snake_connecting")
+    snakes = _count_calls(monkeypatch, "_snake_cross_check")
     splices = _count_calls(monkeypatch, "yoneda_product_of_ses")
     images = _count_calls(monkeypatch, "_connecting_image")
     d = all_split()
@@ -367,44 +371,134 @@ def test_variant_cocycle_reports_obstruction():
     assert exc.value.report is not None and not exc.value.report.is_zero
 
 
+def _wrap_in_every_module(monkeypatch, name: str, record) -> None:
+    """Wrap ``hexext.modules.<name>`` under every hexext name bound to it;
+    ``record`` sees each call's arguments and result."""
+    real = getattr(modules_module, name)
+
+    def wrapped(*args):
+        out = real(*args)
+        record(args, out)
+        return out
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("hexext.")]:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, wrapped)
+
+
 def test_snake_cross_check_builds_no_zero_kernel_or_cokernel(monkeypatch):
-    # in the ladder (id_R, p_f, G -> Q) id_R is injective and all three
-    # verticals are surjective, so of the six kernels and cokernels only
-    # ker(p_f) and ker(G -> Q), both S, have generators, and no cokernel is
-    # shrunk
-    kernels, shrinks, in_cokernel = [], [], []
-    real_kernel, real_cokernel = modules_module.morphism_kernel, modules_module.morphism_cokernel
-    real_shrink = modules_module.shrink_generators
-
-    def cokernel(f):
-        in_cokernel.append(f)
-        try:
-            return real_cokernel(f)
-        finally:
-            in_cokernel.pop()
-
-    monkeypatch.setattr(modules_module, "morphism_kernel", lambda f: kernels.append(real_kernel(f)) or kernels[-1])
-    monkeypatch.setattr(modules_module, "morphism_cokernel", cokernel)
-    monkeypatch.setattr(modules_module, "shrink_generators",
-                        lambda a: (shrinks.append(a) if in_cokernel else None) or real_shrink(a))
+    # in the ladder (id_R, p_f, G -> Q) ker(id_R) and all three cokernels
+    # are zero, so the check builds only ker(p_f) and ker(G -> Q), both S
+    kernels, cokernels = [], []
+    _wrap_in_every_module(monkeypatch, "morphism_kernel", lambda args, out: kernels.append(out[0]))
+    _wrap_in_every_module(monkeypatch, "morphism_cokernel", lambda args, out: cokernels.append(out[0]))
     grids = 0
     for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
         rng = random.Random(f"snake {ring}")
         for _ in range(8):
             kernels.clear()
-            build_Y(random_diagram(rng, ring, 16))
-            assert len(kernels) == 3 and sum(k.generators > 0 for k, _inclusion in kernels) <= 2
+            d = random_diagram(rng, ring, 16)
+            build_Y(d)
+            assert len(kernels) == 2 and all(k.is_isomorphic_to(d.s) for k in kernels)
             grids += 1
-    assert grids == 40 and not shrinks
+    assert grids == 40 and not cokernels
+
+
+def _scaled(f: ModuleMorphism, c: int) -> ModuleMorphism:
+    return ModuleMorphism(f.source, f.target, f.matrix.scale(c))
+
+
+# each of Y's maps into or out of the ladder's top row, scaled by 0
+SNAKE_FAULTS = {
+    "w_r": "derived sequence not exact: snake top row/left: image strictly smaller than kernel; "
+           "snake top row/interior 0: image strictly smaller than kernel",
+    "p_g": "derived sequence not exact: snake top row/interior 0: image strictly smaller than kernel; "
+           "snake top row/right: image strictly smaller than kernel",
+    "p_f": "left square of the snake ladder does not commute",
+}
+
+
+@pytest.mark.parametrize("field", sorted(SNAKE_FAULTS))
+def test_snake_cross_check_fault_is_an_assertion(field):
+    d = all_split()
+    by = build_Y(d)
+    broken = replace(by, **{field: _scaled(getattr(by, field), 0)})
+    with pytest.raises(AssertionError, match=f"^{SNAKE_FAULTS[field]}$"):
+        diagram_module._snake_cross_check(d, broken)
+
+
+def test_snake_cross_check_needs_p_f_onto_and_p_g_into_ker_q():
+    # with R = 0 the top row is Y -> G alone and the left square holds for
+    # any p_f: zero p_f is not onto, and p_g followed by the swap of
+    # G = S (+) Q sends ker(p_f), the copy of S, outside ker(G -> Q)
+    zero = PresentedModule.zero(R4)
+    d = Diagram3x3(row_top=split_ses(Z2m, zero), row_bottom=split_ses(Z2m, Z2m),
+                   col_left=split_ses(Z2m, Z2m), col_right=split_ses(zero, Z2m))
+    by = build_Y(d)
+    with pytest.raises(AssertionError, match="^Y -> F is not onto in the derived grid$"):
+        diagram_module._snake_cross_check(d, replace(by, p_f=_scaled(by.p_f, 0)))
+    swap = hom(d.g, d.g, [[0, 1], [1, 0]])
+    with pytest.raises(AssertionError,
+                       match="^Y -> G does not carry the kernel of Y -> F into the kernel of G -> Q$"):
+        diagram_module._snake_cross_check(d, replace(by, p_g=swap @ by.p_g))
+
+
+def _library_verdict(d: Diagram3x3, by) -> bool:
+    """The right square, which ``_y_core`` checks, and the snake cross-check."""
+    if not (d.col_right.project @ by.p_f).equals(d.row_bottom.project @ by.p_g):
+        return False
+    try:
+        diagram_module._snake_cross_check(d, by)
+    except AssertionError:
+        return False
+    return True
+
+
+def _general_verdict(d: Diagram3x3, by) -> bool:
+    """The general snake lemma of the same ladder: it is built and its
+    six-term sequence is exact."""
+    try:
+        top = make_ses(by.w_r, by.p_g)
+        res = snake_connecting(top, d.col_right, identity_morphism(d.r), by.p_f, d.row_bottom.project)
+    except HexextError:
+        return False
+    return is_exact(list(res.six_term))
+
+
+def test_snake_cross_check_agrees_with_the_general_lemma():
+    # Y's maps as built, and each of w_r, p_g and p_f scaled by 0, 2 or 3
+    verdicts = collections.Counter()
+    for ring in (R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12), ZZ):
+        rng = random.Random(f"snake verdicts {ring}")
+        for _ in range(25):
+            d = random_diagram(rng, ring, 16)
+            by = build_Y(d)
+            for variant in [by] + [replace(by, **{field: _scaled(getattr(by, field), c)})
+                                   for field in ("w_r", "p_g", "p_f") for c in (0, 2, 3)]:
+                verdicts[_library_verdict(d, variant), _general_verdict(d, variant)] += 1
+    assert sum(verdicts.values()) == 1500 and set(verdicts) <= {(True, True), (False, False)}
+    assert verdicts[True, True] >= 450 and verdicts[False, False] >= 1000
+
+
+def _without_leg_to_g(pb):
+    return replace(pb, to_right=zero_morphism(pb.module, pb.to_right.target))
 
 
 # Faults that can only occur after the diagram is accepted: each is the
 # engine's own failure, never a verdict that the diagram does not extend.
-# Only the snake's third-kernel check compares modules up to isomorphism
+# Only the snake's check that ker(G -> Q) is S compares modules up to
+# isomorphism; Y with zero factors through the pullback is not exact, and Y
+# with a zero leg to G breaks the right square
 ENGINE_FAULTS = [
     (diagram_module, "_solve_matrix", lambda *a, **k: None, "restriction classes matched but grid maps are unsolvable"),
     (diagram_module, "validate_extension", lambda *a: ["forced"], "constructed extension failed validation: forced"),
-    (diagram_module, "is_exact", lambda *a, **k: False, "snake cross-check failed for the derived grid"),
+    (diagram_module, "pullback_factor", lambda pb, u, v: zero_morphism(u.source, pb.module),
+     "derived sequence not exact: Y-sequence/left: image strictly smaller than kernel; "
+     "Y-sequence/interior 0: image strictly smaller than kernel"),
+    (diagram_module, "pullback", lambda f, g: _without_leg_to_g(modules_module.pullback(f, g)),
+     "pullback projections do not agree over Q"),
+    (ModuleMorphism, "is_isomorphism", lambda *a: False,
+     "Y -> G does not carry the kernel of Y -> F isomorphically onto the kernel of G -> Q"),
     (diagram_module, "_first_outside", lambda *a, **k: 0, "a restricted or chased cochain is not a cocycle"),
     (PresentedModule, "is_isomorphic_to", lambda *a: False, "kernel of G -> Q does not match S in the derived grid"),
 ]
@@ -428,19 +522,15 @@ def test_not_extendable_always_carries_its_obstruction():
 
 def test_extend_diagram_checks_only_solved_maps(monkeypatch):
     # maps built by construction skip the well-definedness check, which only
-    # the checked constructor hom runs; the seven read off a solve keep it:
-    # Y's two pullback factors, the snake's two kernel lifts and its
-    # connecting map, and the grid maps i and j.  Asked again of the same
-    # object, only i and j are solved anew.  hom is wrapped under every
-    # hexext name bound to it
+    # the checked constructor hom runs; the five read off a solve keep it:
+    # Y's two pullback factors, the snake check's lift of ker(p_f) into
+    # ker(G -> Q), and the grid maps i and j.  Asked again of the same
+    # object, only i and j are solved anew
     seen = []
-    real = modules_module.hom
-    for mod in [m for name, m in sys.modules.items() if name.startswith("hexext.")]:
-        if getattr(mod, "hom", None) is real:
-            monkeypatch.setattr(mod, "hom", lambda *a: seen.append(a) or real(*a))
+    _wrap_in_every_module(monkeypatch, "hom", lambda args, out: seen.append(args))
     d = all_split()
     extend_diagram(d)
-    assert len(seen) == 7
+    assert len(seen) == 5
     seen.clear()
     extend_diagram(d)
     assert len(seen) == 2

@@ -379,22 +379,23 @@ def test_ladder_exact_on_seeded_random_sequences():
 MOVED_TO_ROUTES = ("connecting_hom", "HomExtLadder", "connecting_alpha", "_transport_matrix",
                    "transport_contravariant", "transport_covariant", "pullback_ses", "pushout_ses",
                    "baer_sum_explicit", "yoneda_product", "yoneda_product_via_chain_lift",
-                   "Pushout", "pushout")
-# the splice layer, which yoneda_product_of_ses replaced by one chase, and the
-# second certificate check beside hom
-DELETED = ("YonedaTwoExtension", "splice", "two_extension_class", "check_well_defined", "WellDefinedReport")
+                   "Pushout", "pushout", "snake_connecting", "SnakeResult")
+# the splice layer, which yoneda_product_of_ses replaced by one chase, the
+# second certificate check beside hom, and the error only the snake lemma raised
+DELETED = ("YonedaTwoExtension", "splice", "two_extension_class", "check_well_defined", "WellDefinedReport",
+           "LadderNotCommutingError")
 
 
 def test_public_names_resolve_and_test_routes_stay_out_of_the_library():
     import hexext
     import routes
-    from hexext import diagram, ext, modules
+    from hexext import diagram, errors, ext, modules
     from hexext.diagram import DiagramExtension
 
-    assert len(set(hexext.__all__)) == len(hexext.__all__)
+    assert len(set(hexext.__all__)) == len(hexext.__all__) == 57
     # a stale entry would break ``from hexext import *``
     assert [name for name in hexext.__all__ if not hasattr(hexext, name)] == []
-    for mod in (hexext, ext, modules, diagram):
+    for mod in (hexext, ext, modules, diagram, errors):
         assert [name for name in MOVED_TO_ROUTES + DELETED if hasattr(mod, name)] == [], mod.__name__
     assert all(hasattr(routes, name) for name in MOVED_TO_ROUTES)
     assert not hasattr(DiagramExtension, "row_mid") and not hasattr(DiagramExtension, "col_mid")

@@ -28,14 +28,13 @@ from hexext.modules import (
     pullback,
     pullback_factor,
     simplify,
-    snake_connecting,
     solve_morphism,
     submodule_generated,
     zero_morphism,
 )
 from hexext.randgen import random_hom, random_module, random_ses
 from hexext.rings import ZZ, Zmod
-from routes import pushout
+from routes import pushout, snake_connecting
 
 R4 = Zmod(4)
 Z2m = PresentedModule.cyclic(R4, 2)

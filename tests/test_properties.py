@@ -25,7 +25,6 @@ from hexext.modules import (
     morphism_kernel,
     pullback,
     simplify,
-    snake_connecting,
     zero_morphism,
 )
 from hexext.oracle import enumerate_morphisms
@@ -35,6 +34,7 @@ from routes import (
     connecting_hom,
     pushout,
     pushout_ses,
+    snake_connecting,
     transport_contravariant,
     transport_covariant,
     yoneda_product_via_chain_lift,

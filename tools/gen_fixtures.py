@@ -51,11 +51,6 @@ def add_extension(model, tag, ring_name, ext, diagram_name):
     model.extension_diagram_names[tag] = diagram_name
 
 
-def diagram_doc(model, name, dg, refs):
-    model.diagrams[name] = dg
-    return refs
-
-
 def write(name, model):
     OUT.mkdir(exist_ok=True)
     (OUT / name).write_text(serialize(model), encoding="utf-8")
