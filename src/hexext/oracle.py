@@ -21,9 +21,11 @@ enumerations exist to validate the engine.
 
 Budgets are enforced by explicit candidate counting; every table's ambient
 size and addition-table cells count as candidates, on every call, also when
-:func:`_table` hands out a table kept from an earlier call.  ``max_order``
-bounds the order of every module an operation tabulates, and of the middle
-objects that :func:`brute_ext1` and :func:`brute_extension_exists` enumerate.
+:func:`_table` hands out a table kept from an earlier call.  Likewise
+:func:`brute_ext1` walks each pair once per process and ticks the walk's
+candidate total when it answers the pair again.  ``max_order`` bounds the
+order of every module an operation tabulates, and of the middle objects
+that :func:`brute_ext1` and :func:`brute_extension_exists` enumerate.
 """
 
 from __future__ import annotations
@@ -209,48 +211,71 @@ class Table:
 
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-_kept_tables: OrderedDict[tuple, Table] = OrderedDict()
-_kept_lookups = {"hits": 0, "misses": 0}
 
 
+class _Memo:
+    """A process-wide LRU of at most ``CACHE_SIZE`` values, counted like an
+    ``lru_cache``.  Its owner looks a key up with :meth:`get` (``None`` on a
+    miss), decides what to :meth:`keep`, and ticks the meter on a hit;
+    :meth:`attach` gives the owner ``cache_info()`` and ``cache_clear()``,
+    so the memo is inspected and emptied like the engine's caches.  The
+    memo itself has neither name, so a scan for ``cache_info`` finds each
+    memo once, on its owner."""
+
+    def __init__(self):
+        self._kept: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def get(self, key):
+        value = self._kept.get(key)
+        if value is None:
+            self._misses += 1
+        else:
+            self._hits += 1
+            self._kept.move_to_end(key)
+        return value
+
+    def keep(self, key, value) -> None:
+        self._kept[key] = value
+        if len(self._kept) > CACHE_SIZE:
+            self._kept.popitem(last=False)
+
+    def _info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, CACHE_SIZE, len(self._kept))
+
+    def _clear(self) -> None:
+        self._kept.clear()
+        self._hits = self._misses = 0
+
+    def attach(self, fn):
+        fn.cache_info, fn.cache_clear = self._info, self._clear
+        return fn
+
+
+_kept_tables = _Memo()
+
+
+@_kept_tables.attach
 def _table(radix: tuple[int, ...], relation_cols, meter: _Meter) -> Table:
     """``Table(radix, relation_cols, meter)``, kept for the process if small.
 
-    The memo is an LRU of at most ``CACHE_SIZE`` tables, keyed on the radix
-    and the relation columns, and keeps only tables of order at most the
-    default ``max_order`` (so at most 256 sum cells each).  A miss builds
-    under the caller's meter, so an oversized table still raises before it
-    allocates; a hit ticks the same two counts as a build, so every budget
-    refuses a kept table at the same point and with the same message.
+    The memo is keyed on the radix and the relation columns, and keeps only
+    tables of order at most the default ``max_order`` (so at most 256 sum
+    cells each).  A miss builds under the caller's meter, so an oversized
+    table still raises before it allocates; a hit ticks the same two counts
+    as a build, so every budget refuses a kept table at the same point and
+    with the same message.
     """
     key = (tuple(radix), tuple(map(tuple, relation_cols)))
     t = _kept_tables.get(key)
     if t is None:
-        _kept_lookups["misses"] += 1
         t = Table(radix, relation_cols, meter)
         if t.n <= _DEFAULT_MAX_ORDER:
-            _kept_tables[key] = t
-            if len(_kept_tables) > CACHE_SIZE:
-                _kept_tables.popitem(last=False)
+            _kept_tables.keep(key, t)
         return t
-    _kept_lookups["hits"] += 1
-    _kept_tables.move_to_end(key)
     meter.tick(prod(t.radix))
     meter.tick(t.n * t.n)
     return t
-
-
-def _table_cache_info() -> _CacheInfo:
-    return _CacheInfo(_kept_lookups["hits"], _kept_lookups["misses"], CACHE_SIZE, len(_kept_tables))
-
-
-def _table_cache_clear() -> None:
-    _kept_tables.clear()
-    _kept_lookups.update(hits=0, misses=0)
-
-
-# the interface of an lru_cache, so the memo is inspected like the engine's caches
-_table.cache_info, _table.cache_clear = _table_cache_info, _table_cache_clear
 
 
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
@@ -456,6 +481,10 @@ def _canonical_factor_set(tp: Table, base: tuple, deltas: list[tuple]) -> tuple:
     return best
 
 
+_kept_answers = _Memo()
+
+
+@_kept_answers.attach
 def brute_ext1(q: PresentedModule, p: PresentedModule,
                budget: EnumerationBudget = EnumerationBudget()) -> ExtCount:
     """Count equivalence classes of ``0 -> P -> X -> Q -> 0`` by enumerating
@@ -471,15 +500,31 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     injective injection still counts all projection candidates against the
     budget, in one tick.  A projection's factor set is computed once, as
     elements of X, and read into P through each injection's inverse; each
-    distinct factor set is canonicalised once per call.  The pairs come in
+    distinct factor set is canonicalised once per walk.  The pairs come in
     the order of a walk over every (injection, projection) pair, so each
-    class keeps the first pair that reaches it as its representative."""
+    class keeps the first pair that reaches it as its representative.
+
+    The walk runs once per pair of modules per process.  A completed walk is
+    kept in a memo of at most ``CACHE_SIZE`` answers, keyed on Q and P as
+    values (their relation matrices, ring included), with its candidate
+    total.  A later call for the pair tabulates P and Q and checks
+    ``max_order`` as a walk does, then ticks that total in one tick and
+    returns the kept representatives in a fresh list.  A walk's count only
+    rises and its refusal names the budget, so every budget refuses a kept
+    answer exactly when it refuses the walk, with the same message; a
+    refused walk keeps nothing."""
     meter = _Meter(budget)
     tp = _module_table(p, budget, meter)
     tq = _module_table(q, budget, meter)
     n = tp.n * tq.n
     if n > budget.max_order:
         raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
+    kept = _kept_answers.get((q, p))
+    if kept is not None:
+        walked, reps = kept
+        meter.tick(walked)
+        return ExtCount(len(reps), list(reps))
+    before_walk = meter.count
 
     p_rel = p.relations.columns()
     deltas = _coboundary_deltas(tp, tq, meter)
@@ -516,6 +561,7 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
                 classes.add(key)
                 x_mod = PresentedModule.from_invariant_factors(p.ring, list(orders))
                 reps.append(ShortExactSequence(_morphism(p, x_mod, tx, i_imgs), _morphism(x_mod, q, tq, p_imgs)))
+    _kept_answers.keep((q, p), (meter.count - before_walk, tuple(reps)))
     return ExtCount(len(reps), reps)
 
 

@@ -401,24 +401,57 @@ def test_table_memo_changes_no_answer():
     # seeded pairs over Z and Z/m with |Q||P| <= 12, each under the default
     # budget and under candidate budgets that a third and nearly all of them
     # exceed, some while tabulating: counts, representatives and error
-    # messages agree with every table built afresh and with every table kept
-    calls = []
+    # messages agree with every table built afresh and every answer walked
+    # afresh, and with every table and answer kept
+    pairs = []
     for ring in (ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)):
         rng = random.Random(f"table-memo-{ring}")
         for _ in range(8):
             q = random_module(rng, ring, 6)
-            p = random_module(rng, ring, 12 // q.cardinality())
-            calls += [(q, p, EnumerationBudget(max_candidates=c)) for c in (20_000_000, 500, 100)]
+            pairs.append((q, random_module(rng, ring, 12 // q.cardinality())))
+    # Z/2 by Z/2 over five rings: one shared table, and counts 2, 1, 2, 2, 2,
+    # so an answer kept without its ring would be read over the wrong ring
+    z2_rings = (R4, Zmod(6), Zmod(8), Zmod(12), ZZ)
+    pairs += [(PresentedModule.cyclic(ring, 2), PresentedModule.cyclic(ring, 2)) for ring in z2_rings]
+    calls = [(q, p, EnumerationBudget(max_candidates=c)) for q, p in pairs for c in (20_000_000, 500, 100)]
     cold = []
     for q, p, budget in calls:
         _table.cache_clear()
+        brute_ext1.cache_clear()
         cold.append(_ext1_outcome(q, p, budget))
+    assert [o[0] for o in cold[-15::3]] == [2, 1, 2, 2, 2]
     for q, p, budget in calls:
         _ext1_outcome(q, p, budget)
+    answer_hits = brute_ext1.cache_info().hits
     warm = [_ext1_outcome(q, p, budget) for q, p, budget in calls]
     assert _table.cache_info().hits > 0
+    assert brute_ext1.cache_info().hits > answer_hits
     assert warm == cold
     assert any(isinstance(o, str) for o in cold) and any(not isinstance(o, str) for o in cold)
+
+
+def test_kept_answer_is_the_walked_answer():
+    budget = EnumerationBudget()
+    brute_ext1.cache_clear()
+    walked = _ext1_outcome(Z2m, Z2m, budget)
+    out = brute_ext1(Z2m, Z2m)
+    assert brute_ext1.cache_info().hits == 1
+    assert (out.count, [(s.middle.relations, s.inject.matrix, s.project.matrix)
+                        for s in out.representatives]) == walked
+    # the caller owns the returned list: changing it changes no later answer
+    out.representatives.clear()
+    out.representatives.append(None)
+    assert _ext1_outcome(Z2m, Z2m, budget) == walked
+    # a kept pair is still refused by a middle order over the budget
+    with pytest.raises(BudgetExceededError, match="^middle order 4 exceeds budget 3$"):
+        brute_ext1(Z2m, Z2m, EnumerationBudget(max_order=3))
+    # a walk its candidate budget refuses keeps nothing
+    brute_ext1.cache_clear()
+    with pytest.raises(BudgetExceededError, match="^candidate count exceeded 20$"):
+        brute_ext1(Z2m, Z2m, EnumerationBudget(max_candidates=20))
+    assert brute_ext1.cache_info().currsize == 0
+    assert _ext1_outcome(Z2m, Z2m, budget) == walked
+    assert brute_ext1.cache_info() == (0, 2, linalg.CACHE_SIZE, 1)
 
 
 # the smallest candidate budget under which brute_ext1 answers, on seeded
@@ -589,7 +622,8 @@ def _oracle_calls():
 def test_oracle_answers_without_the_engine(monkeypatch, name):
     call, expected = _oracle_calls()[name]
     # empty the engine's caches, so that no cached result hides a call below
-    # them, and the oracle's table memo, so that the call builds its own tables
+    # them, and the oracle's memos, so that the call builds its own tables
+    # and walks its own answer
     for layer in (linalg, modules, oracle):
         for obj in vars(layer).values():
             if hasattr(obj, "cache_clear"):
@@ -601,6 +635,7 @@ def test_oracle_answers_without_the_engine(monkeypatch, name):
     for fn in ("_snf_int", "_hermite_cols", "_echelon_insert"):
         monkeypatch.setattr(linalg, fn, engine)
     assert call() == expected
+    assert brute_ext1.cache_info().hits == 0
 
 
 def test_oracle_results_pass_the_engine_checks():
