@@ -14,9 +14,7 @@ from .modules import (
     direct_sum,
     exactness_report,
     hom,
-    is_exact,
     make_ses,
-    morphism_cokernel,
     morphism_image,
     morphism_kernel,
     pullback,
@@ -41,7 +39,6 @@ from .diagram import (
     compatible_isomorphism,
     enumerate_extensions,
     extend_diagram,
-    is_injective_module,
     obstruction,
     validate_diagram1,
     validate_extension,
@@ -70,8 +67,7 @@ __all__ = [
     "ExactMatrix", "solve_linear", "kernel_columns",
     "PresentedModule", "ModuleMorphism", "ShortExactSequence",
     "hom", "morphism_kernel", "morphism_image",
-    "morphism_cokernel", "direct_sum",
-    "pullback", "exactness_report", "is_exact", "make_ses",
+    "direct_sum", "pullback", "exactness_report", "make_ses",
     "split_ses",
     "FreeResolution", "ExtModule", "ExtClass",
     "free_resolution", "ext_module", "class_of_ses", "ses_of_class",
@@ -79,7 +75,7 @@ __all__ = [
     "Diagram3x3", "DiagramExtension", "ObstructionReport",
     "validate_diagram1", "obstruction", "build_Y", "extend_diagram",
     "enumerate_extensions", "validate_extension", "check_uniqueness",
-    "compatible_isomorphism", "is_injective_module",
+    "compatible_isomorphism",
     "HexagonFrame", "SolvedHexagon", "fold_frame", "solve_hexagon",
     "verify_hexagon", "hexagon_compatible_iso", "validate_frame",
     "EnumerationBudget", "enumerate_morphisms", "brute_ext1",

@@ -61,7 +61,6 @@ from .modules import (
     _flatten,
     _solve_matrix,
 )
-from .rings import prime_factors
 
 
 @dataclass(frozen=True)
@@ -535,22 +534,3 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
     if not phi.is_isomorphism():
         raise AssertionError("compatible morphism is not an isomorphism")
     return phi
-
-
-def is_injective_module(p: PresentedModule) -> bool:
-    """Injectivity over the base ring.
-
-    Over Z no nonzero finitely generated module is injective.  Over Z/m a
-    module is injective iff every primary component is a sum of cyclic
-    modules of the maximal order dividing the modulus, i.e. every invariant
-    factor carries the full power of each of its primes.
-    """
-    if not p.ring.is_modular:
-        return p.is_zero_module()
-    m = p.ring.modulus
-    mf = prime_factors(m)
-    for f in p.invariant_factors():
-        for prime, mult in prime_factors(f).items():
-            if mf[prime] != mult:
-                return False
-    return True

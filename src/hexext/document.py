@@ -275,6 +275,15 @@ def serialize(model: DocumentModel) -> str:
     for name in sorted(model.morphisms):
         morphism_name.setdefault(model.morphisms[name], name)
 
+    names = {"module": module_name, "morphism": morphism_name}
+
+    def named(kind: str, value, owner: str, slot: str) -> str:
+        """The document name of ``value``, which fills ``slot`` of ``owner``."""
+        name = names[kind].get(value)
+        if name is None:
+            raise SemanticError(f"{owner}: {slot} is not a named {kind}")
+        return name
+
     doc: dict = {}
     if model.rings:
         doc["rings"] = {
@@ -297,36 +306,35 @@ def serialize(model: DocumentModel) -> str:
     if model.morphisms:
         out = {}
         for name, f in sorted(model.morphisms.items()):
-            sname, tname = module_name.get(f.source), module_name.get(f.target)
-            if sname is None or tname is None:
-                raise SemanticError(f"morphism {name}: endpoints are not named modules")
-            out[name] = {"source": sname, "target": tname,
-                         "matrix": _encode_rows(f.matrix.data, f"morphism {name}")}
+            owner = f"morphism {name}"
+            out[name] = {"source": named("module", f.source, owner, "source"),
+                         "target": named("module", f.target, owner, "target"),
+                         "matrix": _encode_rows(f.matrix.data, owner)}
         doc["morphisms"] = out
-
-    def seq_ref(s: ShortExactSequence, what: str):
-        inj, proj = morphism_name.get(s.inject), morphism_name.get(s.project)
-        if inj is None or proj is None:
-            raise SemanticError(f"{what}: sequence maps are not named morphisms")
-        return {"inject": inj, "project": proj}
-
     if model.diagrams:
         out = {}
         for name, dg in sorted(model.diagrams.items()):
-            out[name] = {k: module_name[getattr(dg, k.lower())] for k in _CORNERS}
+            owner = f"diagram {name}"
+            out[name] = {k: named("module", getattr(dg, k.lower()), owner, k) for k in _CORNERS}
             for key, (attr, _) in _SEQUENCES.items():
-                out[name][key] = seq_ref(getattr(dg, attr), f"diagram {name}")
+                seq = getattr(dg, attr)
+                out[name][key] = {"inject": named("morphism", seq.inject, owner, f"{key} inject"),
+                                  "project": named("morphism", seq.project, owner, f"{key} project")}
         doc["diagrams"] = out
     if model.hexagons:
         out = {}
         for name, hx in sorted(model.hexagons.items()):
-            out[name] = {k: module_name[getattr(hx, attr)] for k, attr in _HEXAGON_MODULES.items()}
-            out[name].update((k, morphism_name[getattr(hx, attr)]) for k, attr in _HEXAGON_MAPS.items())
+            owner = f"hexagon {name}"
+            out[name] = {k: named("module", getattr(hx, attr), owner, k) for k, attr in _HEXAGON_MODULES.items()}
+            out[name].update((k, named("morphism", getattr(hx, attr), owner, k)) for k, attr in _HEXAGON_MAPS.items())
         doc["hexagons"] = out
     if model.extensions:
         out = {}
         for name, ex in sorted(model.extensions.items()):
-            out[name] = {"diagram": model.extension_diagram_names[name], "X": module_name[ex.x]}
-            out[name].update((k, morphism_name[getattr(ex, k)]) for k in _EXTENSION_MAPS)
+            owner = f"extension {name}"
+            if name not in model.extension_diagram_names:
+                raise SemanticError(f"{owner}: its diagram has no name in the document")
+            out[name] = {"diagram": model.extension_diagram_names[name], "X": named("module", ex.x, owner, "X")}
+            out[name].update((k, named("morphism", getattr(ex, k), owner, k)) for k in _EXTENSION_MAPS)
         doc["extensions"] = out
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -114,7 +114,8 @@ def fold_frame(f: HexagonFrame) -> FoldResult:
     except InvalidDiagramError as exc:
         verdicts = dict(v.partition(": ")[::2] for v in exc.violations)
         faults = sorted(verdicts.keys() - _FRAME_CONDITIONS.keys())
-        assert not faults, f"the fold of a wired frame fails by construction at {faults}"
+        if faults:
+            raise AssertionError(f"the fold of a wired frame fails by construction at {faults}")
         raise FrameInvalidError([msg.format(verdicts[pos]) for pos, msg in _FRAME_CONDITIONS.items()
                                  if pos in verdicts]) from None
     return FoldResult(diagram, quotient, incl_r, incl_s, incl_q)

@@ -137,9 +137,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":

@@ -91,10 +91,6 @@ class PresentedModule:
 
     # -- structure ----------------------------------------------------------
 
-    def contains(self, vec) -> bool:
-        """Is the coefficient column zero in the module?"""
-        return all(x == 0 for x in reduce_mod_lattice(vec, self.relations))
-
     def canonical_rep(self, vec) -> tuple[int, ...]:
         return reduce_mod_lattice(vec, self.relations)
 
@@ -107,9 +103,6 @@ class PresentedModule:
     def cardinality(self) -> int | None:
         """The module's order, ``None`` when its free rank is positive."""
         return lattice_order(self.relations)
-
-    def is_zero_module(self) -> bool:
-        return self.cardinality() == 1
 
     def is_isomorphic_to(self, other: "PresentedModule") -> bool:
         return self.ring == other.ring and _structure(self) == _structure(other)
@@ -265,10 +258,6 @@ def hom(source: PresentedModule, target: PresentedModule, matrix) -> ModuleMorph
     return ModuleMorphism(source, target, matrix)
 
 
-def identity_morphism(m: PresentedModule) -> ModuleMorphism:
-    return ModuleMorphism(m, m, ExactMatrix.identity(m.ring, m.generators))
-
-
 def zero_morphism(source: PresentedModule, target: PresentedModule) -> ModuleMorphism:
     return ModuleMorphism(source, target, ExactMatrix.zeros(source.ring, target.generators, source.generators))
 
@@ -316,19 +305,6 @@ def morphism_image(f: ModuleMorphism):
     image = PresentedModule(shrink_generators(f.source.relations.hstack(preimage_kernel_columns(f))))
     return (image, ModuleMorphism(image, f.target, f.matrix),
             ModuleMorphism(f.source, image, ExactMatrix.identity(f.source.ring, f.source.generators)))
-
-
-def morphism_cokernel(f: ModuleMorphism):
-    """``(coker f, projection from the target)``, presented on the target
-    generators, so the projection's matrix is the identity.  A surjective
-    f, decided by the order count of :meth:`ModuleMorphism.is_surjective`,
-    has the zero cokernel, presented with identity relations and not
-    shrunk."""
-    ring, g = f.target.ring, f.target.generators
-    rels = (ExactMatrix.identity(ring, g) if f.is_surjective()
-            else shrink_generators(f.target.relations.hstack(f.matrix)))
-    coker = PresentedModule(rels)
-    return coker, ModuleMorphism(f.target, coker, ExactMatrix.identity(ring, g))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +407,6 @@ def exactness_report(maps: list[ModuleMorphism]) -> list[tuple[str, str]]:
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))
     out.append(("right", EXACT if maps[-1].is_surjective() else IMAGE_PROPER))
     return out
-
-
-def is_exact(maps: list[ModuleMorphism]) -> bool:
-    return all(v == EXACT for _p, v in exactness_report(maps))
 
 
 def exactness_violations(name: str, maps: list[ModuleMorphism]) -> list[str]:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Diagram3x3, DiagramExtension, _class_over_y, _realize
+from .diagram import Diagram3x3, DiagramExtension
 from .ext import ext_module, ses_of_class
 from .hexagon import HexagonFrame
-from .linalg import ExactMatrix
 from .modules import PresentedModule, direct_sum, hom, zero_morphism
 from .rings import RingSpec
 
@@ -143,19 +142,3 @@ def perturb_extension(rng: random.Random, d: Diagram3x3, ext: DiagramExtension) 
     i2 = ext.i + (iota @ hbar @ d.col_left.project)
     j2 = ext.j + (iota @ kbar @ d.row_top.project)
     return DiagramExtension(ext.x, i2, j2, ext.m, ext.n)
-
-
-def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExtension:
-    """Run the extension pipeline but realize the class from a different
-    cocycle representative (shifted by a random coboundary), yielding a
-    differently presented middle object of the same class.  Raises
-    :class:`NotExtendableError` with the obstruction report, as
-    :func:`extend_diagram` does."""
-    by, xi = _class_over_y(d)
-    res = xi.parent.resolution
-    psi = ExactMatrix.from_rows(
-        d.p.ring,
-        [[rng.randrange(0, 4) for _ in range(res.f0)] for _ in range(d.p.generators)],
-        res.f0,
-    )
-    return _realize(d, by, xi.cocycle() + (psi @ res.d1))

@@ -13,11 +13,15 @@ realized diagram solved over all of Hom(H, X) against their construction,
 a hexagon frame's conditions read on the frame itself against its fold, and
 the general snake lemma of a ladder, with its six-term sequence, against
 the pipeline's check of its one ladder over Y.
+Beside them live four helpers that only the tests call: the identity
+morphism, the cokernel with its projection, injectivity over the base ring,
+and a middle object realized from a shifted cocycle representative.
 Tests import them with ``from routes import ...``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from hexext.errors import ArgumentMismatchError, NonComposableError, NotExactError
@@ -32,7 +36,7 @@ from hexext.ext import (
     ses_of_class,
     yoneda_product_of_ses,
 )
-from hexext.diagram import BuildY, Diagram3x3
+from hexext.diagram import BuildY, Diagram3x3, DiagramExtension, _class_over_y, _realize
 from hexext.hexagon import HexagonFrame
 from hexext.linalg import ExactMatrix, block_diag, shrink_generators
 from hexext.modules import (
@@ -44,11 +48,9 @@ from hexext.modules import (
     direct_sum,
     exactness_report,
     hom,
-    identity_morphism,
     lift,
     lift_through_inclusion,
     make_ses,
-    morphism_cokernel,
     morphism_kernel,
     preimage_kernel_columns,
     pullback,
@@ -56,6 +58,64 @@ from hexext.modules import (
     solve_morphism,
     zero_morphism,
 )
+from hexext.rings import prime_factors
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests call
+# ---------------------------------------------------------------------------
+
+
+def identity_morphism(m: PresentedModule) -> ModuleMorphism:
+    return ModuleMorphism(m, m, ExactMatrix.identity(m.ring, m.generators))
+
+
+def morphism_cokernel(f: ModuleMorphism):
+    """``(coker f, projection from the target)``, presented on the target
+    generators, so the projection's matrix is the identity.  A surjective
+    f, decided by the order count of :meth:`ModuleMorphism.is_surjective`,
+    has the zero cokernel, presented with identity relations and not
+    shrunk."""
+    ring, g = f.target.ring, f.target.generators
+    rels = (ExactMatrix.identity(ring, g) if f.is_surjective()
+            else shrink_generators(f.target.relations.hstack(f.matrix)))
+    coker = PresentedModule(rels)
+    return coker, ModuleMorphism(f.target, coker, ExactMatrix.identity(ring, g))
+
+
+def is_injective_module(p: PresentedModule) -> bool:
+    """Injectivity over the base ring.
+
+    Over Z no nonzero finitely generated module is injective.  Over Z/m a
+    module is injective iff every primary component is a sum of cyclic
+    modules of the maximal order dividing the modulus, i.e. every invariant
+    factor carries the full power of each of its primes.
+    """
+    if not p.ring.is_modular:
+        return p.cardinality() == 1
+    m = p.ring.modulus
+    mf = prime_factors(m)
+    for f in p.invariant_factors():
+        for prime, mult in prime_factors(f).items():
+            if mf[prime] != mult:
+                return False
+    return True
+
+
+def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExtension:
+    """Run the extension pipeline but realize the class from a different
+    cocycle representative (shifted by a random coboundary), yielding a
+    differently presented middle object of the same class.  Raises
+    :class:`NotExtendableError` with the obstruction report, as
+    :func:`extend_diagram` does."""
+    by, xi = _class_over_y(d)
+    res = xi.parent.resolution
+    psi = ExactMatrix.from_rows(
+        d.p.ring,
+        [[rng.randrange(0, 4) for _ in range(res.f0)] for _ in range(d.p.generators)],
+        res.f0,
+    )
+    return _realize(d, by, xi.cocycle() + (psi @ res.d1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from hexext.diagram import (
     compatible_isomorphism,
     enumerate_extensions,
     extend_diagram,
-    is_injective_module,
     obstruction,
     validate_extension,
 )
@@ -28,14 +27,13 @@ from hexext.ext import class_of_ses, ext_module, ses_of_class
 from hexext.modules import PresentedModule, split_ses
 from hexext.oracle import EnumerationBudget, brute_ext1, brute_extension_exists
 from hexext.randgen import (
-    extend_with_variant_cocycle,
     perturb_extension,
     random_class,
     random_diagram,
     random_module,
 )
 from hexext.rings import ZZ, Zmod
-from routes import baer_sum_explicit
+from routes import baer_sum_explicit, extend_with_variant_cocycle, is_injective_module
 from tests.conftest import all_modules_over
 
 R4, R8, R9 = Zmod(4), Zmod(8), Zmod(9)
@@ -296,7 +294,7 @@ def test_criterion_7_baer_coherence(capsys):
         q = random_module(rng, ZZ, 12, allow_zero=False)
         p = random_module(rng, ZZ, 12, allow_zero=False)
         e = ext_module(1, q, p)
-        if e.presentation.is_zero_module():
+        if e.presentation.cardinality() == 1:
             continue
         c1, c2 = random_class(rng, e), random_class(rng, e)
         got = class_of_ses(baer_sum_explicit(ses_of_class(c1), ses_of_class(c2)))

@@ -28,7 +28,6 @@ from hexext.diagram import (
     compatible_isomorphism,
     enumerate_extensions,
     extend_diagram,
-    is_injective_module,
     obstruction,
     validate_diagram1,
     validate_extension,
@@ -55,23 +54,26 @@ from hexext.modules import (
     PresentedModule,
     ShortExactSequence,
     direct_sum,
+    exactness_violations,
     hom,
-    identity_morphism,
-    is_exact,
     lift,
     make_ses,
-    morphism_cokernel,
     split_ses,
     zero_morphism,
 )
 from hexext.oracle import EnumerationBudget, enumerate_morphisms
-from hexext.randgen import extend_with_variant_cocycle, frame_from_diagram, perturb_extension, random_diagram
+from hexext.randgen import frame_from_diagram, perturb_extension, random_diagram
 from hexext.rings import ZZ, Zmod
+import routes
 from routes import (
     _transport_matrix,
     connecting_alpha,
+    extend_with_variant_cocycle,
     grid_maps_over_x,
+    identity_morphism,
+    is_injective_module,
     middle_maps,
+    morphism_cokernel,
     restriction_solve_over_ext,
     snake_connecting,
     tau_ses,
@@ -371,17 +373,18 @@ def test_variant_cocycle_reports_obstruction():
     assert exc.value.report is not None and not exc.value.report.is_zero
 
 
-def _wrap_in_every_module(monkeypatch, name: str, record) -> None:
-    """Wrap ``hexext.modules.<name>`` under every hexext name bound to it;
-    ``record`` sees each call's arguments and result."""
-    real = getattr(modules_module, name)
+def _wrap_in_every_module(monkeypatch, name: str, record, home=modules_module) -> None:
+    """Wrap ``home.<name>`` (``hexext.modules`` unless given) under every
+    hexext or routes name bound to it; ``record`` sees each call's
+    arguments and result."""
+    real = getattr(home, name)
 
     def wrapped(*args):
         out = real(*args)
         record(args, out)
         return out
 
-    for mod in [m for key, m in sys.modules.items() if key.startswith("hexext.")]:
+    for mod in [m for key, m in sys.modules.items() if key.startswith("hexext.") or key == "routes"]:
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, wrapped)
 
@@ -391,7 +394,7 @@ def test_snake_cross_check_builds_no_zero_kernel_or_cokernel(monkeypatch):
     # are zero, so the check builds only ker(p_f) and ker(G -> Q), both S
     kernels, cokernels = [], []
     _wrap_in_every_module(monkeypatch, "morphism_kernel", lambda args, out: kernels.append(out[0]))
-    _wrap_in_every_module(monkeypatch, "morphism_cokernel", lambda args, out: cokernels.append(out[0]))
+    _wrap_in_every_module(monkeypatch, "morphism_cokernel", lambda args, out: cokernels.append(out[0]), routes)
     grids = 0
     for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
         rng = random.Random(f"snake {ring}")
@@ -462,7 +465,7 @@ def _general_verdict(d: Diagram3x3, by) -> bool:
         res = snake_connecting(top, d.col_right, identity_morphism(d.r), by.p_f, d.row_bottom.project)
     except HexextError:
         return False
-    return is_exact(list(res.six_term))
+    return exactness_violations("chain", list(res.six_term)) == []
 
 
 def test_snake_cross_check_agrees_with_the_general_lemma():

@@ -93,6 +93,31 @@ def test_serialize_names_entry_beyond_digit_limit(where):
         serialize(model)
 
 
+@pytest.mark.parametrize("fixture, section, name, first_module", [
+    ("allsplit.json", "diagrams", "D", "diagram D: P"),
+    ("injective.json", "hexagons", "F", "hexagon F: A1"),
+    ("allsplit.json", "extensions", "X1", "extension X1: X"),
+])
+def test_serialize_refuses_an_unnamed_reference(fixture, section, name, first_module):
+    full = parse((FIXTURES / fixture).read_text(encoding="utf-8"))
+    model = DocumentModel(extension_diagram_names=full.extension_diagram_names)
+    getattr(model, section)[name] = getattr(full, section)[name]
+    with pytest.raises(SemanticError, match=f"^{first_module} is not a named module$"):
+        serialize(model)
+    # with every module named, the first map is the one reported
+    model.rings, model.modules, model.module_ring_names = full.rings, full.modules, full.module_ring_names
+    with pytest.raises(SemanticError, match=f"^{section[:-1]} {name}: [A-Za-z ]+ is not a named morphism$"):
+        serialize(model)
+
+
+def test_serialize_refuses_an_extension_of_an_unnamed_diagram():
+    full = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    model = DocumentModel(rings=full.rings, modules=full.modules, morphisms=full.morphisms,
+                          extensions={"X1": full.extensions["X1"]})
+    with pytest.raises(SemanticError, match="^extension X1: its diagram has no name in the document$"):
+        serialize(model)
+
+
 @pytest.mark.parametrize("name", ["obstructed.json", "allsplit.json", "injective.json", "zdiagram.json"])
 def test_fixture_round_trip(name):
     text = (FIXTURES / name).read_text(encoding="utf-8")

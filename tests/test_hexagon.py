@@ -1,13 +1,16 @@
 """Hexagon frames: folding, solving, verification, compatible isomorphisms."""
 
 import dataclasses
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
 import hexext.hexagon as hexagon_module
-from hexext.diagram import Diagram3x3, validate_diagram1
+from hexext.diagram import Diagram3x3, obstruction, validate_diagram1
 from hexext.errors import FrameInvalidError, InvalidDiagramError, NotExtendableError
 from hexext.ext import ext_module, ses_of_class
 from hexext.hexagon import (
@@ -19,10 +22,11 @@ from hexext.hexagon import (
     validate_frame,
     verify_hexagon,
 )
-from hexext.modules import PresentedModule, hom, identity_morphism, split_ses, zero_morphism
+from hexext.modules import PresentedModule, hom, split_ses, zero_morphism
 from hexext.randgen import frame_from_diagram, random_frame, random_hom
 from hexext.rings import ZZ, Zmod
-from routes import validate_frame_unfolded
+from routes import identity_morphism, validate_frame_unfolded
+from test_acceptance import obstructed_family
 
 R4 = Zmod(4)
 Z2m = PresentedModule.cyclic(R4, 2)
@@ -56,7 +60,7 @@ def test_zero_frame_folds_to_zero_diagram():
                      alpha=zz, beta=zz, top_b=zz, d=zz, r=zz, s=zz)
     fold = fold_frame(f)
     assert validate_diagram1(fold.diagram) == []
-    assert fold.diagram.p.is_zero_module()
+    assert fold.diagram.p.cardinality() == 1
 
 
 def test_fold_split_frame_validates():
@@ -177,6 +181,28 @@ def test_a_constructed_grid_position_failing_is_an_engine_fault(monkeypatch):
             validate_frame(fr)
 
 
+def test_the_engine_fault_survives_python_O():
+    # python -O strips assert statements; the fold raises its fault itself
+    src = pathlib.Path(hexagon_module.__file__).resolve().parents[1]
+    script = (
+        "import random\n"
+        "import hexext.hexagon as hexagon\n"
+        "from hexext.errors import InvalidDiagramError\n"
+        "from hexext.randgen import random_frame\n"
+        "from hexext.rings import Zmod\n"
+        "def invalid(_d):\n"
+        "    raise InvalidDiagramError(['colLeft/interior 0: composite nonzero', 'rowTop/right: x'])\n"
+        "hexagon._require_valid = invalid\n"
+        "try:\n"
+        "    print(hexagon.validate_frame(random_frame(random.Random(1), Zmod(4))))\n"
+        "except AssertionError as exc:\n"
+        "    print('fault:', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.startswith("fault: the fold of a wired frame fails by construction at ['rowTop/right']")
+
+
 def test_solving_a_frame_validates_its_fold_once(monkeypatch):
     # validate_diagram1 is wrapped under every hexext name bound to it; the
     # fold's check is the frame's, so the hexagon layer runs no exactness
@@ -213,6 +239,21 @@ def test_obstructed_frame_not_solvable():
     with pytest.raises(NotExtendableError) as exc:
         solve_hexagon(frame_from_diagram(obstructed_diagram()))
     assert exc.value.report is not None
+
+
+def test_every_obstructed_family_frame_reports_its_fold_obstruction():
+    # random frames almost never reach the obstructed path; each diagram of
+    # the acceptance gate's obstructed family does, undecorated and decorated
+    rng = random.Random(0x0B57)
+    frames = 0
+    for d in obstructed_family():
+        for frame in (frame_from_diagram(d), frame_from_diagram(d, rng)):
+            with pytest.raises(NotExtendableError) as exc:
+                solve_hexagon(frame)
+            got = exc.value.report.baer_sum
+            assert not got.is_zero() and got.same_as(obstruction(fold_frame(frame).diagram).baer_sum)
+            frames += 1
+    assert frames >= 40
 
 
 def test_verify_flags_zeroed_curv():

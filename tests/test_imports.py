@@ -2,7 +2,10 @@
 re-exporting ``__init__.py``), the tests and the tools import nothing they
 never refer to.  Every definition is used: each top-level function, class
 and assigned name of the library and the tools is referred to somewhere in
-the sources, the tests, the tools or the benchmark."""
+the sources, the tests, the tools or the benchmark, and each top-level
+definition and method of the library is referred to outside the tests,
+apart from a short allow-list.  No library check is an ``assert``
+statement, which ``python -O`` strips."""
 
 import ast
 import pathlib
@@ -76,6 +79,15 @@ def definitions(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in found if not (name.startswith("__") and name.endswith("__"))]
 
 
+def methods(source: str) -> list[tuple[int, str]]:
+    """``(line, "Class.name")`` for each method of a top-level class of
+    ``source``, dunder methods apart."""
+    return [(item.lineno, f"{node.name}.{item.name}")
+            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
 def references(source: str) -> set[str]:
     """Every name ``source`` reads, imports or reaches as an attribute, and
     every identifier in its strings (names patched or looked up by string,
@@ -93,9 +105,34 @@ def references(source: str) -> set[str]:
     return used
 
 
+def assert_statements(source: str) -> list[int]:
+    """The line of each ``assert`` statement in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def _library() -> list[pathlib.Path]:
+    return sorted(p for p in (ROOT / "src" / "hexext").glob("*.py") if p.name != "__init__.py")
+
+
 def _checked_files() -> list[pathlib.Path]:
-    library = [p for p in (ROOT / "src" / "hexext").glob("*.py") if p.name != "__init__.py"]
-    return sorted(library + list((ROOT / "tests").glob("*.py")) + list((ROOT / "tools").glob("*.py")))
+    return sorted(_library() + list((ROOT / "tests").glob("*.py")) + list((ROOT / "tools").glob("*.py")))
+
+
+def _outside_tests() -> list[pathlib.Path]:
+    """The code that runs the library: the library itself, the tools and
+    the benchmark, with no test among them."""
+    bench = [p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT / "perfbench").parts]
+    return _library() + sorted((ROOT / "tools").glob("*.py")) + sorted(bench)
+
+
+# library definitions that only the tests call, each kept for a reason
+TEST_ONLY = {
+    "enumerate_morphisms": "the oracle's homomorphism search; the oracle is a layer of its own",
+    "brute_equivalent": "the oracle's search for an equivalence of two extensions",
+    "brute_injective": "the oracle's injectivity test by Baer's criterion",
+    "brute_extension_exists": "the oracle's search for a middle object",
+    "hexagon_compatible_iso": "the hexagon form of compatible_isomorphism, kept for extending morphisms",
+}
 
 
 def test_the_scan_finds_an_unused_import():
@@ -137,6 +174,27 @@ def test_the_scan_finds_an_unreferenced_definition():
     assert [d for d in definitions(sample) if d[1] not in refs] == [(2, "UNUSED"), (6, "orphan")]
 
 
+def test_the_scan_finds_a_library_definition_only_tests_use():
+    library = (
+        "def called():\n"
+        "    return 1\n"
+        "def tested():\n"
+        "    return 2\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.n = called()\n"
+        "    def size(self):\n"
+        "        return self.n\n"
+        "    def peek(self):\n"
+        "        return self.n\n"
+    )
+    tool = "from lib import Box\nprint(Box().size())\n"
+    test = "from lib import Box, tested\nassert tested() == 2 and Box().peek() == 1\n"
+    outside = references(library) | references(tool)
+    for used, want in ((outside | references(test), []), (outside, [(3, "tested"), (10, "Box.peek")])):
+        assert sorted(d for d in definitions(library) + methods(library) if d[1].split(".")[-1] not in used) == want
+
+
 def test_every_definition_is_referenced():
     roots = [ROOT / name for name in ("src", "tests", "tools", "perfbench")]
     used = set().union(*(references(p.read_text(encoding="utf-8")) for root in roots for p in root.rglob("*.py")))
@@ -144,3 +202,26 @@ def test_every_definition_is_referenced():
     found = [f"{p.relative_to(ROOT)}::{name}" for p in defining
              for _line, name in definitions(p.read_text(encoding="utf-8")) if name not in used]
     assert found == []
+    # the second scan: what only the tests use has no place in the library,
+    # apart from the allow-list, each of whose entries must still need it
+    outside = set().union(*(references(p.read_text(encoding="utf-8")) for p in _outside_tests()))
+    test_only = [name for p in _library() for source in [p.read_text(encoding="utf-8")]
+                 for _line, name in definitions(source) + methods(source) if name.split(".")[-1] not in outside]
+    assert sorted(test_only) == sorted(TEST_ONLY)
+
+
+def test_the_scan_finds_an_assert_statement():
+    sample = (
+        "def f(x):\n"
+        "    assert x, 'stripped under -O'\n"
+        "    if not x:\n"
+        "        raise AssertionError('kept')\n"
+        "    return [y for y in x if y]\n"
+        "assert True\n"
+    )
+    assert assert_statements(sample) == [2, 6]
+
+
+def test_no_library_check_is_an_assert_statement():
+    found = {str(p.relative_to(ROOT)): assert_statements(p.read_text(encoding="utf-8")) for p in _library()}
+    assert {path: lines for path, lines in found.items() if lines} == {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hexext import linalg, modules, oracle
-from hexext.diagram import Diagram3x3, extend_diagram, is_injective_module, obstruction
+from hexext.diagram import Diagram3x3, extend_diagram, obstruction
 from hexext.errors import BudgetExceededError, NotExtendableError
 from hexext.ext import class_of_ses, ext_module, ses_of_class
 from hexext.linalg import ExactMatrix
@@ -30,6 +30,7 @@ from hexext.oracle import (
 )
 from hexext.randgen import random_diagram, random_module, random_ses
 from hexext.rings import ZZ, Zmod
+from routes import is_injective_module
 from tests.conftest import all_modules_over
 
 R4 = Zmod(4)
