@@ -2,8 +2,9 @@
 
 Subcommands operate on a JSON document (path or ``-`` for stdin) and emit a
 JSON report on stdout.  Exit codes: 0 when the computation succeeds and the
-checked property holds, 1 when a property fails or a diagram does not
-extend, 2 for input errors.
+checked property holds, 1 when a property fails, a diagram does not extend
+or the diagram, extension or frame asked about is invalid (reported with
+``validate``'s keys), 2 for input errors.
 
     hexext ext DOC -i {0|1|2} Q P
     hexext obstruction DOC D
@@ -41,7 +42,9 @@ from .document import DocumentModel, ParseError, SemanticError, parse
 from .errors import (
     BudgetExceededError,
     ClassesDifferError,
+    FrameInvalidError,
     HexextError,
+    InvalidDiagramError,
     LambdaNotExtendableError,
     NotExtendableError,
 )
@@ -385,6 +388,10 @@ def main(argv=None) -> int:
     except (ParseError, SemanticError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except (InvalidDiagramError, FrameInvalidError) as exc:
+        # the subcommands that raise these name a frame or a diagram
+        name = args.frame if args.command == "hexagon" else args.diagram
+        return _emit({"op": args.command, "name": name, "ok": False, "violations": exc.violations}, EXIT_FAIL)
     except HexextError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL

@@ -40,12 +40,10 @@ from .ext import (
 )
 from .linalg import ExactMatrix, block_diag
 from .modules import (
-    DirectSum,
     ModuleMorphism,
     PresentedModule,
     Pullback,
     ShortExactSequence,
-    direct_sum,
     exactness_violations,
     hom,
     lift,
@@ -134,13 +132,12 @@ def _known(d: Diagram3x3, fact: str, compute):
 
     Callers ask ``obstruction``, ``extend_diagram`` and ``check_uniqueness``
     of one diagram in turn, so the validation verdict, the snake-checked Y
-    core, the product obstruction, tau's checked cocycles and the
-    route-checked class xi over Y are each computed once per diagram
-    object.  The slot is keyed on identity, so nothing is hashed (hashing
-    the nested frozen diagram cost most of what a value-keyed cache saved),
-    and the next diagram replaces it, so one diagram is held at a time.  A
-    fact is stored only once ``compute`` returns, so one that raises is
-    computed again on every call."""
+    core, the product obstruction and the route-checked class xi over Y are
+    each computed once per diagram object.  The slot is keyed on identity,
+    so nothing is hashed (hashing the nested frozen diagram cost most of
+    what a value-keyed cache saved), and the next diagram replaces it, so
+    one diagram is held at a time.  A fact is stored only once ``compute``
+    returns, so one that raises is computed again on every call."""
     global _last
     memo = _last
     if memo["diagram"] is not d:
@@ -166,7 +163,10 @@ class ObstructionReport:
     yoneda_ef: ExtClass   # [rowTop] spliced with [colRight], in Ext^2(Q, P)
     yoneda_hg: ExtClass   # [colLeft] spliced with [rowBottom]
     baer_sum: ExtClass
-    is_zero: bool
+
+    @property
+    def is_zero(self) -> bool:
+        return self.baer_sum.is_zero()
 
 
 def obstruction(d: Diagram3x3) -> ObstructionReport:
@@ -178,8 +178,7 @@ def obstruction(d: Diagram3x3) -> ObstructionReport:
 def _obstruction(d: Diagram3x3) -> ObstructionReport:
     ef = yoneda_product_of_ses(d.row_top, d.col_right)
     hg = yoneda_product_of_ses(d.col_left, d.row_bottom)
-    total = ef + hg
-    return ObstructionReport(ef, hg, total, total.is_zero())
+    return ObstructionReport(ef, hg, ef + hg)
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ class BuildY:
     y: PresentedModule
     pb: Pullback                      # F x_Q G, before simplification
     ses: ShortExactSequence           # 0 -> R(+)S -> Y -> Q -> 0
-    rs: DirectSum
     w_r: ModuleMorphism               # R -> Y
     w_s: ModuleMorphism               # S -> Y
     p_f: ModuleMorphism               # Y -> F
@@ -213,13 +211,13 @@ def _y_core(d: Diagram3x3) -> BuildY:
     p_g = pb.to_right @ simp.from_min
     w_r = simp.to_min @ pullback_factor(pb, d.col_right.inject, zero_morphism(d.r, d.g))
     w_s = simp.to_min @ pullback_factor(pb, zero_morphism(d.s, d.f), d.row_bottom.inject)
-    rs = direct_sum(d.r, d.s)
-    incl = ModuleMorphism(rs.module, y, w_r.matrix.hstack(w_s.matrix))
+    rs = PresentedModule(block_diag(d.p.ring, [d.r.relations, d.s.relations]))
+    incl = ModuleMorphism(rs, y, w_r.matrix.hstack(w_s.matrix))
     proj = d.col_right.project @ p_f
     if not proj.equals(d.row_bottom.project @ p_g):
         raise AssertionError("pullback projections do not agree over Q")
     _require_exact("Y-sequence", incl, proj)
-    by = BuildY(y, pb, ShortExactSequence(incl, proj), rs, w_r, w_s, p_f, p_g, simp.to_min)
+    by = BuildY(y, pb, ShortExactSequence(incl, proj), w_r, w_s, p_f, p_g, simp.to_min)
     _snake_cross_check(d, by)
     return by
 
@@ -306,15 +304,16 @@ def _tau(d: Diagram3x3) -> tuple[ExactMatrix, ExactMatrix]:
     return tuple(out)
 
 
-def _connecting_image(d: Diagram3x3, by: BuildY) -> ExtClass:
-    """Route 2 of the obstruction: tau's image in Ext^2(Q, P) under the
-    connecting map of the Y-sequence, the chain-lift Yoneda product of tau
-    with the Y-sequence's class.  The chase of the Y-sequence over Q's
-    resolution gives ``gamma : F1(Q) -> R (+) S``; ``gamma o d2(Q)`` is zero
-    in R (+) S, so it lifts once through the free map ``d1(R) (+) d1(S)``,
-    and ``[tau_R | tau_S]`` composed with that lift is a cocycle ``F2(Q) ->
-    P`` of the product.  No sequence is spliced, so this route shares no
-    Yoneda code with the product obstruction."""
+def _connecting_image(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactMatrix]) -> ExtClass:
+    """Route 2 of the obstruction: the image in Ext^2(Q, P) of tau, the
+    pair ``(tau_R, tau_S)`` of :func:`_tau`, under the connecting map of the
+    Y-sequence, the chain-lift Yoneda product of tau with the Y-sequence's
+    class.  The chase of the Y-sequence over Q's resolution gives ``gamma :
+    F1(Q) -> R (+) S``; ``gamma o d2(Q)`` is zero in R (+) S, so it lifts
+    once through the free map ``d1(R) (+) d1(S)``, and ``[tau_R | tau_S]``
+    composed with that lift is a cocycle ``F2(Q) -> P`` of the product.  No
+    sequence is spliced, so this route shares no Yoneda code with the
+    product obstruction."""
     e2 = ext_module(2, d.q, d.p)
     res = e2.resolution
     gamma = _ses_cocycle(by.ses, res)
@@ -322,38 +321,36 @@ def _connecting_image(d: Diagram3x3, by: BuildY) -> ExtClass:
     lifted = lift(_free_map(d1), gamma @ res.d2)
     if lifted is None:
         raise AssertionError("the Y-sequence's cocycle does not lift through d1(R) (+) d1(S)")
-    tau_r, tau_s = _known(d, "tau", _tau)
-    return e2.class_of_cocycle(tau_r.hstack(tau_s) @ lifted)
+    return e2.class_of_cocycle(tau[0].hstack(tau[1]) @ lifted)
 
 
-def _solve_restriction(d: Diagram3x3, by: BuildY) -> ExtClass | None:
-    """The canonical class xi in Ext^1(Y, P) restricting to tau, when one
-    exists (deterministically the smallest coordinate solution).
+def _solve_restriction(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactMatrix]) -> ExtClass | None:
+    """The canonical class xi in Ext^1(Y, P) restricting to tau, the pair
+    of cocycles of :func:`_tau`, when one exists (deterministically the
+    smallest coordinate solution).
 
     The restriction of xi is compared with tau as cochains, not as classes:
     one depth-1 chain lift of ``w_r`` (``w_s``) carries each generating
     cocycle of Ext^1(Y, P) to a cocycle ``F1(R) -> P`` (``F1(S) -> P``),
-    and tau is the pair of checked cocycles :func:`_tau` reads off, the
-    pair route 2 of the obstruction reads.  Both are flattened into the
-    cochains of R and of S modulo coboundaries and P's relations
-    (``ext._cochains``), and xi's coordinates are one lift into their sum.
-    A cocycle lies in those coboundaries exactly when its class is zero, so
-    the coordinates solving this system, and those whose restriction is
-    zero, are the ones the restriction into Ext^1(R, P) (+) Ext^1(S, P)
-    would give; the canonical solution depends on nothing else, and neither
-    Ext module is built.  Each cocycle is checked against d2 before it
-    enters the system."""
+    the cocycles tau also gives.  Both are flattened into the cochains of R
+    and of S modulo coboundaries and P's relations (``ext._cochains``), and
+    xi's coordinates are one lift into their sum.  A cocycle lies in those
+    coboundaries exactly when its class is zero, so the coordinates solving
+    this system, and those whose restriction is zero, are the ones the
+    restriction into Ext^1(R, P) (+) Ext^1(S, P) would give; the canonical
+    solution depends on nothing else, and neither Ext module is built.  Each
+    cocycle is checked against d2 before it enters the system."""
     e_y = ext_module(1, by.y, d.p)
     ring = d.p.ring
     blocks, rhs, rels = [], [], []
-    for w, tau in zip((by.w_r, by.w_s), _known(d, "tau", _tau)):
+    for w, tau_w in zip((by.w_r, by.w_s), tau):
         res = free_resolution(w.source)
         lifted = chain_map(res, e_y.resolution, w, 1)[1]
         cochains = _cochains(1, res, d.p)
         restricted = [_checked_cocycle(phi @ lifted, res.d2, d.p) for phi in e_y.cocycles]
         blocks.append(ExactMatrix.from_cols(ring, [_flatten(phi).col(0) for phi in restricted],
                                             cochains.generators))
-        rhs.append(_flatten(tau).col(0))
+        rhs.append(_flatten(tau_w).col(0))
         rels.append(cochains.relations)
     target = PresentedModule(block_diag(ring, rels))
     rho = ModuleMorphism(e_y.presentation, target, blocks[0].vstack(blocks[1]))
@@ -431,11 +428,12 @@ def _class_over_y(d: Diagram3x3) -> tuple[BuildY, ExtClass]:
 def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
     """The connecting image of tau (:func:`_connecting_image`), checked
     against the product obstruction, then xi solved in cochains
-    (:func:`_solve_restriction`); both read tau's cocycles once.  Raises
-    :class:`NotExtendableError` with the obstruction report when the
-    obstruction is nonzero."""
+    (:func:`_solve_restriction`); both read tau's cocycles, computed once
+    here.  Raises :class:`NotExtendableError` with the obstruction report
+    when the obstruction is nonzero."""
     ob = _known(d, "obstruction", _obstruction)
-    delta_tau = _connecting_image(d, by)
+    tau = _tau(d)
+    delta_tau = _connecting_image(d, by, tau)
     if not delta_tau.same_as(ob.baer_sum):
         raise AssertionError(
             "obstruction routes disagree: connecting image "
@@ -443,7 +441,7 @@ def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
         )
     if not ob.is_zero:
         raise NotExtendableError(ob)
-    xi = _solve_restriction(d, by)
+    xi = _solve_restriction(d, by, tau)
     if xi is None:
         raise AssertionError("obstruction vanished but the restriction map has no solution")
     return xi
@@ -487,9 +485,12 @@ def enumerate_extensions(d: Diagram3x3) -> list[DiagramExtension]:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    unique: bool
     restriction: ModuleMorphism           # Ext^1(Q, P) -> Ext^1(Y, P)
     image: PresentedModule                # one element per admissible class over Y
+
+    @property
+    def unique(self) -> bool:
+        return self.restriction.is_zero()
 
 
 def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
@@ -499,7 +500,7 @@ def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     :class:`NotExtendableError` of :func:`extend_diagram`."""
     by, _ = _class_over_y(d)
     rho = _restriction_from_q(d, by)
-    return UniquenessReport(rho.is_zero(), rho, morphism_image(rho)[0])
+    return UniquenessReport(rho, morphism_image(rho)[0])
 
 
 def _projection_to_y(by: BuildY, ext: DiagramExtension) -> ModuleMorphism:

@@ -149,9 +149,6 @@ class ExtClass:
     def __sub__(self, other: "ExtClass") -> "ExtClass":
         return self + (-other)
 
-    def scale(self, c: int) -> "ExtClass":
-        return ExtClass(self.parent, tuple(c * a for a in self.coords))
-
     def same_as(self, other: "ExtClass") -> bool:
         return self.parent == other.parent and self.coords == other.coords
 

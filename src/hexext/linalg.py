@@ -125,17 +125,11 @@ class ExactMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i][j]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple([r[j] for r in self.data])
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.data)) if self.rows else [()] * self.cols
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -227,23 +221,21 @@ def _identity_list(n: int, rows: int | None = None) -> list[list[int]]:
 
 
 def _snf_int(a: IntRows, nrows: int, ncols: int, with_u: bool = True, v_rows: int | None = None):
-    """Smith normal form of an integer matrix.
-
-    Returns ``(U, Uinv, D, V)`` as tuples with ``U @ A @ V == D``,
-    U, V unimodular, D diagonal with a divisibility chain and zeros last.
+    """Smith normal form ``U @ A @ V == D`` of an integer matrix: U, V
+    unimodular, D diagonal with a divisibility chain and zeros last.
     Pivoting: smallest nonzero absolute value, ties broken by lowest
     (row, column) index, so the output is deterministic.
 
-    Every pivot choice reads D alone, so the loop carries only the
-    transforms its caller reads: U and U^-1 when ``with_u`` (else both are
-    ``None``), and the first ``v_rows`` rows of V (all of them by default).
-    A column operation updates each row of V on its own, so those rows come
-    out as in a full run; the loop keeps V by columns, so a column operation
-    is one list update.  :func:`kernel_columns` carries V's rows for the
-    matrix's own columns, ``smith_lattice`` carries U and U^-1 for
-    ``modules.simplify`` and D alone for ``modules._structure``.  Not
-    cached: callers read only a small part of the result, which they cache
-    themselves.
+    Returns ``(U, U^-1, diagonal, vcols)`` as the loop keeps them: U and
+    U^-1 as lists of rows (``None`` unless ``with_u``), the nonzero entries
+    of D (as many as the rank) and the columns of V's first ``v_rows`` rows
+    (all of them by default).  Every pivot choice reads D alone, so the loop
+    carries only what its caller reads; a column operation updates each row
+    of V on its own, so those rows come out as in a full run.
+    :func:`kernel_columns` carries V's rows for the matrix's own columns,
+    ``smith_lattice`` U and U^-1 for ``modules.simplify`` and the diagonal
+    alone for ``modules._structure``.  Not cached: callers cache what they
+    build from it.
     """
     d = [list(r) for r in a]
     u = _identity_list(nrows) if with_u else None
@@ -343,20 +335,8 @@ def _snf_int(a: IntRows, nrows: int, ncols: int, with_u: bool = True, v_rows: in
         if piv < 0:
             negate_row(t)
         t += 1
-
-    to_t = lambda m_: None if m_ is None else tuple(map(tuple, m_))
-    v = tuple(zip(*vc)) if ncols else ()
-    return to_t(u), to_t(uinv), to_t(d), v
-
-
-def _rank_of_diag(d: IntRows, nrows: int, ncols: int) -> int:
-    r = 0
-    for i in range(min(nrows, ncols)):
-        if d[i][i]:
-            r += 1
-        else:
-            break
-    return r
+    # the loop stops at the first zero pivot, so t is the rank
+    return u, uinv, tuple([d[i][i] for i in range(t)]), vc
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +408,12 @@ def kernel_columns(a: ExactMatrix) -> ExactMatrix:
     ``modules._preimage``, caches what it builds from it.
     """
     data, nr, nc = _lifted(a)
-    _u, _uinv, d, v = _snf_int(data, nr, nc, False, a.cols)
-    rank = _rank_of_diag(d, nr, nc)
+    _u, _uinv, diag, vcols = _snf_int(data, nr, nc, False, a.cols)
     m = a.ring.modulus
     seen = set()
     out = []
-    for c in list(zip(*v))[rank:]:
-        if m:
-            c = tuple([t % m for t in c])
+    for c in vcols[len(diag):]:
+        c = tuple([t % m for t in c]) if m else tuple(c)
         if any(c) and c not in seen:
             seen.add(c)
             out.append(c)
@@ -443,20 +421,18 @@ def kernel_columns(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.ring, a.cols, len(out), tuple(zip(*out)) if out else ((),) * a.cols)
 
 
-def smith_lattice(a: ExactMatrix, with_u: bool = True) -> tuple[tuple[int, ...], IntRows | None, IntRows | None]:
+def smith_lattice(a: ExactMatrix, with_u: bool = True) -> tuple[tuple[int, ...], list | None, list | None]:
     """``(diagonal, U, U^-1)`` of the Smith form ``U A V = D`` of the column
-    lattice of ``a`` (over Z/m, of its lift with ``m * identity`` adjoined).
-
-    ``diagonal`` holds the nonzero Smith entries, so its length is the rank.
-    The Smith form never carries V; it carries U and U^-1 only ``with_u``
-    (else both are ``None``): ``modules.simplify`` reads them,
-    ``modules._structure`` reads the diagonal alone.  Not cached: those
-    callers cache what they build from it.
+    lattice of ``a`` (over Z/m, of its lift with ``m * identity`` adjoined),
+    as :func:`_snf_int` returns them: the nonzero Smith entries, as many as
+    the rank, and U and U^-1 as lists of rows, only ``with_u`` (else
+    ``None``); V is never carried.  ``modules.simplify`` reads U and U^-1,
+    ``modules._structure`` the diagonal alone.  Not cached: those callers
+    cache what they build from it.
     """
     data, nr, nc = _lifted(a)
-    u, uinv, d, _v = _snf_int(data, nr, nc, with_u, 0)
-    rank = _rank_of_diag(d, nr, nc)
-    return tuple(d[i][i] for i in range(rank)), u, uinv
+    u, uinv, diag, _v = _snf_int(data, nr, nc, with_u, 0)
+    return diag, u, uinv
 
 
 # ---------------------------------------------------------------------------
@@ -464,33 +440,27 @@ def smith_lattice(a: ExactMatrix, with_u: bool = True) -> tuple[tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 
-def _echelon_start(nrows: int) -> list[list[int] | None]:
-    """Echelon basis of the zero lattice over Z, or of ``m * Z^nrows`` over
-    Z/m: the relations that lifting to Z adjoins.
-
-    No row starts with a written-out column.  Over Z a ``None`` row has no
-    pivot; over Z/m it holds the implicit pivot column ``m * e_r``, which
-    :func:`_echelon_insert` and :func:`_reduce_below` treat as the single
-    entry m and only :func:`_hermite_cols` writes out in the form it returns.
-    """
-    return [None] * nrows
-
-
 def _echelon_insert(basis: list[list[int] | None], vec: tuple[int, ...] | list[int], m: int) -> bool:
     """Add the column ``vec`` to the lattice with echelon basis ``basis``.
 
-    ``basis[r]`` is ``None`` (see :func:`_echelon_start`) or the basis column
-    with its pivot in row r: zero above r, positive at r.  ``vec`` is
-    divided down the pivot rows; where a pivot does not divide it, the two
-    columns are replaced by their xgcd combination, whose new pivot is the
-    gcd, and the remainder goes on down.  Both are zero above the current
-    row, so each step touches only the rows at and below it; against an
-    implicit pivot ``m * e_r`` a step scales the remainder's lower rows
-    alone.  Changed columns are then reduced against the later pivots.
-    Over Z/m every row has a pivot, each pivot divides m and the remainder
-    is kept mod m, so every other entry stays below m.  Returns False,
-    leaving ``basis`` untouched, exactly when ``vec`` already lies in the
-    lattice.
+    ``basis[r]`` is ``None`` or the basis column with its pivot in row r:
+    zero above r, positive at r.  ``[None] * nrows`` is the echelon basis
+    of the zero lattice over Z, or of ``m * Z^nrows`` over Z/m: the
+    relations that lifting to Z adjoins.  Over Z a ``None`` row has no
+    pivot; over Z/m it holds the implicit pivot column ``m * e_r``, which
+    this function and :func:`_reduce_below` treat as the single entry m and
+    only :func:`_hermite_cols` writes out in the form it returns.
+
+    ``vec`` is divided down the pivot rows; where a pivot does not divide
+    it, the two columns are replaced by their xgcd combination, whose new
+    pivot is the gcd, and the remainder goes on down.  Both are zero above
+    the current row, so each step touches only the rows at and below it;
+    against an implicit pivot ``m * e_r`` a step scales the remainder's
+    lower rows alone.  Changed columns are then reduced against the later
+    pivots.  Over Z/m every row has a pivot, each pivot divides m and the
+    remainder is kept mod m, so every other entry stays below m.  Returns
+    False, leaving ``basis`` untouched, exactly when ``vec`` already lies in
+    the lattice.
     """
     v = [t % m for t in vec] if m else list(vec)
     changed = []
@@ -562,7 +532,7 @@ def shrink_generators(a: ExactMatrix) -> ExactMatrix:
     column at a time by :func:`_echelon_insert`; no Smith form is built.
     """
     m = a.ring.modulus or 0
-    basis = _echelon_start(a.rows)
+    basis = [None] * a.rows
     kept = [c for c in a.columns() if _echelon_insert(basis, c, m)]
     return ExactMatrix.from_cols(a.ring, kept, a.rows)
 
@@ -591,7 +561,7 @@ def _hermite_cols(rel: IntRows, a: IntRows, m: int, k: int | None):
     """
     g = k or 0
     nrows = len(rel) + g
-    basis = _echelon_start(nrows)
+    basis = [None] * nrows
     if a or k != 0:
         pad = [0] * g
         for r, c in _hermite_cols(rel, (), m, 0)[0]:

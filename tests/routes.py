@@ -356,7 +356,7 @@ def tau_ses(d: Diagram3x3, by: BuildY) -> ShortExactSequence:
     skew = ModuleMorphism(d.p, eh.module, d.row_top.inject.matrix.vstack(-d.col_left.inject.matrix))
     quot, to_quot = morphism_cokernel(skew)
     proj = block_diag(d.p.ring, [d.row_top.project.matrix, d.col_left.project.matrix])
-    return make_ses(to_quot @ eh.inject_left @ d.row_top.inject, ModuleMorphism(quot, by.rs.module, proj))
+    return make_ses(to_quot @ eh.inject_left @ d.row_top.inject, ModuleMorphism(quot, by.ses.left, proj))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,50 @@ def test_hexagon_obstructed(capsys):
     assert code == 1 and report["solved"] is False
 
 
+# a frame whose kernels do not match: the one CI's console-script step refuses
+BAD_FRAME = {
+    "rings": {"R": {"kind": "Zmod", "m": 4}},
+    "modules": {"Z2": {"ring": "R", "generators": 1, "relations": [[2]]},
+                "O": {"ring": "R", "generators": 0, "relations": []}},
+    "morphisms": {"id": {"source": "Z2", "target": "Z2", "matrix": [[1]]},
+                  "zero": {"source": "Z2", "target": "Z2", "matrix": [[0]]},
+                  "out": {"source": "Z2", "target": "O", "matrix": []}},
+    "hexagons": {"F": {"A1": "Z2", "B1": "Z2", "B2": "Z2", "A4": "O", "A2": "Z2", "A3": "Z2", "alpha": "id",
+                       "beta": "zero", "topB": "zero", "d": "id", "r": "out", "s": "out"}},
+}
+
+
+def inexact_document() -> dict:
+    """fixtures/allsplit.json with a diagram Bad whose rowTop projection is
+    zero and an extension Xbad of D whose m is zero."""
+    doc = json.loads((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    doc["morphisms"]["zero_proj"] = {"source": "Z2xZ2", "target": "Z2", "matrix": [[0, 0]]}
+    doc["morphisms"]["zero_m"] = {"source": "mid_X1", "target": "Z2xZ2", "matrix": [[0] * 4] * 2}
+    doc["diagrams"]["Bad"] = {**doc["diagrams"]["D"], "rowTop": {"inject": "alpha", "project": "zero_proj"}}
+    doc["extensions"]["Xbad"] = {**doc["extensions"]["X1"], "m": "zero_m"}
+    return doc
+
+
+@pytest.mark.parametrize("argv, name, violation", [
+    (["extend", "Bad"], "Bad", "rowTop/right: image strictly smaller than kernel"),
+    (["obstruction", "Bad"], "Bad", "rowTop/right: image strictly smaller than kernel"),
+    (["unique", "Bad"], "Bad", "rowTop/right: image strictly smaller than kernel"),
+    (["iso", "D", "X1", "Xbad"], "D", "second extension invalid: rowMid/interior 0"),
+    (["hexagon", "solve", "F"], "F", "ker(alpha) != ker(beta) inside A1"),
+], ids=["extend", "obstruction", "unique", "iso", "hexagon"])
+def test_invalid_object_exits_1_with_the_validate_report(tmp_path, capsys, argv, name, violation):
+    # one JSON document on stdout, with validate's keys, and nothing on stderr
+    p = tmp_path / "invalid.json"
+    p.write_text(json.dumps(BAD_FRAME if argv[0] == "hexagon" else inexact_document()), encoding="utf-8")
+    code = main([argv[0], str(p), *argv[1:]])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    assert set(report) == {"op", "name", "ok", "violations"}
+    assert (report["op"], report["name"], report["ok"]) == (argv[0], name, False)
+    assert any(v.startswith(violation) for v in report["violations"]), report["violations"]
+
+
 def test_validate_subcommand(capsys):
     for name, expect in (("D", 0), ("F", 0)):
         code, report = run(capsys, "validate", FIXTURES / "allsplit.json", name)

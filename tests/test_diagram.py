@@ -23,6 +23,7 @@ from hexext.diagram import (
     _connecting_image,
     _realize,
     _solve_restriction,
+    _tau,
     build_Y,
     check_uniqueness,
     compatible_isomorphism,
@@ -350,15 +351,16 @@ def test_memo_holds_one_diagram():
 @pytest.mark.parametrize("entry", ["check_uniqueness", "enumerate_extensions", "extend_diagram",
                                    "extend_with_variant_cocycle"])
 def test_entry_checks_obstruction_routes_agree(entry, monkeypatch):
-    # a product obstruction shifted off the connecting image, still reported
-    # as zero, must stop every entry past the obstruction before it answers
+    # a product obstruction shifted off the connecting image must stop every
+    # entry past the obstruction on the routes' disagreement, before the
+    # now nonzero sum could be reported
     d = all_split()
     real = diagram_module._obstruction
 
     def shifted(dg):
         ob = real(dg)
         one = ob.baer_sum.parent.class_from_coords((1,))
-        return ObstructionReport(ob.yoneda_ef, ob.yoneda_hg, ob.baer_sum + one, True)
+        return ObstructionReport(ob.yoneda_ef, ob.yoneda_hg, ob.baer_sum + one)
 
     assert not real(d).baer_sum.parent.class_from_coords((1,)).is_zero()
     monkeypatch.setattr(diagram_module, "_obstruction", shifted)
@@ -712,8 +714,10 @@ def test_uniqueness_of_obstructed_diagram_raises():
 def resolved_restriction_data(d, by):
     """Reference route: pull [rowTop] and [colLeft] back along the
     projections into Ext^1 of the resolved direct sum."""
-    return (transport_contravariant(class_of_ses(d.row_top), by.rs.project_left)
-            + transport_contravariant(class_of_ses(d.col_left), by.rs.project_right))
+    rs = direct_sum(d.r, d.s)
+    assert rs.module == by.ses.left
+    return (transport_contravariant(class_of_ses(d.row_top), rs.project_left)
+            + transport_contravariant(class_of_ses(d.col_left), rs.project_right))
 
 
 def resolved_solve_restriction(d, by, tau):
@@ -727,9 +731,9 @@ def resolved_solve_restriction(d, by, tau):
 
 
 def _class_order(c) -> int:
-    n = 1
-    while not c.scale(n).is_zero():
-        n += 1
+    n, multiple = 1, c
+    while not multiple.is_zero():
+        n, multiple = n + 1, multiple + c
     return n
 
 
@@ -740,7 +744,7 @@ def _restriction_route_outcome(d) -> str:
     tau, ref_tau = tau_ses(d, by), resolved_restriction_data(d, by)
     assert class_of_ses(tau).same_as(ref_tau)
     assert yoneda_product_of_ses(tau, by.ses).same_as(obstruction(d).baer_sum)
-    xi, ref_xi = _solve_restriction(d, by), resolved_solve_restriction(d, by, ref_tau)
+    xi, ref_xi = _solve_restriction(d, by, _tau(d)), resolved_solve_restriction(d, by, ref_tau)
     assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
     if xi is None:
         return "obstructed"
@@ -791,7 +795,7 @@ def test_restriction_cochain_solve_matches_the_ext_solve():
         for _ in range(60):
             d = random_diagram(rng, ring, 32)
             by = build_Y(d)
-            xi, routed = _solve_restriction(d, by), restriction_solve_over_ext(d, by)
+            xi, routed = _solve_restriction(d, by, _tau(d)), restriction_solve_over_ext(d, by)
             assert (xi is None) == (routed is None)
             if xi is None:
                 unsolvable += 1
@@ -826,7 +830,7 @@ def test_connecting_image_chain_lift_matches_the_splice_and_the_products():
         for _ in range(40):
             d = random_diagram(rng, ring, 32)
             by = build_Y(d)
-            lifted, spliced = _connecting_image(d, by), yoneda_product_of_ses(tau_ses(d, by), by.ses)
+            lifted, spliced = _connecting_image(d, by, _tau(d)), yoneda_product_of_ses(tau_ses(d, by), by.ses)
             assert lifted.coords == spliced.coords == obstruction(d).baer_sum.coords
             obstructed += not lifted.is_zero()
             if max(_class_order(class_of_ses(d.row_top)), _class_order(class_of_ses(d.col_left))) >= 3:
@@ -853,7 +857,7 @@ def test_uniqueness_image_counts_the_classes_over_y():
             assert order == morphism_cokernel(alpha)[0].cardinality()
             assert rep.unique == (order == 1)
             # the reference walk transports each class of Ext^1(Q, P) on its own
-            xi0 = _solve_restriction(d, by)
+            xi0 = _solve_restriction(d, by, _tau(d))
             walk = [xi0 + transport_contravariant(c, by.ses.project)
                     for c in ext_module(1, d.q, d.p).all_classes()]
             classes = list(dict.fromkeys(xi.coords for xi in walk))

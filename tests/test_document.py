@@ -71,7 +71,7 @@ def test_big_integers_round_trip_as_strings():
         "modules": {"M": {"ring": "Z", "generators": 1, "relations": [[big]]}},
     }
     model = parse(json.dumps(doc))
-    assert model.modules["M"].relations.entry(0, 0) == 1 << 70
+    assert model.modules["M"].relations.data[0][0] == 1 << 70
     text = serialize(model)
     assert big in text
     assert parse(text) == model

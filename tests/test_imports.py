@@ -4,8 +4,12 @@ never refer to.  Every definition is used: each top-level function, class
 and assigned name of the library and the tools is referred to somewhere in
 the sources, the tests, the tools or the benchmark, and each top-level
 definition and method of the library is referred to outside the tests,
-apart from a short allow-list.  No library check is an ``assert``
-statement, which ``python -O`` strips."""
+apart from a short allow-list.  Outside the tests, a method counts as used
+only where an attribute of its name is read or its name is in a string; a
+bare name does not count, so a local variable cannot hide a method.  The
+scan does not tell classes apart: a method stays hidden while a method of
+the same name on another class is called.  No library check is an
+``assert`` statement, which ``python -O`` strips."""
 
 import ast
 import pathlib
@@ -105,6 +109,27 @@ def references(source: str) -> set[str]:
     return used
 
 
+def attribute_references(source: str) -> set[str]:
+    """Every attribute ``source`` reads and every identifier in its strings:
+    the ways a method is reached.  Bare names are left out."""
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(part for part in node.value.split(".") if part.isidentifier())
+    return used
+
+
+def unreached(library: str, names: set[str], attributes: set[str]) -> list[tuple[int, str]]:
+    """``(line, name)`` for each top-level definition of ``library`` not in
+    ``names`` (:func:`references` of the code that should reach it) and each
+    method whose name is not in ``attributes`` (:func:`attribute_references`
+    of that code), in line order."""
+    return sorted([d for d in definitions(library) if d[1] not in names]
+                  + [d for d in methods(library) if d[1].split(".")[-1] not in attributes])
+
+
 def assert_statements(source: str) -> list[int]:
     """The line of each ``assert`` statement in ``source``."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
@@ -187,12 +212,17 @@ def test_the_scan_finds_a_library_definition_only_tests_use():
         "        return self.n\n"
         "    def peek(self):\n"
         "        return self.n\n"
+        "    def entry(self):\n"
+        "        return self.n\n"
     )
-    tool = "from lib import Box\nprint(Box().size())\n"
-    test = "from lib import Box, tested\nassert tested() == 2 and Box().peek() == 1\n"
-    outside = references(library) | references(tool)
-    for used, want in ((outside | references(test), []), (outside, [(3, "tested"), (10, "Box.peek")])):
-        assert sorted(d for d in definitions(library) + methods(library) if d[1].split(".")[-1] not in used) == want
+    # the tool's local variable entry is no attribute read of Box.entry
+    tool = "from lib import Box\nentry = Box().size()\nprint(entry)\n"
+    test = "from lib import Box, tested\nassert tested() == 2 and Box().peek() == Box().entry() == 1\n"
+    assert "entry" in references(tool)
+    for sources, want in (((library, tool, test), []),
+                          ((library, tool), [(3, "tested"), (10, "Box.peek"), (12, "Box.entry")])):
+        names = set().union(*map(references, sources))
+        assert unreached(library, names, set().union(*map(attribute_references, sources))) == want
 
 
 def test_every_definition_is_referenced():
@@ -204,9 +234,9 @@ def test_every_definition_is_referenced():
     assert found == []
     # the second scan: what only the tests use has no place in the library,
     # apart from the allow-list, each of whose entries must still need it
-    outside = set().union(*(references(p.read_text(encoding="utf-8")) for p in _outside_tests()))
-    test_only = [name for p in _library() for source in [p.read_text(encoding="utf-8")]
-                 for _line, name in definitions(source) + methods(source) if name.split(".")[-1] not in outside]
+    outside = [p.read_text(encoding="utf-8") for p in _outside_tests()]
+    names, attributes = set().union(*map(references, outside)), set().union(*map(attribute_references, outside))
+    test_only = [name for p in _library() for _line, name in unreached(p.read_text(encoding="utf-8"), names, attributes)]
     assert sorted(test_only) == sorted(TEST_ONLY)
 
 

@@ -32,11 +32,17 @@ def diagonal(m: ExactMatrix) -> tuple[int, ...]:
     return tuple(m.data[i][i] for i in range(min(m.rows, m.cols)))
 
 
+def smith_matrices(u, uinv, diag, vcols, rows: int, cols: int):
+    """``(U, U^-1, D, V)`` as matrices over Z from what :func:`_snf_int`
+    returns: D rebuilt from the diagonal, V from its columns."""
+    d = tuple(tuple(diag[i] if i == j and i < len(diag) else 0 for j in range(cols)) for i in range(rows))
+    return (ExactMatrix(ZZ, rows, rows, tuple(map(tuple, u))), ExactMatrix(ZZ, rows, rows, tuple(map(tuple, uinv))),
+            ExactMatrix(ZZ, rows, cols, d), ExactMatrix(ZZ, cols, cols, tuple(zip(*vcols))))
+
+
 def smith(a: ExactMatrix):
     """``(U, U^-1, D, V)`` of the integer Smith form as matrices over Z."""
-    u, uinv, d, v = _snf_int(a.data, a.rows, a.cols)
-    return (ExactMatrix(ZZ, a.rows, a.rows, u), ExactMatrix(ZZ, a.rows, a.rows, uinv),
-            ExactMatrix(ZZ, a.rows, a.cols, d), ExactMatrix(ZZ, a.cols, a.cols, v))
+    return smith_matrices(*_snf_int(a.data, a.rows, a.cols), a.rows, a.cols)
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -96,7 +102,7 @@ def test_snf_invariants_random(a):
     for i in range(a.rows):
         for j in range(a.cols):
             if i != j:
-                assert d.entry(i, j) == 0
+                assert d.data[i][j] == 0
 
 
 @given(int_matrices(max_dim=3), st.integers(min_value=0, max_value=3))
@@ -165,7 +171,7 @@ def test_solve_and_kernel_brute_force_mod_m(m, data):
     import itertools
 
     brute = [x for x in itertools.product(range(m), repeat=c)
-             if all(sum(a.entry(i, j) * x[j] for j in range(c)) % m == b[i] for i in range(r))]
+             if all(sum(a.data[i][j] * x[j] for j in range(c)) % m == b[i] for i in range(r))]
     sol = solve_linear(a, b)
     if not brute:
         assert sol is None
@@ -173,7 +179,7 @@ def test_solve_and_kernel_brute_force_mod_m(m, data):
     assert sol is not None and list(sol) in [list(t) for t in brute]
     # the kernel columns must span exactly the brute-force solution set of Ax=0
     kern = [x for x in itertools.product(range(m), repeat=c)
-            if all(sum(a.entry(i, j) * x[j] for j in range(c)) % m == 0 for i in range(r))]
+            if all(sum(a.data[i][j] * x[j] for j in range(c)) % m == 0 for i in range(r))]
     spanned = {(0,) * c}
     frontier = [(0,) * c]
     gens = [kernel_columns(a).col(j) for j in range(kernel_columns(a).cols)]
@@ -193,13 +199,13 @@ def smith_route(a: ExactMatrix, b):
     """Reference: the particular solution read off the lifted Smith form
     ``U A V = D``, or ``None`` when there is none."""
     data, nr, nc = linalg._lifted(a)
-    u, _uinv, d, v = _snf_int(data, nr, nc)
-    rank = linalg._rank_of_diag(d, nr, nc)
+    u, _uinv, diag, vcols = _snf_int(data, nr, nc)
+    rank = len(diag)
     c = [sum(u[i][k] * b[k] for k in range(nr)) for i in range(nr)]
-    if any(c[i] % d[i][i] for i in range(rank)) or any(c[rank:]):
+    if any(c[i] % diag[i] for i in range(rank)) or any(c[rank:]):
         return None
-    y = [c[i] // d[i][i] for i in range(rank)] + [0] * (nc - rank)
-    return tuple(a.ring.reduce(sum(v[i][k] * y[k] for k in range(nc))) for i in range(a.cols))
+    y = [c[i] // diag[i] for i in range(rank)] + [0] * (nc - rank)
+    return tuple(a.ring.reduce(sum(vcols[k][i] * y[k] for k in range(nc))) for i in range(a.cols))
 
 
 @st.composite
@@ -411,9 +417,16 @@ def test_shrink_generators_builds_no_smith_form(monkeypatch):
     calls = []
     work = linalg._snf_int
     monkeypatch.setattr(linalg, "_snf_int", lambda *args: calls.append(args) or work(*args))
+    # each basis shrink_generators grows, read off the argument it inserts into
     bases = []
-    start = linalg._echelon_start
-    monkeypatch.setattr(linalg, "_echelon_start", lambda *args: bases.append(start(*args)) or bases[-1])
+    insert = linalg._echelon_insert
+
+    def recording(basis, vec, m):
+        if not any(basis is seen for seen in bases):
+            bases.append(basis)
+        return insert(basis, vec, m)
+
+    monkeypatch.setattr(linalg, "_echelon_insert", recording)
     import random
 
     rng = random.Random(20240611)
@@ -425,6 +438,7 @@ def test_shrink_generators_builds_no_smith_form(monkeypatch):
     assert calls == []
     # over Z/m every row keeps a pivot dividing m and every other entry stays
     # below m; a row left as None holds the implicit pivot column m * e_r
+    assert len(bases) == 3   # one basis per call
     for m, basis in zip((12, 36), bases[1:]):
         assert any(col is not None for col in basis)
         for r, col in enumerate(basis):
@@ -586,10 +600,17 @@ def test_shrink_generators_keeps_the_dense_insertion_columns(a):
 def test_selective_smith_matches_the_full_transforms(a):
     # on integer matrices and on the lifts [A | m I] that Z/m callers use
     data, nr, nc = linalg._lifted(a)
-    u, uinv, d, v = _snf_int(data, nr, nc)
+    full = _snf_int(data, nr, nc)
+    u, uinv, d, v = smith_matrices(*full, nr, nc)
+    lifted = ExactMatrix(ZZ, nr, nc, data)
+    assert u @ lifted @ v == d and u @ uinv == ExactMatrix.identity(ZZ, nr)
+    diag = full[2]
+    assert all(x > 0 for x in diag) and all(y % x == 0 for x, y in zip(diag, diag[1:]))
     for v_rows in range(nc + 1):
-        assert _snf_int(data, nr, nc, True, v_rows) == (u, uinv, d, v[:v_rows])
-        assert _snf_int(data, nr, nc, False, v_rows) == (None, None, d, v[:v_rows])
+        # the columns of V's first v_rows rows
+        vcols = [list(col[:v_rows]) for col in v.columns()]
+        assert _snf_int(data, nr, nc, True, v_rows) == (full[0], full[1], diag, vcols)
+        assert _snf_int(data, nr, nc, False, v_rows) == (None, None, diag, vcols)
 
 
 # -- bounded caches -----------------------------------------------------------

@@ -54,7 +54,7 @@ def test_hom_from_zero():
 def test_hom_z2_z4_over_z():
     homs = enumerate_morphisms(PresentedModule.cyclic(ZZ, 2), PresentedModule.cyclic(ZZ, 4))
     assert len(homs) == 2
-    images = sorted(h.matrix.entry(0, 0) for h in homs)
+    images = sorted(h.matrix.data[0][0] for h in homs)
     assert images == [0, 2]  # the generator must land in the 2-torsion
 
 
