@@ -52,17 +52,6 @@ class HexagonFrame:
     s: ModuleMorphism       # A3 -> A4
 
 
-@dataclass(frozen=True)
-class FoldResult:
-    """The folded grid plus the identification maps the fold introduces."""
-
-    diagram: Diagram3x3
-    quotient: ModuleMorphism    # A1 -> P = A1 / ker(alpha)
-    include_r: ModuleMorphism   # R = im(d) -> A3
-    include_s: ModuleMorphism   # S = im(topB) -> B2
-    include_q: ModuleMorphism   # Q = im(s) -> A4
-
-
 def _miswired(wiring) -> list[str]:
     """A message for each ``(name, map, source, target)`` not wired so."""
     return [f"{name} does not connect the declared objects"
@@ -81,7 +70,7 @@ _FRAME_CONDITIONS = {
 }
 
 
-def fold_frame(f: HexagonFrame) -> FoldResult:
+def fold_frame(f: HexagonFrame) -> Diagram3x3:
     """Redraw the hexagon frame as a 3x3 grid: P = A1/ker(alpha), E = A2,
     R = im(d), H = B1, F = A3, S = im(topB), G = B2, Q = im(s).  Raises
     :class:`FrameInvalidError` with the frame conditions that fail; the grid's
@@ -93,7 +82,7 @@ def fold_frame(f: HexagonFrame) -> FoldResult:
     ])
     if miswired:
         raise FrameInvalidError(miswired)
-    p, mu, quotient = morphism_image(f.alpha)       # P = A1 / ker(alpha), mu : P -> H = B1
+    p, mu, _ = morphism_image(f.alpha)              # P = A1 / ker(alpha), mu : P -> H = B1
     try:
         nu = hom(p, f.a2, f.beta.matrix)            # P -> E = A2
     except WellDefinednessError:
@@ -118,7 +107,7 @@ def fold_frame(f: HexagonFrame) -> FoldResult:
             raise AssertionError(f"the fold of a wired frame fails by construction at {faults}")
         raise FrameInvalidError([msg.format(verdicts[pos]) for pos, msg in _FRAME_CONDITIONS.items()
                                  if pos in verdicts]) from None
-    return FoldResult(diagram, quotient, incl_r, incl_s, incl_q)
+    return diagram
 
 
 def validate_frame(f: HexagonFrame) -> list[str]:
@@ -146,8 +135,7 @@ def solve_hexagon(f: HexagonFrame) -> SolvedHexagon:
     Raises :class:`NotExtendableError` with the obstruction when the grid
     does not extend; that cannot happen when the folded P is injective.
     """
-    fold = fold_frame(f)
-    ext = extend_diagram(fold.diagram)
+    ext = extend_diagram(fold_frame(f))
     return SolvedHexagon(f, ext.x, i=ext.j, j=ext.i, c=ext.n, curv=ext.m)
 
 
@@ -180,4 +168,4 @@ def hexagon_compatible_iso(h1: SolvedHexagon, h2: SolvedHexagon) -> ModuleMorphi
         raise FrameInvalidError(["solved hexagons come from different frames"])
     # unchecked extensions: compatible_isomorphism validates them first
     e1, e2 = (DiagramExtension(h.center, i=h.j, j=h.i, m=h.curv, n=h.c) for h in (h1, h2))
-    return compatible_isomorphism(fold_frame(h1.frame).diagram, e1, e2)
+    return compatible_isomorphism(fold_frame(h1.frame), e1, e2)

@@ -190,9 +190,6 @@ class ExactMatrix:
             raise ValueError("vstack shape/ring mismatch")
         return ExactMatrix(self.ring, self.rows + other.rows, self.cols, self.data + other.data)
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.data) + "]"
-
 
 def block_diag(ring: RingSpec, blocks: list[ExactMatrix]) -> ExactMatrix:
     cols = sum(b.cols for b in blocks)

@@ -120,13 +120,6 @@ class PresentedModule:
                 vec[row] = x
             yield tuple(vec)
 
-    def __str__(self) -> str:
-        fr, facs = _structure(self)
-        parts = [f"Z/{f}" for f in facs]
-        if fr:
-            parts += ["Z" if self.ring.kind == "Z" else str(self.ring)] * fr
-        return " + ".join(parts) if parts else "0"
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _structure(m: PresentedModule):

@@ -21,17 +21,19 @@ enumerations exist to validate the engine.
 
 Budgets are enforced by explicit candidate counting; every table's ambient
 size and addition-table cells count as candidates, on every call, also when
-:func:`_table` hands out a table kept from an earlier call.  Likewise
-:func:`brute_ext1` walks each pair once per process and ticks the walk's
-candidate total when it answers the pair again.  ``max_order`` bounds the
-order of every module an operation tabulates, and of the middle objects
-that :func:`brute_ext1` and :func:`brute_extension_exists` enumerate.
+:func:`_table` hands out a table kept from an earlier call.
+:func:`brute_ext1` walks each pair once per process and budget.  Both memos
+are ``lru_cache`` functions capped at ``CACHE_SIZE``, like every cache in
+``hexext`` except the ``diagram._known`` identity slot.  ``max_order``
+bounds the order of every module an operation tabulates, and of the middle
+objects that :func:`brute_ext1` and :func:`brute_extension_exists`
+enumerate.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, product as iproduct
 from math import gcd, prod
 
@@ -41,7 +43,7 @@ from .modules import ModuleMorphism, PresentedModule, ShortExactSequence
 from .rings import prime_factors
 
 
-# the default order budget, and the largest order of a table kept by _table
+# the default order budget, and the largest ambient order of a table kept by _table
 _DEFAULT_MAX_ORDER = 16
 
 
@@ -210,70 +212,31 @@ class Table:
         return vals
 
 
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+@lru_cache(maxsize=CACHE_SIZE)
+def _small_table(radix: tuple[int, ...], relation_cols: tuple[tuple[int, ...], ...]) -> Table:
+    """``Table(radix, relation_cols)`` for an ambient group of at most the
+    default ``max_order`` elements, kept for the process.  Its meter is its
+    own: such a build ticks at most 16 + 256 candidates, and :func:`_table`
+    charges them to the caller."""
+    return Table(radix, relation_cols, _Meter(EnumerationBudget()))
 
 
-class _Memo:
-    """A process-wide LRU of at most ``CACHE_SIZE`` values, counted like an
-    ``lru_cache``.  Its owner looks a key up with :meth:`get` (``None`` on a
-    miss), decides what to :meth:`keep`, and ticks the meter on a hit;
-    :meth:`attach` gives the owner ``cache_info()`` and ``cache_clear()``,
-    so the memo is inspected and emptied like the engine's caches.  The
-    memo itself has neither name, so a scan for ``cache_info`` finds each
-    memo once, on its owner."""
-
-    def __init__(self):
-        self._kept: OrderedDict = OrderedDict()
-        self._hits = self._misses = 0
-
-    def get(self, key):
-        value = self._kept.get(key)
-        if value is None:
-            self._misses += 1
-        else:
-            self._hits += 1
-            self._kept.move_to_end(key)
-        return value
-
-    def keep(self, key, value) -> None:
-        self._kept[key] = value
-        if len(self._kept) > CACHE_SIZE:
-            self._kept.popitem(last=False)
-
-    def _info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, CACHE_SIZE, len(self._kept))
-
-    def _clear(self) -> None:
-        self._kept.clear()
-        self._hits = self._misses = 0
-
-    def attach(self, fn):
-        fn.cache_info, fn.cache_clear = self._info, self._clear
-        return fn
-
-
-_kept_tables = _Memo()
-
-
-@_kept_tables.attach
 def _table(radix: tuple[int, ...], relation_cols, meter: _Meter) -> Table:
     """``Table(radix, relation_cols, meter)``, kept for the process if small.
 
-    The memo is keyed on the radix and the relation columns, and keeps only
-    tables of order at most the default ``max_order`` (so at most 256 sum
-    cells each).  A miss builds under the caller's meter, so an oversized
-    table still raises before it allocates; a hit ticks the same two counts
-    as a build, so every budget refuses a kept table at the same point and
-    with the same message.
+    A table whose ambient group has at most the default ``max_order``
+    elements comes from :func:`_small_table`, an ``lru_cache`` capped at
+    ``CACHE_SIZE``, and then ticks its ambient size and its sum cells on the
+    caller's meter, as a build does, so every budget refuses a kept table at
+    the same point and with the same message.  A larger table is built under
+    the caller's meter every time, so an oversized one still raises before
+    it allocates.
     """
-    key = (tuple(radix), tuple(map(tuple, relation_cols)))
-    t = _kept_tables.get(key)
-    if t is None:
-        t = Table(radix, relation_cols, meter)
-        if t.n <= _DEFAULT_MAX_ORDER:
-            _kept_tables.keep(key, t)
-        return t
-    meter.tick(prod(t.radix))
+    ambient = prod(radix)
+    if ambient > _DEFAULT_MAX_ORDER:
+        return Table(radix, relation_cols, meter)
+    t = _small_table(tuple(radix), tuple(map(tuple, relation_cols)))
+    meter.tick(ambient)
     meter.tick(t.n * t.n)
     return t
 
@@ -481,10 +444,6 @@ def _canonical_factor_set(tp: Table, base: tuple, deltas: list[tuple]) -> tuple:
     return best
 
 
-_kept_answers = _Memo()
-
-
-@_kept_answers.attach
 def brute_ext1(q: PresentedModule, p: PresentedModule,
                budget: EnumerationBudget = EnumerationBudget()) -> ExtCount:
     """Count equivalence classes of ``0 -> P -> X -> Q -> 0`` by enumerating
@@ -492,6 +451,21 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     every projection whose kernel is the injection's image, and grouping by
     extension equivalence (middle isomorphism commuting with the end
     identities), decided through canonical factor sets.
+
+    The walk is :func:`_ext1_walk`, kept for the process on ``(Q, P,
+    budget)``: each pair is walked once per process and budget, and a
+    later call returns the kept representatives in a fresh list.  A refused
+    walk raises and keeps nothing; another budget walks afresh."""
+    reps = _ext1_walk(q, p, budget)
+    return ExtCount(len(reps), list(reps))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _ext1_walk(q: PresentedModule, p: PresentedModule,
+               budget: EnumerationBudget) -> tuple[ShortExactSequence, ...]:
+    """The representatives :func:`brute_ext1` counts, one per class.  Keyed
+    on Q and P as values (their relation matrices, ring included) and on
+    the budget, so callers pass all three positionally.
 
     Each piece of work runs once per thing it depends on.  A middle type's
     projection candidates are walked once, on its first injective
@@ -502,29 +476,13 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     elements of X, and read into P through each injection's inverse; each
     distinct factor set is canonicalised once per walk.  The pairs come in
     the order of a walk over every (injection, projection) pair, so each
-    class keeps the first pair that reaches it as its representative.
-
-    The walk runs once per pair of modules per process.  A completed walk is
-    kept in a memo of at most ``CACHE_SIZE`` answers, keyed on Q and P as
-    values (their relation matrices, ring included), with its candidate
-    total.  A later call for the pair tabulates P and Q and checks
-    ``max_order`` as a walk does, then ticks that total in one tick and
-    returns the kept representatives in a fresh list.  A walk's count only
-    rises and its refusal names the budget, so every budget refuses a kept
-    answer exactly when it refuses the walk, with the same message; a
-    refused walk keeps nothing."""
+    class keeps the first pair that reaches it as its representative."""
     meter = _Meter(budget)
     tp = _module_table(p, budget, meter)
     tq = _module_table(q, budget, meter)
     n = tp.n * tq.n
     if n > budget.max_order:
         raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
-    kept = _kept_answers.get((q, p))
-    if kept is not None:
-        walked, reps = kept
-        meter.tick(walked)
-        return ExtCount(len(reps), list(reps))
-    before_walk = meter.count
 
     p_rel = p.relations.columns()
     deltas = _coboundary_deltas(tp, tq, meter)
@@ -561,8 +519,7 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
                 classes.add(key)
                 x_mod = PresentedModule.from_invariant_factors(p.ring, list(orders))
                 reps.append(ShortExactSequence(_morphism(p, x_mod, tx, i_imgs), _morphism(x_mod, q, tq, p_imgs)))
-    _kept_answers.keep((q, p), (meter.count - before_walk, tuple(reps)))
-    return ExtCount(len(reps), reps)
+    return tuple(reps)
 
 
 def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,

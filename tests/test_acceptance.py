@@ -334,8 +334,8 @@ def test_criterion_8_hexagon_pipeline(capsys):
     from hexext.hexagon import SolvedHexagon, fold_frame
 
     rng = random.Random(88)
-    fold = fold_frame(frame)
-    ext2 = perturb_extension(rng, fold.diagram, extend_diagram(fold.diagram))
+    dg = fold_frame(frame)
+    ext2 = perturb_extension(rng, dg, extend_diagram(dg))
     h2 = SolvedHexagon(frame, ext2.x, i=ext2.j, j=ext2.i, c=ext2.n, curv=ext2.m)
     phi = hexagon_compatible_iso(h1, h2)
     ok &= phi.is_isomorphism()

@@ -938,7 +938,7 @@ def test_extend_diagram_never_resolves_the_sum(monkeypatch):
     for ring in (R4, Zmod(6), Zmod(8), Zmod(9), ZZ):
         for _ in range(10):
             frame = frame_from_diagram(random_diagram(rng, ring, 16), rng)
-            d = fold_frame(frame).diagram
+            d = fold_frame(frame)
             seen = []
             for entry, arg in ((solve_hexagon, frame), (extend_diagram, d)):
                 asked.clear()

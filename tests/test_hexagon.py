@@ -22,7 +22,7 @@ from hexext.hexagon import (
     validate_frame,
     verify_hexagon,
 )
-from hexext.modules import PresentedModule, hom, split_ses, zero_morphism
+from hexext.modules import PresentedModule, hom, morphism_image, split_ses, zero_morphism
 from hexext.randgen import frame_from_diagram, random_frame, random_hom
 from hexext.rings import ZZ, Zmod
 from routes import identity_morphism, validate_frame_unfolded
@@ -58,41 +58,43 @@ def test_zero_frame_folds_to_zero_diagram():
     zz = zero_morphism(z, z)
     f = HexagonFrame(a1=z, b1=z, b2=z, a4=z, a2=z, a3=z,
                      alpha=zz, beta=zz, top_b=zz, d=zz, r=zz, s=zz)
-    fold = fold_frame(f)
-    assert validate_diagram1(fold.diagram) == []
-    assert fold.diagram.p.cardinality() == 1
+    dg = fold_frame(f)
+    assert validate_diagram1(dg) == []
+    assert dg.p.cardinality() == 1
 
 
 def test_fold_split_frame_validates():
     fr = frame_from_diagram(split_diagram())
-    fold = fold_frame(fr)
-    assert validate_diagram1(fold.diagram) == []
-    dg = fold.diagram
+    dg = fold_frame(fr)
+    assert validate_diagram1(dg) == []
     assert dg.p.is_isomorphic_to(Z2m)
     assert dg.e == fr.a2 and dg.h == fr.b1 and dg.f == fr.a3 and dg.g == fr.b2
 
 
 def test_fold_recovers_outer_maps():
     fr = frame_from_diagram(obstructed_diagram())
-    fold = fold_frame(fr)
-    dg = fold.diagram
-    # the fold's identifications compose back to the frame maps
-    assert (fold.include_r @ dg.row_top.project).matrix == fr.d.matrix
-    assert (fold.include_s @ dg.col_left.project).matrix == fr.top_b.matrix
-    assert (fold.include_q @ dg.col_right.project).equals(fr.s)
-    assert (fold.include_q @ dg.row_bottom.project).equals(fr.r)
-    assert (dg.row_top.inject @ fold.quotient).equals(fr.beta)
-    assert (dg.col_left.inject @ fold.quotient).equals(fr.alpha)
+    dg = fold_frame(fr)
+    # the fold's identifications compose back to the frame maps: R and S
+    # include through the grid's own injections, Q and the quotient onto P
+    # are rebuilt here as the fold builds them
+    _p, _mu, quotient = morphism_image(fr.alpha)
+    _q, include_q, _pi = morphism_image(fr.s)
+    assert (dg.col_right.inject @ dg.row_top.project).matrix == fr.d.matrix
+    assert (dg.row_bottom.inject @ dg.col_left.project).matrix == fr.top_b.matrix
+    assert (include_q @ dg.col_right.project).equals(fr.s)
+    assert (include_q @ dg.row_bottom.project).equals(fr.r)
+    assert (dg.row_top.inject @ quotient).equals(fr.beta)
+    assert (dg.col_left.inject @ quotient).equals(fr.alpha)
 
 
 def test_fold_with_decorated_corners():
     rng = random.Random(6)
     fr = frame_from_diagram(injective_p_diagram(), rng)
     assert validate_frame(fr) == []
-    fold = fold_frame(fr)
-    assert validate_diagram1(fold.diagram) == []
+    dg = fold_frame(fr)
+    assert validate_diagram1(dg) == []
     # the junk summand in A1 is exactly ker(alpha), so P is the original corner
-    assert fold.diagram.p.is_isomorphic_to(Z4m)
+    assert dg.p.is_isomorphic_to(Z4m)
 
 
 def mismatched_kernels_frame():
@@ -251,7 +253,7 @@ def test_every_obstructed_family_frame_reports_its_fold_obstruction():
             with pytest.raises(NotExtendableError) as exc:
                 solve_hexagon(frame)
             got = exc.value.report.baer_sum
-            assert not got.is_zero() and got.same_as(obstruction(fold_frame(frame).diagram).baer_sum)
+            assert not got.is_zero() and got.same_as(obstruction(fold_frame(frame)).baer_sum)
             frames += 1
     assert frames >= 40
 
@@ -280,11 +282,11 @@ def test_two_solutions_admit_compatible_iso():
     from hexext.randgen import perturb_extension
     from hexext.hexagon import fold_frame as _fold
 
-    fold = _fold(fr)
+    dg = _fold(fr)
     from hexext.diagram import extend_diagram
 
     rng = random.Random(17)
-    ext2 = perturb_extension(rng, fold.diagram, extend_diagram(fold.diagram))
+    ext2 = perturb_extension(rng, dg, extend_diagram(dg))
     h2 = SolvedHexagon(fr, ext2.x, i=ext2.j, j=ext2.i, c=ext2.n, curv=ext2.m)
     assert verify_hexagon(h2) == []
     phi = hexagon_compatible_iso(h1, h2)

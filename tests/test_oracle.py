@@ -19,8 +19,10 @@ from hexext.oracle import (
     Table,
     _Meter,
     _bareiss_rank_pivots,
+    _ext1_walk,
     _module_table,
     _product_types,
+    _small_table,
     _table,
     brute_equivalent,
     brute_ext1,
@@ -354,33 +356,18 @@ def test_oversized_table_raises_before_allocating():
 
 
 def test_table_memo_keeps_only_tables_within_the_default_order():
-    _table.cache_clear()
+    # kept iff the ambient group has at most 16 elements, whatever the order
+    # of the quotient
+    _small_table.cache_clear()
     budget = EnumerationBudget(max_order=64)
-    for radix, rels, order in (((16,), [], 16), ((4, 4), [], 16), ((17,), [], 17),
-                               ((3, 6), [], 18), ((8, 8), [(4, 4)], 32), ((8, 8), [(1, 1)], 8)):
+    for radix, rels, order, kept in (((16,), [], 16, True), ((4, 4), [], 16, True), ((4, 4), [(1, 1)], 4, True),
+                                     ((17,), [], 17, False), ((3, 6), [], 18, False),
+                                     ((8, 8), [(4, 4)], 32, False), ((8, 8), [(1, 1)], 8, False)):
         first = _table(radix, rels, _Meter(budget))
         assert first.n == order
-        kept = order <= EnumerationBudget().max_order
         assert (_table(radix, rels, _Meter(budget)) is first) == kept, radix
-    assert _table.cache_info().currsize == 3
-    assert _table.cache_info().maxsize == linalg.CACHE_SIZE
-
-
-def test_table_memo_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(oracle, "CACHE_SIZE", 2)
-    _table.cache_clear()
-    first = _table((2,), [], _Meter(EnumerationBudget()))
-    _table((3,), [], _Meter(EnumerationBudget()))
-    _table((4,), [], _Meter(EnumerationBudget()))
-    assert _table.cache_info().currsize == 2
-    # the first table was evicted: asking again builds it afresh, at a fresh build's counts
-    meter, fresh = _Meter(EnumerationBudget()), _Meter(EnumerationBudget())
-    again = _table((2,), [], meter)
-    Table((2,), [], fresh)
-    assert _table.cache_info().misses == 4 and _table.cache_info().hits == 0
-    assert again is not first and again.sums == first.sums
-    assert meter.count == fresh.count == 2 + 4
-    _table.cache_clear()
+    assert _small_table.cache_info().currsize == 3
+    assert _small_table.cache_info().maxsize == linalg.CACHE_SIZE
 
 
 def test_table_is_frozen():
@@ -417,26 +404,26 @@ def test_table_memo_changes_no_answer():
     calls = [(q, p, EnumerationBudget(max_candidates=c)) for q, p in pairs for c in (20_000_000, 500, 100)]
     cold = []
     for q, p, budget in calls:
-        _table.cache_clear()
-        brute_ext1.cache_clear()
+        _small_table.cache_clear()
+        _ext1_walk.cache_clear()
         cold.append(_ext1_outcome(q, p, budget))
     assert [o[0] for o in cold[-15::3]] == [2, 1, 2, 2, 2]
     for q, p, budget in calls:
         _ext1_outcome(q, p, budget)
-    answer_hits = brute_ext1.cache_info().hits
+    answer_hits = _ext1_walk.cache_info().hits
     warm = [_ext1_outcome(q, p, budget) for q, p, budget in calls]
-    assert _table.cache_info().hits > 0
-    assert brute_ext1.cache_info().hits > answer_hits
+    assert _small_table.cache_info().hits > 0
+    assert _ext1_walk.cache_info().hits > answer_hits
     assert warm == cold
     assert any(isinstance(o, str) for o in cold) and any(not isinstance(o, str) for o in cold)
 
 
 def test_kept_answer_is_the_walked_answer():
     budget = EnumerationBudget()
-    brute_ext1.cache_clear()
+    _ext1_walk.cache_clear()
     walked = _ext1_outcome(Z2m, Z2m, budget)
     out = brute_ext1(Z2m, Z2m)
-    assert brute_ext1.cache_info().hits == 1
+    assert _ext1_walk.cache_info().hits == 1
     assert (out.count, [(s.middle.relations, s.inject.matrix, s.project.matrix)
                         for s in out.representatives]) == walked
     # the caller owns the returned list: changing it changes no later answer
@@ -447,12 +434,12 @@ def test_kept_answer_is_the_walked_answer():
     with pytest.raises(BudgetExceededError, match="^middle order 4 exceeds budget 3$"):
         brute_ext1(Z2m, Z2m, EnumerationBudget(max_order=3))
     # a walk its candidate budget refuses keeps nothing
-    brute_ext1.cache_clear()
+    _ext1_walk.cache_clear()
     with pytest.raises(BudgetExceededError, match="^candidate count exceeded 20$"):
         brute_ext1(Z2m, Z2m, EnumerationBudget(max_candidates=20))
-    assert brute_ext1.cache_info().currsize == 0
+    assert _ext1_walk.cache_info().currsize == 0
     assert _ext1_outcome(Z2m, Z2m, budget) == walked
-    assert brute_ext1.cache_info() == (0, 2, linalg.CACHE_SIZE, 1)
+    assert _ext1_walk.cache_info() == (0, 2, linalg.CACHE_SIZE, 1)
 
 
 # the smallest candidate budget under which brute_ext1 answers, on seeded
@@ -636,7 +623,7 @@ def test_oracle_answers_without_the_engine(monkeypatch, name):
     for fn in ("_snf_int", "_hermite_cols", "_echelon_insert"):
         monkeypatch.setattr(linalg, fn, engine)
     assert call() == expected
-    assert brute_ext1.cache_info().hits == 0
+    assert _ext1_walk.cache_info().hits == 0
 
 
 def test_oracle_results_pass_the_engine_checks():
