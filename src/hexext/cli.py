@@ -43,7 +43,6 @@ from .errors import (
     BudgetExceededError,
     ClassesDifferError,
     FrameInvalidError,
-    HexextError,
     InvalidDiagramError,
     LambdaNotExtendableError,
     NotExtendableError,
@@ -392,9 +391,6 @@ def main(argv=None) -> int:
         # the subcommands that raise these name a frame or a diagram
         name = args.frame if args.command == "hexagon" else args.diagram
         return _emit({"op": args.command, "name": name, "ok": False, "violations": exc.violations}, EXIT_FAIL)
-    except HexextError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

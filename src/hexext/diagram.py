@@ -434,7 +434,7 @@ def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
     ob = _known(d, "obstruction", _obstruction)
     tau = _tau(d)
     delta_tau = _connecting_image(d, by, tau)
-    if not delta_tau.same_as(ob.baer_sum):
+    if delta_tau != ob.baer_sum:
         raise AssertionError(
             "obstruction routes disagree: connecting image "
             f"{delta_tau.coords} vs product sum {ob.baer_sum.coords}"
@@ -486,11 +486,15 @@ def enumerate_extensions(d: Diagram3x3) -> list[DiagramExtension]:
 @dataclass(frozen=True)
 class UniquenessReport:
     restriction: ModuleMorphism           # Ext^1(Q, P) -> Ext^1(Y, P)
-    image: PresentedModule                # one element per admissible class over Y
 
     @property
     def unique(self) -> bool:
         return self.restriction.is_zero()
+
+    @property
+    def image(self) -> PresentedModule:
+        """One element per admissible class over Y."""
+        return morphism_image(self.restriction)[0]
 
 
 def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
@@ -500,7 +504,7 @@ def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
     :class:`NotExtendableError` of :func:`extend_diagram`."""
     by, _ = _class_over_y(d)
     rho = _restriction_from_q(d, by)
-    return UniquenessReport(rho, morphism_image(rho)[0])
+    return UniquenessReport(rho)
 
 
 def _projection_to_y(by: BuildY, ext: DiagramExtension) -> ModuleMorphism:
@@ -529,7 +533,7 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
     if phi is None:
         c1, c2 = (class_of_ses(make_ses(ext.i @ d.col_left.inject, _projection_to_y(by, ext)))
                   for ext in (ext1, ext2))
-        if not c1.same_as(c2):
+        if c1 != c2:
             raise ClassesDifferError("the two middle objects have different classes over Y")
         raise LambdaNotExtendableError("homomorphism does not extend to the ambient module")
     if not phi.is_isomorphism():

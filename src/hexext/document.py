@@ -143,21 +143,19 @@ def _encode_rows(rows, what: str) -> list[list]:
         raise SemanticError(f"{what}: an entry cannot be written: {exc}") from exc
 
 
-def _matrix_from_rows(ring: RingSpec, rows, expect_rows: int | None, expect_cols: int | None,
-                      what: str) -> ExactMatrix:
+def _matrix_from_rows(ring: RingSpec, rows, expect_rows: int, expect_cols: int, what: str) -> ExactMatrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SemanticError(f"{what}: matrix must be a list of rows")
     data = [[_as_int(x) for x in r] for r in rows]
-    if expect_rows is not None and len(data) != expect_rows:
+    if len(data) != expect_rows:
         raise SemanticError(f"{what}: expected {expect_rows} rows, got {len(data)}")
     if data:
         w = len(data[0])
         if any(len(r) != w for r in data):
             raise SemanticError(f"{what}: ragged rows")
-        if expect_cols is not None and w != expect_cols:
+        if w != expect_cols:
             raise SemanticError(f"{what}: expected {expect_cols} columns, got {w}")
-    cols = expect_cols if expect_cols is not None else (len(data[0]) if data else 0)
-    return ExactMatrix.from_rows(ring, data, cols)
+    return ExactMatrix.from_rows(ring, data, expect_cols)
 
 
 def parse(text: str) -> DocumentModel:

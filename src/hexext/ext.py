@@ -53,17 +53,9 @@ class FreeResolution:
     d1: ExactMatrix
     d2: ExactMatrix
 
-    @property
-    def f0(self) -> int:
-        return self.target.generators
-
-    @property
-    def f1(self) -> int:
-        return self.d1.cols
-
-    @property
-    def f2(self) -> int:
-        return self.d2.cols
+    def rank(self, i: int) -> int:
+        """The rank of F_i."""
+        return self.target.generators if i == 0 else self.differential(i).cols
 
     def differential(self, i: int) -> ExactMatrix:
         if i == 1:
@@ -89,7 +81,10 @@ class ExtModule:
     """Ext^degree(Q, P) as a presented module with a cocycle basis.
 
     ``cocycles[t]`` is the morphism matrix ``F_degree -> P`` representing the
-    t-th presentation generator.
+    t-th presentation generator; ``_basis`` holds the same cocycles
+    flattened, as the injective map from the presentation into the cochains
+    (:func:`_cochains`), so a class and its cocycle are one product or one
+    lift apart.
     """
 
     degree: int
@@ -98,17 +93,13 @@ class ExtModule:
     presentation: PresentedModule
     cocycles: tuple[ExactMatrix, ...]
     resolution: FreeResolution
-    _cycles: ModuleMorphism     # raw cycle module -> flat Hom space modulo the boundaries
-    _to_min: ExactMatrix        # raw cycle coordinates -> presentation coordinates
-
-    def rank_at_degree(self) -> int:
-        return (self.resolution.f0, self.resolution.f1, self.resolution.f2)[self.degree]
+    _basis: ModuleMorphism
 
     def class_of_cocycle(self, mat: ExactMatrix) -> "ExtClass":
-        raw = lift(self._cycles, _flatten(mat))
-        if raw is None:
+        coords = lift(self._basis, _flatten(mat))
+        if coords is None:
             raise ArgumentMismatchError("matrix is not a cocycle for this Ext module")
-        return ExtClass(self, self._to_min.apply(raw.col(0)))
+        return ExtClass(self, coords.col(0))
 
     def zero_class(self) -> "ExtClass":
         return ExtClass(self, (0,) * self.presentation.generators)
@@ -143,24 +134,10 @@ class ExtClass:
             raise ArgumentMismatchError("classes live in different Ext modules")
         return ExtClass(self.parent, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "ExtClass":
-        return ExtClass(self.parent, tuple(-a for a in self.coords))
-
-    def __sub__(self, other: "ExtClass") -> "ExtClass":
-        return self + (-other)
-
-    def same_as(self, other: "ExtClass") -> bool:
-        return self.parent == other.parent and self.coords == other.coords
-
     def cocycle(self) -> ExactMatrix:
         """A representing morphism matrix ``F_degree -> P``."""
-        gp = self.parent.p.generators
-        rank = self.parent.rank_at_degree()
-        acc = ExactMatrix.zeros(self.parent.p.ring, gp, rank)
-        for c, mat in zip(self.coords, self.parent.cocycles):
-            if c:
-                acc = acc + mat.scale(c)
-        return acc
+        e = self.parent
+        return _unflatten(e._basis.apply(self.coords), e.p.generators, e.resolution.rank(e.degree), e.p.ring)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -170,10 +147,8 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
         raise ValueError("only degrees 0, 1, 2 are computed")
     if q.ring != p.ring:
         raise ArgumentMismatchError("arguments over different rings")
-    ring = p.ring
     res = free_resolution(q)
-    gp = p.generators
-    rank_i = (res.f0, res.f1, res.f2)[degree]
+    rank_i = res.rank(degree)
     cochains = _cochains(degree, res, p)
 
     # boundary out of degree: phi -> phi o d_{degree+1}, well defined on
@@ -184,15 +159,10 @@ def ext_module(degree: int, q: PresentedModule, p: PresentedModule) -> ExtModule
     out_map = ModuleMorphism(cochains, _hom_space(rank_next, p), out_mat)
     kmat = preimage_kernel_columns(out_map)
 
-    raw_pres, cycles = submodule_generated(cochains, kmat)
-    simp: Simplified = simplify(raw_pres)
-    cocycles = []
-    for t in range(simp.module.generators):
-        raw = simp.from_min.matrix.col(t)
-        flat = kmat.apply(raw)
-        cocycles.append(_unflatten(flat, gp, rank_i, ring))
-    return ExtModule(degree, q, p, simp.module, tuple(cocycles), res,
-                     cycles, simp.to_min.matrix)
+    simp: Simplified = simplify(submodule_generated(cochains, kmat)[0])
+    basis = kmat @ simp.from_min.matrix
+    cocycles = tuple(_unflatten(col, p.generators, rank_i, p.ring) for col in basis.columns())
+    return ExtModule(degree, q, p, simp.module, cocycles, res, ModuleMorphism(simp.module, cochains, basis))
 
 
 def _cochains(degree: int, res: FreeResolution, p: PresentedModule) -> PresentedModule:
@@ -202,7 +172,7 @@ def _cochains(degree: int, res: FreeResolution, p: PresentedModule) -> Presented
     presents.  A cocycle is zero in it exactly when its class in
     Ext^degree(Q, P) is zero, so two cocycles are compared here without
     building Ext^degree(Q, P)."""
-    rank = (res.f0, res.f1, res.f2)[degree]
+    rank = res.rank(degree)
     h = _hom_space(rank, p)
     if degree == 0:
         return h
@@ -268,7 +238,7 @@ def ses_of_cocycle(e: ExtModule, phi: ExactMatrix) -> ShortExactSequence:
     """Realize an explicit degree-1 cocycle (any representative will do)."""
     p, q, res = e.p, e.q, e.resolution
     ring = p.ring
-    gp, f0, f1 = p.generators, res.f0, res.f1
+    gp, f0, f1 = p.generators, res.rank(0), res.rank(1)
     cols = []
     for j in range(p.relations.cols):
         cols.append(list(p.relations.col(j)) + [0] * f0)

@@ -176,10 +176,6 @@ class ExactMatrix:
             data = tuple([tuple([-x for x in r]) for r in self.data])
         return ExactMatrix(self.ring, self.rows, self.cols, data)
 
-    def scale(self, c: int) -> "ExactMatrix":
-        red = self.ring.reduce
-        return ExactMatrix(self.ring, self.rows, self.cols, tuple(tuple(red(c * x) for x in r) for r in self.data))
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows or self.ring != other.ring:
             raise ValueError("hstack shape/ring mismatch")

@@ -57,9 +57,6 @@ class RingSpec:
     def is_modular(self) -> bool:
         return self.kind == "Zmod"
 
-    def reduce(self, x: int) -> int:
-        return x % self.modulus if self.kind == "Zmod" else x
-
     def __str__(self) -> str:
         return "Z" if self.kind == "Z" else f"Z/{self.modulus}"
 

@@ -112,8 +112,8 @@ def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExt
     res = xi.parent.resolution
     psi = ExactMatrix.from_rows(
         d.p.ring,
-        [[rng.randrange(0, 4) for _ in range(res.f0)] for _ in range(d.p.generators)],
-        res.f0,
+        [[rng.randrange(0, 4) for _ in range(res.rank(0))] for _ in range(d.p.generators)],
+        res.rank(0),
     )
     return _realize(d, by, xi.cocycle() + (psi @ res.d1))
 

@@ -285,7 +285,7 @@ def test_criterion_7_baer_coherence(capsys):
         for c1 in e.all_classes():
             for c2 in e.all_classes():
                 got = class_of_ses(baer_sum_explicit(ses_of_class(c1), ses_of_class(c2)))
-                if not got.same_as(c1 + c2):
+                if got != c1 + c2:
                     failures += 1
     # 200 seeded random pairs over Z
     rng = random.Random(0xBAE2)
@@ -298,7 +298,7 @@ def test_criterion_7_baer_coherence(capsys):
             continue
         c1, c2 = random_class(rng, e), random_class(rng, e)
         got = class_of_ses(baer_sum_explicit(ses_of_class(c1), ses_of_class(c2)))
-        if not got.same_as(c1 + c2):
+        if got != c1 + c2:
             failures += 1
         pairs += 1
     report(7, failures == 0,

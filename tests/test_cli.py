@@ -55,6 +55,21 @@ def test_extend_engine_fault_is_not_a_verdict(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_engine_error_propagates_with_its_traceback(capsys, monkeypatch):
+    # a library error the input cannot cause is the engine's fault: it is
+    # raised to the caller, not printed as a one-line verdict
+    import hexext.ext
+    from hexext.errors import NotExactError
+
+    def broken(inject, project):
+        raise NotExactError("left")
+
+    monkeypatch.setattr(hexext.ext, "make_ses", broken)
+    with pytest.raises(NotExactError, match="sequence fails exactness at left"):
+        main(["extend", str(FIXTURES / "allsplit.json"), "D"])
+    assert capsys.readouterr().out == ""
+
+
 def test_ext_subcommand(capsys):
     code, report = run(capsys, "ext", FIXTURES / "zdiagram.json", "-i", "1", "Z6", "Zfree")
     assert code == 0

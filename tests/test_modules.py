@@ -450,7 +450,8 @@ def _kernel_route_report(maps):
 
 
 def _scaled(f, k):
-    return ModuleMorphism(f.source, f.target, f.matrix.scale(k))
+    a = f.matrix
+    return ModuleMorphism(f.source, f.target, ExactMatrix.from_rows(a.ring, [[k * x for x in r] for r in a.data], a.cols))
 
 
 def _random_chain(rng, ring):
