@@ -77,16 +77,8 @@ class DocumentModel:
     hexagons: dict[str, HexagonFrame] = field(default_factory=dict)
     extensions: dict[str, DiagramExtension] = field(default_factory=dict)
     # names needed to re-serialize object references
-    module_ring_names: dict[str, str] = field(default_factory=dict)
-    extension_diagram_names: dict[str, str] = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, DocumentModel):
-            return NotImplemented
-        return (self.rings, self.modules, self.morphisms, self.diagrams,
-                self.hexagons, self.extensions) == \
-               (other.rings, other.modules, other.morphisms, other.diagrams,
-                other.hexagons, other.extensions)
+    module_ring_names: dict[str, str] = field(default_factory=dict, compare=False)
+    extension_diagram_names: dict[str, str] = field(default_factory=dict, compare=False)
 
 
 def _as_int(v) -> int:
@@ -261,19 +253,18 @@ def parse(text: str) -> DocumentModel:
     return model
 
 
+def _first_names(table: dict) -> dict:
+    """Each value of ``table`` with the first of its names in sorted order."""
+    out = {}
+    for name in sorted(table):
+        out.setdefault(table[name], name)
+    return out
+
+
 def serialize(model: DocumentModel) -> str:
     """Deterministic JSON for a model; ``parse(serialize(m))`` equals ``m``."""
-    ring_name = {}
-    for name in sorted(model.rings):
-        ring_name.setdefault(model.rings[name], name)
-    module_name = {}
-    for name in sorted(model.modules):
-        module_name.setdefault(model.modules[name], name)
-    morphism_name = {}
-    for name in sorted(model.morphisms):
-        morphism_name.setdefault(model.morphisms[name], name)
-
-    names = {"module": module_name, "morphism": morphism_name}
+    ring_name = _first_names(model.rings)
+    names = {"module": _first_names(model.modules), "morphism": _first_names(model.morphisms)}
 
     def named(kind: str, value, owner: str, slot: str) -> str:
         """The document name of ``value``, which fills ``slot`` of ``owner``."""

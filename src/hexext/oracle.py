@@ -181,9 +181,6 @@ class Table:
         mult = self.multiples[a]
         return mult[k % len(mult)]
 
-    def gen_code(self, idx: int) -> int:
-        return self._gens[idx]
-
     def combination(self, coeffs, elems) -> int:
         """``sum(c * e)`` over paired coefficients and elements."""
         acc = 0
@@ -197,14 +194,9 @@ class Table:
     def from_coeffs(self, col) -> int:
         return self.combination(col, self._gens)
 
-    def apply_images(self, target: "Table", images, x: int) -> int:
-        """Value at ``x`` of the homomorphism with the given generator
-        images (only meaningful once the hom conditions hold)."""
-        return target.combination(self.digits[x], images)
-
     def hom_value_table(self, target: "Table", images) -> list[int]:
-        """:meth:`apply_images` at every element, one addition per element
-        along ``_steps``."""
+        """The value at every element of the homomorphism with the given generator
+        images (once the hom conditions hold), one addition per element along ``_steps``."""
         vals = [0] * self.n
         sums = target.sums
         for x, earlier, g in self._steps:
@@ -424,24 +416,7 @@ def _canonical_factor_set(tp: Table, base: tuple, deltas: list[tuple]) -> tuple:
     It depends on ``base`` alone, so callers compute it once per factor set.
     """
     add = tp.sums
-    best = None
-    for delta in deltas:
-        if best is None:
-            best = tuple(add[a][b] for a, b in zip(base, delta))
-            continue
-        # lazy lexicographic comparison against the current minimum
-        decided = 0  # -1 smaller, +1 larger
-        prefix = []
-        for a, b, c in zip(base, delta, best):
-            v = add[a][b]
-            prefix.append(v)
-            if v != c:
-                decided = -1 if v < c else 1
-                break
-        if decided == -1:
-            k = len(prefix)
-            best = tuple(prefix) + tuple(add[a][b] for a, b in zip(base[k:], delta[k:]))
-    return best
+    return min(tuple([add[a][b] for a, b in zip(base, delta)]) for delta in deltas)
 
 
 def brute_ext1(q: PresentedModule, p: PresentedModule,
@@ -450,7 +425,7 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     every candidate middle of order ``|P| * |Q|``, every injection of P,
     every projection whose kernel is the injection's image, and grouping by
     extension equivalence (middle isomorphism commuting with the end
-    identities), decided through canonical factor sets.
+    identities), told apart by canonical factor sets.
 
     The walk is :func:`_ext1_walk`, kept for the process on ``(Q, P,
     budget)``: each pair is walked once per process and budget, and a
@@ -537,10 +512,8 @@ def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
     tx2 = _bounded_table(s2.middle, budget, meter)
     if tx1.n != tx2.n:
         return False
-    p1 = _morphism_images(s1.project, tq)
-    p1_at_gens = [tx1.apply_images(tq, p1, tx1.gen_code(g)) for g in range(tx1.k)]
     p2_vals = tx2.hom_value_table(tq, _morphism_images(s2.project, tq))
-    cand = _pools(tx1, tx2, [(p2_vals, p1_at_gens)])
+    cand = _pools(tx1, tx2, [(p2_vals, _morphism_images(s1.project, tq))])
     if cand is None:
         return False
     along_i = list(zip(tp.hom_value_table(tx1, _morphism_images(s1.inject, tx1)),

@@ -15,14 +15,17 @@ the general snake lemma of a ladder, with its six-term sequence, against
 the pipeline's check of its one ladder over Y.
 Beside them live four helpers that only the tests call: the identity
 morphism, the cokernel with its projection, injectivity over the base ring,
-and a middle object realized from a shifted cocycle representative.
+and a middle object realized from a shifted cocycle representative; and the
+census of every grid up to a size, listed without the engine.
 Tests import them with ``from routes import ...``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from math import gcd, prod
 
 from hexext.errors import ArgumentMismatchError, NonComposableError, NotExactError
 from hexext.ext import (
@@ -58,7 +61,9 @@ from hexext.modules import (
     solve_morphism,
     zero_morphism,
 )
+from hexext.oracle import brute_ext1
 from hexext.rings import prime_factors
+from tests.conftest import all_modules_over
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +483,30 @@ def validate_frame_unfolded(f: HexagonFrame) -> list[str]:
             or _first_outside(f.s.matrix, f.r.matrix.hstack(rels)) is not None):
         out.append("im(r) != im(s) inside A4")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Census
+# ---------------------------------------------------------------------------
+
+
+def census(ring, bound: int) -> list[Diagram3x3]:
+    """Every grid over the ring with ``|X| = |P||R||S||Q| <= bound``, once per
+    choice of finite corners up to isomorphism and of the classes of its four
+    sequences.  The corners come from :func:`conftest.all_modules_over`, each
+    order read off its diagonal presentation, and the sequences are
+    :func:`brute_ext1`'s representatives, so the listing runs no elimination.
+
+    The grid has no maps between its middles, so equivalences of its four
+    sequences, which fix the corners, give an isomorphism of grids: the list
+    holds every grid up to isomorphism, each one once."""
+    mods = [(m, prod(gcd(row[i], ring.modulus or 0) for i, row in enumerate(m.relations.data)))
+            for m in all_modules_over(ring, bound)]
+    grids = []
+    for (p, op), (r, o_r), (s, o_s), (q, oq) in itertools.product(mods, repeat=4):
+        if op * o_r * o_s * oq > bound:
+            continue
+        for top, left, right, bottom in itertools.product(
+                *(brute_ext1(b, a).representatives for b, a in ((r, p), (s, p), (q, r), (q, s)))):
+            grids.append(Diagram3x3(row_top=top, row_bottom=bottom, col_left=left, col_right=right))
+    return grids

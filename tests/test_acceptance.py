@@ -33,7 +33,7 @@ from hexext.randgen import (
     random_module,
 )
 from hexext.rings import ZZ, Zmod
-from routes import baer_sum_explicit, extend_with_variant_cocycle, is_injective_module
+from routes import baer_sum_explicit, census, extend_with_variant_cocycle, is_injective_module
 from tests.conftest import all_modules_over
 
 R4, R8, R9 = Zmod(4), Zmod(8), Zmod(9)
@@ -360,3 +360,44 @@ def test_criterion_9_determinism(capsys):
         round_trips &= parse(serialize(model)) == model
     report(9, byte_identical and round_trips,
            "fuzz output byte-identical; fixtures round-trip through parse/serialize", t0, capsys)
+
+
+# the census's (grids, obstructed, non-unique over Y) per ring and bound on |X|
+_CENSUS_PINS = {
+    (R4, 16): (443, 32, 44),
+    (R8, 16): (543, 6, 67),
+    (R9, 9): (27, 0, 1),
+    (Zmod(12), 12): (197, 2, 11),
+    (ZZ, 16): (741, 0, 76),
+}
+
+
+def test_criterion_15_census(capsys):
+    t0 = time.time()
+    failures = 0
+    counts = {}
+    for (ring, bound), pinned in _CENSUS_PINS.items():
+        grids = census(ring, bound)
+        obstructed = non_unique = 0
+        for d in grids:
+            zero = obstruction(d).is_zero
+            try:
+                extend_diagram(d)
+                extended = True
+            except NotExtendableError:
+                extended = False
+            if not (zero == extended == brute_extension_exists(d)):
+                failures += 1
+            if not zero:
+                obstructed += 1
+            elif not check_uniqueness(d).unique:
+                non_unique += 1
+        counts[ring] = (len(grids), obstructed, non_unique)
+        if counts[ring] != pinned:
+            failures += 1
+            print(f"  census over {ring} at |X| <= {bound}: {counts[ring]}, pinned {pinned}")
+    total = sum(n for n, _, _ in counts.values())
+    summary = ", ".join(f"{n}/{o}/{u} over {ring}" for ring, (n, o, u) in counts.items())
+    report(15, failures == 0,
+           f"obstruction, extend_diagram and exhaustive search agree on all {total} census grids "
+           f"(grids/obstructed/non-unique over Y: {summary})", t0, capsys)

@@ -192,6 +192,19 @@ def test_invalid_object_exits_1_with_the_validate_report(tmp_path, capsys, argv,
     assert any(v.startswith(violation) for v in report["violations"]), report["violations"]
 
 
+@pytest.mark.parametrize("argv", [["validate", "F"], ["hexagon", "solve", "F"]], ids=["validate", "hexagon"])
+def test_miswired_frame_exits_1(tmp_path, capsys, argv):
+    # fixtures/allsplit.json with frame F's alpha naming topB's map, B1 -> B2
+    doc = json.loads((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    doc["hexagons"]["F"]["alpha"] = doc["hexagons"]["F"]["topB"]
+    p = tmp_path / "miswired.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([argv[0], str(p), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert json.loads(out)["violations"] == ["alpha does not connect the declared objects"]
+
+
 def test_validate_subcommand(capsys):
     for name, expect in (("D", 0), ("F", 0)):
         code, report = run(capsys, "validate", FIXTURES / "allsplit.json", name)
@@ -374,7 +387,10 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc, command, message):
     ["--count", "1", "--ring", "Zmod 4"],
     ["--count", "1", "--ring", "Zmod4_0"],
     ["--count", "1", "--ring", "Zmod\u0664"],
-], ids=["max-order-0", "count-negative", "ring-plus-sign", "ring-space", "ring-underscore", "ring-arabic-indic-digit"])
+    ["--count", "1", "--ring", "Zmod1"],
+    ["--count", "1", "--ring", "Zmod0"],
+], ids=["max-order-0", "count-negative", "ring-plus-sign", "ring-space", "ring-underscore", "ring-arabic-indic-digit",
+        "ring-modulus-1", "ring-modulus-0"])
 def test_fuzz_rejects_out_of_range_flags(flags):
     # a separate process with a timeout, so that a generator looping forever
     # fails the test instead of hanging the suite

@@ -6,6 +6,7 @@ import gc
 import itertools
 import pathlib
 import random
+import re
 import sys
 import weakref
 from dataclasses import replace
@@ -517,6 +518,35 @@ def test_engine_fault_is_an_assertion(owner, name, fake, message, monkeypatch):
     monkeypatch.setattr(owner, name, fake)
     with pytest.raises(AssertionError, match=f"^{message}$"):
         extend_diagram(d)
+
+
+# Faults behind facts the memo keeps: ``prime`` asks for the facts before the
+# fault, then the diagram layer's lift answers ``answered`` more calls and
+# fails from the next one on, which is the one the message names
+LIFT_FAULTS = [
+    (build_Y, 0, "the Y-sequence's cocycle does not lift through d1(R) (+) d1(S)"),
+    (build_Y, 1, "obstruction vanished but the restriction map has no solution"),
+    (check_uniqueness, 0, "restriction classes matched but grid maps are unsolvable"),
+]
+
+
+@pytest.mark.parametrize("prime, answered, message", LIFT_FAULTS, ids=["connecting-image", "xi", "grid-map"])
+def test_engine_fault_behind_kept_facts_is_an_assertion(prime, answered, message, monkeypatch):
+    d = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8")).diagrams["D"]
+    prime(d)
+    calls = itertools.count()
+    monkeypatch.setattr(diagram_module, "lift", lambda *a: lift(*a) if next(calls) < answered else None)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        extend_diagram(d)
+
+
+def test_compatible_morphism_that_is_not_an_isomorphism_is_an_engine_fault(monkeypatch):
+    # extending first keeps Y, whose snake check also asks is_isomorphism
+    d = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8")).diagrams["D"]
+    ext = extend_diagram(d)
+    monkeypatch.setattr(ModuleMorphism, "is_isomorphism", lambda *a: False)
+    with pytest.raises(AssertionError, match="^compatible morphism is not an isomorphism$"):
+        compatible_isomorphism(d, ext, ext)
 
 
 def test_not_extendable_always_carries_its_obstruction():

@@ -110,6 +110,14 @@ def test_serialize_refuses_an_unnamed_reference(fixture, section, name, first_mo
         serialize(model)
 
 
+def test_serialize_refuses_a_module_over_an_unnamed_ring():
+    model = DocumentModel(modules={"A": PresentedModule.cyclic(ZZ, 2)})
+    with pytest.raises(SemanticError, match="^module A: its ring has no name in the document$"):
+        serialize(model)
+    model.rings["R"] = ZZ
+    assert json.loads(serialize(model))["modules"]["A"]["ring"] == "R"
+
+
 def test_serialize_refuses_an_extension_of_an_unnamed_diagram():
     full = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
     model = DocumentModel(rings=full.rings, modules=full.modules, morphisms=full.morphisms,

@@ -274,6 +274,25 @@ def test_verify_reports_each_miswired_map():
         assert verify_hexagon(broken) == [f"{name} does not connect the declared objects"]
 
 
+def test_fold_reports_each_miswired_map():
+    # the zero map of Z/4, an object the split frame does not have
+    fr = frame_from_diagram(split_diagram())
+    wrong = zero_morphism(Z4m, Z4m)
+    for name, attr in (("alpha", "alpha"), ("beta", "beta"), ("topB", "top_b"), ("d", "d"), ("r", "r"), ("s", "s")):
+        broken = dataclasses.replace(fr, **{attr: wrong})
+        with pytest.raises(FrameInvalidError) as exc:
+            fold_frame(broken)
+        assert exc.value.violations == [f"{name} does not connect the declared objects"]
+
+
+def test_compatible_iso_refuses_solutions_of_two_frames():
+    h1 = solve_hexagon(frame_from_diagram(split_diagram()))
+    h2 = solve_hexagon(frame_from_diagram(injective_p_diagram()))
+    with pytest.raises(FrameInvalidError) as exc:
+        hexagon_compatible_iso(h1, h2)
+    assert exc.value.violations == ["solved hexagons come from different frames"]
+
+
 def test_two_solutions_admit_compatible_iso():
     fr = frame_from_diagram(injective_p_diagram())
     h1 = solve_hexagon(fr)

@@ -13,7 +13,7 @@ from hexext.diagram import Diagram3x3, extend_diagram, obstruction
 from hexext.errors import BudgetExceededError, NotExtendableError
 from hexext.ext import class_of_ses, ext_module, ses_of_class
 from hexext.linalg import ExactMatrix
-from hexext.modules import PresentedModule, hom, make_ses, split_ses
+from hexext.modules import PresentedModule, ShortExactSequence, hom, make_ses, split_ses, zero_morphism
 from hexext.oracle import (
     EnumerationBudget,
     Table,
@@ -178,6 +178,13 @@ def test_nonsplit_not_equivalent_to_split():
     assert not brute_equivalent(s, split_ses(Z2m, Z2m))
 
 
+def test_sequences_with_other_ends_or_middle_orders_are_not_equivalent():
+    sp = split_ses(Z2m, Z2m)
+    assert not brute_equivalent(sp, split_ses(Z2m, Z4m))
+    # an inexact sequence with the same ends and a middle of order 2, not 4
+    assert not brute_equivalent(sp, ShortExactSequence(zero_morphism(Z2m, Z2m), hom(Z2m, Z2m, [[1]])))
+
+
 def test_brute_equivalence_matches_class_equality():
     for ring in (R4, Zmod(9)):
         z = PresentedModule.cyclic(ring, ring.modulus // 2 if ring.modulus == 4 else 3)
@@ -315,8 +322,9 @@ def test_table_matches_digit_arithmetic(radix, data):
         assert [code[t.add(x, y)] for y in range(t.n)] == [ref.add(code[x], code[y]) for y in range(t.n)]
         for k in (-(10**20) - 3, -7, -1, 0, 1, 2, 5, 10**18 + 9):
             assert code[t.smul(k, x)] == ref.smul(k, code[x])
-    for i in range(len(radix)):
-        assert code[t.gen_code(i)] == ref.gen(i)
+    unit = [[int(j == i) for j in range(len(radix))] for i in range(len(radix))]
+    for i, e_i in enumerate(unit):
+        assert code[t.from_coeffs(e_i)] == ref.gen(i)
     col = data.draw(st.lists(coeff, min_size=len(radix), max_size=len(radix)))
     assert code[t.from_coeffs(col)] == ref.from_coeffs(col)
     # the homomorphism x -> k * x into a quotient by further relations,
@@ -325,9 +333,9 @@ def test_table_matches_digit_arithmetic(radix, data):
     k = data.draw(coeff)
     tgt = Table(tuple(radix), rels + extra, _Meter(EnumerationBudget()))
     tgt_ref = _DigitGroup(radix, rels + extra)
-    images = [tgt.smul(k, tgt.gen_code(i)) for i in range(len(radix))]
+    images = [tgt.smul(k, tgt.from_coeffs(e_i)) for e_i in unit]
     vals = t.hom_value_table(tgt, images)
-    assert vals == [t.apply_images(tgt, images, x) for x in range(t.n)]
+    assert vals == [tgt.combination(t.digits[x], images) for x in range(t.n)]
     assert [tgt_ref.elements[v] for v in vals] == [tgt_ref.smul(k, c) for c in code]
 
 
@@ -337,7 +345,7 @@ def test_hom_value_table_on_one_element_tables():
     tgt = Table((4,), [], meter)
     for t, images in ((Table((), [], meter), []), (Table((4, 3), [(1, 0), (0, 1)], meter), [1, 2])):
         assert t.n == 1 and t._steps == ()
-        assert t.hom_value_table(tgt, images) == [0] == [t.apply_images(tgt, images, 0)]
+        assert t.hom_value_table(tgt, images) == [0] == [tgt.combination(t.digits[0], images)]
 
 
 def test_oversized_table_raises_before_allocating():

@@ -51,6 +51,15 @@ def add_extension(model, tag, ring_name, ext, diagram_name):
     model.extension_diagram_names[tag] = diagram_name
 
 
+def add_frame(model, dg):
+    """The hexagon frame of ``dg`` as F, with its six maps named."""
+    frame = frame_from_diagram(dg)
+    for nm, attr in (("alpha", "alpha"), ("beta", "beta"), ("topB", "top_b"),
+                     ("dmap", "d"), ("rmap", "r"), ("smap", "s")):
+        add_morphism(model, nm, getattr(frame, attr))
+    model.hexagons["F"] = frame
+
+
 def write(name, model):
     OUT.mkdir(exist_ok=True)
     (OUT / name).write_text(serialize(model), encoding="utf-8")
@@ -75,14 +84,7 @@ def zmod4_diagram_models():
     add_ses(model, "bottom", splitseq)
     dg = Diagram3x3(row_top=nonsplit, row_bottom=splitseq, col_left=splitseq, col_right=nonsplit)
     model.diagrams["D"] = dg
-    frame = frame_from_diagram(dg)
-    add_morphism(model, "alpha", frame.alpha)
-    add_morphism(model, "beta", frame.beta)
-    add_morphism(model, "topB", frame.top_b)
-    add_morphism(model, "dmap", frame.d)
-    add_morphism(model, "rmap", frame.r)
-    add_morphism(model, "smap", frame.s)
-    model.hexagons["F"] = frame
+    add_frame(model, dg)
     write("obstructed.json", model)
 
     # --- allsplit.json: everything split, plus extensions ------------------
@@ -100,11 +102,7 @@ def zmod4_diagram_models():
     variant = perturb_extension(rng, dg, exts[0])
     for tag, ext in (("X1", exts[0]), ("X1b", variant), ("X2", exts[1])):
         add_extension(model, tag, "R4", ext, "D")
-    frame = frame_from_diagram(dg)
-    for nm, mor in (("alpha", frame.alpha), ("beta", frame.beta), ("topB", frame.top_b),
-                    ("dmap", frame.d), ("rmap", frame.r), ("smap", frame.s)):
-        add_morphism(model, nm, mor)
-    model.hexagons["F"] = frame
+    add_frame(model, dg)
     write("allsplit.json", model)
 
     # --- injective.json: P = Z/4 (injective over Z/4) ----------------------
@@ -122,11 +120,7 @@ def zmod4_diagram_models():
     add_ses(model, "right", rb)
     dg = Diagram3x3(row_top=rt, row_bottom=rb, col_left=rt, col_right=rb)
     model.diagrams["D"] = dg
-    frame = frame_from_diagram(dg)
-    for nm, mor in (("alpha", frame.alpha), ("beta", frame.beta), ("topB", frame.top_b),
-                    ("dmap", frame.d), ("rmap", frame.r), ("smap", frame.s)):
-        add_morphism(model, nm, mor)
-    model.hexagons["F"] = frame
+    add_frame(model, dg)
     write("injective.json", model)
 
 
