@@ -269,8 +269,8 @@ def _parse_ring(text: str) -> RingSpec:
     if text.startswith("Zmod") and digits.isascii() and digits.isdigit():
         try:
             return Zmod(int(digits))
-        except ValueError:
-            pass
+        except ValueError as exc:
+            raise SemanticError(f"ring {text!r}: {exc}") from exc
     raise SemanticError(f"unknown ring {text!r} (use Z or Zmod<m>)")
 
 

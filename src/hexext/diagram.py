@@ -42,7 +42,6 @@ from .linalg import ExactMatrix, block_diag
 from .modules import (
     ModuleMorphism,
     PresentedModule,
-    Pullback,
     ShortExactSequence,
     exactness_violations,
     hom,
@@ -148,11 +147,12 @@ def _known(d: Diagram3x3, fact: str, compute):
 
 
 def _require_valid(d: Diagram3x3) -> None:
-    """The single validation boundary.  Only :func:`obstruction` and
-    :func:`build_Y` call it; every other public entry taking a diagram
-    reaches it through one :func:`build_Y`, first.  The verdict is kept
-    with the last diagram analysed, so a diagram is validated once per
-    diagram object, and an invalid one raises on every call."""
+    """The single validation boundary.  Only :func:`obstruction`,
+    :func:`build_Y` and :func:`compatible_isomorphism` call it; every other
+    public entry taking a diagram reaches it through one :func:`build_Y`,
+    first.  The verdict is kept with the last diagram analysed, so a
+    diagram is validated once per diagram object, and an invalid one raises
+    on every call."""
     violations = _known(d, "violations", lambda dg: tuple(validate_diagram1(dg)))
     if violations:
         raise InvalidDiagramError(violations)
@@ -187,13 +187,11 @@ class BuildY:
     ``0 -> R (+) S -> Y -> Q -> 0`` and structural maps."""
 
     y: PresentedModule
-    pb: Pullback                      # F x_Q G, before simplification
     ses: ShortExactSequence           # 0 -> R(+)S -> Y -> Q -> 0
     w_r: ModuleMorphism               # R -> Y
     w_s: ModuleMorphism               # S -> Y
     p_f: ModuleMorphism               # Y -> F
     p_g: ModuleMorphism               # Y -> G
-    to_y: ModuleMorphism              # raw pullback module -> Y (simplification iso)
 
 
 def build_Y(d: Diagram3x3) -> BuildY:
@@ -217,7 +215,7 @@ def _y_core(d: Diagram3x3) -> BuildY:
     if not proj.equals(d.row_bottom.project @ p_g):
         raise AssertionError("pullback projections do not agree over Q")
     _require_exact("Y-sequence", incl, proj)
-    by = BuildY(y, pb, ShortExactSequence(incl, proj), w_r, w_s, p_f, p_g, simp.to_min)
+    by = BuildY(y, ShortExactSequence(incl, proj), w_r, w_s, p_f, p_g)
     _snake_cross_check(d, by)
     return by
 
@@ -508,7 +506,8 @@ def check_uniqueness(d: Diagram3x3) -> UniquenessReport:
 
 
 def _projection_to_y(by: BuildY, ext: DiagramExtension) -> ModuleMorphism:
-    return by.to_y @ pullback_factor(by.pb, ext.m, ext.n)
+    # the one map over m and n, as (p_f, p_g) embeds Y in F (+) G
+    return solve_morphism(ext.x, by.y, post=[(by.p_f, ext.m), (by.p_g, ext.n)])
 
 
 def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramExtension) -> ModuleMorphism:
@@ -517,12 +516,12 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
 
     The four equations are linear in phi, so one constrained solve finds it,
     and the five lemma on the middle rows makes any solution an isomorphism.
-    When there is none, the classes of ``0 -> P -> X -> Y -> 0`` tell why:
-    they differ (:class:`ClassesDifferError`), or they agree and the
-    correction on the image of E (+) H, which a map compatible with (m, n)
-    leaves in P, does not extend to X1 (:class:`LambdaNotExtendableError`).
+    Only when there is none is Y built: the classes of ``0 -> P -> X -> Y ->
+    0`` tell why.  They differ (:class:`ClassesDifferError`), or they agree
+    and the correction on the image of E (+) H, which a map compatible with
+    (m, n) leaves in P, does not extend to X1 (:class:`LambdaNotExtendableError`).
     """
-    by = build_Y(d)
+    _require_valid(d)
     for k, ext in (("first", ext1), ("second", ext2)):
         bad = validate_extension(d, ext)
         if bad:
@@ -531,6 +530,7 @@ def compatible_isomorphism(d: Diagram3x3, ext1: DiagramExtension, ext2: DiagramE
                          pre=[(ext1.i, ext2.i), (ext1.j, ext2.j)],
                          post=[(ext2.m, ext1.m), (ext2.n, ext1.n)])
     if phi is None:
+        by = build_Y(d)
         c1, c2 = (class_of_ses(make_ses(ext.i @ d.col_left.inject, _projection_to_y(by, ext)))
                   for ext in (ext1, ext2))
         if c1 != c2:

@@ -348,31 +348,27 @@ def _lifted(a: ExactMatrix) -> tuple[IntRows, int, int]:
     return data, n, a.cols + n
 
 
-def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None = None,
+def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int],
                  relations: ExactMatrix | None = None) -> tuple[int, ...] | None:
-    """The first ``k`` entries (all of them by default) of the canonical
-    solution ``x`` of ``A x = b`` over the matrix's ring, read modulo the
-    column span of ``relations`` (none by default), as a tuple; ``None``
-    when unsolvable.
+    """The canonical solution ``x`` of ``A x = b`` over the matrix's ring,
+    read modulo the column span of ``relations`` (none by default), as a
+    tuple; ``None`` when unsolvable.
 
     The canonical solution is the representative, reduced by
     :func:`reduce_mod_lattice`, of the coset of solutions ``x`` of ``A x + R
     y = b`` modulo the projection to x of the solution lattice of ``A x + R y
-    = 0``.  It is deterministic and independent of elimination internals,
-    and for every k its first k entries are the canonical representative
-    modulo that lattice's projection to the first k coordinates.
+    = 0``.  It is deterministic and independent of elimination internals.
 
     ``(b; 0)`` is reduced against the Hermite form of the lattice spanned by
-    the columns of ``[R; 0]`` and of the graph ``[A; -I_k 0]`` (and ``m *
-    Z^(rows+k)`` over Z/m), cached on ``(R, A, m, k)`` and resumed from R's
-    own cached form, so a miss inserts only A's columns: ``b`` is reachable
-    exactly when the top rows reduce to zero, and the bottom rows are then
-    the first k entries of the canonical solution.  The slack unknowns y and
-    the unknowns past k get no identity rows: a column Hermite form is zero
-    above each pivot, so its first ``rows + k`` rows are the Hermite form of
-    the full graph's projection to those rows, and the pivots below them
-    never touch the entries read.  No Smith form is built and no hstack of
-    A and R either.  The library solves only through ``modules.lift``.
+    the columns of ``[R; 0]`` and of the graph ``[A; -I]`` (and ``m *
+    Z^(rows+cols)`` over Z/m), cached on ``(R, A, m, cols)`` and resumed from
+    R's own cached form, so a miss inserts only A's columns: ``b`` is
+    reachable exactly when the top rows reduce to zero, and the bottom rows
+    are then the canonical solution.  The slack unknowns y get no identity
+    rows: a column Hermite form is zero above each pivot, so its leading
+    rows are the Hermite form of the full graph's projection to them.  No
+    Smith form is built and no hstack of A and R either.  The library
+    solves only through ``modules.lift``.
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side length mismatch")
@@ -380,11 +376,7 @@ def solve_linear(a: ExactMatrix, b: tuple[int, ...] | list[int], k: int | None =
         relations = ExactMatrix.zeros(a.ring, a.rows, 0)
     elif relations.rows != a.rows or relations.ring != a.ring:
         raise ValueError("relation matrix shape/ring mismatch")
-    n = a.cols
-    k = n if k is None else k
-    if not 0 <= k <= n:
-        raise ValueError("number of unknowns out of range")
-    v = _reduce_by_pivots([int(t) for t in b] + [0] * k, _span_form(relations, a, k)[0])
+    v = _reduce_by_pivots([int(t) for t in b] + [0] * a.cols, _span_form(relations, a, a.cols)[0])
     if any(v[: a.rows]):
         return None
     return tuple(v[a.rows:])

@@ -309,7 +309,6 @@ def morphism_image(f: ModuleMorphism):
 class DirectSum:
     module: PresentedModule
     inject_left: ModuleMorphism
-    inject_right: ModuleMorphism
     project_left: ModuleMorphism
     project_right: ModuleMorphism
 
@@ -320,11 +319,9 @@ def direct_sum(a: PresentedModule, b: PresentedModule) -> DirectSum:
     ring = a.ring
     m = PresentedModule(block_diag(ring, [a.relations, b.relations]))
     ia = ExactMatrix.identity(ring, a.generators).vstack(ExactMatrix.zeros(ring, b.generators, a.generators))
-    ib = ExactMatrix.zeros(ring, a.generators, b.generators).vstack(ExactMatrix.identity(ring, b.generators))
     pa = ExactMatrix.identity(ring, a.generators).hstack(ExactMatrix.zeros(ring, a.generators, b.generators))
     pb = ExactMatrix.zeros(ring, b.generators, a.generators).hstack(ExactMatrix.identity(ring, b.generators))
-    return DirectSum(m, ModuleMorphism(a, m, ia), ModuleMorphism(b, m, ib),
-                     ModuleMorphism(m, a, pa), ModuleMorphism(m, b, pb))
+    return DirectSum(m, ModuleMorphism(a, m, ia), ModuleMorphism(m, a, pa), ModuleMorphism(m, b, pb))
 
 
 @dataclass(frozen=True)
@@ -497,15 +494,14 @@ def lift(f: ModuleMorphism, rhs: ExactMatrix) -> ExactMatrix | None:
     the target's relations ``R``, which ``solve_linear`` receives beside A,
     so no hstack of the two is built or hashed: the Hermite form of the
     graph is keyed on ``(R, A)`` and resumes from R's own cached form,
-    inserting only A's columns.  Only the ``g`` source unknowns ``x`` are
-    asked for, so the slack ``y`` gets no rows in the solver's graph.
-    Every linear solve of the library goes through here.
+    inserting only A's columns; the slack ``y`` gets no rows in the
+    solver's graph.  Every linear solve of the library goes through here.
     """
     rels = f.target.relations
     g = f.source.generators
     cols = []
     for b in rhs.columns():
-        x = solve_linear(f.matrix, b, g, rels)
+        x = solve_linear(f.matrix, b, rels)
         if x is None:
             return None
         cols.append(x)

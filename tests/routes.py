@@ -10,9 +10,11 @@ exactness, the class over Y solved in Ext^1(R, P) (+) Ext^1(S, P) against
 its solve in cochains, tau's sequence, whose splice with the Y-sequence is
 checked against the chain-lift connecting image, the grid maps i and j of a
 realized diagram solved over all of Hom(H, X) against their construction,
-a hexagon frame's conditions read on the frame itself against its fold, and
-the general snake lemma of a ladder, with its six-term sequence, against
-the pipeline's check of its one ladder over Y.
+a middle object's projection to Y factored through the pullback F x_Q G
+against its solve over Y's embedding in F (+) G, a hexagon frame's
+conditions read on the frame itself against its fold, and the general
+snake lemma of a ladder, with its six-term sequence, against the
+pipeline's check of its one ladder over Y.
 Beside them live four helpers that only the tests call: the identity
 morphism, the cokernel with its projection, injectivity over the base ring,
 and a middle object realized from a shifted cocycle representative; and the
@@ -58,6 +60,7 @@ from hexext.modules import (
     preimage_kernel_columns,
     pullback,
     pullback_factor,
+    simplify,
     solve_morphism,
     zero_morphism,
 )
@@ -390,6 +393,18 @@ def grid_maps_over_x(d: Diagram3x3, by: BuildY, x: PresentedModule) -> tuple[Mod
     if i is None or j is None:
         raise AssertionError("grid maps are unsolvable over Hom(-, X)")
     return i, j
+
+
+# ---------------------------------------------------------------------------
+# The projection of a middle object to Y, through the pullback
+# ---------------------------------------------------------------------------
+
+
+def projection_to_y_through_pullback(d: Diagram3x3, ext: DiagramExtension) -> ModuleMorphism:
+    """``X -> Y`` as the cone ``(m, n)`` factored through the pullback
+    F x_Q G, carried onto Y by the simplification that builds Y from it."""
+    pb = pullback(d.col_right.project, d.row_bottom.project)
+    return simplify(pb.module).to_min @ pullback_factor(pb, ext.m, ext.n)
 
 
 # ---------------------------------------------------------------------------

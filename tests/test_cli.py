@@ -380,18 +380,18 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc, command, message):
     assert message in err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--count", "2", "--max-order", "0"],
-    ["--count", "-3"],
-    ["--count", "1", "--ring", "Zmod+4"],
-    ["--count", "1", "--ring", "Zmod 4"],
-    ["--count", "1", "--ring", "Zmod4_0"],
-    ["--count", "1", "--ring", "Zmod\u0664"],
-    ["--count", "1", "--ring", "Zmod1"],
-    ["--count", "1", "--ring", "Zmod0"],
+@pytest.mark.parametrize("flags, reason", [
+    (["--count", "2", "--max-order", "0"], "--max-order must be at least 1"),
+    (["--count", "-3"], "--count must be at least 0"),
+    (["--count", "1", "--ring", "Zmod+4"], "unknown ring 'Zmod+4'"),
+    (["--count", "1", "--ring", "Zmod 4"], "unknown ring 'Zmod 4'"),
+    (["--count", "1", "--ring", "Zmod4_0"], "unknown ring 'Zmod4_0'"),
+    (["--count", "1", "--ring", "Zmod\u0664"], "unknown ring"),
+    (["--count", "1", "--ring", "Zmod1"], "ring 'Zmod1': modulus must be an integer >= 2"),
+    (["--count", "1", "--ring", "Zmod0"], "ring 'Zmod0': modulus must be an integer >= 2"),
 ], ids=["max-order-0", "count-negative", "ring-plus-sign", "ring-space", "ring-underscore", "ring-arabic-indic-digit",
         "ring-modulus-1", "ring-modulus-0"])
-def test_fuzz_rejects_out_of_range_flags(flags):
+def test_fuzz_rejects_out_of_range_flags(flags, reason):
     # a separate process with a timeout, so that a generator looping forever
     # fails the test instead of hanging the suite
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -401,6 +401,7 @@ def test_fuzz_rejects_out_of_range_flags(flags):
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
+    assert reason in proc.stderr
 
 
 def test_fuzz_over_a_huge_modulus_finishes():

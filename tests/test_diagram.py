@@ -76,6 +76,7 @@ from routes import (
     is_injective_module,
     middle_maps,
     morphism_cokernel,
+    projection_to_y_through_pullback,
     restriction_solve_over_ext,
     snake_connecting,
     tau_ses,
@@ -258,7 +259,8 @@ def _count_calls(monkeypatch, name: str) -> list:
 def test_entry_validates_diagram_once(entry, monkeypatch):
     # validated, and Y pulled back, at most once per diagram object: exactly
     # once on a fresh object, and not again when the entry asks a second
-    # time; every entry that builds Y snake-checks it, once
+    # time; every entry that builds Y snake-checks it, once, and a compatible
+    # isomorphism that is found builds no Y
     ext = extend_diagram(all_split())
     seen = _count_calls(monkeypatch, "validate_diagram1")
     pullbacks = _count_calls(monkeypatch, "pullback")
@@ -267,10 +269,10 @@ def test_entry_validates_diagram_once(entry, monkeypatch):
     ENTRIES[entry](d, ext)
     assert len(seen) == 1 and seen[0][0] is d
     assert len(pullbacks) <= 1
-    assert len(snakes) == (0 if entry == "obstruction" else 1)
+    assert len(snakes) == (0 if entry in ("obstruction", "compatible_isomorphism") else 1)
     ENTRIES[entry](d, ext)
     assert len(seen) == 1 and len(pullbacks) <= 1
-    assert len(snakes) == (0 if entry == "obstruction" else 1)
+    assert len(snakes) == (0 if entry in ("obstruction", "compatible_isomorphism") else 1)
 
 
 def test_memo_answers_later_entries_on_the_same_object(monkeypatch):
@@ -1001,15 +1003,46 @@ def test_compatible_automorphism_with_itself():
 
 
 def test_compatible_isomorphism_forms_pullback_once(monkeypatch):
-    # at most once per diagram object: not again on a diagram whose Y an
-    # earlier call built, exactly once on a fresh one
+    # no pullback when a map is found, even on a fresh diagram; when none
+    # is, Y explains why, formed once per diagram object
     d = all_split()
     ext = extend_diagram(d)
     calls = _count_calls(monkeypatch, "pullback")
     compatible_isomorphism(d, ext, ext)
-    assert calls == []
     compatible_isomorphism(all_split(), ext, ext)
+    assert calls == []
+    exts = enumerate_extensions(all_split())
+    calls.clear()
+    fresh = all_split()
+    for _ in range(2):
+        with pytest.raises(ClassesDifferError):
+            compatible_isomorphism(fresh, exts[0], exts[1])
     assert len(calls) == 1
+
+
+def test_projection_to_y_matches_the_pullback_route():
+    # the solve over Y's embedding in F (+) G against the cone (m, n)
+    # factored through the pullback, on every class over Y of seeded
+    # diagrams and on the two solutions of the lambda fixture
+    rng = random.Random("projection to Y")
+    checked = 0
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
+        for _ in range(4):
+            d = random_diagram(rng, ring, 16)
+            try:
+                exts = enumerate_extensions(d)
+            except NotExtendableError:
+                continue
+            by = build_Y(d)
+            for ext in exts:
+                assert diagram_module._projection_to_y(by, ext).equals(projection_to_y_through_pullback(d, ext))
+                checked += 1
+    model = parse((FIXTURES / "lambda.json").read_text(encoding="utf-8"))
+    d = model.diagrams["D"]
+    for name in ("X1", "X1p"):
+        ext = model.extensions[name]
+        assert diagram_module._projection_to_y(build_Y(d), ext).equals(projection_to_y_through_pullback(d, ext))
+    assert checked >= 20, checked
 
 
 def test_distinct_lift_classes_rejected():

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import hexext.diagram as diagram_module
 import hexext.hexagon as hexagon_module
 from hexext.diagram import Diagram3x3, obstruction, validate_diagram1
 from hexext.errors import FrameInvalidError, InvalidDiagramError, NotExtendableError
@@ -313,6 +314,24 @@ def test_two_solutions_admit_compatible_iso():
     assert (phi @ h1.j).equals(h2.j)
     assert (h2.c @ phi).equals(h1.c)
     assert (h2.curv @ phi).equals(h1.curv)
+
+
+def test_compatible_iso_of_a_solved_frame_builds_no_y(monkeypatch):
+    # the frame is folded again, but a compatible isomorphism that is found
+    # needs no Y, so no Y core is built for the fresh fold
+    rng = random.Random(42)
+    solved = []
+    while len(solved) < 5:
+        try:
+            solved.append(solve_hexagon(random_frame(rng, R4)))
+        except NotExtendableError:
+            pass
+    calls = []
+    real = diagram_module._y_core
+    monkeypatch.setattr(diagram_module, "_y_core", lambda *a, **k: calls.append(a) or real(*a, **k))
+    for h in solved:
+        assert hexagon_compatible_iso(h, h).is_isomorphism()
+    assert calls == []
 
 
 def test_random_frames_solve_and_verify():

@@ -8,8 +8,11 @@ apart from a short allow-list.  Outside the tests, a method counts as used
 only where an attribute of its name is read or its name is in a string; a
 bare name does not count, so a local variable cannot hide a method.  The
 scan does not tell classes apart: a method stays hidden while a method of
-the same name on another class is called.  No library check is an
-``assert`` statement, which ``python -O`` strips."""
+the same name on another class is called.  Every field of a library
+dataclass and every ``__slots__`` entry is read as an attribute outside the
+tests, apart from an allow-list of one; fields, too, are matched by name
+alone.  No library check is an ``assert`` statement, which ``python -O``
+strips."""
 
 import ast
 import pathlib
@@ -109,14 +112,21 @@ def references(source: str) -> set[str]:
     return used
 
 
+def _declares_slots(node) -> bool:
+    return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+
+
 def attribute_references(source: str) -> set[str]:
-    """Every attribute ``source`` reads and every identifier in its strings:
-    the ways a method is reached.  Bare names are left out."""
+    """Every attribute ``source`` reads and every identifier in its strings,
+    ``__slots__`` declarations apart: the ways a method or a field is
+    reached.  Bare names are left out."""
     used: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    declared = {id(e) for node in ast.walk(tree) if _declares_slots(node) for e in ast.walk(node.value)}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             used.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in declared:
             used.update(part for part in node.value.split(".") if part.isidentifier())
     return used
 
@@ -128,6 +138,37 @@ def unreached(library: str, names: set[str], attributes: set[str]) -> list[tuple
     of that code), in line order."""
     return sorted([d for d in definitions(library) if d[1] not in names]
                   + [d for d in methods(library) if d[1].split(".")[-1] not in attributes])
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d.func if isinstance(d, ast.Call) else d).split(".")[-1] == "dataclass"
+               for d in node.decorator_list)
+
+
+def fields(source: str) -> list[tuple[int, str]]:
+    """``(line, "Class.name")`` for each field of a top-level dataclass of
+    ``source`` and each entry of a top-level class's ``__slots__``, dunder
+    names apart."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and _is_dataclass(node):
+                names = [item.target.id]
+            elif _declares_slots(item):
+                names = [e.value for e in ast.walk(item.value) if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            else:
+                continue
+            found += [(item.lineno, f"{node.name}.{n}") for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return found
+
+
+def unread_fields(library: str, attributes: set[str]) -> list[tuple[int, str]]:
+    """``(line, "Class.name")`` for each field of ``library`` whose name is
+    not in ``attributes`` (:func:`attribute_references` of the code that
+    should read it), in line order."""
+    return [f for f in fields(library) if f[1].split(".")[-1] not in attributes]
 
 
 def assert_statements(source: str) -> list[int]:
@@ -238,6 +279,48 @@ def test_every_definition_is_referenced():
     names, attributes = set().union(*map(references, outside)), set().union(*map(attribute_references, outside))
     test_only = [name for p in _library() for _line, name in unreached(p.read_text(encoding="utf-8"), names, attributes)]
     assert sorted(test_only) == sorted(TEST_ONLY)
+
+
+# library fields that no code outside the tests reads, each kept for a reason
+UNREAD_FIELDS = {
+    "ExtCount.representatives": "the oracle's answer, one middle object per class, which the census reads",
+}
+
+
+def test_the_scan_finds_an_unread_field():
+    library = (
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int\n"
+        "    spare: int = 0\n"
+        "    def total(self):\n"
+        "        return self.left\n"
+        "@dataclasses.dataclass\n"
+        "class Named:\n"
+        "    name: str = field(default='')\n"
+        "class Plain:\n"
+        "    note: str = ''\n"
+        "    __slots__ = ('kind', 'size', '__weakref__')\n"
+    )
+    # spare is only ever assigned; size is read only by a test; Plain's
+    # annotation is no field, as Plain is no dataclass
+    tool = "from lib import Pair, Named\np = Pair(1, 2)\np.spare = 3\nprint(p.right, getattr(Named(), 'name'), x.kind)\n"
+    test = "from lib import Plain\nassert Plain().size == 0\n"
+    assert [name for _line, name in fields(library)] == [
+        "Pair.left", "Pair.right", "Pair.spare", "Named.name", "Plain.kind", "Plain.size"]
+    for sources, want in (((library, tool, test), [(7, "Pair.spare")]),
+                          ((library, tool), [(7, "Pair.spare"), (15, "Plain.size")])):
+        assert unread_fields(library, set().union(*map(attribute_references, sources))) == want
+
+
+def test_every_field_is_read_outside_the_tests():
+    outside = [p.read_text(encoding="utf-8") for p in _outside_tests()]
+    attributes = set().union(*map(attribute_references, outside))
+    unread = [name for p in _library() for _line, name in unread_fields(p.read_text(encoding="utf-8"), attributes)]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
 
 
 def test_the_scan_finds_an_assert_statement():

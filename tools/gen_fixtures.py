@@ -37,10 +37,13 @@ def add_morphism(model, name, mor):
     return mor
 
 
-def add_ses(model, prefix, ses):
-    add_morphism(model, f"{prefix}_inj", ses.inject)
-    add_morphism(model, f"{prefix}_proj", ses.project)
-    return {"inject": f"{prefix}_inj", "project": f"{prefix}_proj"}
+def add_diagram(model, dg):
+    """``dg`` as D, with the maps of its four sequences named."""
+    for prefix, ses in (("top", dg.row_top), ("bottom", dg.row_bottom),
+                        ("left", dg.col_left), ("right", dg.col_right)):
+        add_morphism(model, f"{prefix}_inj", ses.inject)
+        add_morphism(model, f"{prefix}_proj", ses.project)
+    model.diagrams["D"] = dg
 
 
 def add_extension(model, tag, ring_name, ext, diagram_name):
@@ -78,12 +81,8 @@ def zmod4_diagram_models():
     add_module(model, "Z2", "R4", z2)
     add_module(model, "Z4", "R4", nonsplit.middle)
     add_module(model, "Z2xZ2", "R4", splitseq.middle)
-    add_ses(model, "top", nonsplit)
-    add_ses(model, "right", nonsplit)
-    add_ses(model, "left", splitseq)
-    add_ses(model, "bottom", splitseq)
     dg = Diagram3x3(row_top=nonsplit, row_bottom=splitseq, col_left=splitseq, col_right=nonsplit)
-    model.diagrams["D"] = dg
+    add_diagram(model, dg)
     add_frame(model, dg)
     write("obstructed.json", model)
 
@@ -91,12 +90,8 @@ def zmod4_diagram_models():
     model = base_model("R4", r4)
     add_module(model, "Z2", "R4", z2)
     add_module(model, "Z2xZ2", "R4", splitseq.middle)
-    add_ses(model, "top", splitseq)
-    add_ses(model, "right", splitseq)
-    add_ses(model, "left", splitseq)
-    add_ses(model, "bottom", splitseq)
     dg = Diagram3x3(row_top=splitseq, row_bottom=splitseq, col_left=splitseq, col_right=splitseq)
-    model.diagrams["D"] = dg
+    add_diagram(model, dg)
     exts = enumerate_extensions(dg)
     rng = random.Random(2024)
     variant = perturb_extension(rng, dg, exts[0])
@@ -114,12 +109,8 @@ def zmod4_diagram_models():
     rb = ses_of_class(e1.class_from_coords((1,)))
     add_module(model, "Z4xZ2", "R4", rt.middle)
     add_module(model, "Z4mid", "R4", rb.middle)
-    add_ses(model, "top", rt)
-    add_ses(model, "left", rt)
-    add_ses(model, "bottom", rb)
-    add_ses(model, "right", rb)
     dg = Diagram3x3(row_top=rt, row_bottom=rb, col_left=rt, col_right=rb)
-    model.diagrams["D"] = dg
+    add_diagram(model, dg)
     add_frame(model, dg)
     write("injective.json", model)
 
@@ -136,11 +127,7 @@ def lambda_model():
     model = base_model("R8", r8)
     for corner in "PERHFSGQ":
         add_module(model, corner, "R8", getattr(dg, corner.lower()))
-    add_ses(model, "top", dg.row_top)
-    add_ses(model, "bottom", dg.row_bottom)
-    add_ses(model, "left", dg.col_left)
-    add_ses(model, "right", dg.col_right)
-    model.diagrams["D"] = dg
+    add_diagram(model, dg)
     add_extension(model, "X1", "R8", x1, "D")
     add_extension(model, "X1p", "R8", x1p, "D")
     write("lambda.json", model)
@@ -164,11 +151,7 @@ def z_diagram_model():
     add_module(model, "Hleft", "Z", cl.middle)
     add_module(model, "Gbottom", "Z", rb.middle)
     add_module(model, "Fright", "Z", cr.middle)
-    add_ses(model, "top", rt)
-    add_ses(model, "left", cl)
-    add_ses(model, "bottom", rb)
-    add_ses(model, "right", cr)
-    model.diagrams["D"] = Diagram3x3(row_top=rt, row_bottom=rb, col_left=cl, col_right=cr)
+    add_diagram(model, Diagram3x3(row_top=rt, row_bottom=rb, col_left=cl, col_right=cr))
     write("zdiagram.json", model)
 
 
