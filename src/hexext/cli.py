@@ -268,7 +268,12 @@ def _parse_ring(text: str) -> RingSpec:
     digits = text[4:]
     if text.startswith("Zmod") and digits.isascii() and digits.isdigit():
         try:
-            return Zmod(int(digits))
+            m = int(digits)
+        except ValueError as exc:  # Python's limit on digits per int
+            raise SemanticError(f"ring modulus of {len(digits)} digits exceeds the "
+                                f"{sys.get_int_max_str_digits()}-digit limit") from exc
+        try:
+            return Zmod(m)
         except ValueError as exc:
             raise SemanticError(f"ring {text!r}: {exc}") from exc
     raise SemanticError(f"unknown ring {text!r} (use Z or Zmod<m>)")

@@ -27,6 +27,7 @@ extensions are spelled once, in the tables below, for both :func:`parse` and
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .diagram import Diagram3x3, DiagramExtension
@@ -92,7 +93,8 @@ def _as_int(v) -> int:
             try:
                 return int(v)
             except ValueError as exc:  # Python's limit on digits per int
-                raise SemanticError(f"integer string of {len(t)} digits: {exc}") from exc
+                raise SemanticError(f"integer string of {len(t)} digits exceeds the "
+                                    f"{sys.get_int_max_str_digits()}-digit limit") from exc
     raise SemanticError(f"not an integer: {v!r}")
 
 

@@ -11,7 +11,19 @@ multiple of its generator's order (the ring modulus, or over Z an exponent
 multiple obtained by fraction-free elimination, cut down by any relation
 column that is a multiple of that generator alone; annihilation is implied
 by the relations, so nothing is lost) and dividing out the additive closure
-of the relation columns.
+of the relation columns.  A table's addition table is filled from one shift
+permutation per generator, so its build costs k * n digit additions.
+
+Homomorphism searches draw their candidate generator images from
+:func:`_pools` and walk them with :func:`_iter_homs`, which builds each
+relation test once per search, as the column's nonzero terms; zero columns
+and single-generator columns that the pools already enforce are dropped.
+The injection searches (:func:`brute_ext1`'s injections,
+:func:`brute_equivalent`'s middle map, which the five lemma makes an
+isomorphism, and :func:`brute_extension_exists`'s j and i) walk only the
+candidates that keep each generator's order, since an injective map keeps
+every order.  The candidates they skip still count, ticked in place, so
+every meter reads as it would after a walk over every candidate.
 
 The oracle calls nothing in the Smith-form / Hermite / resolution engine: it
 reads presentations and morphism matrices, decides with its own elimination
@@ -126,15 +138,16 @@ class Table:
     numbers ``0..n-1``, one per coset, numbered in increasing order of the
     least mixed-radix code (position 0 least significant) in the coset, so 0
     is zero and, with no relations, an element is its own code.
-    ``digits[x]`` holds the digits of that least code, ``sums`` is the n x n
-    addition table and ``multiples[x]`` lists ``0, x, 2x, ...`` up to the
-    order of x.  ``_steps`` lists every nonzero element once as
-    ``(x, earlier, g)`` with ``x = earlier + generator g``, in breadth-first
-    order from 0, so :meth:`hom_value_table` spends one addition per element
-    with or without relations.  All of them are tuples, since :func:`_table`
-    shares one table between calls.  Homomorphism searches between tables
-    draw their candidate generator images from :func:`_pools` and walk them
-    with :func:`_iter_homs`.
+    ``digits[x]`` holds the digits of that least code, ``multiples[x]``
+    lists ``0, x, 2x, ...`` up to the order of x and ``gen_orders[g]`` is
+    the order of generator g.  ``_steps`` lists every nonzero element once
+    as ``(x, earlier, g)`` with ``x = earlier + generator g``, in
+    breadth-first order from 0, so :meth:`hom_value_table` spends one
+    addition per element with or without relations.  ``sums`` is the n x n
+    addition table, filled row by row along ``_steps`` from one shift
+    permutation per generator, so its build costs k * n digit additions, not
+    n * n.  All of them are tuples, since :func:`_table` shares one table
+    between calls.
     """
 
     def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
@@ -158,7 +171,20 @@ class Table:
         self.digits = tuple(digits)
         self.n = len(digits)
         meter.tick(self.n * self.n)
-        self.sums = tuple(tuple(index[add_digits(a, b)] for b in digits) for a in digits)
+        # shifts[i][x] is x + generator i: k * n digit additions in all
+        shifts = [tuple(index[add_digits(code, unit)] for code in digits)
+                  for unit in (tuple(int(t == i) % o for t, o in enumerate(self.radix)) for i in range(self.k))]
+        self._gens = tuple(shift[0] for shift in shifts)
+        reached = iter(_closure(shifts, lambda x, shift: shift[x], 0).items())
+        next(reached)  # zero
+        self._steps = tuple((x, earlier, g) for x, (earlier, g) in reached)
+        sums = []
+        for a in range(self.n):
+            row = [a] * self.n
+            for x, earlier, g in self._steps:
+                row[x] = shifts[g][row[earlier]]
+            sums.append(tuple(row))
+        self.sums = tuple(sums)
         multiples = []
         for x in range(self.n):
             mult = [0]
@@ -168,14 +194,7 @@ class Table:
                 y = self.sums[y][x]
             multiples.append(tuple(mult))
         self.multiples = tuple(multiples)
-        self._gens = tuple(index[tuple(int(t == i) % o for t, o in enumerate(self.radix))]
-                           for i in range(self.k))
-        reached = iter(_closure(self._gens, self.add, 0).items())
-        next(reached)  # zero
-        self._steps = tuple((x, earlier, g) for x, (earlier, g) in reached)
-
-    def add(self, a: int, b: int) -> int:
-        return self.sums[a][b]
+        self.gen_orders = tuple(len(multiples[x]) for x in self._gens)
 
     def smul(self, k: int, a: int) -> int:
         mult = self.multiples[a]
@@ -298,12 +317,56 @@ def _pools(src: Table, tgt: Table, posts=()) -> list[list[int]] | None:
     return pools
 
 
-def _iter_homs(tgt: Table, relation_cols, candidates, meter: _Meter):
-    """Generator-image assignments that kill every relation column."""
-    for images in iproduct(*candidates):
-        meter.tick()
-        if all(tgt.combination(col, images) == 0 for col in relation_cols):
-            yield list(images)
+def _iter_homs(tgt: Table, relation_cols, candidates, meter: _Meter, orders=None):
+    """Generator-image assignments that kill every relation column, in the
+    product order of ``candidates``.
+
+    With ``orders``, the walk takes only the assignments that send each
+    generator g to an element of order ``orders[g]``: an injective map keeps
+    every order, so an injection search loses nothing.  The meter still
+    counts every candidate of the product, in place: a walked candidate
+    ticks itself and the skipped ones before it, and the end of the walk
+    ticks those after the last, so the count at every yield, at an early
+    exit and at a refusal is that of a walk over every candidate.
+
+    The relation tests are built once per search: each column becomes its
+    nonzero terms, each a generator with the table of ``c * y`` over the
+    target.  A zero column is dropped, and so is a column ``c * e_g`` whose
+    ``c`` kills every walked candidate for g, since every assignment passes
+    it."""
+    # images[g] holds the walked candidates for generator g, and weights[g]
+    # what each adds to the position in the product of all candidates
+    weights, images = [], []
+    stride = 1
+    for g in reversed(range(len(candidates))):
+        pool = candidates[g]
+        keep = [i for i, y in enumerate(pool) if orders is None or len(tgt.multiples[y]) == orders[g]]
+        weights.append([i * stride for i in keep])
+        images.append([pool[i] for i in keep])
+        stride *= len(pool)
+    weights.reverse()
+    images.reverse()
+    tests = []
+    for col in relation_cols:
+        terms = [(g, c) for g, c in enumerate(col) if c]
+        if not terms or len(terms) == 1 and all(tgt.smul(c, y) == 0 for g, c in terms for y in images[g]):
+            continue
+        tests.append([(g, tuple(tgt.smul(c, y) for y in range(tgt.n))) for g, c in terms])
+    sums = tgt.sums
+    last = -1
+    for offsets, imgs in zip(iproduct(*weights), iproduct(*images)):
+        pos = sum(offsets)
+        meter.tick(pos - last)
+        last = pos
+        for terms in tests:
+            acc = 0
+            for g, times in terms:
+                acc = sums[acc][times[imgs[g]]]
+            if acc:
+                break
+        else:
+            yield list(imgs)
+    meter.tick(stride - 1 - last)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +533,7 @@ def _ext1_walk(q: PresentedModule, p: PresentedModule,
         pcand = _pools(tx, tq)
         by_kernel = None
         factor_sets: dict[tuple, tuple] = {}
-        for i_imgs in _iter_homs(tx, p_rel, _pools(tp, tx), meter):
+        for i_imgs in _iter_homs(tx, p_rel, _pools(tp, tx), meter, tp.gen_orders):
             i_vals = tp.hom_value_table(tx, i_imgs)
             image = frozenset(i_vals)
             if len(image) != tp.n:
@@ -518,7 +581,7 @@ def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
         return False
     along_i = list(zip(tp.hom_value_table(tx1, _morphism_images(s1.inject, tx1)),
                        tp.hom_value_table(tx2, _morphism_images(s2.inject, tx2))))
-    for images in _iter_homs(tx2, s1.middle.relations.columns(), cand, meter):
+    for images in _iter_homs(tx2, s1.middle.relations.columns(), cand, meter, tx1.gen_orders):
         phi = tx1.hom_value_table(tx2, images)
         if all(phi[x1] == x2 for x1, x2 in along_i):
             return True
@@ -598,11 +661,11 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                 if jcand is None:
                     continue
                 icand = _pools(th, tx, [(m_vals, [0] * th.k), (n_vals, hg_img)])
-                for j_imgs in _iter_homs(tx, e_rel, jcand, meter):
+                for j_imgs in _iter_homs(tx, e_rel, jcand, meter, te.gen_orders):
                     jvals = te.hom_value_table(tx, j_imgs)
                     if len(set(jvals)) != te.n or icand is None:
                         continue
-                    for i_imgs in _iter_homs(tx, h_rel, icand, meter):
+                    for i_imgs in _iter_homs(tx, h_rel, icand, meter, th.gen_orders):
                         ivals = th.hom_value_table(tx, i_imgs)
                         if len(set(ivals)) != th.n:
                             continue

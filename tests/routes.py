@@ -17,8 +17,10 @@ snake lemma of a ladder, with its six-term sequence, against the
 pipeline's check of its one ladder over Y.
 Beside them live four helpers that only the tests call: the identity
 morphism, the cokernel with its projection, injectivity over the base ring,
-and a middle object realized from a shifted cocycle representative; and the
-census of every grid up to a size, listed without the engine.
+and a middle object realized from a shifted cocycle representative; the
+census of every grid up to a size, listed without the engine; and the
+oracle's homomorphism walk over the plain product of its candidates,
+against its order-filtered walk that ticks skipped candidates in place.
 Tests import them with ``from routes import ...``.
 """
 
@@ -525,3 +527,19 @@ def census(ring, bound: int) -> list[Diagram3x3]:
                 *(brute_ext1(b, a).representatives for b, a in ((r, p), (s, p), (q, r), (q, s)))):
             grids.append(Diagram3x3(row_top=top, row_bottom=bottom, col_left=left, col_right=right))
     return grids
+
+
+# ---------------------------------------------------------------------------
+# Oracle walks
+# ---------------------------------------------------------------------------
+
+
+def plain_hom_walk(tgt, relation_cols, candidates, meter):
+    """The generator-image assignments in ``tgt`` that kill every relation
+    column, over the plain product of ``candidates``: one tick per
+    candidate, then every column tested whole.  The reference for
+    :func:`hexext.oracle._iter_homs`."""
+    for images in itertools.product(*candidates):
+        meter.tick()
+        if all(tgt.combination(col, images) == 0 for col in relation_cols):
+            yield list(images)

@@ -416,6 +416,16 @@ def test_fuzz_over_a_huge_modulus_finishes():
     assert json.loads(proc.stdout)["summary"]["failures"] == 0
 
 
+def test_fuzz_over_a_modulus_past_the_digit_limit_exits_2(capsys):
+    # 5,000 nines are past Python's limit on digits per int: the one line on
+    # stderr names the digit count and the limit, not the modulus itself
+    assert main(["fuzz", "--ring", "Zmod" + "9" * 5000, "--seed", "1", "--count", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err == f"input error: ring modulus of 5000 digits exceeds the {sys.get_int_max_str_digits()}-digit limit\n"
+    assert "set_int_max_str_digits" not in err
+
+
 def test_unknown_name_exits_2(capsys):
     assert main(["validate", str(FIXTURES / "allsplit.json"), "nope"]) == 2
     assert main(["extend", str(FIXTURES / "allsplit.json"), "Nope"]) == 2

@@ -179,7 +179,7 @@ def test_integer_literal_beyond_digit_limit_is_parse_error():
 
 
 def test_integer_string_beyond_digit_limit_is_semantic_error():
-    with pytest.raises(SemanticError, match="integer string of 5000 digits"):
+    with pytest.raises(SemanticError, match="^integer string of 5000 digits exceeds the 4300-digit limit$"):
         parse(_relation_entry_document('"' + "7" * 5000 + '"'))
 
 

@@ -20,7 +20,9 @@ from hexext.oracle import (
     _Meter,
     _bareiss_rank_pivots,
     _ext1_walk,
+    _iter_homs,
     _module_table,
+    _pools,
     _product_types,
     _small_table,
     _table,
@@ -32,7 +34,7 @@ from hexext.oracle import (
 )
 from hexext.randgen import random_diagram, random_module, random_ses
 from hexext.rings import ZZ, Zmod
-from routes import is_injective_module
+from routes import is_injective_module, plain_hom_walk
 from tests.conftest import all_modules_over
 
 R4 = Zmod(4)
@@ -319,7 +321,7 @@ def test_table_matches_digit_arithmetic(radix, data):
     code = ref.elements
     assert t.n == len(code)
     for x in range(t.n):
-        assert [code[t.add(x, y)] for y in range(t.n)] == [ref.add(code[x], code[y]) for y in range(t.n)]
+        assert [code[s] for s in t.sums[x]] == [ref.add(code[x], code[y]) for y in range(t.n)]
         for k in (-(10**20) - 3, -7, -1, 0, 1, 2, 5, 10**18 + 9):
             assert code[t.smul(k, x)] == ref.smul(k, code[x])
     unit = [[int(j == i) for j in range(len(radix))] for i in range(len(radix))]
@@ -380,7 +382,7 @@ def test_table_memo_keeps_only_tables_within_the_default_order():
 
 def test_table_is_frozen():
     t = _table((2, 3), [(2, 0)], _Meter(EnumerationBudget()))
-    for part in (t.digits, t.sums, t.multiples, t._gens, t._steps, t.radix):
+    for part in (t.digits, t.sums, t.multiples, t.gen_orders, t._gens, t._steps, t.radix):
         assert isinstance(part, tuple)
     assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits + t._steps)
 
@@ -448,6 +450,55 @@ def test_kept_answer_is_the_walked_answer():
     assert _ext1_walk.cache_info().currsize == 0
     assert _ext1_outcome(Z2m, Z2m, budget) == walked
     assert _ext1_walk.cache_info() == (0, 2, linalg.CACHE_SIZE, 1)
+
+
+def _walk(walk, budget):
+    """The yields of a homomorphism walk under a candidate budget, each with
+    the meter's count at that yield, and the count at exhaustion, or the
+    refusal message in its place."""
+    meter = _Meter(budget)
+    seen = []
+    try:
+        for images in walk(meter):
+            seen.append((images, meter.count))
+    except BudgetExceededError as exc:
+        return seen, str(exc)
+    return seen, meter.count
+
+
+@pytest.mark.parametrize("ring", [R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12), ZZ], ids=str)
+def test_order_filtered_walk_ticks_the_plain_walk_in_place(ring):
+    # on seeded table pairs, with a zero relation column added, the walk
+    # given the source's generator orders yields exactly the plain walk's
+    # order-preserving assignments, and its meter reads as the plain
+    # walk's at each of them, at exhaustion, after an early break and at a
+    # refusal under budgets that stop the walk part way
+    rng = random.Random(f"order-walk-{ring}")
+    budget = EnumerationBudget()
+    filtered = 0
+    for _ in range(12):
+        a, b = random_module(rng, ring, 8), random_module(rng, ring, 16)
+        ta, tb = (_module_table(m, budget, _Meter(budget)) for m in (a, b))
+        cands = _pools(ta, tb)
+        rels = a.relations.columns() + [(0,) * a.generators]
+        total = prod(map(len, cands))
+        for c in (budget.max_candidates, total // 2 + 1, total // 3 + 1):
+            b_c = EnumerationBudget(max_candidates=c)
+            ref, ref_end = _walk(lambda meter: plain_hom_walk(tb, rels, cands, meter), b_c)
+            for orders in (None, ta.gen_orders):
+                want = [(images, count) for images, count in ref
+                        if orders is None or all(len(tb.multiples[y]) == o for y, o in zip(images, orders))]
+                assert _walk(lambda meter: _iter_homs(tb, rels, cands, meter, orders), b_c) == (want, ref_end)
+                filtered += orders is not None and len(want) < len(ref)
+        for orders in (None, ta.gen_orders):
+            want = _walk(lambda meter: _iter_homs(tb, rels, cands, meter, orders), budget)[0]
+            for stop in {0, len(want) // 2, len(want) - 1} if want else ():
+                meter = _Meter(budget)
+                for i, _images in enumerate(_iter_homs(tb, rels, cands, meter, orders)):
+                    if i == stop:
+                        break
+                assert meter.count == want[stop][1]
+    assert filtered >= 3
 
 
 # the smallest candidate budget under which brute_ext1 answers, on seeded
