@@ -98,6 +98,16 @@ def _as_int(v) -> int:
     raise SemanticError(f"not an integer: {v!r}")
 
 
+def _int_literal(literal: str) -> int:
+    """An integer literal of the JSON text; :class:`ParseError` naming
+    Python's digit limit past it, without Python's advice to raise it."""
+    try:
+        return int(literal)
+    except ValueError as exc:  # Python's limit on digits per int
+        raise ParseError(None, f"integer literal of {len(literal.lstrip('-'))} digits exceeds the "
+                               f"{sys.get_int_max_str_digits()}-digit limit") from exc
+
+
 def _section(doc: dict, key: str) -> dict:
     """A top-level section whose every entry is an object."""
     sec = doc.get(key, {})
@@ -160,8 +170,10 @@ def parse(text: str) -> DocumentModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
-    except ValueError as exc:  # an integer literal beyond Python's digit limit
-        raise ParseError(None, str(exc)) from exc
+    except ValueError:  # an integer literal beyond Python's digit limit
+        # parse again, converting each literal ourselves, to name its length
+        json.loads(text, parse_int=_int_literal)
+        raise
     except RecursionError as exc:
         raise ParseError(None, "document nests too deeply") from exc
     if not isinstance(doc, dict):

@@ -18,6 +18,8 @@ Homomorphism searches draw their candidate generator images from
 :func:`_pools` and walk them with :func:`_iter_homs`, which builds each
 relation test once per search, as the column's nonzero terms; zero columns
 and single-generator columns that the pools already enforce are dropped.
+:func:`brute_extension_exists` lists each middle type's pools once and
+narrows them for each surjection pair with :func:`_narrowed`.
 The injection searches (:func:`brute_ext1`'s injections,
 :func:`brute_equivalent`'s middle map, which the five lemma makes an
 isomorphism, and :func:`brute_extension_exists`'s j and i) walk only the
@@ -33,8 +35,11 @@ enumerations exist to validate the engine.
 
 Budgets are enforced by explicit candidate counting; every table's ambient
 size and addition-table cells count as candidates, on every call, also when
-:func:`_table` hands out a table kept from an earlier call.
-:func:`brute_ext1` walks each pair once per process and budget.  Both memos
+:func:`_table` hands out a table kept from an earlier call.  A table is a
+value, compared on its radix and the relation subgroup it divides out, and
+:func:`brute_ext1` walks once per process for each pair of tables and
+budget, so presentations of the same relation lattices share one walk; its
+representatives are rebuilt on the caller's own modules.  All three memos
 are ``lru_cache`` functions capped at ``CACHE_SIZE``, like every cache in
 ``hexext`` except the ``diagram._known`` identity slot.  ``max_order``
 bounds the order of every module an operation tabulates, and of the middle
@@ -133,21 +138,26 @@ def _closure(gens, add, zero) -> dict:
 class Table:
     """A finite abelian group, built once as lookup tables.
 
-    ``radix`` holds the per-position moduli of an ambient product group and
-    ``relation_cols`` span the subgroup divided out of it.  Elements are the
-    numbers ``0..n-1``, one per coset, numbered in increasing order of the
-    least mixed-radix code (position 0 least significant) in the coset, so 0
-    is zero and, with no relations, an element is its own code.
-    ``digits[x]`` holds the digits of that least code, ``multiples[x]``
-    lists ``0, x, 2x, ...`` up to the order of x and ``gen_orders[g]`` is
-    the order of generator g.  ``_steps`` lists every nonzero element once
-    as ``(x, earlier, g)`` with ``x = earlier + generator g``, in
-    breadth-first order from 0, so :meth:`hom_value_table` spends one
-    addition per element with or without relations.  ``sums`` is the n x n
-    addition table, filled row by row along ``_steps`` from one shift
-    permutation per generator, so its build costs k * n digit additions, not
-    n * n.  All of them are tuples, since :func:`_table` shares one table
-    between calls.
+    ``radix`` holds the per-position moduli of an ambient product group,
+    ``relation_cols`` the given relation columns reduced mod the radix, and
+    ``subgroup`` the codes of the subgroup they span, which the table
+    divides out.  Every other part follows from ``radix`` and ``subgroup``,
+    so a table is a value: it compares and hashes as ``(radix, subgroup)``,
+    and two presentations of one lattice give equal tables.
+
+    Elements are the numbers ``0..n-1``, one per coset, numbered in
+    increasing order of the least mixed-radix code (position 0 least
+    significant) in the coset, so 0 is zero and, with no relations, an
+    element is its own code.  ``digits[x]`` holds the digits of that least
+    code, ``multiples[x]`` lists ``0, x, 2x, ...`` up to the order of x and
+    ``gen_orders[g]`` is the order of generator g.  ``_steps`` lists every
+    nonzero element once as ``(x, earlier, g)`` with ``x = earlier +
+    generator g``, in breadth-first order from 0, so
+    :meth:`hom_value_table` spends one addition per element with or without
+    relations.  ``sums`` is the n x n addition table, filled row by row
+    along ``_steps`` from one shift permutation per generator, so its build
+    costs k * n digit additions, not n * n.  All of them are tuples or
+    frozen sets, since :func:`_table` shares one table between calls.
     """
 
     def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
@@ -158,8 +168,9 @@ class Table:
         def add_digits(a, b):
             return tuple((x + y) % o for x, y, o in zip(a, b, self.radix))
 
-        sub = _closure([tuple(c % o for c, o in zip(col, self.radix)) for col in relation_cols],
-                       add_digits, (0,) * self.k)
+        self.relation_cols = tuple(tuple(c % o for c, o in zip(col, self.radix)) for col in relation_cols)
+        sub = _closure(self.relation_cols, add_digits, (0,) * self.k)
+        self.subgroup = frozenset(sub)
         index: dict[tuple[int, ...], int] = {}
         digits: list[tuple[int, ...]] = []
         for high_first in iproduct(*(range(o) for o in reversed(self.radix))):
@@ -195,6 +206,16 @@ class Table:
             multiples.append(tuple(mult))
         self.multiples = tuple(multiples)
         self.gen_orders = tuple(len(multiples[x]) for x in self._gens)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.radix == other.radix and self.subgroup == other.subgroup
+
+    def __hash__(self) -> int:
+        return hash((self.radix, self.subgroup))
 
     def smul(self, k: int, a: int) -> int:
         mult = self.multiples[a]
@@ -290,11 +311,16 @@ def _morphism_images(f: ModuleMorphism, tgt: Table) -> list[int]:
     return [tgt.from_coeffs(c) for c in f.matrix.columns()]
 
 
-def _morphism(source: PresentedModule, target: PresentedModule, tgt: Table, images) -> ModuleMorphism:
-    """The morphism with the given generator images, read off ``tgt``'s
-    digits; the images come from a relation-killing search, so the matrix
-    is well defined by construction."""
-    rows = [[tgt.digits[img][i] for img in images] for i in range(target.generators)]
+def _digit_rows(tgt: Table, images) -> tuple[tuple[int, ...], ...]:
+    """The matrix, as rows, of the map with the given generator images, read
+    off ``tgt``'s digits."""
+    return tuple(tuple(tgt.digits[img][i] for img in images) for i in range(tgt.k))
+
+
+def _morphism(source: PresentedModule, target: PresentedModule, rows) -> ModuleMorphism:
+    """The morphism with the matrix ``rows``, built by the plain constructor:
+    the rows come from a relation-killing search, so the matrix is well
+    defined by construction."""
     return ModuleMorphism(source, target, ExactMatrix.from_rows(source.ring, rows, source.generators))
 
 
@@ -302,19 +328,27 @@ def _pools(src: Table, tgt: Table, posts=()) -> list[list[int]] | None:
     """The candidate images in ``tgt`` of each generator of ``src``, every
     homomorphism search's one source of candidates: the elements that the
     generator's ambient order kills (implied by the relation conditions;
-    filtering early is sound and cheap) and, for each ``(vals, images)`` in
-    ``posts``, that the map with value table ``vals`` sends to
-    ``images[g]``.  Each pool is ascending; ``None`` as soon as one
-    generator has no candidate."""
-    pools = []
-    for g, o in enumerate(src.radix):
-        pool = [y for y in range(tgt.n) if tgt.smul(o, y) == 0]
-        if posts:
-            pool = [y for y in pool if all(vals[y] == images[g] for vals, images in posts)]
+    filtering early is sound and cheap), narrowed by ``posts`` as
+    :func:`_narrowed` does.  Each pool is ascending; ``None`` as soon as
+    one generator has no candidate."""
+    return _narrowed([[y for y in range(tgt.n) if tgt.smul(o, y) == 0] for o in src.radix], posts)
+
+
+def _narrowed(pools, posts) -> list[list[int]] | None:
+    """``pools`` with generator g's pool cut to the elements that, for each
+    ``(vals, images)`` in ``posts``, the map with value table ``vals`` sends
+    to ``images[g]``; ``None`` as soon as one pool is empty.  A search that
+    narrows the same pools many times lists them once and narrows them
+    here."""
+    out = []
+    for g, pool in enumerate(pools):
+        for vals, images in posts:
+            want = images[g]
+            pool = [y for y in pool if vals[y] == want]
         if not pool:
             return None
-        pools.append(pool)
-    return pools
+        out.append(pool)
+    return out
 
 
 def _iter_homs(tgt: Table, relation_cols, candidates, meter: _Meter, orders=None):
@@ -384,7 +418,7 @@ def enumerate_morphisms(a: PresentedModule, b: PresentedModule,
     cands = _pools(ta, tb)
     if prod(len(c) for c in cands) > budget.max_candidates:
         raise BudgetExceededError("morphism space too large")
-    return [_morphism(a, b, tb, images)
+    return [_morphism(a, b, _digit_rows(tb, images))
             for images in _iter_homs(tb, a.relations.columns(), cands, meter)]
 
 
@@ -490,10 +524,14 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     extension equivalence (middle isomorphism commuting with the end
     identities), told apart by canonical factor sets.
 
-    The walk is :func:`_ext1_walk`, kept for the process on ``(Q, P,
-    budget)``: each pair is walked once per process and budget, and a
-    later call returns the kept representatives in a fresh list.  A refused
-    walk raises and keeps nothing; another budget walks afresh."""
+    The walk runs once per process for each pair of tables and budget:
+    :func:`_ext1_classes` is kept on Q's and P's tables, which are equal
+    for any two presentations of the same relation lattices, so another
+    presentation of a walked pair only reads the kept classes and rebuilds
+    each representative on the caller's own P and Q.  :func:`_ext1_walk`
+    keeps those representatives on ``(Q, P, budget)``, and a later call
+    returns them in a fresh list.  A refused walk raises and keeps nothing;
+    another budget walks afresh."""
     reps = _ext1_walk(q, p, budget)
     return ExtCount(len(reps), list(reps))
 
@@ -501,9 +539,39 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
 @lru_cache(maxsize=CACHE_SIZE)
 def _ext1_walk(q: PresentedModule, p: PresentedModule,
                budget: EnumerationBudget) -> tuple[ShortExactSequence, ...]:
-    """The representatives :func:`brute_ext1` counts, one per class.  Keyed
-    on Q and P as values (their relation matrices, ring included) and on
-    the budget, so callers pass all three positionally.
+    """The representatives :func:`brute_ext1` counts, one per class, on P
+    and Q.  Keyed on Q and P as values (their relation matrices, ring
+    included) and on the budget, so callers pass all three positionally.
+    It tabulates P and Q under its own meter, refuses a middle order over
+    the budget, and rebuilds the classes of :func:`_ext1_classes` with the
+    plain constructors."""
+    meter = _Meter(budget)
+    tp = _module_table(p, budget, meter)
+    tq = _module_table(q, budget, meter)
+    n = tp.n * tq.n
+    if n > budget.max_order:
+        raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
+    reps = []
+    for orders, i_rows, p_rows in _ext1_classes(p.ring, tq, tp, budget):
+        x_mod = PresentedModule.from_invariant_factors(p.ring, list(orders))
+        reps.append(ShortExactSequence(_morphism(p, x_mod, i_rows), _morphism(x_mod, q, p_rows)))
+    return tuple(reps)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tuple[tuple, ...]:
+    """The classes of :func:`_ext1_walk`, one ``(orders, i rows, p rows)``
+    per class: the middle's prime-power orders and the matrices of its
+    representative's injection and projection.  Keyed on the ring, on Q's
+    and P's tables as values and on the budget, so every presentation of
+    one pair of relation lattices shares one walk.  Equal tables give the
+    same pools, the same candidate order and the same passing assignments,
+    so the walk, its meter and its refusals do not depend on which
+    presentation came first.  A table's radix is read off its presentation
+    (the modulus and the single-generator columns), so two presentations
+    share the walk when their radices agree too.  Its meter starts with the
+    ticks of tabulating P and then Q, which :func:`_ext1_walk` has already
+    passed under the same budget.
 
     Each piece of work runs once per thing it depends on.  A middle type's
     projection candidates are walked once, on its first injective
@@ -516,24 +584,19 @@ def _ext1_walk(q: PresentedModule, p: PresentedModule,
     the order of a walk over every (injection, projection) pair, so each
     class keeps the first pair that reaches it as its representative."""
     meter = _Meter(budget)
-    tp = _module_table(p, budget, meter)
-    tq = _module_table(q, budget, meter)
+    meter.tick(prod(tp.radix) + tp.n * tp.n + prod(tq.radix) + tq.n * tq.n)
     n = tp.n * tq.n
-    if n > budget.max_order:
-        raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
-
-    p_rel = p.relations.columns()
     deltas = _coboundary_deltas(tp, tq, meter)
     canonical: dict[tuple, tuple] = {}
     classes: set[tuple] = set()
-    reps: list[ShortExactSequence] = []
+    reps: list[tuple] = []
 
-    for orders in _product_types(p.ring, n):
+    for orders in _product_types(ring, n):
         tx = _table(orders, [], meter)
         pcand = _pools(tx, tq)
         by_kernel = None
         factor_sets: dict[tuple, tuple] = {}
-        for i_imgs in _iter_homs(tx, p_rel, _pools(tp, tx), meter, tp.gen_orders):
+        for i_imgs in _iter_homs(tx, tp.relation_cols, _pools(tp, tx), meter, tp.gen_orders):
             i_vals = tp.hom_value_table(tx, i_imgs)
             image = frozenset(i_vals)
             if len(image) != tp.n:
@@ -555,8 +618,7 @@ def _ext1_walk(q: PresentedModule, p: PresentedModule,
                 if key in classes:
                     continue
                 classes.add(key)
-                x_mod = PresentedModule.from_invariant_factors(p.ring, list(orders))
-                reps.append(ShortExactSequence(_morphism(p, x_mod, tx, i_imgs), _morphism(x_mod, q, tq, p_imgs)))
+                reps.append((orders, _digit_rows(tx, i_imgs), _digit_rows(tq, p_imgs)))
     return tuple(reps)
 
 
@@ -641,13 +703,16 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
 
     for orders in _product_types(d.p.ring, n):
         tx = _table(orders, [], meter)
+        # the pools before any condition on m or n, listed once per middle
+        # type and narrowed for each (m, n) pair
+        n_pools, j_pools, i_pools = _pools(tx, tg), _pools(te, tx), _pools(th, tx)
         # |X| = |H||F| = |E||G|, so m and n are onto exactly when their
         # kernels have the orders of H and E
         for m_imgs in _iter_homs(tf, [], _pools(tx, tf), meter):
             m_vals = tx.hom_value_table(tf, m_imgs)
             if m_vals.count(0) != th.n:
                 continue
-            ncand = _pools(tx, tg, [(gq_vals, [fq_vals[y] for y in m_imgs])])
+            ncand = _narrowed(n_pools, [(gq_vals, [fq_vals[y] for y in m_imgs])])
             if ncand is None:
                 continue
             for n_imgs in _iter_homs(tg, [], ncand, meter):
@@ -657,10 +722,10 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                 # j's generators go into ker n and, along m, over E -> F;
                 # i's into ker m and, along n, over H -> G.  |ker n| = |E|
                 # and |ker m| = |H|, so an injective j or i fills its kernel
-                jcand = _pools(te, tx, [(m_vals, ef_img), (n_vals, [0] * te.k)])
+                jcand = _narrowed(j_pools, [(m_vals, ef_img), (n_vals, [0] * te.k)])
                 if jcand is None:
                     continue
-                icand = _pools(th, tx, [(m_vals, [0] * th.k), (n_vals, hg_img)])
+                icand = _narrowed(i_pools, [(m_vals, [0] * th.k), (n_vals, hg_img)])
                 for j_imgs in _iter_homs(tx, e_rel, jcand, meter, te.gen_orders):
                     jvals = te.hom_value_table(tx, j_imgs)
                     if len(set(jvals)) != te.n or icand is None:

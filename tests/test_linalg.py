@@ -637,7 +637,7 @@ def test_every_engine_cache_is_bounded_by_one_cap():
     caches = _engine_caches()
     assert set(caches) == {"linalg._hermite_cols", "modules._preimage", "modules._structure",
                            "modules.simplify", "ext.free_resolution", "ext.ext_module",
-                           "oracle._small_table", "oracle._ext1_walk"}
+                           "oracle._small_table", "oracle._ext1_walk", "oracle._ext1_classes"}
     # one mechanism: a hand-written memo exposing cache_info() fails here
     assert all(isinstance(fn, functools._lru_cache_wrapper) for fn in caches.values())
     assert {name: fn.cache_info().maxsize for name, fn in caches.items()} == dict.fromkeys(caches, linalg.CACHE_SIZE)

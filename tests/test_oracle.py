@@ -19,6 +19,7 @@ from hexext.oracle import (
     Table,
     _Meter,
     _bareiss_rank_pivots,
+    _ext1_classes,
     _ext1_walk,
     _iter_homs,
     _module_table,
@@ -266,7 +267,7 @@ class _DigitGroup:
     of the result's coset of the relation span."""
 
     def __init__(self, radix, relation_cols):
-        self.radix = radix
+        self.moduli = radix
         self.weights = [prod(radix[:i]) for i in range(len(radix))]
         self.span = {0}
         for col in relation_cols:
@@ -282,13 +283,13 @@ class _DigitGroup:
         self.elements = sorted(set(self.least.values()))
 
     def digits(self, code):
-        return [code // w % o for w, o in zip(self.weights, self.radix)]
+        return [code // w % o for w, o in zip(self.weights, self.moduli)]
 
     def encode(self, digits):
-        return sum(d % o * w for d, o, w in zip(digits, self.radix, self.weights))
+        return sum(d % o * w for d, o, w in zip(digits, self.moduli, self.weights))
 
     def _raw_combination(self, ks, codes):
-        total = [0] * len(self.radix)
+        total = [0] * len(self.moduli)
         for k, code in zip(ks, codes):
             total = [t + k * d for t, d in zip(total, self.digits(code))]
         return self.encode(total)
@@ -306,7 +307,7 @@ class _DigitGroup:
         return self.canon(self.encode(col))
 
     def gen(self, i):
-        return self.from_coeffs([int(t == i) for t in range(len(self.radix))])
+        return self.from_coeffs([int(t == i) for t in range(len(self.moduli))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,9 +383,10 @@ def test_table_memo_keeps_only_tables_within_the_default_order():
 
 def test_table_is_frozen():
     t = _table((2, 3), [(2, 0)], _Meter(EnumerationBudget()))
-    for part in (t.digits, t.sums, t.multiples, t.gen_orders, t._gens, t._steps, t.radix):
+    for part in (t.digits, t.sums, t.multiples, t.gen_orders, t._gens, t._steps, t.radix, t.relation_cols):
         assert isinstance(part, tuple)
-    assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits + t._steps)
+    assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits + t._steps + t.relation_cols)
+    assert isinstance(t.subgroup, frozenset)
 
 
 def _ext1_outcome(q, p, budget):
@@ -416,6 +418,7 @@ def test_table_memo_changes_no_answer():
     for q, p, budget in calls:
         _small_table.cache_clear()
         _ext1_walk.cache_clear()
+        _ext1_classes.cache_clear()
         cold.append(_ext1_outcome(q, p, budget))
     assert [o[0] for o in cold[-15::3]] == [2, 1, 2, 2, 2]
     for q, p, budget in calls:
@@ -443,13 +446,93 @@ def test_kept_answer_is_the_walked_answer():
     # a kept pair is still refused by a middle order over the budget
     with pytest.raises(BudgetExceededError, match="^middle order 4 exceeds budget 3$"):
         brute_ext1(Z2m, Z2m, EnumerationBudget(max_order=3))
-    # a walk its candidate budget refuses keeps nothing
+    # a walk its candidate budget refuses keeps nothing, in either memo
     _ext1_walk.cache_clear()
+    _ext1_classes.cache_clear()
     with pytest.raises(BudgetExceededError, match="^candidate count exceeded 20$"):
         brute_ext1(Z2m, Z2m, EnumerationBudget(max_candidates=20))
-    assert _ext1_walk.cache_info().currsize == 0
+    assert _ext1_walk.cache_info().currsize == _ext1_classes.cache_info().currsize == 0
     assert _ext1_outcome(Z2m, Z2m, budget) == walked
     assert _ext1_walk.cache_info() == (0, 2, linalg.CACHE_SIZE, 1)
+
+
+def _lattice_presentations(m):
+    """``m`` and four other presentations of its relation lattice: its
+    columns reversed, its first column repeated, the sum of its first two
+    columns added, and ``k * e_0`` added, for ``k`` the ring modulus over
+    Z/m and the order of ``m`` over Z."""
+    cols = [list(c) for c in m.relations.columns()]
+    k = m.ring.modulus if m.ring.is_modular else m.cardinality()
+    extra = ([], [cols[0]], [[a + b for a, b in zip(cols[0], cols[1])]], [[k * (i == 0) for i in range(m.generators)]])
+    return [PresentedModule.make(m.ring, m.generators, cols[::-1])] + [
+        PresentedModule.make(m.ring, m.generators, cols + more) for more in extra]
+
+
+def _least_budget(q, p):
+    """The smallest candidate budget under which ``brute_ext1(q, p)`` answers."""
+    lo, hi = 1, 20_000_000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if isinstance(_ext1_outcome(q, p, EnumerationBudget(max_candidates=mid)), str):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("ring, q_cols, p_cols", [
+    (R4, [[2, 0], [1, 1]], [[2, 0], [0, 1]]),
+    (Zmod(12), [[2, 0], [1, 3]], [[2, 0], [0, 1]]),
+    (ZZ, [[2, 0], [1, 3]], [[2, 0], [0, 1]]),
+], ids=["Z/4", "Z/12", "Z"])
+def test_lattice_memo_walks_each_pair_of_lattices_once(ring, q_cols, p_cols):
+    # five presentations each of one Q and one P: the tables are equal, the
+    # walk runs for the first pair only, and every pair gets representatives
+    # on its own P and Q that equal a cold walk's, and the same refusal one
+    # candidate below the walk's total
+    qs = _lattice_presentations(PresentedModule.make(ring, 2, q_cols))
+    ps = _lattice_presentations(PresentedModule.make(ring, 2, p_cols))
+    budget = EnumerationBudget()
+    assert len({(q, p) for q, p in zip(qs, ps)}) == 5
+    assert len({(_module_table(q, budget, _Meter(budget)), _module_table(p, budget, _Meter(budget)))
+                for q, p in zip(qs, ps)}) == 1
+    cold = []
+    for q, p in zip(qs, ps):
+        _ext1_walk.cache_clear()
+        _ext1_classes.cache_clear()
+        cold.append(_ext1_outcome(q, p, budget))
+    _ext1_walk.cache_clear()
+    _ext1_classes.cache_clear()
+    for q, p, want in zip(qs, ps, cold):
+        out = brute_ext1(q, p, budget)
+        assert all(s.inject.source is p and s.project.target is q for s in out.representatives)
+        assert _ext1_outcome(q, p, budget) == want
+    assert _ext1_classes.cache_info()[:2] == (4, 1)
+    assert cold[0][0] >= 2 and all(c[0] == cold[0][0] for c in cold)
+    least = _least_budget(qs[0], ps[0])
+    for q, p in zip(qs, ps):
+        assert brute_ext1(q, p, EnumerationBudget(max_candidates=least)).count == cold[0][0]
+        with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {least - 1}$"):
+            brute_ext1(q, p, EnumerationBudget(max_candidates=least - 1))
+
+
+def test_lattices_of_one_radix_and_order_do_not_share_a_walk():
+    # over Z/4 on two generators, <(1, 1)> and <(1, 3)> both leave Z/4 on
+    # the radix (4, 4), but they are different lattices
+    p = PresentedModule.cyclic(R4, 2)
+    budget = EnumerationBudget()
+    q1, q2 = PresentedModule.make(R4, 2, [[1, 1]]), PresentedModule.make(R4, 2, [[1, 3]])
+    t1, t2 = (_module_table(q, budget, _Meter(budget)) for q in (q1, q2))
+    assert (t1.radix, t1.n) == (t2.radix, t2.n) == ((4, 4), 4) and t1 != t2
+    cold = []
+    for q in (q1, q2):
+        _ext1_walk.cache_clear()
+        _ext1_classes.cache_clear()
+        cold.append(_ext1_outcome(q, p, budget))
+    _ext1_walk.cache_clear()
+    _ext1_classes.cache_clear()
+    assert [_ext1_outcome(q, p, budget) for q in (q1, q2)] == cold
+    assert _ext1_classes.cache_info()[:2] == (0, 2)
 
 
 def _walk(walk, budget):

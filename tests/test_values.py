@@ -4,9 +4,11 @@
 plain slot stores and have no run-time guard, because one would cost every
 build or every field read on the engine's hot path.  They are keys of the
 engine caches, so a field changed after construction would corrupt them.
-This test scans the sources for any store to a field of these classes or of
-``RingSpec`` outside the class's own constructor, apart from the hash that
-``__hash__`` keeps on first use.
+The oracle's ``Table`` is a key of its class memo in the same way, compared
+on its radix and relation subgroup, with the relation columns that memo's
+walk reads beside them.  This test scans the sources for any store to a
+field of these classes or of ``RingSpec`` outside the class's own
+constructor, apart from the hash that ``__hash__`` keeps on first use.
 """
 
 import ast
@@ -18,9 +20,9 @@ from hexext.rings import ZZ, Zmod
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "tools", "perfbench")
-VALUE_CLASSES = {"ExactMatrix", "PresentedModule", "ModuleMorphism", "RingSpec"}
+VALUE_CLASSES = {"ExactMatrix", "PresentedModule", "ModuleMorphism", "RingSpec", "Table"}
 FIELDS = {"ring", "rows", "cols", "data", "generators", "relations", "source", "target", "matrix",
-          "kind", "modulus", "_hash"}
+          "kind", "modulus", "_hash", "radix", "subgroup", "relation_cols"}
 # where a value class may store: its constructor, and the kept hash on first use
 ALLOWED = {"__init__": FIELDS, "__new__": FIELDS, "__hash__": {"_hash"}}
 
