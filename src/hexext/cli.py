@@ -17,8 +17,9 @@ or the diagram, extension or frame asked about is invalid (reported with
     hexext fuzz --ring RING --seed N --count N [--max-order N]
 
 The environment variable ``HEXEXT_BUDGET`` overrides the oracle's maximum
-middle order for ``oracle-compare``.  All randomness in ``fuzz`` derives
-from ``--seed``; reports are byte-identical across runs.
+order, of Q, P and the middle object, for ``oracle-compare``.  All
+randomness in ``fuzz`` derives from ``--seed``; reports are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .diagram import (
     validate_diagram1,
     validate_extension,
 )
-from .document import DocumentModel, ParseError, SemanticError, parse
+from .document import DocumentModel, ParseError, SemanticError, _beyond_digit_limit, parse
 from .errors import (
     BudgetExceededError,
     ClassesDifferError,
@@ -83,7 +84,7 @@ def _emit(report: dict, code: int) -> int:
     try:
         text = json.dumps(report, sort_keys=True, indent=2)
     except ValueError as exc:  # an integer of the answer beyond Python's digit limit
-        raise SemanticError(f"the answer cannot be written: {exc}") from exc
+        raise SemanticError(f"the answer cannot be written: {_beyond_digit_limit('an integer')}") from exc
     sys.stdout.write(text + "\n")
     return code
 
@@ -250,6 +251,9 @@ def _oracle_budget() -> EnumerationBudget:
 def _cmd_oracle_compare(args) -> int:
     model = _load(args.document)
     q, p = _module_pair(model, args.q, args.p)
+    for name, m in ((args.q, q), (args.p, p)):
+        if m.cardinality() is None:
+            raise SemanticError(f"module {name!r} is infinite; the oracle compares finite modules only")
     budget = _oracle_budget()
     try:
         brute = brute_ext1(q, p, budget)
@@ -270,8 +274,7 @@ def _parse_ring(text: str) -> RingSpec:
         try:
             m = int(digits)
         except ValueError as exc:  # Python's limit on digits per int
-            raise SemanticError(f"ring modulus of {len(digits)} digits exceeds the "
-                                f"{sys.get_int_max_str_digits()}-digit limit") from exc
+            raise SemanticError(_beyond_digit_limit(f"ring modulus of {len(digits)} digits")) from exc
         try:
             return Zmod(m)
         except ValueError as exc:

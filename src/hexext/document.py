@@ -82,6 +82,12 @@ class DocumentModel:
     extension_diagram_names: dict[str, str] = field(default_factory=dict, compare=False)
 
 
+def _beyond_digit_limit(what: str) -> str:
+    """The message for ``what`` past Python's limit on digits per int
+    conversion, naming the limit without Python's advice to raise it."""
+    return f"{what} exceeds the {sys.get_int_max_str_digits()}-digit limit"
+
+
 def _as_int(v) -> int:
     if isinstance(v, bool):
         raise SemanticError("booleans are not integers")
@@ -93,8 +99,7 @@ def _as_int(v) -> int:
             try:
                 return int(v)
             except ValueError as exc:  # Python's limit on digits per int
-                raise SemanticError(f"integer string of {len(t)} digits exceeds the "
-                                    f"{sys.get_int_max_str_digits()}-digit limit") from exc
+                raise SemanticError(_beyond_digit_limit(f"integer string of {len(t)} digits")) from exc
     raise SemanticError(f"not an integer: {v!r}")
 
 
@@ -104,8 +109,7 @@ def _int_literal(literal: str) -> int:
     try:
         return int(literal)
     except ValueError as exc:  # Python's limit on digits per int
-        raise ParseError(None, f"integer literal of {len(literal.lstrip('-'))} digits exceeds the "
-                               f"{sys.get_int_max_str_digits()}-digit limit") from exc
+        raise ParseError(None, _beyond_digit_limit(f"integer literal of {len(literal.lstrip('-'))} digits")) from exc
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -144,7 +148,7 @@ def _encode_rows(rows, what: str) -> list[list]:
     try:
         return [[x if -_BIG < x < _BIG else str(x) for x in row] for row in rows]
     except ValueError as exc:  # Python's limit on digits per int
-        raise SemanticError(f"{what}: an entry cannot be written: {exc}") from exc
+        raise SemanticError(f"{what}: an entry cannot be written: {_beyond_digit_limit('it')}") from exc
 
 
 def _matrix_from_rows(ring: RingSpec, rows, expect_rows: int, expect_cols: int, what: str) -> ExactMatrix:

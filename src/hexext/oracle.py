@@ -1,31 +1,15 @@
 """Brute-force ground truth for tiny finite modules.
 
 Everything here works on explicit element tables.  A finite abelian group is
-a :class:`Table`, built once: its elements are the numbers ``0..n-1``, each
-with its mixed-radix digits, plus an addition table and the multiples of
-every element, so sums, scalar multiples and linear combinations are list
-lookups; quotients are coset labellings.
+a :class:`Table`, built once: its elements are the numbers ``0..n-1``, with
+an addition table and the multiples of every element, so sums, scalar
+multiples and linear combinations are list lookups.  A table is the one
+description its searches read: it carries its relation columns, its
+generators' orders and its cost, the candidates that building it counts.
 
-Presented modules become tables by reducing each coefficient modulo a
-multiple of its generator's order (the ring modulus, or over Z an exponent
-multiple obtained by fraction-free elimination, cut down by any relation
-column that is a multiple of that generator alone; annihilation is implied
-by the relations, so nothing is lost) and dividing out the additive closure
-of the relation columns.  A table's addition table is filled from one shift
-permutation per generator, so its build costs k * n digit additions.
-
-Homomorphism searches draw their candidate generator images from
-:func:`_pools` and walk them with :func:`_iter_homs`, which builds each
-relation test once per search, as the column's nonzero terms; zero columns
-and single-generator columns that the pools already enforce are dropped.
-:func:`brute_extension_exists` lists each middle type's pools once and
-narrows them for each surjection pair with :func:`_narrowed`.
-The injection searches (:func:`brute_ext1`'s injections,
-:func:`brute_equivalent`'s middle map, which the five lemma makes an
-isomorphism, and :func:`brute_extension_exists`'s j and i) walk only the
-candidates that keep each generator's order, since an injective map keeps
-every order.  The candidates they skip still count, ticked in place, so
-every meter reads as it would after a walk over every candidate.
+:func:`_module_table` tabulates a presented module.  Every homomorphism
+search draws its candidate images from :func:`_pools` and walks them with
+:func:`_iter_homs` from a source table to a target table.
 
 The oracle calls nothing in the Smith-form / Hermite / resolution engine: it
 reads presentations and morphism matrices, decides with its own elimination
@@ -33,23 +17,18 @@ and tables, and returns morphisms and sequences built with the plain
 constructors.  That independence is the whole point, since these
 enumerations exist to validate the engine.
 
-Budgets are enforced by explicit candidate counting; every table's ambient
-size and addition-table cells count as candidates, on every call, also when
-:func:`_table` hands out a table kept from an earlier call.  A table is a
-value, compared on its radix and the relation subgroup it divides out, and
-:func:`brute_ext1` walks once per process for each pair of tables and
-budget, so presentations of the same relation lattices share one walk; its
-representatives are rebuilt on the caller's own modules.  All three memos
+Budgets are enforced by explicit candidate counting, and every table counts
+its cost on every call that tabulates it.  ``max_order`` bounds the order
+of every module an operation tabulates, and of the middle objects that
+:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The three
+memos, :func:`_small_table`, :func:`_ext1_walk` and :func:`_ext1_classes`,
 are ``lru_cache`` functions capped at ``CACHE_SIZE``, like every cache in
-``hexext`` except the ``diagram._known`` identity slot.  ``max_order``
-bounds the order of every module an operation tabulates, and of the middle
-objects that :func:`brute_ext1` and :func:`brute_extension_exists`
-enumerate.
+``hexext`` except the ``diagram._known`` identity slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product as iproduct
 from math import gcd, prod
@@ -155,15 +134,18 @@ class Table:
     generator g``, in breadth-first order from 0, so
     :meth:`hom_value_table` spends one addition per element with or without
     relations.  ``sums`` is the n x n addition table, filled row by row
-    along ``_steps`` from one shift permutation per generator, so its build
-    costs k * n digit additions, not n * n.  All of them are tuples or
+    along ``_steps`` from one shift permutation per generator, so filling it
+    takes k * n digit additions, not n * n.  All of them are tuples or
     frozen sets, since :func:`_table` shares one table between calls.
+    ``cost``, the ambient size plus the n * n sum cells, is what a build
+    ticks, and what :func:`_table` charges for a kept table.
     """
 
     def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
         self.radix = tuple(radix)
         self.k = len(self.radix)
-        meter.tick(prod(self.radix))
+        ambient = prod(self.radix)
+        meter.tick(ambient)
 
         def add_digits(a, b):
             return tuple((x + y) % o for x, y, o in zip(a, b, self.radix))
@@ -181,7 +163,8 @@ class Table:
                 digits.append(code)
         self.digits = tuple(digits)
         self.n = len(digits)
-        meter.tick(self.n * self.n)
+        self.cost = ambient + self.n * self.n
+        meter.tick(self.cost - ambient)  # the sum cells, before they are allocated
         # shifts[i][x] is x + generator i: k * n digit additions in all
         shifts = [tuple(index[add_digits(code, unit)] for code in digits)
                   for unit in (tuple(int(t == i) % o for t, o in enumerate(self.radix)) for i in range(self.k))]
@@ -247,9 +230,8 @@ class Table:
 @lru_cache(maxsize=CACHE_SIZE)
 def _small_table(radix: tuple[int, ...], relation_cols: tuple[tuple[int, ...], ...]) -> Table:
     """``Table(radix, relation_cols)`` for an ambient group of at most the
-    default ``max_order`` elements, kept for the process.  Its meter is its
-    own: such a build ticks at most 16 + 256 candidates, and :func:`_table`
-    charges them to the caller."""
+    default ``max_order`` elements, kept for the process under a meter of
+    its own; :func:`_table` charges its cost to the caller."""
     return Table(radix, relation_cols, _Meter(EnumerationBudget()))
 
 
@@ -257,26 +239,23 @@ def _table(radix: tuple[int, ...], relation_cols, meter: _Meter) -> Table:
     """``Table(radix, relation_cols, meter)``, kept for the process if small.
 
     A table whose ambient group has at most the default ``max_order``
-    elements comes from :func:`_small_table`, an ``lru_cache`` capped at
-    ``CACHE_SIZE``, and then ticks its ambient size and its sum cells on the
-    caller's meter, as a build does, so every budget refuses a kept table at
-    the same point and with the same message.  A larger table is built under
-    the caller's meter every time, so an oversized one still raises before
-    it allocates.
+    elements comes from :func:`_small_table` and then ticks its cost on the
+    caller's meter, so every budget refuses a kept table with the message a
+    build gives.  A larger table is built under the caller's meter every
+    time, so an oversized one still raises before it allocates.
     """
-    ambient = prod(radix)
-    if ambient > _DEFAULT_MAX_ORDER:
+    if prod(radix) > _DEFAULT_MAX_ORDER:
         return Table(radix, relation_cols, meter)
     t = _small_table(tuple(radix), tuple(map(tuple, relation_cols)))
-    meter.tick(ambient)
-    meter.tick(t.n * t.n)
+    meter.tick(t.cost)
     return t
 
 
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
-    """The module's table.  ``mod`` (the ring modulus, or over Z the Bareiss
-    pivot product) kills every generator; generator i gets the radix
-    ``gcd(mod, k)`` over the relation columns ``k * e_i``, since that
+    """The module's table, refused once the module's order exceeds the
+    budget's ``max_order``.  ``mod`` (the ring modulus, or over Z the
+    Bareiss pivot product) kills every generator; generator i gets the
+    radix ``gcd(mod, k)`` over the relation columns ``k * e_i``, since that
     multiple of ``e_i`` lies in the relation lattice too."""
     g = m.generators
     if g == 0:
@@ -295,13 +274,7 @@ def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) 
             radix[i] = gcd(radix[i], col[i])
     if prod(radix) > budget.max_candidates:
         raise BudgetExceededError("ambient table too large for the budget")
-    return _table(tuple(radix), m.relations.columns(), meter)
-
-
-def _bounded_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
-    """:func:`_module_table`, refused once the module's order exceeds the
-    budget's ``max_order``."""
-    t = _module_table(m, budget, meter)
+    t = _table(tuple(radix), m.relations.columns(), meter)
     if t.n > budget.max_order:
         raise BudgetExceededError(f"module order {t.n} exceeds budget {budget.max_order}")
     return t
@@ -351,41 +324,38 @@ def _narrowed(pools, posts) -> list[list[int]] | None:
     return out
 
 
-def _iter_homs(tgt: Table, relation_cols, candidates, meter: _Meter, orders=None):
-    """Generator-image assignments that kill every relation column, in the
-    product order of ``candidates``.
+def _iter_homs(src: Table, tgt: Table, candidates, meter: _Meter, injective: bool = False):
+    """Images in ``tgt`` of ``src``'s generators, drawn from ``candidates``,
+    that kill every relation column of ``src``, in the product order of
+    ``candidates``.
 
-    With ``orders``, the walk takes only the assignments that send each
-    generator g to an element of order ``orders[g]``: an injective map keeps
+    An ``injective`` walk takes only the assignments that send each
+    generator to an element of its order in ``src``: an injective map keeps
     every order, so an injection search loses nothing.  The meter still
     counts every candidate of the product, in place: a walked candidate
     ticks itself and the skipped ones before it, and the end of the walk
     ticks those after the last, so the count at every yield, at an early
     exit and at a refusal is that of a walk over every candidate.
 
-    The relation tests are built once per search: each column becomes its
-    nonzero terms, each a generator with the table of ``c * y`` over the
-    target.  A zero column is dropped, and so is a column ``c * e_g`` whose
-    ``c`` kills every walked candidate for g, since every assignment passes
-    it."""
+    The relation tests are built once per search from ``src.relation_cols``:
+    each nonzero column becomes its nonzero terms, each a generator with the
+    table of ``c * y`` over the target.  The columns are reduced mod the
+    source radix, which kills every candidate of :func:`_pools`, so each
+    test reads as the presented column does."""
     # images[g] holds the walked candidates for generator g, and weights[g]
     # what each adds to the position in the product of all candidates
     weights, images = [], []
     stride = 1
     for g in reversed(range(len(candidates))):
         pool = candidates[g]
-        keep = [i for i, y in enumerate(pool) if orders is None or len(tgt.multiples[y]) == orders[g]]
+        keep = [i for i, y in enumerate(pool) if not injective or len(tgt.multiples[y]) == src.gen_orders[g]]
         weights.append([i * stride for i in keep])
         images.append([pool[i] for i in keep])
         stride *= len(pool)
     weights.reverse()
     images.reverse()
-    tests = []
-    for col in relation_cols:
-        terms = [(g, c) for g, c in enumerate(col) if c]
-        if not terms or len(terms) == 1 and all(tgt.smul(c, y) == 0 for g, c in terms for y in images[g]):
-            continue
-        tests.append([(g, tuple(tgt.smul(c, y) for y in range(tgt.n))) for g, c in terms])
+    tests = [[(g, tuple(tgt.smul(c, y) for y in range(tgt.n))) for g, c in enumerate(col) if c]
+             for col in src.relation_cols if any(col)]
     sums = tgt.sums
     last = -1
     for offsets, imgs in zip(iproduct(*weights), iproduct(*images)):
@@ -413,13 +383,13 @@ def enumerate_morphisms(a: PresentedModule, b: PresentedModule,
     """Every well-defined morphism ``a -> b``; complete and duplicate-free
     under morphism equality (images are distinct table elements)."""
     meter = _Meter(budget)
-    ta = _bounded_table(a, budget, meter)
-    tb = _bounded_table(b, budget, meter)
+    ta = _module_table(a, budget, meter)
+    tb = _module_table(b, budget, meter)
     cands = _pools(ta, tb)
     if prod(len(c) for c in cands) > budget.max_candidates:
         raise BudgetExceededError("morphism space too large")
     return [_morphism(a, b, _digit_rows(tb, images))
-            for images in _iter_homs(tb, a.relations.columns(), cands, meter)]
+            for images in _iter_homs(ta, tb, cands, meter)]
 
 
 def _product_types(ring, n: int) -> list[tuple[int, ...]]:
@@ -441,10 +411,15 @@ def _product_types(ring, n: int) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(chain(*combo), reverse=True)) for combo in iproduct(*per_prime)), reverse=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtCount:
-    count: int
-    representatives: list = field(default_factory=list)
+    """:func:`brute_ext1`'s answer: one representative sequence per class."""
+
+    representatives: tuple[ShortExactSequence, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.representatives)
 
 
 def _coboundary_deltas(tp: Table, tq: Table, meter: _Meter) -> list[tuple]:
@@ -524,16 +499,12 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     extension equivalence (middle isomorphism commuting with the end
     identities), told apart by canonical factor sets.
 
-    The walk runs once per process for each pair of tables and budget:
-    :func:`_ext1_classes` is kept on Q's and P's tables, which are equal
-    for any two presentations of the same relation lattices, so another
-    presentation of a walked pair only reads the kept classes and rebuilds
-    each representative on the caller's own P and Q.  :func:`_ext1_walk`
-    keeps those representatives on ``(Q, P, budget)``, and a later call
-    returns them in a fresh list.  A refused walk raises and keeps nothing;
-    another budget walks afresh."""
-    reps = _ext1_walk(q, p, budget)
-    return ExtCount(len(reps), list(reps))
+    The walk runs once per process for each pair of tables and budget, in
+    :func:`_ext1_classes`, so presentations of the same relation lattices
+    share it; :func:`_ext1_walk` rebuilds its classes on the caller's own P
+    and Q and keeps them, and the answer is that frozen tuple.  A refused
+    walk raises and keeps nothing; another budget walks afresh."""
+    return ExtCount(_ext1_walk(q, p, budget))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -569,9 +540,9 @@ def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tupl
     so the walk, its meter and its refusals do not depend on which
     presentation came first.  A table's radix is read off its presentation
     (the modulus and the single-generator columns), so two presentations
-    share the walk when their radices agree too.  Its meter starts with the
-    ticks of tabulating P and then Q, which :func:`_ext1_walk` has already
-    passed under the same budget.
+    share the walk when their radices agree too.  Its meter starts with P's
+    and Q's costs, which :func:`_ext1_walk` has already passed under the
+    same budget.
 
     Each piece of work runs once per thing it depends on.  A middle type's
     projection candidates are walked once, on its first injective
@@ -584,7 +555,7 @@ def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tupl
     the order of a walk over every (injection, projection) pair, so each
     class keeps the first pair that reaches it as its representative."""
     meter = _Meter(budget)
-    meter.tick(prod(tp.radix) + tp.n * tp.n + prod(tq.radix) + tq.n * tq.n)
+    meter.tick(tp.cost + tq.cost)
     n = tp.n * tq.n
     deltas = _coboundary_deltas(tp, tq, meter)
     canonical: dict[tuple, tuple] = {}
@@ -596,7 +567,7 @@ def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tupl
         pcand = _pools(tx, tq)
         by_kernel = None
         factor_sets: dict[tuple, tuple] = {}
-        for i_imgs in _iter_homs(tx, tp.relation_cols, _pools(tp, tx), meter, tp.gen_orders):
+        for i_imgs in _iter_homs(tp, tx, _pools(tp, tx), meter, injective=True):
             i_vals = tp.hom_value_table(tx, i_imgs)
             image = frozenset(i_vals)
             if len(image) != tp.n:
@@ -631,10 +602,10 @@ def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
     if s1.left != s2.left or s1.right != s2.right:
         return False
     meter = _Meter(budget)
-    tp = _bounded_table(s1.left, budget, meter)
-    tq = _bounded_table(s1.right, budget, meter)
-    tx1 = _bounded_table(s1.middle, budget, meter)
-    tx2 = _bounded_table(s2.middle, budget, meter)
+    tp = _module_table(s1.left, budget, meter)
+    tq = _module_table(s1.right, budget, meter)
+    tx1 = _module_table(s1.middle, budget, meter)
+    tx2 = _module_table(s2.middle, budget, meter)
     if tx1.n != tx2.n:
         return False
     p2_vals = tx2.hom_value_table(tq, _morphism_images(s2.project, tq))
@@ -643,7 +614,7 @@ def brute_equivalent(s1: ShortExactSequence, s2: ShortExactSequence,
         return False
     along_i = list(zip(tp.hom_value_table(tx1, _morphism_images(s1.inject, tx1)),
                        tp.hom_value_table(tx2, _morphism_images(s2.inject, tx2))))
-    for images in _iter_homs(tx2, s1.middle.relations.columns(), cand, meter, tx1.gen_orders):
+    for images in _iter_homs(tx1, tx2, cand, meter, injective=True):
         phi = tx1.hom_value_table(tx2, images)
         if all(phi[x1] == x2 for x1, x2 in along_i):
             return True
@@ -659,8 +630,8 @@ def brute_injective(p: PresentedModule, budget: EnumerationBudget = EnumerationB
     meter = _Meter(budget)
     if not p.ring.is_modular:
         rank, _ = _bareiss_rank_pivots([list(r) for r in p.relations.data])
-        return rank == p.generators and _bounded_table(p, budget, meter).n == 1
-    tp = _bounded_table(p, budget, meter)
+        return rank == p.generators and _module_table(p, budget, meter).n == 1
+    tp = _module_table(p, budget, meter)
     m = p.ring.modulus
     for d in range(1, m + 1):
         if m % d:
@@ -698,8 +669,6 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
 
     fq_vals = tf.hom_value_table(tq, pfq_img)
     gq_vals = tg.hom_value_table(tq, pgq_img)
-    e_rel = d.e.relations.columns()
-    h_rel = d.h.relations.columns()
 
     for orders in _product_types(d.p.ring, n):
         tx = _table(orders, [], meter)
@@ -708,14 +677,14 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
         n_pools, j_pools, i_pools = _pools(tx, tg), _pools(te, tx), _pools(th, tx)
         # |X| = |H||F| = |E||G|, so m and n are onto exactly when their
         # kernels have the orders of H and E
-        for m_imgs in _iter_homs(tf, [], _pools(tx, tf), meter):
+        for m_imgs in _iter_homs(tx, tf, _pools(tx, tf), meter):
             m_vals = tx.hom_value_table(tf, m_imgs)
             if m_vals.count(0) != th.n:
                 continue
             ncand = _narrowed(n_pools, [(gq_vals, [fq_vals[y] for y in m_imgs])])
             if ncand is None:
                 continue
-            for n_imgs in _iter_homs(tg, [], ncand, meter):
+            for n_imgs in _iter_homs(tx, tg, ncand, meter):
                 n_vals = tx.hom_value_table(tg, n_imgs)
                 if n_vals.count(0) != te.n:
                     continue
@@ -726,11 +695,11 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                 if jcand is None:
                     continue
                 icand = _narrowed(i_pools, [(m_vals, [0] * th.k), (n_vals, hg_img)])
-                for j_imgs in _iter_homs(tx, e_rel, jcand, meter, te.gen_orders):
+                for j_imgs in _iter_homs(te, tx, jcand, meter, injective=True):
                     jvals = te.hom_value_table(tx, j_imgs)
                     if len(set(jvals)) != te.n or icand is None:
                         continue
-                    for i_imgs in _iter_homs(tx, h_rel, icand, meter, th.gen_orders):
+                    for i_imgs in _iter_homs(th, tx, icand, meter, injective=True):
                         ivals = th.hom_value_table(tx, i_imgs)
                         if len(set(ivals)) != th.n:
                             continue

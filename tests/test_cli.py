@@ -245,6 +245,16 @@ def test_oracle_budget_from_the_environment(capsys, monkeypatch, budget, code, m
         assert captured.out == "" and captured.err.startswith("input error: " + message)
 
 
+@pytest.mark.parametrize("q, p", [("Zfree", "Z2"), ("Z2", "Zfree"), ("Zfree", "Zfree")])
+def test_oracle_compare_names_an_infinite_module(capsys, monkeypatch, q, p):
+    # no budget makes an infinite module finite, so the refusal names the
+    # module, Q before P, not the budget
+    monkeypatch.setenv("HEXEXT_BUDGET", "1000")
+    assert main(["oracle-compare", str(FIXTURES / "zdiagram.json"), q, p]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: module 'Zfree' is infinite; the oracle compares finite modules only\n"
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["validate", "no_such_file.json", "D"]) == 2
     # a directory and a document that is not UTF-8 are input errors too
@@ -293,8 +303,10 @@ def test_answer_beyond_digit_limit_exits_2(tmp_path, capsys):
                  '"relations": [[' + "7" * 2500 + ', 0], [0, 1' + "0" * 2498 + '1]]}}}', encoding="utf-8")
     assert main(["ext", str(p), "-i", "0", "A", "A"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("input error:") and "digits" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    limit = sys.get_int_max_str_digits()
+    assert out == ""
+    assert err == f"input error: the answer cannot be written: an integer exceeds the {limit}-digit limit\n"
+    assert "set_int_max_str_digits" not in err
 
 
 def test_huge_generator_count_exits_2(tmp_path):

@@ -2,11 +2,14 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
-from hexext.errors import ArgumentMismatchError
+from hexext import ext
+from hexext.errors import ArgumentMismatchError, NotExactError
 from hexext.ext import (
+    chain_map,
     class_of_ses,
     ext_module,
     free_resolution,
@@ -14,8 +17,10 @@ from hexext.ext import (
     ses_of_class,
     yoneda_product_of_ses,
 )
+from hexext.linalg import ExactMatrix
 from hexext.modules import (
     PresentedModule,
+    ShortExactSequence,
     direct_sum,
     exactness_report,
     hom,
@@ -399,6 +404,47 @@ def test_ladder_exact_on_seeded_random_sequences():
             s = random_ses(rng, a, c)
             lad = connecting_hom(s, p)
             assert _ladder_exact(lad)
+
+
+# -- argument checks ------------------------------------------------------------------------------
+
+
+def _chain_map_with_failed_lift(monkeypatch):
+    monkeypatch.setattr(ext, "lift", lambda *a: None)
+    res = free_resolution(Z2m)
+    return chain_map(res, res, identity_morphism(Z2m), 1)
+
+
+# each check with a call that fails it, given pytest's monkeypatch, and
+# the typed error and message it raises
+ARGUMENT_CHECKS = {
+    "differential-past-degree-3": (lambda mp: free_resolution(Z2m).differential(4),
+                                   ValueError, "no differential at degree 4"),
+    "class-of-non-cocycle": (lambda mp: ext_module(0, Z2m, Z4m).class_of_cocycle(ExactMatrix.identity(R4, 1)),
+                             ArgumentMismatchError, "matrix is not a cocycle for this Ext module"),
+    "add-across-modules": (lambda mp: ext_module(1, Z2m, Z2m).zero_class() + ext_module(0, Z2m, Z2m).zero_class(),
+                           ArgumentMismatchError, "classes live in different Ext modules"),
+    "ext-degree-3": (lambda mp: ext_module(3, Z2m, Z2m), ValueError, "only degrees 0, 1, 2 are computed"),
+    "ext-across-rings": (lambda mp: ext_module(1, Z2m, Z2z), ArgumentMismatchError, "arguments over different rings"),
+    "class-of-inexact-sequence": (lambda mp: class_of_ses(ShortExactSequence(identity_morphism(Z2m),
+                                                                             zero_morphism(Z2m, Z2m))),
+                                  NotExactError, "sequence fails exactness at projection is not surjective"),
+    "sequence-of-degree-2-class": (lambda mp: ses_of_class(ext_module(2, Z2m, Z2m).zero_class()),
+                                   ArgumentMismatchError,
+                                   "only degree-1 classes are realizable as short exact sequences"),
+    "chain-map-lift-fails": (_chain_map_with_failed_lift,
+                             ArgumentMismatchError, "chain map lift failed; resolution invariant broken"),
+    "splice-without-shared-end": (lambda mp: yoneda_product_of_ses(split_ses(Z2m, Z4m), split_ses(Z2m, Z2m)),
+                                  ArgumentMismatchError, "splice needs a shared end object"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_CHECKS))
+def test_argument_check_raises_its_typed_error(name, monkeypatch):
+    call, error, message = ARGUMENT_CHECKS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        call(monkeypatch)
+    assert err.type is error
 
 
 # -- the public surface ---------------------------------------------------------------------------

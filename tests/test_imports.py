@@ -282,9 +282,7 @@ def test_every_definition_is_referenced():
 
 
 # library fields that no code outside the tests reads, each kept for a reason
-UNREAD_FIELDS = {
-    "ExtCount.representatives": "the oracle's answer, one middle object per class, which the census reads",
-}
+UNREAD_FIELDS: dict[str, str] = {}
 
 
 def test_the_scan_finds_an_unread_field():

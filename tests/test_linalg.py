@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from math import prod
 
 import pytest
@@ -462,6 +463,37 @@ def test_hermite_form_is_canonical(a, rnd):
 def test_lattice_order_is_the_smith_product(a):
     diag, _u, _uinv = smith_lattice(a)
     assert lattice_order(a) == (prod(diag) if len(diag) == a.rows else None)
+
+
+# -- argument checks ------------------------------------------------------------
+
+
+_A = ExactMatrix.zeros(R4, 2, 3)
+_B = ExactMatrix.zeros(R4, 3, 2)
+_Z = ExactMatrix.zeros(ZZ, 2, 3)
+
+# each check with a call that fails it and the message it raises
+ARGUMENT_CHECKS = {
+    "matmul-shape": (lambda: _A @ _A, "matrix product shape/ring mismatch"),
+    "matmul-ring": (lambda: _A @ ExactMatrix.zeros(ZZ, 3, 2), "matrix product shape/ring mismatch"),
+    "apply-length": (lambda: _A.apply((0, 0)), "vector length mismatch"),
+    "add-shape": (lambda: _A + _B, "matrix sum shape/ring mismatch"),
+    "add-ring": (lambda: _A + _Z, "matrix sum shape/ring mismatch"),
+    "hstack-shape": (lambda: _A.hstack(_B), "hstack shape/ring mismatch"),
+    "hstack-ring": (lambda: _A.hstack(_Z), "hstack shape/ring mismatch"),
+    "vstack-shape": (lambda: _A.vstack(_B), "vstack shape/ring mismatch"),
+    "vstack-ring": (lambda: _A.vstack(_Z), "vstack shape/ring mismatch"),
+    "solve-rhs-length": (lambda: solve_linear(_A, (0, 0, 0)), "right-hand side length mismatch"),
+    "reduce-vector-length": (lambda: reduce_mod_lattice((0, 0, 0), _A), "vector length mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_CHECKS))
+def test_argument_check_raises_its_typed_error(name):
+    call, message = ARGUMENT_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert err.type is ValueError
 
 
 # -- reference: the dense echelon insertion -------------------------------------

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -674,6 +675,38 @@ def test_zero_module_flows_through_everything():
     f = zero_morphism(z, Z4m)
     assert morphism_kernel(f)[0].cardinality() == 1 and morphism_cokernel(f)[0].cardinality() == 4
     assert exactness_violations("chain", [ds.inject_left, ds.project_right]) == []
+
+
+# -- argument checks -----------------------------------------------------------------------
+
+
+_ID2, _ID4 = identity_morphism(Z2m), identity_morphism(Z4m)
+
+# each check with a call that fails it and the typed error and message it raises
+ARGUMENT_CHECKS = {
+    "elements-of-infinite": (lambda: next(Zf.elements()), ValueError, "module is infinite; cannot enumerate elements"),
+    "compose-endpoints": (lambda: _ID2 @ _ID4, NonComposableError, "composition endpoint mismatch"),
+    "sum-endpoints": (lambda: _ID2 + _ID4, NonComposableError, "sum endpoint mismatch"),
+    "first-outside-length": (lambda: modules._first_outside(ExactMatrix.identity(R4, 2), ExactMatrix.identity(R4, 1)),
+                             ValueError, "vector length mismatch"),
+    "direct-sum-rings": (lambda: direct_sum(Z2m, Z2z), NonComposableError, "direct sum over different rings"),
+    "pullback-targets": (lambda: pullback(_ID2, hom(Z2m, Z4m, [[2]])), NonComposableError,
+                         "pullback legs must share a target"),
+    "pullback-factor-cone": (lambda: pullback_factor(pullback(_ID2, _ID2), _ID2, zero_morphism(Z2m, Z2m)),
+                             NonComposableError, "cone does not factor through the pullback"),
+    "solve-pre-endpoints": (lambda: modules._solve_matrix(Z2m, Z2m, pre=[(_ID4, _ID2)]), NonComposableError,
+                            "pre-constraint endpoints mismatch"),
+    "solve-post-endpoints": (lambda: modules._solve_matrix(Z2m, Z2m, post=[(_ID4, _ID2)]), NonComposableError,
+                             "post-constraint endpoints mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_CHECKS))
+def test_argument_check_raises_its_typed_error(name):
+    call, error, message = ARGUMENT_CHECKS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert err.type is error
 
 
 # -- constrained morphism solving --------------------------------------------------------

@@ -1,8 +1,10 @@
 """The brute-force oracles and their agreement with the computed path."""
 
+import dataclasses
 import hashlib
 import json
 import random
+import re
 from math import gcd, lcm, prod
 
 import pytest
@@ -92,6 +94,37 @@ def test_max_order_bounds_every_table(ring):
         with pytest.raises(BudgetExceededError, match="module order 32 exceeds budget 16"):
             call(EnumerationBudget())
         assert call(EnumerationBudget(max_order=64)) == expected, name
+
+
+# -- argument checks ---------------------------------------------------------------
+
+
+_SPLIT = split_ses(Z2m, Z2m)
+_Z2, _Z32 = PresentedModule.cyclic(ZZ, 2), PresentedModule.cyclic(ZZ, 32)
+
+# each check with a call that fails it and the typed error and message it raises
+ARGUMENT_CHECKS = {
+    # F is Z/2 in an inexact column, so |H||F| = 8 and |E||G| = 16
+    "grid-orders-disagree": (lambda: brute_extension_exists(Diagram3x3(
+        row_top=_SPLIT, row_bottom=_SPLIT, col_left=_SPLIT,
+        col_right=ShortExactSequence(hom(Z2m, Z2m, [[1]]), zero_morphism(Z2m, Z2m)))),
+        ValueError, "inconsistent grid orders"),
+    "max-order-not-positive": (lambda: EnumerationBudget(max_order=0), ValueError, "budget bounds must be positive"),
+    "max-candidates-not-positive": (lambda: EnumerationBudget(max_candidates=0), ValueError,
+                                    "budget bounds must be positive"),
+    "module-infinite": (lambda: enumerate_morphisms(PresentedModule.free(ZZ, 1), _Z2), BudgetExceededError,
+                        "module is infinite; oracle tables need finite modules"),
+    "ambient-over-candidates": (lambda: enumerate_morphisms(_Z32, _Z2, EnumerationBudget(max_candidates=31)),
+                                BudgetExceededError, "ambient table too large for the budget"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGUMENT_CHECKS))
+def test_argument_check_raises_its_typed_error(name):
+    call, error, message = ARGUMENT_CHECKS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert err.type is error
 
 
 # -- extension counting --------------------------------------------------------------
@@ -439,9 +472,10 @@ def test_kept_answer_is_the_walked_answer():
     assert _ext1_walk.cache_info().hits == 1
     assert (out.count, [(s.middle.relations, s.inject.matrix, s.project.matrix)
                         for s in out.representatives]) == walked
-    # the caller owns the returned list: changing it changes no later answer
-    out.representatives.clear()
-    out.representatives.append(None)
+    # the kept answer is immutable: no caller can change a later answer
+    assert isinstance(out.representatives, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.representatives = ()
     assert _ext1_outcome(Z2m, Z2m, budget) == walked
     # a kept pair is still refused by a middle order over the budget
     with pytest.raises(BudgetExceededError, match="^middle order 4 exceeds budget 3$"):
@@ -551,33 +585,34 @@ def _walk(walk, budget):
 
 @pytest.mark.parametrize("ring", [R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12), ZZ], ids=str)
 def test_order_filtered_walk_ticks_the_plain_walk_in_place(ring):
-    # on seeded table pairs, with a zero relation column added, the walk
-    # given the source's generator orders yields exactly the plain walk's
-    # order-preserving assignments, and its meter reads as the plain
-    # walk's at each of them, at exhaustion, after an early break and at a
-    # refusal under budgets that stop the walk part way
+    # on seeded table pairs, with a zero relation column added, the
+    # injective walk yields exactly the plain walk's order-preserving
+    # assignments, and its meter reads as the plain walk's at each of them,
+    # at exhaustion, after an early break and at a refusal under budgets
+    # that stop the walk part way
     rng = random.Random(f"order-walk-{ring}")
     budget = EnumerationBudget()
     filtered = 0
     for _ in range(12):
         a, b = random_module(rng, ring, 8), random_module(rng, ring, 16)
         ta, tb = (_module_table(m, budget, _Meter(budget)) for m in (a, b))
-        cands = _pools(ta, tb)
         rels = a.relations.columns() + [(0,) * a.generators]
+        ta = Table(ta.radix, rels, _Meter(budget))
+        cands = _pools(ta, tb)
         total = prod(map(len, cands))
         for c in (budget.max_candidates, total // 2 + 1, total // 3 + 1):
             b_c = EnumerationBudget(max_candidates=c)
             ref, ref_end = _walk(lambda meter: plain_hom_walk(tb, rels, cands, meter), b_c)
-            for orders in (None, ta.gen_orders):
+            for injective in (False, True):
                 want = [(images, count) for images, count in ref
-                        if orders is None or all(len(tb.multiples[y]) == o for y, o in zip(images, orders))]
-                assert _walk(lambda meter: _iter_homs(tb, rels, cands, meter, orders), b_c) == (want, ref_end)
-                filtered += orders is not None and len(want) < len(ref)
-        for orders in (None, ta.gen_orders):
-            want = _walk(lambda meter: _iter_homs(tb, rels, cands, meter, orders), budget)[0]
+                        if not injective or all(len(tb.multiples[y]) == o for y, o in zip(images, ta.gen_orders))]
+                assert _walk(lambda meter: _iter_homs(ta, tb, cands, meter, injective), b_c) == (want, ref_end)
+                filtered += injective and len(want) < len(ref)
+        for injective in (False, True):
+            want = _walk(lambda meter: _iter_homs(ta, tb, cands, meter, injective), budget)[0]
             for stop in {0, len(want) // 2, len(want) - 1} if want else ():
                 meter = _Meter(budget)
-                for i, _images in enumerate(_iter_homs(tb, rels, cands, meter, orders)):
+                for i, _images in enumerate(_iter_homs(ta, tb, cands, meter, injective)):
                     if i == stop:
                         break
                 assert meter.count == want[stop][1]
@@ -683,12 +718,13 @@ def test_module_table_radix_per_generator():
                             (PresentedModule.make(ZZ, 2, [[4, 0], [2, 6], [0, -3]]), (4, 3), 6),
                             (PresentedModule.make(R4, 1, [[3]]), (1,), 1),
                             (PresentedModule.make(Zmod(12), 2, [[8, 0], [0, 9], [6, 6]]), (4, 3), 6)):
-        meter = _Meter(EnumerationBudget())
-        t = _module_table(m, EnumerationBudget(), meter)
+        budget = EnumerationBudget(max_order=30)
+        meter = _Meter(budget)
+        t = _module_table(m, budget, meter)
         assert (t.radix, t.n, meter.count) == (radix, order, prod(radix) + order * order)
         # a kept table counts the same candidates as a fresh build
-        again = _Meter(EnumerationBudget())
-        assert _module_table(m, EnumerationBudget(), again).sums == t.sums and again.count == meter.count
+        again = _Meter(budget)
+        assert _module_table(m, budget, again).sums == t.sums and again.count == meter.count
 
 
 def _uniform_module_table(m, budget, meter):
