@@ -239,13 +239,22 @@ def _cmd_validate(args) -> int:
 
 
 def _oracle_budget() -> EnumerationBudget:
+    """The oracle's budget, with ``HEXEXT_BUDGET`` as its maximum order.  A
+    refused value is echoed only if it is short."""
     raw = os.environ.get("HEXEXT_BUDGET")
-    if raw:
-        try:
-            return EnumerationBudget(max_order=int(raw))
-        except ValueError as exc:
-            raise SemanticError(f"HEXEXT_BUDGET must be a positive integer: {raw!r}") from exc
-    return EnumerationBudget()
+    if not raw:
+        return EnumerationBudget()
+    try:
+        order = int(raw)
+    except ValueError as exc:
+        digits = raw.strip()
+        if digits.isascii() and digits.isdigit():  # Python's limit on digits per int
+            raise SemanticError(_beyond_digit_limit(f"HEXEXT_BUDGET of {len(digits)} digits")) from exc
+        order = 0
+    if order < 1:
+        shown = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
+        raise SemanticError(f"HEXEXT_BUDGET must be a positive integer: {shown}")
+    return EnumerationBudget(max_order=order)
 
 
 def _cmd_oracle_compare(args) -> int:

@@ -7,9 +7,11 @@ multiples and linear combinations are list lookups.  A table is the one
 description its searches read: it carries its relation columns, its
 generators' orders and its cost, the candidates that building it counts.
 
-:func:`_module_table` tabulates a presented module.  Every homomorphism
-search draws its candidate images from :func:`_pools` and walks them with
-:func:`_iter_homs` from a source table to a target table.
+:func:`_module_table` gives the table of a presented module's relation
+lattice, on the radix of its generators' orders, so every presentation of
+one lattice gets one table.  Every homomorphism search draws its candidate
+images from :func:`_pools` and walks them with :func:`_iter_homs` from a
+source table to a target table.
 
 The oracle calls nothing in the Smith-form / Hermite / resolution engine: it
 reads presentations and morphism matrices, decides with its own elimination
@@ -20,16 +22,17 @@ enumerations exist to validate the engine.
 Budgets are enforced by explicit candidate counting, and every table counts
 its cost on every call that tabulates it.  ``max_order`` bounds the order
 of every module an operation tabulates, and of the middle objects that
-:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The three
-memos, :func:`_small_table`, :func:`_ext1_walk` and :func:`_ext1_classes`,
-are ``lru_cache`` functions capped at ``CACHE_SIZE``, like every cache in
-``hexext`` except the ``diagram._known`` identity slot.
+:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The four
+memos, :func:`_small_table`, :func:`_lattice_table`, :func:`_ext1_walk` and
+:func:`_ext1_classes`, are ``lru_cache`` functions capped at
+``CACHE_SIZE``, like every cache in ``hexext`` except the ``diagram._known``
+identity slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product as iproduct
 from math import gcd, prod
 
@@ -121,8 +124,11 @@ class Table:
     ``relation_cols`` the given relation columns reduced mod the radix, and
     ``subgroup`` the codes of the subgroup they span, which the table
     divides out.  Every other part follows from ``radix`` and ``subgroup``,
-    so a table is a value: it compares and hashes as ``(radix, subgroup)``,
-    and two presentations of one lattice give equal tables.
+    so a table is a value: it compares and hashes as ``(radix, subgroup)``.
+    A module's table is its relation lattice: :func:`_module_table` puts it
+    on the radix of its generators' orders, which the lattice alone fixes,
+    so two presentations of one lattice give equal tables, and two
+    different lattices unequal ones.
 
     Elements are the numbers ``0..n-1``, one per coset, numbered in
     increasing order of the least mixed-radix code (position 0 least
@@ -252,32 +258,63 @@ def _table(radix: tuple[int, ...], relation_cols, meter: _Meter) -> Table:
 
 
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
-    """The module's table, refused once the module's order exceeds the
-    budget's ``max_order``.  ``mod`` (the ring modulus, or over Z the
-    Bareiss pivot product) kills every generator; generator i gets the
-    radix ``gcd(mod, k)`` over the relation columns ``k * e_i``, since that
-    multiple of ``e_i`` lies in the relation lattice too."""
+    """The table of the module's relation lattice, refused once the module's
+    order exceeds the budget's ``max_order``.  It comes from
+    :func:`_lattice_table`, and the caller's meter then ticks what that
+    tabulation ticks, so a kept table and a fresh one count the same
+    candidates and are refused with the same message."""
+    ambient, t = _lattice_table(m, budget.max_candidates)
+    meter.tick(ambient + t.cost)
+    if t.n > budget.max_order:
+        raise BudgetExceededError(f"module order {t.n} exceeds budget {budget.max_order}")
+    return t
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _lattice_table(m: PresentedModule, max_candidates: int) -> tuple[int, Table]:
+    """The presented ambient size and the table of ``m``'s relation lattice,
+    tabulated once per module and candidate bound under a meter of its own
+    with that bound, which ticks each size before the work it bounds.  A
+    table that meter refuses is not kept, and every caller's meter, which
+    ticks the same sizes on top of its own count, refuses it too.
+
+    The presented radix only bounds the work: ``mod`` (the ring modulus, or
+    over Z the Bareiss pivot product) kills every generator, and generator i
+    gets ``gcd(mod, k)`` over the relation columns ``k * e_i``.  Its ambient
+    group is ticked before the closure of the relation columns runs.  The
+    table's radix is each generator's order, read off that closure: the
+    least k with ``k * e_i`` in the subgroup.  The least code of every coset
+    lies inside that box, so the table's elements, sums and multiples are
+    those of the presented radix, and equal lattices give equal tables."""
     g = m.generators
-    if g == 0:
-        return _table((), [], meter)
     if m.ring.is_modular:
         mod = m.ring.modulus
     else:
         rank, mod = _bareiss_rank_pivots([list(r) for r in m.relations.data])
         if rank < g:
             raise BudgetExceededError("module is infinite; oracle tables need finite modules")
-    radix = [mod] * g
-    for col in m.relations.columns():
-        support = [i for i, k in enumerate(col) if k]
+    cols = m.relations.columns()
+    radix = _cut_by_single_generators((mod,) * g, cols)
+    ambient = prod(radix)
+    if ambient > max_candidates:
+        raise BudgetExceededError("ambient table too large for the budget")
+    meter = _Meter(EnumerationBudget(max_candidates=max_candidates))
+    meter.tick(ambient)
+    sub = _closure([tuple(c % o for c, o in zip(col, radix)) for col in cols],
+                   lambda a, b: tuple((x + y) % o for x, y, o in zip(a, b, radix)), (0,) * g)
+    return ambient, Table(_cut_by_single_generators(radix, sub), cols, meter)
+
+
+def _cut_by_single_generators(radix, vectors) -> tuple[int, ...]:
+    """``radix`` with position i cut to ``gcd(radix[i], v[i])`` for each of
+    ``vectors`` whose only nonzero entry is at i."""
+    out = list(radix)
+    for v in vectors:
+        support = [i for i, k in enumerate(v) if k]
         if len(support) == 1:
             i = support[0]
-            radix[i] = gcd(radix[i], col[i])
-    if prod(radix) > budget.max_candidates:
-        raise BudgetExceededError("ambient table too large for the budget")
-    t = _table(tuple(radix), m.relations.columns(), meter)
-    if t.n > budget.max_order:
-        raise BudgetExceededError(f"module order {t.n} exceeds budget {budget.max_order}")
-    return t
+            out[i] = gcd(out[i], v[i])
+    return tuple(out)
 
 
 def _morphism_images(f: ModuleMorphism, tgt: Table) -> list[int]:
@@ -413,13 +450,27 @@ def _product_types(ring, n: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ExtCount:
-    """:func:`brute_ext1`'s answer: one representative sequence per class."""
+    """:func:`brute_ext1`'s answer on the caller's P and Q: its classes, one
+    ``(orders, i rows, p rows)`` each, as :func:`_ext1_classes` walks them.
+    ``count`` is read off the classes.  ``representatives``, one sequence
+    per class, is built with the plain constructors on first read and kept
+    as a tuple on the instance."""
 
-    representatives: tuple[ShortExactSequence, ...]
+    classes: tuple[tuple, ...]
+    p: PresentedModule
+    q: PresentedModule
 
     @property
     def count(self) -> int:
-        return len(self.representatives)
+        return len(self.classes)
+
+    @cached_property
+    def representatives(self) -> tuple[ShortExactSequence, ...]:
+        reps = []
+        for orders, i_rows, p_rows in self.classes:
+            x_mod = PresentedModule.from_invariant_factors(self.p.ring, list(orders))
+            reps.append(ShortExactSequence(_morphism(self.p, x_mod, i_rows), _morphism(x_mod, self.q, p_rows)))
+        return tuple(reps)
 
 
 def _coboundary_deltas(tp: Table, tq: Table, meter: _Meter) -> list[tuple]:
@@ -499,34 +550,28 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     extension equivalence (middle isomorphism commuting with the end
     identities), told apart by canonical factor sets.
 
-    The walk runs once per process for each pair of tables and budget, in
-    :func:`_ext1_classes`, so presentations of the same relation lattices
-    share it; :func:`_ext1_walk` rebuilds its classes on the caller's own P
-    and Q and keeps them, and the answer is that frozen tuple.  A refused
-    walk raises and keeps nothing; another budget walks afresh."""
-    return ExtCount(_ext1_walk(q, p, budget))
+    The walk runs once per process for each pair of relation lattices and
+    budget, in :func:`_ext1_classes`, so presentations of the same lattices
+    share it; :func:`_ext1_walk` keeps the answer on the caller's own P and
+    Q, whose representatives are built only when read.  A refused walk
+    raises and keeps nothing; another budget walks afresh."""
+    return _ext1_walk(q, p, budget)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _ext1_walk(q: PresentedModule, p: PresentedModule,
-               budget: EnumerationBudget) -> tuple[ShortExactSequence, ...]:
-    """The representatives :func:`brute_ext1` counts, one per class, on P
-    and Q.  Keyed on Q and P as values (their relation matrices, ring
-    included) and on the budget, so callers pass all three positionally.
-    It tabulates P and Q under its own meter, refuses a middle order over
-    the budget, and rebuilds the classes of :func:`_ext1_classes` with the
-    plain constructors."""
+def _ext1_walk(q: PresentedModule, p: PresentedModule, budget: EnumerationBudget) -> ExtCount:
+    """:func:`brute_ext1`'s answer on P and Q.  Keyed on Q and P as values
+    (their relation matrices, ring included) and on the budget, so callers
+    pass all three positionally.  It tabulates P and Q under its own meter,
+    refuses a middle order over the budget, and keeps the classes of
+    :func:`_ext1_classes` with P and Q."""
     meter = _Meter(budget)
     tp = _module_table(p, budget, meter)
     tq = _module_table(q, budget, meter)
     n = tp.n * tq.n
     if n > budget.max_order:
         raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
-    reps = []
-    for orders, i_rows, p_rows in _ext1_classes(p.ring, tq, tp, budget):
-        x_mod = PresentedModule.from_invariant_factors(p.ring, list(orders))
-        reps.append(ShortExactSequence(_morphism(p, x_mod, i_rows), _morphism(x_mod, q, p_rows)))
-    return tuple(reps)
+    return ExtCount(_ext1_classes(p.ring, tq, tp, budget), p, q)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -538,11 +583,8 @@ def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tupl
     one pair of relation lattices shares one walk.  Equal tables give the
     same pools, the same candidate order and the same passing assignments,
     so the walk, its meter and its refusals do not depend on which
-    presentation came first.  A table's radix is read off its presentation
-    (the modulus and the single-generator columns), so two presentations
-    share the walk when their radices agree too.  Its meter starts with P's
-    and Q's costs, which :func:`_ext1_walk` has already passed under the
-    same budget.
+    presentation came first.  Its meter starts with P's and Q's costs,
+    which :func:`_ext1_walk` has already passed under the same budget.
 
     Each piece of work runs once per thing it depends on.  A middle type's
     projection candidates are walked once, on its first injective

@@ -245,6 +245,20 @@ def test_oracle_budget_from_the_environment(capsys, monkeypatch, budget, code, m
         assert captured.out == "" and captured.err.startswith("input error: " + message)
 
 
+@pytest.mark.parametrize("budget, message", [
+    ("9" * 5000, f"HEXEXT_BUDGET of 5000 digits exceeds the {sys.get_int_max_str_digits()}-digit limit"),
+    ("-" + "9" * 5000, "HEXEXT_BUDGET must be a positive integer: a value of 5001 characters"),
+    ("x" * 5000, "HEXEXT_BUDGET must be a positive integer: a value of 5000 characters"),
+])
+def test_oracle_budget_is_never_echoed_at_length(capsys, monkeypatch, budget, message):
+    # a positive integer past Python's digit limit is named as such, and no
+    # refused value is echoed in full
+    monkeypatch.setenv("HEXEXT_BUDGET", budget)
+    assert main(["oracle-compare", str(FIXTURES / "allsplit.json"), "Z2", "Z2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n" and "Traceback" not in err
+
+
 @pytest.mark.parametrize("q, p", [("Zfree", "Z2"), ("Z2", "Zfree"), ("Zfree", "Zfree")])
 def test_oracle_compare_names_an_infinite_module(capsys, monkeypatch, q, p):
     # no budget makes an infinite module finite, so the refusal names the

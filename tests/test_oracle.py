@@ -24,6 +24,7 @@ from hexext.oracle import (
     _ext1_classes,
     _ext1_walk,
     _iter_homs,
+    _lattice_table,
     _module_table,
     _pools,
     _product_types,
@@ -450,6 +451,7 @@ def test_table_memo_changes_no_answer():
     cold = []
     for q, p, budget in calls:
         _small_table.cache_clear()
+        _lattice_table.cache_clear()
         _ext1_walk.cache_clear()
         _ext1_classes.cache_clear()
         cold.append(_ext1_outcome(q, p, budget))
@@ -458,7 +460,7 @@ def test_table_memo_changes_no_answer():
         _ext1_outcome(q, p, budget)
     answer_hits = _ext1_walk.cache_info().hits
     warm = [_ext1_outcome(q, p, budget) for q, p, budget in calls]
-    assert _small_table.cache_info().hits > 0
+    assert _small_table.cache_info().hits > 0 and _lattice_table.cache_info().hits > 0
     assert _ext1_walk.cache_info().hits > answer_hits
     assert warm == cold
     assert any(isinstance(o, str) for o in cold) and any(not isinstance(o, str) for o in cold)
@@ -492,14 +494,27 @@ def test_kept_answer_is_the_walked_answer():
 
 def _lattice_presentations(m):
     """``m`` and four other presentations of its relation lattice: its
-    columns reversed, its first column repeated, the sum of its first two
-    columns added, and ``k * e_0`` added, for ``k`` the ring modulus over
-    Z/m and the order of ``m`` over Z."""
+    columns reversed, its first column repeated, its first column replaced
+    by the sum of its first two, and ``k * e_0`` added, for ``k`` the ring
+    modulus over Z/m and the order of ``m`` over Z.  The sum leaves no
+    single-generator column, so that presentation's radix is its own."""
     cols = [list(c) for c in m.relations.columns()]
     k = m.ring.modulus if m.ring.is_modular else m.cardinality()
-    extra = ([], [cols[0]], [[a + b for a, b in zip(cols[0], cols[1])]], [[k * (i == 0) for i in range(m.generators)]])
-    return [PresentedModule.make(m.ring, m.generators, cols[::-1])] + [
-        PresentedModule.make(m.ring, m.generators, cols + more) for more in extra]
+    summed = [[a + b for a, b in zip(cols[0], cols[1])]] + cols[1:]
+    return [PresentedModule.make(m.ring, m.generators, c)
+            for c in (cols[::-1], cols, cols + [cols[0]], summed, cols + [[k * (i == 0) for i in range(m.generators)]])]
+
+
+def _presented_radix(m):
+    """Reference: the ring modulus, or over Z the Bareiss pivot product, cut
+    to ``gcd(mod, k)`` at generator i by each relation column ``k * e_i``."""
+    mod = m.ring.modulus if m.ring.is_modular else _bareiss_rank_pivots([list(r) for r in m.relations.data])[1]
+    radix = [mod] * m.generators
+    for col in m.relations.columns():
+        support = [i for i, k in enumerate(col) if k]
+        if len(support) == 1:
+            radix[support[0]] = gcd(radix[support[0]], col[support[0]])
+    return tuple(radix)
 
 
 def _least_budget(q, p):
@@ -520,14 +535,16 @@ def _least_budget(q, p):
     (ZZ, [[2, 0], [1, 3]], [[2, 0], [0, 1]]),
 ], ids=["Z/4", "Z/12", "Z"])
 def test_lattice_memo_walks_each_pair_of_lattices_once(ring, q_cols, p_cols):
-    # five presentations each of one Q and one P: the tables are equal, the
-    # walk runs for the first pair only, and every pair gets representatives
-    # on its own P and Q that equal a cold walk's, and the same refusal one
-    # candidate below the walk's total
+    # five presentations each of one Q and one P, one Q on a presented radix
+    # of its own: the tables are equal, the walk runs for the first pair
+    # only, and every pair gets representatives on its own P and Q that
+    # equal a cold walk's, and the same refusal one candidate below the
+    # walk's total
     qs = _lattice_presentations(PresentedModule.make(ring, 2, q_cols))
     ps = _lattice_presentations(PresentedModule.make(ring, 2, p_cols))
     budget = EnumerationBudget()
     assert len({(q, p) for q, p in zip(qs, ps)}) == 5
+    assert len({_presented_radix(q) for q in qs}) == 2
     assert len({(_module_table(q, budget, _Meter(budget)), _module_table(p, budget, _Meter(budget)))
                 for q, p in zip(qs, ps)}) == 1
     cold = []
@@ -567,6 +584,70 @@ def test_lattices_of_one_radix_and_order_do_not_share_a_walk():
     _ext1_classes.cache_clear()
     assert [_ext1_outcome(q, p, budget) for q in (q1, q2)] == cold
     assert _ext1_classes.cache_info()[:2] == (0, 2)
+
+
+def test_presentations_on_other_radices_share_a_walk():
+    # over Z/4, <(2, 2), (0, 2)> is presented on the radix (4, 2) and the
+    # same lattice with (2, 4) added on (2, 2); both tables are on (2, 2)
+    p = PresentedModule.cyclic(R4, 2)
+    budget = EnumerationBudget()
+    q1 = PresentedModule.make(R4, 2, [[2, 2], [0, 2]])
+    q2 = PresentedModule.make(R4, 2, [[2, 2], [0, 2], [2, 4]])
+    assert (_presented_radix(q1), _presented_radix(q2)) == ((4, 2), (2, 2))
+    t1, t2 = (_module_table(q, budget, _Meter(budget)) for q in (q1, q2))
+    assert t1 == t2 and t1.radix == (2, 2)
+    cold = []
+    for q in (q1, q2):
+        _ext1_walk.cache_clear()
+        _ext1_classes.cache_clear()
+        cold.append(_ext1_outcome(q, p, budget))
+    _ext1_walk.cache_clear()
+    _ext1_classes.cache_clear()
+    assert [_ext1_outcome(q, p, budget) for q in (q1, q2)] == cold
+    assert _ext1_classes.cache_info()[:2] == (1, 1)
+
+
+@pytest.mark.parametrize("ring", [R4, Zmod(6), Zmod(8), Zmod(12), ZZ], ids=str)
+def test_module_table_matches_presented_radix(ring):
+    # a second route: on seeded modules, some with their first relation
+    # column replaced by the sum of their first two, a table built on the
+    # presented radix has the module table's elements and arithmetic, and
+    # the module table's radix is its generators' orders
+    rng = random.Random(f"presented-radix-{ring}")
+    budget = EnumerationBudget(max_order=64)
+    smaller = 0
+    for _ in range(40):
+        m = random_module(rng, ring, 16)
+        cols = [list(c) for c in m.relations.columns()]
+        if len(cols) >= 2 and rng.randrange(2):
+            m = PresentedModule.make(ring, m.generators, [[a + b for a, b in zip(cols[0], cols[1])]] + cols[1:])
+        t = _module_table(m, budget, _Meter(budget))
+        ref = Table(_presented_radix(m), m.relations.columns(), _Meter(budget))
+        assert (t.digits, t.sums, t.multiples, t._steps, t._gens, t.gen_orders) == (
+            ref.digits, ref.sums, ref.multiples, ref._steps, ref._gens, ref.gen_orders)
+        assert t.radix == t.gen_orders
+        smaller += t.radix != ref.radix
+    assert smaller >= 3
+
+
+def test_representatives_are_built_when_read():
+    q = PresentedModule.make(R4, 2, [[2, 0], [1, 1]])
+    p = PresentedModule.make(R4, 2, [[2, 0], [0, 1]])
+    budget = EnumerationBudget()
+    _ext1_walk.cache_clear()
+    _ext1_classes.cache_clear()
+    walked = _ext1_outcome(q, p, budget)
+    _ext1_walk.cache_clear()
+    out = brute_ext1(q, p, budget)
+    # the count is read off the classes, with no sequence built
+    assert out.count == walked[0] >= 2
+    assert "representatives" not in vars(out)
+    reps = out.representatives
+    assert [(s.middle.relations, s.inject.matrix, s.project.matrix) for s in reps] == walked[1]
+    assert isinstance(reps, tuple) and out.representatives is reps
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.representatives = ()
+    assert all(s.inject.source is p and s.project.target is q for s in reps)
 
 
 def _walk(walk, budget):
@@ -622,8 +703,8 @@ def test_order_filtered_walk_ticks_the_plain_walk_in_place(ring):
 # the smallest candidate budget under which brute_ext1 answers, on seeded
 # pairs over Z and Z/m: one candidate less is refused
 _METER_PINS = {
-    "Z": (2056, 94), "Z/4": (317, 5978), "Z/6": (282, 276),
-    "Z/8": (6350, 406), "Z/9": (303, 31), "Z/12": (440, 440),
+    "Z": (2056, 94), "Z/4": (317, 5978), "Z/6": (276, 276),
+    "Z/8": (6350, 398), "Z/9": (303, 31), "Z/12": (440, 440),
 }
 
 
@@ -649,12 +730,12 @@ def _grid_with_small_middle(rng, ring):
 # the smallest candidate budget under which brute_extension_exists answers,
 # and its answer, on seeded grids: one candidate less is refused
 _EXTENSION_PINS = {
-    "Z": ((379, True), (232, True), (264, True), (343, True)),
-    "Z/4": ((886, True), (94, True), (431, True), (250, False)),
-    "Z/6": ((269, True), (271, True), (305, True), (123, True)),
-    "Z/8": ((163, True), (1350, False), (1299, True), (1299, True)),
-    "Z/9": ((157, True), (247, True), (157, True), (57, True)),
-    "Z/12": ((429, True), (116, True), (1007, True), (144, True)),
+    "Z": ((399, True), (248, True), (280, True), (362, True)),
+    "Z/4": ((907, True), (105, True), (457, True), (272, False)),
+    "Z/6": ((287, True), (289, True), (327, True), (138, True)),
+    "Z/8": ((185, True), (1384, False), (1320, True), (1320, True)),
+    "Z/9": ((172, True), (260, True), (172, True), (68, True)),
+    "Z/12": ((446, True), (130, True), (1028, True), (159, True)),
 }
 
 
@@ -671,12 +752,12 @@ def test_extension_search_candidate_count_is_pinned(ring):
 # the same for brute_equivalent on seeded pairs of sequences with the same
 # ends and |Q||P| <= 16
 _EQUIVALENCE_PINS = {
-    "Z": ((734, False), (258, True), (258, True), (638, False)),
-    "Z/4": ((173, True), (173, True), (894, False), (627, True)),
-    "Z/6": ((363, True), (351, True), (363, True), (22, True)),
-    "Z/8": ((387, True), (219, True), (625, True), (625, True)),
-    "Z/9": ((231, False), (274, True), (222, False), (39, True)),
-    "Z/12": ((950, False), (831, True), (420, False), (363, True)),
+    "Z": ((824, False), (285, True), (285, True), (696, False)),
+    "Z/4": ((195, True), (195, True), (952, False), (669, True)),
+    "Z/6": ((395, True), (382, True), (395, True), (29, True)),
+    "Z/8": ((412, True), (244, True), (667, True), (667, True)),
+    "Z/9": ((273, False), (302, True), (264, False), (49, True)),
+    "Z/12": ((1008, False), (905, True), (464, False), (395, True)),
 }
 
 
@@ -712,16 +793,19 @@ def test_ext1_outcomes_are_pinned():
 
 
 def test_module_table_radix_per_generator():
-    # a relation column k * e_i bounds generator i's radix by gcd(mod, k)
-    for m, radix, order in ((PresentedModule.from_invariant_factors(ZZ, [2, 3, 5]), (2, 3, 5), 30),
-                            (PresentedModule.from_invariant_factors(Zmod(12), [2, 2, 2]), (2, 2, 2), 8),
-                            (PresentedModule.make(ZZ, 2, [[4, 0], [2, 6], [0, -3]]), (4, 3), 6),
-                            (PresentedModule.make(R4, 1, [[3]]), (1,), 1),
-                            (PresentedModule.make(Zmod(12), 2, [[8, 0], [0, 9], [6, 6]]), (4, 3), 6)):
+    # a relation column k * e_i bounds generator i's presented radix by
+    # gcd(mod, k), whose ambient size is ticked; the table's radix is each
+    # generator's order, and the table ticks its ambient size and n * n
+    for m, ambient, radix, order in (
+            (PresentedModule.from_invariant_factors(ZZ, [2, 3, 5]), 30, (2, 3, 5), 30),
+            (PresentedModule.from_invariant_factors(Zmod(12), [2, 2, 2]), 8, (2, 2, 2), 8),
+            (PresentedModule.make(ZZ, 2, [[4, 0], [2, 6], [0, -3]]), 12, (2, 3), 6),
+            (PresentedModule.make(R4, 1, [[3]]), 1, (1,), 1),
+            (PresentedModule.make(Zmod(12), 2, [[8, 0], [0, 9], [6, 6]]), 12, (2, 3), 6)):
         budget = EnumerationBudget(max_order=30)
         meter = _Meter(budget)
         t = _module_table(m, budget, meter)
-        assert (t.radix, t.n, meter.count) == (radix, order, prod(radix) + order * order)
+        assert (t.radix, t.n, meter.count) == (radix, order, ambient + prod(radix) + order * order)
         # a kept table counts the same candidates as a fresh build
         again = _Meter(budget)
         assert _module_table(m, budget, again).sums == t.sums and again.count == meter.count
