@@ -4,14 +4,12 @@ Everything here works on explicit element tables.  A finite abelian group is
 a :class:`Table`, built once: its elements are the numbers ``0..n-1``, with
 an addition table and the multiples of every element, so sums, scalar
 multiples and linear combinations are list lookups.  A table is the one
-description its searches read: it carries its relation columns, its
-generators' orders and its cost, the candidates that building it counts.
-
-:func:`_module_table` gives the table of a presented module's relation
-lattice, on the radix of its generators' orders, so every presentation of
-one lattice gets one table.  Every homomorphism search draws its candidate
-images from :func:`_pools` and walks them with :func:`_iter_homs` from a
-source table to a target table.
+description its searches read: it carries its relation columns, its radix
+(its generators' orders) and its cost.  :func:`_tabulate` is the one path
+to a table, for a module's relation lattice (:func:`_module_table`) and for
+a middle type alike.  Every homomorphism search draws its candidate images
+from :func:`_pools` and walks them with :func:`_iter_homs` from a source
+table to a target table.
 
 The oracle calls nothing in the Smith-form / Hermite / resolution engine: it
 reads presentations and morphism matrices, decides with its own elimination
@@ -20,10 +18,10 @@ constructors.  That independence is the whole point, since these
 enumerations exist to validate the engine.
 
 Budgets are enforced by explicit candidate counting, and every table counts
-its cost on every call that tabulates it.  ``max_order`` bounds the order
-of every module an operation tabulates, and of the middle objects that
-:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The four
-memos, :func:`_small_table`, :func:`_lattice_table`, :func:`_ext1_walk` and
+its cost on every call that asks for it, built or kept.  ``max_order``
+bounds the order of every module an operation tabulates, and of the middle
+objects that :func:`brute_ext1` and :func:`brute_extension_exists`
+enumerate.  The three memos, :func:`_tabulate`, :func:`_ext1_walk` and
 :func:`_ext1_classes`, are ``lru_cache`` functions capped at
 ``CACHE_SIZE``, like every cache in ``hexext`` except the ``diagram._known``
 identity slot.
@@ -42,13 +40,9 @@ from .modules import ModuleMorphism, PresentedModule, ShortExactSequence
 from .rings import prime_factors
 
 
-# the default order budget, and the largest ambient order of a table kept by _table
-_DEFAULT_MAX_ORDER = 16
-
-
 @dataclass(frozen=True)
 class EnumerationBudget:
-    max_order: int = _DEFAULT_MAX_ORDER
+    max_order: int = 16
     max_candidates: int = 20_000_000
 
     def __post_init__(self):
@@ -120,57 +114,66 @@ def _closure(gens, add, zero) -> dict:
 class Table:
     """A finite abelian group, built once as lookup tables.
 
-    ``radix`` holds the per-position moduli of an ambient product group,
-    ``relation_cols`` the given relation columns reduced mod the radix, and
-    ``subgroup`` the codes of the subgroup they span, which the table
-    divides out.  Every other part follows from ``radix`` and ``subgroup``,
-    so a table is a value: it compares and hashes as ``(radix, subgroup)``.
-    A module's table is its relation lattice: :func:`_module_table` puts it
-    on the radix of its generators' orders, which the lattice alone fixes,
-    so two presentations of one lattice give equal tables, and two
-    different lattices unequal ones.
+    ``Table(box, relation_cols, meter)`` is the product group with
+    per-position moduli ``box`` divided by the span of ``relation_cols``, for
+    any ``box`` that every generator's order divides.  The build takes the
+    closure of the relation columns once, on ``box``, and cuts position i to
+    generator i's order, the least k with ``k * e_i`` in the span.  That is
+    ``radix``, fixed by the lattice alone; ``relation_cols`` and
+    ``subgroup``, the codes of the span, are reduced mod it.  Every other
+    part follows from ``radix`` and ``subgroup``, so a table is a value: it
+    compares and hashes as ``(radix, subgroup)``, two presentations of one
+    lattice give equal tables, and two different lattices unequal ones.
 
     Elements are the numbers ``0..n-1``, one per coset, numbered in
     increasing order of the least mixed-radix code (position 0 least
     significant) in the coset, so 0 is zero and, with no relations, an
-    element is its own code.  ``digits[x]`` holds the digits of that least
-    code, ``multiples[x]`` lists ``0, x, 2x, ...`` up to the order of x and
-    ``gen_orders[g]`` is the order of generator g.  ``_steps`` lists every
-    nonzero element once as ``(x, earlier, g)`` with ``x = earlier +
-    generator g``, in breadth-first order from 0, so
-    :meth:`hom_value_table` spends one addition per element with or without
-    relations.  ``sums`` is the n x n addition table, filled row by row
-    along ``_steps`` from one shift permutation per generator, so filling it
-    takes k * n digit additions, not n * n.  All of them are tuples or
-    frozen sets, since :func:`_table` shares one table between calls.
-    ``cost``, the ambient size plus the n * n sum cells, is what a build
-    ticks, and what :func:`_table` charges for a kept table.
+    element is its own code.  The least code of every coset lies inside
+    ``radix``, so cutting the box changes no element.  ``digits[x]`` holds
+    the digits of that least code and ``multiples[x]`` lists ``0, x, 2x,
+    ...`` up to the order of x.  ``_steps`` lists every nonzero element once
+    as ``(x, earlier, g)`` with ``x = earlier + generator g``, in
+    breadth-first order from 0, so :meth:`hom_value_table` spends one
+    addition per element with or without relations.  ``sums`` is the n x n
+    addition table, filled row by row along ``_steps`` from one shift
+    permutation per generator, so filling it takes k * n digit additions,
+    not n * n.  All of them are tuples or frozen sets, since
+    :func:`_tabulate` shares one table between calls.
+
+    A build ticks ``prod(box)`` before the closure and the n * n sum cells
+    before they are allocated.  ``cost``, ``prod(radix)`` plus those cells,
+    is what a caller ticks for the table itself, built or kept.
     """
 
-    def __init__(self, radix: tuple[int, ...], relation_cols, meter: _Meter):
-        self.radix = tuple(radix)
+    def __init__(self, box: tuple[int, ...], relation_cols, meter: _Meter):
+        meter.tick(prod(box))
+
+        def reduced(vectors, moduli):
+            return tuple(tuple(c % o for c, o in zip(v, moduli)) for v in vectors)
+
+        span = _closure(reduced(relation_cols, box),
+                        lambda a, b: tuple((x + y) % o for x, y, o in zip(a, b, box)), (0,) * len(box))
+        self.radix = _cut_by_single_generators(box, span)
+        self.subgroup = frozenset(reduced(span, self.radix))
+        del span  # the closure on the box, freed before the labelling
+        self.relation_cols = reduced(relation_cols, self.radix)
         self.k = len(self.radix)
-        ambient = prod(self.radix)
-        meter.tick(ambient)
 
         def add_digits(a, b):
             return tuple((x + y) % o for x, y, o in zip(a, b, self.radix))
 
-        self.relation_cols = tuple(tuple(c % o for c, o in zip(col, self.radix)) for col in relation_cols)
-        sub = _closure(self.relation_cols, add_digits, (0,) * self.k)
-        self.subgroup = frozenset(sub)
         index: dict[tuple[int, ...], int] = {}
         digits: list[tuple[int, ...]] = []
         for high_first in iproduct(*(range(o) for o in reversed(self.radix))):
             code = high_first[::-1]
             if code not in index:
-                for s in sub:
+                for s in self.subgroup:
                     index[add_digits(code, s)] = len(digits)
                 digits.append(code)
         self.digits = tuple(digits)
         self.n = len(digits)
-        self.cost = ambient + self.n * self.n
-        meter.tick(self.cost - ambient)  # the sum cells, before they are allocated
+        self.cost = prod(self.radix) + self.n * self.n
+        meter.tick(self.n * self.n)  # the sum cells, before they are allocated
         # shifts[i][x] is x + generator i: k * n digit additions in all
         shifts = [tuple(index[add_digits(code, unit)] for code in digits)
                   for unit in (tuple(int(t == i) % o for t, o in enumerate(self.radix)) for i in range(self.k))]
@@ -194,7 +197,6 @@ class Table:
                 y = self.sums[y][x]
             multiples.append(tuple(mult))
         self.multiples = tuple(multiples)
-        self.gen_orders = tuple(len(multiples[x]) for x in self._gens)
 
     def __eq__(self, other):
         if self is other:
@@ -234,58 +236,24 @@ class Table:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _small_table(radix: tuple[int, ...], relation_cols: tuple[tuple[int, ...], ...]) -> Table:
-    """``Table(radix, relation_cols)`` for an ambient group of at most the
-    default ``max_order`` elements, kept for the process under a meter of
-    its own; :func:`_table` charges its cost to the caller."""
-    return Table(radix, relation_cols, _Meter(EnumerationBudget()))
-
-
-def _table(radix: tuple[int, ...], relation_cols, meter: _Meter) -> Table:
-    """``Table(radix, relation_cols, meter)``, kept for the process if small.
-
-    A table whose ambient group has at most the default ``max_order``
-    elements comes from :func:`_small_table` and then ticks its cost on the
-    caller's meter, so every budget refuses a kept table with the message a
-    build gives.  A larger table is built under the caller's meter every
-    time, so an oversized one still raises before it allocates.
-    """
-    if prod(radix) > _DEFAULT_MAX_ORDER:
-        return Table(radix, relation_cols, meter)
-    t = _small_table(tuple(radix), tuple(map(tuple, relation_cols)))
-    meter.tick(t.cost)
-    return t
+def _tabulate(box: tuple[int, ...], relation_cols: tuple[tuple[int, ...], ...], max_candidates: int) -> Table:
+    """``Table(box, relation_cols)``, built once per process for each box,
+    tuple of relation columns and candidate bound, under a meter of its own
+    with that bound.  A build ticks no more than any caller then ticks for
+    its table, so a build this meter refuses is one that every caller under
+    that bound refuses with the same message; it raises and keeps nothing."""
+    return Table(box, relation_cols, _Meter(EnumerationBudget(max_candidates=max_candidates)))
 
 
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
-    """The table of the module's relation lattice, refused once the module's
-    order exceeds the budget's ``max_order``.  It comes from
-    :func:`_lattice_table`, and the caller's meter then ticks what that
-    tabulation ticks, so a kept table and a fresh one count the same
-    candidates and are refused with the same message."""
-    ambient, t = _lattice_table(m, budget.max_candidates)
-    meter.tick(ambient + t.cost)
-    if t.n > budget.max_order:
-        raise BudgetExceededError(f"module order {t.n} exceeds budget {budget.max_order}")
-    return t
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _lattice_table(m: PresentedModule, max_candidates: int) -> tuple[int, Table]:
-    """The presented ambient size and the table of ``m``'s relation lattice,
-    tabulated once per module and candidate bound under a meter of its own
-    with that bound, which ticks each size before the work it bounds.  A
-    table that meter refuses is not kept, and every caller's meter, which
-    ticks the same sizes on top of its own count, refuses it too.
-
-    The presented radix only bounds the work: ``mod`` (the ring modulus, or
-    over Z the Bareiss pivot product) kills every generator, and generator i
-    gets ``gcd(mod, k)`` over the relation columns ``k * e_i``.  Its ambient
-    group is ticked before the closure of the relation columns runs.  The
-    table's radix is each generator's order, read off that closure: the
-    least k with ``k * e_i`` in the subgroup.  The least code of every coset
-    lies inside that box, so the table's elements, sums and multiples are
-    those of the presented radix, and equal lattices give equal tables."""
+    """The table of ``m``'s relation lattice, from :func:`_tabulate` on the
+    presented box: ``mod`` (the ring modulus, or over Z the Bareiss pivot
+    product) kills every generator, and generator i gets ``gcd(mod, k)``
+    over the relation columns ``k * e_i``.  A box larger than the candidate
+    bound is refused before anything is built.  The caller's meter ticks the
+    box's size, which bounds the closure, plus the table's cost, so a kept
+    table and a fresh one count the same candidates; the table is then
+    refused once the module's order exceeds the budget's ``max_order``."""
     g = m.generators
     if m.ring.is_modular:
         mod = m.ring.modulus
@@ -293,16 +261,15 @@ def _lattice_table(m: PresentedModule, max_candidates: int) -> tuple[int, Table]
         rank, mod = _bareiss_rank_pivots([list(r) for r in m.relations.data])
         if rank < g:
             raise BudgetExceededError("module is infinite; oracle tables need finite modules")
-    cols = m.relations.columns()
-    radix = _cut_by_single_generators((mod,) * g, cols)
-    ambient = prod(radix)
-    if ambient > max_candidates:
+    cols = tuple(m.relations.columns())
+    box = _cut_by_single_generators((mod,) * g, cols)
+    if prod(box) > budget.max_candidates:
         raise BudgetExceededError("ambient table too large for the budget")
-    meter = _Meter(EnumerationBudget(max_candidates=max_candidates))
-    meter.tick(ambient)
-    sub = _closure([tuple(c % o for c, o in zip(col, radix)) for col in cols],
-                   lambda a, b: tuple((x + y) % o for x, y, o in zip(a, b, radix)), (0,) * g)
-    return ambient, Table(_cut_by_single_generators(radix, sub), cols, meter)
+    t = _tabulate(box, cols, budget.max_candidates)
+    meter.tick(prod(box) + t.cost)
+    if t.n > budget.max_order:
+        raise BudgetExceededError(f"module order {t.n} exceeds budget {budget.max_order}")
+    return t
 
 
 def _cut_by_single_generators(radix, vectors) -> tuple[int, ...]:
@@ -337,7 +304,7 @@ def _morphism(source: PresentedModule, target: PresentedModule, rows) -> ModuleM
 def _pools(src: Table, tgt: Table, posts=()) -> list[list[int]] | None:
     """The candidate images in ``tgt`` of each generator of ``src``, every
     homomorphism search's one source of candidates: the elements that the
-    generator's ambient order kills (implied by the relation conditions;
+    generator's order kills (implied by the relation conditions;
     filtering early is sound and cheap), narrowed by ``posts`` as
     :func:`_narrowed` does.  Each pool is ascending; ``None`` as soon as
     one generator has no candidate."""
@@ -385,7 +352,7 @@ def _iter_homs(src: Table, tgt: Table, candidates, meter: _Meter, injective: boo
     stride = 1
     for g in reversed(range(len(candidates))):
         pool = candidates[g]
-        keep = [i for i, y in enumerate(pool) if not injective or len(tgt.multiples[y]) == src.gen_orders[g]]
+        keep = [i for i, y in enumerate(pool) if not injective or len(tgt.multiples[y]) == src.radix[g]]
         weights.append([i * stride for i in keep])
         images.append([pool[i] for i in keep])
         stride *= len(pool)
@@ -551,10 +518,10 @@ def brute_ext1(q: PresentedModule, p: PresentedModule,
     identities), told apart by canonical factor sets.
 
     The walk runs once per process for each pair of relation lattices and
-    budget, in :func:`_ext1_classes`, so presentations of the same lattices
-    share it; :func:`_ext1_walk` keeps the answer on the caller's own P and
-    Q, whose representatives are built only when read.  A refused walk
-    raises and keeps nothing; another budget walks afresh."""
+    candidate bound, in :func:`_ext1_classes`, so presentations of the same
+    lattices share it; :func:`_ext1_walk` keeps the answer on the caller's
+    own P and Q, whose representatives are built only when read.  A refused
+    walk raises and keeps nothing; another bound walks afresh."""
     return _ext1_walk(q, p, budget)
 
 
@@ -571,20 +538,22 @@ def _ext1_walk(q: PresentedModule, p: PresentedModule, budget: EnumerationBudget
     n = tp.n * tq.n
     if n > budget.max_order:
         raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
-    return ExtCount(_ext1_classes(p.ring, tq, tp, budget), p, q)
+    return ExtCount(_ext1_classes(p.ring, tq, tp, budget.max_candidates), p, q)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tuple[tuple, ...]:
+def _ext1_classes(ring, tq: Table, tp: Table, max_candidates: int) -> tuple[tuple, ...]:
     """The classes of :func:`_ext1_walk`, one ``(orders, i rows, p rows)``
     per class: the middle's prime-power orders and the matrices of its
     representative's injection and projection.  Keyed on the ring, on Q's
-    and P's tables as values and on the budget, so every presentation of
-    one pair of relation lattices shares one walk.  Equal tables give the
-    same pools, the same candidate order and the same passing assignments,
-    so the walk, its meter and its refusals do not depend on which
-    presentation came first.  Its meter starts with P's and Q's costs,
-    which :func:`_ext1_walk` has already passed under the same budget.
+    and P's tables as values and on the candidate bound, so every
+    presentation of one pair of relation lattices shares one walk, and so do
+    budgets that differ only in ``max_order``, which :func:`_ext1_walk`
+    applies before the walk.  Equal tables give the same pools, the same
+    candidate order and the same passing assignments, so the walk, its
+    meter and its refusals do not depend on which presentation came first.
+    Its meter starts with P's and Q's costs, which :func:`_ext1_walk` has
+    already passed under the same bound.
 
     Each piece of work runs once per thing it depends on.  A middle type's
     projection candidates are walked once, on its first injective
@@ -596,7 +565,7 @@ def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tupl
     distinct factor set is canonicalised once per walk.  The pairs come in
     the order of a walk over every (injection, projection) pair, so each
     class keeps the first pair that reaches it as its representative."""
-    meter = _Meter(budget)
+    meter = _Meter(EnumerationBudget(max_candidates=max_candidates))
     meter.tick(tp.cost + tq.cost)
     n = tp.n * tq.n
     deltas = _coboundary_deltas(tp, tq, meter)
@@ -605,7 +574,8 @@ def _ext1_classes(ring, tq: Table, tp: Table, budget: EnumerationBudget) -> tupl
     reps: list[tuple] = []
 
     for orders in _product_types(ring, n):
-        tx = _table(orders, [], meter)
+        tx = _tabulate(orders, (), max_candidates)
+        meter.tick(tx.cost)
         pcand = _pools(tx, tq)
         by_kernel = None
         factor_sets: dict[tuple, tuple] = {}
@@ -713,7 +683,8 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
     gq_vals = tg.hom_value_table(tq, pgq_img)
 
     for orders in _product_types(d.p.ring, n):
-        tx = _table(orders, [], meter)
+        tx = _tabulate(orders, (), budget.max_candidates)
+        meter.tick(tx.cost)
         # the pools before any condition on m or n, listed once per middle
         # type and narrowed for each (m, n) pair
         n_pools, j_pools, i_pools = _pools(tx, tg), _pools(te, tx), _pools(th, tx)

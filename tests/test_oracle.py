@@ -24,12 +24,10 @@ from hexext.oracle import (
     _ext1_classes,
     _ext1_walk,
     _iter_homs,
-    _lattice_table,
     _module_table,
     _pools,
     _product_types,
-    _small_table,
-    _table,
+    _tabulate,
     brute_equivalent,
     brute_ext1,
     brute_extension_exists,
@@ -386,38 +384,31 @@ def test_hom_value_table_on_one_element_tables():
 
 
 def test_oversized_table_raises_before_allocating():
-    # the ambient size (101) fits the budget; the 101 x 101 addition table does not
-    for build in (Table, _table):
-        with pytest.raises(BudgetExceededError, match="candidate count exceeded 1000"):
-            build((101,), [], _Meter(EnumerationBudget(max_candidates=1000)))
-    # a kept table is refused at the same point as a fresh build: after its
-    # ambient size (4), at its addition table (16)
-    _table((4,), [], _Meter(EnumerationBudget()))
-    for build in (Table, _table):
-        meter = _Meter(EnumerationBudget(max_candidates=19))
-        with pytest.raises(BudgetExceededError, match="candidate count exceeded 19"):
-            build((4,), [], meter)
-        assert meter.count == 4 + 16
-
-
-def test_table_memo_keeps_only_tables_within_the_default_order():
-    # kept iff the ambient group has at most 16 elements, whatever the order
-    # of the quotient
-    _small_table.cache_clear()
-    budget = EnumerationBudget(max_order=64)
-    for radix, rels, order, kept in (((16,), [], 16, True), ((4, 4), [], 16, True), ((4, 4), [(1, 1)], 4, True),
-                                     ((17,), [], 17, False), ((3, 6), [], 18, False),
-                                     ((8, 8), [(4, 4)], 32, False), ((8, 8), [(1, 1)], 8, False)):
-        first = _table(radix, rels, _Meter(budget))
-        assert first.n == order
-        assert (_table(radix, rels, _Meter(budget)) is first) == kept, radix
-    assert _small_table.cache_info().currsize == 3
-    assert _small_table.cache_info().maxsize == linalg.CACHE_SIZE
+    # the box's size (101) fits the budget; the 101 x 101 addition table
+    # does not, built afresh or through the memo, which then keeps nothing
+    _tabulate.cache_clear()
+    for build in (lambda: Table((101,), [], _Meter(EnumerationBudget(max_candidates=1000))),
+                  lambda: _tabulate((101,), (), 1000)):
+        with pytest.raises(BudgetExceededError, match="^candidate count exceeded 1000$"):
+            build()
+    assert _tabulate.cache_info().currsize == 0
+    # a build is refused after its box (4), at its addition table (16), and
+    # a kept table asked for under a smaller bound is refused with the
+    # build's message
+    meter = _Meter(EnumerationBudget(max_candidates=19))
+    with pytest.raises(BudgetExceededError, match="^candidate count exceeded 19$"):
+        Table((4,), [], meter)
+    assert meter.count == 4 + 16
+    kept = _tabulate((4,), (), 20)
+    assert kept.cost == 20 and _tabulate((4,), (), 20) is kept
+    with pytest.raises(BudgetExceededError, match="^candidate count exceeded 19$"):
+        _tabulate((4,), (), 19)
+    assert _tabulate.cache_info().currsize == 1
 
 
 def test_table_is_frozen():
-    t = _table((2, 3), [(2, 0)], _Meter(EnumerationBudget()))
-    for part in (t.digits, t.sums, t.multiples, t.gen_orders, t._gens, t._steps, t.radix, t.relation_cols):
+    t = _tabulate((2, 3), ((2, 0),), EnumerationBudget().max_candidates)
+    for part in (t.digits, t.sums, t.multiples, t._gens, t._steps, t.radix, t.relation_cols):
         assert isinstance(part, tuple)
     assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits + t._steps + t.relation_cols)
     assert isinstance(t.subgroup, frozenset)
@@ -450,8 +441,7 @@ def test_table_memo_changes_no_answer():
     calls = [(q, p, EnumerationBudget(max_candidates=c)) for q, p in pairs for c in (20_000_000, 500, 100)]
     cold = []
     for q, p, budget in calls:
-        _small_table.cache_clear()
-        _lattice_table.cache_clear()
+        _tabulate.cache_clear()
         _ext1_walk.cache_clear()
         _ext1_classes.cache_clear()
         cold.append(_ext1_outcome(q, p, budget))
@@ -460,7 +450,7 @@ def test_table_memo_changes_no_answer():
         _ext1_outcome(q, p, budget)
     answer_hits = _ext1_walk.cache_info().hits
     warm = [_ext1_outcome(q, p, budget) for q, p, budget in calls]
-    assert _small_table.cache_info().hits > 0 and _lattice_table.cache_info().hits > 0
+    assert _tabulate.cache_info().hits > 0
     assert _ext1_walk.cache_info().hits > answer_hits
     assert warm == cold
     assert any(isinstance(o, str) for o in cold) and any(not isinstance(o, str) for o in cold)
@@ -607,12 +597,43 @@ def test_presentations_on_other_radices_share_a_walk():
     assert _ext1_classes.cache_info()[:2] == (1, 1)
 
 
+def test_budgets_that_differ_only_in_max_order_share_a_walk():
+    # the middle order is refused before the walk, so the walk is keyed on
+    # the candidate bound alone: one miss and one hit with equal answers,
+    # and under a bound that refuses the walk, equal messages and nothing kept
+    q, p = PresentedModule.make(R4, 2, [[2, 0], [1, 1]]), Z2m
+    least = _least_budget(q, p)
+    for c, hits, misses, kept in ((20_000_000, 1, 1, 1), (least - 1, 0, 2, 0)):
+        _ext1_walk.cache_clear()
+        _ext1_classes.cache_clear()
+        outcomes = [_ext1_outcome(q, p, EnumerationBudget(max_order=o, max_candidates=c)) for o in (16, 64)]
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (c < least)
+        assert _ext1_classes.cache_info()[:] == (hits, misses, linalg.CACHE_SIZE, kept)
+
+
+def _assert_digit_group(t, box, relation_cols):
+    """A second route: ``t`` has the elements, sums and multiples of
+    ``_DigitGroup`` on ``box``, element x being its x-th least code, and its
+    radix is the reference's generator orders."""
+    ref = _DigitGroup(box, relation_cols)
+    code = ref.elements
+    assert [tuple(ref.digits(c)) for c in code] == list(t.digits)
+    for x in range(t.n):
+        assert [code[s] for s in t.sums[x]] == [ref.add(code[x], code[y]) for y in range(t.n)]
+        mult = t.multiples[x]
+        assert [code[y] for y in mult] == [ref.smul(k, code[x]) for k in range(len(mult))]
+        assert ref.smul(len(mult), code[x]) == 0
+    orders = [next(k for k in range(1, len(code) + 1) if ref.smul(k, ref.gen(i)) == 0) for i in range(len(box))]
+    assert t.radix == tuple(orders)
+
+
 @pytest.mark.parametrize("ring", [R4, Zmod(6), Zmod(8), Zmod(12), ZZ], ids=str)
 def test_module_table_matches_presented_radix(ring):
-    # a second route: on seeded modules, some with their first relation
-    # column replaced by the sum of their first two, a table built on the
-    # presented radix has the module table's elements and arithmetic, and
-    # the module table's radix is its generators' orders
+    # on seeded modules, some with their first relation column replaced by
+    # the sum of their first two, the module table has the elements and
+    # arithmetic of digit arithmetic on the presented radix, and its radix is
+    # its generators' orders, smaller than the presented radix on some
     rng = random.Random(f"presented-radix-{ring}")
     budget = EnumerationBudget(max_order=64)
     smaller = 0
@@ -622,11 +643,8 @@ def test_module_table_matches_presented_radix(ring):
         if len(cols) >= 2 and rng.randrange(2):
             m = PresentedModule.make(ring, m.generators, [[a + b for a, b in zip(cols[0], cols[1])]] + cols[1:])
         t = _module_table(m, budget, _Meter(budget))
-        ref = Table(_presented_radix(m), m.relations.columns(), _Meter(budget))
-        assert (t.digits, t.sums, t.multiples, t._steps, t._gens, t.gen_orders) == (
-            ref.digits, ref.sums, ref.multiples, ref._steps, ref._gens, ref.gen_orders)
-        assert t.radix == t.gen_orders
-        smaller += t.radix != ref.radix
+        _assert_digit_group(t, _presented_radix(m), m.relations.columns())
+        smaller += t.radix != _presented_radix(m)
     assert smaller >= 3
 
 
@@ -686,7 +704,7 @@ def test_order_filtered_walk_ticks_the_plain_walk_in_place(ring):
             ref, ref_end = _walk(lambda meter: plain_hom_walk(tb, rels, cands, meter), b_c)
             for injective in (False, True):
                 want = [(images, count) for images, count in ref
-                        if not injective or all(len(tb.multiples[y]) == o for y, o in zip(images, ta.gen_orders))]
+                        if not injective or all(len(tb.multiples[y]) == o for y, o in zip(images, ta.radix))]
                 assert _walk(lambda meter: _iter_homs(ta, tb, cands, meter, injective), b_c) == (want, ref_end)
                 filtered += injective and len(want) < len(ref)
         for injective in (False, True):
@@ -811,35 +829,22 @@ def test_module_table_radix_per_generator():
         assert _module_table(m, budget, again).sums == t.sums and again.count == meter.count
 
 
-def _uniform_module_table(m, budget, meter):
-    """Reference: every position gets the same modulus (the ring modulus, or
-    over Z the Bareiss pivot product)."""
-    if m.generators == 0:
-        return Table((), [], meter)
-    mod = m.ring.modulus if m.ring.is_modular else _bareiss_rank_pivots([list(r) for r in m.relations.data])[1]
-    return Table((mod,) * m.generators, m.relations.columns(), meter)
-
-
 @settings(max_examples=60, deadline=None)
 @given(ring=st.sampled_from([ZZ, R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12)]), seed=st.integers(0, 2**32 - 1))
 def test_module_table_matches_uniform_radix(ring, seed):
+    # the same on the uniform radix: every position gets the ring modulus,
+    # or over Z the Bareiss pivot product
     rng = random.Random(seed)
-    a, b = random_module(rng, ring, 12), random_module(rng, ring, 12)
+    a = random_module(rng, ring, 12)
     if a.generators and rng.randrange(2):
         # a relation column k * e_i with k not always dividing the modulus
         i, k = rng.randrange(a.generators), rng.randint(1, 12)
         a = PresentedModule(a.relations.hstack(
             ExactMatrix.from_cols(ring, [[k if r == i else 0 for r in range(a.generators)]], a.generators)))
+    mod = ring.modulus if ring.is_modular else _bareiss_rank_pivots([list(r) for r in a.relations.data])[1]
+    assume(mod ** a.generators <= 20_000)
     budget = EnumerationBudget()
-    ref = _uniform_module_table(a, budget, _Meter(budget))
-    assume(prod(ref.radix) <= 20_000)
-    t = _module_table(a, budget, _Meter(budget))
-    assert (t.n, t.digits, t.sums) == (ref.n, ref.digits, ref.sums)
-    assume(prod(_uniform_module_table(b, budget, _Meter(budget)).radix) <= 20_000)
-    got = [h.matrix for h in enumerate_morphisms(a, b)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_module_table", _uniform_module_table)
-        assert got == [h.matrix for h in enumerate_morphisms(a, b)]
+    _assert_digit_group(_module_table(a, budget, _Meter(budget)), (mod,) * a.generators, a.relations.columns())
 
 
 # -- independence from the engine --------------------------------------------------------------
