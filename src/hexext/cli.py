@@ -238,22 +238,43 @@ def _cmd_validate(args) -> int:
     return _emit(report, EXIT_OK if not violations else EXIT_FAIL)
 
 
+def _to_int(text: str, what: str) -> int | None:
+    """``text`` as an int, or ``None`` if it is not one: the command line's
+    one conversion of text to an int.  Digits past Python's limit per int
+    raise :class:`SemanticError` naming ``what`` and the limit."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        digits = text.strip()
+        if digits.isascii() and digits.isdigit():
+            raise SemanticError(_beyond_digit_limit(f"{what} of {len(digits)} digits")) from exc
+        return None
+
+
+def _shown(text: str) -> str:
+    """A refused value as echoed in a message: in full only if it is short."""
+    return repr(text) if len(text) <= 20 else f"a value of {len(text)} characters"
+
+
+def _int_flag(text: str) -> int:
+    """The ``type`` of every integer flag, refusing a value in a short message."""
+    try:
+        value = _to_int(text, "integer")
+    except SemanticError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
+    return value
+
+
 def _oracle_budget() -> EnumerationBudget:
-    """The oracle's budget, with ``HEXEXT_BUDGET`` as its maximum order.  A
-    refused value is echoed only if it is short."""
+    """The oracle's budget, with ``HEXEXT_BUDGET`` as its maximum order."""
     raw = os.environ.get("HEXEXT_BUDGET")
     if not raw:
         return EnumerationBudget()
-    try:
-        order = int(raw)
-    except ValueError as exc:
-        digits = raw.strip()
-        if digits.isascii() and digits.isdigit():  # Python's limit on digits per int
-            raise SemanticError(_beyond_digit_limit(f"HEXEXT_BUDGET of {len(digits)} digits")) from exc
-        order = 0
-    if order < 1:
-        shown = repr(raw) if len(raw) <= 20 else f"a value of {len(raw)} characters"
-        raise SemanticError(f"HEXEXT_BUDGET must be a positive integer: {shown}")
+    order = _to_int(raw, "HEXEXT_BUDGET")
+    if order is None or order < 1:
+        raise SemanticError(f"HEXEXT_BUDGET must be a positive integer: {_shown(raw)}")
     return EnumerationBudget(max_order=order)
 
 
@@ -281,11 +302,7 @@ def _parse_ring(text: str) -> RingSpec:
     digits = text[4:]
     if text.startswith("Zmod") and digits.isascii() and digits.isdigit():
         try:
-            m = int(digits)
-        except ValueError as exc:  # Python's limit on digits per int
-            raise SemanticError(_beyond_digit_limit(f"ring modulus of {len(digits)} digits")) from exc
-        try:
-            return Zmod(m)
+            return Zmod(_to_int(digits, "ring modulus"))
         except ValueError as exc:
             raise SemanticError(f"ring {text!r}: {exc}") from exc
     raise SemanticError(f"unknown ring {text!r} (use Z or Zmod<m>)")
@@ -343,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ext", help="compute Ext^i(Q, P)")
     p.add_argument("document")
-    p.add_argument("-i", dest="degree", type=int, choices=(0, 1, 2), required=True)
+    p.add_argument("-i", dest="degree", type=_int_flag, choices=(0, 1, 2), required=True)
     p.add_argument("q", metavar="Q")
     p.add_argument("p", metavar="P")
     p.set_defaults(func=_cmd_ext)
@@ -389,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="seeded law-checking over random diagrams")
     p.add_argument("--ring", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=16)
+    p.add_argument("--seed", type=_int_flag, required=True)
+    p.add_argument("--count", type=_int_flag, required=True)
+    p.add_argument("--max-order", type=_int_flag, default=16)
     p.set_defaults(func=_cmd_fuzz)
     return ap
 

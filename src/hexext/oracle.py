@@ -17,14 +17,16 @@ and tables, and returns morphisms and sequences built with the plain
 constructors.  That independence is the whole point, since these
 enumerations exist to validate the engine.
 
-Budgets are enforced by explicit candidate counting, and every table counts
-its cost on every call that asks for it, built or kept.  ``max_order``
-bounds the order of every module an operation tabulates, and of the middle
-objects that :func:`brute_ext1` and :func:`brute_extension_exists`
-enumerate.  The three memos, :func:`_tabulate`, :func:`_ext1_walk` and
-:func:`_ext1_classes`, are ``lru_cache`` functions capped at
-``CACHE_SIZE``, like every cache in ``hexext`` except the ``diagram._known``
-identity slot.
+Budgets are enforced by explicit candidate counting, each charge before
+the work it bounds and only for work that is done, a kept table counting as
+built: a table pays its box and cost on every call that asks for it, the
+coboundaries their count, a search the product of its walked pools and a
+middle type its projection candidates.  ``max_order`` bounds the order of
+every module an operation tabulates, and of the middle objects that
+:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The three
+memos, :func:`_tabulate`, :func:`_ext1_walk` and :func:`_ext1_classes`, are
+``lru_cache`` functions capped at ``CACHE_SIZE``, like every cache in
+``hexext`` except the ``diagram._known`` identity slot.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class _Meter:
         self.budget = budget
         self.count = 0
 
-    def tick(self, n: int = 1):
+    def tick(self, n: int):
         self.count += n
         if self.count > self.budget.max_candidates:
             raise BudgetExceededError(f"candidate count exceeded {self.budget.max_candidates}")
@@ -333,39 +335,23 @@ def _iter_homs(src: Table, tgt: Table, candidates, meter: _Meter, injective: boo
     that kill every relation column of ``src``, in the product order of
     ``candidates``.
 
-    An ``injective`` walk takes only the assignments that send each
-    generator to an element of its order in ``src``: an injective map keeps
-    every order, so an injection search loses nothing.  The meter still
-    counts every candidate of the product, in place: a walked candidate
-    ticks itself and the skipped ones before it, and the end of the walk
-    ticks those after the last, so the count at every yield, at an early
-    exit and at a refusal is that of a walk over every candidate.
+    An ``injective`` walk cuts each pool to the elements of its generator's
+    order in ``src``: an injective map keeps every order, so an injection
+    search loses nothing.  The meter ticks the product of the walked pools
+    once, before the first candidate.
 
     The relation tests are built once per search from ``src.relation_cols``:
     each nonzero column becomes its nonzero terms, each a generator with the
     table of ``c * y`` over the target.  The columns are reduced mod the
     source radix, which kills every candidate of :func:`_pools`, so each
     test reads as the presented column does."""
-    # images[g] holds the walked candidates for generator g, and weights[g]
-    # what each adds to the position in the product of all candidates
-    weights, images = [], []
-    stride = 1
-    for g in reversed(range(len(candidates))):
-        pool = candidates[g]
-        keep = [i for i, y in enumerate(pool) if not injective or len(tgt.multiples[y]) == src.radix[g]]
-        weights.append([i * stride for i in keep])
-        images.append([pool[i] for i in keep])
-        stride *= len(pool)
-    weights.reverse()
-    images.reverse()
+    if injective:
+        candidates = [[y for y in pool if len(tgt.multiples[y]) == o] for pool, o in zip(candidates, src.radix)]
+    meter.tick(prod(map(len, candidates)))
     tests = [[(g, tuple(tgt.smul(c, y) for y in range(tgt.n))) for g, c in enumerate(col) if c]
              for col in src.relation_cols if any(col)]
     sums = tgt.sums
-    last = -1
-    for offsets, imgs in zip(iproduct(*weights), iproduct(*images)):
-        pos = sum(offsets)
-        meter.tick(pos - last)
-        last = pos
+    for imgs in iproduct(*candidates):
         for terms in tests:
             acc = 0
             for g, times in terms:
@@ -374,7 +360,6 @@ def _iter_homs(src: Table, tgt: Table, candidates, meter: _Meter, injective: boo
                 break
         else:
             yield list(imgs)
-    meter.tick(stride - 1 - last)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +374,8 @@ def enumerate_morphisms(a: PresentedModule, b: PresentedModule,
     meter = _Meter(budget)
     ta = _module_table(a, budget, meter)
     tb = _module_table(b, budget, meter)
-    cands = _pools(ta, tb)
-    if prod(len(c) for c in cands) > budget.max_candidates:
-        raise BudgetExceededError("morphism space too large")
     return [_morphism(a, b, _digit_rows(tb, images))
-            for images in _iter_homs(ta, tb, cands, meter)]
+            for images in _iter_homs(ta, tb, _pools(ta, tb), meter)]
 
 
 def _product_types(ring, n: int) -> list[tuple[int, ...]]:
@@ -558,13 +540,13 @@ def _ext1_classes(ring, tq: Table, tp: Table, max_candidates: int) -> tuple[tupl
     Each piece of work runs once per thing it depends on.  A middle type's
     projection candidates are walked once, on its first injective
     injection, and the surjections among them are grouped by kernel, so an
-    injection finds its projections by looking up its image.  Every
-    injective injection still counts all projection candidates against the
-    budget, in one tick.  A projection's factor set is computed once, as
-    elements of X, and read into P through each injection's inverse; each
-    distinct factor set is canonicalised once per walk.  The pairs come in
-    the order of a walk over every (injection, projection) pair, so each
-    class keeps the first pair that reaches it as its representative."""
+    injection finds its projections by looking up its image.  The meter
+    ticks those candidates once, before they are grouped.  A projection's
+    factor set is computed once, as elements of X, and read into P through
+    each injection's inverse; each distinct factor set is canonicalised once
+    per walk.  The pairs come in the order of a walk over every (injection,
+    projection) pair, so each class keeps the first pair that reaches it as
+    its representative."""
     meter = _Meter(EnumerationBudget(max_candidates=max_candidates))
     meter.tick(tp.cost + tq.cost)
     n = tp.n * tq.n
@@ -584,8 +566,8 @@ def _ext1_classes(ring, tq: Table, tp: Table, max_candidates: int) -> tuple[tupl
             image = frozenset(i_vals)
             if len(image) != tp.n:
                 continue
-            meter.tick(prod(map(len, pcand)))
             if by_kernel is None:
+                meter.tick(prod(map(len, pcand)))
                 by_kernel = _projections_by_kernel(tx, tq, pcand, tp.n)
             i_inv = {x: pe for pe, x in enumerate(i_vals)}
             for p_imgs in by_kernel.get(image, ()):
@@ -705,12 +687,12 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
                 # i's into ker m and, along n, over H -> G.  |ker n| = |E|
                 # and |ker m| = |H|, so an injective j or i fills its kernel
                 jcand = _narrowed(j_pools, [(m_vals, ef_img), (n_vals, [0] * te.k)])
-                if jcand is None:
-                    continue
                 icand = _narrowed(i_pools, [(m_vals, [0] * th.k), (n_vals, hg_img)])
+                if jcand is None or icand is None:
+                    continue
                 for j_imgs in _iter_homs(te, tx, jcand, meter, injective=True):
                     jvals = te.hom_value_table(tx, j_imgs)
-                    if len(set(jvals)) != te.n or icand is None:
+                    if len(set(jvals)) != te.n:
                         continue
                     for i_imgs in _iter_homs(th, tx, icand, meter, injective=True):
                         ivals = th.hom_value_table(tx, i_imgs)

@@ -20,7 +20,7 @@ morphism, the cokernel with its projection, injectivity over the base ring,
 and a middle object realized from a shifted cocycle representative; the
 census of every grid up to a size, listed without the engine; and the
 oracle's homomorphism walk over the plain product of its candidates,
-against its order-filtered walk that ticks skipped candidates in place.
+against the yields of its order-filtered walk.
 Tests import them with ``from routes import ...``.
 """
 
@@ -537,9 +537,9 @@ def census(ring, bound: int) -> list[Diagram3x3]:
 def plain_hom_walk(tgt, relation_cols, candidates, meter):
     """The generator-image assignments in ``tgt`` that kill every relation
     column, over the plain product of ``candidates``: one tick per
-    candidate, then every column tested whole.  The reference for
-    :func:`hexext.oracle._iter_homs`."""
+    candidate, then every column tested whole.  The reference for the
+    yields of :func:`hexext.oracle._iter_homs`."""
     for images in itertools.product(*candidates):
-        meter.tick()
+        meter.tick(1)
         if all(tgt.combination(col, images) == 0 for col in relation_cols):
             yield list(images)

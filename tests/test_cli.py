@@ -452,6 +452,30 @@ def test_fuzz_over_a_modulus_past_the_digit_limit_exits_2(capsys):
     assert "set_int_max_str_digits" not in err
 
 
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ext", str(FIXTURES / "allsplit.json"), "-i", _NINES, "Z2", "Z2"], "argument -i: integer of 5000 digits"),
+    (["fuzz", "--ring", "Zmod4", "--seed", _NINES, "--count", "1"], "argument --seed: integer of 5000 digits"),
+    (["fuzz", "--ring", "Zmod4", "--seed", "1", "--count", _NINES], "argument --count: integer of 5000 digits"),
+    (["fuzz", "--ring", "Zmod4", "--seed", "1", "--count", "1", "--max-order", _NINES],
+     "argument --max-order: integer of 5000 digits"),
+    (["fuzz", "--ring", "Zmod4", "--seed", "x" * 5000, "--count", "1"],
+     "argument --seed: invalid int value: a value of 5000 characters"),
+], ids=["i", "seed", "count", "max-order", "seed-not-digits"])
+def test_integer_flag_is_never_echoed_at_length(capsys, argv, message):
+    # an integer flag past Python's digit limit is named by its digit count
+    # and the limit, and no refused value is echoed in full
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and len(err.encode()) < 400
+    assert message in err and "set_int_max_str_digits" not in err
+    if "digits" in message:
+        assert f"{message} exceeds the {sys.get_int_max_str_digits()}-digit limit\n" in err
+
+
 def test_unknown_name_exits_2(capsys):
     assert main(["validate", str(FIXTURES / "allsplit.json"), "nope"]) == 2
     assert main(["extend", str(FIXTURES / "allsplit.json"), "Nope"]) == 2

@@ -668,29 +668,17 @@ def test_representatives_are_built_when_read():
     assert all(s.inject.source is p and s.project.target is q for s in reps)
 
 
-def _walk(walk, budget):
-    """The yields of a homomorphism walk under a candidate budget, each with
-    the meter's count at that yield, and the count at exhaustion, or the
-    refusal message in its place."""
-    meter = _Meter(budget)
-    seen = []
-    try:
-        for images in walk(meter):
-            seen.append((images, meter.count))
-    except BudgetExceededError as exc:
-        return seen, str(exc)
-    return seen, meter.count
-
-
 @pytest.mark.parametrize("ring", [R4, Zmod(6), Zmod(8), Zmod(9), Zmod(12), ZZ], ids=str)
-def test_order_filtered_walk_ticks_the_plain_walk_in_place(ring):
-    # on seeded table pairs, with a zero relation column added, the
-    # injective walk yields exactly the plain walk's order-preserving
-    # assignments, and its meter reads as the plain walk's at each of them,
-    # at exhaustion, after an early break and at a refusal under budgets
-    # that stop the walk part way
+def test_walk_ticks_its_walked_pools_once_before_its_first_candidate(ring):
+    # on seeded table pairs, with a zero relation column added, a walk yields
+    # exactly the plain walk's assignments, an injective one the subsequence
+    # that keeps each generator's order in the source; its meter reads the
+    # starting count plus the product of the walked pools at the first yield
+    # and at exhaustion, and under a budget one candidate below that the walk
+    # raises before yielding anything
     rng = random.Random(f"order-walk-{ring}")
     budget = EnumerationBudget()
+    start = 5
     filtered = 0
     for _ in range(12):
         a, b = random_module(rng, ring, 8), random_module(rng, ring, 16)
@@ -698,31 +686,30 @@ def test_order_filtered_walk_ticks_the_plain_walk_in_place(ring):
         rels = a.relations.columns() + [(0,) * a.generators]
         ta = Table(ta.radix, rels, _Meter(budget))
         cands = _pools(ta, tb)
-        total = prod(map(len, cands))
-        for c in (budget.max_candidates, total // 2 + 1, total // 3 + 1):
-            b_c = EnumerationBudget(max_candidates=c)
-            ref, ref_end = _walk(lambda meter: plain_hom_walk(tb, rels, cands, meter), b_c)
-            for injective in (False, True):
-                want = [(images, count) for images, count in ref
-                        if not injective or all(len(tb.multiples[y]) == o for y, o in zip(images, ta.radix))]
-                assert _walk(lambda meter: _iter_homs(ta, tb, cands, meter, injective), b_c) == (want, ref_end)
-                filtered += injective and len(want) < len(ref)
+        plain = list(plain_hom_walk(tb, rels, cands, _Meter(budget)))
         for injective in (False, True):
-            want = _walk(lambda meter: _iter_homs(ta, tb, cands, meter, injective), budget)[0]
-            for stop in {0, len(want) // 2, len(want) - 1} if want else ():
-                meter = _Meter(budget)
-                for i, _images in enumerate(_iter_homs(ta, tb, cands, meter, injective)):
-                    if i == stop:
-                        break
-                assert meter.count == want[stop][1]
+            def keeps(y, o):
+                return not injective or len(tb.multiples[y]) == o
+            want = [images for images in plain if all(map(keeps, images, ta.radix))]
+            walked = prod(sum(keeps(y, o) for y in pool) for pool, o in zip(cands, ta.radix))
+            meter = _Meter(budget)
+            meter.count = start
+            seen = [(images, meter.count) for images in _iter_homs(ta, tb, cands, meter, injective)]
+            assert seen == [(images, start + walked) for images in want]
+            assert meter.count == start + walked
+            short = _Meter(EnumerationBudget(max_candidates=start + walked - 1))
+            short.count = start
+            with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {start + walked - 1}$"):
+                next(_iter_homs(ta, tb, cands, short, injective))
+            filtered += injective and len(want) < len(plain)
     assert filtered >= 3
 
 
 # the smallest candidate budget under which brute_ext1 answers, on seeded
 # pairs over Z and Z/m: one candidate less is refused
 _METER_PINS = {
-    "Z": (2056, 94), "Z/4": (317, 5978), "Z/6": (276, 276),
-    "Z/8": (6350, 398), "Z/9": (303, 31), "Z/12": (440, 440),
+    "Z": (1667, 94), "Z/4": (317, 1495), "Z/6": (251, 251),
+    "Z/8": (1802, 398), "Z/9": (235, 31), "Z/12": (414, 414),
 }
 
 
@@ -748,12 +735,12 @@ def _grid_with_small_middle(rng, ring):
 # the smallest candidate budget under which brute_extension_exists answers,
 # and its answer, on seeded grids: one candidate less is refused
 _EXTENSION_PINS = {
-    "Z": ((399, True), (248, True), (280, True), (362, True)),
-    "Z/4": ((907, True), (105, True), (457, True), (272, False)),
-    "Z/6": ((287, True), (289, True), (327, True), (138, True)),
-    "Z/8": ((185, True), (1384, False), (1320, True), (1320, True)),
-    "Z/9": ((172, True), (260, True), (172, True), (68, True)),
-    "Z/12": ((446, True), (130, True), (1028, True), (159, True)),
+    "Z": ((401, True), (255, True), (279, True), (367, True)),
+    "Z/4": ((1021, True), (114, True), (508, True), (252, False)),
+    "Z/6": ((285, True), (285, True), (331, True), (140, True)),
+    "Z/8": ((184, True), (1352, False), (1429, True), (1429, True)),
+    "Z/9": ((173, True), (272, True), (173, True), (69, True)),
+    "Z/12": ((453, True), (131, True), (1137, True), (153, True)),
 }
 
 
@@ -770,12 +757,12 @@ def test_extension_search_candidate_count_is_pinned(ring):
 # the same for brute_equivalent on seeded pairs of sequences with the same
 # ends and |Q||P| <= 16
 _EQUIVALENCE_PINS = {
-    "Z": ((824, False), (285, True), (285, True), (696, False)),
-    "Z/4": ((195, True), (195, True), (952, False), (669, True)),
-    "Z/6": ((395, True), (382, True), (395, True), (29, True)),
-    "Z/8": ((412, True), (244, True), (667, True), (667, True)),
-    "Z/9": ((273, False), (302, True), (264, False), (49, True)),
-    "Z/12": ((1008, False), (905, True), (464, False), (395, True)),
+    "Z": ((824, False), (284, True), (284, True), (696, False)),
+    "Z/4": ((194, True), (196, True), (744, False), (668, True)),
+    "Z/6": ((394, True), (384, True), (394, True), (28, True)),
+    "Z/8": ((412, True), (244, True), (666, True), (666, True)),
+    "Z/9": ((264, False), (306, True), (264, False), (49, True)),
+    "Z/12": ((1000, False), (952, True), (464, False), (394, True)),
 }
 
 
@@ -805,9 +792,20 @@ def test_ext1_outcomes_are_pinned():
                 if not isinstance(out, str):
                     out = [out[0], [[m.data for m in rep] for rep in out[1]]]
                 outcomes.append(out)
-    assert sum(isinstance(o, str) for o in outcomes) == 92
+    assert sum(isinstance(o, str) for o in outcomes) == 78
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    assert digest == "948ae8d96399f72e3ced8a3ec720531ef280e56ca69dbb3d4d72fcf791b28ff6"
+    assert digest == "31e18b91246119e55b909808c3e645acb74c0ac5b4f4084fc2ce34f80a98e2ea"
+
+
+@pytest.mark.parametrize("ring", [R4, ZZ], ids=str)
+def test_ext1_charges_each_middle_types_projections_once(ring):
+    # P = (Z/2)^3 has 31 * 30 * 28 = 26,040 injections into the middle type
+    # (Z/2)^5 alone, and Q = (Z/2)^2 has 4^5 projection candidates from it:
+    # charged once per middle type, not once per injection, they fit the
+    # default candidate bound
+    q = PresentedModule.from_invariant_factors(ring, [2, 2])
+    p = PresentedModule.from_invariant_factors(ring, [2, 2, 2])
+    assert brute_ext1(q, p, EnumerationBudget(max_order=32)).count == 64 == ext_module(1, q, p).cardinality()
 
 
 def test_module_table_radix_per_generator():
