@@ -100,7 +100,7 @@ def _load(path: str) -> DocumentModel:
 def _need(model: DocumentModel, table: str, name: str):
     d = getattr(model, table)
     if name not in d:
-        raise SemanticError(f"no {table[:-1]} named {name!r} in the document")
+        raise SemanticError(f"no {table[:-1]} named {_shown(name)} in the document")
     return d[name]
 
 
@@ -183,7 +183,7 @@ def _cmd_iso(args) -> int:
     for name in (args.ext1, args.ext2):
         solved = model.extension_diagram_names[name]
         if solved != args.diagram:
-            raise SemanticError(f"extension {name!r} solves diagram {solved!r}, not {args.diagram!r}")
+            raise SemanticError(f"extension {_shown(name)} solves diagram {solved!r}, not {_shown(args.diagram)}")
     try:
         phi = compatible_isomorphism(d, e1, e2)
     except ClassesDifferError as exc:
@@ -232,7 +232,7 @@ def _cmd_validate(args) -> int:
         violations = []
         kind = "module"
     else:
-        raise SemanticError(f"nothing named {name!r} in the document")
+        raise SemanticError(f"nothing named {_shown(name)} in the document")
     report = {"op": "validate", "name": name, "kind": kind,
               "ok": violations == [], "violations": violations}
     return _emit(report, EXIT_OK if not violations else EXIT_FAIL)
@@ -251,9 +251,11 @@ def _to_int(text: str, what: str) -> int | None:
         return None
 
 
-def _shown(text: str) -> str:
-    """A refused value as echoed in a message: in full only if it is short."""
-    return repr(text) if len(text) <= 20 else f"a value of {len(text)} characters"
+def _shown(value) -> str:
+    """A refused value or name from the command line as echoed in a message:
+    its ``repr`` if its text is short, else its length."""
+    text = str(value)
+    return repr(value) if len(text) <= 20 else f"a value of {len(text)} characters"
 
 
 def _int_flag(text: str) -> int:
@@ -265,6 +267,18 @@ def _int_flag(text: str) -> int:
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
     return value
+
+
+def _choice(convert, choices):
+    """The ``type`` of an argument with a fixed set of values, refusing any
+    other in a short message; its ``metavar`` lists the values for usage."""
+    def check(text):
+        value = convert(text)
+        if value not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(f"invalid choice: {_shown(value)} (choose from {listed})")
+        return value
+    return check
 
 
 def _oracle_budget() -> EnumerationBudget:
@@ -304,16 +318,16 @@ def _parse_ring(text: str) -> RingSpec:
         try:
             return Zmod(_to_int(digits, "ring modulus"))
         except ValueError as exc:
-            raise SemanticError(f"ring {text!r}: {exc}") from exc
-    raise SemanticError(f"unknown ring {text!r} (use Z or Zmod<m>)")
+            raise SemanticError(f"ring {_shown(text)}: {exc}") from exc
+    raise SemanticError(f"unknown ring {_shown(text)} (use Z or Zmod<m>)")
 
 
 def _cmd_fuzz(args) -> int:
     ring = _parse_ring(args.ring)
     if args.count < 0:
-        raise SemanticError(f"--count must be at least 0, got {args.count}")
+        raise SemanticError(f"--count must be at least 0, got {_shown(args.count)}")
     if args.max_order < 1:
-        raise SemanticError(f"--max-order must be at least 1, got {args.max_order}")
+        raise SemanticError(f"--max-order must be at least 1, got {_shown(args.max_order)}")
     rng = random.Random(args.seed)
     cases = []
     failures = 0
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ext", help="compute Ext^i(Q, P)")
     p.add_argument("document")
-    p.add_argument("-i", dest="degree", type=_int_flag, choices=(0, 1, 2), required=True)
+    p.add_argument("-i", dest="degree", type=_choice(_int_flag, (0, 1, 2)), metavar="{0,1,2}", required=True)
     p.add_argument("q", metavar="Q")
     p.add_argument("p", metavar="P")
     p.set_defaults(func=_cmd_ext)
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hexagon", help="solve a hexagon frame")
     p.add_argument("document")
-    p.add_argument("action", choices=("solve",))
+    p.add_argument("action", type=_choice(str, ("solve",)), metavar="{solve}")
     p.add_argument("frame")
     p.set_defaults(func=_cmd_hexagon)
 

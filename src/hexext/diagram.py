@@ -148,9 +148,9 @@ def _known(d: Diagram3x3, fact: str, compute):
 
 def _require_valid(d: Diagram3x3) -> None:
     """The single validation boundary.  Only :func:`obstruction`,
-    :func:`build_Y` and :func:`compatible_isomorphism` call it; every other
-    public entry taking a diagram reaches it through one :func:`build_Y`,
-    first.  The verdict is kept with the last diagram analysed, so a
+    :func:`build_Y`, :func:`compatible_isomorphism` and
+    :func:`hexagon.fold_frame` call it; every other public entry taking a
+    diagram reaches it through one :func:`build_Y`, first.  The verdict is kept with the last diagram analysed, so a
     diagram is validated once per diagram object, and an invalid one raises
     on every call."""
     violations = _known(d, "violations", lambda dg: tuple(validate_diagram1(dg)))

@@ -17,11 +17,12 @@ and tables, and returns morphisms and sequences built with the plain
 constructors.  That independence is the whole point, since these
 enumerations exist to validate the engine.
 
-Budgets are enforced by explicit candidate counting, each charge before
-the work it bounds and only for work that is done, a kept table counting as
-built: a table pays its box and cost on every call that asks for it, the
-coboundaries their count, a search the product of its walked pools and a
-middle type its projection candidates.  ``max_order`` bounds the order of
+Budgets are enforced by explicit candidate counting on the caller's meter
+alone, each charge before the work it bounds and only for work that is done,
+a kept table counting as built: a module table pays its box and every table
+its cost on every call that asks for it, the coboundaries their count, a
+search the product of its walked pools and a middle type its projection
+candidates; a table holds no budget.  ``max_order`` bounds the order of
 every module an operation tabulates, and of the middle objects that
 :func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The three
 memos, :func:`_tabulate`, :func:`_ext1_walk` and :func:`_ext1_classes`, are
@@ -116,7 +117,7 @@ def _closure(gens, add, zero) -> dict:
 class Table:
     """A finite abelian group, built once as lookup tables.
 
-    ``Table(box, relation_cols, meter)`` is the product group with
+    ``Table(box, relation_cols)`` is the product group with
     per-position moduli ``box`` divided by the span of ``relation_cols``, for
     any ``box`` that every generator's order divides.  The build takes the
     closure of the relation columns once, on ``box``, and cuts position i to
@@ -138,18 +139,16 @@ class Table:
     breadth-first order from 0, so :meth:`hom_value_table` spends one
     addition per element with or without relations.  ``sums`` is the n x n
     addition table, filled row by row along ``_steps`` from one shift
-    permutation per generator, so filling it takes k * n digit additions,
+    permutation per generator, so the shifts take k * n digit additions,
     not n * n.  All of them are tuples or frozen sets, since
     :func:`_tabulate` shares one table between calls.
 
-    A build ticks ``prod(box)`` before the closure and the n * n sum cells
-    before they are allocated.  ``cost``, ``prod(radix)`` plus those cells,
-    is what a caller ticks for the table itself, built or kept.
+    ``sums`` and ``multiples`` are built on first read.  ``cost``,
+    ``prod(radix)`` plus the n * n sum cells, is what a caller ticks for the
+    table, built or kept, before reading them; the table holds no budget.
     """
 
-    def __init__(self, box: tuple[int, ...], relation_cols, meter: _Meter):
-        meter.tick(prod(box))
-
+    def __init__(self, box: tuple[int, ...], relation_cols):
         def reduced(vectors, moduli):
             return tuple(tuple(c % o for c, o in zip(v, moduli)) for v in vectors)
 
@@ -175,30 +174,34 @@ class Table:
         self.digits = tuple(digits)
         self.n = len(digits)
         self.cost = prod(self.radix) + self.n * self.n
-        meter.tick(self.n * self.n)  # the sum cells, before they are allocated
-        # shifts[i][x] is x + generator i: k * n digit additions in all
-        shifts = [tuple(index[add_digits(code, unit)] for code in digits)
-                  for unit in (tuple(int(t == i) % o for t, o in enumerate(self.radix)) for i in range(self.k))]
-        self._gens = tuple(shift[0] for shift in shifts)
-        reached = iter(_closure(shifts, lambda x, shift: shift[x], 0).items())
+        # _shifts[i][x] is x + generator i: k * n digit additions in all
+        units = [tuple(int(t == i) % o for t, o in enumerate(self.radix)) for i in range(self.k)]
+        self._shifts = tuple(tuple(index[add_digits(code, unit)] for code in digits) for unit in units)
+        self._gens = tuple(shift[0] for shift in self._shifts)
+        reached = iter(_closure(self._shifts, lambda x, shift: shift[x], 0).items())
         next(reached)  # zero
         self._steps = tuple((x, earlier, g) for x, (earlier, g) in reached)
-        sums = []
+
+    @cached_property
+    def sums(self) -> tuple[tuple[int, ...], ...]:
+        sums, shifts = [], self._shifts
         for a in range(self.n):
             row = [a] * self.n
             for x, earlier, g in self._steps:
                 row[x] = shifts[g][row[earlier]]
             sums.append(tuple(row))
-        self.sums = tuple(sums)
-        multiples = []
+        return tuple(sums)
+
+    @cached_property
+    def multiples(self) -> tuple[tuple[int, ...], ...]:
+        multiples, sums = [], self.sums
         for x in range(self.n):
-            mult = [0]
-            y = x
+            mult, y = [0], x
             while y:
                 mult.append(y)
-                y = self.sums[y][x]
+                y = sums[y][x]
             multiples.append(tuple(mult))
-        self.multiples = tuple(multiples)
+        return tuple(multiples)
 
     def __eq__(self, other):
         if self is other:
@@ -238,24 +241,22 @@ class Table:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _tabulate(box: tuple[int, ...], relation_cols: tuple[tuple[int, ...], ...], max_candidates: int) -> Table:
-    """``Table(box, relation_cols)``, built once per process for each box,
-    tuple of relation columns and candidate bound, under a meter of its own
-    with that bound.  A build ticks no more than any caller then ticks for
-    its table, so a build this meter refuses is one that every caller under
-    that bound refuses with the same message; it raises and keeps nothing."""
-    return Table(box, relation_cols, _Meter(EnumerationBudget(max_candidates=max_candidates)))
+def _tabulate(box: tuple[int, ...], relation_cols: tuple[tuple[int, ...], ...]) -> Table:
+    """``Table(box, relation_cols)``, built once per process for each box
+    and tuple of relation columns, whatever the budget it is asked under:
+    the caller's meter alone charges and refuses it."""
+    return Table(box, relation_cols)
 
 
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
     """The table of ``m``'s relation lattice, from :func:`_tabulate` on the
     presented box: ``mod`` (the ring modulus, or over Z the Bareiss pivot
     product) kills every generator, and generator i gets ``gcd(mod, k)``
-    over the relation columns ``k * e_i``.  A box larger than the candidate
-    bound is refused before anything is built.  The caller's meter ticks the
-    box's size, which bounds the closure, plus the table's cost, so a kept
-    table and a fresh one count the same candidates; the table is then
-    refused once the module's order exceeds the budget's ``max_order``."""
+    over the relation columns ``k * e_i``.  The caller's meter ticks the
+    box's size, which bounds the closure, before asking for the table, and
+    the table's cost before its addition table is read, so a kept table and
+    a fresh one are charged and refused alike; then a module whose order
+    exceeds the budget's ``max_order`` is refused."""
     g = m.generators
     if m.ring.is_modular:
         mod = m.ring.modulus
@@ -265,10 +266,9 @@ def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) 
             raise BudgetExceededError("module is infinite; oracle tables need finite modules")
     cols = tuple(m.relations.columns())
     box = _cut_by_single_generators((mod,) * g, cols)
-    if prod(box) > budget.max_candidates:
-        raise BudgetExceededError("ambient table too large for the budget")
-    t = _tabulate(box, cols, budget.max_candidates)
-    meter.tick(prod(box) + t.cost)
+    meter.tick(prod(box))
+    t = _tabulate(box, cols)
+    meter.tick(t.cost)
     if t.n > budget.max_order:
         raise BudgetExceededError(f"module order {t.n} exceeds budget {budget.max_order}")
     return t
@@ -556,7 +556,7 @@ def _ext1_classes(ring, tq: Table, tp: Table, max_candidates: int) -> tuple[tupl
     reps: list[tuple] = []
 
     for orders in _product_types(ring, n):
-        tx = _tabulate(orders, (), max_candidates)
+        tx = _tabulate(orders, ())
         meter.tick(tx.cost)
         pcand = _pools(tx, tq)
         by_kernel = None
@@ -665,7 +665,7 @@ def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -
     gq_vals = tg.hom_value_table(tq, pgq_img)
 
     for orders in _product_types(d.p.ring, n):
-        tx = _tabulate(orders, (), budget.max_candidates)
+        tx = _tabulate(orders, ())
         meter.tick(tx.cost)
         # the pools before any condition on m or n, listed once per middle
         # type and narrowed for each (m, n) pair

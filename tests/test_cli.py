@@ -476,6 +476,42 @@ def test_integer_flag_is_never_echoed_at_length(capsys, argv, message):
         assert f"{message} exceeds the {sys.get_int_max_str_digits()}-digit limit\n" in err
 
 
+_ALLSPLIT, _LONG_NINES, _LONG_NAME = str(FIXTURES / "allsplit.json"), "9" * 4000, "N" * 4000
+_LONG = "a value of 4000 characters"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ext", _ALLSPLIT, "-i", _LONG_NINES, "Z2", "Z2"],
+     f"argument -i: invalid choice: {_LONG} (choose from 0, 1, 2)"),
+    (["fuzz", "--ring", "Zmod4", "--seed", "1", "--count", "-" + _LONG_NINES],
+     "--count must be at least 0, got a value of 4001 characters"),
+    (["fuzz", "--ring", "Zmod4", "--seed", "1", "--count", "1", "--max-order", "-" + _LONG_NINES],
+     "--max-order must be at least 1, got a value of 4001 characters"),
+    (["hexagon", _ALLSPLIT, "solve" + _LONG_NINES, "F"],
+     "argument {solve}: invalid choice: a value of 4005 characters (choose from 'solve')"),
+    (["extend", _ALLSPLIT, _LONG_NAME], f"no diagram named {_LONG} in the document"),
+    (["hexagon", _ALLSPLIT, "solve", _LONG_NAME], f"no hexagon named {_LONG} in the document"),
+    (["validate", _ALLSPLIT, _LONG_NAME], f"nothing named {_LONG} in the document"),
+    (["iso", _ALLSPLIT, _LONG_NAME, "X1", "X2"], f"no diagram named {_LONG} in the document"),
+    (["iso", _ALLSPLIT, "D", "X1", _LONG_NAME], f"no extension named {_LONG} in the document"),
+    (["fuzz", "--ring", "Q" + _LONG_NINES, "--seed", "1", "--count", "1"],
+     "unknown ring a value of 4001 characters (use Z or Zmod<m>)"),
+    (["ext", _ALLSPLIT, "-i", "3", "Z2", "Z2"], "argument -i: invalid choice: 3 (choose from 0, 1, 2)"),
+    (["hexagon", _ALLSPLIT, "solved", "F"], "argument {solve}: invalid choice: 'solved' (choose from 'solve')"),
+], ids=["i", "count", "max-order", "hexagon-action", "diagram", "frame", "validate", "iso-diagram", "iso-extension",
+        "ring", "i-short", "hexagon-action-short"])
+def test_refused_value_is_echoed_only_when_short(capsys, argv, message):
+    # a value or name from the command line that is refused is echoed in
+    # full up to 20 characters, else by its length
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and len(err.encode()) < 400 and "Traceback" not in err
+    assert message in err
+
+
 def test_unknown_name_exits_2(capsys):
     assert main(["validate", str(FIXTURES / "allsplit.json"), "nope"]) == 2
     assert main(["extend", str(FIXTURES / "allsplit.json"), "Nope"]) == 2

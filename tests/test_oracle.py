@@ -114,7 +114,7 @@ ARGUMENT_CHECKS = {
     "module-infinite": (lambda: enumerate_morphisms(PresentedModule.free(ZZ, 1), _Z2), BudgetExceededError,
                         "module is infinite; oracle tables need finite modules"),
     "ambient-over-candidates": (lambda: enumerate_morphisms(_Z32, _Z2, EnumerationBudget(max_candidates=31)),
-                                BudgetExceededError, "ambient table too large for the budget"),
+                                BudgetExceededError, "candidate count exceeded 31"),
 }
 
 
@@ -349,7 +349,7 @@ def test_table_matches_digit_arithmetic(radix, data):
     assume(prod(radix) <= 400)
     coeff = st.integers(-10**6, 10**6)
     rels = data.draw(st.lists(st.lists(coeff, min_size=len(radix), max_size=len(radix)), max_size=3))
-    t = Table(tuple(radix), rels, _Meter(EnumerationBudget()))
+    t = Table(tuple(radix), rels)
     ref = _DigitGroup(radix, rels)
     code = ref.elements
     assert t.n == len(code)
@@ -366,7 +366,7 @@ def test_table_matches_digit_arithmetic(radix, data):
     # valued at every element at once and one element at a time
     extra = data.draw(st.lists(st.lists(coeff, min_size=len(radix), max_size=len(radix)), max_size=2))
     k = data.draw(coeff)
-    tgt = Table(tuple(radix), rels + extra, _Meter(EnumerationBudget()))
+    tgt = Table(tuple(radix), rels + extra)
     tgt_ref = _DigitGroup(radix, rels + extra)
     images = [tgt.smul(k, tgt.from_coeffs(e_i)) for e_i in unit]
     vals = t.hom_value_table(tgt, images)
@@ -376,38 +376,55 @@ def test_table_matches_digit_arithmetic(radix, data):
 
 def test_hom_value_table_on_one_element_tables():
     # no generators, or generators that the relations kill: the only value is 0
-    meter = _Meter(EnumerationBudget())
-    tgt = Table((4,), [], meter)
-    for t, images in ((Table((), [], meter), []), (Table((4, 3), [(1, 0), (0, 1)], meter), [1, 2])):
+    tgt = Table((4,), [])
+    for t, images in ((Table((), []), []), (Table((4, 3), [(1, 0), (0, 1)]), [1, 2])):
         assert t.n == 1 and t._steps == ()
         assert t.hom_value_table(tgt, images) == [0] == [tgt.combination(t.digits[0], images)]
 
 
 def test_oversized_table_raises_before_allocating():
-    # the box's size (101) fits the budget; the 101 x 101 addition table
-    # does not, built afresh or through the memo, which then keeps nothing
+    # the caller's meter refuses a box over its bound (Z/32's 32 under 31)
+    # before the table is asked for, so nothing is tabulated; a box that
+    # fits (Z/101's 101 under 1000) is refused at the table's cost, before
+    # its 101 x 101 addition table is allocated
     _tabulate.cache_clear()
-    for build in (lambda: Table((101,), [], _Meter(EnumerationBudget(max_candidates=1000))),
-                  lambda: _tabulate((101,), (), 1000)):
-        with pytest.raises(BudgetExceededError, match="^candidate count exceeded 1000$"):
-            build()
-    assert _tabulate.cache_info().currsize == 0
-    # a build is refused after its box (4), at its addition table (16), and
-    # a kept table asked for under a smaller bound is refused with the
-    # build's message
-    meter = _Meter(EnumerationBudget(max_candidates=19))
-    with pytest.raises(BudgetExceededError, match="^candidate count exceeded 19$"):
-        Table((4,), [], meter)
-    assert meter.count == 4 + 16
-    kept = _tabulate((4,), (), 20)
-    assert kept.cost == 20 and _tabulate((4,), (), 20) is kept
-    with pytest.raises(BudgetExceededError, match="^candidate count exceeded 19$"):
-        _tabulate((4,), (), 19)
-    assert _tabulate.cache_info().currsize == 1
+    z101 = PresentedModule.cyclic(ZZ, 101)
+    for m, bound, count, kept in ((_Z32, 31, 32, 0), (z101, 1000, 101 + 101 + 101**2, 1)):
+        budget = EnumerationBudget(max_order=200, max_candidates=bound)
+        meter = _Meter(budget)
+        with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {bound}$"):
+            _module_table(m, budget, meter)
+        assert meter.count == count and _tabulate.cache_info().currsize == kept
+    assert "sums" not in vars(_tabulate((101,), ((101,),)))
+    # the kept table is charged like a fresh one, and answers once that fits
+    budget = EnumerationBudget(max_order=200, max_candidates=101 + 101 + 101**2)
+    meter = _Meter(budget)
+    assert _module_table(z101, budget, meter).n == 101
+    assert meter.count == 101 + 101 + 101**2 and _tabulate.cache_info()[:2] == (2, 1)
+
+
+def test_module_table_refused_at_its_cost_builds_no_addition_table():
+    # a caller's meter one candidate short of a module table's box plus its
+    # cost refuses it at the cost: the memo keeps the table, whose addition
+    # table and multiples are first built when read
+    for m in (Z4m, PresentedModule.from_invariant_factors(ZZ, [2, 2]),
+              PresentedModule.from_invariant_factors(Zmod(9), [3, 9])):
+        budget = EnumerationBudget(max_order=64)
+        full = _Meter(budget)
+        _module_table(m, budget, full)
+        _tabulate.cache_clear()
+        short = _Meter(EnumerationBudget(max_order=64, max_candidates=full.count - 1))
+        with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {full.count - 1}$"):
+            _module_table(m, short.budget, short)
+        box = _presented_radix(m)
+        t = _tabulate(box, tuple(m.relations.columns()))
+        assert _tabulate.cache_info()[:2] == (1, 1) and short.count == full.count == prod(box) + t.cost
+        assert "sums" not in vars(t) and "multiples" not in vars(t)
+        assert t.smul(1, 1) == 1 and len(t.sums) == t.n > 1
 
 
 def test_table_is_frozen():
-    t = _tabulate((2, 3), ((2, 0),), EnumerationBudget().max_candidates)
+    t = _tabulate((2, 3), ((2, 0),))
     for part in (t.digits, t.sums, t.multiples, t._gens, t._steps, t.radix, t.relation_cols):
         assert isinstance(part, tuple)
     assert all(isinstance(row, tuple) for row in t.sums + t.multiples + t.digits + t._steps + t.relation_cols)
@@ -517,6 +534,21 @@ def _least_budget(q, p):
         else:
             hi = mid
     return lo
+
+
+@pytest.mark.parametrize("ring", [R4, ZZ], ids=str)
+def test_least_budget_search_keeps_one_table_per_lattice(ring):
+    # a binary search asks for Q's, P's and the two middle types' tables
+    # under each of its candidate bounds: the memo keeps each of the four
+    # once, whatever the bound, and serves every later call
+    q = PresentedModule.make(ring, 2, [[2, 0], [1, 1]])
+    p = PresentedModule.make(ring, 2, [[2, 0], [0, 1]])
+    _tabulate.cache_clear()
+    _ext1_walk.cache_clear()
+    _ext1_classes.cache_clear()
+    assert _least_budget(q, p) == 66
+    info = _tabulate.cache_info()
+    assert info.currsize == info.misses == 4 and info.hits > 0
 
 
 @pytest.mark.parametrize("ring, q_cols, p_cols", [
@@ -684,7 +716,7 @@ def test_walk_ticks_its_walked_pools_once_before_its_first_candidate(ring):
         a, b = random_module(rng, ring, 8), random_module(rng, ring, 16)
         ta, tb = (_module_table(m, budget, _Meter(budget)) for m in (a, b))
         rels = a.relations.columns() + [(0,) * a.generators]
-        ta = Table(ta.radix, rels, _Meter(budget))
+        ta = Table(ta.radix, rels)
         cands = _pools(ta, tb)
         plain = list(plain_hom_walk(tb, rels, cands, _Meter(budget)))
         for injective in (False, True):
@@ -794,7 +826,7 @@ def test_ext1_outcomes_are_pinned():
                 outcomes.append(out)
     assert sum(isinstance(o, str) for o in outcomes) == 78
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    assert digest == "31e18b91246119e55b909808c3e645acb74c0ac5b4f4084fc2ce34f80a98e2ea"
+    assert digest == "1624326cc81aaed117fe692966ea52708b54d90539c1be9340d627eba1d4da8f"
 
 
 @pytest.mark.parametrize("ring", [R4, ZZ], ids=str)
