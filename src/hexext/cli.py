@@ -109,7 +109,7 @@ def _module_pair(model: DocumentModel, q_name: str, p_name: str):
     q = _need(model, "modules", q_name)
     p = _need(model, "modules", p_name)
     if q.ring != p.ring:
-        raise SemanticError(f"modules {q_name!r} and {p_name!r} are over different rings")
+        raise SemanticError(f"modules {_shown(q_name)} and {_shown(p_name)} are over different rings")
     return q, p
 
 
@@ -183,7 +183,7 @@ def _cmd_iso(args) -> int:
     for name in (args.ext1, args.ext2):
         solved = model.extension_diagram_names[name]
         if solved != args.diagram:
-            raise SemanticError(f"extension {_shown(name)} solves diagram {solved!r}, not {_shown(args.diagram)}")
+            raise SemanticError(f"extension {_shown(name)} solves diagram {_shown(solved)}, not {_shown(args.diagram)}")
     try:
         phi = compatible_isomorphism(d, e1, e2)
     except ClassesDifferError as exc:
@@ -297,7 +297,7 @@ def _cmd_oracle_compare(args) -> int:
     q, p = _module_pair(model, args.q, args.p)
     for name, m in ((args.q, q), (args.p, p)):
         if m.cardinality() is None:
-            raise SemanticError(f"module {name!r} is infinite; the oracle compares finite modules only")
+            raise SemanticError(f"module {_shown(name)} is infinite; the oracle compares finite modules only")
     budget = _oracle_budget()
     try:
         brute = brute_ext1(q, p, budget)

@@ -7,9 +7,10 @@ multiples and linear combinations are list lookups.  A table is the one
 description its searches read: it carries its relation columns, its radix
 (its generators' orders) and its cost.  :func:`_tabulate` is the one path
 to a table, for a module's relation lattice (:func:`_module_table`) and for
-a middle type alike.  Every homomorphism search draws its candidate images
-from :func:`_pools` and walks them with :func:`_iter_homs` from a source
-table to a target table.
+a middle type alike, and it gives every presentation of one lattice the
+same table, whose cosets are labelled once, when first read.  Every
+homomorphism search draws its candidate images from :func:`_pools` and
+walks them with :func:`_iter_homs` from a source table to a target table.
 
 The oracle calls nothing in the Smith-form / Hermite / resolution engine: it
 reads presentations and morphism matrices, decides with its own elimination
@@ -24,10 +25,11 @@ its cost on every call that asks for it, the coboundaries their count, a
 search the product of its walked pools and a middle type its projection
 candidates; a table holds no budget.  ``max_order`` bounds the order of
 every module an operation tabulates, and of the middle objects that
-:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The three
-memos, :func:`_tabulate`, :func:`_ext1_walk` and :func:`_ext1_classes`, are
-``lru_cache`` functions capped at ``CACHE_SIZE``, like every cache in
-``hexext`` except the ``diagram._known`` identity slot.
+:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The four
+memos, :func:`_tabulate`, :func:`_shared_table`, :func:`_ext1_walk` and
+:func:`_ext1_classes`, are ``lru_cache`` functions capped at
+``CACHE_SIZE``, like every cache in ``hexext`` except the
+``diagram._known`` identity slot.
 """
 
 from __future__ import annotations
@@ -119,14 +121,16 @@ class Table:
 
     ``Table(box, relation_cols)`` is the product group with
     per-position moduli ``box`` divided by the span of ``relation_cols``, for
-    any ``box`` that every generator's order divides.  The build takes the
-    closure of the relation columns once, on ``box``, and cuts position i to
-    generator i's order, the least k with ``k * e_i`` in the span.  That is
-    ``radix``, fixed by the lattice alone; ``relation_cols`` and
+    any ``box`` that every generator's order divides.  Making a table takes
+    the closure of the relation columns once, on ``box``, and cuts position i
+    to generator i's order, the least k with ``k * e_i`` in the span.  That
+    is ``radix``, fixed by the lattice alone; ``relation_cols`` and
     ``subgroup``, the codes of the span, are reduced mod it.  Every other
     part follows from ``radix`` and ``subgroup``, so a table is a value: it
     compares and hashes as ``(radix, subgroup)``, two presentations of one
     lattice give equal tables, and two different lattices unequal ones.
+    ``n``, ``prod(radix) // len(subgroup)``, and ``cost``, ``prod(radix)``
+    plus the n * n sum cells, are known once the closure is taken.
 
     Elements are the numbers ``0..n-1``, one per coset, numbered in
     increasing order of the least mixed-radix code (position 0 least
@@ -143,9 +147,11 @@ class Table:
     not n * n.  All of them are tuples or frozen sets, since
     :func:`_tabulate` shares one table between calls.
 
-    ``sums`` and ``multiples`` are built on first read.  ``cost``,
-    ``prod(radix)`` plus the n * n sum cells, is what a caller ticks for the
-    table, built or kept, before reading them; the table holds no budget.
+    The coset labelling (``digits``, the shifts and ``_steps``), ``sums``
+    and ``multiples`` are built on first read, so every presentation that
+    :func:`_tabulate` gives the same table reads one labelling.  ``cost`` is
+    what a caller ticks for the table, built or kept, before reading them;
+    the table holds no budget.
     """
 
     def __init__(self, box: tuple[int, ...], relation_cols):
@@ -156,10 +162,16 @@ class Table:
                         lambda a, b: tuple((x + y) % o for x, y, o in zip(a, b, box)), (0,) * len(box))
         self.radix = _cut_by_single_generators(box, span)
         self.subgroup = frozenset(reduced(span, self.radix))
-        del span  # the closure on the box, freed before the labelling
         self.relation_cols = reduced(relation_cols, self.radix)
         self.k = len(self.radix)
+        self.n = prod(self.radix) // len(self.subgroup)
+        self.cost = prod(self.radix) + self.n * self.n
 
+    @cached_property
+    def _labelling(self) -> tuple:
+        """``(digits, shifts, steps)``: the least code of every coset, one
+        pass over the codes inside ``radix``; ``shifts[i][x]``, x + generator
+        i, k * n digit additions in all; and ``_steps``."""
         def add_digits(a, b):
             return tuple((x + y) % o for x, y, o in zip(a, b, self.radix))
 
@@ -171,23 +183,30 @@ class Table:
                 for s in self.subgroup:
                     index[add_digits(code, s)] = len(digits)
                 digits.append(code)
-        self.digits = tuple(digits)
-        self.n = len(digits)
-        self.cost = prod(self.radix) + self.n * self.n
-        # _shifts[i][x] is x + generator i: k * n digit additions in all
         units = [tuple(int(t == i) % o for t, o in enumerate(self.radix)) for i in range(self.k)]
-        self._shifts = tuple(tuple(index[add_digits(code, unit)] for code in digits) for unit in units)
-        self._gens = tuple(shift[0] for shift in self._shifts)
-        reached = iter(_closure(self._shifts, lambda x, shift: shift[x], 0).items())
+        shifts = tuple(tuple(index[add_digits(code, unit)] for code in digits) for unit in units)
+        reached = iter(_closure(shifts, lambda x, shift: shift[x], 0).items())
         next(reached)  # zero
-        self._steps = tuple((x, earlier, g) for x, (earlier, g) in reached)
+        return tuple(digits), shifts, tuple((x, earlier, g) for x, (earlier, g) in reached)
+
+    @cached_property
+    def digits(self) -> tuple[tuple[int, ...], ...]:
+        return self._labelling[0]
+
+    @cached_property
+    def _gens(self) -> tuple[int, ...]:
+        return tuple(shift[0] for shift in self._labelling[1])
+
+    @cached_property
+    def _steps(self) -> tuple[tuple[int, int, int], ...]:
+        return self._labelling[2]
 
     @cached_property
     def sums(self) -> tuple[tuple[int, ...], ...]:
-        sums, shifts = [], self._shifts
+        sums, (_, shifts, steps) = [], self._labelling
         for a in range(self.n):
             row = [a] * self.n
-            for x, earlier, g in self._steps:
+            for x, earlier, g in steps:
                 row[x] = shifts[g][row[earlier]]
             sums.append(tuple(row))
         return tuple(sums)
@@ -242,10 +261,23 @@ class Table:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _tabulate(box: tuple[int, ...], relation_cols: tuple[tuple[int, ...], ...]) -> Table:
-    """``Table(box, relation_cols)``, built once per process for each box
-    and tuple of relation columns, whatever the budget it is asked under:
-    the caller's meter alone charges and refuses it."""
-    return Table(box, relation_cols)
+    """The one table of the relation lattice that ``box`` and
+    ``relation_cols`` present.  The closure runs once per process for each
+    box and tuple of relation columns; :func:`_shared_table` then hands
+    back the first table made for the lattice, so every presentation of it
+    reads one labelling.  That table keeps the relation columns of the
+    presentation that reached it first: they span the same subgroup, so
+    :func:`_iter_homs` accepts the same images in the same order and ticks
+    the same counts.  Whatever the budget it is asked under, the caller's
+    meter alone charges and refuses it."""
+    return _shared_table(Table(box, relation_cols))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _shared_table(t: Table) -> Table:
+    """``t``, or the equal table made first: one table per relation
+    lattice, since a table compares and hashes as its lattice."""
+    return t
 
 
 def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) -> Table:
@@ -254,9 +286,10 @@ def _module_table(m: PresentedModule, budget: EnumerationBudget, meter: _Meter) 
     product) kills every generator, and generator i gets ``gcd(mod, k)``
     over the relation columns ``k * e_i``.  The caller's meter ticks the
     box's size, which bounds the closure, before asking for the table, and
-    the table's cost before its addition table is read, so a kept table and
-    a fresh one are charged and refused alike; then a module whose order
-    exceeds the budget's ``max_order`` is refused."""
+    the table's cost before its cosets are labelled or its addition table
+    read, so a kept table and a fresh one are charged and refused alike;
+    then a module whose order exceeds the budget's ``max_order`` is
+    refused."""
     g = m.generators
     if m.ring.is_modular:
         mod = m.ring.modulus
@@ -340,11 +373,13 @@ def _iter_homs(src: Table, tgt: Table, candidates, meter: _Meter, injective: boo
     search loses nothing.  The meter ticks the product of the walked pools
     once, before the first candidate.
 
-    The relation tests are built once per search from ``src.relation_cols``:
+    The relation tests are built once per search from ``src.relation_cols``,
+    the columns of the first presentation that reached the lattice's table:
     each nonzero column becomes its nonzero terms, each a generator with the
     table of ``c * y`` over the target.  The columns are reduced mod the
     source radix, which kills every candidate of :func:`_pools`, so each
-    test reads as the presented column does."""
+    test reads as the presented column does; any presentation's columns
+    span the same subgroup, so they pass the same images."""
     if injective:
         candidates = [[y for y in pool if len(tgt.multiples[y]) == o] for pool, o in zip(candidates, src.radix)]
     meter.tick(prod(map(len, candidates)))

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and report shapes."""
 
 import collections
+import io
 import json
 import os
 import pathlib
@@ -480,6 +481,20 @@ _ALLSPLIT, _LONG_NINES, _LONG_NAME = str(FIXTURES / "allsplit.json"), "9" * 4000
 _LONG = "a value of 4000 characters"
 
 
+def _named_document() -> str:
+    """allsplit.json with a ring Z and, for a long and a short name each, a
+    free module over Z and a copy of diagram D, with an extension solving
+    that copy (XL for the long name, XS for E), beside Z2z = Z/2 over Z."""
+    doc = json.loads(pathlib.Path(_ALLSPLIT).read_text(encoding="utf-8"))
+    doc["rings"]["Z"] = {"kind": "Z"}
+    doc["modules"]["Z2z"] = {"ring": "Z", "generators": 1, "relations": [[2]]}
+    for name, ext_name in ((_LONG_NAME, "XL"), ("E", "XS")):
+        doc["modules"][name] = {"ring": "Z", "generators": 1, "relations": []}
+        doc["diagrams"][name] = doc["diagrams"]["D"]
+        doc["extensions"][ext_name] = {**doc["extensions"]["X1"], "diagram": name}
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ext", _ALLSPLIT, "-i", _LONG_NINES, "Z2", "Z2"],
      f"argument -i: invalid choice: {_LONG} (choose from 0, 1, 2)"),
@@ -498,11 +513,20 @@ _LONG = "a value of 4000 characters"
      "unknown ring a value of 4001 characters (use Z or Zmod<m>)"),
     (["ext", _ALLSPLIT, "-i", "3", "Z2", "Z2"], "argument -i: invalid choice: 3 (choose from 0, 1, 2)"),
     (["hexagon", _ALLSPLIT, "solved", "F"], "argument {solve}: invalid choice: 'solved' (choose from 'solve')"),
+    (["ext", "-", "-i", "1", _LONG_NAME, "Z2"], f"modules {_LONG} and 'Z2' are over different rings"),
+    (["oracle-compare", "-", _LONG_NAME, "Z2z"], f"module {_LONG} is infinite; the oracle compares finite modules only"),
+    (["iso", "-", "D", "X1", "XL"], f"extension 'XL' solves diagram {_LONG}, not 'D'"),
+    (["ext", "-", "-i", "1", "E", "Z2"], "modules 'E' and 'Z2' are over different rings"),
+    (["oracle-compare", "-", "E", "Z2z"], "module 'E' is infinite; the oracle compares finite modules only"),
+    (["iso", "-", "D", "X1", "XS"], "extension 'XS' solves diagram 'E', not 'D'"),
 ], ids=["i", "count", "max-order", "hexagon-action", "diagram", "frame", "validate", "iso-diagram", "iso-extension",
-        "ring", "i-short", "hexagon-action-short"])
-def test_refused_value_is_echoed_only_when_short(capsys, argv, message):
-    # a value or name from the command line that is refused is echoed in
-    # full up to 20 characters, else by its length
+        "ring", "i-short", "hexagon-action-short", "rings", "infinite", "iso-solved", "rings-short", "infinite-short",
+        "iso-solved-short"])
+def test_refused_value_is_echoed_only_when_short(capsys, monkeypatch, argv, message):
+    # a value or name from the command line or a document that is refused is
+    # echoed in full up to 20 characters, else by its length; a document
+    # named "-" is read from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(_named_document()))
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -520,8 +544,6 @@ def test_unknown_name_exits_2(capsys):
 
 
 def test_stdin_document(capsys, monkeypatch):
-    import io
-
     text = (FIXTURES / "zdiagram.json").read_text(encoding="utf-8")
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, report = run(capsys, "validate", "-", "D")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+from functools import cached_property
 from math import gcd, lcm, prod
 
 import pytest
@@ -27,6 +28,7 @@ from hexext.oracle import (
     _module_table,
     _pools,
     _product_types,
+    _shared_table,
     _tabulate,
     brute_equivalent,
     brute_ext1,
@@ -382,12 +384,19 @@ def test_hom_value_table_on_one_element_tables():
         assert t.hom_value_table(tgt, images) == [0] == [tgt.combination(t.digits[0], images)]
 
 
+def _clear_table_memos():
+    """Empty both table memos, so the next table of every lattice is made
+    afresh, with nothing labelled or read."""
+    _tabulate.cache_clear()
+    _shared_table.cache_clear()
+
+
 def test_oversized_table_raises_before_allocating():
     # the caller's meter refuses a box over its bound (Z/32's 32 under 31)
     # before the table is asked for, so nothing is tabulated; a box that
     # fits (Z/101's 101 under 1000) is refused at the table's cost, before
     # its 101 x 101 addition table is allocated
-    _tabulate.cache_clear()
+    _clear_table_memos()
     z101 = PresentedModule.cyclic(ZZ, 101)
     for m, bound, count, kept in ((_Z32, 31, 32, 0), (z101, 1000, 101 + 101 + 101**2, 1)):
         budget = EnumerationBudget(max_order=200, max_candidates=bound)
@@ -405,14 +414,14 @@ def test_oversized_table_raises_before_allocating():
 
 def test_module_table_refused_at_its_cost_builds_no_addition_table():
     # a caller's meter one candidate short of a module table's box plus its
-    # cost refuses it at the cost: the memo keeps the table, whose addition
-    # table and multiples are first built when read
+    # cost refuses it at the cost: the memo keeps the table, whose coset
+    # labels, addition table and multiples are first built when read
     for m in (Z4m, PresentedModule.from_invariant_factors(ZZ, [2, 2]),
               PresentedModule.from_invariant_factors(Zmod(9), [3, 9])):
         budget = EnumerationBudget(max_order=64)
         full = _Meter(budget)
         _module_table(m, budget, full)
-        _tabulate.cache_clear()
+        _clear_table_memos()
         short = _Meter(EnumerationBudget(max_order=64, max_candidates=full.count - 1))
         with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {full.count - 1}$"):
             _module_table(m, short.budget, short)
@@ -420,6 +429,7 @@ def test_module_table_refused_at_its_cost_builds_no_addition_table():
         t = _tabulate(box, tuple(m.relations.columns()))
         assert _tabulate.cache_info()[:2] == (1, 1) and short.count == full.count == prod(box) + t.cost
         assert "sums" not in vars(t) and "multiples" not in vars(t)
+        assert "_labelling" not in vars(t) and "digits" not in vars(t)
         assert t.smul(1, 1) == 1 and len(t.sums) == t.n > 1
 
 
@@ -458,7 +468,7 @@ def test_table_memo_changes_no_answer():
     calls = [(q, p, EnumerationBudget(max_candidates=c)) for q, p in pairs for c in (20_000_000, 500, 100)]
     cold = []
     for q, p, budget in calls:
-        _tabulate.cache_clear()
+        _clear_table_memos()
         _ext1_walk.cache_clear()
         _ext1_classes.cache_clear()
         cold.append(_ext1_outcome(q, p, budget))
@@ -543,7 +553,7 @@ def test_least_budget_search_keeps_one_table_per_lattice(ring):
     # once, whatever the bound, and serves every later call
     q = PresentedModule.make(ring, 2, [[2, 0], [1, 1]])
     p = PresentedModule.make(ring, 2, [[2, 0], [0, 1]])
-    _tabulate.cache_clear()
+    _clear_table_memos()
     _ext1_walk.cache_clear()
     _ext1_classes.cache_clear()
     assert _least_budget(q, p) == 66
@@ -627,6 +637,64 @@ def test_presentations_on_other_radices_share_a_walk():
     _ext1_classes.cache_clear()
     assert [_ext1_outcome(q, p, budget) for q in (q1, q2)] == cold
     assert _ext1_classes.cache_info()[:2] == (1, 1)
+
+
+def test_every_presentation_of_a_lattice_reads_one_labelled_table(monkeypatch):
+    # Z^2 / <(2, 0), (1, 1)>, which is Z/2, in five presentations over each
+    # of Z/4, Z/8 and Z (over Z, 2 * e_0 added is the first column repeated,
+    # so fourteen distinct ones): all get one table object, labelled once,
+    # that keeps the columns of whichever presentation reached it first.
+    # Tabulated in forward and in reverse order on emptied memos, the
+    # oracle's answers on every pair over one ring and the counts of every
+    # meter they make are identical
+    rings = (R4, Zmod(8), ZZ)
+    per_ring = [_lattice_presentations(PresentedModule.make(ring, 2, [[2, 0], [1, 1]])) for ring in rings]
+    presentations = [m for ms in per_ring for m in ms]
+    labelling = Table.__dict__["_labelling"]
+    labelled = []
+
+    def counted(t):
+        labelled.append(t)
+        return labelling.func(t)
+
+    spy = cached_property(counted)
+    spy.__set_name__(Table, "_labelling")
+    monkeypatch.setattr(Table, "_labelling", spy)
+    meters = []
+
+    class Recorded(_Meter):
+        def __init__(self, budget):
+            super().__init__(budget)
+            meters.append(self)
+
+    monkeypatch.setattr(oracle, "_Meter", Recorded)
+    budget = EnumerationBudget()
+    runs = []
+    for order in (presentations, presentations[::-1]):
+        _clear_table_memos()
+        _ext1_walk.cache_clear()
+        _ext1_classes.cache_clear()
+        tables = [_module_table(m, budget, _Meter(budget)) for m in order]
+        assert all(t is tables[0] for t in tables) and tables[0].n == 2
+        assert _tabulate.cache_info().currsize == len(set(order)) == 14
+        assert _shared_table.cache_info().currsize == 1
+        assert labelled == []
+        meters.clear()
+        answers = []
+        for ms in per_ring:
+            for a in ms:
+                for b in ms:
+                    answers.append([f.matrix for f in enumerate_morphisms(a, b, budget)])
+                    answers.append(_ext1_outcome(a, b, budget))
+                    reps = brute_ext1(a, b, budget).representatives
+                    answers.append([brute_equivalent(s1, s2, budget) for s1 in reps for s2 in reps])
+        assert labelled.count(tables[0]) == 1
+        runs.append((tables[0].relation_cols, answers, [m.count for m in meters]))
+        labelled.clear()
+    (forward_cols, *forward), (reverse_cols, *reverse) = runs
+    assert forward_cols != reverse_cols
+    assert forward == reverse
+    assert [a[0] for a in forward[0][1::3]] == [2] * 75
 
 
 def test_budgets_that_differ_only_in_max_order_share_a_walk():
