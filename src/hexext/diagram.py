@@ -11,12 +11,15 @@ Ext^2(Q, P) vanishes: the sum of the spliced products of the two row/column
 pairs.  The obstruction is computed twice by design -- once as that explicit
 Baer sum of spliced products, once as the connecting image of the
 restriction data through the auxiliary pullback object Y, by a chain lift --
-and the pipeline fails loudly if the two routes ever disagree.
+and the pipeline fails loudly if the two routes ever disagree.  Both routes
+are cocycles on Q's resolution, decided and compared modulo coboundaries;
+Ext^2(Q, P) itself is built only when a report's classes are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ClassesDifferError,
@@ -27,16 +30,18 @@ from .errors import (
 )
 from .ext import (
     ExtClass,
+    ExtModule,
+    FreeResolution,
     _cochains,
     _free_map,
     _ses_cocycle,
+    _splice_cocycle,
     chain_map,
     class_of_ses,
     ext_module,
     free_resolution,
     restriction,
     ses_of_cocycle,
-    yoneda_product_of_ses,
 )
 from .linalg import ExactMatrix, block_diag
 from .modules import (
@@ -160,13 +165,35 @@ def _require_valid(d: Diagram3x3) -> None:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    yoneda_ef: ExtClass   # [rowTop] spliced with [colRight], in Ext^2(Q, P)
-    yoneda_hg: ExtClass   # [colLeft] spliced with [rowBottom]
-    baer_sum: ExtClass
+    """The two spliced products as cocycles ``F2(Q) -> P`` on
+    ``resolution``, Q's resolution.  :attr:`is_zero` reads their sum
+    against the coboundaries; their classes in Ext^2(Q, P) and the classes'
+    sum are built from that module when one of them is first read."""
 
-    @property
+    resolution: FreeResolution
+    p: PresentedModule
+    ef: ExactMatrix   # [rowTop] spliced with [colRight]
+    hg: ExactMatrix   # [colLeft] spliced with [rowBottom]
+
+    @cached_property
     def is_zero(self) -> bool:
-        return self.baer_sum.is_zero()
+        return _is_coboundary(self.ef + self.hg, self.resolution, self.p)
+
+    @cached_property
+    def _ext2(self) -> ExtModule:
+        return ext_module(2, self.resolution.target, self.p)
+
+    @cached_property
+    def yoneda_ef(self) -> ExtClass:
+        return self._ext2.class_of_cocycle(self.ef)
+
+    @cached_property
+    def yoneda_hg(self) -> ExtClass:
+        return self._ext2.class_of_cocycle(self.hg)
+
+    @cached_property
+    def baer_sum(self) -> ExtClass:
+        return self.yoneda_ef + self.yoneda_hg
 
 
 def obstruction(d: Diagram3x3) -> ObstructionReport:
@@ -176,9 +203,19 @@ def obstruction(d: Diagram3x3) -> ObstructionReport:
 
 
 def _obstruction(d: Diagram3x3) -> ObstructionReport:
-    ef = yoneda_product_of_ses(d.row_top, d.col_right)
-    hg = yoneda_product_of_ses(d.col_left, d.row_bottom)
-    return ObstructionReport(ef, hg, ef + hg)
+    """Both spliced products chased over Q's resolution, each checked
+    against d3; no Ext module is built."""
+    res = free_resolution(d.q)
+    ef, hg = (_checked_cocycle(_splice_cocycle(left, right, res), res, 2, d.p)
+              for left, right in ((d.row_top, d.col_right), (d.col_left, d.row_bottom)))
+    return ObstructionReport(res, d.p, ef, hg)
+
+
+def _is_coboundary(phi: ExactMatrix, res: FreeResolution, p: PresentedModule) -> bool:
+    """Whether the cocycle ``phi : F2 -> P`` on ``res`` lies in the
+    coboundaries and P's relations (``ext._cochains``), that is, whether its
+    class in Ext^2 is zero."""
+    return _first_outside(_flatten(phi), _cochains(2, res, p).relations) is None
 
 
 @dataclass(frozen=True)
@@ -298,28 +335,27 @@ def _tau(d: Diagram3x3) -> tuple[ExactMatrix, ExactMatrix]:
     out = []
     for side in (d.row_top, d.col_left):
         res = free_resolution(side.right)
-        out.append(_checked_cocycle(_ses_cocycle(side, res), res.d2, d.p))
+        out.append(_checked_cocycle(_ses_cocycle(side, res), res, 1, d.p))
     return tuple(out)
 
 
-def _connecting_image(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactMatrix]) -> ExtClass:
-    """Route 2 of the obstruction: the image in Ext^2(Q, P) of tau, the
-    pair ``(tau_R, tau_S)`` of :func:`_tau`, under the connecting map of the
-    Y-sequence, the chain-lift Yoneda product of tau with the Y-sequence's
-    class.  The chase of the Y-sequence over Q's resolution gives ``gamma :
-    F1(Q) -> R (+) S``; ``gamma o d2(Q)`` is zero in R (+) S, so it lifts
-    once through the free map ``d1(R) (+) d1(S)``, and ``[tau_R | tau_S]``
-    composed with that lift is a cocycle ``F2(Q) -> P`` of the product.  No
-    sequence is spliced, so this route shares no Yoneda code with the
-    product obstruction."""
-    e2 = ext_module(2, d.q, d.p)
-    res = e2.resolution
+def _connecting_image(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactMatrix]) -> ExactMatrix:
+    """Route 2 of the obstruction: a cocycle ``F2(Q) -> P`` of the image of
+    tau, the pair ``(tau_R, tau_S)`` of :func:`_tau`, under the connecting
+    map of the Y-sequence, the chain-lift Yoneda product of tau with the
+    Y-sequence's class.  The chase of the Y-sequence over Q's resolution
+    gives ``gamma : F1(Q) -> R (+) S``; ``gamma o d2(Q)`` is zero in R (+)
+    S, so it lifts once through the free map ``d1(R) (+) d1(S)``, and
+    ``[tau_R | tau_S]`` composed with that lift is the cocycle.  No sequence
+    is spliced, so this route shares no Yoneda code with the product
+    obstruction."""
+    res = free_resolution(d.q)
     gamma = _ses_cocycle(by.ses, res)
     d1 = block_diag(d.p.ring, [free_resolution(d.r).d1, free_resolution(d.s).d1])
     lifted = lift(_free_map(d1), gamma @ res.d2)
     if lifted is None:
         raise AssertionError("the Y-sequence's cocycle does not lift through d1(R) (+) d1(S)")
-    return e2.class_of_cocycle(tau[0].hstack(tau[1]) @ lifted)
+    return tau[0].hstack(tau[1]) @ lifted
 
 
 def _solve_restriction(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactMatrix]) -> ExtClass | None:
@@ -345,7 +381,7 @@ def _solve_restriction(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactM
         res = free_resolution(w.source)
         lifted = chain_map(res, e_y.resolution, w, 1)[1]
         cochains = _cochains(1, res, d.p)
-        restricted = [_checked_cocycle(phi @ lifted, res.d2, d.p) for phi in e_y.cocycles]
+        restricted = [_checked_cocycle(phi @ lifted, res, 1, d.p) for phi in e_y.cocycles]
         blocks.append(ExactMatrix.from_cols(ring, [_flatten(phi).col(0) for phi in restricted],
                                             cochains.generators))
         rhs.append(_flatten(tau_w).col(0))
@@ -358,11 +394,11 @@ def _solve_restriction(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactM
     return e_y.class_from_coords(x.col(0))
 
 
-def _checked_cocycle(phi: ExactMatrix, d2: ExactMatrix, p: PresentedModule) -> ExactMatrix:
-    """``phi : F1 -> P``, once ``phi o d2`` is zero in P; an engine fault
-    otherwise."""
-    if _first_outside(phi @ d2, p.relations) is not None:
-        raise AssertionError("a restricted or chased cochain is not a cocycle")
+def _checked_cocycle(phi: ExactMatrix, res: FreeResolution, degree: int, p: PresentedModule) -> ExactMatrix:
+    """``phi : F_degree -> P`` on ``res``, once ``phi o d_(degree + 1)`` is
+    zero in P; an engine fault naming the degree otherwise."""
+    if _first_outside(phi @ res.differential(degree + 1), p.relations) is not None:
+        raise AssertionError(f"a restricted or chased cochain F{degree} -> P is not a cocycle")
     return phi
 
 
@@ -427,15 +463,18 @@ def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
     """The connecting image of tau (:func:`_connecting_image`), checked
     against the product obstruction, then xi solved in cochains
     (:func:`_solve_restriction`); both read tau's cocycles, computed once
-    here.  Raises :class:`NotExtendableError` with the obstruction report
-    when the obstruction is nonzero."""
+    here.  The routes are compared as cocycles on Q's resolution: they agree
+    exactly when their difference is a coboundary, so Ext^2(Q, P) is built
+    only to name the classes of routes that disagree.  Raises
+    :class:`NotExtendableError` with the obstruction report when the
+    obstruction is nonzero."""
     ob = _known(d, "obstruction", _obstruction)
     tau = _tau(d)
     delta_tau = _connecting_image(d, by, tau)
-    if delta_tau != ob.baer_sum:
+    if not _is_coboundary(delta_tau - ob.ef - ob.hg, ob.resolution, d.p):
         raise AssertionError(
             "obstruction routes disagree: connecting image "
-            f"{delta_tau.coords} vs product sum {ob.baer_sum.coords}"
+            f"{ext_module(2, d.q, d.p).class_of_cocycle(delta_tau).coords} vs product sum {ob.baer_sum.coords}"
         )
     if not ob.is_zero:
         raise NotExtendableError(ob)

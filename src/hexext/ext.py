@@ -9,8 +9,8 @@ construction possible; coordinates alone would not suffice.
 What the diagram pipeline needs of Ext is here: the class of an exact
 sequence (a staircase chase of the resolution) and the cocycle that chase
 reads off, the sequence of a degree-1 class, the restriction map along a map
-of the first argument, the Ext^2 class of two short exact sequences spliced
-through a shared end object, and the cochains Hom(F_k, P) modulo
+of the first argument, the Ext^2 cocycle of two short exact sequences
+spliced through a shared end object, and the cochains Hom(F_k, P) modulo
 coboundaries, in which a cocycle is zero exactly when its class is.  The
 chased cocycle and the cochains let a caller compare restricted classes as
 cocycles, without building the Ext module they live in.
@@ -207,13 +207,6 @@ def _chase_cocycle(maps: list[ModuleMorphism], failures: tuple[str, ...], res: F
     return step
 
 
-def _chase(maps: list[ModuleMorphism], failures: tuple[str, ...]) -> ExtClass:
-    """The class in Ext^k(Q, P) of the cocycle :func:`_chase_cocycle`
-    reads off the k + 1 maps."""
-    e = ext_module(len(maps) - 1, maps[-1].target, maps[0].source)
-    return e.class_of_cocycle(_chase_cocycle(maps, failures, e.resolution))
-
-
 def _ses_cocycle(s: ShortExactSequence, res: FreeResolution) -> ExactMatrix:
     """The cocycle ``F1(Q) -> P`` whose class :func:`class_of_ses` gives,
     on ``res``, the resolution of Q."""
@@ -222,7 +215,8 @@ def _ses_cocycle(s: ShortExactSequence, res: FreeResolution) -> ExactMatrix:
 
 def class_of_ses(s: ShortExactSequence) -> ExtClass:
     """The class of ``0 -> P -> X -> Q -> 0`` in Ext^1(Q, P)."""
-    return _chase([s.inject, s.project], _SES_FAILURES)
+    e = ext_module(1, s.right, s.left)
+    return e.class_of_cocycle(_ses_cocycle(s, e.resolution))
 
 
 def ses_of_class(c: ExtClass) -> ShortExactSequence:
@@ -286,17 +280,19 @@ def restriction(e: ExtModule, f: ModuleMorphism) -> ModuleMorphism:
 
 
 # ---------------------------------------------------------------------------
-# Yoneda products into Ext^2
+# The spliced product into Ext^2, as a cocycle
 # ---------------------------------------------------------------------------
 
 
-def yoneda_product_of_ses(s_left: ShortExactSequence, s_right: ShortExactSequence) -> ExtClass:
-    """The Ext^2 class of ``0->P->A->S->0`` spliced with ``0->S->B->Q->0``
-    through the shared S: the chase of ``0 -> P -> A -> B -> Q -> 0``.  That
-    sequence is exact because both short ones are, so nothing is re-checked
-    here."""
-    if s_left.right != s_right.left:
-        raise ArgumentMismatchError("splice needs a shared end object")
-    return _chase([s_left.inject, s_right.inject @ s_left.project, s_right.project],
-                  ("chase left the image of the injection", "chase left the image of the middle map",
-                   "two-extension projection is not surjective"))
+_SPLICE_FAILURES = ("chase left the image of the injection", "chase left the image of the middle map",
+                    "two-extension projection is not surjective")
+
+
+def _splice_cocycle(s_left: ShortExactSequence, s_right: ShortExactSequence, res: FreeResolution) -> ExactMatrix:
+    """The cocycle ``F2(Q) -> P``, on ``res``, the resolution of Q, of ``0
+    -> P -> A -> S -> 0`` spliced with ``0 -> S -> B -> Q -> 0`` through the
+    shared S: the chase of ``0 -> P -> A -> B -> Q -> 0``.  That sequence is
+    exact because both short ones are, so nothing is re-checked here, not
+    even that they share S; the caller checks the result against d3."""
+    return _chase_cocycle([s_left.inject, s_right.inject @ s_left.project, s_right.project],
+                          _SPLICE_FAILURES, res)

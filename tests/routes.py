@@ -4,8 +4,8 @@ None of these is on the path of the pipeline or the command line.  Each one
 recomputes something the library computes another way: transport of single
 classes against :func:`hexext.ext.restriction`, sequence-level pullbacks
 and pushouts against class-level transport, the explicit Baer sum against
-coordinate addition, Yoneda products of classes against the chain-lift
-route, the Hom/Ext ladder of a short exact sequence against its
+coordinate addition, Yoneda products of classes, and the class of two
+spliced sequences, against the chain-lift route, the Hom/Ext ladder of a short exact sequence against its
 exactness, the class over Y solved in Ext^1(R, P) (+) Ext^1(S, P) against
 its solve in cochains, tau's sequence, whose splice with the Y-sequence is
 checked against the chain-lift connecting image, the grid maps i and j of a
@@ -15,12 +15,12 @@ against its solve over Y's embedding in F (+) G, a hexagon frame's
 conditions read on the frame itself against its fold, and the general
 snake lemma of a ladder, with its six-term sequence, against the
 pipeline's check of its one ladder over Y.
-Beside them live four helpers that only the tests call: the identity
+Beside them live five helpers that only the tests call: the identity
 morphism, the cokernel with its projection, injectivity over the base ring,
-and a middle object realized from a shifted cocycle representative; the
-census of every grid up to a size, listed without the engine; and the
-oracle's homomorphism walk over the plain product of its candidates,
-against the yields of its order-filtered walk.
+a middle object realized from a shifted cocycle representative, and the
+direct sum of two grids; the census of every grid up to a size, listed
+without the engine; and the oracle's homomorphism walk over the plain
+product of its candidates, against the yields of its order-filtered walk.
 Tests import them with ``from routes import ...``.
 """
 
@@ -36,12 +36,12 @@ from hexext.ext import (
     ExtClass,
     ExtModule,
     _free_map,
+    _splice_cocycle,
     chain_map,
     class_of_ses,
     ext_module,
     restriction,
     ses_of_class,
-    yoneda_product_of_ses,
 )
 from hexext.diagram import BuildY, Diagram3x3, DiagramExtension, _class_over_y, _realize
 from hexext.hexagon import HexagonFrame
@@ -126,6 +126,24 @@ def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExt
         res.rank(0),
     )
     return _realize(d, by, xi.cocycle() + (psi @ res.d1))
+
+
+def sum_diagram(d0: Diagram3x3, d1: Diagram3x3) -> Diagram3x3:
+    """``d0 (+) d1``: each of the four sequences summed with its partner,
+    every object and map block-diagonal with d0's block first, so the
+    corners the summands share are shared by the sum."""
+    ring = d0.p.ring
+
+    def summed(a: PresentedModule, b: PresentedModule) -> PresentedModule:
+        return PresentedModule(block_diag(ring, [a.relations, b.relations]))
+
+    def morphism(f: ModuleMorphism, g: ModuleMorphism) -> ModuleMorphism:
+        return ModuleMorphism(summed(f.source, g.source), summed(f.target, g.target),
+                              block_diag(ring, [f.matrix, g.matrix]))
+
+    return Diagram3x3(*(ShortExactSequence(morphism(s0.inject, s1.inject), morphism(s0.project, s1.project))
+                        for s0, s1 in ((d0.row_top, d1.row_top), (d0.row_bottom, d1.row_bottom),
+                                       (d0.col_left, d1.col_left), (d0.col_right, d1.col_right))))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +247,16 @@ def baer_sum_explicit(s1: ShortExactSequence, s2: ShortExactSequence) -> ShortEx
 # ---------------------------------------------------------------------------
 # Yoneda products of classes
 # ---------------------------------------------------------------------------
+
+
+def yoneda_product_of_ses(s_left: ShortExactSequence, s_right: ShortExactSequence) -> ExtClass:
+    """The Ext^2 class of ``0->P->A->S->0`` spliced with ``0->S->B->Q->0``
+    through the shared S: the class of the library's spliced-product cocycle
+    (``ext._splice_cocycle``), as an obstruction report builds it when read."""
+    if s_left.right != s_right.left:
+        raise ArgumentMismatchError("splice needs a shared end object")
+    e = ext_module(2, s_right.right, s_left.left)
+    return e.class_of_cocycle(_splice_cocycle(s_left, s_right, e.resolution))
 
 
 def yoneda_product(e: ExtClass, g: ExtClass) -> ExtClass:

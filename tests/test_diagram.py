@@ -20,8 +20,8 @@ import hexext.modules as modules_module
 from hexext.diagram import (
     Diagram3x3,
     DiagramExtension,
-    ObstructionReport,
     _connecting_image,
+    _is_coboundary,
     _realize,
     _solve_restriction,
     _tau,
@@ -47,7 +47,6 @@ from hexext.ext import (
     class_of_ses,
     ext_module,
     ses_of_class,
-    yoneda_product_of_ses,
 )
 from hexext.hexagon import fold_frame, solve_hexagon
 from hexext.linalg import ExactMatrix
@@ -79,8 +78,10 @@ from routes import (
     projection_to_y_through_pullback,
     restriction_solve_over_ext,
     snake_connecting,
+    sum_diagram,
     tau_ses,
     transport_contravariant,
+    yoneda_product_of_ses,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -329,7 +330,7 @@ def test_memo_runs_each_cross_check_once(monkeypatch):
     # the product sum run once per diagram object, whatever entry asks; the
     # connecting image is a chain lift, so only route 1 splices
     snakes = _count_calls(monkeypatch, "_snake_cross_check")
-    splices = _count_calls(monkeypatch, "yoneda_product_of_ses")
+    splices = _count_calls(monkeypatch, "_splice_cocycle")
     images = _count_calls(monkeypatch, "_connecting_image")
     d = all_split()
     extend_diagram(d)
@@ -354,18 +355,19 @@ def test_memo_holds_one_diagram():
 @pytest.mark.parametrize("entry", ["check_uniqueness", "enumerate_extensions", "extend_diagram",
                                    "extend_with_variant_cocycle"])
 def test_entry_checks_obstruction_routes_agree(entry, monkeypatch):
-    # a product obstruction shifted off the connecting image must stop every
-    # entry past the obstruction on the routes' disagreement, before the
-    # now nonzero sum could be reported
+    # a product cocycle shifted by a cocycle that is no coboundary, off the
+    # connecting image, must stop every entry past the obstruction on the
+    # routes' disagreement, before the now nonzero sum could be reported
     d = all_split()
     real = diagram_module._obstruction
+    one = ext_module(2, d.q, d.p).class_from_coords((1,))
+    assert not one.is_zero()
+    assert not _is_coboundary(one.cocycle(), real(d).resolution, d.p)
 
     def shifted(dg):
         ob = real(dg)
-        one = ob.baer_sum.parent.class_from_coords((1,))
-        return ObstructionReport(ob.yoneda_ef, ob.yoneda_hg, ob.baer_sum + one)
+        return replace(ob, ef=ob.ef + one.cocycle())
 
-    assert not real(d).baer_sum.parent.class_from_coords((1,)).is_zero()
     monkeypatch.setattr(diagram_module, "_obstruction", shifted)
     with pytest.raises(AssertionError, match="obstruction routes disagree"):
         ENTRIES[entry](d, None)
@@ -508,7 +510,8 @@ ENGINE_FAULTS = [
      "pullback projections do not agree over Q"),
     (ModuleMorphism, "is_isomorphism", lambda *a: False,
      "Y -> G does not carry the kernel of Y -> F isomorphically onto the kernel of G -> Q"),
-    (diagram_module, "_first_outside", lambda *a, **k: 0, "a restricted or chased cochain is not a cocycle"),
+    # the first cochain checked is a product cocycle, against d3
+    (diagram_module, "_first_outside", lambda *a, **k: 0, "a restricted or chased cochain F2 -> P is not a cocycle"),
     (PresentedModule, "is_isomorphic_to", lambda *a: False, "kernel of G -> Q does not match S in the derived grid"),
 ]
 
@@ -523,21 +526,26 @@ def test_engine_fault_is_an_assertion(owner, name, fake, message, monkeypatch):
 
 
 # Faults behind facts the memo keeps: ``prime`` asks for the facts before the
-# fault, then the diagram layer's lift answers ``answered`` more calls and
-# fails from the next one on, which is the one the message names
-LIFT_FAULTS = [
-    (build_Y, 0, "the Y-sequence's cocycle does not lift through d1(R) (+) d1(S)"),
-    (build_Y, 1, "obstruction vanished but the restriction map has no solution"),
-    (check_uniqueness, 0, "restriction classes matched but grid maps are unsolvable"),
+# fault, then the diagram layer's ``name`` answers ``answered`` more calls
+# and from the next one on gives ``failed``, a lift with no solution or a
+# column outside a span; the call that fails is the one the message names.
+# With the obstruction kept, tau's cocycles are the first checked, against d2
+KEPT_FACT_FAULTS = [
+    (build_Y, "lift", 0, None, "the Y-sequence's cocycle does not lift through d1(R) (+) d1(S)"),
+    (build_Y, "lift", 1, None, "obstruction vanished but the restriction map has no solution"),
+    (check_uniqueness, "lift", 0, None, "restriction classes matched but grid maps are unsolvable"),
+    (obstruction, "_first_outside", 0, 0, "a restricted or chased cochain F1 -> P is not a cocycle"),
 ]
 
 
-@pytest.mark.parametrize("prime, answered, message", LIFT_FAULTS, ids=["connecting-image", "xi", "grid-map"])
-def test_engine_fault_behind_kept_facts_is_an_assertion(prime, answered, message, monkeypatch):
+@pytest.mark.parametrize("prime, name, answered, failed, message", KEPT_FACT_FAULTS,
+                         ids=["connecting-image", "xi", "grid-map", "tau"])
+def test_engine_fault_behind_kept_facts_is_an_assertion(prime, name, answered, failed, message, monkeypatch):
     d = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8")).diagrams["D"]
     prime(d)
     calls = itertools.count()
-    monkeypatch.setattr(diagram_module, "lift", lambda *a: lift(*a) if next(calls) < answered else None)
+    real = getattr(diagram_module, name)
+    monkeypatch.setattr(diagram_module, name, lambda *a: real(*a) if next(calls) < answered else failed)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         extend_diagram(d)
 
@@ -866,13 +874,60 @@ def test_connecting_image_chain_lift_matches_the_splice_and_the_products():
         for _ in range(40):
             d = random_diagram(rng, ring, 32)
             by = build_Y(d)
-            lifted, spliced = _connecting_image(d, by, _tau(d)), yoneda_product_of_ses(tau_ses(d, by), by.ses)
+            lifted = ext_module(2, d.q, d.p).class_of_cocycle(_connecting_image(d, by, _tau(d)))
+            spliced = yoneda_product_of_ses(tau_ses(d, by), by.ses)
             assert lifted.coords == spliced.coords == obstruction(d).baer_sum.coords
             obstructed += not lifted.is_zero()
             if max(_class_order(class_of_ses(d.row_top)), _class_order(class_of_ses(d.col_left))) >= 3:
                 signed[str(ring)] += 1
     assert obstructed >= 15
     assert min(signed[str(ring)] for ring in (Zmod(9), Zmod(27), ZZ)) >= 3, signed
+
+
+def test_obstruction_cochain_verdicts_match_the_ext2_classes():
+    # the pipeline decides the obstruction, and compares its two routes, as
+    # cocycles modulo coboundaries; the classes in Ext^2(Q, P) must decide
+    # the same.  On the draws of the test above, the connecting image is
+    # also compared shifted by each generating cocycle of Ext^2, so that
+    # unequal routes are compared too.  Classes of order 3 or more (over
+    # Z/9, Z/27 and Z) are where a sign slip would show
+    counts, signed = collections.Counter(), collections.Counter()
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(27), ZZ):
+        rng = random.Random(f"connecting image {ring}")
+        for _ in range(40):
+            d = random_diagram(rng, ring, 32)
+            ob, by = obstruction(d), build_Y(d)
+            assert ob.is_zero == ob.baer_sum.is_zero()
+            e2, delta = ob.baer_sum.parent, _connecting_image(d, by, _tau(d))
+            for shift in (delta - delta,) + e2.cocycles:
+                agree = _is_coboundary(delta + shift - ob.ef - ob.hg, ob.resolution, d.p)
+                assert agree == (e2.class_of_cocycle(delta + shift) == ob.baer_sum)
+                counts["routes agree" if agree else "routes differ"] += 1
+            counts["obstructed"] += not ob.is_zero
+            if max(_class_order(class_of_ses(d.row_top)), _class_order(class_of_ses(d.col_left))) >= 3:
+                signed[str(ring)] += 1
+    assert counts["obstructed"] >= 15 and min(counts["routes agree"], counts["routes differ"]) >= 100, counts
+    assert min(signed[str(ring)] for ring in (Zmod(9), Zmod(27), ZZ)) >= 3, signed
+
+
+def test_direct_sum_is_obstructed_iff_a_summand_is():
+    # the spliced products are additive, so the obstruction of d0 (+) d1
+    # vanishes exactly when both summands' do.  The sums are drawn past the
+    # oracle's reach, |P||R||S||Q| > 16; over Z, Ext^2 is zero, so no sum
+    # there is obstructed
+    counts = collections.Counter()   # (ring, obstruction zero) -> sums
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
+        rng = random.Random(f"direct sum {ring}")
+        for _ in range(12):
+            d0, d1 = random_diagram(rng, ring, 16), random_diagram(rng, ring, 16)
+            d = sum_diagram(d0, d1)
+            assert validate_diagram1(d) == []
+            assert d.p.cardinality() * d.r.cardinality() * d.s.cardinality() * d.q.cardinality() > 16
+            zero = [obstruction(x).is_zero for x in (d0, d1, d)]
+            assert zero[2] == (zero[0] and zero[1])
+            counts[str(ring), zero[2]] += 1
+    assert sum(n for (_, zero), n in counts.items() if not zero) >= 8, counts
+    assert not counts[str(ZZ), False], counts
 
 
 def test_uniqueness_image_counts_the_classes_over_y():
@@ -957,10 +1012,12 @@ def test_lambda_fixture_facts():
 
 
 def test_extend_diagram_never_resolves_the_sum(monkeypatch):
-    # extending a grid or a hexagon frame asks only for Ext^2(Q, P) (the
-    # obstruction) and Ext^1(Y, P) (the class over Y and the middle object),
-    # and the uniqueness verdict adds only Ext^1(Q, P): no Ext of R (+) S is
-    # resolved, as either argument, and none of R or of S is built either
+    # extending a grid or a hexagon frame asks only for Ext^1(Y, P) (the
+    # class over Y and the middle object), and for nothing when the grid is
+    # obstructed: the obstruction is decided in cochains.  Reading the
+    # report's classes asks for Ext^2(Q, P), once, and the uniqueness verdict
+    # adds only Ext^1(Q, P): no Ext of R (+) S is resolved, as either
+    # argument, and none of R or of S is built either
     for obj in vars(ext_namespace).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
@@ -985,10 +1042,15 @@ def test_extend_diagram_never_resolves_the_sum(monkeypatch):
                     extends = False
                 seen.append((extends, set(asked)))
             y = build_Y(d).y
-            wanted = {(2, d.q, d.p), (1, y, d.p)} if extends else {(2, d.q, d.p)}
+            wanted = {(1, y, d.p)} if extends else set()
             assert seen == [(extends, wanted)] * 2
+            ob = obstruction(d)
+            asked.clear()
+            classes = (ob.baer_sum, ob.yoneda_ef, ob.yoneda_hg, ob.baer_sum)
+            assert asked == [(2, d.q, d.p)] and classes[0].is_zero() == ob.is_zero == extends
             kinds["extends" if extends else "obstructed"] += 1
             if extends:
+                asked.clear()
                 check_uniqueness(d)
                 assert set(asked) == wanted | {(1, d.q, d.p)}
                 kinds["distinct"] += not {d.r, d.s, direct_sum(d.r, d.s).module} & {d.q, y}

@@ -15,7 +15,6 @@ from hexext.ext import (
     free_resolution,
     restriction,
     ses_of_class,
-    yoneda_product_of_ses,
 )
 from hexext.linalg import ExactMatrix
 from hexext.modules import (
@@ -40,6 +39,7 @@ from routes import (
     transport_contravariant,
     transport_covariant,
     yoneda_product,
+    yoneda_product_of_ses,
     yoneda_product_via_chain_lift,
 )
 
@@ -454,7 +454,8 @@ MOVED_TO_ROUTES = ("connecting_hom", "HomExtLadder", "connecting_alpha", "_trans
                    "transport_contravariant", "transport_covariant", "pullback_ses", "pushout_ses",
                    "baer_sum_explicit", "yoneda_product", "yoneda_product_via_chain_lift",
                    "Pushout", "pushout", "snake_connecting", "SnakeResult", "morphism_cokernel",
-                   "identity_morphism", "is_injective_module", "extend_with_variant_cocycle")
+                   "identity_morphism", "is_injective_module", "extend_with_variant_cocycle",
+                   "yoneda_product_of_ses")
 # the splice layer, which yoneda_product_of_ses replaced by one chase, the
 # second certificate check beside hom, the error only the snake lemma raised,
 # is_exact, which repeated ``exactness_violations(name, maps) == []``, and
