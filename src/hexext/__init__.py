@@ -54,9 +54,9 @@ from .hexagon import (
 )
 from .oracle import (
     EnumerationBudget,
+    brute_center_exists,
     brute_equivalent,
     brute_ext1,
-    brute_extension_exists,
     brute_injective,
     enumerate_morphisms,
 )
@@ -79,7 +79,7 @@ __all__ = [
     "HexagonFrame", "SolvedHexagon", "fold_frame", "solve_hexagon",
     "verify_hexagon", "hexagon_compatible_iso", "validate_frame",
     "EnumerationBudget", "enumerate_morphisms", "brute_ext1",
-    "brute_equivalent", "brute_injective", "brute_extension_exists",
+    "brute_equivalent", "brute_injective", "brute_center_exists",
     "DocumentModel", "parse", "serialize", "ParseError", "SemanticError",
 ]
 

@@ -166,18 +166,26 @@ def _require_valid(d: Diagram3x3) -> None:
 @dataclass(frozen=True)
 class ObstructionReport:
     """The two spliced products as cocycles ``F2(Q) -> P`` on
-    ``resolution``, Q's resolution.  :attr:`is_zero` reads their sum
-    against the coboundaries; their classes in Ext^2(Q, P) and the classes'
-    sum are built from that module when one of them is first read."""
+    ``resolution``, Q's resolution, with ``coboundaries``, the degree-2
+    coboundaries and P's relations (``ext._cochains``), built once.
+    :attr:`is_zero` reads their sum against the coboundaries; their classes
+    in Ext^2(Q, P) and the classes' sum are built from that module when one
+    of them is first read."""
 
     resolution: FreeResolution
     p: PresentedModule
     ef: ExactMatrix   # [rowTop] spliced with [colRight]
     hg: ExactMatrix   # [colLeft] spliced with [rowBottom]
+    coboundaries: ExactMatrix
+
+    def is_coboundary(self, phi: ExactMatrix) -> bool:
+        """Whether the cocycle ``phi : F2 -> P`` lies in ``coboundaries``,
+        that is, whether its class in Ext^2 is zero."""
+        return _first_outside(_flatten(phi), self.coboundaries) is None
 
     @cached_property
     def is_zero(self) -> bool:
-        return _is_coboundary(self.ef + self.hg, self.resolution, self.p)
+        return self.is_coboundary(self.ef + self.hg)
 
     @cached_property
     def _ext2(self) -> ExtModule:
@@ -208,14 +216,7 @@ def _obstruction(d: Diagram3x3) -> ObstructionReport:
     res = free_resolution(d.q)
     ef, hg = (_checked_cocycle(_splice_cocycle(left, right, res), res, 2, d.p)
               for left, right in ((d.row_top, d.col_right), (d.col_left, d.row_bottom)))
-    return ObstructionReport(res, d.p, ef, hg)
-
-
-def _is_coboundary(phi: ExactMatrix, res: FreeResolution, p: PresentedModule) -> bool:
-    """Whether the cocycle ``phi : F2 -> P`` on ``res`` lies in the
-    coboundaries and P's relations (``ext._cochains``), that is, whether its
-    class in Ext^2 is zero."""
-    return _first_outside(_flatten(phi), _cochains(2, res, p).relations) is None
+    return ObstructionReport(res, d.p, ef, hg, _cochains(2, res, d.p).relations)
 
 
 @dataclass(frozen=True)
@@ -471,7 +472,7 @@ def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
     ob = _known(d, "obstruction", _obstruction)
     tau = _tau(d)
     delta_tau = _connecting_image(d, by, tau)
-    if not _is_coboundary(delta_tau - ob.ef - ob.hg, ob.resolution, d.p):
+    if not ob.is_coboundary(delta_tau - ob.ef - ob.hg):
         raise AssertionError(
             "obstruction routes disagree: connecting image "
             f"{ext_module(2, d.q, d.p).class_of_cocycle(delta_tau).coords} vs product sum {ob.baer_sum.coords}"

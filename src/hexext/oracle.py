@@ -25,7 +25,7 @@ its cost on every call that asks for it, the coboundaries their count, a
 search the product of its walked pools and a middle type its projection
 candidates; a table holds no budget.  ``max_order`` bounds the order of
 every module an operation tabulates, and of the middle objects that
-:func:`brute_ext1` and :func:`brute_extension_exists` enumerate.  The four
+:func:`brute_ext1` and :func:`brute_center_exists` enumerate.  The four
 memos, :func:`_tabulate`, :func:`_shared_table`, :func:`_ext1_walk` and
 :func:`_ext1_classes`, are ``lru_cache`` functions capped at
 ``CACHE_SIZE``, like every cache in ``hexext`` except the
@@ -671,68 +671,67 @@ def brute_injective(p: PresentedModule, budget: EnumerationBudget = EnumerationB
     return True
 
 
-def brute_extension_exists(d, budget: EnumerationBudget = EnumerationBudget()) -> bool:
-    """Exhaustive search for a valid full grid: every candidate middle X of
-    order ``|E| * |G|`` over the ring, every surjection pair (m, n)
-    compatible over Q, every injection pair (j, i) hitting the right kernels
-    and commuting with the outer maps.  True iff some grid exists."""
+def brute_center_exists(frame, budget: EnumerationBudget = EnumerationBudget()) -> bool:
+    """Exhaustive search for a center of the hexagon ``frame``, by its
+    definition: every candidate middle X of order ``|A2| * |B2|`` over the
+    ring, every surjection pair (curv, c) with ``s curv = r c``, every
+    injection pair (i, j) hitting the right kernels with ``curv i = d``,
+    ``c j = topB`` and ``i beta = j alpha``.  True iff some center exists.
+    A grid is searched as its frame, ``randgen.frame_from_diagram``."""
     meter = _Meter(budget)
-    te = _module_table(d.e, budget, meter)
-    th = _module_table(d.h, budget, meter)
-    tf = _module_table(d.f, budget, meter)
-    tg = _module_table(d.g, budget, meter)
-    tq = _module_table(d.q, budget, meter)
+    ta2 = _module_table(frame.a2, budget, meter)
+    tb1 = _module_table(frame.b1, budget, meter)
+    ta3 = _module_table(frame.a3, budget, meter)
+    tb2 = _module_table(frame.b2, budget, meter)
+    ta4 = _module_table(frame.a4, budget, meter)
 
-    n = te.n * tg.n
-    if n != th.n * tf.n:
-        raise ValueError("inconsistent grid orders")
+    n = ta2.n * tb2.n
+    if n != tb1.n * ta3.n:
+        raise ValueError("inconsistent frame orders")
     if n > budget.max_order:
         raise BudgetExceededError(f"middle order {n} exceeds budget {budget.max_order}")
 
-    ef_img = _morphism_images(d.col_right.inject @ d.row_top.project, tf)   # E -> F
-    hg_img = _morphism_images(d.row_bottom.inject @ d.col_left.project, tg) # H -> G
-    pfq_img = _morphism_images(d.col_right.project, tq)
-    pgq_img = _morphism_images(d.row_bottom.project, tq)
-    nu_img = _morphism_images(d.row_top.inject, te)    # P -> E
-    mu_img = _morphism_images(d.col_left.inject, th)   # P -> H
+    d_img = _morphism_images(frame.d, ta3)
+    top_b_img = _morphism_images(frame.top_b, tb2)
+    beta_img = _morphism_images(frame.beta, ta2)
+    alpha_img = _morphism_images(frame.alpha, tb1)
+    s_vals = ta3.hom_value_table(ta4, _morphism_images(frame.s, ta4))
+    r_vals = tb2.hom_value_table(ta4, _morphism_images(frame.r, ta4))
 
-    fq_vals = tf.hom_value_table(tq, pfq_img)
-    gq_vals = tg.hom_value_table(tq, pgq_img)
-
-    for orders in _product_types(d.p.ring, n):
+    for orders in _product_types(frame.a1.ring, n):
         tx = _tabulate(orders, ())
         meter.tick(tx.cost)
-        # the pools before any condition on m or n, listed once per middle
-        # type and narrowed for each (m, n) pair
-        n_pools, j_pools, i_pools = _pools(tx, tg), _pools(te, tx), _pools(th, tx)
-        # |X| = |H||F| = |E||G|, so m and n are onto exactly when their
-        # kernels have the orders of H and E
-        for m_imgs in _iter_homs(tx, tf, _pools(tx, tf), meter):
-            m_vals = tx.hom_value_table(tf, m_imgs)
-            if m_vals.count(0) != th.n:
+        # the pools before any condition on curv or c, listed once per
+        # middle type and narrowed for each (curv, c) pair
+        c_pools, i_pools, j_pools = _pools(tx, tb2), _pools(ta2, tx), _pools(tb1, tx)
+        # |X| = |B1||A3| = |A2||B2|, so curv and c are onto exactly when
+        # their kernels have the orders of B1 and A2
+        for curv_imgs in _iter_homs(tx, ta3, _pools(tx, ta3), meter):
+            curv_vals = tx.hom_value_table(ta3, curv_imgs)
+            if curv_vals.count(0) != tb1.n:
                 continue
-            ncand = _narrowed(n_pools, [(gq_vals, [fq_vals[y] for y in m_imgs])])
-            if ncand is None:
+            c_cand = _narrowed(c_pools, [(r_vals, [s_vals[y] for y in curv_imgs])])
+            if c_cand is None:
                 continue
-            for n_imgs in _iter_homs(tx, tg, ncand, meter):
-                n_vals = tx.hom_value_table(tg, n_imgs)
-                if n_vals.count(0) != te.n:
+            for c_imgs in _iter_homs(tx, tb2, c_cand, meter):
+                c_vals = tx.hom_value_table(tb2, c_imgs)
+                if c_vals.count(0) != ta2.n:
                     continue
-                # j's generators go into ker n and, along m, over E -> F;
-                # i's into ker m and, along n, over H -> G.  |ker n| = |E|
-                # and |ker m| = |H|, so an injective j or i fills its kernel
-                jcand = _narrowed(j_pools, [(m_vals, ef_img), (n_vals, [0] * te.k)])
-                icand = _narrowed(i_pools, [(m_vals, [0] * th.k), (n_vals, hg_img)])
-                if jcand is None or icand is None:
+                # i's generators go into ker c and, along curv, over d;
+                # j's into ker curv and, along c, over topB.  |ker c| = |A2|
+                # and |ker curv| = |B1|, so an injective i or j fills its kernel
+                i_cand = _narrowed(i_pools, [(curv_vals, d_img), (c_vals, [0] * ta2.k)])
+                j_cand = _narrowed(j_pools, [(curv_vals, [0] * tb1.k), (c_vals, top_b_img)])
+                if i_cand is None or j_cand is None:
                     continue
-                for j_imgs in _iter_homs(te, tx, jcand, meter, injective=True):
-                    jvals = te.hom_value_table(tx, j_imgs)
-                    if len(set(jvals)) != te.n:
+                for i_imgs in _iter_homs(ta2, tx, i_cand, meter, injective=True):
+                    i_vals = ta2.hom_value_table(tx, i_imgs)
+                    if len(set(i_vals)) != ta2.n:
                         continue
-                    for i_imgs in _iter_homs(th, tx, icand, meter, injective=True):
-                        ivals = th.hom_value_table(tx, i_imgs)
-                        if len(set(ivals)) != th.n:
+                    for j_imgs in _iter_homs(tb1, tx, j_cand, meter, injective=True):
+                        j_vals = tb1.hom_value_table(tx, j_imgs)
+                        if len(set(j_vals)) != tb1.n:
                             continue
-                        if all(ivals[mu] == jvals[nu] for mu, nu in zip(mu_img, nu_img)):
+                        if all(j_vals[a] == i_vals[b] for a, b in zip(alpha_img, beta_img)):
                             return True
     return False

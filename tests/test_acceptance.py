@@ -22,11 +22,12 @@ from hexext.diagram import (
     validate_extension,
 )
 from hexext.document import parse, serialize
-from hexext.errors import NotExtendableError
+from hexext.errors import BudgetExceededError, NotExtendableError
 from hexext.ext import class_of_ses, ext_module, ses_of_class
 from hexext.modules import PresentedModule, split_ses
-from hexext.oracle import EnumerationBudget, brute_ext1, brute_extension_exists
+from hexext.oracle import EnumerationBudget, brute_center_exists, brute_ext1
 from hexext.randgen import (
+    frame_from_diagram,
     perturb_extension,
     random_class,
     random_diagram,
@@ -186,7 +187,7 @@ def test_criterion_3_nonextendability_ground_truth(capsys):
     confirmed = 0
     ok = len(family) >= 20
     for d in family:
-        if brute_extension_exists(d, budget):
+        if brute_center_exists(frame_from_diagram(d), budget):
             print("  exhaustive search found a grid for an obstructed diagram!")
             ok = False
         else:
@@ -386,7 +387,7 @@ def test_criterion_15_census(capsys):
                 extended = True
             except NotExtendableError:
                 extended = False
-            if not (zero == extended == brute_extension_exists(d)):
+            if not (zero == extended == brute_center_exists(frame_from_diagram(d))):
                 failures += 1
             if not zero:
                 obstructed += 1
@@ -401,3 +402,53 @@ def test_criterion_15_census(capsys):
     report(15, failures == 0,
            f"obstruction, extend_diagram and exhaustive search agree on all {total} census grids "
            f"(grids/obstructed/non-unique over Y: {summary})", t0, capsys)
+
+
+def test_criterion_16_frames_by_definition(capsys):
+    # the hexagon's own definition, searched with no fold, against the fold:
+    # the corpus frames with |X| <= 16, the fixtures' frames at max_order 32
+    # (injective.json has |X| = 32), and the census grids' frames with junk
+    # summands on A1 and A4
+    import pathlib
+
+    from hexext.hexagon import solve_hexagon
+
+    t0 = time.time()
+    root = pathlib.Path(__file__).resolve().parents[1]
+    lines = (root / "perfbench" / "corpus" / "hexagon-zm.docs.jsonl").read_text(encoding="utf-8").splitlines()
+    corpus = [f for f in (parse(line).hexagons["F"] for line in lines)
+              if f.a2.cardinality() * f.b2.cardinality() <= 16]
+    fixtures = [f for path in sorted((root / "fixtures").glob("*.json"))
+                for f in parse(path.read_text(encoding="utf-8")).hexagons.values()]
+    frames = []
+    for ring in (R4, R8):
+        rng = random.Random(f"criterion-16-{ring}")
+        frames += [frame_from_diagram(d, rng) for d in census(ring, 16)]
+    failures = 0
+    counts = {}
+    for name, group, budget in (("corpus", corpus, EnumerationBudget()),
+                                ("fixture", fixtures, EnumerationBudget(max_order=32)),
+                                ("census", frames, EnumerationBudget())):
+        decided = refused = skipped = 0
+        for f in group:
+            try:
+                found = brute_center_exists(f, budget)
+            except BudgetExceededError:
+                skipped += 1
+                continue
+            try:
+                solve_hexagon(f)
+                solved = True
+            except NotExtendableError:
+                solved = False
+            failures += found != solved
+            decided += 1
+            refused += not solved
+        counts[name] = (decided, refused, skipped)
+    # floors on (decided, refused), from the seeded run: every fixture is
+    # decided, and so is every obstructed census grid's frame
+    floors = {"corpus": (72, 1), "fixture": (3, 1), "census": (936, 38)}
+    ok = failures == 0 and all(counts[name][0] >= d and counts[name][1] >= r for name, (d, r) in floors.items())
+    summary = ", ".join(f"{d}/{r}/{s} {name}" for name, (d, r, s) in counts.items())
+    report(16, ok, f"frames decided by definition agree with solve_hexagon "
+                   f"(decided/refused/over budget: {summary})", t0, capsys)

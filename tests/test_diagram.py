@@ -21,7 +21,6 @@ from hexext.diagram import (
     Diagram3x3,
     DiagramExtension,
     _connecting_image,
-    _is_coboundary,
     _realize,
     _solve_restriction,
     _tau,
@@ -46,6 +45,7 @@ from hexext.errors import (
 from hexext.ext import (
     class_of_ses,
     ext_module,
+    free_resolution,
     ses_of_class,
 )
 from hexext.hexagon import fold_frame, solve_hexagon
@@ -362,7 +362,7 @@ def test_entry_checks_obstruction_routes_agree(entry, monkeypatch):
     real = diagram_module._obstruction
     one = ext_module(2, d.q, d.p).class_from_coords((1,))
     assert not one.is_zero()
-    assert not _is_coboundary(one.cocycle(), real(d).resolution, d.p)
+    assert not real(d).is_coboundary(one.cocycle())
 
     def shifted(dg):
         ob = real(dg)
@@ -547,6 +547,31 @@ def test_engine_fault_behind_kept_facts_is_an_assertion(prime, name, answered, f
     real = getattr(diagram_module, name)
     monkeypatch.setattr(diagram_module, name, lambda *a: real(*a) if next(calls) < answered else failed)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        extend_diagram(d)
+
+
+# A chase that goes wrong, faked by adding to its cochain one that the next
+# differential does not kill.  On allsplit's D every cochain is a cocycle,
+# so this grid over Z/8 is split with P = R = Z/4 and Q = S = Z/2: there
+# d2(R) and d3(Q) are [2] up to sign, not zero in P.  The product cocycles
+# are checked against d3 first, then tau's cocycle of the top row against d2
+WRONG_CHASES = [
+    ("_splice_cocycle", 3, "a restricted or chased cochain F2 -> P is not a cocycle"),
+    ("_ses_cocycle", 2, "a restricted or chased cochain F1 -> P is not a cocycle"),
+]
+
+
+@pytest.mark.parametrize("name, degree, message", WRONG_CHASES, ids=[c[0] for c in WRONG_CHASES])
+def test_wrong_chase_trips_the_cocycle_check(name, degree, message, monkeypatch):
+    r8 = Zmod(8)
+    z4, z2 = PresentedModule.cyclic(r8, 4), PresentedModule.cyclic(r8, 2)
+    d = Diagram3x3(row_top=split_ses(z4, z4), row_bottom=split_ses(z2, z2),
+                   col_left=split_ses(z4, z2), col_right=split_ses(z4, z2))
+    side = d.q if degree == 3 else d.r
+    assert free_resolution(side).differential(degree).data in (((2,),), ((6,),))
+    real = getattr(diagram_module, name)
+    monkeypatch.setattr(diagram_module, name, lambda *a: real(*a) + ExactMatrix.identity(r8, 1))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
         extend_diagram(d)
 
 
@@ -900,7 +925,7 @@ def test_obstruction_cochain_verdicts_match_the_ext2_classes():
             assert ob.is_zero == ob.baer_sum.is_zero()
             e2, delta = ob.baer_sum.parent, _connecting_image(d, by, _tau(d))
             for shift in (delta - delta,) + e2.cocycles:
-                agree = _is_coboundary(delta + shift - ob.ef - ob.hg, ob.resolution, d.p)
+                agree = ob.is_coboundary(delta + shift - ob.ef - ob.hg)
                 assert agree == (e2.class_of_cocycle(delta + shift) == ob.baer_sum)
                 counts["routes agree" if agree else "routes differ"] += 1
             counts["obstructed"] += not ob.is_zero

@@ -196,7 +196,7 @@ TEST_ONLY = {
     "enumerate_morphisms": "the oracle's homomorphism search; the oracle is a layer of its own",
     "brute_equivalent": "the oracle's search for an equivalence of two extensions",
     "brute_injective": "the oracle's injectivity test by Baer's criterion",
-    "brute_extension_exists": "the oracle's search for a middle object",
+    "brute_center_exists": "the oracle's search for a hexagon center, by the frame's definition",
     "ExtCount.representatives": "the oracle's sequence per Ext^1 class, built when read; the grid census reads it",
     "hexagon_compatible_iso": "the hexagon form of compatible_isomorphism, kept for extending morphisms",
 }

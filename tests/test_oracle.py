@@ -30,13 +30,13 @@ from hexext.oracle import (
     _product_types,
     _shared_table,
     _tabulate,
+    brute_center_exists,
     brute_equivalent,
     brute_ext1,
-    brute_extension_exists,
     brute_injective,
     enumerate_morphisms,
 )
-from hexext.randgen import random_diagram, random_module, random_ses
+from hexext.randgen import frame_from_diagram, random_diagram, random_module, random_ses
 from hexext.rings import ZZ, Zmod
 from routes import is_injective_module, plain_hom_walk
 from tests.conftest import all_modules_over
@@ -105,11 +105,11 @@ _Z2, _Z32 = PresentedModule.cyclic(ZZ, 2), PresentedModule.cyclic(ZZ, 32)
 
 # each check with a call that fails it and the typed error and message it raises
 ARGUMENT_CHECKS = {
-    # F is Z/2 in an inexact column, so |H||F| = 8 and |E||G| = 16
-    "grid-orders-disagree": (lambda: brute_extension_exists(Diagram3x3(
-        row_top=_SPLIT, row_bottom=_SPLIT, col_left=_SPLIT,
-        col_right=ShortExactSequence(hom(Z2m, Z2m, [[1]]), zero_morphism(Z2m, Z2m)))),
-        ValueError, "inconsistent grid orders"),
+    # A3 is Z/2, so |B1||A3| = 8 and |A2||B2| = 16
+    "grid-orders-disagree": (lambda: brute_center_exists(dataclasses.replace(
+        frame_from_diagram(Diagram3x3(row_top=_SPLIT, row_bottom=_SPLIT, col_left=_SPLIT, col_right=_SPLIT)),
+        a3=Z2m, d=zero_morphism(_SPLIT.middle, Z2m), s=zero_morphism(Z2m, Z2m))),
+        ValueError, "inconsistent frame orders"),
     "max-order-not-positive": (lambda: EnumerationBudget(max_order=0), ValueError, "budget bounds must be positive"),
     "max-candidates-not-positive": (lambda: EnumerationBudget(max_candidates=0), ValueError,
                                     "budget bounds must be positive"),
@@ -275,7 +275,7 @@ def test_extension_search_agrees_with_obstruction_mod4():
     ]
     for d in cases:
         expected = obstruction(d).is_zero
-        assert brute_extension_exists(d) == expected
+        assert brute_center_exists(frame_from_diagram(d)) == expected
         try:
             extend_diagram(d)
             constructed = True
@@ -289,7 +289,7 @@ def test_extension_search_budget_guard():
     sp = split_ses(big, big)
     d = Diagram3x3(row_top=sp, row_bottom=sp, col_left=sp, col_right=sp)
     with pytest.raises(BudgetExceededError):
-        brute_extension_exists(d, EnumerationBudget(max_order=64))
+        brute_center_exists(frame_from_diagram(d), EnumerationBudget(max_order=64))
 
 
 # -- element tables ------------------------------------------------------------------------------
@@ -832,8 +832,8 @@ def _grid_with_small_middle(rng, ring):
             return d
 
 
-# the smallest candidate budget under which brute_extension_exists answers,
-# and its answer, on seeded grids: one candidate less is refused
+# the smallest candidate budget under which brute_center_exists answers,
+# and its answer, on seeded grids' frames: one candidate less is refused
 _EXTENSION_PINS = {
     "Z": ((401, True), (255, True), (279, True), (367, True)),
     "Z/4": ((1021, True), (114, True), (508, True), (252, False)),
@@ -848,10 +848,10 @@ _EXTENSION_PINS = {
 def test_extension_search_candidate_count_is_pinned(ring):
     rng = random.Random(f"ext-search-pin-{ring}")
     for least, extends in _EXTENSION_PINS[str(ring)]:
-        d = _grid_with_small_middle(rng, ring)
-        assert brute_extension_exists(d, EnumerationBudget(max_candidates=least)) == extends
+        frame = frame_from_diagram(_grid_with_small_middle(rng, ring))
+        assert brute_center_exists(frame, EnumerationBudget(max_candidates=least)) == extends
         with pytest.raises(BudgetExceededError, match=f"^candidate count exceeded {least - 1}$"):
-            brute_extension_exists(d, EnumerationBudget(max_candidates=least - 1))
+            brute_center_exists(frame, EnumerationBudget(max_candidates=least - 1))
 
 
 # the same for brute_equivalent on seeded pairs of sequences with the same
@@ -950,7 +950,8 @@ def test_module_table_matches_uniform_radix(ring, seed):
 
 def _oracle_calls():
     """Named oracle calls with their expected answers, over Z/4 and Z; the
-    inputs are built here, with the engine."""
+    inputs are built here, with the engine, except the frames, which each
+    call builds from its grid with matrix products only."""
     z2, z4 = PresentedModule.cyclic(ZZ, 2), PresentedModule.cyclic(ZZ, 4)
     ns = ses_of_class(ext_module(1, Z2m, Z2m).class_from_coords((1,)))
     sp, zsp = split_ses(Z2m, Z2m), split_ses(z2, z2)
@@ -966,8 +967,9 @@ def _oracle_calls():
         "brute_injective-Z4": (lambda: brute_injective(Z4m), True),
         "brute_injective-Z": (lambda: brute_injective(z2), False),
         "brute_injective-Z-zero": (lambda: brute_injective(PresentedModule.make(ZZ, 1, [[3], [2]])), True),
-        "brute_extension_exists-Z4": (lambda: brute_extension_exists(d), True),
-        "brute_extension_exists-Z": (lambda: brute_extension_exists(zd), True),
+        "brute_center_exists-Z4": (lambda: brute_center_exists(frame_from_diagram(d)), True),
+        "brute_center_exists-Z": (lambda: brute_center_exists(frame_from_diagram(zd)), True),
+        "brute_center_exists-Z4-junk": (lambda: brute_center_exists(frame_from_diagram(d, random.Random(1))), True),
     }
 
 
