@@ -7,15 +7,17 @@ two four-term exact paths ``A1 -> B1 -> B2 -> A4`` (upper) and
 Solving the hexagon means producing a center object with maps ``i, j, c,
 curv`` making the diagram commute with exact diagonals.
 
-The frame folds into a 3x3 grid (quotient on the left, images on the right),
-the grid is extended by the diagram machinery, and the middle object unfolds
-into the center.  The fold is the frame's only validation.  ``nu : P -> A2``
-exists iff ker(alpha) lies in ker(beta), and r corestricts to ``B2 -> Q`` iff
-im(r) lies in im(s); then each other frame condition is one grid position:
-rowTop/left is ker(beta) in ker(alpha), the colLeft and rowBottom interiors
-are the upper path exact at B1 and B2, the rowTop and colRight interiors the
-lower path exact at A2 and A3, and rowBottom/right is im(s) in im(r).  Every
-other position holds by construction, so its failure is an engine fault.
+The frame folds into a 3x3 grid (quotient on the left, images on the right,
+each corner presented on its invariant-factor generators by
+:func:`modules.simplify`), the grid is extended by the diagram machinery, and
+the middle object unfolds into the center.  The fold is the frame's only
+validation.  ``nu : P -> A2`` exists iff ker(alpha) lies in ker(beta), and r
+corestricts to ``B2 -> Q`` iff im(r) lies in im(s); then each other frame
+condition is one grid position: rowTop/left is ker(beta) in ker(alpha), the
+colLeft and rowBottom interiors are the upper path exact at B1 and B2, the
+rowTop and colRight interiors the lower path exact at A2 and A3, and
+rowBottom/right is im(s) in im(r).  Every other position holds by
+construction, so its failure is an engine fault.
 
 Objects here are abstract finitely presented modules: the diagrammatic logic
 is verified on finite stand-ins rather than on cohomology of actual spaces,
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from .diagram import Diagram3x3, DiagramExtension, _require_valid, compatible_isomorphism, extend_diagram
 from .errors import FrameInvalidError, InvalidDiagramError, NonComposableError, WellDefinednessError
 from .modules import (ModuleMorphism, PresentedModule, ShortExactSequence, exactness_violations, hom,
-                      lift_through_inclusion, morphism_image)
+                      lift_through_inclusion, morphism_image, simplify)
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,12 @@ _FRAME_CONDITIONS = {
 
 def fold_frame(f: HexagonFrame) -> Diagram3x3:
     """Redraw the hexagon frame as a 3x3 grid: P = A1/ker(alpha), E = A2,
-    R = im(d), H = B1, F = A3, S = im(topB), G = B2, Q = im(s).  Raises
-    :class:`FrameInvalidError` with the frame conditions that fail; the grid's
-    verdict is kept by the diagram layer, so extending it validates no more."""
+    R = im(d), H = B1, F = A3, S = im(topB), G = B2, Q = im(s).  Each corner
+    is presented on its invariant-factor generators by :func:`simplify`, with
+    its maps composed with the isomorphisms it returns; the middle objects
+    are the frame's own.  Raises :class:`FrameInvalidError` with the frame
+    conditions that fail; the grid's verdict is kept by the diagram layer, so
+    extending it validates no more."""
     miswired = _miswired([
         ("alpha", f.alpha, f.a1, f.b1), ("beta", f.beta, f.a1, f.a2),
         ("topB", f.top_b, f.b1, f.b2), ("d", f.d, f.a2, f.a3),
@@ -87,13 +92,19 @@ def fold_frame(f: HexagonFrame) -> Diagram3x3:
         nu = hom(p, f.a2, f.beta.matrix)            # P -> E = A2
     except WellDefinednessError:
         raise FrameInvalidError([_FRAME_CONDITIONS["rowTop/left"]]) from None
-    _r, incl_r, pi_er = morphism_image(f.d)
-    _s, incl_s, pi_hs = morphism_image(f.top_b)
-    _q, incl_q, pi_fq = morphism_image(f.s)
+    r, incl_r, pi_er = morphism_image(f.d)
+    s, incl_s, pi_hs = morphism_image(f.top_b)
+    q, incl_q, pi_fq = morphism_image(f.s)
     try:
         pi_gq = lift_through_inclusion(incl_q, f.r)     # B2 -> Q, corestriction of r
     except NonComposableError:
         raise FrameInvalidError([_FRAME_CONDITIONS["rowBottom/right"]]) from None
+    # each corner on its invariant-factor generators, carried by simplify's isomorphisms
+    sp, sr, ss, sq = (simplify(corner) for corner in (p, r, s, q))
+    nu, mu = nu @ sp.from_min, mu @ sp.from_min
+    incl_r, pi_er = incl_r @ sr.from_min, sr.to_min @ pi_er
+    incl_s, pi_hs = incl_s @ ss.from_min, ss.to_min @ pi_hs
+    pi_fq, pi_gq = sq.to_min @ pi_fq, sq.to_min @ pi_gq
     diagram = Diagram3x3(row_top=ShortExactSequence(nu, pi_er),         # 0 -> P -> A2 -> im(d) -> 0
                          row_bottom=ShortExactSequence(incl_s, pi_gq),  # 0 -> im(topB) -> B2 -> Q -> 0
                          col_left=ShortExactSequence(mu, pi_hs),        # 0 -> P -> B1 -> im(topB) -> 0

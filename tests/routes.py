@@ -12,9 +12,10 @@ checked against the chain-lift connecting image, the grid maps i and j of a
 realized diagram solved over all of Hom(H, X) against their construction,
 a middle object's projection to Y factored through the pullback F x_Q G
 against its solve over Y's embedding in F (+) G, a hexagon frame's
-conditions read on the frame itself against its fold, and the general
-snake lemma of a ladder, with its six-term sequence, against the
-pipeline's check of its one ladder over Y.
+conditions read on the frame itself against its fold, a frame folded onto
+the ambient generators of its corners against its fold onto invariant-factor
+corners, and the general snake lemma of a ladder, with its six-term
+sequence, against the pipeline's check of its one ladder over Y.
 Beside them live five helpers that only the tests call: the identity
 morphism, the cokernel with its projection, injectivity over the base ring,
 a middle object realized from a shifted cocycle representative, and the
@@ -58,6 +59,7 @@ from hexext.modules import (
     lift,
     lift_through_inclusion,
     make_ses,
+    morphism_image,
     morphism_kernel,
     preimage_kernel_columns,
     pullback,
@@ -528,6 +530,22 @@ def validate_frame_unfolded(f: HexagonFrame) -> list[str]:
             or _first_outside(f.s.matrix, f.r.matrix.hstack(rels)) is not None):
         out.append("im(r) != im(s) inside A4")
     return out
+
+
+def raw_fold(f: HexagonFrame) -> Diagram3x3:
+    """A valid frame's grid with each corner on the generators of its ambient
+    module: P = A1/ker(alpha) on A1's, R, S and Q as images on A2's, B1's
+    and A3's, so ``nu`` has beta's matrix and each corestriction onto an
+    image the identity matrix.  The library folds onto invariant-factor
+    corners instead."""
+    p, mu, _ = morphism_image(f.alpha)
+    _r, incl_r, pi_er = morphism_image(f.d)
+    _s, incl_s, pi_hs = morphism_image(f.top_b)
+    _q, incl_q, pi_fq = morphism_image(f.s)
+    return Diagram3x3(row_top=ShortExactSequence(hom(p, f.a2, f.beta.matrix), pi_er),
+                      row_bottom=ShortExactSequence(incl_s, lift_through_inclusion(incl_q, f.r)),
+                      col_left=ShortExactSequence(mu, pi_hs),
+                      col_right=ShortExactSequence(incl_r, pi_fq))
 
 
 # ---------------------------------------------------------------------------

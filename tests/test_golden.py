@@ -8,7 +8,8 @@ Two digests per ring, for ``hexext fuzz --ring R --seed 20613 --count 25``:
   case (obstruction zero, extended, unique, invariant factors of X).  It
   must never change.
 
-One raw digest of ``hexext hexagon fixtures/injective.json solve F``, and
+One raw digest of ``hexext hexagon fixtures/injective.json solve F``, with
+the center's type beside it, which no re-freeze of the digest may move, and
 one each of ``hexext extend DOC D``, ``hexext unique DOC D`` and ``hexext
 obstruction DOC D`` for every fixture, with its exit code, under the same
 rule as the fuzz ``raw`` digests; one more, with its exit code, of ``hexext
@@ -39,7 +40,9 @@ GOLDEN = {
     "Z": ("6d2080b69d43923027c81fcafa1500d18dbc88290ff2bd91448cb1c106dd6c06",
           "b78d3908e3e7244a62d1020ac1352cbd8ba4920c6831fb38fe65a08a3241a92c"),
 }
-HEXAGON_RAW = "a1fd97b564dd2136d39cc07958b2a7168f77e0c85e3b87ac6cf22d0a31864c20"
+HEXAGON_RAW = "bee3d7735beb47e427d118fb8f68882013dd6ffabdb32d341d85b923ceb9e8f4"
+# the center that HEXAGON_RAW prints; a re-freeze of the digest may not move it
+HEXAGON_CENTER = {"free_rank": 0, "generators": 3, "invariant_factors": [2, 4, 4]}
 HEXAGON_OBSTRUCTED_RAW = (1, "3307133fdcf54cac8ffe7007dc8274db206970e47ff6a0a9cf329f06a6eca7a6")
 DIAGRAM_RAW = {
     ("extend", "allsplit"): (0, "057d03b5ce6d35060e6c317ee1de6c6a4219d69ebc84ab0ed67b744bd736a70b"),
@@ -86,6 +89,7 @@ def test_hexagon_golden(capsys):
     code = main(["hexagon", str(FIXTURES / "injective.json"), "solve", "F"])
     out = capsys.readouterr().out
     assert code == 0
+    assert json.loads(out)["center"] == HEXAGON_CENTER
     assert sha256(out) == HEXAGON_RAW
 
 

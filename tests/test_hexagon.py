@@ -1,5 +1,6 @@
 """Hexagon frames: folding, solving, verification, compatible isomorphisms."""
 
+import collections
 import dataclasses
 import os
 import pathlib
@@ -11,7 +12,7 @@ import pytest
 
 import hexext.diagram as diagram_module
 import hexext.hexagon as hexagon_module
-from hexext.diagram import Diagram3x3, obstruction, validate_diagram1
+from hexext.diagram import Diagram3x3, check_uniqueness, extend_diagram, obstruction, validate_diagram1
 from hexext.errors import FrameInvalidError, InvalidDiagramError, NotExtendableError
 from hexext.ext import ext_module, ses_of_class
 from hexext.hexagon import (
@@ -23,10 +24,10 @@ from hexext.hexagon import (
     validate_frame,
     verify_hexagon,
 )
-from hexext.modules import PresentedModule, hom, morphism_image, split_ses, zero_morphism
-from hexext.randgen import frame_from_diagram, random_frame, random_hom
+from hexext.modules import PresentedModule, hom, morphism_image, simplify, split_ses, zero_morphism
+from hexext.randgen import frame_from_diagram, random_diagram, random_frame, random_hom
 from hexext.rings import ZZ, Zmod
-from routes import identity_morphism, validate_frame_unfolded
+from routes import identity_morphism, raw_fold, validate_frame_unfolded
 from test_acceptance import obstructed_family
 
 R4 = Zmod(4)
@@ -75,13 +76,20 @@ def test_fold_split_frame_validates():
 def test_fold_recovers_outer_maps():
     fr = frame_from_diagram(obstructed_diagram())
     dg = fold_frame(fr)
+    # P, R, S and Q are the images of alpha, d, topB and s, each presented on
+    # its invariant-factor generators
+    images = [morphism_image(f) for f in (fr.alpha, fr.d, fr.top_b, fr.s)]
+    for corner, (image, _incl, _pi) in zip((dg.p, dg.r, dg.s, dg.q), images):
+        assert corner.generators == len(corner.invariant_factors()) + corner.free_rank()
+        assert corner.is_isomorphic_to(image)
     # the fold's identifications compose back to the frame maps: R and S
     # include through the grid's own injections, Q and the quotient onto P
     # are rebuilt here as the fold builds them
-    _p, _mu, quotient = morphism_image(fr.alpha)
-    _q, include_q, _pi = morphism_image(fr.s)
-    assert (dg.col_right.inject @ dg.row_top.project).matrix == fr.d.matrix
-    assert (dg.row_bottom.inject @ dg.col_left.project).matrix == fr.top_b.matrix
+    (p, _mu, quotient), (q, include_q, _pi) = images[0], images[3]
+    quotient = simplify(p).to_min @ quotient
+    include_q = include_q @ simplify(q).from_min
+    assert (dg.col_right.inject @ dg.row_top.project).equals(fr.d)
+    assert (dg.row_bottom.inject @ dg.col_left.project).equals(fr.top_b)
     assert (include_q @ dg.col_right.project).equals(fr.s)
     assert (include_q @ dg.row_bottom.project).equals(fr.r)
     assert (dg.row_top.inject @ quotient).equals(fr.beta)
@@ -96,6 +104,42 @@ def test_fold_with_decorated_corners():
     assert validate_diagram1(dg) == []
     # the junk summand in A1 is exactly ker(alpha), so P is the original corner
     assert dg.p.is_isomorphic_to(Z4m)
+
+
+def test_fold_onto_invariant_factors_keeps_every_invariant_answer():
+    # the change-of-presentation law, carried to the fold: folded on the
+    # ambient generators of its corners, a decorated frame must give the same
+    # verdict, Ext orders, uniqueness and, on unique frames, center type
+    counts = collections.Counter()   # (ring, outcome) -> frames
+    smaller = 0   # frames whose corners lose generators in the fold
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
+        rng = random.Random(f"fold presentation {ring}")
+        for _ in range(40):
+            fr = frame_from_diagram(random_diagram(rng, ring, 16), rng)
+            raw, dg = raw_fold(fr), fold_frame(fr)
+            assert validate_diagram1(raw) == []
+            corners = [(g.p, g.r, g.s, g.q) for g in (raw, dg)]
+            smaller += sum(m.generators for m in corners[1]) < sum(m.generators for m in corners[0])
+            for k in (1, 2):
+                assert ext_module(k, raw.q, raw.p).cardinality() == ext_module(k, dg.q, dg.p).cardinality()
+            zero = obstruction(raw).is_zero
+            try:
+                h = solve_hexagon(fr)
+            except NotExtendableError:
+                assert not zero
+                counts[str(ring), "obstructed"] += 1
+                continue
+            assert zero and verify_hexagon(h) == []
+            unique = check_uniqueness(raw).unique
+            assert check_uniqueness(dg).unique == unique
+            if unique:
+                x = extend_diagram(raw).x
+                assert (h.center.invariant_factors(), h.center.free_rank()) == (x.invariant_factors(), x.free_rank())
+            counts[str(ring), "unique" if unique else "not unique"] += 1
+    assert sum(counts.values()) == 200 and smaller >= 190, (smaller, counts)
+    assert sum(n for (_, outcome), n in counts.items() if outcome == "obstructed") >= 6, counts
+    assert sum(n for (_, outcome), n in counts.items() if outcome == "not unique") >= 20, counts
+    assert not counts[str(ZZ), "obstructed"], counts
 
 
 def mismatched_kernels_frame():
