@@ -19,6 +19,12 @@ rowTop and colRight interiors the lower path exact at A2 and A3, and
 rowBottom/right is im(s) in im(r).  Every other position holds by
 construction, so its failure is an engine fault.
 
+A center is determined up to isomorphism, so :func:`solve_hexagon` solves
+the frame conjugated onto its six objects' invariant-factor generators and
+carries the center's maps back by :func:`modules.simplify`'s isomorphisms;
+a :class:`NotExtendableError`'s report is the obstruction of that frame's
+fold.
+
 Objects here are abstract finitely presented modules: the diagrammatic logic
 is verified on finite stand-ins rather than on cohomology of actual spaces,
 whose groups are not finitely generated.
@@ -72,6 +78,28 @@ _FRAME_CONDITIONS = {
 }
 
 
+def _checked_wiring(f: HexagonFrame) -> list[tuple]:
+    """The frame's six maps as ``(name, map, source, target)``, in field
+    order.  Raises :class:`FrameInvalidError` naming each map that does not
+    connect its declared objects."""
+    wiring = [("alpha", f.alpha, f.a1, f.b1), ("beta", f.beta, f.a1, f.a2),
+              ("topB", f.top_b, f.b1, f.b2), ("d", f.d, f.a2, f.a3),
+              ("r", f.r, f.b2, f.a4), ("s", f.s, f.a3, f.a4)]
+    miswired = _miswired(wiring)
+    if miswired:
+        raise FrameInvalidError(miswired)
+    return wiring
+
+
+def _on_invariant_factors(f: HexagonFrame) -> HexagonFrame:
+    """The frame with each of its six objects presented on its invariant-factor
+    generators by :func:`simplify`, and each map conjugated by the
+    isomorphisms it returns."""
+    wiring = _checked_wiring(f)
+    return HexagonFrame(*(simplify(m).module for m in (f.a1, f.b1, f.b2, f.a4, f.a2, f.a3)),
+                        *(simplify(tgt).to_min @ mor @ simplify(src).from_min for _, mor, src, tgt in wiring))
+
+
 def fold_frame(f: HexagonFrame) -> Diagram3x3:
     """Redraw the hexagon frame as a 3x3 grid: P = A1/ker(alpha), E = A2,
     R = im(d), H = B1, F = A3, S = im(topB), G = B2, Q = im(s).  Each corner
@@ -80,13 +108,7 @@ def fold_frame(f: HexagonFrame) -> Diagram3x3:
     are the frame's own.  Raises :class:`FrameInvalidError` with the frame
     conditions that fail; the grid's verdict is kept by the diagram layer, so
     extending it validates no more."""
-    miswired = _miswired([
-        ("alpha", f.alpha, f.a1, f.b1), ("beta", f.beta, f.a1, f.a2),
-        ("topB", f.top_b, f.b1, f.b2), ("d", f.d, f.a2, f.a3),
-        ("r", f.r, f.b2, f.a4), ("s", f.s, f.a3, f.a4),
-    ])
-    if miswired:
-        raise FrameInvalidError(miswired)
+    _checked_wiring(f)
     p, mu, _ = morphism_image(f.alpha)              # P = A1 / ker(alpha), mu : P -> H = B1
     try:
         nu = hom(p, f.a2, f.beta.matrix)            # P -> E = A2
@@ -143,11 +165,15 @@ class SolvedHexagon:
 def solve_hexagon(f: HexagonFrame) -> SolvedHexagon:
     """Fold, extend the grid, unfold the middle object into the center.
 
-    Raises :class:`NotExtendableError` with the obstruction when the grid
-    does not extend; that cannot happen when the folded P is injective.
+    The frame is solved on its six objects' invariant-factor generators, and
+    the center's maps are carried back by :func:`simplify`'s isomorphisms.
+    Raises :class:`NotExtendableError` with the obstruction of that frame's
+    fold when the grid does not extend; that cannot happen when the folded P
+    is injective.
     """
-    ext = extend_diagram(fold_frame(f))
-    return SolvedHexagon(f, ext.x, i=ext.j, j=ext.i, c=ext.n, curv=ext.m)
+    ext = extend_diagram(fold_frame(_on_invariant_factors(f)))
+    return SolvedHexagon(f, ext.x, i=ext.j @ simplify(f.a2).to_min, j=ext.i @ simplify(f.b1).to_min,
+                         c=simplify(f.b2).from_min @ ext.n, curv=simplify(f.a3).from_min @ ext.m)
 
 
 def verify_hexagon(h: SolvedHexagon) -> list[str]:

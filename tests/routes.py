@@ -14,8 +14,10 @@ a middle object's projection to Y factored through the pullback F x_Q G
 against its solve over Y's embedding in F (+) G, a hexagon frame's
 conditions read on the frame itself against its fold, a frame folded onto
 the ambient generators of its corners against its fold onto invariant-factor
-corners, and the general snake lemma of a ladder, with its six-term
-sequence, against the pipeline's check of its one ladder over Y.
+corners, a frame solved on its six objects as given against its solve on
+their invariant-factor generators, and the general snake lemma of a ladder,
+with its six-term sequence, against the pipeline's check of its one ladder
+over Y.
 Beside them live five helpers that only the tests call: the identity
 morphism, the cokernel with its projection, injectivity over the base ring,
 a middle object realized from a shifted cocycle representative, and the
@@ -44,8 +46,8 @@ from hexext.ext import (
     restriction,
     ses_of_class,
 )
-from hexext.diagram import BuildY, Diagram3x3, DiagramExtension, _class_over_y, _realize
-from hexext.hexagon import HexagonFrame
+from hexext.diagram import BuildY, Diagram3x3, DiagramExtension, _class_over_y, _realize, extend_diagram
+from hexext.hexagon import HexagonFrame, SolvedHexagon, fold_frame
 from hexext.linalg import ExactMatrix, block_diag, shrink_generators
 from hexext.modules import (
     EXACT,
@@ -546,6 +548,14 @@ def raw_fold(f: HexagonFrame) -> Diagram3x3:
                       row_bottom=ShortExactSequence(incl_s, lift_through_inclusion(incl_q, f.r)),
                       col_left=ShortExactSequence(mu, pi_hs),
                       col_right=ShortExactSequence(incl_r, pi_fq))
+
+
+def raw_solve(f: HexagonFrame) -> SolvedHexagon:
+    """A frame solved on its six objects as given: the grid's middles are
+    A2, B1, A3 and B2, so the center's maps are the extension's own.  The
+    library solves the frame on invariant-factor generators instead."""
+    ext = extend_diagram(fold_frame(f))
+    return SolvedHexagon(f, ext.x, i=ext.j, j=ext.i, c=ext.n, curv=ext.m)
 
 
 # ---------------------------------------------------------------------------

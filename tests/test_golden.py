@@ -40,7 +40,7 @@ GOLDEN = {
     "Z": ("6d2080b69d43923027c81fcafa1500d18dbc88290ff2bd91448cb1c106dd6c06",
           "b78d3908e3e7244a62d1020ac1352cbd8ba4920c6831fb38fe65a08a3241a92c"),
 }
-HEXAGON_RAW = "bee3d7735beb47e427d118fb8f68882013dd6ffabdb32d341d85b923ceb9e8f4"
+HEXAGON_RAW = "f9c68112dab77c3c215df0bf118089f477b19ba5be599dadde271cff2c6721fc"
 # the center that HEXAGON_RAW prints; a re-freeze of the digest may not move it
 HEXAGON_CENTER = {"free_rank": 0, "generators": 3, "invariant_factors": [2, 4, 4]}
 HEXAGON_OBSTRUCTED_RAW = (1, "3307133fdcf54cac8ffe7007dc8274db206970e47ff6a0a9cf329f06a6eca7a6")

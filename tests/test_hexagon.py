@@ -12,7 +12,8 @@ import pytest
 
 import hexext.diagram as diagram_module
 import hexext.hexagon as hexagon_module
-from hexext.diagram import Diagram3x3, check_uniqueness, extend_diagram, obstruction, validate_diagram1
+from hexext.diagram import (Diagram3x3, check_uniqueness, enumerate_extensions, extend_diagram, obstruction,
+                            validate_diagram1)
 from hexext.errors import FrameInvalidError, InvalidDiagramError, NotExtendableError
 from hexext.ext import ext_module, ses_of_class
 from hexext.hexagon import (
@@ -27,7 +28,7 @@ from hexext.hexagon import (
 from hexext.modules import PresentedModule, hom, morphism_image, simplify, split_ses, zero_morphism
 from hexext.randgen import frame_from_diagram, random_diagram, random_frame, random_hom
 from hexext.rings import ZZ, Zmod
-from routes import identity_morphism, raw_fold, validate_frame_unfolded
+from routes import identity_morphism, raw_fold, raw_solve, validate_frame_unfolded
 from test_acceptance import obstructed_family
 
 R4 = Zmod(4)
@@ -140,6 +141,38 @@ def test_fold_onto_invariant_factors_keeps_every_invariant_answer():
     assert sum(n for (_, outcome), n in counts.items() if outcome == "obstructed") >= 6, counts
     assert sum(n for (_, outcome), n in counts.items() if outcome == "not unique") >= 20, counts
     assert not counts[str(ZZ), "obstructed"], counts
+
+
+def test_solve_on_invariant_factors_keeps_every_invariant_answer():
+    # the change-of-presentation law, carried to the solve: against the solve
+    # on the frame as given, a decorated frame must be refused alike, its
+    # center must verify, keep its type on unique frames and be admissible
+    # on the others
+    counts = collections.Counter()   # (ring, outcome) -> frames
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
+        rng = random.Random(f"solve presentation {ring}")
+        for _ in range(40):
+            fr = frame_from_diagram(random_diagram(rng, ring, 16), rng)
+            try:
+                raw = raw_solve(fr)
+            except NotExtendableError:
+                with pytest.raises(NotExtendableError):
+                    solve_hexagon(fr)
+                counts[str(ring), "obstructed"] += 1
+                continue
+            h = solve_hexagon(fr)
+            assert verify_hexagon(raw) == [] and verify_hexagon(h) == []
+            center = (h.center.invariant_factors(), h.center.free_rank())
+            dg = fold_frame(fr)
+            if check_uniqueness(dg).unique:
+                assert center == (raw.center.invariant_factors(), raw.center.free_rank())
+                counts[str(ring), "unique"] += 1
+            else:
+                assert center in {(e.x.invariant_factors(), e.x.free_rank()) for e in enumerate_extensions(dg)}
+                counts[str(ring), "not unique"] += 1
+    assert sum(counts.values()) == 200, counts
+    assert sum(n for (_, outcome), n in counts.items() if outcome == "obstructed") >= 4, counts
+    assert sum(n for (_, outcome), n in counts.items() if outcome == "not unique") >= 30, counts
 
 
 def mismatched_kernels_frame():
@@ -297,8 +330,15 @@ def test_every_obstructed_family_frame_reports_its_fold_obstruction():
         for frame in (frame_from_diagram(d), frame_from_diagram(d, rng)):
             with pytest.raises(NotExtendableError) as exc:
                 solve_hexagon(frame)
+            # the report belongs to the fold of the frame the solve runs on,
+            # its six objects on invariant-factor generators; the fold of the
+            # frame as given has an Ext^2(Q, P) of the same order
             got = exc.value.report.baer_sum
-            assert not got.is_zero() and got == obstruction(fold_frame(frame)).baer_sum
+            conjugated = hexagon_module._on_invariant_factors(frame)
+            assert got == obstruction(fold_frame(conjugated)).baer_sum
+            raw = obstruction(fold_frame(frame)).baer_sum
+            assert not got.is_zero() and not raw.is_zero()
+            assert got.parent.cardinality() == raw.parent.cardinality()
             frames += 1
     assert frames >= 40
 
