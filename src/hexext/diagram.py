@@ -131,6 +131,14 @@ def validate_diagram1(d: Diagram3x3) -> list[str]:
 _last: dict = {"diagram": None}
 
 
+def _slot(d: Diagram3x3) -> dict:
+    """The facts kept of ``d``, made the last diagram analysed."""
+    global _last
+    if _last["diagram"] is not d:
+        _last = {"diagram": d}
+    return _last
+
+
 def _known(d: Diagram3x3, fact: str, compute):
     """``compute(d)``, kept while ``d`` is the last diagram analysed.
 
@@ -141,14 +149,28 @@ def _known(d: Diagram3x3, fact: str, compute):
     so nothing is hashed (hashing the nested frozen diagram cost most of
     what a value-keyed cache saved), and the next diagram replaces it, so
     one diagram is held at a time.  A fact is stored only once ``compute``
-    returns, so one that raises is computed again on every call."""
-    global _last
-    memo = _last
-    if memo["diagram"] is not d:
-        memo = _last = {"diagram": d}
+    returns, so one that raises is computed again on every call.  One more
+    fact, ``"checked"``, is the solution last handed out for the diagram
+    after its check passed (:func:`_keep_checked`): the extension of
+    :func:`extend_diagram`, or the center of :func:`hexagon.solve_hexagon`
+    on its fold."""
+    memo = _slot(d)
     if fact not in memo:
         memo[fact] = compute(d)
     return memo[fact]
+
+
+def _keep_checked(d: Diagram3x3, solution):
+    """``solution``, kept as the checked solution of ``d`` (:func:`_known`)."""
+    _slot(d)["checked"] = solution
+    return solution
+
+
+def _was_checked(solution) -> bool:
+    """Whether ``solution`` is that very object kept by :func:`_keep_checked`
+    for the last diagram analysed.  Solutions are immutable values, so its
+    check would pass again."""
+    return _last.get("checked") is solution
 
 
 def _require_valid(d: Diagram3x3) -> None:
@@ -304,7 +326,15 @@ class DiagramExtension:
 
 
 def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:
-    """All exactness and commutation requirements of the full grid."""
+    """All exactness and commutation requirements of the full grid.
+
+    :func:`extend_diagram` and :func:`enumerate_extensions` run this check
+    on every extension they return.  When ``d`` is the last diagram
+    analysed and ``ext`` is that very extension :func:`extend_diagram`
+    returned for it, the kept verdict answers: ``[]``.  Every other pair is
+    checked in full, an equal copy included."""
+    if _last["diagram"] is d and _was_checked(ext):
+        return []
     out = []
     if ext.i.source != d.h or ext.j.source != d.e:
         out.append("wrong sources for i or j")
@@ -407,7 +437,9 @@ def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtensio
     """Middle object from a degree-1 cocycle for Ext^1(Y, P), plus the four
     maps.  m and n are read off the projection to Y; i and j are built by
     :func:`_grid_map`, which fixes their part in Y and solves only their part
-    in P."""
+    in P.  The extension is returned unchecked: the entry that hands it out
+    checks it once (:func:`_checked`, or :func:`hexagon.verify_hexagon` on
+    the center it unfolds to)."""
     e_y = ext_module(1, by.y, d.p)
     x_ses = ses_of_cocycle(e_y, cocycle)
     pi_y = x_ses.project
@@ -418,7 +450,12 @@ def _realize(d: Diagram3x3, by: BuildY, cocycle: ExactMatrix) -> DiagramExtensio
     j = _grid_map(x_ses.middle, d1, cocycle, d.row_top.inject, by.w_r @ d.row_top.project)
     if i is None or j is None:
         raise AssertionError("restriction classes matched but grid maps are unsolvable")
-    ext = DiagramExtension(x_ses.middle, i, j, m, n)
+    return DiagramExtension(x_ses.middle, i, j, m, n)
+
+
+def _checked(d: Diagram3x3, ext: DiagramExtension) -> DiagramExtension:
+    """``ext`` once :func:`validate_extension` accepts it; an engine fault
+    otherwise."""
     bad = validate_extension(d, ext)
     if bad:
         raise AssertionError("constructed extension failed validation: " + "; ".join(bad))
@@ -487,7 +524,17 @@ def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
 
 def extend_diagram(d: Diagram3x3) -> DiagramExtension:
     """Construct a middle object, or raise :class:`NotExtendableError` with
-    the obstruction report."""
+    the obstruction report.  The extension is checked by
+    :func:`validate_extension` before it is returned, and the verdict is
+    kept with ``d`` (:func:`_keep_checked`), so a caller's check of that
+    very extension against ``d`` reads it."""
+    return _keep_checked(d, _checked(d, _unchecked_extension(d)))
+
+
+def _unchecked_extension(d: Diagram3x3) -> DiagramExtension:
+    """The extension :func:`extend_diagram` returns, before its check; only
+    :func:`hexagon.solve_hexagon` takes it unchecked, and checks the center
+    it unfolds to instead."""
     by, xi = _class_over_y(d)
     return _realize(d, by, xi.cocycle())
 
@@ -507,7 +554,9 @@ def _restriction_from_q(d: Diagram3x3, by: BuildY) -> ModuleMorphism:
 def enumerate_extensions(d: Diagram3x3) -> list[DiagramExtension]:
     """One extension per admissible class in Ext^1(Y, P); the set of classes
     is the coset of the image of Ext^1(Q, P), so the count is bounded by
-    ``|Ext^1(Q, P)|``."""
+    ``|Ext^1(Q, P)|``.  Each is checked by :func:`validate_extension`
+    before it is returned; no verdict is kept, so a caller's check of one
+    of them runs in full."""
     by, xi0 = _class_over_y(d)
     rho = _restriction_from_q(d, by)
     seen = set()
@@ -517,7 +566,7 @@ def enumerate_extensions(d: Diagram3x3) -> list[DiagramExtension]:
         if shifted.coords in seen:
             continue
         seen.add(shifted.coords)
-        out.append(_realize(d, by, shifted.cocycle()))
+        out.append(_checked(d, _realize(d, by, shifted.cocycle())))
     return out
 
 

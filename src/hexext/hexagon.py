@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram3x3, DiagramExtension, _require_valid, compatible_isomorphism, extend_diagram
+from .diagram import (Diagram3x3, DiagramExtension, _keep_checked, _require_valid, _unchecked_extension,
+                      _was_checked, compatible_isomorphism)
 from .errors import FrameInvalidError, InvalidDiagramError, NonComposableError, WellDefinednessError
 from .modules import (ModuleMorphism, PresentedModule, ShortExactSequence, exactness_violations, hom,
                       lift_through_inclusion, morphism_image, simplify)
@@ -170,15 +171,33 @@ def solve_hexagon(f: HexagonFrame) -> SolvedHexagon:
     Raises :class:`NotExtendableError` with the obstruction of that frame's
     fold when the grid does not extend; that cannot happen when the folded P
     is injective.
+
+    The grid's extension is not checked on its own: the one check is
+    :func:`verify_hexagon` on the returned center, against ``f`` itself, so
+    it sees the carry-back too.  A center that fails it is an engine fault,
+    and the verdict is kept with the fold, so a caller's
+    ``verify_hexagon`` of that very object reads it.
     """
-    ext = extend_diagram(fold_frame(_on_invariant_factors(f)))
-    return SolvedHexagon(f, ext.x, i=ext.j @ simplify(f.a2).to_min, j=ext.i @ simplify(f.b1).to_min,
-                         c=simplify(f.b2).from_min @ ext.n, curv=simplify(f.a3).from_min @ ext.m)
+    fold = fold_frame(_on_invariant_factors(f))
+    ext = _unchecked_extension(fold)
+    h = SolvedHexagon(f, ext.x, i=ext.j @ simplify(f.a2).to_min, j=ext.i @ simplify(f.b1).to_min,
+                      c=simplify(f.b2).from_min @ ext.n, curv=simplify(f.a3).from_min @ ext.m)
+    bad = verify_hexagon(h)
+    if bad:
+        raise AssertionError("solved hexagon failed verification: " + "; ".join(bad))
+    return _keep_checked(fold, h)
 
 
 def verify_hexagon(h: SolvedHexagon) -> list[str]:
     """Every solved-hexagon invariant: the two exact diagonals through the
-    center and the four composite identities."""
+    center and the four composite identities.
+
+    :func:`solve_hexagon` runs this check on every center it returns.  When
+    ``h`` is that very object, returned by the last solve (its fold is the
+    last diagram analysed), the kept verdict answers: ``[]``.  Any other
+    solved hexagon, an equal copy included, is checked in full."""
+    if _was_checked(h):
+        return []
     f = h.frame
     out = _miswired([
         ("i", h.i, f.a2, h.center), ("j", h.j, f.b1, h.center),

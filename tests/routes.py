@@ -46,7 +46,7 @@ from hexext.ext import (
     restriction,
     ses_of_class,
 )
-from hexext.diagram import BuildY, Diagram3x3, DiagramExtension, _class_over_y, _realize, extend_diagram
+from hexext.diagram import BuildY, Diagram3x3, DiagramExtension, _checked, _class_over_y, _realize, extend_diagram
 from hexext.hexagon import HexagonFrame, SolvedHexagon, fold_frame
 from hexext.linalg import ExactMatrix, block_diag, shrink_generators
 from hexext.modules import (
@@ -119,7 +119,8 @@ def is_injective_module(p: PresentedModule) -> bool:
 def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExtension:
     """Run the extension pipeline but realize the class from a different
     cocycle representative (shifted by a random coboundary), yielding a
-    differently presented middle object of the same class.  Raises
+    differently presented middle object of the same class, checked as
+    :func:`extend_diagram` checks its own.  Raises
     :class:`NotExtendableError` with the obstruction report, as
     :func:`extend_diagram` does."""
     by, xi = _class_over_y(d)
@@ -129,7 +130,7 @@ def extend_with_variant_cocycle(rng: random.Random, d: Diagram3x3) -> DiagramExt
         [[rng.randrange(0, 4) for _ in range(res.rank(0))] for _ in range(d.p.generators)],
         res.rank(0),
     )
-    return _realize(d, by, xi.cocycle() + (psi @ res.d1))
+    return _checked(d, _realize(d, by, xi.cocycle() + (psi @ res.d1)))
 
 
 def sum_diagram(d0: Diagram3x3, d1: Diagram3x3) -> Diagram3x3:

@@ -525,6 +525,47 @@ def test_engine_fault_is_an_assertion(owner, name, fake, message, monkeypatch):
         extend_diagram(d)
 
 
+def test_enumerated_extension_failing_validation_is_an_assertion(monkeypatch):
+    # enumerate_extensions checks what it returns, as extend_diagram does (ENGINE_FAULTS)
+    d = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8")).diagrams["D"]
+    monkeypatch.setattr(diagram_module, "validate_extension", lambda *a: ["forced"])
+    with pytest.raises(AssertionError, match="^constructed extension failed validation: forced$"):
+        enumerate_extensions(d)
+
+
+def test_kept_extension_verdict_is_keyed_on_identity(monkeypatch):
+    # extend_diagram checks its extension and keeps the verdict; only that
+    # very object, against that very diagram while it is the last analysed,
+    # reads it, and every other pair is checked in full
+    d = all_split()
+    e = extend_diagram(d)
+    checks = _count_calls(monkeypatch, "exactness_violations")
+    assert validate_extension(d, e) == [] and checks == []
+    copy = DiagramExtension(e.x, e.i, e.j, e.m, e.n)
+    assert copy == e and validate_extension(d, copy) == [] and len(checks) == 2
+    assert validate_extension(d, perturb_extension(random.Random(0), d, e)) == [] and len(checks) == 4
+    broken = replace(e, m=zero_morphism(e.x, d.f))
+    assert validate_extension(d, broken) and len(checks) == 6
+    assert validate_extension(all_split(), e) == [] and len(checks) == 8
+    assert validate_extension(d, e) == [] and len(checks) == 8
+    # a broken copy reports its violations straight after extend_diagram too
+    e = extend_diagram(d)
+    assert validate_extension(d, replace(e, m=zero_morphism(e.x, d.f)))
+    # enumerate_extensions keeps no verdict
+    sols = enumerate_extensions(d)
+    del checks[:]
+    assert all(validate_extension(d, x) == [] for x in sols) and len(checks) == 2 * len(sols)
+    # once another diagram is analysed, the same pair is checked again
+    extend_diagram(all_split())
+    del checks[:]
+    assert validate_extension(d, e) == [] and len(checks) == 2
+    # an extension read from a document is checked in full
+    doc = parse((FIXTURES / "allsplit.json").read_text(encoding="utf-8"))
+    extend_diagram(doc.diagrams["D"])
+    del checks[:]
+    assert validate_extension(doc.diagrams["D"], doc.extensions["X1"]) == [] and len(checks) == 2
+
+
 # Faults behind facts the memo keeps: ``prime`` asks for the facts before the
 # fault, then the diagram layer's ``name`` answers ``answered`` more calls
 # and from the next one on gives ``failed``, a lift with no solution or a

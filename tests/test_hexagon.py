@@ -285,18 +285,43 @@ def test_the_engine_fault_survives_python_O():
 
 def test_solving_a_frame_validates_its_fold_once(monkeypatch):
     # validate_diagram1 is wrapped under every hexext name bound to it; the
-    # fold's check is the frame's, so the hexagon layer runs no exactness
-    # check of its own before verification
+    # fold's check is the frame's.  The center is verified once, inside
+    # solve_hexagon, and the caller's verify_hexagon of that object reads the
+    # kept verdict, so the two diagonals are checked once between them
     calls, paths = [], []
     real = validate_diagram1
     for mod in [m for name, m in sys.modules.items() if name.startswith("hexext.")]:
         if getattr(mod, "validate_diagram1", None) is real:
             monkeypatch.setattr(mod, "validate_diagram1", lambda d: calls.append(d) or real(d))
     real_paths = hexagon_module.exactness_violations
-    monkeypatch.setattr(hexagon_module, "exactness_violations", lambda *a: paths.append(a) or real_paths(*a))
+    monkeypatch.setattr(hexagon_module, "exactness_violations", lambda *a: paths.append(a[0]) or real_paths(*a))
     h = solve_hexagon(frame_from_diagram(injective_p_diagram()))
-    assert len(calls) == 1 and paths == []
     assert verify_hexagon(h) == []
+    assert len(calls) == 1
+    assert paths == ["diagonal B1-center-A3", "diagonal A2-center-B2"]
+
+
+def test_unverified_center_is_an_engine_fault(monkeypatch):
+    # a center that fails verification never leaves the library
+    monkeypatch.setattr(hexagon_module, "exactness_violations", lambda *a: ["forced"])
+    with pytest.raises(AssertionError, match="^solved hexagon failed verification: forced; forced$"):
+        solve_hexagon(frame_from_diagram(injective_p_diagram()))
+
+
+def test_kept_center_verdict_is_keyed_on_identity(monkeypatch):
+    f = frame_from_diagram(injective_p_diagram())
+    h = solve_hexagon(f)
+    paths = []
+    real_paths = hexagon_module.exactness_violations
+    monkeypatch.setattr(hexagon_module, "exactness_violations", lambda *a: paths.append(a[0]) or real_paths(*a))
+    assert verify_hexagon(h) == [] and paths == []
+    # an equal copy, and a copy with c zeroed, are checked in full
+    assert verify_hexagon(dataclasses.replace(h)) == [] and len(paths) == 2
+    broken = dataclasses.replace(h, c=zero_morphism(h.center, f.b2))
+    assert verify_hexagon(broken) and len(paths) == 4
+    # once another diagram is analysed, the same object is checked again
+    extend_diagram(split_diagram())
+    assert verify_hexagon(h) == [] and len(paths) == 6
 
 
 # -- solving ------------------------------------------------------------------
