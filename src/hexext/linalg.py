@@ -12,16 +12,25 @@ the diagonal alone: :func:`kernel_columns` carries the rows of V for the
 matrix's own columns, ``modules.simplify`` carries U and U^-1, and
 ``modules._structure`` the diagonal alone.
 
-Over Z/m, kernels and Smith data lift the matrix to Z and adjoin
+Over Z/m, Smith kernels and Smith data lift the matrix to Z and adjoin
 ``m * identity`` columns.  Span membership (:func:`shrink_generators`), the
-Hermite form and solving lift nothing: they grow one echelon basis a column
-at a time from the lattice ``m * Z^n``; its pivots divide m and its other
-entries stay below m.  A row whose pivot is still the adjoined ``m * e_r``
+Hermite form, solving and graph kernels lift nothing: they grow one echelon
+basis a column at a time from the lattice ``m * Z^n``; its pivots divide m
+and its other entries stay below m.  A row whose pivot is still the adjoined ``m * e_r``
 is implicit, never written out as a column: an elimination step against it
 changes one entry, and only the Hermite form that :func:`_hermite_cols`
 returns writes it out.  A solve reduces ``(b; 0)`` against the cached
 Hermite form of the relations ``R`` beside the graph ``[A; -I]`` and returns
 the canonical solution.
+
+Kernels take one of two routes.  :func:`_graph_kernel` reads the kernel of
+A modulo R off that same cached graph form, with no Smith form: the snake's
+kernels, the images and the infinite-module fallbacks of the exactness
+checks, whose generators no answer presents.  :func:`kernel_columns` reads
+it off a Smith form, whose pivoting fixes the generators; its one caller is
+``modules._preimage``, for the pullback and ``ext``'s resolutions and
+cocycles, whose generators fix Y's basis and the Ext coordinates that
+choose a middle object.
 
 Caches keep only what callers read, each bounded at :data:`CACHE_SIZE`
 entries.  The one Hermite cache is keyed on ``(R, A, m, k)``: the lattice
@@ -29,9 +38,10 @@ spanned by ``[R; 0]`` and by the graph ``[A; -I_k 0]``.  With no A the entry
 is R's own form; any other entry resumes from that one, so only A's columns
 are inserted, and an order-only entry (``k`` is ``None``) keeps the order
 alone.  Each entry is canonical for its key, so eviction never changes an
-answer.  Kernels and Smith transforms are never kept here; the one caller
-of :func:`kernel_columns`, ``modules._preimage``, caches what it builds
-from it.
+answer.  Kernels and Smith transforms are never kept here:
+:func:`_graph_kernel` reads the cached Hermite entry, and the one caller of
+:func:`kernel_columns`, ``modules._preimage``, caches what it builds from
+it.
 """
 
 from __future__ import annotations
@@ -403,6 +413,34 @@ def kernel_columns(a: ExactMatrix) -> ExactMatrix:
             seen.add(c)
             out.append(c)
     out.sort(key=lambda c: (len(c) - c.count(0), c))
+    return ExactMatrix(a.ring, a.cols, len(out), tuple(zip(*out)) if out else ((),) * a.cols)
+
+
+def _graph_kernel(a: ExactMatrix, relations: ExactMatrix) -> ExactMatrix:
+    """A basis of the lattice ``{x : a x in span(relations)}`` (over Z/m,
+    generators of it mod m), read off the cached Hermite form of
+    ``relations`` beside the graph ``[A; -I]``, the entry
+    :func:`solve_linear` reads.  The graph sends x to ``(a x; -x)``, so the
+    lattice's vectors with a zero top block are ``(0; -x)`` for x in the
+    kernel; they are spanned by the pivot columns whose pivot row is at
+    least ``a.rows``, and their last ``a.cols`` entries are a basis of the
+    kernel (Cohen, *A Course in Computational Algebraic Number Theory*,
+    section 2.4).  Over Z/m the written-out ``m * e_r`` columns reduce to
+    zero and are dropped.
+
+    No Smith form is built and nothing more is cached.  The generators are
+    Hermite columns, not :func:`kernel_columns`'s, so a caller whose
+    generators fix a presentation that an answer prints keeps the Smith
+    route (``modules._preimage``).
+    """
+    m = a.ring.modulus
+    top = a.rows
+    out = []
+    for r, c in _span_form(relations, a, a.cols)[0]:
+        if r >= top:
+            c = tuple([t % m for t in c[top:]]) if m else c[top:]
+            if any(c):
+                out.append(c)
     return ExactMatrix(a.ring, a.cols, len(out), tuple(zip(*out)) if out else ((),) * a.cols)
 
 

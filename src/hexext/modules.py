@@ -29,6 +29,7 @@ from .linalg import (
     shrink_generators,
     smith_lattice,
     solve_linear,
+    _graph_kernel,
     _reduce_by_pivots,
     _span_form,
 )
@@ -199,7 +200,7 @@ class ModuleMorphism:
         source, target = lattice_order(self.source.relations), lattice_order(self.target.relations)
         if source is not None and target is not None:
             return target == source * _coker_order(self)
-        return _first_outside(preimage_kernel_columns(self), self.source.relations) is None
+        return _first_outside(_graph_kernel(self.matrix, self.target.relations), self.source.relations) is None
 
     def is_surjective(self) -> bool:
         return _coker_order(self) == 1
@@ -258,8 +259,14 @@ def zero_morphism(source: PresentedModule, target: PresentedModule) -> ModuleMor
 @lru_cache(maxsize=CACHE_SIZE)
 def _preimage(a: ExactMatrix, relations: ExactMatrix) -> ExactMatrix:
     """Columns spanning ``{x : a x in span(relations)}``: the kernel of
-    ``[a | relations]`` cut to its top ``a.cols`` rows, shrunk.  Cached, so
-    a repeated kernel, image or submodule reuses the shrunk generators."""
+    ``[a | relations]`` by the Smith route (:func:`kernel_columns`), cut to
+    its top ``a.cols`` rows, shrunk.  Its callers, :func:`pullback` and
+    ``ext``'s resolutions and cocycles, fix with these generators Y's basis
+    and the Ext coordinates that choose a middle object, so they keep the
+    Smith form's pivoting; a kernel whose generators no answer presents
+    reads the graph Hermite form (:func:`linalg._graph_kernel`) instead.
+    Cached, so a repeated pullback or resolution reuses the shrunk
+    generators."""
     ker = kernel_columns(a.hstack(relations))
     return shrink_generators(ExactMatrix(a.ring, a.cols, ker.cols, ker.data[: a.cols]))
 
@@ -268,7 +275,9 @@ def preimage_kernel_columns(f: ModuleMorphism) -> ExactMatrix:
     """Columns spanning ``{x in source coords : f(x) = 0 in target}``.
 
     Includes the source relation directions; this is the kernel of the map
-    on coefficient columns, not yet a presented submodule.
+    on coefficient columns, not yet a presented submodule.  It takes the
+    Smith route of :func:`_preimage`, since ``ext`` presents cocycles and
+    resolutions on these generators.
     """
     return _preimage(f.matrix, f.target.relations)
 
@@ -284,18 +293,31 @@ def morphism_kernel(f: ModuleMorphism):
     """``(ker f, inclusion into the source)``, presented on generators of the
     kernel of the map on coefficient columns.  An injective f, decided by
     the order count of :meth:`ModuleMorphism.is_injective`, has the zero
-    module on no generators as its kernel, and nothing is eliminated."""
+    module on no generators as its kernel, and nothing is eliminated.
+
+    Both eliminations, the kernel's generators and then their relations,
+    read the graph Hermite form (:func:`linalg._graph_kernel`), with no
+    Smith form: the library's one caller, the snake cross-check, reads only
+    isomorphism verdicts of the kernel, never its generators."""
     if f.is_injective():
         zero = PresentedModule.zero(f.source.ring)
         return zero, zero_morphism(zero, f.source)
-    return submodule_generated(f.source, preimage_kernel_columns(f))
+    gens = _graph_kernel(f.matrix, f.target.relations)
+    kernel = PresentedModule(_graph_kernel(gens, f.source.relations))
+    return kernel, ModuleMorphism(kernel, f.source, gens)
 
 
 def morphism_image(f: ModuleMorphism):
     """``(im f, inclusion into the target, corestriction from the source)``;
     the image is the source modulo ker f, presented on the source generators,
-    so the corestriction's matrix is the identity."""
-    image = PresentedModule(shrink_generators(f.source.relations.hstack(preimage_kernel_columns(f))))
+    so the corestriction's matrix is the identity.
+
+    Its relations are the basis of the kernel lattice of the map on
+    coefficient columns that the graph Hermite form gives
+    (:func:`linalg._graph_kernel`), with no Smith form; that lattice already
+    holds the source relations.  The fold simplifies each image before
+    reading it, and the uniqueness report reads only the image's order."""
+    image = PresentedModule(_graph_kernel(f.matrix, f.target.relations))
     return (image, ModuleMorphism(image, f.target, f.matrix),
             ModuleMorphism(f.source, image, ExactMatrix.identity(f.source.ring, f.source.generators)))
 
@@ -393,7 +415,7 @@ def exactness_report(maps: list[ModuleMorphism]) -> list[tuple[str, str]]:
         if middle is not None and target is not None:
             ok = _coker_order(f) * _coker_order(g) == target
         else:
-            ok = _first_outside(preimage_kernel_columns(g), f.target.relations, f.matrix) is None
+            ok = _first_outside(_graph_kernel(g.matrix, g.target.relations), f.target.relations, f.matrix) is None
         out.append((f"interior {i}", EXACT if ok else IMAGE_PROPER))
     out.append(("right", EXACT if maps[-1].is_surjective() else IMAGE_PROPER))
     return out

@@ -55,10 +55,14 @@ from hexext.modules import (
     PresentedModule,
     ShortExactSequence,
     direct_sum,
+    exactness_report,
     exactness_violations,
     hom,
     lift,
     make_ses,
+    morphism_image,
+    morphism_kernel,
+    pullback,
     split_ses,
     zero_morphism,
 )
@@ -412,6 +416,53 @@ def test_snake_cross_check_builds_no_zero_kernel_or_cokernel(monkeypatch):
             assert len(kernels) == 2 and all(k.is_isomorphic_to(d.s) for k in kernels)
             grids += 1
     assert grids == 40 and not cokernels
+
+
+def test_kernels_no_answer_presents_take_no_smith_route(monkeypatch):
+    # kernels, images and the infinite-module fallbacks of the exactness
+    # checks read the graph Hermite form; the Smith route (kernel_columns)
+    # stays with the pullback, Ext and resolutions, whose generators fix Y's
+    # basis and the Ext coordinates that choose a middle object
+    calls = []
+    _wrap_in_every_module(monkeypatch, "kernel_columns", lambda args, out: calls.append(args), linalg_module)
+
+    def clear_caches():
+        for layer in (modules_module, ext_namespace):
+            for obj in vars(layer).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+    rng = random.Random("graph kernels")
+    rings = (R4, Zmod(8), Zmod(9), Zmod(12), ZZ)
+    zdiagram = parse((FIXTURES / "zdiagram.json").read_text(encoding="utf-8")).diagrams["D"]
+    diagrams = [zdiagram] + [random_diagram(rng, ring, 16) for ring in rings for _ in range(4)]
+    frames = [frame_from_diagram(random_diagram(rng, ring, 16), rng) for ring in rings for _ in range(4)]
+    ladders = [(d, build_Y(d)) for d in diagrams]
+    chains = [[s.inject, s.project] for d in diagrams for s in (d.row_top, d.row_bottom, d.col_left, d.col_right)]
+    chains += [chain for f in frames for chain in ([f.alpha, f.top_b, f.r], [f.beta, f.d, f.s])]
+    maps = [f for chain in chains for f in chain]
+    assert any(f.source.cardinality() is None or f.target.cardinality() is None for f in maps)
+    clear_caches()
+    calls.clear()
+    kernels = 0
+    for f in maps:
+        kernel, _ = morphism_kernel(f)
+        image = morphism_image(f)[0]
+        kernels += kernel.generators > 0
+        if f.source.cardinality() is not None:
+            assert f.source.cardinality() == kernel.cardinality() * image.cardinality()
+        assert f.is_injective() == (kernel.cardinality() == 1)
+    for chain in chains:
+        exactness_report(chain)
+    for d, by in ladders:
+        diagram_module._snake_cross_check(d, by)
+    assert calls == [] and kernels > 0
+    for call in (lambda: pullback(zdiagram.col_right.project, zdiagram.row_bottom.project),
+                 lambda: ext_module(1, zdiagram.q, zdiagram.p), lambda: free_resolution(zdiagram.q)):
+        clear_caches()
+        calls.clear()
+        call()
+        assert calls
 
 
 def _scaled(f: ModuleMorphism, c: int) -> ModuleMorphism:

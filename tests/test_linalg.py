@@ -696,6 +696,35 @@ def test_cached_preimage_is_the_computed_preimage():
     assert _preimage(ExactMatrix.zeros(ZZ, 0, 3), ExactMatrix.zeros(ZZ, 0, 0)).columns() == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+def test_graph_kernel_spans_the_smith_preimage():
+    # {x : a x in span(R)} read off the graph Hermite form is the lattice the
+    # Smith route spans, on every ring and on empty and all-zero shapes
+    import random
+
+    from hexext.linalg import _graph_kernel
+    from hexext.modules import _first_outside, _preimage
+
+    rng = random.Random(20261022)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (3, 5)]
+    for ring in (Zmod(4), Zmod(8), Zmod(12), Zmod(36), ZZ):
+        hi = 9 if ring == ZZ else ring.modulus - 1
+        for rows, cols in shapes * 3:
+            for entries in (lambda: rng.randint(-hi, hi), lambda: 0):
+                a = ExactMatrix.from_cols(ring, [[entries() for _ in range(rows)] for _ in range(cols)], rows)
+                rels = ExactMatrix.from_cols(ring, [[entries() for _ in range(rows)]
+                                                    for _ in range(rng.randint(0, 2))], rows)
+                kernel, smith_route = _graph_kernel(a, rels), _preimage(a, rels)
+                assert (kernel.rows, kernel.ring) == (cols, ring)
+                assert _first_outside(kernel, smith_route) is None and _first_outside(smith_route, kernel) is None
+                assert _first_outside(a @ kernel, rels) is None
+                assert all(any(c) for c in kernel.columns())
+                if ring == ZZ:
+                    # a basis: as many columns as the rank of their span
+                    assert len(lattice_pivot_profile(kernel)) == kernel.cols
+                else:
+                    assert all(0 <= x < ring.modulus for row in kernel.data for x in row)
+
+
 def test_repeated_solve_adds_no_hermite_miss():
     # with and without relations beside the map: the entry keyed on
     # (R, A, m, k) and the R form it resumes from both stay cached
