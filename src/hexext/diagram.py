@@ -357,69 +357,65 @@ def validate_extension(d: Diagram3x3, ext: DiagramExtension) -> list[str]:
     return out
 
 
-def _tau(d: Diagram3x3) -> tuple[ExactMatrix, ExactMatrix]:
-    """tau = pr_R^*[rowTop] + pr_S^*[colLeft] as its two cocycles ``F1(R) ->
-    P`` and ``F1(S) -> P``: the staircase chases of rowTop and colLeft over
-    the resolutions of R and S, each checked against d2.  Side by side they
-    are one cocycle of tau on ``d1(R) (+) d1(S)``, which resolves R (+) S in
-    degree 1, so the direct sum itself is never resolved."""
-    out = []
-    for side in (d.row_top, d.col_left):
-        res = free_resolution(side.right)
-        out.append(_checked_cocycle(_ses_cocycle(side, res), res, 1, d.p))
-    return tuple(out)
+def _sum_resolution(d: Diagram3x3, by: BuildY) -> FreeResolution:
+    """The resolution of R (+) S, the left end of the Y-sequence, in degrees
+    1 and 2: the block sums of the cached resolutions of R and of S.  Its
+    d1 is the one :func:`ext.free_resolution` would shrink R (+) S's
+    relations to, as the two blocks meet no common row, so the direct sum
+    itself is never eliminated."""
+    r, s = free_resolution(d.r), free_resolution(d.s)
+    ring = d.p.ring
+    return FreeResolution(by.ses.left, block_diag(ring, [r.d1, s.d1]), block_diag(ring, [r.d2, s.d2]))
 
 
-def _connecting_image(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactMatrix]) -> ExactMatrix:
+def _tau(d: Diagram3x3, rs: FreeResolution) -> ExactMatrix:
+    """tau = pr_R^*[rowTop] + pr_S^*[colLeft] as one cocycle ``F1(R (+) S)
+    -> P`` on ``rs``, the block resolution of :func:`_sum_resolution`: the
+    staircase chases of rowTop and colLeft over the resolutions of R and S,
+    side by side, checked against the block d2."""
+    tau = _ses_cocycle(d.row_top, free_resolution(d.r)).hstack(_ses_cocycle(d.col_left, free_resolution(d.s)))
+    return _checked_cocycle(tau, rs, 1, d.p)
+
+
+def _connecting_image(d: Diagram3x3, by: BuildY, rs: FreeResolution, tau: ExactMatrix) -> ExactMatrix:
     """Route 2 of the obstruction: a cocycle ``F2(Q) -> P`` of the image of
-    tau, the pair ``(tau_R, tau_S)`` of :func:`_tau`, under the connecting
-    map of the Y-sequence, the chain-lift Yoneda product of tau with the
+    tau, the cocycle of :func:`_tau` on ``rs``, under the connecting map of
+    the Y-sequence, the chain-lift Yoneda product of tau with the
     Y-sequence's class.  The chase of the Y-sequence over Q's resolution
     gives ``gamma : F1(Q) -> R (+) S``; ``gamma o d2(Q)`` is zero in R (+)
-    S, so it lifts once through the free map ``d1(R) (+) d1(S)``, and
-    ``[tau_R | tau_S]`` composed with that lift is the cocycle.  No sequence
-    is spliced, so this route shares no Yoneda code with the product
-    obstruction."""
+    S, so it lifts once through the free map d1 of ``rs``, and tau composed
+    with that lift is the cocycle.  No sequence is spliced, so this route
+    shares no Yoneda code with the product obstruction."""
     res = free_resolution(d.q)
-    gamma = _ses_cocycle(by.ses, res)
-    d1 = block_diag(d.p.ring, [free_resolution(d.r).d1, free_resolution(d.s).d1])
-    lifted = lift(_free_map(d1), gamma @ res.d2)
+    lifted = lift(_free_map(rs.d1), _ses_cocycle(by.ses, res) @ res.d2)
     if lifted is None:
         raise AssertionError("the Y-sequence's cocycle does not lift through d1(R) (+) d1(S)")
-    return tau[0].hstack(tau[1]) @ lifted
+    return tau @ lifted
 
 
-def _solve_restriction(d: Diagram3x3, by: BuildY, tau: tuple[ExactMatrix, ExactMatrix]) -> ExtClass | None:
-    """The canonical class xi in Ext^1(Y, P) restricting to tau, the pair
-    of cocycles of :func:`_tau`, when one exists (deterministically the
-    smallest coordinate solution).
+def _solve_restriction(d: Diagram3x3, by: BuildY, rs: FreeResolution, tau: ExactMatrix) -> ExtClass | None:
+    """The canonical class xi in Ext^1(Y, P) restricting to tau, the
+    cocycle of :func:`_tau` on ``rs``, when one exists (deterministically
+    the smallest coordinate solution).
 
     The restriction of xi is compared with tau as cochains, not as classes:
-    one depth-1 chain lift of ``w_r`` (``w_s``) carries each generating
-    cocycle of Ext^1(Y, P) to a cocycle ``F1(R) -> P`` (``F1(S) -> P``),
-    the cocycles tau also gives.  Both are flattened into the cochains of R
-    and of S modulo coboundaries and P's relations (``ext._cochains``), and
-    xi's coordinates are one lift into their sum.  A cocycle lies in those
-    coboundaries exactly when its class is zero, so the coordinates solving
-    this system, and those whose restriction is zero, are the ones the
-    restriction into Ext^1(R, P) (+) Ext^1(S, P) would give; the canonical
-    solution depends on nothing else, and neither Ext module is built.  Each
-    cocycle is checked against d2 before it enters the system."""
+    one depth-1 chain lift of the Y-sequence's injection carries each
+    generating cocycle of Ext^1(Y, P) to a cocycle ``F1(R (+) S) -> P``,
+    checked against d2 of ``rs``.  Flattened into the cochains of R (+) S
+    modulo coboundaries and P's relations (``ext._cochains``), they are the
+    columns of one system, and xi's coordinates are one lift of tau through
+    it.  A cocycle lies in those coboundaries exactly when its class is
+    zero, so the coordinates solving this system, and those whose
+    restriction is zero, are the ones the restriction into Ext^1(R (+) S, P)
+    would give; the canonical solution depends on nothing else, and that
+    Ext module is not built."""
     e_y = ext_module(1, by.y, d.p)
-    ring = d.p.ring
-    blocks, rhs, rels = [], [], []
-    for w, tau_w in zip((by.w_r, by.w_s), tau):
-        res = free_resolution(w.source)
-        lifted = chain_map(res, e_y.resolution, w, 1)[1]
-        cochains = _cochains(1, res, d.p)
-        restricted = [_checked_cocycle(phi @ lifted, res, 1, d.p) for phi in e_y.cocycles]
-        blocks.append(ExactMatrix.from_cols(ring, [_flatten(phi).col(0) for phi in restricted],
-                                            cochains.generators))
-        rhs.append(_flatten(tau_w).col(0))
-        rels.append(cochains.relations)
-    target = PresentedModule(block_diag(ring, rels))
-    rho = ModuleMorphism(e_y.presentation, target, blocks[0].vstack(blocks[1]))
-    x = lift(rho, ExactMatrix.from_cols(ring, [rhs[0] + rhs[1]], target.generators))
+    lifted = chain_map(rs, e_y.resolution, by.ses.inject, 1)[1]
+    cochains = _cochains(1, rs, d.p)
+    restricted = [_flatten(_checked_cocycle(phi @ lifted, rs, 1, d.p)).col(0) for phi in e_y.cocycles]
+    rho = ModuleMorphism(e_y.presentation, cochains,
+                         ExactMatrix.from_cols(d.p.ring, restricted, cochains.generators))
+    x = lift(rho, _flatten(tau))
     if x is None:
         return None
     return e_y.class_from_coords(x.col(0))
@@ -500,15 +496,17 @@ def _class_over_y(d: Diagram3x3) -> tuple[BuildY, ExtClass]:
 def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
     """The connecting image of tau (:func:`_connecting_image`), checked
     against the product obstruction, then xi solved in cochains
-    (:func:`_solve_restriction`); both read tau's cocycles, computed once
+    (:func:`_solve_restriction`); both read tau's cocycle on the block
+    resolution of R (+) S (:func:`_sum_resolution`), each computed once
     here.  The routes are compared as cocycles on Q's resolution: they agree
     exactly when their difference is a coboundary, so Ext^2(Q, P) is built
     only to name the classes of routes that disagree.  Raises
     :class:`NotExtendableError` with the obstruction report when the
     obstruction is nonzero."""
     ob = _known(d, "obstruction", _obstruction)
-    tau = _tau(d)
-    delta_tau = _connecting_image(d, by, tau)
+    rs = _sum_resolution(d, by)
+    tau = _tau(d, rs)
+    delta_tau = _connecting_image(d, by, rs, tau)
     if not ob.is_coboundary(delta_tau - ob.ef - ob.hg):
         raise AssertionError(
             "obstruction routes disagree: connecting image "
@@ -516,7 +514,7 @@ def _xi(d: Diagram3x3, by: BuildY) -> ExtClass:
         )
     if not ob.is_zero:
         raise NotExtendableError(ob)
-    xi = _solve_restriction(d, by, tau)
+    xi = _solve_restriction(d, by, rs, tau)
     if xi is None:
         raise AssertionError("obstruction vanished but the restriction map has no solution")
     return xi

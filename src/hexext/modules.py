@@ -316,7 +316,8 @@ def morphism_image(f: ModuleMorphism):
     coefficient columns that the graph Hermite form gives
     (:func:`linalg._graph_kernel`), with no Smith form; that lattice already
     holds the source relations.  The fold simplifies each image before
-    reading it, and the uniqueness report reads only the image's order."""
+    reading it, and ``hexext unique`` prints the image's invariant factors,
+    free rank and generator count."""
     image = PresentedModule(_graph_kernel(f.matrix, f.target.relations))
     return (image, ModuleMorphism(image, f.target, f.matrix),
             ModuleMorphism(f.source, image, ExactMatrix.identity(f.source.ring, f.source.generators)))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -564,3 +565,74 @@ def test_fuzz_over_z(capsys):
     code, report = run(capsys, "fuzz", "--ring", "Z", "--seed", "3", "--count", "3")
     assert code == 0
     assert report["summary"]["obstructed"] == 0
+
+
+# -- mutated fixtures ------------------------------------------------------------
+
+MUTANT_VALUES = (None, True, 0, 1, -1, 3, 10 ** 20, 1.5, "", "Z2", [], {}, [[1]], [[0, 1], [1, 0]])
+
+
+def _mutate(rng, doc) -> str:
+    """Replace one value of ``doc``, delete one of its keys or pop one of its
+    list entries, at any depth below the top; return what was done."""
+    places = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            places.append((node, key, f"{path}/{key}"))
+            walk(value, f"{path}/{key}")
+
+    walk(doc, "")
+    node, key, path = rng.choice(places)
+    if rng.random() < 0.5:
+        value = rng.choice(MUTANT_VALUES)
+        node[key] = json.loads(json.dumps(value))
+        return f"{path} = {value!r}"
+    del node[key]
+    return f"del {path}"
+
+
+def _document_commands(doc) -> list[list[str]]:
+    """Every subcommand that reads a document, on names ``doc`` defines."""
+    modules = sorted(doc.get("modules", {}))
+    extensions = sorted(doc.get("extensions", {}))
+    commands = [["ext", "-", "-i", str(i), modules[0], modules[-1]] for i in (0, 1, 2)]
+    commands += [["oracle-compare", "-", modules[0], modules[1]]]
+    commands += [["validate", "-", name] for table in ("modules", "diagrams", "hexagons", "extensions")
+                 for name in sorted(doc.get(table, {}))[:2]]
+    for d in sorted(doc.get("diagrams", {})):
+        commands += [[op, "-", d] for op in ("extend", "obstruction", "unique")]
+        commands += [["iso", "-", d, extensions[0], extensions[-1]]] if extensions else []
+    commands += [["hexagon", "-", "solve", f] for f in sorted(doc.get("hexagons", {}))]
+    return commands
+
+
+def test_mutated_fixtures_exit_with_a_code_and_a_short_message(capsys, monkeypatch):
+    # a shipped fixture with a value replaced, a key deleted or a list entry
+    # popped, once or twice, answers every subcommand that reads a document
+    # with exit 0, 1 or 2 (argparse's own exit included), lets no other
+    # exception escape, and keeps stderr short
+    rng = random.Random("mutated fixtures")
+    fixtures = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in sorted(FIXTURES.glob("*.json"))}
+    codes, ops = collections.Counter(), collections.Counter()
+    for _ in range(500):
+        name = rng.choice(sorted(fixtures))
+        doc = json.loads(json.dumps(fixtures[name]))
+        argv = rng.choice(_document_commands(doc))
+        done = [_mutate(rng, doc) for _ in range(rng.choice((1, 1, 2)))]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # any other escape is the finding
+            pytest.fail(f"{name}.json with {done}, {argv}: {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (name, done, argv, code)
+        assert len(err.encode()) < 400, (name, done, argv, err[:400])
+        codes[code] += 1
+        ops[argv[0]] += 1
+    assert set(ops) == {"ext", "oracle-compare", "validate", "extend", "obstruction", "unique", "iso", "hexagon"}, ops
+    # most mutants exit 2; some still reach the engine and answer
+    assert codes[2] >= 300 and codes[0] >= 10 and codes[1] >= 2, codes

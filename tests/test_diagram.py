@@ -23,6 +23,7 @@ from hexext.diagram import (
     _connecting_image,
     _realize,
     _solve_restriction,
+    _sum_resolution,
     _tau,
     build_Y,
     check_uniqueness,
@@ -48,8 +49,8 @@ from hexext.ext import (
     free_resolution,
     ses_of_class,
 )
-from hexext.hexagon import fold_frame, solve_hexagon
-from hexext.linalg import ExactMatrix
+from hexext.hexagon import fold_frame, solve_hexagon, verify_hexagon
+from hexext.linalg import ExactMatrix, shrink_generators
 from hexext.modules import (
     ModuleMorphism,
     PresentedModule,
@@ -65,9 +66,10 @@ from hexext.modules import (
     pullback,
     split_ses,
     zero_morphism,
+    _first_outside,
 )
 from hexext.oracle import EnumerationBudget, enumerate_morphisms
-from hexext.randgen import frame_from_diagram, perturb_extension, random_diagram
+from hexext.randgen import frame_from_diagram, perturb_extension, random_diagram, random_module, random_ses
 from hexext.rings import ZZ, Zmod
 import routes
 from routes import (
@@ -881,6 +883,13 @@ def resolved_restriction_data(d, by):
             + transport_contravariant(class_of_ses(d.col_left), rs.project_right))
 
 
+def tau_on_sum(d, by):
+    """The block resolution of R (+) S and tau's cocycle on it, the pair
+    the pipeline passes to the connecting image and the restriction solve."""
+    rs = _sum_resolution(d, by)
+    return rs, _tau(d, rs)
+
+
 def resolved_solve_restriction(d, by, tau):
     """Reference route: restrict along R (+) S -> Y into tau's module."""
     e_y = ext_module(1, by.y, d.p)
@@ -889,6 +898,47 @@ def resolved_solve_restriction(d, by, tau):
                          _transport_matrix(e_y, e_rs, lambda x: transport_contravariant(x, by.ses.inject)))
     x = lift(rho, ExactMatrix.from_cols(d.p.ring, [tau.coords], e_rs.presentation.generators))
     return None if x is None else e_y.class_from_coords(x.col(0))
+
+
+def test_sum_resolution_is_the_resolution_of_r_plus_s():
+    # the block sums of R's and S's resolutions resolve R (+) S in degrees 1
+    # and 2: d1 is R (+) S's shrunk relations column for column, d1 d2 is
+    # zero, and d2 spans the lattice the resolution of the sum itself finds
+    for ring in (R4, Zmod(8), Zmod(9), Zmod(12), ZZ):
+        rng = random.Random(f"sum resolution {ring}")
+        for _ in range(12):
+            d = random_diagram(rng, ring, 16)
+            by = build_Y(d)
+            rs, ref = _sum_resolution(d, by), free_resolution(by.ses.left)
+            assert rs.target == by.ses.left
+            assert rs.d1 == shrink_generators(by.ses.left.relations)
+            assert rs.d1 @ rs.d2 == ExactMatrix.zeros(ring, rs.d1.rows, rs.d2.cols)
+            assert _first_outside(rs.d2, ref.d2) is None and _first_outside(ref.d2, rs.d2) is None
+
+
+def test_free_summands_over_z_extend_with_the_corners_free_rank():
+    # corners over Z with a free summand half the time.  Ext^2 over Z is
+    # zero, so every grid extends, and X's free rank is the sum of the
+    # corners'; the extension, the uniqueness report and the grid's frame
+    # (decorated half the time), solved and verified, all pass.  A free R
+    # or S leaves its block of the resolution of R (+) S without d1 columns
+    rng = random.Random("free summands over Z")
+    free_rs = 0
+    for _ in range(200):
+        p, r, s, q = (random_module(rng, ZZ, 16, free_rank_chance=0.5) for _ in range(4))
+        d = Diagram3x3(row_top=random_ses(rng, p, r), row_bottom=random_ses(rng, s, q),
+                       col_left=random_ses(rng, p, s), col_right=random_ses(rng, r, q))
+        assert obstruction(d).is_zero
+        e = extend_diagram(d)
+        assert e.x.free_rank() == sum(m.free_rank() for m in (p, r, s, q))
+        assert validate_extension(d, replace(e)) == []   # a copy, checked in full
+        rep = check_uniqueness(d)
+        assert rep.unique == (rep.image.cardinality() == 1)
+        solved = solve_hexagon(frame_from_diagram(d, rng if rng.random() < 0.5 else None))
+        assert verify_hexagon(solved) == []
+        assert solved.center.free_rank() == e.x.free_rank()
+        free_rs += r.free_rank() + s.free_rank() > 0
+    assert free_rs >= 100, free_rs
 
 
 def _class_order(c) -> int:
@@ -905,7 +955,7 @@ def _restriction_route_outcome(d) -> str:
     tau, ref_tau = tau_ses(d, by), resolved_restriction_data(d, by)
     assert class_of_ses(tau) == ref_tau
     assert yoneda_product_of_ses(tau, by.ses) == obstruction(d).baer_sum
-    xi, ref_xi = _solve_restriction(d, by, _tau(d)), resolved_solve_restriction(d, by, ref_tau)
+    xi, ref_xi = _solve_restriction(d, by, *tau_on_sum(d, by)), resolved_solve_restriction(d, by, ref_tau)
     assert (xi is None) == (ref_xi is None) == (not obstruction(d).is_zero)
     if xi is None:
         return "obstructed"
@@ -956,7 +1006,7 @@ def test_restriction_cochain_solve_matches_the_ext_solve():
         for _ in range(60):
             d = random_diagram(rng, ring, 32)
             by = build_Y(d)
-            xi, routed = _solve_restriction(d, by, _tau(d)), restriction_solve_over_ext(d, by)
+            xi, routed = _solve_restriction(d, by, *tau_on_sum(d, by)), restriction_solve_over_ext(d, by)
             assert (xi is None) == (routed is None)
             if xi is None:
                 unsolvable += 1
@@ -969,12 +1019,11 @@ def test_restriction_cochain_solve_matches_the_ext_solve():
 
 
 def test_split_tau_sequence_makes_the_obstruction_routes_disagree(monkeypatch):
-    # zero cocycles are those of the split tau sequence: their connecting
+    # the zero cocycle is that of the split tau sequence: its connecting
     # image is zero, the product obstruction of the obstructed fixture is not
     d = parse((FIXTURES / "obstructed.json").read_text(encoding="utf-8")).diagrams["D"]
     assert not obstruction(d).is_zero
-    real = diagram_module._tau
-    monkeypatch.setattr(diagram_module, "_tau", lambda dg: tuple(ExactMatrix.zeros(phi.ring, phi.rows, phi.cols) for phi in real(dg)))
+    monkeypatch.setattr(diagram_module, "_tau", lambda dg, rs: ExactMatrix.zeros(dg.p.ring, dg.p.generators, rs.rank(1)))
     with pytest.raises(AssertionError, match="obstruction routes disagree"):
         extend_diagram(d)
 
@@ -991,7 +1040,7 @@ def test_connecting_image_chain_lift_matches_the_splice_and_the_products():
         for _ in range(40):
             d = random_diagram(rng, ring, 32)
             by = build_Y(d)
-            lifted = ext_module(2, d.q, d.p).class_of_cocycle(_connecting_image(d, by, _tau(d)))
+            lifted = ext_module(2, d.q, d.p).class_of_cocycle(_connecting_image(d, by, *tau_on_sum(d, by)))
             spliced = yoneda_product_of_ses(tau_ses(d, by), by.ses)
             assert lifted.coords == spliced.coords == obstruction(d).baer_sum.coords
             obstructed += not lifted.is_zero()
@@ -1015,7 +1064,7 @@ def test_obstruction_cochain_verdicts_match_the_ext2_classes():
             d = random_diagram(rng, ring, 32)
             ob, by = obstruction(d), build_Y(d)
             assert ob.is_zero == ob.baer_sum.is_zero()
-            e2, delta = ob.baer_sum.parent, _connecting_image(d, by, _tau(d))
+            e2, delta = ob.baer_sum.parent, _connecting_image(d, by, *tau_on_sum(d, by))
             for shift in (delta - delta,) + e2.cocycles:
                 agree = ob.is_coboundary(delta + shift - ob.ef - ob.hg)
                 assert agree == (e2.class_of_cocycle(delta + shift) == ob.baer_sum)
@@ -1065,7 +1114,7 @@ def test_uniqueness_image_counts_the_classes_over_y():
             assert order == morphism_cokernel(alpha)[0].cardinality()
             assert rep.unique == (order == 1)
             # the reference walk transports each class of Ext^1(Q, P) on its own
-            xi0 = _solve_restriction(d, by, _tau(d))
+            xi0 = _solve_restriction(d, by, *tau_on_sum(d, by))
             walk = [xi0 + transport_contravariant(c, by.ses.project)
                     for c in ext_module(1, d.q, d.p).all_classes()]
             classes = list(dict.fromkeys(xi.coords for xi in walk))
